@@ -6,6 +6,19 @@ against a Student-t law.  Multi-component variables (the one-hot dummy
 blocks) are handled component-wise: the statistic is the maximum absolute
 correlation over component pairs, and p-values are Bonferroni-combined.
 
+No test touches the pooled rows.  Each works from sufficient statistics
+cached on the ``PooledData`` per row set and dummy mode: the Gram matrix of
+every scalar lagged column after centring or demeaning by the dummies in
+``z``, and the per-time-step and per-dataset sums of those columns.  Scalar
+``z`` columns are projected out of a Gram sub-block with a pseudo-inverse
+whose numerical rank sets ``df``.  A dummy endpoint needs no one-hot
+columns: with ``beta`` the ``z``-coefficients of ``y``, the residual
+cross-product of group ``g`` is ``S_y[g] - S_z[g] beta`` and the residual
+squared norm of its indicator is ``n_g - S_z[g] G_zz^+ S_z[g]'``, where
+``n_g`` is the indicator's squared norm after demeaning by the other dummy.
+A test thus costs O(G k + k^3) for G groups and k conditioning columns,
+independent of the number of rows.
+
 The oracle test answers the same queries exactly from a ground-truth graph:
 a dummy inside the conditioning set stands for all context variables of its
 kind (observed and latent), and a dummy as a tested endpoint is independent
@@ -14,10 +27,10 @@ of a system node iff every latent context of its kind is d-separated from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .graph import GroundTruthGraph, VariableRole, d_separated, observed_variables
 
@@ -32,6 +45,7 @@ class CITestResult:
     p_value: float
     n_effective: int
     degenerate: bool = False
+    df: int | None = None
 
 
 @dataclass(frozen=True)
@@ -54,7 +68,11 @@ class CIQuery:
             raise QueryError("conditioning set overlaps the tested pair")
 
 
-_VARANCE_EPS = 1e-12
+_VARIANCE_EPS = 1e-12
+# a residual sum of squares below this share of the column's sum of squares
+# before the scalar conditioning is cancellation noise of the cross-product
+# algebra: the column lies in the span of the conditioning columns
+_SPAN_TOL = 1e-10
 
 
 def _demean_by_groups(a, labels, n_groups):
@@ -68,51 +86,28 @@ def _demean_by_groups(a, labels, n_groups):
     return a - means[labels], int(occupied.sum())
 
 
-def _residualize(values, z_selectors, data, rows):
-    """Residuals of ``values`` w.r.t. the conditioning design, plus its rank.
-
-    One-hot dummy blocks in ``z`` are projected out by exact group demeaning
-    (the two blocks only share the intercept direction on a balanced panel,
-    so ranks add up to one shared dimension); remaining scalar columns plus
-    an intercept are removed by minimum-norm least squares.
-    """
-    n = values.shape[0]
-    group_blocks = []
-    plain = []
-    for (var, lag) in z_selectors:
-        role = data.var_roles[var]
-        if role is VariableRole.TIME_DUMMY:
-            group_blocks.append((data.time_index[rows] - data.tau_max,
-                                 data.T - data.tau_max))
-        elif role is VariableRole.SPACE_DUMMY:
-            group_blocks.append((data.dataset_index[rows], data.M))
-        else:
-            plain.append((var, lag))
-
-    design_cols = [np.ones((n, 1))]
-    if plain:
-        design_cols.append(np.hstack(
-            [data._column_block(var, lag, rows) for (var, lag) in plain]))
-    design = np.hstack(design_cols)
-
-    work = np.hstack([values, design])
-    rank = 0
-    for k, (labels, n_groups) in enumerate(group_blocks):
-        work, occupied = _demean_by_groups(work, labels, n_groups)
-        rank += occupied if k == 0 else occupied - 1
-    resid_values = work[:, :values.shape[1]]
-    resid_design = work[:, values.shape[1]:]
-    norms = np.linalg.norm(resid_design, axis=0)
-    resid_design = resid_design[:, norms > _VARANCE_EPS * max(1.0, np.sqrt(n))]
-    if resid_design.shape[1]:
-        sol, _, lstsq_rank, _ = np.linalg.lstsq(resid_design, resid_values, rcond=None)
-        resid_values = resid_values - resid_design @ sol
-        rank += lstsq_rank
-    return resid_values, rank
-
-
 def _z_column_count(z_selectors, data):
     return sum(data.n_components(var) for (var, lag) in z_selectors)
+
+
+def _t_pvalue(t, df):
+    """Two-sided Student-t p-value of the statistics ``t``."""
+    return 2.0 * special.stdtr(df, -np.abs(t))
+
+
+_DUMMY_KINDS = {VariableRole.TIME_DUMMY: "time", VariableRole.SPACE_DUMMY: "space"}
+
+
+def _columns(selectors, data):
+    """Scalar column positions of one side of a query, and its dummy kinds."""
+    scalars, dummies = [], []
+    for (var, lag) in selectors:
+        kind = _DUMMY_KINDS.get(data.var_roles[var])
+        if kind:
+            dummies.append(kind)
+        else:
+            scalars.append(data.scalar_index((var, lag)))
+    return scalars, dummies
 
 
 def parcorr_test(query, data, correction="bonferroni"):
@@ -127,6 +122,12 @@ def parcorr_test(query, data, correction="bonferroni"):
     Bonferroni-combined minimum (``correction="none"`` reports the raw
     minimum instead).
 
+    The residual cross-products come from ``data.gram_stats``: dummies in
+    ``z`` select the demeaning of the cached Gram matrix, scalar ``z``
+    columns are projected out by a pseudo-inverse of their Gram block, and a
+    dummy endpoint's components are the group sums of the residuals.  At
+    most one dummy may be a tested endpoint.
+
     Tested variables flagged degenerate (constant dummy blocks) or residuals
     with zero variance yield an independence verdict with ``p_value = 1`` and
     the degenerate flag set.
@@ -136,45 +137,76 @@ def parcorr_test(query, data, correction="bonferroni"):
     if any(data.is_degenerate(var) for (var, _) in query.x + query.y):
         return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
 
-    all_sel = list(query.x) + list(query.y) + list(query.z)
-    _, rows = data.extract_aligned(all_sel)
-    n = len(rows)
+    start = data.aligned_start(query.x + query.y + query.z)
+    n = data.M * (data.T - start)
     n_z_cols = _z_column_count(query.z, data)
     if n <= n_z_cols + 3:
         raise QueryError(
             f"too few samples: n={n} with {n_z_cols} conditioning columns "
             f"(query x={query.x} y={query.y} z={query.z})")
 
-    x_block = np.hstack([data._column_block(v, l, rows) for (v, l) in query.x])
-    y_block = np.hstack([data._column_block(v, l, rows) for (v, l) in query.y])
-    kx, ky = x_block.shape[1], y_block.shape[1]
-    resid, rank = _residualize(np.hstack([x_block, y_block]), query.z, data, rows)
-    rx, ry = resid[:, :kx], resid[:, kx:]
-    df = n - rank - 1
+    xs, x_dummies = _columns(query.x, data)
+    ys, y_dummies = _columns(query.y, data)
+    zs, z_dummies = _columns(query.z, data)
+    if len(x_dummies) + len(y_dummies) > 1:
+        raise QueryError("a dummy may appear among the tested variables once only")
+    if y_dummies:  # the test is symmetric in x and y: keep a dummy in x
+        xs, x_dummies, ys = ys, y_dummies, xs
+    mode = ("both" if len(set(z_dummies)) == 2
+            else z_dummies[0] if z_dummies else "none")
+    stats = data.gram_stats(start, mode)
+    gram = stats.gram
+
+    zs = np.array(zs, dtype=int)
+    zs = zs[np.sqrt(gram[zs, zs]) > _VARIANCE_EPS * max(1.0, np.sqrt(n))]
+    if zs.size:
+        # pseudo-inverse of the z Gram block; the cutoff is lstsq's
+        # rcond=None rule applied to that block's own spectrum
+        lam, vecs = np.linalg.eigh(gram[np.ix_(zs, zs)])
+        kept = lam > max(n, zs.size) * np.finfo(float).eps * lam[-1]
+        whiten = vecs[:, kept] / np.sqrt(lam[kept])
+    else:
+        kept, whiten = np.zeros(0, dtype=bool), np.zeros((0, 0))
+    df = n - (stats.group_rank + int(kept.sum())) - 1
     if df < 1:
-        return CITestResult(0.0, 1.0, n, degenerate=True)
+        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
 
-    sx = rx.std(axis=0)
-    sy = ry.std(axis=0)
-    ok_x, ok_y = sx > _VARANCE_EPS, sy > _VARANCE_EPS
+    vs = np.array(xs + ys, dtype=int)
+    proj = whiten.T @ gram[np.ix_(zs, vs)]
+    base = gram[vs, vs]
+    cross = gram[np.ix_(vs, vs)] - proj.T @ proj
+    ss = np.diag(cross)
+    kx = len(xs)
+    num = cross[:kx, kx:]
+    ss_x, base_x, ss_y, base_y = ss[:kx], base[:kx], ss[kx:], base[kx:]
+    if x_dummies:
+        # one row per group indicator: its residual cross-products with y
+        # and its residual squared norm, from the group sums alone
+        sums, norms = stats.group_sums[x_dummies[0]], stats.group_norms[x_dummies[0]]
+        group_proj = sums[:, zs] @ whiten
+        num = np.vstack([num, sums[:, vs[kx:]] - group_proj @ proj[:, kx:]])
+        ss_x = np.concatenate([ss_x, norms - np.einsum("gr,gr->g", group_proj, group_proj)])
+        base_x = np.concatenate([base_x, norms])
+
+    floor = n * _VARIANCE_EPS ** 2
+    ok_x = (ss_x > floor) & (ss_x > _SPAN_TOL * base_x)
+    ok_y = (ss_y > floor) & (ss_y > _SPAN_TOL * base_y)
     if not ok_x.any() or not ok_y.any():
-        return CITestResult(0.0, 1.0, n, degenerate=True)
+        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
 
-    corr = (rx - rx.mean(axis=0)).T @ (ry - ry.mean(axis=0)) / n
+    ok = np.outer(ok_x, ok_y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        corr = corr / np.outer(np.where(ok_x, sx, 1.0), np.where(ok_y, sy, 1.0))
-    corr = np.where(np.outer(ok_x, ok_y), corr, 0.0)
-    corr = np.clip(corr, -1 + 1e-15, 1 - 1e-15)
-
+        corr = num / np.sqrt(np.outer(np.where(ok_x, ss_x, 1.0),
+                                      np.where(ok_y, ss_y, 1.0)))
+    corr = np.clip(np.where(ok, corr, 0.0), -1 + 1e-15, 1 - 1e-15)
     tvals = corr * np.sqrt(df / (1.0 - corr ** 2))
-    pvals = 2.0 * stats.t.sf(np.abs(tvals), df)
-    pvals = np.where(np.outer(ok_x, ok_y), pvals, 1.0)
+    pvals = np.where(ok, _t_pvalue(tvals, df), 1.0)
 
     statistic = float(np.max(np.abs(corr)))
     min_p = float(np.min(pvals))
-    n_pairs = kx * ky
+    n_pairs = corr.size
     p_value = min(1.0, min_p * n_pairs) if correction == "bonferroni" else min_p
-    return CITestResult(statistic, p_value, n, degenerate=False)
+    return CITestResult(statistic, p_value, n, degenerate=False, df=df)
 
 
 def centered_parcorr_test(x, y, data, groups="dataset"):
@@ -197,17 +229,21 @@ def centered_parcorr_test(x, y, data, groups="dataset"):
     rx, occ = _demean_by_groups(x_col, labels, n_groups)
     ry, _ = _demean_by_groups(y_col, labels, n_groups)
     df = n - occ - 1
-    if rx.std() < _VARANCE_EPS or ry.std() < _VARANCE_EPS or df < 1:
-        return CITestResult(0.0, 1.0, n, degenerate=True)
+    if rx.std() < _VARIANCE_EPS or ry.std() < _VARIANCE_EPS or df < 1:
+        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
     r = float(np.corrcoef(rx[:, 0], ry[:, 0])[0, 1])
     r = float(np.clip(r, -1 + 1e-15, 1 - 1e-15))
     t = r * np.sqrt(df / (1.0 - r ** 2))
-    p = float(2.0 * stats.t.sf(abs(t), df))
-    return CITestResult(abs(r), p, n)
+    return CITestResult(abs(r), float(_t_pvalue(t, df)), n, df=df)
 
 
 class ParCorrCI:
-    """Callable CI test bound to a pooled dataset; selector columns are cached."""
+    """Callable CI test bound to a pooled dataset.
+
+    Every test works from the dataset's cached Gram statistics
+    (``PooledData.gram_stats``), built on first use for each row set and
+    dummy mode and shared by all later tests on the same dataset.
+    """
 
     def __init__(self, data, correction="bonferroni"):
         self.data = data

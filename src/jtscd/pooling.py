@@ -5,6 +5,10 @@ of dataset 0, then of dataset 1, and so on.  Lagged columns never cross a
 dataset boundary because each row only looks back within its own dataset.
 Variables are indexed in discovery order: system, observed temporal
 contexts, observed spatial contexts, then the time dummy and space dummy.
+
+``PooledData.gram_stats`` keeps the sufficient statistics the partial
+correlation test works from: per row set and dummy mode, the cross-products
+and per-group sums of every scalar lagged column after demeaning.
 """
 
 from __future__ import annotations
@@ -52,6 +56,31 @@ def build_time_dummy(T, tau_max, time_index=None):
     return np.eye(T - tau_max)[np.asarray(time_index) - tau_max]
 
 
+@dataclass(frozen=True)
+class GramStats:
+    """Sufficient statistics of the scalar columns on one row set.
+
+    The rows are those with ``time_index >= start``, the columns the first
+    ``gram.shape[0]`` entries of ``PooledData.scalar_columns`` (the ones
+    defined on those rows).  Columns are demeaned according to the dummy
+    mode: centred (``none``), within time steps (``time``), within datasets
+    (``space``) or both, time first.  ``gram`` holds their cross-products
+    and ``group_sums["time"]`` / ``group_sums["space"]`` their sums per
+    time-dummy / space-dummy component (zero for time steps without rows).
+    ``group_norms`` holds the squared norms of those group indicators after
+    centring or demeaning by the other dummy, which on a balanced panel are
+    the same.  ``group_rank`` is the rank the mode's intercept and dummy
+    blocks add to a conditioning design.
+    """
+    group_rank: int
+    gram: np.ndarray
+    group_sums: dict
+    group_norms: dict
+
+
+DUMMY_MODES = ("none", "time", "space", "both")
+
+
 class PooledData:
     """Pooled view of a DatasetCollection for lag-aware column extraction.
 
@@ -63,6 +92,7 @@ class PooledData:
     """
 
     def __init__(self, dc, tau_max):
+        dc.check_finite()
         if dc.T <= tau_max:
             raise SelectionError(f"T={dc.T} must exceed tau_max={tau_max}")
         self.dc = dc
@@ -86,6 +116,16 @@ class PooledData:
         self.n_vars = len(roles)
         self.time_dummy = self.n_observed
         self.space_dummy = self.n_observed + 1
+
+        # scalar columns lag-major: those defined on the rows from time step
+        # ``start`` on are the first n_observed + start * len(lagged) entries
+        lagged = [v for v in range(self.n_observed) if roles[v].is_time_indexed]
+        self.scalar_columns = [(v, 0) for v in range(self.n_observed)]
+        self.scalar_columns += [(v, lag) for lag in range(1, 2 * tau_max + 1)
+                                for v in lagged]
+        self._scalar_index = {sel: k for k, sel in enumerate(self.scalar_columns)}
+        self._n_lagged = len(lagged)
+        self._gram_stats = {}
 
     def n_components(self, var):
         role = self.var_roles[var]
@@ -144,6 +184,23 @@ class PooledData:
             return np.zeros((self.n_rows, 0))
         return np.hstack(blocks)
 
+    def aligned_start(self, selectors):
+        """First time step of the rows on which all ``selectors`` are defined.
+
+        Lags up to ``2 * tau_max`` are admitted; a lag beyond ``tau_max``
+        moves the start past the dataset starts it would look back across.
+        """
+        start = self.tau_max
+        for (var, lag) in selectors:
+            role = self.var_roles[var]
+            if role.is_time_indexed and lag > self.tau_max:
+                if lag > 2 * self.tau_max:
+                    raise SelectionError(f"lag {lag} exceeds 2*tau_max")
+                start = max(start, lag)
+            else:
+                self._check_selector(var, lag)
+        return start
+
     def extract_aligned(self, selectors):
         """Like ``extract`` but admits lags up to ``2 * tau_max``.
 
@@ -151,22 +208,70 @@ class PooledData:
         so conditioning sets shifted to the lagged endpoint of a test stay
         well defined; returns ``(matrix, row_indices)``.
         """
-        max_lag = 0
-        for (var, lag) in selectors:
-            role = self.var_roles[var]
-            if role.is_time_indexed and lag > self.tau_max:
-                if lag > 2 * self.tau_max:
-                    raise SelectionError(f"lag {lag} exceeds 2*tau_max")
-                max_lag = max(max_lag, lag)
-            else:
-                self._check_selector(var, lag)
-        rows = np.arange(self.n_rows)
-        if max_lag > 0:
-            rows = rows[self.time_index >= max_lag]
+        rows = np.flatnonzero(self.time_index >= self.aligned_start(selectors))
         blocks = [self._column_block(var, lag, rows) for (var, lag) in selectors]
         if not blocks:
             return np.zeros((len(rows), 0)), rows
         return np.hstack(blocks), rows
+
+    def scalar_index(self, selector):
+        """Position of a scalar ``(var, lag)`` selector in ``scalar_columns``."""
+        return self._scalar_index[selector]
+
+    def gram_stats(self, start, mode):
+        """``GramStats`` of the rows from time step ``start`` on, built once.
+
+        ``start`` is an ``aligned_start`` value and ``mode`` one of
+        ``DUMMY_MODES``.  The statistics cover every column defined on the
+        rows, in a fixed order, so they do not depend on the query that
+        first asks for them.
+        """
+        key = (start, mode)
+        stats = self._gram_stats.get(key)
+        if stats is None:
+            stats = self._gram_stats.setdefault(key, self._build_gram_stats(start, mode))
+        return stats
+
+    def _panel(self, var, lag, start):
+        """Values of a scalar column on the rows from ``start`` on, as (M, T - start)."""
+        steps = slice(start - lag, self.T - lag)
+        role = self.var_roles[var]
+        if role is VariableRole.SYSTEM:
+            return self.dc.system[:, steps, var]
+        if role is VariableRole.TEMPORAL_CONTEXT:
+            return self.dc.temporal_ctx[steps, self._temporal_idx[var - self.n_system]]
+        k = self._spatial_idx[var - self.n_system - len(self._temporal_idx)]
+        return self.dc.spatial_ctx[:, k][:, None]
+
+    def _build_gram_stats(self, start, mode):
+        if mode not in DUMMY_MODES:
+            raise ValueError(f"mode must be one of {DUMMY_MODES}")
+        width = self.T - start
+        cols = self.scalar_columns[:self.n_observed + start * self._n_lagged]
+        # rows are dataset-major over a balanced panel, so a (M, width, p)
+        # view groups them by dataset along axis 1 and by time along axis 0
+        block = np.empty((self.M, width, len(cols)))
+        for k, (var, lag) in enumerate(cols):
+            block[:, :, k] = self._panel(var, lag, start)
+        if mode == "none":
+            block -= block.mean(axis=(0, 1))
+        if mode in ("time", "both"):
+            block -= block.mean(axis=0)
+        if mode in ("space", "both"):
+            block -= block.mean(axis=1, keepdims=True)
+        flat = block.reshape(-1, len(cols))
+        n_steps = self.T - self.tau_max
+        time_sums = np.zeros((n_steps, len(cols)))
+        time_sums[start - self.tau_max:] = block.sum(axis=0)
+        time_norms = np.zeros(n_steps)
+        time_norms[start - self.tau_max:] = self.M * (1.0 - 1.0 / width)
+        group_rank = {"none": 1, "time": width, "space": self.M,
+                      "both": width + self.M - 1}[mode]
+        return GramStats(
+            group_rank=group_rank, gram=flat.T @ flat,
+            group_sums={"time": time_sums, "space": block.sum(axis=1)},
+            group_norms={"time": time_norms,
+                         "space": np.full(self.M, width * (1.0 - 1.0 / self.M))})
 
     def column_info(self):
         info = []

@@ -30,6 +30,10 @@ class SimulationError(RuntimeError):
     """Simulated values blew up (non-finite)."""
 
 
+class NonFiniteDataError(ValueError):
+    """A dataset holds NaN or infinite values."""
+
+
 @dataclass(frozen=True)
 class LinearTerm:
     """One linear parent term: ``coeff * value(var, t - lag)``."""
@@ -161,6 +165,18 @@ class DatasetCollection:
     system_scale: np.ndarray | None = None
     temporal_scale: np.ndarray | None = None
     spatial_scale: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.check_finite()
+
+    def check_finite(self):
+        """Raise ``NonFiniteDataError`` if any data value is NaN or infinite."""
+        for name in ("system", "temporal_ctx", "spatial_ctx"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(values)):
+                bad = np.argwhere(~np.isfinite(values))[0]
+                raise NonFiniteDataError(
+                    f"{name} holds a non-finite value at index {tuple(int(i) for i in bad)}")
 
     @property
     def M(self):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from jtscd.graph import VariableRole
-from jtscd.pooling import (SelectionError, build_space_dummy, build_time_dummy,
-                           pool_data)
-from jtscd.scm import generate_random_model, simulate
+from jtscd.pooling import (DUMMY_MODES, SelectionError, build_space_dummy,
+                           build_time_dummy, pool_data)
+from jtscd.scm import NonFiniteDataError, generate_random_model, simulate
 
 R = VariableRole
 
@@ -121,6 +121,35 @@ class TestPoolData:
         assert np.array_equal(mat[:, 0], expected)
         with pytest.raises(SelectionError):
             pd.extract_aligned([(0, 5)])
+
+    def test_rejects_non_finite_values(self):
+        dc = small_collection()
+        dc.temporal_ctx[3, 0] = np.inf
+        with pytest.raises(NonFiniteDataError, match="temporal_ctx"):
+            pool_data(dc, 2)
+
+    @pytest.mark.parametrize("mode", DUMMY_MODES)
+    def test_gram_stats_match_dense_demeaning(self, mode):
+        dc = small_collection(M=3, T=12)
+        pd = pool_data(dc, 2)
+        for start in (2, 3, 4):
+            stats = pd.gram_stats(start, mode)
+            cols = pd.scalar_columns[:stats.gram.shape[0]]
+            assert pd.aligned_start(cols) == start
+            mat, rows = pd.extract_aligned(cols)
+            labels = {"time": pd.time_index[rows], "space": pd.dataset_index[rows]}
+            if mode == "none":
+                mat = mat - mat.mean(axis=0)
+            for kind in ("time", "space"):
+                if mode in (kind, "both"):
+                    for g in np.unique(labels[kind]):
+                        mat[labels[kind] == g] -= mat[labels[kind] == g].mean(axis=0)
+            assert np.allclose(stats.gram, mat.T @ mat, rtol=0, atol=1e-10)
+            for kind, offset in (("time", pd.tau_max), ("space", 0)):
+                dense = np.zeros_like(stats.group_sums[kind])
+                np.add.at(dense, labels[kind] - offset, mat)
+                assert np.allclose(stats.group_sums[kind], dense, rtol=0, atol=1e-10)
+        assert pd.gram_stats(4, mode) is stats
 
     def test_degenerate_flags(self):
         dc1 = small_collection(M=1, T=12)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from jtscd.graph import VariableRole
-from jtscd.scm import (DatasetCollection, GenerationError, LinearTerm, SCMSpec,
-                       generate_random_model, simplified_preset, simulate,
+from jtscd.scm import (DatasetCollection, GenerationError, LinearTerm,
+                       NonFiniteDataError, SCMSpec, generate_random_model, simplified_preset, simulate,
                        spectral_radius)
 
 R = VariableRole
@@ -193,6 +193,18 @@ class TestSerialization:
         assert np.allclose(again.temporal_ctx, dc.temporal_ctx)
         assert np.allclose(again.spatial_ctx, dc.spatial_ctx)
         assert again.observed_mask == dc.observed_mask
+
+    def test_from_dir_rejects_non_finite_values(self, tmp_path):
+        spec, _ = generate_random_model(seed=12, max_lag=2)
+        simulate(spec, M=2, T=10, seed=13).to_dir(tmp_path, spec=spec)
+        path = tmp_path / "data_001.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[2] = "nan"
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonFiniteDataError, match=r"system .*\(1, 3, 1\)"):
+            DatasetCollection.from_dir(tmp_path)
 
     def test_mask_all_latent(self):
         spec, _ = generate_random_model(seed=14, frac_observed=1.0)
