@@ -17,7 +17,10 @@ cross-product of group ``g`` is ``S_y[g] - S_z[g] beta`` and the residual
 squared norm of its indicator is ``n_g - S_z[g] G_zz^+ S_z[g]'``, where
 ``n_g`` is the indicator's squared norm after demeaning by the other dummy.
 A test thus costs O(G k + k^3) for G groups and k conditioning columns,
-independent of the number of rows.
+independent of the number of rows.  Selectors are looked up in the table
+``PooledData.selectors`` built with the pooled data, and a test of one
+scalar ``x`` against one scalar ``y`` -- most tests of a discovery --
+finishes on Python floats instead of 1 x 1 arrays.
 
 The oracle test answers the same queries exactly from a ground-truth graph:
 a dummy inside the conditioning set stands for all context variables of its
@@ -27,12 +30,14 @@ of a system node iff every latent context of its kind is d-separated from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .graph import GroundTruthGraph, VariableRole, d_separated, observed_variables
+from .pooling import SelectionError
 
 
 class QueryError(ValueError):
@@ -73,6 +78,7 @@ _VARIANCE_EPS = 1e-12
 # before the scalar conditioning is cancellation noise of the cross-product
 # algebra: the column lies in the span of the conditioning columns
 _SPAN_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 def _demean_by_groups(a, labels, n_groups):
@@ -86,28 +92,21 @@ def _demean_by_groups(a, labels, n_groups):
     return a - means[labels], int(occupied.sum())
 
 
-def _z_column_count(z_selectors, data):
-    return sum(data.n_components(var) for (var, lag) in z_selectors)
-
-
 def _t_pvalue(t, df):
     """Two-sided Student-t p-value of the statistics ``t``."""
     return 2.0 * special.stdtr(df, -np.abs(t))
 
 
-_DUMMY_KINDS = {VariableRole.TIME_DUMMY: "time", VariableRole.SPACE_DUMMY: "space"}
+def _unresolved(query, data):
+    """A query with a selector outside ``data.selectors``: raise its error.
 
-
-def _columns(selectors, data):
-    """Scalar column positions of one side of a query, and its dummy kinds."""
-    scalars, dummies = [], []
-    for (var, lag) in selectors:
-        kind = _DUMMY_KINDS.get(data.var_roles[var])
-        if kind:
-            dummies.append(kind)
-        else:
-            scalars.append(data.scalar_index((var, lag)))
-    return scalars, dummies
+    Runs the selector validation of ``aligned_start`` after the degenerate
+    endpoint check, in the order the kernel applies them to valid selectors.
+    """
+    if any(data.is_degenerate(var) for (var, _) in query.x + query.y):
+        return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
+    data.aligned_start(query.x + query.y + query.z)
+    raise SelectionError(f"no column for a selector of x={query.x} y={query.y} z={query.z}")
 
 
 def parcorr_test(query, data, correction="bonferroni"):
@@ -122,11 +121,14 @@ def parcorr_test(query, data, correction="bonferroni"):
     Bonferroni-combined minimum (``correction="none"`` reports the raw
     minimum instead).
 
-    The residual cross-products come from ``data.gram_stats``: dummies in
-    ``z`` select the demeaning of the cached Gram matrix, scalar ``z``
-    columns are projected out by a pseudo-inverse of their Gram block, and a
-    dummy endpoint's components are the group sums of the residuals.  At
-    most one dummy may be a tested endpoint.
+    Selectors are looked up in ``data.selectors``; one missing from it gets
+    the error of ``PooledData.aligned_start``.  The residual cross-products
+    come from ``data.gram_stats``: dummies in ``z`` select the demeaning of
+    the cached Gram matrix, scalar ``z`` columns are projected out by a
+    pseudo-inverse of their Gram block, and a dummy endpoint's components
+    are the group sums of the residuals.  At most one dummy may be a tested
+    endpoint.  A query of one scalar ``x`` and one scalar ``y`` finishes on
+    Python floats, with the same arithmetic as the component arrays.
 
     Tested variables flagged degenerate (constant dummy blocks) or residuals
     with zero variance yield an independence verdict with ``p_value = 1`` and
@@ -134,45 +136,61 @@ def parcorr_test(query, data, correction="bonferroni"):
     """
     if correction not in ("bonferroni", "none"):
         raise ValueError("correction must be 'bonferroni' or 'none'")
-    if any(data.is_degenerate(var) for (var, _) in query.x + query.y):
+    table = data.selectors
+    try:
+        x_sel = [table[s] for s in query.x]
+        y_sel = [table[s] for s in query.y]
+        z_sel = [table[s] for s in query.z]
+    except (KeyError, TypeError):
+        return _unresolved(query, data)
+    if any(s.degenerate for s in x_sel) or any(s.degenerate for s in y_sel):
         return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
 
-    start = data.aligned_start(query.x + query.y + query.z)
+    start = max(s.start for s in x_sel + y_sel + z_sel)
     n = data.M * (data.T - start)
-    n_z_cols = _z_column_count(query.z, data)
+    n_z_cols = sum(s.n_components for s in z_sel)
     if n <= n_z_cols + 3:
         raise QueryError(
             f"too few samples: n={n} with {n_z_cols} conditioning columns "
             f"(query x={query.x} y={query.y} z={query.z})")
 
-    xs, x_dummies = _columns(query.x, data)
-    ys, y_dummies = _columns(query.y, data)
-    zs, z_dummies = _columns(query.z, data)
+    x_dummies = [s.dummy for s in x_sel if s.dummy]
+    y_dummies = [s.dummy for s in y_sel if s.dummy]
     if len(x_dummies) + len(y_dummies) > 1:
         raise QueryError("a dummy may appear among the tested variables once only")
+    xs = [s.column for s in x_sel if not s.dummy]
+    ys = [s.column for s in y_sel if not s.dummy]
     if y_dummies:  # the test is symmetric in x and y: keep a dummy in x
         xs, x_dummies, ys = ys, y_dummies, xs
-    mode = ("both" if len(set(z_dummies)) == 2
-            else z_dummies[0] if z_dummies else "none")
+    z_dummies = {s.dummy for s in z_sel if s.dummy}
+    mode = ("both" if len(z_dummies) == 2
+            else z_dummies.pop() if z_dummies else "none")
     stats = data.gram_stats(start, mode)
     gram = stats.gram
 
-    zs = np.array(zs, dtype=int)
-    zs = zs[np.sqrt(gram[zs, zs]) > _VARIANCE_EPS * max(1.0, np.sqrt(n))]
-    if zs.size:
+    cutoff = _VARIANCE_EPS * max(1.0, math.sqrt(n))
+    zs = [s.column for s in z_sel if not s.dummy]
+    zs = [k for k in zs if math.sqrt(gram[k, k]) > cutoff]
+    vs = xs + ys
+    if zs:
         # pseudo-inverse of the z Gram block; the cutoff is lstsq's
         # rcond=None rule applied to that block's own spectrum
-        lam, vecs = np.linalg.eigh(gram[np.ix_(zs, zs)])
-        kept = lam > max(n, zs.size) * np.finfo(float).eps * lam[-1]
+        z_rows = gram[zs]
+        lam, vecs = np.linalg.eigh(z_rows[:, zs])
+        kept = lam > max(n, len(zs)) * _EPS * lam[-1]
         whiten = vecs[:, kept] / np.sqrt(lam[kept])
+        rank = int(np.count_nonzero(kept))
+        proj = whiten.T @ z_rows[:, vs]
     else:
-        kept, whiten = np.zeros(0, dtype=bool), np.zeros((0, 0))
-    df = n - (stats.group_rank + int(kept.sum())) - 1
+        whiten, rank, proj = np.zeros((0, 0)), 0, np.zeros((0, len(vs)))
+    df = n - (stats.group_rank + rank) - 1
     if df < 1:
         return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
 
-    vs = np.array(xs + ys, dtype=int)
-    proj = whiten.T @ gram[np.ix_(zs, vs)]
+    floor = n * _VARIANCE_EPS ** 2
+    if len(vs) == 2 and not x_dummies:
+        return _scalar_pair_tail(gram, vs, proj, n, df, floor)
+
     base = gram[vs, vs]
     cross = gram[np.ix_(vs, vs)] - proj.T @ proj
     ss = np.diag(cross)
@@ -184,11 +202,10 @@ def parcorr_test(query, data, correction="bonferroni"):
         # and its residual squared norm, from the group sums alone
         sums, norms = stats.group_sums[x_dummies[0]], stats.group_norms[x_dummies[0]]
         group_proj = sums[:, zs] @ whiten
-        num = np.vstack([num, sums[:, vs[kx:]] - group_proj @ proj[:, kx:]])
+        num = np.vstack([num, sums[:, ys] - group_proj @ proj[:, kx:]])
         ss_x = np.concatenate([ss_x, norms - np.einsum("gr,gr->g", group_proj, group_proj)])
         base_x = np.concatenate([base_x, norms])
 
-    floor = n * _VARIANCE_EPS ** 2
     ok_x = (ss_x > floor) & (ss_x > _SPAN_TOL * base_x)
     ok_y = (ss_y > floor) & (ss_y > _SPAN_TOL * base_y)
     if not ok_x.any() or not ok_y.any():
@@ -207,6 +224,30 @@ def parcorr_test(query, data, correction="bonferroni"):
     n_pairs = corr.size
     p_value = min(1.0, min_p * n_pairs) if correction == "bonferroni" else min_p
     return CITestResult(statistic, p_value, n, degenerate=False, df=df)
+
+
+def _scalar_pair_tail(gram, vs, proj, n, df, floor):
+    """The last steps of ``parcorr_test`` for one scalar x and one scalar y.
+
+    The component-array arithmetic on Python floats, step for step, so the
+    result is bit-identical.  With one pair the statistic is ``|r|`` and the
+    p-value needs no Bonferroni factor (it is at most 1).
+    """
+    a, b = vs
+    base_x, base_y = gram[a, a], gram[b, b]
+    fitted = proj.T @ proj
+    ss_x, ss_y = base_x - fitted[0, 0], base_y - fitted[1, 1]
+    num = gram[a, b] - fitted[0, 1]
+    if not (ss_x > floor and ss_x > _SPAN_TOL * base_x
+            and ss_y > floor and ss_y > _SPAN_TOL * base_y):
+        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
+    corr = float(num / math.sqrt(ss_x * ss_y))
+    corr = min(max(corr, -1 + 1e-15), 1 - 1e-15)
+    # corr * corr, not corr ** 2: numpy squares an array by multiplication,
+    # and the power of a numpy scalar can differ in the last bit
+    t = corr * math.sqrt(df / (1.0 - corr * corr))
+    p_value = 2.0 * float(special.stdtr(float(df), -abs(t)))
+    return CITestResult(abs(corr), p_value, n, degenerate=False, df=df)
 
 
 def centered_parcorr_test(x, y, data, groups="dataset"):

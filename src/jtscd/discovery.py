@@ -834,11 +834,13 @@ def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
     ``jpcmci+`` uses observed contexts and dummies, ``pcmci+C`` only observed
     contexts, ``pcmci+D`` only dummies (contexts masked latent), ``pcmci+``
     system data alone.  ``ci`` selects the pooled partial-correlation test or
-    the exact graph oracle (which requires ``ground_truth``).
+    the exact graph oracle (which requires ``ground_truth``).  The
+    partial-correlation test needs ``T > 2 * tau_max`` and raises
+    ``SelectionError`` otherwise.
     """
     from .citests import GraphOracle, ParCorrCI
     from .graph import mask_contexts_latent
-    from .pooling import pool_data
+    from .pooling import SelectionError, pool_data
 
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
@@ -846,6 +848,11 @@ def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
     data = dc.mask_all_latent() if mask_ctx else dc
     if ci == "parcorr":
         pool_tau = 0 if lag_free else tau_max
+        if dc.T <= 2 * pool_tau:
+            # conditioning sets shifted to a lagged endpoint reach back
+            # 2 * tau_max steps and would have no rows left to test on
+            raise SelectionError(f"T={dc.T} is too short for tau_max={pool_tau}: "
+                                 f"ParCorr needs T > 2 * tau_max")
         test = ParCorrCI(pool_data(data, pool_tau), correction=correction)
     elif ci == "oracle":
         if ground_truth is None:

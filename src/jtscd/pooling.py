@@ -9,6 +9,8 @@ contexts, observed spatial contexts, then the time dummy and space dummy.
 ``PooledData.gram_stats`` keeps the sufficient statistics the partial
 correlation test works from: per row set and dummy mode, the cross-products
 and per-group sums of every scalar lagged column after demeaning.
+``PooledData.selectors`` resolves each valid ``(var, lag)`` selector to what
+the test needs of it, once per pooled dataset.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +85,20 @@ class GramStats:
 DUMMY_MODES = ("none", "time", "space", "both")
 
 
+class Selector(NamedTuple):
+    """What a CI test needs of one valid ``(var, lag)`` selector.
+
+    ``column`` is its position in ``PooledData.scalar_columns`` (``None`` for
+    a dummy), ``dummy`` the dummy kind (``"time"``, ``"space"`` or ``None``),
+    ``start`` the ``aligned_start`` it forces on its own.
+    """
+    column: int | None
+    dummy: str | None
+    start: int
+    n_components: int
+    degenerate: bool
+
+
 class PooledData:
     """Pooled view of a DatasetCollection for lag-aware column extraction.
 
@@ -123,9 +141,17 @@ class PooledData:
         self.scalar_columns = [(v, 0) for v in range(self.n_observed)]
         self.scalar_columns += [(v, lag) for lag in range(1, 2 * tau_max + 1)
                                 for v in lagged]
-        self._scalar_index = {sel: k for k, sel in enumerate(self.scalar_columns)}
         self._n_lagged = len(lagged)
         self._gram_stats = {}
+
+        # every valid selector, resolved once: lags 0..2*tau_max of the
+        # time-indexed columns, lag 0 of the spatial contexts and dummies
+        table = {sel: Selector(k, None, max(tau_max, sel[1]), 1, False)
+                 for k, sel in enumerate(self.scalar_columns)}
+        for var, kind in ((self.time_dummy, "time"), (self.space_dummy, "space")):
+            table[(var, 0)] = Selector(None, kind, tau_max, self.n_components(var),
+                                       self.is_degenerate(var))
+        self.selectors = MappingProxyType(table)
 
     def n_components(self, var):
         role = self.var_roles[var]
@@ -193,7 +219,7 @@ class PooledData:
         start = self.tau_max
         for (var, lag) in selectors:
             role = self.var_roles[var]
-            if role.is_time_indexed and lag > self.tau_max:
+            if var >= 0 and role.is_time_indexed and lag > self.tau_max:
                 if lag > 2 * self.tau_max:
                     raise SelectionError(f"lag {lag} exceeds 2*tau_max")
                 start = max(start, lag)
@@ -213,10 +239,6 @@ class PooledData:
         if not blocks:
             return np.zeros((len(rows), 0)), rows
         return np.hstack(blocks), rows
-
-    def scalar_index(self, selector):
-        """Position of a scalar ``(var, lag)`` selector in ``scalar_columns``."""
-        return self._scalar_index[selector]
 
     def gram_stats(self, start, mode):
         """``GramStats`` of the rows from time step ``start`` on, built once.

@@ -9,10 +9,14 @@ residuals.  It is kept only for the equivalence tests.
 import numpy as np
 from scipy import stats
 
-from jtscd.citests import CITestResult, QueryError, _demean_by_groups, _z_column_count
+from jtscd.citests import CITestResult, QueryError, _demean_by_groups
 from jtscd.graph import VariableRole
 
 _VARIANCE_EPS = 1e-12
+
+
+def _z_column_count(z_selectors, data):
+    return sum(data.n_components(var) for (var, lag) in z_selectors)
 
 
 def _residualize(values, z_selectors, data, rows):

@@ -15,7 +15,7 @@ from jtscd.discovery import (SepSetEntry, SepSetStore, collider_phase,
 from jtscd.graph import (CONFLICT, DIRECTED, UNDIRECTED, GroundTruthGraph,
                          VariableRole, dummy_deletion, target_graph)
 from jtscd.metrics import LinkClass, score
-from jtscd.pooling import pool_data
+from jtscd.pooling import SelectionError, pool_data
 from jtscd.scm import generate_random_model, simplified_preset, simulate
 
 R = VariableRole
@@ -468,3 +468,18 @@ class TestEstimateGraph:
         dc = simulate(spec, M=2, T=30, seed=2)
         with pytest.raises(ValueError):
             estimate_graph(dc, variant="nope")
+
+    @pytest.mark.parametrize("variant", ["jpcmci+", "pcmci+"])
+    def test_parcorr_rejects_t_up_to_twice_tau_max(self, variant):
+        # lag-shifted conditioning reaches back 2 * tau_max steps, so a panel
+        # no longer than that leaves no rows to test on
+        spec, _ = generate_random_model(seed=0, n_system=3, n_temporal_ctx=1,
+                                        n_spatial_ctx=1, frac_observed=1.0, max_lag=2)
+        for T in (3, 4):
+            with pytest.raises(SelectionError, match=f"T={T} .*tau_max=2"):
+                estimate_graph(simulate(spec, M=4, T=T, seed=1), variant=variant, tau_max=2)
+        res = estimate_graph(simulate(spec, M=4, T=5, seed=1), variant=variant, tau_max=2)
+        assert res.graph.tau_max == 2
+        # the lag-free run pools at tau_max 0 and needs no look-back
+        estimate_graph(simulate(spec, M=4, T=4, seed=1), variant=variant, tau_max=2,
+                       lag_free=True)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jtscd.citests import CIQuery, QueryError, parcorr_test
+from jtscd.citests import CIQuery, ParCorrCI, QueryError, parcorr_test
 from jtscd.pooling import SelectionError, pool_data
 from jtscd.scm import DatasetCollection
 
@@ -128,9 +128,18 @@ def test_property_matches_reference(p):
     assert_equivalent(data, query)
 
 
+def scalar_pair(query, data):
+    """The query cut to its first scalar x and first y, or None."""
+    xs = [s for s in query.x if not data.var_roles[s[0]].is_dummy]
+    if not xs:
+        return None
+    return CIQuery(x=xs[:1], y=query.y[:1], z=query.z)
+
+
 def test_seeded_corpus_matches_reference():
     rng = np.random.default_rng(20260418)
     kinds = {"tested": 0, "degenerate": 0, "error": 0, "endpoint": 0}
+    pairs = {"tested": 0, "degenerate": 0, "error": 0}
     for _ in range(400):
         p = random_params(rng)
         data, query = build_case(p)
@@ -143,14 +152,26 @@ def test_seeded_corpus_matches_reference():
         else:
             kinds["tested"] += 1
             kinds["endpoint"] += p["endpoint"] is not None
+        # the same panel and z with one scalar on each side: the pair path
+        pair = scalar_pair(query, data)
+        if pair is not None:
+            for correction in ("bonferroni", "none"):
+                ref = assert_equivalent(data, pair, correction)
+            pairs["error" if ref is None else
+                  "degenerate" if ref.degenerate else "tested"] += 1
     # the corpus exercises every outcome, not only the easy one
     assert kinds["tested"] > 150 and kinds["endpoint"] > 50
     assert kinds["degenerate"] > 20 and kinds["error"] > 5
+    assert pairs["tested"] > 150 and pairs["degenerate"] > 20 and pairs["error"] > 5
 
 
-def panel(M=4, T=20, tau_max=2, n_system=3, spatial=1, seed=0):
+def panel(M=4, T=20, tau_max=2, n_system=3, spatial=1, seed=0, system=None):
+    """Pooled random panel; a given ``system`` array sets M, T and n_system."""
     rng = np.random.default_rng(seed)
-    dc = DatasetCollection(system=rng.standard_normal((M, T, n_system)),
+    if system is None:
+        system = rng.standard_normal((M, T, n_system))
+    M, T, _ = system.shape
+    dc = DatasetCollection(system=system,
                            temporal_ctx=rng.standard_normal((T, 1)),
                            spatial_ctx=rng.standard_normal((M, spatial)),
                            observed_mask=(True,) + (True,) * spatial)
@@ -217,3 +238,108 @@ class TestCoverage:
                                         z=((3, 0), (data.time_dummy, 0))))
         assert_equivalent(data, CIQuery(x=((data.space_dummy, 0), (2, 2)),
                                         y=((1, 0),), z=((3, 0),)))
+
+
+class TestScalarPair:
+    """Each early return of the one-scalar-x, one-scalar-y path."""
+
+    @pytest.mark.parametrize("copy", ["duplicate", "affine"])
+    def test_x_in_span_of_z(self, copy):
+        system = np.random.default_rng(3).standard_normal((4, 20, 3))
+        system[:, :, 2] = system[:, :, 0] if copy == "duplicate" else 2.0 * system[:, :, 0] - 1.5
+        data = panel(system=system)
+        for z in (((2, 1),), ((2, 1), (data.time_dummy, 0)), ((3, 0), (2, 1))):
+            ref = assert_equivalent(data, CIQuery(x=((0, 1),), y=((1, 0),), z=z))
+            assert ref.degenerate and ref.df > 0
+            # the span guard trips on either side
+            assert assert_equivalent(data, CIQuery(x=((1, 0),), y=((0, 1),), z=z)).degenerate
+
+    def test_constant_column(self):
+        system = np.random.default_rng(4).standard_normal((4, 20, 3))
+        system[:, :, 1] = 2.5
+        data = panel(system=system)
+        for z in ((), ((2, 1),), ((2, 1), (data.space_dummy, 0))):
+            assert assert_equivalent(data, CIQuery(x=((0, 1),), y=((1, 0),), z=z)).degenerate
+            assert assert_equivalent(data, CIQuery(x=((1, 2),), y=((0, 0),), z=z)).degenerate
+
+    def test_df_floor(self):
+        # df < 1 cannot reach the pair path: the sample check (n > z columns
+        # + 3) leaves df >= 2, reached at n = z columns + 4 with a full-rank z
+        z = ((2, 0), (3, 0), (4, 0))
+        for T, df in ((7, 2), (8, 3)):
+            system = np.random.default_rng(5).standard_normal((1, T, 5))
+            data = panel(tau_max=0, spatial=0, system=system)
+            ref = assert_equivalent(data, CIQuery(x=((0, 0),), y=((1, 0),), z=z))
+            assert ref.df == df and not ref.degenerate
+        system = np.random.default_rng(5).standard_normal((1, 6, 5))
+        data = panel(tau_max=0, spatial=0, system=system)
+        with pytest.raises(QueryError, match="too few samples"):
+            parcorr_test(CIQuery(x=((0, 0),), y=((1, 0),), z=z), data)
+
+
+def error_type(kernel, query, data):
+    try:
+        kernel(query, data)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    return None
+
+
+# panel(): system 0-2, temporal context 3, spatial context 4, dummies 5 and 6
+INVALID = {
+    "var past the end in x": (((7, 0),), ((1, 0),), ()),
+    "var past the end in z": (((0, 0),), ((1, 0),), ((9, 1),)),
+    "negative var": (((0, 0),), ((-1, 0),), ()),
+    "negative var aliasing a lagged column": (((0, 0),), ((1, 0),), ((-7, 3),)),
+    "lag past 2 tau_max": (((0, 5),), ((1, 0),), ()),
+    "lag past 2 tau_max in z": (((0, 0),), ((1, 0),), ((2, 5),)),
+    "negative lag": (((0, -1),), ((1, 0),), ()),
+    "spatial context at a lag": (((4, 1),), ((1, 0),), ()),
+    "time dummy at a lag": (((0, 0),), ((1, 0),), ((5, 1),)),
+    "space dummy at a lag": (((6, 2),), ((1, 0),), ()),
+}
+
+
+class TestErrorParity:
+    """Selectors outside the table fail as the validating path always has."""
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_invalid_selector(self, case):
+        data = panel()
+        x, y, z = INVALID[case]
+        query = CIQuery(x=x, y=y, z=z)
+        expected = error_type(lstsq_parcorr_test, query, data)
+        assert expected is not None
+        assert error_type(parcorr_test, query, data) is expected
+
+    def test_too_few_samples(self):
+        data = panel(M=1, T=10)
+        query = CIQuery(x=((0, 0),), y=((1, 0),), z=((2, 0), (3, 0), (0, 1), (1, 1), (2, 1)))
+        assert error_type(lstsq_parcorr_test, query, data) is QueryError
+        assert error_type(parcorr_test, query, data) is QueryError
+
+    def test_dummy_on_both_sides(self):
+        data = panel()
+        with pytest.raises(QueryError, match="once only"):
+            parcorr_test(CIQuery(x=((5, 0),), y=((6, 0),)), data)
+
+    def test_degenerate_endpoint_answers_before_a_bad_z(self):
+        # a single dataset's space dummy is degenerate; the verdict comes
+        # before z is validated, as it always has
+        data = panel(M=1, T=20)
+        query = CIQuery(x=((6, 0),), y=((1, 0),), z=((2, 5),))
+        assert parcorr_test(query, data) == lstsq_parcorr_test(query, data)
+        assert parcorr_test(query, data).degenerate
+
+    def test_invalid_selector_raises_on_every_use(self):
+        data = panel()
+        test = ParCorrCI(data)
+        table = dict(data.selectors)
+        for case in sorted(INVALID):
+            x, y, z = INVALID[case]
+            expected = error_type(lstsq_parcorr_test, CIQuery(x=x, y=y, z=z), data)
+            for _ in range(2):
+                with pytest.raises(expected):
+                    test(x[0], y[0], z)
+                assert not test((0, 1), (1, 0), ((2, 1),)).degenerate
+        assert dict(data.selectors) == table

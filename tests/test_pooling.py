@@ -121,6 +121,31 @@ class TestPoolData:
         assert np.array_equal(mat[:, 0], expected)
         with pytest.raises(SelectionError):
             pd.extract_aligned([(0, 5)])
+        # a negative index must not alias a variable counted from the end
+        with pytest.raises(SelectionError):
+            pd.extract_aligned([(-pd.n_vars, 3)])
+
+    def test_selector_table_is_what_aligned_start_accepts(self):
+        dc = small_collection(M=3, T=12)
+        pd = pool_data(dc, 2)
+        accepted = set()
+        for var in range(-pd.n_vars, pd.n_vars):
+            for lag in range(-1, 2 * pd.tau_max + 2):
+                try:
+                    pd.aligned_start([(var, lag)])
+                except SelectionError:
+                    continue
+                accepted.add((var, lag))
+        assert set(pd.selectors) == accepted
+        for sel, entry in pd.selectors.items():
+            assert entry.start == pd.aligned_start([sel])
+            assert entry.n_components == pd.n_components(sel[0])
+            assert entry.degenerate == pd.is_degenerate(sel[0])
+            dummy = entry.dummy is not None
+            assert dummy == pd.var_roles[sel[0]].is_dummy
+            assert entry.column == (None if dummy else pd.scalar_columns.index(sel))
+        with pytest.raises(TypeError):
+            pd.selectors[(0, 0)] = None
 
     def test_rejects_non_finite_values(self):
         dc = small_collection()
