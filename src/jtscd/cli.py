@@ -48,8 +48,7 @@ def _cmd_discover(args):
         Path(args.dump_pooled).write_text(pooled.to_csv())
     result = discovery.estimate_graph(
         dc, variant=args.variant, ci=args.ci, ground_truth=ground_truth,
-        tau_max=args.tau_max, alpha=args.alpha, lag_free=args.lag_free,
-        workers=args.workers)
+        tau_max=args.tau_max, alpha=args.alpha, lag_free=args.lag_free)
     text = result.graph.to_text()
     if args.out:
         Path(args.out).write_text(text)
@@ -91,7 +90,6 @@ def build_parser():
     p_disc.add_argument("--variant", choices=discovery.VARIANTS,
                         default="jpcmci+")
     p_disc.add_argument("--lag-free", action="store_true", dest="lag_free")
-    p_disc.add_argument("--workers", type=int, default=None)
     p_disc.add_argument("--dump-pooled", default=None, dest="dump_pooled",
                         help="write the pooled design matrix CSV here")
     p_disc.add_argument("--out", default=None, help="graph output file")

@@ -1,13 +1,23 @@
 """Constraint-based causal discovery over pooled multi-dataset time series.
 
-The time-series driver runs four phases: a lagged-adjacency phase that
-shrinks candidate lagged drivers per variable, then three momentary-CI
-skeleton sweeps over (1) context-system pairs while ignoring the dummies,
-(2) dummy-system pairs given the found context parents, and (3) system-system
-pairs given everything found so far; collider orientation and propagation
-rules finish the graph.  Testing contexts before dummies avoids the spurious
-independencies that deterministic dummy-context relations would otherwise
-inject into the PC-style search.
+Every discovery here is one staged driver, ``_run_stages``.  It runs an
+optional lagged-adjacency phase that shrinks the candidate lagged drivers of
+each variable, then a list of momentary-CI skeleton stages, and orients the
+marks of the last stage with the collider and propagation rules.  A stage
+is a declarative ``_Stage``: the tested pairs, the directed parents and the
+contemporaneous links held fixed while they are tested, the roles the
+subsets S are drawn from, the base conditioning sets, the fixed conditions
+and whether a dummy may appear in a conditioning set.  Stages are built one
+after the other from the lagged sets and the parents kept by earlier stages.
+
+J-PCMCI+ runs the stages C (context-system pairs, dummies excluded), D
+(dummy-system pairs given the context parents), refinement (context links
+re-tested given the opposite-kind dummy parents) and S (system-system pairs
+given everything found so far).  Testing contexts before dummies avoids the
+spurious independencies that deterministic dummy-context relations would
+otherwise inject into the PC-style search.  J-PC is the same list at
+tau_max = 0 with no lagged phase, the space dummy only and no refinement;
+plain PCMCI+ is the lagged phase over the system variables and stage S.
 
 All selectors are ``(var, lag)`` with non-negative lags; pair entries
 ``(i, tau, j)`` test variable ``i`` at ``t - tau`` against ``j`` at ``t``.
@@ -16,13 +26,12 @@ All selectors are ``(var, lag)`` with non-negative lags; pair entries
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (ABSENT, CONFLICT, DIRECTED, REVERSED, UNDIRECTED,
-                    TimeSeriesGraph, VariableRole, mirror_mark)
+from .graph import (CONFLICT, DIRECTED, UNDIRECTED, TimeSeriesGraph,
+                    VariableRole, mirror_mark)
 
 
 class DiscoveryError(RuntimeError):
@@ -32,6 +41,7 @@ class DiscoveryError(RuntimeError):
 _CONTEXT_ROLES = (VariableRole.SYSTEM, VariableRole.TEMPORAL_CONTEXT,
                   VariableRole.SPATIAL_CONTEXT)
 _SYSTEM_ONLY = (VariableRole.SYSTEM,)
+_DUMMY_ROLES = (VariableRole.TIME_DUMMY, VariableRole.SPACE_DUMMY)
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,7 @@ def _remove_mark(marks, i, tau, j):
         marks[j, i, 0] = ""
 
 
-def _marks_to_graph(marks, roles, tau_max, n_out=None):
-    n_out = n_out if n_out is not None else len(roles)
+def _marks_to_graph(marks, roles, tau_max, n_out):
     g = TimeSeriesGraph(roles[:n_out], tau_max)
     for j in range(n_out):
         for i in range(n_out):
@@ -206,27 +215,14 @@ def lagged_skeleton_pcmciplus(ci, roles=None, tau_max=2, alpha=0.05,
 def _condition_set(S, base_sets, i, tau, j, fixed, roles):
     """Full conditioning set: chosen subset, target-side base set minus the
     tested driver, driver-side base set shifted by ``tau`` (single-node
-    variables keep pseudo-lag 0), plus any fixed conditions."""
-    z = []
-    seen = {(i, tau), (j, 0)}
-    for sel in S:
-        if sel not in seen:
-            z.append(sel)
-            seen.add(sel)
-    for sel in base_sets.get(j, ()):
-        if sel not in seen:
-            z.append(sel)
-            seen.add(sel)
-    for (v, lag) in base_sets.get(i, ()):
-        sel = (v, lag + tau) if roles[v].is_time_indexed else (v, lag)
-        if sel not in seen:
-            z.append(sel)
-            seen.add(sel)
-    for sel in fixed:
-        if sel not in seen:
-            z.append(sel)
-            seen.add(sel)
-    return z
+    variables keep pseudo-lag 0), plus any fixed conditions; first
+    occurrences only, without the tested endpoints."""
+    shifted = [(v, lag + tau) if roles[v].is_time_indexed else (v, lag)
+               for (v, lag) in base_sets.get(i, ())]
+    ends = {(i, tau), (j, 0)}
+    return [sel for sel in dict.fromkeys(itertools.chain(S, base_sets.get(j, ()),
+                                                         shifted, fixed))
+            if sel not in ends]
 
 
 def _contemp_adjacencies(marks, roles, allowed_roles, strengths):
@@ -240,102 +236,71 @@ def _contemp_adjacencies(marks, roles, allowed_roles, strengths):
     return adj
 
 
-def _skeleton_sweep(ci, marks, pairs, alpha, base_sets, allowed_s_roles, roles,
-                    max_conds_dim=None, fixed_conditions=(), sepsets=None,
-                    workers=None, forbid_dummy_z=False):
-    """Remove links among ``pairs`` by CI tests with growing subsets ``S``.
+def _sorted_pairs(pairs):
+    return sorted(set(pairs), key=lambda p: (p[2], p[1], p[0]))
+
+
+def _skeleton_sweep(ci, marks, stage, alpha, roles, max_conds_dim, sepsets):
+    """Remove links among ``stage.pairs`` by CI tests with growing subsets ``S``.
 
     Within one cardinality level, candidate subsets are drawn from the
-    adjacency sets frozen at level start, so decisions are independent of
-    the schedule; tasks (one per unordered link) may therefore run on a
-    thread pool, with removals committed in canonical order between levels.
+    adjacency sets frozen at level start, so decisions do not depend on the
+    order in which the links are visited.  One unordered link is removed at
+    its first separating test, in either direction.
     """
-    sepsets = sepsets if sepsets is not None else SepSetStore()
+    pairs = _sorted_pairs(stage.pairs)
     strengths = {}
     dummy_vars = {v for v, r in enumerate(roles) if r.is_dummy}
     max_dim = max_conds_dim if max_conds_dim is not None else np.inf
     p = 0
     while p <= max_dim:
-        adj = _contemp_adjacencies(marks, roles, allowed_s_roles, strengths)
-        order = []
+        adj = _contemp_adjacencies(marks, roles, stage.s_roles, strengths)
         tasks = {}
         for (i, tau, j) in pairs:
-            if marks[i, j, tau] == "":
-                continue
-            if len([a for a in adj[j] if a != (i, tau)]) < p:
+            if marks[i, j, tau] == "" or len([a for a in adj[j] if a != (i, tau)]) < p:
                 continue
             key = (min(i, j), max(i, j), 0) if tau == 0 else (i, j, tau)
-            if key not in tasks:
-                tasks[key] = []
-                order.append(key)
-            tasks[key].append((i, tau, j))
-        if not order:
+            tasks.setdefault(key, []).append((i, tau, j))
+        if not tasks:
             break
-
-        def run_task(key):
-            updates = {}
-            decision = None
-            for (i, tau, j) in tasks[key]:
-                if decision is not None:
+        for links in tasks.values():
+            tests = ((i, tau, j, S) for (i, tau, j) in links
+                     for S in itertools.combinations(
+                         [a for a in adj[j] if a != (i, tau)], p))
+            for (i, tau, j, S) in tests:
+                z = _condition_set(S, stage.base, i, tau, j, stage.fixed, roles)
+                if stage.forbid_dummy_z and any(v in dummy_vars for (v, _) in z):
+                    raise DiscoveryError(f"dummy column in a context-stage query: {z}")
+                res = _run_ci(ci, (i, tau), (j, 0), z)
+                link = (i, tau, j)
+                strengths[link] = min(strengths.get(link, np.inf), abs(res.statistic))
+                if res.p_value > alpha:
+                    _remove_mark(marks, i, tau, j)
+                    sepsets.store(i, tau, j, SepSetEntry(tuple(S), tuple(z),
+                                                         res.p_value, res.statistic,
+                                                         link))
                     break
-                cands = [a for a in adj[j] if a != (i, tau)]
-                if len(cands) < p:
-                    continue
-                for S in itertools.combinations(cands, p):
-                    z = _condition_set(S, base_sets, i, tau, j,
-                                       fixed_conditions, roles)
-                    if forbid_dummy_z and any(v in dummy_vars for (v, _) in z):
-                        raise DiscoveryError(
-                            f"dummy column in a context-stage query: {z}")
-                    res = _run_ci(ci, (i, tau), (j, 0), z)
-                    link = (i, tau, j)
-                    updates[link] = min(updates.get(link, np.inf),
-                                        abs(res.statistic))
-                    if res.p_value > alpha:
-                        decision = (i, tau, j,
-                                    SepSetEntry(tuple(S), tuple(z),
-                                                res.p_value, res.statistic,
-                                                (i, tau, j)))
-                        break
-            return updates, decision
-
-        if workers and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_task, order))
-        else:
-            results = [run_task(key) for key in order]
-
-        for updates, decision in results:
-            for link, val in updates.items():
-                strengths[link] = min(strengths.get(link, np.inf), val)
-            if decision is not None:
-                i, tau, j, entry = decision
-                _remove_mark(marks, i, tau, j)
-                sepsets.store(i, tau, j, entry)
         p += 1
-    return sepsets, strengths
 
 
 # ---------------------------------------------------------------------------
 # orientation
 
 
-def _unshielded_triples(marks, tau_max):
-    """Triples ``(i, tau) *-> k o-o j`` with ``i`` and ``j`` non-adjacent."""
+def _triples(marks, tau_max, outer):
+    """Triples ``((i, tau), k, j)`` with ``(i, tau) *-> k o-o j``, the ``*->``
+    mark in ``outer``, and ``i``, ``j`` non-adjacent.  Lazy, so a caller that
+    changes marks between two triples sees the change."""
     n = marks.shape[0]
-    triples = []
     for j in range(n):
         for k in range(n):
             if k == j or marks[k, j, 0] != UNDIRECTED:
                 continue
             for i in range(n):
                 for tau in range(tau_max + 1):
-                    if (i, tau) in ((j, 0), (k, 0)):
-                        continue
-                    if (marks[i, k, tau] in (DIRECTED, UNDIRECTED)
+                    if ((i, tau) not in ((j, 0), (k, 0)) and marks[i, k, tau] in outer
                             and marks[i, j, tau] == ""):
-                        triples.append(((i, tau), k, j))
-    return triples
+                        yield (i, tau), k, j
 
 
 def _orient(marks, a, b, oriented, conflict_resolution):
@@ -361,7 +326,7 @@ def collider_phase(marks, sepsets, roles, tau_max, conflict_resolution=True,
     less than half of the separating subsets.  Conflicting orientations are
     marked ``x-x``.  Returns the list of ambiguous triples (majority only).
     """
-    triples = sorted(_unshielded_triples(marks, tau_max))
+    triples = sorted(_triples(marks, tau_max, (DIRECTED, UNDIRECTED)))
     v_structures = []
     ambiguous = []
     if rule == "none":
@@ -420,53 +385,37 @@ def rule_phase(marks, tau_max, ambiguous_triples=(), conflict_resolution=True):
     ambiguous = set(ambiguous_triples)
     oriented = []
 
+    def undirected():
+        for i in range(n):
+            for j in range(n):
+                if i != j and marks[i, j, 0] == UNDIRECTED:
+                    yield i, j
+
     def rule1():
         changed = False
-        for j in range(n):
-            for k in range(n):
-                if k == j or marks[k, j, 0] != UNDIRECTED:
-                    continue
-                for i in range(n):
-                    for tau in range(tau_max + 1):
-                        if (i, tau) in ((j, 0), (k, 0)):
-                            continue
-                        if (marks[i, k, tau] == DIRECTED
-                                and marks[i, j, tau] == ""
-                                and ((i, tau), k, j) not in ambiguous):
-                            if marks[k, j, 0] == UNDIRECTED:
-                                changed |= _orient(marks, k, j, oriented,
-                                                   conflict_resolution)
+        for ((i, tau), k, j) in _triples(marks, tau_max, (DIRECTED,)):
+            if ((i, tau), k, j) not in ambiguous and marks[k, j, 0] == UNDIRECTED:
+                changed |= _orient(marks, k, j, oriented, conflict_resolution)
         return changed
 
     def rule2():
         changed = False
-        for i in range(n):
-            for j in range(n):
-                if i == j or marks[i, j, 0] != UNDIRECTED:
-                    continue
-                for k in range(n):
-                    if k in (i, j):
-                        continue
-                    if marks[i, k, 0] == DIRECTED and marks[k, j, 0] == DIRECTED:
-                        if marks[i, j, 0] == UNDIRECTED:
-                            changed |= _orient(marks, i, j, oriented,
-                                               conflict_resolution)
+        for i, j in undirected():
+            for k in range(n):
+                if (k not in (i, j) and marks[i, k, 0] == DIRECTED
+                        and marks[k, j, 0] == DIRECTED and marks[i, j, 0] == UNDIRECTED):
+                    changed |= _orient(marks, i, j, oriented, conflict_resolution)
         return changed
 
     def rule3():
         changed = False
-        for i in range(n):
-            for j in range(n):
-                if i == j or marks[i, j, 0] != UNDIRECTED:
-                    continue
-                hubs = [k for k in range(n) if k not in (i, j)
-                        and marks[i, k, 0] == UNDIRECTED
-                        and marks[k, j, 0] == DIRECTED]
-                for k, l in itertools.combinations(hubs, 2):
-                    if marks[k, l, 0] == "" and marks[l, k, 0] == "":
-                        if marks[i, j, 0] == UNDIRECTED:
-                            changed |= _orient(marks, i, j, oriented,
-                                               conflict_resolution)
+        for i, j in undirected():
+            hubs = [k for k in range(n) if k not in (i, j)
+                    and marks[i, k, 0] == UNDIRECTED and marks[k, j, 0] == DIRECTED]
+            for k, l in itertools.combinations(hubs, 2):
+                if (marks[k, l, 0] == "" and marks[l, k, 0] == ""
+                        and marks[i, j, 0] == UNDIRECTED):
+                    changed |= _orient(marks, i, j, oriented, conflict_resolution)
         return changed
 
     while True:
@@ -479,184 +428,151 @@ def rule_phase(marks, tau_max, ambiguous_triples=(), conflict_resolution=True):
 # stage assembly
 
 
-def _role_groups(roles):
+@dataclass(frozen=True)
+class _Stage:
+    """One skeleton sweep of the staged driver (see the module docstring)."""
+    pairs: list                # tested links (i, tau, j)
+    parents: dict              # j -> selectors (v, lag) held as v --> j
+    links: list                # unmarked lag-0 links (i, 0, j) held as i --> j
+    #                            when i is a context or dummy, else undirected
+    s_roles: tuple             # roles the subsets S are drawn from
+    base: dict                 # variable -> base conditioning set
+    fixed: tuple = ()          # appended to every conditioning set
+    forbid_dummy_z: bool = False
+    keep: tuple | None = None  # (name, variables): the driver records under
+    #                            name each system target's parents among variables
+
+
+def _stage_marks(stage, roles, tau_max):
+    marks = _blank_marks(len(roles), tau_max)
+    for j, sels in stage.parents.items():
+        for (v, lag) in sels:
+            _set_mark(marks, v, lag, j, DIRECTED)
+    for (i, tau, j) in stage.links:
+        if marks[i, j, tau] == "":
+            exogenous = roles[i].is_context or roles[i].is_dummy
+            _set_mark(marks, i, tau, j, DIRECTED if exogenous else UNDIRECTED)
+    return marks
+
+
+def _run_stages(ci, roles, tau_max, alpha, max_conds_dim, plan, lagged=None,
+                orient=None, sepsets=None):
+    """Run the lagged phase (``lagged`` holds its keyword arguments; None
+    skips it), then the stages of ``plan = (builders, nodes)``, each built by
+    ``build(lagged_adjacencies, kept_parents)``, then orient the last stage's marks
+    (``orient = (collider_rule, conflict_resolution)``; None keeps the
+    skeleton).  The graph spans the variables before the first whose role is
+    not in ``nodes``.
+    """
+    stages, nodes = plan
+    n = len(roles)
+    system = [v for v, r in enumerate(roles) if r.is_system]
+    n_out = next((v for v, r in enumerate(roles) if r not in nodes), n)
+    if any(r in nodes for r in roles[n_out:]):
+        raise ValueError("graph variables must form a prefix of the index space")
+    sepsets = sepsets if sepsets is not None else SepSetStore()
+    adjacencies = None if lagged is None else lagged_skeleton_pcmciplus(
+        ci, roles, tau_max, alpha, max_conds_dim, sepsets=sepsets, **lagged)
+    lagged_adj = adjacencies or LaggedAdjacencies({v: [] for v in range(n)}, {})
+    kept = {"context_parents": {}, "dummy_parents": {}}
+    for build in stages:
+        stage = build(lagged_adj, kept)
+        marks = _stage_marks(stage, roles, tau_max)
+        _skeleton_sweep(ci, marks, stage, alpha, roles, max_conds_dim, sepsets)
+        if stage.keep is not None:
+            name, variables = stage.keep
+            kept[name] = {j: [(v, lag) for v in variables for lag in range(tau_max + 1)
+                              if marks[v, j, lag] != ""] for j in system}
+    ambiguous = []
+    if orient is not None:
+        rule, conflict_resolution = orient
+        ambiguous = collider_phase(marks, sepsets, roles, tau_max, conflict_resolution,
+                                   rule=rule, ci=ci, base_sets=stage.base, alpha=alpha,
+                                   fixed_conditions=stage.fixed)
+        rule_phase(marks, tau_max, ambiguous, conflict_resolution)
+    return DiscoveryResult(graph=_marks_to_graph(marks, roles, tau_max, n_out),
+                           sepsets=sepsets, lagged=adjacencies,
+                           ambiguous_triples=ambiguous, **kept)
+
+
+def _staged_plan(roles, tau_max, dummies=(), refine=False, joint=True, fixed=()):
+    """Stages C, D, refinement (both kinds, if ``refine``) and S over the
+    system, context and ``dummies`` nodes, or stage S alone over the system
+    nodes when not ``joint``."""
     system = [v for v, r in enumerate(roles) if r.is_system]
     tctx = [v for v, r in enumerate(roles) if r is VariableRole.TEMPORAL_CONTEXT]
     sctx = [v for v, r in enumerate(roles) if r is VariableRole.SPATIAL_CONTEXT]
-    time_dummy = [v for v, r in enumerate(roles) if r is VariableRole.TIME_DUMMY]
-    space_dummy = [v for v, r in enumerate(roles) if r is VariableRole.SPACE_DUMMY]
-    return system, tctx, sctx, time_dummy, space_dummy
+    contexts = tctx + sctx
+    clique = [(a, 0, b) for a, b in itertools.combinations(system, 2)]
 
+    def stage_c(lagged, kept):
+        pairs = [(i, lag, j) for j in system for (i, lag) in lagged.sets[j] if i in tctx]
+        pairs += [p for j in system for c in contexts for p in ((c, 0, j), (j, 0, c))]
+        return _Stage(pairs, {j: lagged.sets[j] + [(c, 0) for c in contexts] for j in system},
+                      clique, _CONTEXT_ROLES, dict(lagged.sets), forbid_dummy_z=True,
+                      keep=("context_parents", contexts))
 
-def _sorted_pairs(pairs):
-    return sorted(set(pairs), key=lambda p: (p[2], p[1], p[0]))
+    def stage_d(lagged, kept):
+        lagged_sys = lagged.system_only(roles)
+        base = {j: lagged_sys[j] + kept["context_parents"][j] for j in system}
+        return _Stage([p for j in system for d in dummies for p in ((d, 0, j), (j, 0, d))],
+                      {j: base[j] + [(d, 0) for d in dummies] for j in system},
+                      clique, _SYSTEM_ONLY, base, keep=("dummy_parents", dummies))
+
+    def refinement(kind, cross):
+        # Re-test context links given the opposite-kind dummy parents: latent
+        # contexts of the other kind can keep a spurious context-system link
+        # d-connected through conditioned collider children among the lagged
+        # adjacencies, and only conditioning on all contexts of that kind, the
+        # cross-kind dummy, closes it.  The same-kind dummy is never used: the
+        # tested context is a deterministic function of it.
+        def build(lagged, kept):
+            ctx, base = kept["context_parents"], dict(lagged.sets)
+            pairs = []
+            for j in system:
+                held = [(d, lag) for (d, lag) in kept["dummy_parents"][j] if d in cross]
+                if held:
+                    base[j] = base[j] + held
+                    pairs += [(c, lag, j) for (c, lag) in ctx[j] if c in kind]
+            lagged_sys = lagged.system_only(roles)
+            return _Stage(pairs, {j: lagged_sys[j] + ctx[j] for j in system},
+                          clique, _CONTEXT_ROLES, base, keep=("context_parents", contexts))
+        return build
+
+    def stage_s(lagged, kept):
+        lagged_sys = lagged.system_only(roles)
+        base = {j: lagged_sys[j] + kept["context_parents"].get(j, [])
+                + kept["dummy_parents"].get(j, []) for j in system}
+        pairs = [(i, lag, j) for j in system for (i, lag) in lagged_sys[j]]
+        pairs += clique + [(b, 0, a) for (a, _, b) in clique]
+        return _Stage(pairs, base, clique, _SYSTEM_ONLY, base, fixed=tuple(fixed))
+
+    if not joint:
+        return [stage_s], _SYSTEM_ONLY
+    refinements = [refinement(kind, [d for d in dummies if roles[d] is cross])
+                   for kind, cross in ((tctx, VariableRole.SPACE_DUMMY),
+                                       (sctx, VariableRole.TIME_DUMMY))]
+    return ([stage_c, stage_d] + (refinements if refine else []) + [stage_s],
+            _CONTEXT_ROLES + (_DUMMY_ROLES if dummies else ()))
 
 
 def j_pcmciplus(ci, roles=None, tau_max=2, alpha=0.05, use_dummies=True,
                 collider_rule="none", conflict_resolution=True,
-                max_conds_dim=None, workers=None):
-    """Four-phase joint discovery over system, context and dummy variables.
-
-    Runs the lagged phase on system and temporal-context variables, then the
-    context, dummy and system skeleton stages, then collider orientation and
-    propagation rules.  Context- and dummy-system links are oriented with the
-    context as parent (exogeneity); lagged links by time order.  Returns a
-    DiscoveryResult whose graph spans the observed variables plus (if used)
-    the two dummies.
-    """
+                max_conds_dim=None):
+    """J-PCMCI+: the lagged phase on system and temporal-context variables,
+    stages C, D, refinement and S, then orientation.  Context- and
+    dummy-system links keep the context as parent (exogeneity), lagged links
+    follow time order.  The graph spans the observed variables plus, if
+    used, the two dummies."""
     roles = list(roles if roles is not None else ci.var_roles)
-    n = len(roles)
-    system, tctx, sctx, td, sd = _role_groups(roles)
-    dummies = (td + sd) if use_dummies else []
-    n_out = n if use_dummies else min(
-        [v for v, r in enumerate(roles) if r.is_dummy], default=n)
-    sepsets = SepSetStore()
-
-    lagged = lagged_skeleton_pcmciplus(ci, roles, tau_max, alpha,
-                                       max_conds_dim, sepsets=sepsets)
-
-    # Stage C: context-system links, dummies excluded.
-    ctx_parents = {v: [] for v in range(n)}
-    marks = _blank_marks(n, tau_max)
-    if tctx or sctx:
-        for j in system:
-            for (i, lag) in lagged.sets[j]:
-                marks[i, j, lag] = DIRECTED
-        for a, b in itertools.combinations(system, 2):
-            _set_mark(marks, a, 0, b, UNDIRECTED)
-        for c in tctx + sctx:
-            for j in system:
-                _set_mark(marks, c, 0, j, DIRECTED)
-        pairs = []
-        for j in system:
-            for (i, lag) in lagged.sets[j]:
-                if i in tctx and lag >= 1:
-                    pairs.append((i, lag, j))
-            for c in tctx + sctx:
-                pairs.append((c, 0, j))
-                pairs.append((j, 0, c))
-        base = {v: list(lagged.sets.get(v, [])) for v in range(n)}
-        _skeleton_sweep(ci, marks, _sorted_pairs(pairs), alpha, base,
-                        set(_CONTEXT_ROLES), roles, max_conds_dim,
-                        sepsets=sepsets, workers=workers, forbid_dummy_z=True)
-        for j in system:
-            for c in tctx + sctx:
-                for lag in range(tau_max + 1):
-                    if marks[c, j, lag] != "":
-                        ctx_parents[j].append((c, lag))
-
-    lagged_sys = lagged.system_only(roles)
-
-    # Stage D: dummy-system links given the found context parents.
-    dummy_parents = {v: [] for v in range(n)}
-    if dummies:
-        marks_d = _blank_marks(n, tau_max)
-        for j in system:
-            for (i, lag) in lagged_sys[j]:
-                marks_d[i, j, lag] = DIRECTED
-            for (c, lag) in ctx_parents[j]:
-                if lag == 0:
-                    _set_mark(marks_d, c, 0, j, DIRECTED)
-                else:
-                    marks_d[c, j, lag] = DIRECTED
-        for a, b in itertools.combinations(system, 2):
-            _set_mark(marks_d, a, 0, b, UNDIRECTED)
-        for d in dummies:
-            for j in system:
-                _set_mark(marks_d, d, 0, j, DIRECTED)
-        pairs = []
-        for j in system:
-            for d in dummies:
-                pairs.append((d, 0, j))
-                pairs.append((j, 0, d))
-        base = {j: lagged_sys[j] + ctx_parents[j] for j in system}
-        _skeleton_sweep(ci, marks_d, _sorted_pairs(pairs), alpha, base,
-                        set(_SYSTEM_ONLY), roles, max_conds_dim,
-                        sepsets=sepsets, workers=workers)
-        for j in system:
-            dummy_parents[j] = [(d, 0) for d in dummies if marks_d[d, j, 0] != ""]
-
-    # Refinement: re-test surviving context links with the opposite-kind
-    # dummy parents added to the conditioning set.  Latent contexts of the
-    # other kind can keep a spurious context-system link d-connected through
-    # the always-conditioned lagged adjacencies (conditioned collider
-    # children open paths that only conditioning on all contexts of that
-    # kind closes); the cross-kind dummy provides exactly that.  The
-    # same-kind dummy is never used here since the tested context is a
-    # deterministic function of it.
-    if dummies and any(ctx_parents[j] for j in system):
-        for ctx_kind, cross_kind in ((tctx, sd), (sctx, td)):
-            cross = [d for d in cross_kind if d in dummies]
-            if not ctx_kind or not cross:
-                continue
-            pairs = []
-            refine_base = {v: list(lagged.sets.get(v, [])) for v in range(n)}
-            for j in system:
-                if not any(d in cross for (d, _) in dummy_parents[j]):
-                    continue
-                refine_base[j] = refine_base[j] + [
-                    (d, 0) for (d, _) in dummy_parents[j] if d in cross]
-                pairs.extend((c, lag, j) for (c, lag) in ctx_parents[j]
-                             if c in ctx_kind)
-            if not pairs:
-                continue
-            marks_r = _blank_marks(n, tau_max)
-            for j in system:
-                for (i, lag) in lagged.sets[j]:
-                    if lag >= 1 and roles[i].is_system:
-                        marks_r[i, j, lag] = DIRECTED
-                for (c, lag) in ctx_parents[j]:
-                    if lag == 0:
-                        _set_mark(marks_r, c, 0, j, DIRECTED)
-                    else:
-                        marks_r[c, j, lag] = DIRECTED
-            for a, b in itertools.combinations(system, 2):
-                _set_mark(marks_r, a, 0, b, UNDIRECTED)
-            _skeleton_sweep(ci, marks_r, _sorted_pairs(pairs), alpha,
-                            refine_base, set(_CONTEXT_ROLES), roles,
-                            max_conds_dim, sepsets=sepsets, workers=workers)
-            for j in system:
-                ctx_parents[j] = [
-                    (c, lag) for (c, lag) in ctx_parents[j]
-                    if c not in ctx_kind or marks_r[c, j, lag] != ""]
-
-    # Stage S: system-system links given context and dummy parents.
-    marks_s = _blank_marks(n, tau_max)
-    pairs = []
-    for j in system:
-        for (i, lag) in lagged_sys[j]:
-            marks_s[i, j, lag] = DIRECTED
-            pairs.append((i, lag, j))
-        for (c, lag) in ctx_parents[j]:
-            if lag == 0:
-                _set_mark(marks_s, c, 0, j, DIRECTED)
-            else:
-                marks_s[c, j, lag] = DIRECTED
-        for (d, _) in dummy_parents[j]:
-            _set_mark(marks_s, d, 0, j, DIRECTED)
-    for a, b in itertools.combinations(system, 2):
-        _set_mark(marks_s, a, 0, b, UNDIRECTED)
-        pairs.append((a, 0, b))
-        pairs.append((b, 0, a))
-    base = {j: lagged_sys[j] + ctx_parents[j] + dummy_parents[j] for j in system}
-    _skeleton_sweep(ci, marks_s, _sorted_pairs(pairs), alpha, base,
-                    set(_SYSTEM_ONLY), roles, max_conds_dim,
-                    sepsets=sepsets, workers=workers)
-
-    ambiguous = collider_phase(marks_s, sepsets, roles, tau_max,
-                               conflict_resolution, rule=collider_rule,
-                               ci=ci, base_sets=base, alpha=alpha)
-    rule_phase(marks_s, tau_max, ambiguous, conflict_resolution)
-
-    graph = _marks_to_graph(marks_s, roles, tau_max, n_out)
-    return DiscoveryResult(graph=graph, sepsets=sepsets, lagged=lagged,
-                           context_parents={j: list(ctx_parents[j]) for j in system},
-                           dummy_parents={j: list(dummy_parents[j]) for j in system},
-                           ambiguous_triples=ambiguous)
+    dummies = [v for v, r in enumerate(roles) if r.is_dummy] if use_dummies else []
+    return _run_stages(ci, roles, tau_max, alpha, max_conds_dim,
+                       _staged_plan(roles, tau_max, dummies, refine=True), lagged={},
+                       orient=(collider_rule, conflict_resolution))
 
 
 def run_pcmciplus(ci, roles=None, tau_max=2, alpha=0.05, collider_rule="none",
-                  conflict_resolution=True, max_conds_dim=None, workers=None,
+                  conflict_resolution=True, max_conds_dim=None,
                   fixed_conditions=()):
     """Plain lagged-plus-contemporaneous discovery over the system variables.
 
@@ -666,42 +582,17 @@ def run_pcmciplus(ci, roles=None, tau_max=2, alpha=0.05, collider_rule="none",
     always-conditioned baseline used in the convergence experiments.
     """
     roles = list(roles if roles is not None else ci.var_roles)
-    system, *_ = _role_groups(roles)
-    n = len(roles)
-    n_out = len(system)
-    if system != list(range(n_out)):
-        raise ValueError("system variables must form a prefix of the index space")
-    sepsets = SepSetStore()
-    lagged = lagged_skeleton_pcmciplus(ci, roles, tau_max, alpha, max_conds_dim,
-                                       fixed_conditions, sepsets=sepsets,
-                                       include_contexts=False)
-
-    marks = _blank_marks(n, tau_max)
-    pairs = []
-    for j in system:
-        for (i, lag) in lagged.sets[j]:
-            marks[i, j, lag] = DIRECTED
-            pairs.append((i, lag, j))
-    for a, b in itertools.combinations(system, 2):
-        _set_mark(marks, a, 0, b, UNDIRECTED)
-        pairs.append((a, 0, b))
-        pairs.append((b, 0, a))
-    base = {j: list(lagged.sets[j]) for j in system}
-    _skeleton_sweep(ci, marks, _sorted_pairs(pairs), alpha, base,
-                    set(_SYSTEM_ONLY), roles, max_conds_dim,
-                    fixed_conditions, sepsets=sepsets, workers=workers)
-    ambiguous = collider_phase(marks, sepsets, roles, tau_max,
-                               conflict_resolution, rule=collider_rule,
-                               ci=ci, base_sets=base, alpha=alpha,
-                               fixed_conditions=fixed_conditions)
-    rule_phase(marks, tau_max, ambiguous, conflict_resolution)
-    graph = _marks_to_graph(marks, roles, tau_max, n_out)
-    return DiscoveryResult(graph=graph, sepsets=sepsets, lagged=lagged)
+    result = _run_stages(
+        ci, roles, tau_max, alpha, max_conds_dim,
+        _staged_plan(roles, tau_max, joint=False, fixed=fixed_conditions),
+        lagged=dict(fixed_conditions=fixed_conditions, include_contexts=False),
+        orient=(collider_rule, conflict_resolution))
+    result.ambiguous_triples = []  # plain PCMCI+ reports no ambiguous triples
+    return result
 
 
 def partial_skeleton_pc(ci, pairs, alpha, roles=None, knowledge=None,
-                        allowed_s_roles=None, max_conds_dim=None,
-                        workers=None, sepsets=None):
+                        allowed_s_roles=None, max_conds_dim=None, sepsets=None):
     """PC skeleton over the given pairs with fixed background-knowledge links.
 
     ``knowledge`` maps a target variable to parent selectors whose links are
@@ -710,113 +601,28 @@ def partial_skeleton_pc(ci, pairs, alpha, roles=None, knowledge=None,
     pairs start undirected.  Returns the skeleton graph and separating sets.
     """
     roles = list(roles if roles is not None else ci.var_roles)
-    n = len(roles)
     knowledge = knowledge or {}
-    marks = _blank_marks(n, 0)
-    for j, sels in knowledge.items():
-        for (v, _) in sels:
-            _set_mark(marks, v, 0, j, DIRECTED)
     pairs = _sorted_pairs([(p[0], 0, p[-1]) for p in pairs])
-    for (i, _, j) in pairs:
-        if marks[i, j, 0] == "":
-            init = DIRECTED if (roles[i].is_context or roles[i].is_dummy) \
-                else UNDIRECTED
-            _set_mark(marks, i, 0, j, init)
-    allowed = set(allowed_s_roles) if allowed_s_roles is not None else {
-        r for r in VariableRole if not r.is_dummy}
-    base = {j: list(sels) for j, sels in knowledge.items()}
-    sepsets, _ = _skeleton_sweep(ci, marks, pairs, alpha, base, allowed, roles,
-                                 max_conds_dim, sepsets=sepsets, workers=workers)
-    return _marks_to_graph(marks, roles, 0), sepsets
+    allowed = tuple(allowed_s_roles) if allowed_s_roles is not None else tuple(
+        r for r in VariableRole if not r.is_dummy)
+    stage = _Stage(pairs, {j: [(v, 0) for (v, _) in sels] for j, sels in knowledge.items()},
+                   pairs, allowed, {j: list(sels) for j, sels in knowledge.items()})
+    result = _run_stages(ci, roles, 0, alpha, max_conds_dim,
+                         ([lambda *_: stage], tuple(VariableRole)), sepsets=sepsets)
+    return result.graph, result.sepsets
 
 
 def j_pc(ci, roles=None, alpha=0.05, use_dummy=True, collider_rule="none",
-         conflict_resolution=True, max_conds_dim=None, workers=None):
-    """Staged PC for the lag-free multi-dataset setting (space dummy only).
-
-    Phase C discovers context-system links while ignoring the dummy; phase D
-    tests dataset-label (space dummy) links given the found context parents;
-    phase S runs the system skeleton given all of them; colliders (including
-    context- and dummy-anchored triples) and propagation rules orient the
-    result.
-    """
+         conflict_resolution=True, max_conds_dim=None):
+    """J-PC for the lag-free setting: stages C, D (space dummy only) and S
+    at tau_max = 0, then orientation, colliders at context- and
+    dummy-anchored triples included.  The graph spans the observed
+    variables plus, if used, the two dummies."""
     roles = list(roles if roles is not None else ci.var_roles)
-    n = len(roles)
-    system, tctx, sctx, td, sd = _role_groups(roles)
-    contexts = tctx + sctx
-    dummies = sd if use_dummy else []
-    sepsets = SepSetStore()
-
-    # Phase C
-    marks = _blank_marks(n, 0)
-    for a, b in itertools.combinations(system, 2):
-        _set_mark(marks, a, 0, b, UNDIRECTED)
-    ctx_parents = {v: [] for v in range(n)}
-    if contexts:
-        for c in contexts:
-            for j in system:
-                _set_mark(marks, c, 0, j, DIRECTED)
-        pairs = []
-        for j in system:
-            for c in contexts:
-                pairs.append((c, 0, j))
-                pairs.append((j, 0, c))
-        _skeleton_sweep(ci, marks, _sorted_pairs(pairs), alpha, {},
-                        set(_CONTEXT_ROLES), roles, max_conds_dim,
-                        sepsets=sepsets, workers=workers, forbid_dummy_z=True)
-        for j in system:
-            ctx_parents[j] = [(c, 0) for c in contexts if marks[c, j, 0] != ""]
-
-    # Phase D
-    dummy_parents = {v: [] for v in range(n)}
-    if dummies:
-        marks_d = _blank_marks(n, 0)
-        for a, b in itertools.combinations(system, 2):
-            _set_mark(marks_d, a, 0, b, UNDIRECTED)
-        for j in system:
-            for (c, _) in ctx_parents[j]:
-                _set_mark(marks_d, c, 0, j, DIRECTED)
-        for d in dummies:
-            for j in system:
-                _set_mark(marks_d, d, 0, j, DIRECTED)
-        pairs = []
-        for j in system:
-            for d in dummies:
-                pairs.append((d, 0, j))
-                pairs.append((j, 0, d))
-        base = {j: list(ctx_parents[j]) for j in system}
-        _skeleton_sweep(ci, marks_d, _sorted_pairs(pairs), alpha, base,
-                        set(_SYSTEM_ONLY), roles, max_conds_dim,
-                        sepsets=sepsets, workers=workers)
-        for j in system:
-            dummy_parents[j] = [(d, 0) for d in dummies if marks_d[d, j, 0] != ""]
-
-    # Phase S
-    marks_s = _blank_marks(n, 0)
-    for j in system:
-        for (c, _) in ctx_parents[j]:
-            _set_mark(marks_s, c, 0, j, DIRECTED)
-        for (d, _) in dummy_parents[j]:
-            _set_mark(marks_s, d, 0, j, DIRECTED)
-    pairs = []
-    for a, b in itertools.combinations(system, 2):
-        _set_mark(marks_s, a, 0, b, UNDIRECTED)
-        pairs.append((a, 0, b))
-        pairs.append((b, 0, a))
-    base = {j: ctx_parents[j] + dummy_parents[j] for j in system}
-    _skeleton_sweep(ci, marks_s, _sorted_pairs(pairs), alpha, base,
-                    set(_SYSTEM_ONLY), roles, max_conds_dim,
-                    sepsets=sepsets, workers=workers)
-
-    ambiguous = collider_phase(marks_s, sepsets, roles, 0, conflict_resolution,
-                               rule=collider_rule, ci=ci, base_sets=base,
-                               alpha=alpha)
-    rule_phase(marks_s, 0, ambiguous, conflict_resolution)
-    graph = _marks_to_graph(marks_s, roles, 0)
-    return DiscoveryResult(graph=graph, sepsets=sepsets,
-                           context_parents={j: list(ctx_parents[j]) for j in system},
-                           dummy_parents={j: list(dummy_parents[j]) for j in system},
-                           ambiguous_triples=ambiguous)
+    dummies = [v for v, r in enumerate(roles)
+               if r is VariableRole.SPACE_DUMMY] if use_dummy else []
+    return _run_stages(ci, roles, 0, alpha, max_conds_dim, _staged_plan(roles, 0, dummies),
+                       orient=(collider_rule, conflict_resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +634,7 @@ VARIANTS = ("jpcmci+", "pcmci+C", "pcmci+D", "pcmci+")
 
 def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
                    tau_max=2, alpha=0.05, lag_free=False, collider_rule="none",
-                   max_conds_dim=None, workers=None, correction="bonferroni"):
+                   max_conds_dim=None, correction="bonferroni"):
     """Run one discovery variant on a dataset collection.
 
     ``jpcmci+`` uses observed contexts and dummies, ``pcmci+C`` only observed
@@ -863,7 +669,7 @@ def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
         raise ValueError(f"unknown CI test {ci!r}")
 
     kwargs = dict(alpha=alpha, collider_rule=collider_rule,
-                  max_conds_dim=max_conds_dim, workers=workers)
+                  max_conds_dim=max_conds_dim)
     if variant == "pcmci+":
         if lag_free:
             return j_pc(test, use_dummy=False, **kwargs)

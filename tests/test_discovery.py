@@ -355,16 +355,6 @@ class TestJPCMCIPlus:
             assert replay.p_value == entry.p_value
             assert replay.p_value > 0.05
 
-    def test_worker_schedules_do_not_change_the_result(self):
-        spec, g = generate_random_model(seed=6, max_lag=2)
-        dc = simulate(spec, M=5, T=80, seed=7)
-        serial = j_pcmciplus(ParCorrCI(pool_data(dc, 2)), tau_max=2,
-                             alpha=0.05)
-        threaded = j_pcmciplus(ParCorrCI(pool_data(dc, 2)), tau_max=2,
-                               alpha=0.05, workers=3)
-        assert serial.graph == threaded.graph
-        assert serial.sepsets.items() == threaded.sepsets.items()
-
     def test_reduction_to_plain_pcmciplus(self):
         for seed in range(5):
             spec, _ = generate_random_model(
@@ -456,6 +446,45 @@ class TestEstimateGraph:
         assert got["pcmci+D"] == [R.SYSTEM] * n + [R.TIME_DUMMY, R.SPACE_DUMMY]
         assert R.TIME_DUMMY not in got["pcmci+C"]
         assert got["jpcmci+"][-2:] == [R.TIME_DUMMY, R.SPACE_DUMMY]
+
+    @pytest.mark.parametrize("variant", ["jpcmci+", "pcmci+C", "pcmci+D", "pcmci+"])
+    def test_lag_free_graph_has_the_lagged_graph_roles(self, variant):
+        # a run that uses no dummies returns no dummy nodes, lagged or not
+        spec, _ = generate_random_model(seed=3, max_lag=2)
+        dc = simulate(spec, M=5, T=60, seed=4)
+        lagged = estimate_graph(dc, variant=variant, tau_max=2)
+        lag_free = estimate_graph(dc, variant=variant, tau_max=2, lag_free=True)
+        assert lag_free.graph.roles == lagged.graph.roles
+        uses_dummies = variant in ("jpcmci+", "pcmci+D")
+        assert (R.SPACE_DUMMY in lag_free.graph.roles) == uses_dummies
+
+    def test_phase_trace_points_are_looked_up_at_call_time(self, monkeypatch):
+        # perfbench/tracing.py times these phases by replacing the module
+        # attributes, so the driver must call them through module globals
+        import jtscd.discovery as discovery
+        calls = {}
+
+        def counting(name):
+            original = getattr(discovery, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        names = ("lagged_skeleton_pcmciplus", "collider_phase", "rule_phase")
+        for name in names:
+            monkeypatch.setattr(discovery, name, counting(name))
+        spec, _ = generate_random_model(seed=1, max_lag=2)
+        dc = simulate(spec, M=4, T=40, seed=2)
+        for variant in discovery.VARIANTS:
+            for lag_free in (False, True):
+                calls.clear()
+                estimate_graph(dc, variant=variant, tau_max=2, lag_free=lag_free)
+                expected = {"collider_phase": 1, "rule_phase": 1}
+                if not lag_free:
+                    expected["lagged_skeleton_pcmciplus"] = 1
+                assert calls == expected, (variant, lag_free)
 
     def test_oracle_needs_ground_truth(self):
         spec, _ = generate_random_model(seed=1, max_lag=2)

@@ -312,6 +312,20 @@ class TestErrorParity:
         assert expected is not None
         assert error_type(parcorr_test, query, data) is expected
 
+    @pytest.mark.parametrize("case", ["var past the end in x", "var past the end in z"])
+    def test_variable_past_the_end_is_a_selection_error(self, case):
+        # the range is checked before the role lookup, in both kernels
+        x, y, z = INVALID[case]
+        for kernel in (parcorr_test, lstsq_parcorr_test):
+            with pytest.raises(SelectionError, match="out of range"):
+                kernel(CIQuery(x=x, y=y, z=z), panel())
+
+    def test_negative_endpoint_is_not_counted_from_the_end(self):
+        # on one dataset, var -1 used to be read as the degenerate space dummy
+        query = CIQuery(x=((0, 0),), y=((-1, 0),))
+        with pytest.raises(SelectionError, match="out of range"):
+            parcorr_test(query, panel(M=1, T=20))
+
     def test_too_few_samples(self):
         data = panel(M=1, T=10)
         query = CIQuery(x=((0, 0),), y=((1, 0),), z=((2, 0), (3, 0), (0, 1), (1, 1), (2, 1)))

@@ -206,6 +206,36 @@ class TestSerialization:
         with pytest.raises(NonFiniteDataError, match=r"system .*\(1, 3, 1\)"):
             DatasetCollection.from_dir(tmp_path)
 
+    @staticmethod
+    def _edit_cell(path, line, column, value):
+        lines = path.read_text().splitlines()
+        cells = lines[line].split(",")
+        if value is None:
+            del cells[column]
+        else:
+            cells[column] = value
+        lines[line] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_from_dir_rejects_spatial_context_changing_within_a_dataset(self, tmp_path):
+        spec, _ = generate_random_model(seed=12, max_lag=2)
+        dc = simulate(spec, M=2, T=10, seed=13)
+        dc.to_dir(tmp_path, spec=spec)
+        assert dc.n_spatial_ctx == 1  # the last column
+        self._edit_cell(tmp_path / "data_001.csv", 6, -1, "0.25")
+        with pytest.raises(ValueError, match="spatial context changes within dataset 1 at row 5"):
+            DatasetCollection.from_dir(tmp_path)
+
+    def test_from_dir_rejects_a_row_of_the_wrong_width(self, tmp_path):
+        spec, _ = generate_random_model(seed=12, max_lag=2)
+        dc = simulate(spec, M=2, T=10, seed=13)
+        dc.to_dir(tmp_path, spec=spec)
+        width = dc.n_system + dc.n_temporal_ctx + dc.n_spatial_ctx
+        self._edit_cell(tmp_path / "data_000.csv", 3, 2, None)
+        with pytest.raises(ValueError, match=f"dataset 0 row 2 has {width - 1} values, "
+                                             f"expected {width}"):
+            DatasetCollection.from_dir(tmp_path)
+
     def test_mask_all_latent(self):
         spec, _ = generate_random_model(seed=14, frac_observed=1.0)
         dc = simulate(spec, M=2, T=20, seed=15)
