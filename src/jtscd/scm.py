@@ -291,42 +291,37 @@ class DatasetCollection:
                    observed_mask=tuple(bool(b) for b in meta["observed_mask"]))
 
 
-def _contemporaneous_order(spec):
-    """Topological order of system variables w.r.t. lag-0 links."""
-    children = {i: [] for i in range(spec.n_system)}
-    indeg = {i: 0 for i in range(spec.n_system)}
-    for i in range(spec.n_system):
+def _lag_matrices(spec):
+    """Coefficients of ``spec`` as matrices over lags ``0..p``, ``p = max(max_lag, 1)``.
+
+    Returns ``(A, C, S)``: ``A[k]`` (N x N) maps system values at lag ``k``,
+    ``C[k]`` (N x n_temporal_ctx) temporal contexts at lag ``k`` and ``S``
+    (N x n_spatial_ctx) spatial contexts to the system variables; row ``i``
+    holds the coefficients of system variable ``i``.
+    """
+    N, Kt = spec.n_system, spec.n_temporal_ctx
+    p = max(spec.max_lag, 1)
+    A = np.zeros((p + 1, N, N))
+    C = np.zeros((p + 1, N, Kt))
+    S = np.zeros((N, spec.n_spatial_ctx))
+    for i in range(N):
+        A[1, i, i] += spec.autocorr[i]
         for t in spec.terms[i]:
-            if t.lag == 0 and t.var < spec.n_system:
-                children[t.var].append(i)
-                indeg[i] += 1
-    order = [i for i in range(spec.n_system) if indeg[i] == 0]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for c in children[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                order.append(c)
-    if len(order) != spec.n_system:
-        raise ValueError("contemporaneous assignments contain a cycle")
-    return order
+            if t.var < N:
+                A[t.lag, i, t.var] += t.coeff
+            elif t.var < N + Kt:
+                C[t.lag, i, t.var - N] += t.coeff
+            else:
+                S[i, t.var - N - Kt] += t.coeff
+    return A, C, S
 
 
 def spectral_radius(spec):
     """Spectral radius of the reduced-form VAR companion matrix."""
-    N = spec.n_system
-    p = max(spec.max_lag, 1)
-    B = np.zeros((p + 1, N, N))
-    for i in range(N):
-        if spec.autocorr[i] != 0.0:
-            B[1, i, i] += spec.autocorr[i]
-        for t in spec.terms[i]:
-            if t.var < N:
-                B[t.lag, i, t.var] += t.coeff
-    lhs = np.eye(N) - B[0]
-    reduced = [np.linalg.solve(lhs, B[k]) for k in range(1, p + 1)]
+    A, _, _ = _lag_matrices(spec)
+    p, N = len(A) - 1, spec.n_system
+    lhs = np.eye(N) - A[0]
+    reduced = [np.linalg.solve(lhs, A[k]) for k in range(1, p + 1)]
     companion = np.zeros((N * p, N * p))
     companion[:N, :] = np.hstack(reduced)
     if p > 1:
@@ -452,9 +447,11 @@ def simplified_preset():
 def simulate(spec, M, T, burn_in=100, seed=0, rescale=True):
     """Simulate ``M`` datasets of length ``T`` from a linear SCM spec.
 
-    Contexts and noises are standard normal; contemporaneous assignments are
-    evaluated in topological order; the first ``burn_in`` steps are dropped.
-    Afterwards every system variable is divided by its standard deviation
+    Contexts and noises are standard normal.  The spec is compiled once into
+    lag matrices, the contemporaneous part is solved through the reduced form
+    ``(I - A0)^-1``, and each step is one matrix product over the last
+    ``max_lag`` steps (zero before the first); the first ``burn_in`` steps
+    are dropped.  Afterwards every system variable is divided by its standard deviation
     pooled over all datasets (and, for comparability, context variables by
     theirs), so pooled variances are one.
     """
@@ -468,27 +465,29 @@ def simulate(spec, M, T, burn_in=100, seed=0, rescale=True):
     ctx_s = rng.standard_normal((M, Ks)) if Ks else np.zeros((M, 0))
     noise = rng.standard_normal((M, total, N)) * np.asarray(spec.noise_std)
 
-    order = _contemporaneous_order(spec)
-    X = np.zeros((M, total, N))
-    for t in range(total):
-        for i in order:
-            acc = noise[:, t, i].copy()
-            if spec.autocorr[i] != 0.0 and t >= 1:
-                acc += spec.autocorr[i] * X[:, t - 1, i]
-            for term in spec.terms[i]:
-                if term.var < N:
-                    if t - term.lag >= 0:
-                        acc += term.coeff * X[:, t - term.lag, term.var]
-                elif term.var < N + Kt:
-                    if t - term.lag >= 0:
-                        acc += term.coeff * ctx_t[t - term.lag, term.var - N]
-                else:
-                    acc += term.coeff * ctx_s[:, term.var - N - Kt]
-            X[:, t, i] = acc
+    # reduced form X_t = (I - A0)^-1 (sum_k A_k X_{t-k} + drive_t), exact
+    # because validate() rejects lag-0 cycles; values before t = 0 are zero
+    A, C, S = _lag_matrices(spec)
+    p = len(A) - 1
+    lhs = np.eye(N) - A[0]
+    ctx_t_past = np.concatenate([np.zeros((p, Kt)), ctx_t])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # time-major (total, M, N), so that each step reads one contiguous block
+        drive = noise.transpose(1, 0, 2) + ctx_s @ S.T
+        for k in range(p + 1):
+            drive += (ctx_t_past[p - k:p - k + total] @ C[k].T)[:, None, :]
+        drive = np.linalg.solve(lhs, drive.reshape(-1, N).T).T.reshape(total, M, N)
+        # row m of X holds X_{-p}, ..., X_{total-1} of dataset m side by side,
+        # so X_{t-p}, ..., X_{t-1} is one slice to stack against A_p, ..., A_1
+        W = np.linalg.solve(lhs, np.hstack(A[:0:-1])).T
+        X = np.zeros((M, (p + total) * N))
+        for t in range(total):
+            X[:, (p + t) * N:(p + t + 1) * N] = drive[t] + X[:, t * N:(t + p) * N] @ W
+        X = X.reshape(M, p + total, N)
     if not np.all(np.isfinite(X)):
         raise SimulationError("simulation produced non-finite values")
 
-    system = X[:, burn_in:, :].copy()
+    system = X[:, p + burn_in:, :].copy()
     noise_kept = noise[:, burn_in:, :].copy()
     temporal = ctx_t[burn_in:, :].copy()
     spatial = ctx_s.copy()

@@ -1,14 +1,92 @@
-"""Model generation, simulation semantics, and the fixed preset."""
+"""Model generation, simulation semantics, and the fixed preset.
+
+``tests/data/model_specs.json`` holds a digest of ``generate_random_model``'s
+spec for every model seed the benchmark, the golden test and the acceptance
+tests draw.  The rejection sampler reads ``spectral_radius``, so a change to
+it that moves one bit changes which draw is kept.  Re-record only when the
+sampler changes on purpose::
+
+    PYTHONPATH=src python tests/test_scm.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jtscd.graph import VariableRole
 from jtscd.scm import (DatasetCollection, GenerationError, LinearTerm,
-                       NonFiniteDataError, SCMSpec, generate_random_model, simplified_preset, simulate,
-                       spectral_radius)
+                       NonFiniteDataError, SCMSpec, SimulationError, generate_random_model,
+                       simplified_preset, simulate, spectral_radius)
+from reference_simulate import reference_simulate
+from test_acceptance import seed_for
 
 R = VariableRole
+SPEC_FIXTURE = Path(__file__).with_name("data") / "model_specs.json"
+
+
+def _model_corpus():
+    """``(name, generate_random_model kwargs)`` for every recorded model seed."""
+    bench = dict(n_system=5, n_temporal_ctx=2, n_spatial_ctx=1, frac_observed=0.5,
+                 max_lag=2)
+    for seed in (3, 8, 12):
+        yield f"panel-long/{seed}", dict(bench, seed=seed)
+    for r in range(50):
+        yield f"grid-small/{r}", dict(bench, seed=1000 + r)
+    for seed in range(10):
+        yield f"oracle-wide/{seed}", dict(bench, n_system=10, seed=seed)
+    for seed in range(20):
+        yield f"golden-oracle/{seed}", dict(
+            n_system=3 + seed % 2, n_temporal_ctx=1, n_spatial_ctx=1,
+            frac_observed=(0.0, 0.5, 1.0)[seed % 3], seed=seed, max_lag=2)
+        yield f"golden-oracle/{seed}/lag-free", dict(
+            n_system=3 + seed % 2, n_temporal_ctx=0, n_spatial_ctx=2,
+            frac_observed=(0.0, 0.5, 1.0)[seed % 3], seed=seed, max_lag=2, lag_free=True)
+    for seed in range(5):
+        yield f"golden-parcorr/{seed}", dict(n_system=4, n_temporal_ctx=1, n_spatial_ctx=1,
+                                             frac_observed=0.5, seed=seed, max_lag=2)
+    for k in range(100):
+        frac = (0.0, 0.5, 1.0)[k % 3]
+        yield f"c1/{k}", dict(n_system=3, n_temporal_ctx=1, n_spatial_ctx=1,
+                              frac_observed=frac, seed=seed_for("c1", k), max_lag=2)
+        yield f"c2/{k}", dict(n_system=3, n_temporal_ctx=0, n_spatial_ctx=2,
+                              frac_observed=frac, seed=seed_for("c2", k), lag_free=True)
+    for r in range(20):
+        yield f"c4/{r}", dict(n_system=5, n_temporal_ctx=2, n_spatial_ctx=1,
+                              frac_observed=1.0, seed=seed_for("c4-model", r), max_lag=2)
+        yield f"c5/{r}", dict(n_system=5, n_temporal_ctx=2, n_spatial_ctx=1,
+                              frac_observed=0.5, seed=seed_for("c5-model", r), max_lag=2)
+    for r in range(50):
+        yield f"c9/{r}", dict(n_system=4, n_temporal_ctx=0, n_spatial_ctx=0,
+                              ctx_link_prob=0.0, seed=seed_for("c9-model", r), max_lag=2)
+
+
+def _spec_digest(kwargs):
+    spec, _ = generate_random_model(**kwargs)
+    text = json.dumps(spec.to_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _simulate_corpus():
+    """``(name, spec, M, T, seed)`` cases for the reference comparison."""
+    preset, _ = simplified_preset()
+    yield "preset", preset, 10, 200, 1
+    yield "preset/M=1", preset, 1, 150, 2
+    for n in (3, 5, 10):
+        for max_lag in (1, 2, 3):
+            spec, _ = generate_random_model(n_system=n, max_lag=max_lag, seed=10 * n + max_lag)
+            yield f"N={n}/max_lag={max_lag}", spec, 6, 80, n + max_lag
+    for seed in range(3):
+        spec, _ = generate_random_model(n_system=4, n_temporal_ctx=0, n_spatial_ctx=2,
+                                        lag_free=True, seed=seed)
+        yield f"lag-free/{seed}", spec, 5, 40, seed
+        spec, _ = generate_random_model(n_system=4, n_temporal_ctx=0, n_spatial_ctx=0,
+                                        seed=seed)
+        yield f"no-contexts/{seed}", spec, 5, 60, seed
+        spec, _ = generate_random_model(n_system=5, max_lag=3, seed=seed)
+        yield f"M=1/{seed}", spec, 1, 100, seed
 
 
 class TestGenerateRandomModel:
@@ -49,6 +127,12 @@ class TestGenerateRandomModel:
         for seed in range(20):
             spec, _ = generate_random_model(seed=seed)
             assert spectral_radius(spec) < 0.95
+
+    def test_specs_match_the_recorded_digests(self):
+        want = json.loads(SPEC_FIXTURE.read_text())
+        got = {name: _spec_digest(kwargs) for name, kwargs in _model_corpus()}
+        assert len(got) == 398
+        assert got == want
 
     def test_generation_error_when_impossible(self):
         with pytest.raises(GenerationError):
@@ -152,6 +236,28 @@ class TestSimulate:
         beta, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(y), rcond=None)
         assert np.all(np.abs(beta - 0.5) < 0.05)
 
+    def test_matches_the_per_term_reference(self):
+        names = set()
+        for name, spec, M, T, seed in _simulate_corpus():
+            got = simulate(spec, M=M, T=T, seed=seed)
+            want = reference_simulate(spec, M=M, T=T, seed=seed)
+            names.add(name)
+            # the same random draws, taken in the same order
+            for field in ("noise", "temporal_ctx", "spatial_ctx", "temporal_scale",
+                          "spatial_scale"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), name
+            # sums taken in another order: equal up to rounding
+            for field in ("system", "system_scale"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (name, field)
+        assert len(names) == 20
+
+    def test_explosive_spec_raises_simulation_error(self):
+        spec = SCMSpec(n_system=1, n_temporal_ctx=0, n_spatial_ctx=0, autocorr=(1.5,),
+                       terms=((),), noise_std=(1.0,), observed_mask=())
+        with pytest.raises(SimulationError, match="non-finite"):
+            simulate(spec, M=2, T=2000, seed=0)
+
     def test_too_short_series_rejected(self):
         spec, _ = generate_random_model(seed=1, max_lag=3)
         with pytest.raises(ValueError):
@@ -242,3 +348,10 @@ class TestSerialization:
         masked = dc.mask_all_latent()
         assert not any(masked.observed_mask)
         assert masked.observed_roles() == [R.SYSTEM] * spec.n_system
+
+
+if __name__ == "__main__":
+    SPEC_FIXTURE.parent.mkdir(exist_ok=True)
+    digests = {name: _spec_digest(kwargs) for name, kwargs in _model_corpus()}
+    SPEC_FIXTURE.write_text(json.dumps(digests, indent=0, sort_keys=True) + "\n")
+    print(f"wrote {SPEC_FIXTURE}")
