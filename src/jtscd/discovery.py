@@ -582,13 +582,11 @@ def run_pcmciplus(ci, roles=None, tau_max=2, alpha=0.05, collider_rule="none",
     always-conditioned baseline used in the convergence experiments.
     """
     roles = list(roles if roles is not None else ci.var_roles)
-    result = _run_stages(
+    return _run_stages(
         ci, roles, tau_max, alpha, max_conds_dim,
         _staged_plan(roles, tau_max, joint=False, fixed=fixed_conditions),
         lagged=dict(fixed_conditions=fixed_conditions, include_contexts=False),
         orient=(collider_rule, conflict_resolution))
-    result.ambiguous_triples = []  # plain PCMCI+ reports no ambiguous triples
-    return result
 
 
 def partial_skeleton_pc(ci, pairs, alpha, roles=None, knowledge=None,

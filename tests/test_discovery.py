@@ -245,6 +245,23 @@ class TestColliderAndRules:
             else:
                 assert mark == UNDIRECTED, (edges, a, b, mark)
 
+    def test_run_pcmciplus_reports_its_ambiguous_triples(self, monkeypatch):
+        import jtscd.discovery as discovery
+        found = []
+        original = discovery.collider_phase
+
+        def recording(*args, **kwargs):
+            found.append(original(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(discovery, "collider_phase", recording)
+        for seed in range(10):
+            _, g = generate_random_model(n_system=4, seed=seed, max_lag=2)
+            result = run_pcmciplus(GraphOracle(g, 2), tau_max=2,
+                                   collider_rule="majority")
+            assert result.ambiguous_triples == found[-1], seed
+        assert sum(map(bool, found)) >= 5
+
 
 class TestJPC:
     def test_latent_confounder_resolved_via_space_dummy(self):
