@@ -125,9 +125,7 @@ class PooledData:
         self._temporal_idx = dc.observed_temporal_indices()
         self._spatial_idx = dc.observed_spatial_indices()
         self.n_system = dc.n_system
-        roles = [VariableRole.SYSTEM] * self.n_system
-        roles += [VariableRole.TEMPORAL_CONTEXT] * len(self._temporal_idx)
-        roles += [VariableRole.SPATIAL_CONTEXT] * len(self._spatial_idx)
+        roles = dc.observed_roles()
         self.n_observed = len(roles)
         roles += [VariableRole.TIME_DUMMY, VariableRole.SPACE_DUMMY]
         self.var_roles = roles
@@ -184,21 +182,18 @@ class PooledData:
         elif not (0 <= lag <= self.tau_max):
             raise SelectionError(f"lag {lag} outside [0, {self.tau_max}]")
 
-    def _column_block(self, var, lag, rows=slice(None)):
+    def _column_block(self, var, lag, start=None):
+        """Block of ``(var, lag)`` on the rows from time step ``start`` (default tau_max) on."""
+        start = self.tau_max if start is None else start
         role = self.var_roles[var]
-        ds = self.dataset_index[rows]
-        ts = self.time_index[rows]
-        if role is VariableRole.SYSTEM:
-            return self.dc.system[ds, ts - lag, var][:, None]
-        if role is VariableRole.TEMPORAL_CONTEXT:
-            k = self._temporal_idx[var - self.n_system]
-            return self.dc.temporal_ctx[ts - lag, k][:, None]
-        if role is VariableRole.SPATIAL_CONTEXT:
-            k = self._spatial_idx[var - self.n_system - len(self._temporal_idx)]
-            return self.dc.spatial_ctx[ds, k][:, None]
-        if role is VariableRole.TIME_DUMMY:
-            return build_time_dummy(self.T, self.tau_max, ts)
-        return build_space_dummy(self.M, ds)
+        if role.is_dummy:
+            rows = self.time_index >= start
+            if role is VariableRole.TIME_DUMMY:
+                return build_time_dummy(self.T, self.tau_max, self.time_index[rows])
+            return build_space_dummy(self.M, self.dataset_index[rows])
+        # the rows are dataset-major, so the (M, T - start) panel flattens onto them
+        panel = self._panel(var, lag, start)
+        return np.broadcast_to(panel, (self.M, self.T - start)).reshape(-1, 1)
 
     def extract(self, selectors):
         """Column matrix for ``(var, lag)`` selectors, aligned on provenance.
@@ -237,8 +232,9 @@ class PooledData:
         so conditioning sets shifted to the lagged endpoint of a test stay
         well defined; returns ``(matrix, row_indices)``.
         """
-        rows = np.flatnonzero(self.time_index >= self.aligned_start(selectors))
-        blocks = [self._column_block(var, lag, rows) for (var, lag) in selectors]
+        start = self.aligned_start(selectors)
+        rows = np.flatnonzero(self.time_index >= start)
+        blocks = [self._column_block(var, lag, start) for (var, lag) in selectors]
         if not blocks:
             return np.zeros((len(rows), 0)), rows
         return np.hstack(blocks), rows

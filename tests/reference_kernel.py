@@ -19,9 +19,10 @@ def _z_column_count(z_selectors, data):
     return sum(data.n_components(var) for (var, lag) in z_selectors)
 
 
-def _residualize(values, z_selectors, data, rows):
+def _residualize(values, z_selectors, data, start):
     """Residuals of ``values`` w.r.t. the conditioning design, plus its rank."""
     n = values.shape[0]
+    rows = data.time_index >= start
     group_blocks = []
     plain = []
     for (var, lag) in z_selectors:
@@ -37,7 +38,7 @@ def _residualize(values, z_selectors, data, rows):
     design_cols = [np.ones((n, 1))]
     if plain:
         design_cols.append(np.hstack(
-            [data._column_block(var, lag, rows) for (var, lag) in plain]))
+            [data._column_block(var, lag, start) for (var, lag) in plain]))
     design = np.hstack(design_cols)
 
     work = np.hstack([values, design])
@@ -64,18 +65,18 @@ def lstsq_parcorr_test(query, data, correction="bonferroni"):
         return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
 
     all_sel = list(query.x) + list(query.y) + list(query.z)
-    _, rows = data.extract_aligned(all_sel)
-    n = len(rows)
+    start = data.aligned_start(all_sel)
+    n = int(np.count_nonzero(data.time_index >= start))
     n_z_cols = _z_column_count(query.z, data)
     if n <= n_z_cols + 3:
         raise QueryError(
             f"too few samples: n={n} with {n_z_cols} conditioning columns "
             f"(query x={query.x} y={query.y} z={query.z})")
 
-    x_block = np.hstack([data._column_block(v, l, rows) for (v, l) in query.x])
-    y_block = np.hstack([data._column_block(v, l, rows) for (v, l) in query.y])
+    x_block = np.hstack([data._column_block(v, l, start) for (v, l) in query.x])
+    y_block = np.hstack([data._column_block(v, l, start) for (v, l) in query.y])
     kx, ky = x_block.shape[1], y_block.shape[1]
-    resid, rank = _residualize(np.hstack([x_block, y_block]), query.z, data, rows)
+    resid, rank = _residualize(np.hstack([x_block, y_block]), query.z, data, start)
     rx, ry = resid[:, :kx], resid[:, kx:]
     df = n - rank - 1
     if df < 1:
