@@ -183,7 +183,10 @@ class PooledData:
             raise SelectionError(f"lag {lag} outside [0, {self.tau_max}]")
 
     def _column_block(self, var, lag, start=None):
-        """Block of ``(var, lag)`` on the rows from time step ``start`` (default tau_max) on."""
+        """Block of ``(var, lag)`` on the rows from time step ``start`` on.
+
+        ``start`` defaults to ``tau_max``, the first row of the pooled design.
+        """
         start = self.tau_max if start is None else start
         role = self.var_roles[var]
         if role.is_dummy:

@@ -451,9 +451,9 @@ def simulate(spec, M, T, burn_in=100, seed=0, rescale=True):
     lag matrices, the contemporaneous part is solved through the reduced form
     ``(I - A0)^-1``, and each step is one matrix product over the last
     ``max_lag`` steps (zero before the first); the first ``burn_in`` steps
-    are dropped.  Afterwards every system variable is divided by its standard deviation
-    pooled over all datasets (and, for comparability, context variables by
-    theirs), so pooled variances are one.
+    are dropped.  Afterwards every system variable is divided by its
+    standard deviation pooled over all datasets (and, for comparability,
+    context variables by theirs), so pooled variances are one.
     """
     spec.validate()
     if T <= spec.max_lag:
