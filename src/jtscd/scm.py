@@ -469,21 +469,22 @@ def simulate(spec, M, T, burn_in=100, seed=0, rescale=True):
     # because validate() rejects lag-0 cycles; values before t = 0 are zero
     A, C, S = _lag_matrices(spec)
     p = len(A) - 1
-    lhs = np.eye(N) - A[0]
+    to_reduced = np.linalg.inv(np.eye(N) - A[0])
     ctx_t_past = np.concatenate([np.zeros((p, Kt)), ctx_t])
     with np.errstate(over="ignore", invalid="ignore"):
         # time-major (total, M, N), so that each step reads one contiguous block
         drive = noise.transpose(1, 0, 2) + ctx_s @ S.T
         for k in range(p + 1):
             drive += (ctx_t_past[p - k:p - k + total] @ C[k].T)[:, None, :]
-        drive = np.linalg.solve(lhs, drive.reshape(-1, N).T).T.reshape(total, M, N)
+        drive = drive @ to_reduced.T
         # row m of X holds X_{-p}, ..., X_{total-1} of dataset m side by side,
         # so X_{t-p}, ..., X_{t-1} is one slice to stack against A_p, ..., A_1
-        W = np.linalg.solve(lhs, np.hstack(A[:0:-1])).T
+        W = (to_reduced @ np.hstack(A[:0:-1])).T
         X = np.zeros((M, (p + total) * N))
         for t in range(total):
             X[:, (p + t) * N:(p + t + 1) * N] = drive[t] + X[:, t * N:(t + p) * N] @ W
         X = X.reshape(M, p + total, N)
+    del drive  # released before the copies below, so they do not add to the peak
     if not np.all(np.isfinite(X)):
         raise SimulationError("simulation produced non-finite values")
 
