@@ -1,4 +1,4 @@
-"""Golden outputs of the discovery drivers, recorded before the staged driver.
+"""Golden outputs of the discovery drivers.
 
 ``tests/data/discovery_golden.json`` holds, per case, the graph text and the
 separating sets of one discovery run or ``partial_skeleton_pc`` call.
@@ -10,11 +10,9 @@ raised is recorded by its error message: with the majority collider rule,
 lag-free oracle runs on models with an observed spatial context raise a
 ``DiscoveryError`` (the space dummy in a base set stands in for the tested
 context itself), and the record keeps that outcome until it is mended.
-
-The one recorded difference that is expected: lag-free runs without dummies
-(``j_pc(use_dummy=False)``, hence lag-free ``pcmci+C`` and ``pcmci+``) used
-to return the two dummy nodes without edges.  Their graphs now end before
-the dummies; the edges are compared as recorded.
+Graph text is compared exactly, node set included: lag-free runs without
+dummies (``j_pc(use_dummy=False)``, hence lag-free ``pcmci+C`` and
+``pcmci+``) return graphs that end before the two dummy nodes.
 
 Re-record only when outputs change on purpose::
 
@@ -29,15 +27,13 @@ import pytest
 from jtscd.citests import GraphOracle
 from jtscd.discovery import (DiscoveryError, DiscoveryResult, estimate_graph, j_pc,
                              j_pcmciplus, partial_skeleton_pc, run_pcmciplus)
-from jtscd.graph import TimeSeriesGraph, mask_contexts_latent
+from jtscd.graph import mask_contexts_latent
 from jtscd.scm import generate_random_model, simulate
 
 FIXTURE = Path(__file__).with_name("data") / "discovery_golden.json"
 N_ORACLE = 20
 N_PARCORR = 5
 VARIANTS = ("jpcmci+", "pcmci+C", "pcmci+D", "pcmci+")
-# lag-free cases whose recorded graphs carried dummy nodes they did not use
-NODE_SET_FIXED = {"pcmci+C/lag-free", "pcmci+/lag-free", "jpc/no-dummy"}
 
 
 def _oracle_model(seed, lag_free=False):
@@ -130,24 +126,12 @@ def golden():
     return json.loads(FIXTURE.read_text())
 
 
-def _check_graph(key, got_text, want_text):
-    got, want = (TimeSeriesGraph.from_text(t) for t in (got_text, want_text))
-    if key.split("/", 2)[2] not in NODE_SET_FIXED:
-        assert got_text == want_text, key
-        return
-    assert got.edges() == want.edges(), key
-    assert list(got.roles) == [r for r in want.roles if not r.is_dummy], key
-    assert len(want.roles) == len(got.roles) + 2, f"{key}: recorded with dummy nodes"
-
-
 @pytest.mark.parametrize("seed", range(N_ORACLE))
 def test_oracle_runs_match_the_recorded_outputs(golden, seed):
     for name, run in _oracle_runs(seed):
         key = f"oracle/{seed}/{name}"
-        want = dict(golden[key])
+        want = golden[key]
         got = json.loads(json.dumps(_oracle_record(run)))
-        if "graph" in want:
-            _check_graph(key, got.pop("graph"), want.pop("graph"))
         assert got == want, key
 
 
@@ -156,8 +140,7 @@ def test_parcorr_runs_match_the_recorded_outputs(golden, seed):
     for name, run in _parcorr_runs(seed):
         key = f"parcorr/{seed}/{name}"
         want, got = golden[key], json.loads(json.dumps(_parcorr_record(run())))
-        _check_graph(key, got["graph"], want["graph"])
-        assert got["sepsets"] == want["sepsets"], key
+        assert got == want, key
 
 
 def test_fixture_covers_every_case(golden):
