@@ -11,8 +11,9 @@ from .graph import (ABSENT, CONFLICT, DIRECTED, REVERSED, UNDIRECTED,
                     GroundTruthGraph, TimeSeriesGraph, VariableRole,
                     d_separated, dummy_deletion, dummy_projection,
                     mask_contexts_latent, observed_variables, target_graph)
-from .scm import (DatasetCollection, LinearTerm, NonFiniteDataError, SCMSpec,
-                  generate_random_model, simplified_preset, simulate)
+from .scm import (ConstantColumnError, DatasetCollection, LinearTerm,
+                  NonFiniteDataError, SCMSpec, generate_random_model,
+                  simplified_preset, simulate)
 from .pooling import PooledData, build_space_dummy, build_time_dummy, pool_data
 from .citests import (CIQuery, CITestResult, GraphOracle, ParCorrCI,
                       centered_parcorr_test, oracle_test, parcorr_test)

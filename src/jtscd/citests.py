@@ -4,14 +4,21 @@ The partial-correlation test residualizes both sides on the conditioning
 design (intercept included) and tests the residual Pearson correlation
 against a Student-t law.  Multi-component variables (the one-hot dummy
 blocks) are handled component-wise: the statistic is the maximum absolute
-correlation over component pairs, and p-values are Bonferroni-combined.
+correlation over component pairs, and the p-value, that of the largest
+|t|, is Bonferroni-combined.  A dummy endpoint thus costs one Student-t
+evaluation, not one per component.
 
 No test touches the pooled rows.  Each works from sufficient statistics
 cached on the ``PooledData`` per row set and dummy mode: the Gram matrix of
 every scalar lagged column after centring or demeaning by the dummies in
 ``z``, and the per-time-step and per-dataset sums of those columns.  Scalar
 ``z`` columns are projected out of a Gram sub-block with a pseudo-inverse
-whose numerical rank sets ``df``.  A dummy endpoint needs no one-hot
+whose numerical rank sets ``df``.  That factorization
+(``PooledData.z_projection``) covers every column of the row set and is
+kept per row set and dummy mode until a test conditions on other columns
+there, so the tests of one discovery level that share a ``z`` -- in the
+lagged phase, every candidate outside the top parents -- factorize it once
+and then only look up entries.  A dummy endpoint needs no one-hot
 columns: with ``beta`` the ``z``-coefficients of ``y``, the residual
 cross-product of group ``g`` is ``S_y[g] - S_z[g] beta`` and the residual
 squared norm of its indicator is ``n_g - S_z[g] G_zz^+ S_z[g]'``, where
@@ -78,7 +85,6 @@ _VARIANCE_EPS = 1e-12
 # before the scalar conditioning is cancellation noise of the cross-product
 # algebra: the column lies in the span of the conditioning columns
 _SPAN_TOL = 1e-10
-_EPS = np.finfo(float).eps
 
 
 def _demean_by_groups(a, labels, n_groups):
@@ -118,14 +124,15 @@ def parcorr_test(query, data, correction="bonferroni"):
     Student-t law with ``df = n - rank(design) - 1`` degrees of freedom,
     where the design includes the intercept (numerical rank, not column
     count).  The reported statistic is ``max |r|``; the p-value is the
-    Bonferroni-combined minimum (``correction="none"`` reports the raw
-    minimum instead).
+    Bonferroni-combined minimum, the p-value of the largest ``|t|``
+    (``correction="none"`` reports the raw minimum instead).
 
     Selectors are looked up in ``data.selectors``; one missing from it gets
     the error of ``PooledData.aligned_start``.  The residual cross-products
     come from ``data.gram_stats``: dummies in ``z`` select the demeaning of
     the cached Gram matrix, scalar ``z`` columns are projected out by a
-    pseudo-inverse of their Gram block, and a dummy endpoint's components
+    pseudo-inverse of their Gram block (``data.z_projection``, reused by
+    consecutive tests on the same columns), and a dummy endpoint's components
     are the group sums of the residuals.  At most one dummy may be a tested
     endpoint.  A query of one scalar ``x`` and one scalar ``y`` finishes on
     Python floats, with the same arithmetic as the component arrays.
@@ -169,30 +176,27 @@ def parcorr_test(query, data, correction="bonferroni"):
     gram = stats.gram
 
     cutoff = _VARIANCE_EPS * max(1.0, math.sqrt(n))
-    zs = [s.column for s in z_sel if not s.dummy]
-    zs = [k for k in zs if math.sqrt(gram[k, k]) > cutoff]
+    zs = tuple(s.column for s in z_sel
+               if not s.dummy and math.sqrt(gram[s.column, s.column]) > cutoff)
     vs = xs + ys
     if zs:
-        # pseudo-inverse of the z Gram block; the cutoff is lstsq's
-        # rcond=None rule applied to that block's own spectrum
-        z_rows = gram[zs]
-        lam, vecs = np.linalg.eigh(z_rows[:, zs])
-        kept = lam > max(n, len(zs)) * _EPS * lam[-1]
-        whiten = vecs[:, kept] / np.sqrt(lam[kept])
-        rank = int(np.count_nonzero(kept))
-        proj = whiten.T @ z_rows[:, vs]
+        # factorized once for the sibling tests that condition on the same
+        # columns; ``resid`` holds the cross-products of every column's
+        # residuals on them
+        factor = data.z_projection(start, mode, zs)
+        whiten, rank, proj, resid = factor.whiten, factor.rank, factor.proj, factor.resid
     else:
-        whiten, rank, proj = np.zeros((0, 0)), 0, np.zeros((0, len(vs)))
+        whiten, rank, proj, resid = np.zeros((0, 0)), 0, np.zeros((0, len(gram))), gram
     df = n - (stats.group_rank + rank) - 1
     if df < 1:
         return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
 
     floor = n * _VARIANCE_EPS ** 2
     if len(vs) == 2 and not x_dummies:
-        return _scalar_pair_tail(gram, vs, proj, n, df, floor)
+        return _scalar_pair_tail(gram, resid, vs, n, df, floor)
 
     base = gram[vs, vs]
-    cross = gram[np.ix_(vs, vs)] - proj.T @ proj
+    cross = resid[np.ix_(vs, vs)]
     ss = np.diag(cross)
     kx = len(xs)
     num = cross[:kx, kx:]
@@ -201,8 +205,8 @@ def parcorr_test(query, data, correction="bonferroni"):
         # one row per group indicator: its residual cross-products with y
         # and its residual squared norm, from the group sums alone
         sums, norms = stats.group_sums[x_dummies[0]], stats.group_norms[x_dummies[0]]
-        group_proj = sums[:, zs] @ whiten
-        num = np.vstack([num, sums[:, ys] - group_proj @ proj[:, kx:]])
+        group_proj = sums.take(zs, axis=1) @ whiten
+        num = np.vstack([num, sums[:, ys] - group_proj @ proj[:, ys]])
         ss_x = np.concatenate([ss_x, norms - np.einsum("gr,gr->g", group_proj, group_proj)])
         base_x = np.concatenate([base_x, norms])
 
@@ -217,16 +221,17 @@ def parcorr_test(query, data, correction="bonferroni"):
                                       np.where(ok_y, ss_y, 1.0)))
     corr = np.clip(np.where(ok, corr, 0.0), -1 + 1e-15, 1 - 1e-15)
     tvals = corr * np.sqrt(df / (1.0 - corr ** 2))
-    pvals = np.where(ok, _t_pvalue(tvals, df), 1.0)
+    # the p-value falls as |t| grows, so the smallest one is that of the
+    # largest |t|; unusable pairs have t = 0 and p = 1
+    min_p = float(_t_pvalue(np.max(np.abs(tvals)), df))
 
     statistic = float(np.max(np.abs(corr)))
-    min_p = float(np.min(pvals))
     n_pairs = corr.size
     p_value = min(1.0, min_p * n_pairs) if correction == "bonferroni" else min_p
     return CITestResult(statistic, p_value, n, degenerate=False, df=df)
 
 
-def _scalar_pair_tail(gram, vs, proj, n, df, floor):
+def _scalar_pair_tail(gram, resid, vs, n, df, floor):
     """The last steps of ``parcorr_test`` for one scalar x and one scalar y.
 
     The component-array arithmetic on Python floats, step for step, so the
@@ -235,9 +240,7 @@ def _scalar_pair_tail(gram, vs, proj, n, df, floor):
     """
     a, b = vs
     base_x, base_y = gram[a, a], gram[b, b]
-    fitted = proj.T @ proj
-    ss_x, ss_y = base_x - fitted[0, 0], base_y - fitted[1, 1]
-    num = gram[a, b] - fitted[0, 1]
+    ss_x, ss_y, num = resid[a, a], resid[b, b], resid[a, b]
     if not (ss_x > floor and ss_x > _SPAN_TOL * base_x
             and ss_y > floor and ss_y > _SPAN_TOL * base_y):
         return CITestResult(0.0, 1.0, n, degenerate=True, df=df)

@@ -640,11 +640,14 @@ def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
     system data alone.  ``ci`` selects the pooled partial-correlation test or
     the exact graph oracle (which requires ``ground_truth``).  The
     partial-correlation test needs ``T > 2 * tau_max`` and raises
-    ``SelectionError`` otherwise.
+    ``SelectionError`` otherwise; it raises ``ConstantColumnError`` for a
+    system variable that is constant over every dataset and time step,
+    which it could only ever find independent of everything.
     """
     from .citests import GraphOracle, ParCorrCI
     from .graph import mask_contexts_latent
     from .pooling import SelectionError, pool_data
+    from .scm import ConstantColumnError
 
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
@@ -657,6 +660,12 @@ def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
             # 2 * tau_max steps and would have no rows left to test on
             raise SelectionError(f"T={dc.T} is too short for tau_max={pool_tau}: "
                                  f"ParCorr needs T > 2 * tau_max")
+        system = np.asarray(dc.system)
+        for v in range(system.shape[2]):
+            if np.all(system[:, :, v] == system[0, 0, v]):
+                raise ConstantColumnError(
+                    f"system variable {v} is constant over every dataset and "
+                    f"time step: ParCorr cannot test it")
         test = ParCorrCI(pool_data(data, pool_tau), correction=correction)
     elif ci == "oracle":
         if ground_truth is None:

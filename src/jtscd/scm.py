@@ -34,6 +34,10 @@ class NonFiniteDataError(ValueError):
     """A dataset holds NaN or infinite values."""
 
 
+class ConstantColumnError(ValueError):
+    """A system variable takes one value over every dataset and time step."""
+
+
 @dataclass(frozen=True)
 class LinearTerm:
     """One linear parent term: ``coeff * value(var, t - lag)``."""

@@ -1,0 +1,161 @@
+"""Compare the ParCorr results of two source trees on the benchmark corpora.
+
+    python tests/compare_kernels.py <src-A> <src-B>
+
+Each argument is a directory holding the ``jtscd`` package (the ``src``
+directory of a checkout).  For each tree a child process imports that
+package and ``perfbench/workloads.py`` of this checkout (read only), runs
+one pass of the panel-long corpus and the 50 grid-small realizations in
+corpus order, and records every ``citests.parcorr_test`` call: the query
+and its result, or the type of the error it raised.  The report gives
+
+* where the two query sequences diverge, per discovery,
+* how many aligned results differ, and the largest relative difference of
+  the statistic and the p-value,
+* the decision flips (``p > alpha`` on one side only), and
+* every p-value within 1e-6 of ``alpha`` on either side.
+
+The exit status is 1 if the query sequences diverge or a decision flips.
+Children run with BLAS pinned to one thread.  This file is a tool, not a
+test: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+NEAR_ALPHA = 1e-6
+PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def record(out_path):
+    """Child side: run the corpora and write one JSON line per discovery."""
+    import workloads
+    from jtscd import citests
+
+    kernel, calls = citests.parcorr_test, []
+
+    def recording(query, data, correction="bonferroni"):
+        entry = [[list(s) for s in query.x], [list(s) for s in query.y],
+                 [list(s) for s in query.z]]
+        try:
+            res = kernel(query, data, correction=correction)
+        except Exception as exc:  # the error type is part of the record
+            calls.append(entry + [type(exc).__name__])
+            raise
+        calls.append(entry + [[res.statistic, res.p_value, res.n_effective,
+                               res.df, res.degenerate]])
+        return res
+
+    citests.parcorr_test = recording
+    with open(out_path, "w") as out:
+        out.write(json.dumps({"alpha": workloads.ALPHA}) + "\n")
+        for name in ("panel-long", "grid-small"):
+            for inst in workloads.build_inputs(name, "full", with_reference=False):
+                calls.clear()
+                outcomes = workloads.run_op(name, inst, time.perf_counter)
+                errors = [o.error for o, _ in outcomes if o.error]
+                out.write(json.dumps({"op": f"{name}/{inst.key}", "calls": calls,
+                                      "errors": errors}) + "\n")
+
+
+def run_child(src, out_path):
+    src = Path(src).resolve()
+    if not (src / "jtscd" / "__init__.py").exists():
+        raise SystemExit(f"{src} holds no jtscd package")
+    env = {**os.environ, **PINNED,
+           "PYTHONPATH": os.pathsep.join([str(src), str(PERFBENCH)])}
+    subprocess.run([sys.executable, __file__, "--record", str(out_path)],
+                   env=env, check=True)
+
+
+def load(path):
+    with open(path) as f:
+        return [json.loads(line) for line in f]
+
+
+def _rel(a, b):
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(runs_a, runs_b, alpha):
+    """Report lines and whether the two trees disagree on queries or decisions."""
+    lines, bad = [], False
+    n_calls = n_differ = 0
+    max_rel = {"statistic": 0.0, "p_value": 0.0}
+    flips, near = [], []
+    for ra, rb in zip(runs_a, runs_b, strict=True):
+        op, ca, cb = ra["op"], ra["calls"], rb["calls"]
+        if ra["errors"] != rb["errors"]:
+            lines.append(f"{op}: errors differ: {ra['errors']} vs {rb['errors']}")
+            bad = True
+        for i, (a, b) in enumerate(zip(ca, cb)):
+            if a[:3] != b[:3]:
+                break
+            n_calls += 1
+            query = f"{op} call {i}: x={a[0]} y={a[1]} z={a[2]}"
+            res_a, res_b = a[3], b[3]
+            n_differ += res_a != res_b
+            if isinstance(res_a, str) or isinstance(res_b, str):
+                if res_a != res_b:
+                    lines.append(f"{query}: {res_a} vs {res_b}")
+                    bad = True
+                continue
+            max_rel["statistic"] = max(max_rel["statistic"], _rel(res_a[0], res_b[0]))
+            max_rel["p_value"] = max(max_rel["p_value"], _rel(res_a[1], res_b[1]))
+            if res_a[2:] != res_b[2:]:
+                lines.append(f"{query}: n, df or degenerate differ: "
+                             f"{res_a[2:]} vs {res_b[2:]}")
+                bad = True
+            if (res_a[1] > alpha) != (res_b[1] > alpha):
+                flips.append(f"{query}: p {res_a[1]!r} vs {res_b[1]!r}")
+            if min(abs(res_a[1] - alpha), abs(res_b[1] - alpha)) <= NEAR_ALPHA:
+                near.append(f"{query}: p {res_a[1]!r} vs {res_b[1]!r}")
+        else:
+            i = min(len(ca), len(cb))
+            if len(ca) == len(cb):
+                continue
+        lines.append(f"{op}: query sequences diverge at call {i} "
+                     f"({len(ca)} vs {len(cb)} calls)")
+        bad = True
+    lines += [f"aligned calls: {n_calls}",
+              f"differing results: {n_differ}",
+              f"largest relative difference: statistic {max_rel['statistic']:.3g}, "
+              f"p-value {max_rel['p_value']:.3g}",
+              f"decision flips at alpha={alpha}: {len(flips)}", *flips,
+              f"p-values within {NEAR_ALPHA:g} of alpha: {len(near)}", *near]
+    return lines, bad or bool(flips)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", nargs="*", help="two directories holding jtscd")
+    parser.add_argument("--record", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.record:
+        record(args.record)
+        return 0
+    if len(args.src) != 2:
+        parser.error("give two source directories")
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"]
+        for src, out in zip(args.src, outs):
+            run_child(src, out)
+        (head_a, *runs_a), (head_b, *runs_b) = (load(p) for p in outs)
+    lines, bad = compare(runs_a, runs_b, head_a["alpha"])
+    print(f"A = {args.src[0]}\nB = {args.src[1]}")
+    print("\n".join(lines))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,6 +16,7 @@ from jtscd.graph import (CONFLICT, DIRECTED, UNDIRECTED, GroundTruthGraph,
                          VariableRole, dummy_deletion, target_graph)
 from jtscd.metrics import LinkClass, score
 from jtscd.pooling import SelectionError, pool_data
+from jtscd import scm
 from jtscd.scm import generate_random_model, simplified_preset, simulate
 
 R = VariableRole
@@ -529,3 +530,19 @@ class TestEstimateGraph:
         # the lag-free run pools at tau_max 0 and needs no look-back
         estimate_graph(simulate(spec, M=4, T=4, seed=1), variant=variant, tau_max=2,
                        lag_free=True)
+
+    @pytest.mark.parametrize("variant", ["jpcmci+", "pcmci+"])
+    def test_parcorr_rejects_a_constant_system_variable(self, variant):
+        # a constant column is independent of everything: refused, not tested
+        spec, g = generate_random_model(seed=0, n_system=3, n_temporal_ctx=1,
+                                        n_spatial_ctx=1, frac_observed=1.0, max_lag=2)
+        dc = simulate(spec, M=4, T=30, seed=1)
+        dc.system[:, :, 1] = 2.5
+        for lag_free in (False, True):
+            with pytest.raises(scm.ConstantColumnError, match="system variable 1 "):
+                estimate_graph(dc, variant=variant, tau_max=2, lag_free=lag_free)
+        # the oracle never reads the values
+        estimate_graph(dc, variant=variant, ci="oracle", ground_truth=g, tau_max=2)
+        # constant within each dataset but not across them is a column to test
+        dc.system[:, :, 1] = np.arange(4.0)[:, None]
+        estimate_graph(dc, variant=variant, tau_max=2)

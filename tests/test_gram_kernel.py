@@ -6,7 +6,9 @@ On random panels and queries both must raise the same error or agree on
 ``n_effective``, ``df`` and the degenerate flag exactly and on the statistic
 and p-value to 1e-9 relative.  The statistic gets an absolute floor of
 1e-12: a correlation near zero is a difference of cross-products of size
-``n``, which neither kernel resolves below that.
+``n``, which neither kernel resolves below that.  A pooled dataset keeps
+the last conditioning-block factorization per row set and dummy mode; a
+test must give the same result whatever ran on the dataset before it.
 """
 
 import math
@@ -15,9 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jtscd import citests
 from jtscd.citests import CIQuery, ParCorrCI, QueryError, parcorr_test
+from jtscd.discovery import estimate_graph
 from jtscd.pooling import SelectionError, pool_data
-from jtscd.scm import DatasetCollection
+from jtscd.scm import DatasetCollection, generate_random_model, simulate
 
 from reference_kernel import lstsq_parcorr_test
 
@@ -108,8 +112,10 @@ def outcome(kernel, query, data, correction):
         return type(exc)
 
 
-def assert_equivalent(data, query, correction="bonferroni"):
-    new = outcome(parcorr_test, query, data, correction)
+def assert_equivalent(data, query, correction="bonferroni", new=None):
+    """``new`` (by default ``parcorr_test`` on ``data``) against the reference."""
+    if new is None:
+        new = outcome(parcorr_test, query, data, correction)
     ref = outcome(lstsq_parcorr_test, query, data, correction)
     if isinstance(ref, type):
         assert new is ref, query
@@ -163,6 +169,88 @@ def test_seeded_corpus_matches_reference():
     assert kinds["tested"] > 150 and kinds["endpoint"] > 50
     assert kinds["degenerate"] > 20 and kinds["error"] > 5
     assert pairs["tested"] > 150 and pairs["degenerate"] > 20 and pairs["error"] > 5
+
+
+def sibling_groups(data, rng):
+    """Queries in groups that share one ``z``, as the tests of a discovery
+    level do: per ``z``, dummy mode and row set, a few ``x`` against one
+    ``y``, plus a dummy-endpoint and a two-selector query on the same ``z``.
+
+    The same scalar ``z`` columns recur under every dummy mode and row set
+    (an ``x`` at lag ``tau_max + k`` moves the rows to start ``tau_max +
+    k``), and several ``z`` share each row set and mode.
+    """
+    tau = data.tau_max
+    lagged = [v for v in range(data.n_observed) if data.var_roles[v].is_time_indexed]
+    near = [(v, lag) for v in range(data.n_observed)
+            for lag in (range(tau + 1) if v in lagged else (0,))]
+    dummies = {"time": (data.time_dummy, 0), "space": (data.space_dummy, 0)}
+    groups = []
+    for _ in range(3):
+        picks = [near[i] for i in rng.permutation(len(near))]
+        z, y, others = picks[:int(rng.integers(1, 4))], picks[-1], picks[:-1]
+        for z_dummies in ((), ("time",), ("space",), ("time", "space")):
+            zz = tuple(z) + tuple(dummies[k] for k in z_dummies)
+            for k in range(tau + 1):
+                xs = [(v, tau + k) for v in lagged if (v, tau + k) not in zz + (y,)]
+                xs += [s for s in others if s not in z][:2]
+                group = [CIQuery(x=(x,), y=(y,), z=zz) for x in xs]
+                endpoint = dummies[("time", "space")[k % 2]]
+                group.append(CIQuery(x=(endpoint,), y=(y,),
+                                     z=tuple(s for s in zz if s != endpoint)))
+                if len(xs) > 1:
+                    group.append(CIQuery(x=tuple(xs[:2]), y=(y,), z=zz))
+                groups.append(group)
+    return groups
+
+
+def interleaved(groups, rng):
+    """Shuffled groups, each followed by the first query of an earlier group:
+    a run of one ``z``, then another ``z``, then the first again."""
+    order = [groups[i] for i in rng.permutation(len(groups))]
+    sequence = []
+    for i, group in enumerate(order):
+        sequence += [group[j] for j in rng.permutation(len(group))]
+        sequence.append(order[int(rng.integers(i + 1))][0])
+    return sequence
+
+
+def test_shared_dataset_matches_cold_and_reference():
+    # the seeded corpus's panels, each tested on one shared pooled dataset
+    rng = np.random.default_rng(20261018)
+    n_queries = n_tested = 0
+    while n_tested < 2000:
+        p = random_params(rng)
+        if p["tau_max"] == 0 or p["M"] == 1:
+            continue
+        data, _ = build_case(p)
+        for query in interleaved(sibling_groups(data, rng), rng):
+            new = outcome(parcorr_test, query, data, "bonferroni")
+            cold = outcome(parcorr_test, query, pool_data(data.dc, data.tau_max),
+                           "bonferroni")
+            assert new == cold, query
+            ref = assert_equivalent(data, query, new=new)
+            n_queries += 1
+            n_tested += ref is not None and not ref.degenerate
+    assert n_queries < 2 * n_tested
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_discovery_matches_reference_kernel(seed, monkeypatch):
+    # ParCorrCI reaches the kernel through the module global
+    spec, _ = generate_random_model(n_system=4, n_temporal_ctx=1, n_spatial_ctx=1,
+                                    frac_observed=0.5, seed=seed, max_lag=2)
+    dc = simulate(spec, M=4, T=40, seed=100 + seed)
+    runs = [dict(variant=v, lag_free=lag_free)
+            for v in ("jpcmci+", "pcmci+") for lag_free in (False, True)]
+    fast = [estimate_graph(dc, tau_max=2, **run) for run in runs]
+    monkeypatch.setattr(citests, "parcorr_test", lstsq_parcorr_test)
+    for run, new in zip(runs, fast):
+        ref = estimate_graph(dc, tau_max=2, **run)
+        assert new.graph.to_text() == ref.graph.to_text(), run
+        assert [k for k, _ in new.sepsets.items()] == [k for k, _ in ref.sepsets.items()], run
+        for (_, a), (_, b) in zip(new.sepsets.items(), ref.sepsets.items()):
+            assert math.isclose(a.p_value, b.p_value, rel_tol=1e-9), run
 
 
 def panel(M=4, T=20, tau_max=2, n_system=3, spatial=1, seed=0, system=None):
