@@ -13,7 +13,7 @@ fills one column-major ``(column, dataset, time)`` block, so each column is
 written and demeaned contiguously and the Gram matrix is one ``flat @
 flat.T``.  Every column of the row set is kept: the tests of a discovery
 use most of them (in a J-PCMCI+ run at ``tau_max = 2``, M=20, T=500, about
-20 of 20 columns at row set 2 and 23 of 32 at row set 4), so building only
+20 of 20 columns at row set 2 and 24 of 32 at row set 4), so building only
 the used ones would not pay.  ``PooledData.z_projection`` keeps, per row set and dummy
 mode, the last factorization of a conditioning block: sibling tests of a
 discovery level share one ``z`` and reuse it.  ``PooledData.selectors``

@@ -16,8 +16,8 @@ from jtscd.graph import (CONFLICT, DIRECTED, UNDIRECTED, GroundTruthGraph,
                          VariableRole, dummy_deletion, target_graph)
 from jtscd.metrics import LinkClass, score
 from jtscd.pooling import SelectionError, pool_data
-from jtscd import scm
-from jtscd.scm import generate_random_model, simplified_preset, simulate
+from jtscd.scm import (ConstantColumnError, generate_random_model,
+                       simplified_preset, simulate)
 
 R = VariableRole
 
@@ -539,7 +539,7 @@ class TestEstimateGraph:
         dc = simulate(spec, M=4, T=30, seed=1)
         dc.system[:, :, 1] = 2.5
         for lag_free in (False, True):
-            with pytest.raises(scm.ConstantColumnError, match="system variable 1 "):
+            with pytest.raises(ConstantColumnError, match="system variable 1 "):
                 estimate_graph(dc, variant=variant, tau_max=2, lag_free=lag_free)
         # the oracle never reads the values
         estimate_graph(dc, variant=variant, ci="oracle", ground_truth=g, tau_max=2)

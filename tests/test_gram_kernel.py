@@ -244,9 +244,17 @@ def test_discovery_matches_reference_kernel(seed, monkeypatch):
     runs = [dict(variant=v, lag_free=lag_free)
             for v in ("jpcmci+", "pcmci+") for lag_free in (False, True)]
     fast = [estimate_graph(dc, tau_max=2, **run) for run in runs]
-    monkeypatch.setattr(citests, "parcorr_test", lstsq_parcorr_test)
+    used = []
+
+    def reference(query, data, correction="bonferroni"):
+        used.append(query)
+        return lstsq_parcorr_test(query, data, correction=correction)
+
+    monkeypatch.setattr(citests, "parcorr_test", reference)
     for run, new in zip(runs, fast):
+        used.clear()
         ref = estimate_graph(dc, tau_max=2, **run)
+        assert used, run
         assert new.graph.to_text() == ref.graph.to_text(), run
         assert [k for k, _ in new.sepsets.items()] == [k for k, _ in ref.sepsets.items()], run
         for (_, a), (_, b) in zip(new.sepsets.items(), ref.sepsets.items()):
