@@ -24,10 +24,19 @@ cross-product of group ``g`` is ``S_y[g] - S_z[g] beta`` and the residual
 squared norm of its indicator is ``n_g - S_z[g] G_zz^+ S_z[g]'``, where
 ``n_g`` is the indicator's squared norm after demeaning by the other dummy.
 A test thus costs O(G k + k^3) for G groups and k conditioning columns,
-independent of the number of rows.  Selectors are looked up in the table
-``PooledData.selectors`` built with the pooled data, and a test of one
-scalar ``x`` against one scalar ``y`` -- most tests of a discovery --
-finishes on Python floats instead of 1 x 1 arrays.
+independent of the number of rows.
+
+A discovery runs hundreds of such tests, each small enough that Python and
+numpy call overhead would dominate it, so the per-test path is kept lean.
+``CIQuery`` validates a query once, in its constructor.  ``parcorr_test``
+looks its selectors up in the table ``PooledData.selectors`` built with the
+pooled data, reads the conditioning set in one pass, and takes the Gram
+diagonal as Python floats (``GramStats.diag``).  A test of one scalar ``x``
+against one scalar ``y`` -- most tests of a discovery -- finishes on
+Python floats instead of 1 x 1 arrays, and a multi-component test uses
+ndarray methods instead of the Python-level wrappers of ``np.clip``,
+``np.outer`` and the like.  Every result is bit-identical to the plain
+array formulation.
 
 The oracle test answers the same queries exactly from a ground-truth graph:
 a dummy inside the conditioning set stands for all context variables of its
@@ -38,7 +47,7 @@ of a system node iff every latent context of its kind is d-separated from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 from scipy import special
@@ -51,6 +60,15 @@ class QueryError(ValueError):
     """Raised for malformed CI queries or violated sample-size preconditions."""
 
 
+CORRECTIONS = ("bonferroni", "none")
+
+
+def check_correction(correction):
+    """Raise ``ValueError`` unless ``correction`` is one of ``CORRECTIONS``."""
+    if correction not in CORRECTIONS:
+        raise ValueError(f"correction must be one of {CORRECTIONS}, got {correction!r}")
+
+
 @dataclass(frozen=True)
 class CITestResult:
     statistic: float
@@ -60,24 +78,50 @@ class CITestResult:
     df: int | None = None
 
 
-@dataclass(frozen=True)
 class CIQuery:
-    """A conditional independence query over ``(var, lag)`` column selectors."""
-    x: tuple
-    y: tuple
-    z: tuple = ()
+    """A conditional independence query over ``(var, lag)`` column selectors.
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(tuple(s) for s in self.x))
-        object.__setattr__(self, "y", tuple(tuple(s) for s in self.y))
-        object.__setattr__(self, "z", tuple(tuple(s) for s in self.z))
-        xs, ys, zs = set(self.x), set(self.y), set(self.z)
-        if not self.x or not self.y:
+    ``x``, ``y`` and ``z`` are sequences of selectors; each selector is
+    stored as a tuple, so list-form selectors compare equal to their tuple
+    form.  The constructor is the one validation of a query: both tested
+    sides must be non-empty (an empty selector counts as an empty side),
+    disjoint, and disjoint from ``z``.  Queries are immutable and compare
+    and hash by their fields.
+    """
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x, y, z=()):
+        x, y, z = tuple(map(tuple, x)), tuple(map(tuple, y)), tuple(map(tuple, z))
+        if not x or not y or () in x or () in y:
             raise QueryError("x and y must be non-empty")
-        if xs & ys:
+        if not set(x).isdisjoint(y):
             raise QueryError("x and y overlap")
-        if (xs | ys) & zs:
+        if z and not set(z).isdisjoint(x + y):
             raise QueryError("conditioning set overlaps the tested pair")
+        setattr_ = object.__setattr__
+        setattr_(self, "x", x)
+        setattr_(self, "y", y)
+        setattr_(self, "z", z)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return CIQuery, (self.x, self.y, self.z)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y, self.z) == (other.x, other.y, other.z)
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.z))
+
+    def __repr__(self):
+        return f"CIQuery(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
 
 _VARIANCE_EPS = 1e-12
@@ -141,21 +185,31 @@ def parcorr_test(query, data, correction="bonferroni"):
     with zero variance yield an independence verdict with ``p_value = 1`` and
     the degenerate flag set.
     """
-    if correction not in ("bonferroni", "none"):
-        raise ValueError("correction must be 'bonferroni' or 'none'")
+    check_correction(correction)
     table = data.selectors
     try:
         x_sel = [table[s] for s in query.x]
         y_sel = [table[s] for s in query.y]
-        z_sel = [table[s] for s in query.z]
+        # one pass over z: the start it forces, its column count, the
+        # dummies that set the demeaning mode and its scalar columns
+        start, n_z_cols, z_dummies, z_cols = 0, 0, set(), []
+        for column, dummy, sel_start, n_components, _ in map(table.__getitem__, query.z):
+            if sel_start > start:
+                start = sel_start
+            n_z_cols += n_components
+            if dummy:
+                z_dummies.add(dummy)
+            else:
+                z_cols.append(column)
     except (KeyError, TypeError):
         return _unresolved(query, data)
-    if any(s.degenerate for s in x_sel) or any(s.degenerate for s in y_sel):
-        return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
+    for sel in x_sel + y_sel:
+        if sel.degenerate:
+            return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
+        if sel.start > start:
+            start = sel.start
 
-    start = max(s.start for s in x_sel + y_sel + z_sel)
     n = data.M * (data.T - start)
-    n_z_cols = sum(s.n_components for s in z_sel)
     if n <= n_z_cols + 3:
         raise QueryError(
             f"too few samples: n={n} with {n_z_cols} conditioning columns "
@@ -169,35 +223,37 @@ def parcorr_test(query, data, correction="bonferroni"):
     ys = [s.column for s in y_sel if not s.dummy]
     if y_dummies:  # the test is symmetric in x and y: keep a dummy in x
         xs, x_dummies, ys = ys, y_dummies, xs
-    z_dummies = {s.dummy for s in z_sel if s.dummy}
     mode = ("both" if len(z_dummies) == 2
             else z_dummies.pop() if z_dummies else "none")
     stats = data.gram_stats(start, mode)
-    gram = stats.gram
+    diag = stats.diag
 
     cutoff = _VARIANCE_EPS * max(1.0, math.sqrt(n))
-    zs = tuple(s.column for s in z_sel
-               if not s.dummy and math.sqrt(gram[s.column, s.column]) > cutoff)
-    vs = xs + ys
+    zs = tuple([c for c in z_cols if math.sqrt(diag[c]) > cutoff])
     if zs:
         # factorized once for the sibling tests that condition on the same
         # columns; ``resid`` holds the cross-products of every column's
         # residuals on them
         factor = data.z_projection(start, mode, zs)
-        whiten, rank, proj, resid = factor.whiten, factor.rank, factor.proj, factor.resid
+        rank, resid = factor.rank, factor.resid
     else:
-        whiten, rank, proj, resid = np.zeros((0, 0)), 0, np.zeros((0, len(gram))), gram
+        factor, rank, resid = None, 0, stats.gram
     df = n - (stats.group_rank + rank) - 1
     if df < 1:
         return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
 
     floor = n * _VARIANCE_EPS ** 2
+    vs = xs + ys
     if len(vs) == 2 and not x_dummies:
-        return _scalar_pair_tail(gram, resid, vs, n, df, floor)
+        return _scalar_pair_tail(diag, resid, vs, n, df, floor)
 
-    base = gram[vs, vs]
-    cross = resid[np.ix_(vs, vs)]
-    ss = np.diag(cross)
+    # ndarray methods, slicing and broadcasting in place of ``np.ix_``,
+    # ``np.diag``, ``np.outer``, ``np.clip`` and ``np.max``: the same
+    # arithmetic without Python-level wrappers that cost more than it does
+    # on arrays this small
+    base = stats.gram.diagonal().take(vs)
+    cross = resid.take(vs, axis=0).take(vs, axis=1)
+    ss = cross.diagonal()
     kx = len(xs)
     num = cross[:kx, kx:]
     ss_x, base_x, ss_y, base_y = ss[:kx], base[:kx], ss[kx:], base[kx:]
@@ -205,46 +261,51 @@ def parcorr_test(query, data, correction="bonferroni"):
         # one row per group indicator: its residual cross-products with y
         # and its residual squared norm, from the group sums alone
         sums, norms = stats.group_sums[x_dummies[0]], stats.group_norms[x_dummies[0]]
-        group_proj = sums.take(zs, axis=1) @ whiten
-        num = np.vstack([num, sums[:, ys] - group_proj @ proj[:, ys]])
-        ss_x = np.concatenate([ss_x, norms - np.einsum("gr,gr->g", group_proj, group_proj)])
-        base_x = np.concatenate([base_x, norms])
+        group_num, group_ss = sums.take(ys, axis=1), norms
+        if factor is not None:
+            group_proj = sums.take(zs, axis=1) @ factor.whiten
+            group_num = group_num - group_proj @ factor.proj.take(ys, axis=1)
+            group_ss = norms - np.einsum("gr,gr->g", group_proj, group_proj)
+        num = np.concatenate((num, group_num))
+        ss_x = np.concatenate((ss_x, group_ss))
+        base_x = np.concatenate((base_x, norms))
 
     ok_x = (ss_x > floor) & (ss_x > _SPAN_TOL * base_x)
     ok_y = (ss_y > floor) & (ss_y > _SPAN_TOL * base_y)
     if not ok_x.any() or not ok_y.any():
         return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
 
-    ok = np.outer(ok_x, ok_y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        corr = num / np.sqrt(np.outer(np.where(ok_x, ss_x, 1.0),
-                                      np.where(ok_y, ss_y, 1.0)))
-    corr = np.clip(np.where(ok, corr, 0.0), -1 + 1e-15, 1 - 1e-15)
+        corr = num / np.sqrt(np.where(ok_x, ss_x, 1.0)[:, None] * np.where(ok_y, ss_y, 1.0))
+    corr = np.where(ok_x[:, None] & ok_y, corr, 0.0)
+    corr = np.minimum(np.maximum(corr, -1 + 1e-15), 1 - 1e-15)
     tvals = corr * np.sqrt(df / (1.0 - corr ** 2))
     # the p-value falls as |t| grows, so the smallest one is that of the
     # largest |t|; unusable pairs have t = 0 and p = 1
-    min_p = float(_t_pvalue(np.max(np.abs(tvals)), df))
+    min_p = float(_t_pvalue(abs(tvals).max(), df))
 
-    statistic = float(np.max(np.abs(corr)))
+    statistic = float(abs(corr).max())
     n_pairs = corr.size
     p_value = min(1.0, min_p * n_pairs) if correction == "bonferroni" else min_p
     return CITestResult(statistic, p_value, n, degenerate=False, df=df)
 
 
-def _scalar_pair_tail(gram, resid, vs, n, df, floor):
+def _scalar_pair_tail(diag, resid, vs, n, df, floor):
     """The last steps of ``parcorr_test`` for one scalar x and one scalar y.
 
     The component-array arithmetic on Python floats, step for step, so the
     result is bit-identical.  With one pair the statistic is ``|r|`` and the
-    p-value needs no Bonferroni factor (it is at most 1).
+    p-value needs no Bonferroni factor (it is at most 1).  ``diag`` is the
+    Gram diagonal (``GramStats.diag``) and ``resid`` the residual
+    cross-products.
     """
     a, b = vs
-    base_x, base_y = gram[a, a], gram[b, b]
-    ss_x, ss_y, num = resid[a, a], resid[b, b], resid[a, b]
+    base_x, base_y = diag[a], diag[b]
+    ss_x, ss_y, num = resid.item(a, a), resid.item(b, b), resid.item(a, b)
     if not (ss_x > floor and ss_x > _SPAN_TOL * base_x
             and ss_y > floor and ss_y > _SPAN_TOL * base_y):
         return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
-    corr = float(num / math.sqrt(ss_x * ss_y))
+    corr = num / math.sqrt(ss_x * ss_y)
     corr = min(max(corr, -1 + 1e-15), 1 - 1e-15)
     # corr * corr, not corr ** 2: numpy squares an array by multiplication,
     # and the power of a numpy scalar can differ in the last bit
@@ -290,6 +351,7 @@ class ParCorrCI:
     """
 
     def __init__(self, data, correction="bonferroni"):
+        check_correction(correction)
         self.data = data
         self.correction = correction
         self.var_roles = list(data.var_roles)
@@ -297,8 +359,7 @@ class ParCorrCI:
 
     def __call__(self, x, y, z=()):
         self.n_tests += 1
-        query = CIQuery(x=(tuple(x),), y=(tuple(y),), z=tuple(z))
-        return parcorr_test(query, self.data, correction=self.correction)
+        return parcorr_test(CIQuery((x,), (y,), z), self.data, correction=self.correction)
 
 
 class GraphOracle:

@@ -642,15 +642,18 @@ def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
     partial-correlation test needs ``T > 2 * tau_max`` and raises
     ``SelectionError`` otherwise; it raises ``ConstantColumnError`` for a
     system variable that is constant over every dataset and time step,
-    which it could only ever find independent of everything.
+    which it could only ever find independent of everything.  An unknown
+    ``correction`` raises ``ValueError`` before any pooling, for either CI
+    test (the oracle does not use it).
     """
-    from .citests import GraphOracle, ParCorrCI
+    from .citests import GraphOracle, ParCorrCI, check_correction
     from .graph import mask_contexts_latent
     from .pooling import SelectionError, pool_data
     from .scm import ConstantColumnError
 
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    check_correction(correction)
     mask_ctx = variant in ("pcmci+D", "pcmci+")
     data = dc.mask_all_latent() if mask_ctx else dc
     if ci == "parcorr":

@@ -16,15 +16,20 @@ use most of them (in a J-PCMCI+ run at ``tau_max = 2``, M=20, T=500, about
 20 of 20 columns at row set 2 and 24 of 32 at row set 4), so building only
 the used ones would not pay.  ``PooledData.z_projection`` keeps, per row set and dummy
 mode, the last factorization of a conditioning block: sibling tests of a
-discovery level share one ``z`` and reuse it.  ``PooledData.selectors``
-resolves each valid ``(var, lag)`` selector to what the test needs of it,
-once per pooled dataset.
+discovery level share one ``z`` and reuse it.  A factorization calls the
+gufunc behind ``np.linalg.eigh`` through ``_eigh``, without the wrapper's
+argument checks and error-state context, which cost as much as the
+eigendecomposition of a block of a few columns; the results are the same
+bits.  ``PooledData.selectors`` resolves each valid ``(var, lag)`` selector
+to what the test needs of it, once per pooled dataset.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -82,17 +87,41 @@ class GramStats:
     ``group_norms`` holds the squared norms of those group indicators after
     centring or demeaning by the other dummy, which on a balanced panel are
     the same.  ``group_rank`` is the rank the mode's intercept and dummy
-    blocks add to a conditioning design.
+    blocks add to a conditioning design.  ``diag`` is the diagonal of
+    ``gram`` as a tuple of Python floats, for the per-test lookups.
     """
     group_rank: int
     gram: np.ndarray
     group_sums: dict
     group_norms: dict
+    diag: tuple
 
 
 DUMMY_MODES = ("none", "time", "space", "both")
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+# the gufunc behind ``np.linalg.eigh(a)`` (lower triangle), called without
+# the wrapper's argument checks and error-state context; ``_eigh`` restores
+# the wrapper's one failure check
+_eigh_lo = np.linalg._umath_linalg.eigh_lo
+
+
+def _eigh(block, n):
+    """``np.linalg.eigh(block)`` and the number of eigenvalues to drop.
+
+    ``block`` is a symmetric float64 Gram block of ``n`` rows.  The
+    eigenvalues come in ascending order, so the dropped ones -- those at or
+    below ``lstsq``'s ``rcond=None`` cutoff ``max(n, k) * eps * lam_max`` --
+    lead; they are counted on Python floats.  As ``np.linalg.eigh`` does on
+    non-convergence (where LAPACK leaves NaNs), a non-finite eigenvalue
+    raises ``LinAlgError``.
+    """
+    lam, vecs = _eigh_lo(block)
+    values = lam.tolist()
+    if not all(map(math.isfinite, values)):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    dropped = bisect.bisect_right(values, max(n, len(values)) * _EPS * values[-1])
+    return lam, vecs, dropped
 
 
 class ZProjection(NamedTuple):
@@ -300,10 +329,7 @@ class PooledData:
             return last
         gram = self.gram_stats(start, mode).gram
         z_rows = gram.take(columns, axis=0)
-        # eigenvalues come in ascending order: the dropped ones lead
-        lam, vecs = np.linalg.eigh(z_rows.take(columns, axis=1))
-        n = self.M * (self.T - start)
-        dropped = int(np.count_nonzero(lam <= max(n, len(columns)) * _EPS * lam[-1]))
+        lam, vecs, dropped = _eigh(z_rows.take(columns, axis=1), self.M * (self.T - start))
         whiten = vecs[:, dropped:] / np.sqrt(lam[dropped:])
         proj = whiten.T @ z_rows
         last = ZProjection(columns, whiten, len(columns) - dropped, proj,
@@ -347,8 +373,9 @@ class PooledData:
         time_norms[start - self.tau_max:] = self.M * (1.0 - 1.0 / width)
         group_rank = {"none": 1, "time": width, "space": self.M,
                       "both": width + self.M - 1}[mode]
+        gram = flat @ flat.T
         return GramStats(
-            group_rank=group_rank, gram=flat @ flat.T,
+            group_rank=group_rank, gram=gram, diag=tuple(gram.diagonal().tolist()),
             group_sums={"time": time_sums, "space": block.sum(axis=2).T},
             group_norms={"time": time_norms,
                          "space": np.full(self.M, width * (1.0 - 1.0 / self.M))})

@@ -1,6 +1,6 @@
 """Compare the ParCorr results of two source trees on the benchmark corpora.
 
-    python tests/compare_kernels.py <src-A> <src-B>
+    python tests/compare_kernels.py <src-A> <src-B> [--exact]
 
 Each argument is a directory holding the ``jtscd`` package (the ``src``
 directory of a checkout).  For each tree a child process imports that
@@ -15,7 +15,8 @@ and its result, or the type of the error it raised.  The report gives
 * the decision flips (``p > alpha`` on one side only), and
 * every p-value within 1e-6 of ``alpha`` on either side.
 
-The exit status is 1 if the query sequences diverge or a decision flips.
+The exit status is 1 if the query sequences diverge or a decision flips;
+with ``--exact``, also if any aligned result differs in any bit.
 Children run with BLAS pinned to one thread.  This file is a tool, not a
 test: pytest does not collect it.
 """
@@ -88,7 +89,8 @@ def _rel(a, b):
 
 
 def compare(runs_a, runs_b, alpha):
-    """Report lines and whether the two trees disagree on queries or decisions."""
+    """Report lines, whether the two trees disagree on queries or decisions,
+    and the number of aligned results that differ."""
     lines, bad = [], False
     n_calls = n_differ = 0
     max_rel = {"statistic": 0.0, "p_value": 0.0}
@@ -133,12 +135,15 @@ def compare(runs_a, runs_b, alpha):
               f"p-value {max_rel['p_value']:.3g}",
               f"decision flips at alpha={alpha}: {len(flips)}", *flips,
               f"p-values within {NEAR_ALPHA:g} of alpha: {len(near)}", *near]
-    return lines, bad or bool(flips)
+    return lines, bad or bool(flips), n_differ
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="*", help="two directories holding jtscd")
+    parser.add_argument("--exact", action="store_true",
+                        help="exit 1 on any differing result, not only on "
+                             "diverging queries or decision flips")
     parser.add_argument("--record", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.record:
@@ -151,10 +156,10 @@ def main(argv=None):
         for src, out in zip(args.src, outs):
             run_child(src, out)
         (head_a, *runs_a), (head_b, *runs_b) = (load(p) for p in outs)
-    lines, bad = compare(runs_a, runs_b, head_a["alpha"])
+    lines, bad, n_differ = compare(runs_a, runs_b, head_a["alpha"])
     print(f"A = {args.src[0]}\nB = {args.src[1]}")
     print("\n".join(lines))
-    return 1 if bad else 0
+    return 1 if bad or (args.exact and n_differ) else 0
 
 
 if __name__ == "__main__":

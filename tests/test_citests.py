@@ -1,9 +1,15 @@
 """Partial-correlation test behaviour and the exact graph oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import jtscd
 from jtscd.citests import (CIQuery, GraphOracle, ParCorrCI, QueryError,
                            centered_parcorr_test, oracle_test, parcorr_test)
 from jtscd.graph import GroundTruthGraph, VariableRole, d_separated
@@ -23,6 +29,18 @@ def pooled_from_array(system, M=1, temporal=None, spatial=None, mask=(),
     dc = DatasetCollection(system=system, temporal_ctx=temporal,
                            spatial_ctx=spatial, observed_mask=tuple(mask))
     return pool_data(dc, tau_max)
+
+
+# (x, y, z, QueryError message): x and y single selectors, () for an empty side
+MALFORMED_QUERIES = (
+    ((0, 0), (0, 0), (), "x and y overlap"),
+    ((0, 0), (1, 0), ((0, 0),), "conditioning set overlaps the tested pair"),
+    ((0, 0), (1, 0), ((2, 0), (1, 0)), "conditioning set overlaps the tested pair"),
+    ([0, 0], (0, 0), (), "x and y overlap"),
+    ((0, 0), [1, 0], ([2, 0], [0, 0]), "conditioning set overlaps the tested pair"),
+    ((), (1, 0), (), "x and y must be non-empty"),
+    ((0, 0), (), ((2, 0),), "x and y must be non-empty"),
+)
 
 
 def null_pool(seed, n=100, k=3):
@@ -124,10 +142,34 @@ class TestParCorr:
                                  z=((2, 0), (3, 0))), pd)
 
     def test_query_validation(self):
-        with pytest.raises(QueryError):
-            CIQuery(x=((0, 0),), y=((0, 0),))
-        with pytest.raises(QueryError):
-            CIQuery(x=((0, 0),), y=((1, 0),), z=((0, 0),))
+        # every malformed query fails in the one validating constructor,
+        # built directly or by ``ParCorrCI`` from single selectors
+        test = ParCorrCI(null_pool(0, k=4))
+        for x, y, z, message in MALFORMED_QUERIES:
+            with pytest.raises(QueryError, match=message) as direct:
+                CIQuery(x=(x,) if x else (), y=(y,) if y else (), z=z)
+            with pytest.raises(QueryError) as called:
+                test(x, y, z)
+            assert str(called.value) == str(direct.value), (x, y, z)
+
+    def test_query_fields_are_tuples_and_frozen(self):
+        q = CIQuery(x=([0, 0],), y=[(1, 0)], z=[[2, 0], (3, 0)])
+        assert (q.x, q.y, q.z) == (((0, 0),), ((1, 0),), ((2, 0), (3, 0)))
+        assert q == CIQuery(((0, 0),), ((1, 0),), ((2, 0), (3, 0)))
+        assert hash(q) == hash(CIQuery(((0, 0),), ((1, 0),), ((2, 0), (3, 0))))
+        assert q != CIQuery(((0, 0),), ((1, 0),), ((2, 0),))
+        with pytest.raises(AttributeError):
+            q.z = ()
+        pd = null_pool(4, k=4)
+        assert parcorr_test(q, pd) == ParCorrCI(pd)([0, 0], (1, 0), [[2, 0], (3, 0)])
+
+    def test_unknown_correction_rejected(self):
+        pd = null_pool(5)
+        with pytest.raises(ValueError, match="correction must be one of"):
+            ParCorrCI(pd, correction="bogus")
+        with pytest.raises(ValueError, match="correction must be one of"):
+            parcorr_test(CIQuery(x=((0, 0),), y=((1, 0),)), pd, correction="holm")
+        ParCorrCI(pd, correction="none")((0, 0), (1, 0))
 
     def test_query_error_excludes_tested_pair_lags(self):
         # deep-lag conditioning drops rows but keeps the test well defined
@@ -137,6 +179,22 @@ class TestParCorr:
         res = parcorr_test(
             CIQuery(x=((0, 1),), y=((1, 0),), z=((2, 3),)), pd)
         assert res.n_effective == 3 * (40 - 3)
+
+
+def test_discovery_does_not_import_scipy_linalg():
+    # importing scipy.linalg adds about 6 MB of resident memory to every
+    # process; the package and a ParCorr discovery must not need it
+    code = (
+        "import sys\n"
+        "from jtscd import estimate_graph, generate_random_model, simulate\n"
+        "spec, _ = generate_random_model(seed=0, max_lag=2)\n"
+        "estimate_graph(simulate(spec, M=3, T=30, seed=1), tau_max=2)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+    src = str(Path(jtscd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestDummyConditioningEquivalence:
