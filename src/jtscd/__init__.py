@@ -15,8 +15,7 @@ from .scm import (ConstantColumnError, DatasetCollection, LinearTerm,
                   NonFiniteDataError, SCMSpec, generate_random_model,
                   simplified_preset, simulate)
 from .pooling import PooledData, build_space_dummy, build_time_dummy, pool_data
-from .citests import (CIQuery, CITestResult, GraphOracle, ParCorrCI,
-                      centered_parcorr_test, oracle_test, parcorr_test)
+from .citests import CIQuery, CITestResult, GraphOracle, ParCorrCI, parcorr_test
 from .discovery import (VARIANTS, DiscoveryResult, LaggedAdjacencies,
                         SepSetStore, collider_phase, estimate_graph, j_pc,
                         j_pcmciplus, lagged_skeleton_pcmciplus,

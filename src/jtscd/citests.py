@@ -131,32 +131,21 @@ _VARIANCE_EPS = 1e-12
 _SPAN_TOL = 1e-10
 
 
-def _demean_by_groups(a, labels, n_groups):
-    """Exact projection of columns of ``a`` onto group-mean complements."""
-    sums = np.zeros((n_groups, a.shape[1]))
-    np.add.at(sums, labels, a)
-    counts = np.bincount(labels, minlength=n_groups).astype(float)
-    occupied = counts > 0
-    counts[~occupied] = 1.0
-    means = sums / counts[:, None]
-    return a - means[labels], int(occupied.sum())
-
-
 def _t_pvalue(t, df):
     """Two-sided Student-t p-value of the statistics ``t``."""
     return 2.0 * special.stdtr(df, -np.abs(t))
 
 
 def _unresolved(query, data):
-    """A query with a selector outside ``data.selectors``: raise its error.
+    """A query with a selector outside ``data.selectors``.
 
-    Runs the selector validation of ``aligned_start`` after the degenerate
-    endpoint check, in the order the kernel applies them to valid selectors.
+    A degenerate tested endpoint answers first, as in the kernel; otherwise
+    the first missing selector raises ``SelectionError``.
     """
     if any(data.is_degenerate(var) for (var, _) in query.x + query.y):
         return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
-    data.aligned_start(query.x + query.y + query.z)
-    raise SelectionError(f"no column for a selector of x={query.x} y={query.y} z={query.z}")
+    missing = next(s for s in query.x + query.y + query.z if s not in data.selectors)
+    raise SelectionError(f"selector {missing} out of range")
 
 
 def parcorr_test(query, data, correction="bonferroni"):
@@ -171,10 +160,10 @@ def parcorr_test(query, data, correction="bonferroni"):
     Bonferroni-combined minimum, the p-value of the largest ``|t|``
     (``correction="none"`` reports the raw minimum instead).
 
-    Selectors are looked up in ``data.selectors``; one missing from it gets
-    the error of ``PooledData.aligned_start``.  The residual cross-products
-    come from ``data.gram_stats``: dummies in ``z`` select the demeaning of
-    the cached Gram matrix, scalar ``z`` columns are projected out by a
+    Selectors are looked up in ``data.selectors``; one missing from it is a
+    ``SelectionError``.  The residual cross-products come from
+    ``data.gram_stats``: dummies in ``z`` select the demeaning of the cached
+    Gram matrix, scalar ``z`` columns are projected out by a
     pseudo-inverse of their Gram block (``data.z_projection``, reused by
     consecutive tests on the same columns), and a dummy endpoint's components
     are the group sums of the residuals.  At most one dummy may be a tested
@@ -314,34 +303,6 @@ def _scalar_pair_tail(diag, resid, vs, n, df, floor):
     return CITestResult(abs(corr), p_value, n, degenerate=False, df=df)
 
 
-def centered_parcorr_test(x, y, data, groups="dataset"):
-    """Group-demeaned unconditional correlation test.
-
-    Demeans both columns within each dataset (or time step) and correlates
-    the residuals; degrees of freedom account for the absorbed group means
-    (``n - M - 1``), which makes the decision identical to conditioning on
-    the full one-hot dummy block.
-    """
-    x_col = data.extract([x])
-    y_col = data.extract([y])
-    if groups == "dataset":
-        labels, n_groups = data.dataset_index, data.M
-    elif groups == "time":
-        labels, n_groups = data.time_index - data.tau_max, data.T - data.tau_max
-    else:
-        raise ValueError("groups must be 'dataset' or 'time'")
-    n = data.n_rows
-    rx, occ = _demean_by_groups(x_col, labels, n_groups)
-    ry, _ = _demean_by_groups(y_col, labels, n_groups)
-    df = n - occ - 1
-    if rx.std() < _VARIANCE_EPS or ry.std() < _VARIANCE_EPS or df < 1:
-        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
-    r = float(np.corrcoef(rx[:, 0], ry[:, 0])[0, 1])
-    r = float(np.clip(r, -1 + 1e-15, 1 - 1e-15))
-    t = r * np.sqrt(df / (1.0 - r ** 2))
-    return CITestResult(abs(r), float(_t_pvalue(t, df)), n, df=df)
-
-
 class ParCorrCI:
     """Callable CI test bound to a pooled dataset.
 
@@ -467,11 +428,3 @@ class GraphOracle:
         self._cache[key] = result
         return result
 
-
-def oracle_test(graph, query, tau_max=None, unroll_depth=None):
-    """One-shot oracle evaluation of a CIQuery (single-selector x and y)."""
-    if len(query.x) != 1 or len(query.y) != 1:
-        raise QueryError("oracle queries test single variables on each side")
-    tau_max = tau_max if tau_max is not None else graph.tau_max
-    oracle = GraphOracle(graph, tau_max, unroll_depth=unroll_depth)
-    return oracle(query.x[0], query.y[0], query.z)

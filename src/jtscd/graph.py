@@ -186,16 +186,6 @@ class TimeSeriesGraph:
     def n_edges(self):
         return len(self._marks)
 
-    def links_into(self, j):
-        """All ``(i, tau)`` with a link from ``(i, t - tau)`` into ``(j, t)``."""
-        out = []
-        for (a, b, tau, mark) in self.edges():
-            if b == j:
-                out.append((a, tau))
-            elif a == j and tau == 0:
-                out.append((b, 0))
-        return out
-
     def parents(self, j):
         """All ``(i, tau)`` with a directed link ``(i, t - tau) --> (j, t)``."""
         out = []
@@ -208,14 +198,6 @@ class TimeSeriesGraph:
 
     def copy(self):
         g = self.__class__(self.roles, self.tau_max)
-        g._marks = dict(self._marks)
-        return g
-
-    def expanded(self, tau_max):
-        """Copy declaring a larger ``tau_max`` (links unchanged)."""
-        if tau_max < self.tau_max:
-            raise GraphStructureError("expanded tau_max must not shrink")
-        g = self.__class__(self.roles, tau_max)
         g._marks = dict(self._marks)
         return g
 

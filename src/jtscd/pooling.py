@@ -6,6 +6,14 @@ dataset boundary because each row only looks back within its own dataset.
 Variables are indexed in discovery order: system, observed temporal
 contexts, observed spatial contexts, then the time dummy and space dummy.
 
+``PooledData.selectors`` is the one selector policy: built once per pooled
+dataset, it maps every valid ``(var, lag)`` -- lags ``0..2*tau_max`` of the
+time-indexed variables, lag 0 of the spatial contexts and dummies -- to
+what a CI test needs of it: its Gram column, dummy kind, the first time
+step of the rows it is defined on, its component count and whether it is
+degenerate.  ``aligned_start``, ``n_components``, ``is_degenerate`` and
+``extract`` read it, and a selector missing from it is a ``SelectionError``.
+
 ``PooledData.gram_stats`` keeps the sufficient statistics the partial
 correlation test works from: per row set and dummy mode, the cross-products
 and per-group sums of every scalar lagged column after demeaning.  A build
@@ -20,8 +28,7 @@ discovery level share one ``z`` and reuse it.  A factorization calls the
 gufunc behind ``np.linalg.eigh`` through ``_eigh``, without the wrapper's
 argument checks and error-state context, which cost as much as the
 eigendecomposition of a block of a few columns; the results are the same
-bits.  ``PooledData.selectors`` resolves each valid ``(var, lag)`` selector
-to what the test needs of it, once per pooled dataset.
+bits.
 """
 
 from __future__ import annotations
@@ -41,14 +48,6 @@ from .graph import VariableRole
 
 class SelectionError(ValueError):
     """Raised for out-of-range or role-inconsistent column selectors."""
-
-
-@dataclass(frozen=True)
-class ColumnInfo:
-    """Descriptor of one pooled column: role, variable, block component."""
-    role: VariableRole
-    var: int
-    component: int = 0
 
 
 def build_space_dummy(M, dataset_index=None):
@@ -146,7 +145,9 @@ class Selector(NamedTuple):
 
     ``column`` is its position in ``PooledData.scalar_columns`` (``None`` for
     a dummy), ``dummy`` the dummy kind (``"time"``, ``"space"`` or ``None``),
-    ``start`` the ``aligned_start`` it forces on its own.
+    ``start`` the first time step of the rows it is defined on,
+    ``n_components`` its column count and ``degenerate`` whether it is a
+    dummy that carries no signal.
     """
     column: int | None
     dummy: str | None
@@ -203,41 +204,24 @@ class PooledData:
         # time-indexed columns, lag 0 of the spatial contexts and dummies
         table = {sel: Selector(k, None, max(tau_max, sel[1]), 1, False)
                  for k, sel in enumerate(self.scalar_columns)}
-        for var, kind in ((self.time_dummy, "time"), (self.space_dummy, "space")):
-            table[(var, 0)] = Selector(None, kind, tau_max, self.n_components(var),
-                                       self.is_degenerate(var))
+        table[(self.time_dummy, 0)] = Selector(None, "time", tau_max, per,
+                                               self.M == 1 or per == 1)
+        table[(self.space_dummy, 0)] = Selector(None, "space", tau_max, self.M,
+                                                self.M == 1)
         self.selectors = MappingProxyType(table)
 
+    def _selector(self, var, lag):
+        """The ``selectors`` entry of ``(var, lag)``; ``SelectionError`` if none."""
+        try:
+            return self.selectors[(var, lag)]
+        except KeyError:
+            raise SelectionError(f"selector {(var, lag)} out of range") from None
+
     def n_components(self, var):
-        role = self.var_roles[var]
-        if role is VariableRole.TIME_DUMMY:
-            return self.T - self.tau_max
-        if role is VariableRole.SPACE_DUMMY:
-            return self.M
-        return 1
+        return self._selector(var, 0).n_components
 
     def is_degenerate(self, var):
-        role = self._role(var)
-        if role is VariableRole.SPACE_DUMMY:
-            return self.M == 1
-        if role is VariableRole.TIME_DUMMY:
-            return self.M == 1 or self.T - self.tau_max == 1
-        return False
-
-    def _role(self, var):
-        # checked first: a negative index would count from the end
-        if not (0 <= var < self.n_vars):
-            raise SelectionError(f"variable {var} out of range")
-        return self.var_roles[var]
-
-    def _check_selector(self, var, lag):
-        role = self._role(var)
-        if not role.is_time_indexed:
-            if lag != 0:
-                raise SelectionError(
-                    f"{role.value} columns only exist at lag 0, got lag {lag}")
-        elif not (0 <= lag <= self.tau_max):
-            raise SelectionError(f"lag {lag} outside [0, {self.tau_max}]")
+        return self._selector(var, 0).degenerate
 
     def _column_block(self, var, lag, start=None):
         """Block of ``(var, lag)`` on the rows from time step ``start`` on.
@@ -258,12 +242,14 @@ class PooledData:
     def extract(self, selectors):
         """Column matrix for ``(var, lag)`` selectors, aligned on provenance.
 
-        Lags are limited to ``tau_max``; dummy and spatial selectors must use
-        lag 0.  Values are returned bit-exactly as stored (no transformation).
+        Only selectors defined on every pooled row are admitted: lags up to
+        ``tau_max``, and lag 0 for dummy and spatial selectors.  Values are
+        returned bit-exactly as stored (no transformation).
         """
         blocks = []
         for (var, lag) in selectors:
-            self._check_selector(var, lag)
+            if self._selector(var, lag).start > self.tau_max:
+                raise SelectionError(f"lag {lag} exceeds tau_max={self.tau_max}")
             blocks.append(self._column_block(var, lag))
         if not blocks:
             return np.zeros((self.n_rows, 0))
@@ -272,18 +258,12 @@ class PooledData:
     def aligned_start(self, selectors):
         """First time step of the rows on which all ``selectors`` are defined.
 
-        Lags up to ``2 * tau_max`` are admitted; a lag beyond ``tau_max``
-        moves the start past the dataset starts it would look back across.
+        The largest ``start`` of their ``selectors`` entries, ``tau_max`` for
+        none: a lag beyond ``tau_max`` (up to ``2 * tau_max``) moves the start
+        past the dataset starts it would look back across.
         """
-        start = self.tau_max
-        for (var, lag) in selectors:
-            if self._role(var).is_time_indexed and lag > self.tau_max:
-                if lag > 2 * self.tau_max:
-                    raise SelectionError(f"lag {lag} exceeds 2*tau_max")
-                start = max(start, lag)
-            else:
-                self._check_selector(var, lag)
-        return start
+        return max((self._selector(var, lag).start for (var, lag) in selectors),
+                   default=self.tau_max)
 
     def extract_aligned(self, selectors):
         """Like ``extract`` but admits lags up to ``2 * tau_max``.
@@ -380,13 +360,6 @@ class PooledData:
             group_norms={"time": time_norms,
                          "space": np.full(self.M, width * (1.0 - 1.0 / self.M))})
 
-    def column_info(self):
-        info = []
-        for var in range(self.n_vars):
-            for comp in range(self.n_components(var)):
-                info.append(ColumnInfo(self.var_roles[var], var, comp))
-        return info
-
     def matrix(self):
         """Full lag-0 design including dummy blocks, one row per pooled sample."""
         return self.extract([(v, 0) for v in range(self.n_vars)])
@@ -394,10 +367,10 @@ class PooledData:
     def to_csv(self):
         """CSV text of the lag-0 design with a descriptor header row."""
         names = []
-        for ci in self.column_info():
-            base = f"{ci.role.value}{ci.var}"
-            names.append(base if self.n_components(ci.var) == 1
-                         else f"{base}_{ci.component}")
+        for var in range(self.n_vars):
+            base = f"{self.var_roles[var].value}{var}"
+            k = self.n_components(var)
+            names += [base] if k == 1 else [f"{base}_{c}" for c in range(k)]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["dataset", "t"] + names)

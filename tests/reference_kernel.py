@@ -5,18 +5,31 @@ replaced: extract the aligned columns, project dummy blocks out by group
 demeaning, fit the scalar conditioning columns plus an intercept by
 ``lstsq`` and correlate the residuals.  ``eigh_z_projection`` is
 ``PooledData.z_projection``'s factorization written on ``np.linalg.eigh``,
-which the pooled kernel now reaches through its gufunc directly.  Both are
-kept only for the equivalence tests.
+which the pooled kernel now reaches through its gufunc directly.
+``centered_parcorr_test`` is the dense group-demeaned correlation test that
+conditioning on a full dummy block must equal.  All are kept only for the
+equivalence tests.
 """
 
 import numpy as np
 from scipy import stats
 
-from jtscd.citests import CITestResult, QueryError, _demean_by_groups
+from jtscd.citests import CITestResult, QueryError, _t_pvalue
 from jtscd.graph import VariableRole
 from jtscd.pooling import ZProjection
 
 _VARIANCE_EPS = 1e-12
+
+
+def _demean_by_groups(a, labels, n_groups):
+    """Exact projection of columns of ``a`` onto group-mean complements."""
+    sums = np.zeros((n_groups, a.shape[1]))
+    np.add.at(sums, labels, a)
+    counts = np.bincount(labels, minlength=n_groups).astype(float)
+    occupied = counts > 0
+    counts[~occupied] = 1.0
+    means = sums / counts[:, None]
+    return a - means[labels], int(occupied.sum())
 
 
 def _z_column_count(z_selectors, data):
@@ -124,3 +137,31 @@ def eigh_z_projection(gram, columns, n):
     proj = whiten.T @ z_rows
     return ZProjection(columns, whiten, len(columns) - dropped, proj,
                        gram - proj.T @ proj)
+
+
+def centered_parcorr_test(x, y, data, groups="dataset"):
+    """Group-demeaned unconditional correlation test.
+
+    Demeans both columns within each dataset (or time step) and correlates
+    the residuals; degrees of freedom account for the absorbed group means
+    (``n - M - 1``), which makes the decision identical to conditioning on
+    the full one-hot dummy block.
+    """
+    x_col = data.extract([x])
+    y_col = data.extract([y])
+    if groups == "dataset":
+        labels, n_groups = data.dataset_index, data.M
+    elif groups == "time":
+        labels, n_groups = data.time_index - data.tau_max, data.T - data.tau_max
+    else:
+        raise ValueError("groups must be 'dataset' or 'time'")
+    n = data.n_rows
+    rx, occ = _demean_by_groups(x_col, labels, n_groups)
+    ry, _ = _demean_by_groups(y_col, labels, n_groups)
+    df = n - occ - 1
+    if rx.std() < _VARIANCE_EPS or ry.std() < _VARIANCE_EPS or df < 1:
+        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
+    r = float(np.corrcoef(rx[:, 0], ry[:, 0])[0, 1])
+    r = float(np.clip(r, -1 + 1e-15, 1 - 1e-15))
+    t = r * np.sqrt(df / (1.0 - r ** 2))
+    return CITestResult(abs(r), float(_t_pvalue(t, df)), n, df=df)

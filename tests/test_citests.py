@@ -10,11 +10,12 @@ import pytest
 from scipy import stats
 
 import jtscd
-from jtscd.citests import (CIQuery, GraphOracle, ParCorrCI, QueryError,
-                           centered_parcorr_test, oracle_test, parcorr_test)
+from jtscd.citests import CIQuery, GraphOracle, ParCorrCI, QueryError, parcorr_test
 from jtscd.graph import GroundTruthGraph, VariableRole, d_separated
 from jtscd.pooling import build_space_dummy, build_time_dummy, pool_data
 from jtscd.scm import DatasetCollection, generate_random_model, simplified_preset, simulate
+
+from reference_kernel import centered_parcorr_test
 
 R = VariableRole
 
@@ -320,12 +321,6 @@ class TestOracle:
                     unroll_depth=o.depth)
                 got = o(x, y, z).p_value == 1.0
                 assert got == expected
-
-    def test_oracle_test_wrapper(self):
-        g = self.latent_space_pair()
-        res = oracle_test(g, CIQuery(x=((0, 0),), y=((1, 0),), z=((3, 0),)),
-                          tau_max=1)
-        assert res.p_value == 1.0
 
     def test_memoization_counts_unique_queries(self):
         g = self.latent_space_pair()

@@ -125,27 +125,62 @@ class TestPoolData:
         with pytest.raises(SelectionError):
             pd.extract_aligned([(-pd.n_vars, 3)])
 
-    def test_selector_table_is_what_aligned_start_accepts(self):
-        dc = small_collection(M=3, T=12)
-        pd = pool_data(dc, 2)
-        accepted = set()
-        for var in range(-pd.n_vars, pd.n_vars):
-            for lag in range(-1, 2 * pd.tau_max + 2):
-                try:
-                    pd.aligned_start([(var, lag)])
-                except SelectionError:
-                    continue
-                accepted.add((var, lag))
-        assert set(pd.selectors) == accepted
-        for sel, entry in pd.selectors.items():
-            assert entry.start == pd.aligned_start([sel])
-            assert entry.n_components == pd.n_components(sel[0])
-            assert entry.degenerate == pd.is_degenerate(sel[0])
-            dummy = entry.dummy is not None
-            assert dummy == pd.var_roles[sel[0]].is_dummy
-            assert entry.column == (None if dummy else pd.scalar_columns.index(sel))
+    @pytest.mark.parametrize("M, T, tau_max, time_degenerate, space_degenerate", [
+        (3, 12, 2, False, False),
+        (1, 12, 2, True, True),     # one dataset: both dummies constant
+        (3, 12, 11, True, False),   # a single usable time step
+    ])
+    def test_selector_table_follows_variable_roles(self, M, T, tau_max,
+                                                   time_degenerate, space_degenerate):
+        pd = pool_data(small_collection(M=M, T=T), tau_max)
+        expected = {}
+        for var, role in enumerate(pd.var_roles):
+            if role in (R.SYSTEM, R.TEMPORAL_CONTEXT):
+                for lag in range(2 * tau_max + 1):
+                    expected[(var, lag)] = (pd.scalar_columns.index((var, lag)), None,
+                                            max(tau_max, lag), 1, False)
+            elif role is R.SPATIAL_CONTEXT:
+                expected[(var, 0)] = (pd.scalar_columns.index((var, 0)), None,
+                                      tau_max, 1, False)
+        expected[(pd.time_dummy, 0)] = (None, "time", tau_max, T - tau_max,
+                                        time_degenerate)
+        expected[(pd.space_dummy, 0)] = (None, "space", tau_max, M, space_degenerate)
+        assert pd.selectors == expected
         with pytest.raises(TypeError):
             pd.selectors[(0, 0)] = None
+
+        for var in range(-pd.n_vars, pd.n_vars + 1):
+            for lag in range(-1, 2 * tau_max + 2):
+                entry = expected.get((var, lag))
+                if entry is None:
+                    with pytest.raises(SelectionError):
+                        pd.aligned_start([(0, 0), (var, lag)])
+                    with pytest.raises(SelectionError):
+                        pd.extract([(var, lag)])
+                    continue
+                assert pd.aligned_start([(var, lag)]) == entry[2]
+                assert pd.n_components(var) == entry[3]
+                assert pd.is_degenerate(var) == entry[4]
+                if lag > tau_max:
+                    # defined only from time step ``lag`` on, not on every row
+                    with pytest.raises(SelectionError, match="exceeds tau_max"):
+                        pd.extract([(var, lag)])
+                    if lag <= T:  # past T a lag has no rows to align on
+                        rows = pd.extract_aligned([(var, lag)])[1]
+                        assert len(rows) == M * (T - lag)
+                else:
+                    assert pd.extract([(var, lag)]).shape == (pd.n_rows, entry[3])
+        assert pd.aligned_start([]) == tau_max
+
+    def test_variable_outside_range_is_a_selection_error(self):
+        pd = pool_data(small_collection(M=3, T=12), 2)
+        # a negative index must not count from the end, and one past the end
+        # must not surface as a bare IndexError
+        for var in [*range(-pd.n_vars, 0), pd.n_vars]:
+            with pytest.raises(SelectionError, match="out of range"):
+                pd.n_components(var)
+            with pytest.raises(SelectionError, match="out of range"):
+                pd.is_degenerate(var)
 
     def test_rejects_non_finite_values(self):
         dc = small_collection()
