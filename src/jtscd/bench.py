@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -154,6 +153,8 @@ def run_experiment(cfg, out_dir=None, workers=None):
     cfg.validate()
     tasks = [(asdict(cfg), idx, cell) for idx, cell in cfg.cells()]
     if workers and workers > 1:
+        # imported here: the pool module costs every ``import jtscd`` 5-12 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cell_task, tasks))
     else:

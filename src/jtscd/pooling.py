@@ -270,9 +270,13 @@ class PooledData:
 
         Rows whose look-back would cross the start of a dataset are dropped,
         so conditioning sets shifted to the lagged endpoint of a test stay
-        well defined; returns ``(matrix, row_indices)``.
+        well defined; returns ``(matrix, row_indices)``.  A lag that leaves
+        no rows (a start at or past ``T``) is a ``SelectionError``.
         """
         start = self.aligned_start(selectors)
+        if start >= self.T:
+            lag = max(lag for (_, lag) in selectors)
+            raise SelectionError(f"lag {lag} leaves no rows: T={self.T}")
         rows = np.flatnonzero(self.time_index >= start)
         blocks = [self._column_block(var, lag, start) for (var, lag) in selectors]
         if not blocks:

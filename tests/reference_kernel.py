@@ -8,13 +8,14 @@ demeaning, fit the scalar conditioning columns plus an intercept by
 which the pooled kernel now reaches through its gufunc directly.
 ``centered_parcorr_test`` is the dense group-demeaned correlation test that
 conditioning on a full dummy block must equal.  All are kept only for the
-equivalence tests.
+equivalence tests.  Their p-values come from ``scipy.stats``, independent of
+the package's own Student-t tail.
 """
 
 import numpy as np
 from scipy import stats
 
-from jtscd.citests import CITestResult, QueryError, _t_pvalue
+from jtscd.citests import CITestResult, QueryError
 from jtscd.graph import VariableRole
 from jtscd.pooling import ZProjection
 
@@ -164,4 +165,4 @@ def centered_parcorr_test(x, y, data, groups="dataset"):
     r = float(np.corrcoef(rx[:, 0], ry[:, 0])[0, 1])
     r = float(np.clip(r, -1 + 1e-15, 1 - 1e-15))
     t = r * np.sqrt(df / (1.0 - r ** 2))
-    return CITestResult(abs(r), float(_t_pvalue(t, df)), n, df=df)
+    return CITestResult(abs(r), float(2.0 * stats.t.sf(abs(t), df)), n, df=df)

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import jtscd
-from jtscd.citests import CIQuery, GraphOracle, ParCorrCI, QueryError, parcorr_test
+from jtscd.citests import (CIQuery, GraphOracle, ParCorrCI, QueryError, _t_tail,
+                           _tail_polynomials, parcorr_test)
 from jtscd.graph import GroundTruthGraph, VariableRole, d_separated
 from jtscd.pooling import build_space_dummy, build_time_dummy, pool_data
 from jtscd.scm import DatasetCollection, generate_random_model, simplified_preset, simulate
@@ -183,19 +184,72 @@ class TestParCorr:
 
 
 def test_discovery_does_not_import_scipy_linalg():
-    # importing scipy.linalg adds about 6 MB of resident memory to every
-    # process; the package and a ParCorr discovery must not need it
+    # importing scipy.special costs more start-up time than most discoveries
+    # and scipy.linalg about 6 MB of resident memory; with ``scipy`` blocked
+    # in ``sys.modules`` every SciPy import fails, so the package, a lagged
+    # J-PCMCI+ and a lag-free J-PC discovery with ParCorr must need none
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "from jtscd import estimate_graph, generate_random_model, simulate\n"
         "spec, _ = generate_random_model(seed=0, max_lag=2)\n"
-        "estimate_graph(simulate(spec, M=3, T=30, seed=1), tau_max=2)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+        "dc = simulate(spec, M=3, T=30, seed=1)\n"
+        "estimate_graph(dc, variant='jpcmci+', tau_max=2)\n"
+        "estimate_graph(dc, variant='jpcmci+', lag_free=True)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('scipy') and sys.modules[m] is not None))\n")
     src = str(Path(jtscd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+class TestStudentTail:
+    """``_t_tail`` against ``scipy.special.stdtr``, the function it replaces."""
+
+    DFS = (*range(1, 41), 49, 50, 51, 99, 100, 101, 220, 562, 1000, 9958,
+           10 ** 5, 10 ** 6)
+
+    @staticmethod
+    def abscissae(df):
+        """|t| grid: 0, a linspace to 10, a geomspace to 1e3 and the
+        two-sided critical values of alpha = 0.05 / k."""
+        critical = [stats.t.isf(0.05 / k / 2, df) for k in (1, 2, 10, 100, 1000)]
+        grid = np.concatenate(([0.0], np.linspace(0, 10, 201),
+                               np.geomspace(1e-3, 1e3, 301), critical))
+        return sorted(set(grid.tolist()))
+
+    @pytest.mark.parametrize("df", DFS)
+    def test_matches_stdtr(self, df):
+        n_normal = 0
+        previous = 1.0
+        for t in self.abscissae(df):
+            p = _t_tail(t, df)
+            expected = 2.0 * float(special.stdtr(float(df), -t))
+            if expected == 0.0:
+                assert p == 0.0, (t, p)
+            elif expected >= sys.float_info.min:
+                assert abs(p - expected) <= 1e-12 * expected, (t, p, expected)
+                n_normal += 1
+            # never subnormal: below the smallest normal float, where stdtr
+            # turns to 0, an unflushed tail would give values like 4.5e-317
+            assert p == 0.0 or p >= sys.float_info.min, (t, p)
+            assert p <= previous, (t, p, previous)  # not increasing in |t|
+            previous = p
+        assert _t_tail(0.0, df) == 1.0
+        assert n_normal > 100
+
+    def test_cold_and_warm_cache_agree_bitwise(self):
+        points = [(df, t) for df in (100, 220, 562, 9958, 10 ** 6)
+                  for t in (0.5, 2.0, 5.8, 19.0, 0.2 * df ** 0.5)]
+        _tail_polynomials.cache_clear()
+        cold = []
+        for df, t in points:
+            cold.append(_t_tail(t, df))
+            _tail_polynomials.cache_clear()
+        warm = [_t_tail(t, df) for df, t in points]
+        assert [p.hex() for p in cold] == [p.hex() for p in warm]
 
 
 class TestDummyConditioningEquivalence:

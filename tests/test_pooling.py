@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from jtscd.citests import CIQuery, QueryError, parcorr_test
 from jtscd.graph import VariableRole
 from jtscd.pooling import (DUMMY_MODES, SelectionError, build_space_dummy,
                            build_time_dummy, pool_data)
@@ -165,9 +166,14 @@ class TestPoolData:
                     # defined only from time step ``lag`` on, not on every row
                     with pytest.raises(SelectionError, match="exceeds tau_max"):
                         pd.extract([(var, lag)])
-                    if lag <= T:  # past T a lag has no rows to align on
+                    if lag < T:
                         rows = pd.extract_aligned([(var, lag)])[1]
                         assert len(rows) == M * (T - lag)
+                    else:  # no rows left to align on
+                        with pytest.raises(SelectionError, match=f"lag {lag} .*T={T}"):
+                            pd.extract_aligned([(var, lag)])
+                        with pytest.raises(QueryError, match="too few samples"):
+                            parcorr_test(CIQuery(x=((var, lag),), y=((var, 0),)), pd)
                 else:
                     assert pd.extract([(var, lag)]).shape == (pd.n_rows, entry[3])
         assert pd.aligned_start([]) == tau_max
