@@ -12,7 +12,7 @@ from .graph import (ABSENT, CONFLICT, DIRECTED, REVERSED, UNDIRECTED,
                     d_separated, dummy_deletion, dummy_projection,
                     mask_contexts_latent, observed_variables, target_graph)
 from .scm import (ConstantColumnError, DatasetCollection, LinearTerm,
-                  NonFiniteDataError, SCMSpec, generate_random_model,
+                  NonFiniteDataError, PanelShapeError, SCMSpec, generate_random_model,
                   simplified_preset, simulate)
 from .pooling import PooledData, build_space_dummy, build_time_dummy, pool_data
 from .citests import CIQuery, CITestResult, GraphOracle, ParCorrCI, parcorr_test

@@ -1,12 +1,14 @@
 """Conditional independence tests: pooled partial correlation and a graph oracle.
 
-The partial-correlation test residualizes both sides on the conditioning
-design (intercept included) and tests the residual Pearson correlation
-against a Student-t law.  Multi-component variables (the one-hot dummy
-blocks) are handled component-wise: the statistic is the maximum absolute
-correlation over component pairs, and the p-value, that of the largest
-|t|, is Bonferroni-combined.  A dummy endpoint thus costs one Student-t
-evaluation, not one per component.
+A query tests one node of the joint graph against another given a set, as
+J-PCMCI+ asks: each side is one ``(var, lag)`` selector of a system
+variable, a context or a dummy.  The partial-correlation test residualizes
+both sides on the conditioning design (intercept included) and tests the
+residual Pearson correlation against a Student-t law.  A dummy endpoint is
+a one-hot block of G group indicators, each tested against the other side:
+the statistic is the largest absolute correlation, and the p-value, that of
+the largest |t|, is Bonferroni-combined over the G components.  A dummy
+endpoint thus costs one Student-t evaluation, not one per component.
 
 The two-sided Student-t p-value is the regularized incomplete beta function
 ``I_x(df/2, 1/2)`` at ``x = df / (df + t^2)``, computed here on Python
@@ -41,12 +43,10 @@ numpy call overhead would dominate it, so the per-test path is kept lean.
 ``CIQuery`` validates a query once, in its constructor.  ``parcorr_test``
 looks its selectors up in the table ``PooledData.selectors`` built with the
 pooled data, reads the conditioning set in one pass, and takes the Gram
-diagonal as Python floats (``GramStats.diag``).  A test of one scalar ``x``
-against one scalar ``y`` -- most tests of a discovery -- finishes on
-Python floats instead of 1 x 1 arrays, and a multi-component test uses
-ndarray methods instead of the Python-level wrappers of ``np.clip``,
-``np.outer`` and the like.  Every result is bit-identical to the plain
-array formulation.
+diagonal as Python floats (``GramStats.diag``).  A test of a scalar ``x``
+against a scalar ``y`` -- most tests of a discovery -- works on Python
+floats throughout; a dummy endpoint works on vectors of its G group rows
+and finishes on Python floats too.
 
 The oracle test answers the same queries exactly from a ground-truth graph:
 a dummy inside the conditioning set stands for all context variables of its
@@ -59,7 +59,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import FrozenInstanceError, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +80,7 @@ def check_correction(correction):
         raise ValueError(f"correction must be one of {CORRECTIONS}, got {correction!r}")
 
 
-@dataclass(frozen=True)
-class CITestResult:
+class CITestResult(NamedTuple):
     statistic: float
     p_value: float
     n_effective: int
@@ -89,50 +88,34 @@ class CITestResult:
     df: int | None = None
 
 
-class CIQuery:
+class _QueryFields(NamedTuple):
+    x: tuple
+    y: tuple
+    z: tuple
+
+
+class CIQuery(_QueryFields):
     """A conditional independence query over ``(var, lag)`` column selectors.
 
-    ``x``, ``y`` and ``z`` are sequences of selectors; each selector is
-    stored as a tuple, so list-form selectors compare equal to their tuple
-    form.  The constructor is the one validation of a query: both tested
-    sides must be non-empty (an empty selector counts as an empty side),
-    disjoint, and disjoint from ``z``.  Queries are immutable and compare
-    and hash by their fields.
+    ``x`` and ``y`` hold one selector each, ``z`` any number; each selector
+    is stored as a tuple, so list-form selectors compare equal to their
+    tuple form.  The constructor is the one validation of a query: each
+    tested side is exactly one non-empty selector, the two differ, and
+    neither is in ``z``.  Queries are immutable named tuples.
     """
-    __slots__ = ("x", "y", "z")
+    __slots__ = ()
 
-    def __init__(self, x, y, z=()):
+    def __new__(cls, x, y, z=()):
         x, y, z = tuple(map(tuple, x)), tuple(map(tuple, y)), tuple(map(tuple, z))
         if not x or not y or () in x or () in y:
             raise QueryError("x and y must be non-empty")
-        if not set(x).isdisjoint(y):
+        if len(x) > 1 or len(y) > 1:
+            raise QueryError("x and y must be one selector each")
+        if x == y:
             raise QueryError("x and y overlap")
-        if z and not set(z).isdisjoint(x + y):
+        if z and (x[0] in z or y[0] in z):
             raise QueryError("conditioning set overlaps the tested pair")
-        setattr_ = object.__setattr__
-        setattr_(self, "x", x)
-        setattr_(self, "y", y)
-        setattr_(self, "z", z)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return CIQuery, (self.x, self.y, self.z)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y, self.z) == (other.x, other.y, other.z)
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.z))
-
-    def __repr__(self):
-        return f"CIQuery(x={self.x!r}, y={self.y!r}, z={self.z!r})"
+        return tuple.__new__(cls, (x, y, z))
 
 
 _VARIANCE_EPS = 1e-12
@@ -244,9 +227,15 @@ def _t_tail(t, df):
     continued fraction ``_beta_cf``, on ``I_(1-x)(1/2, df/2)`` when x is
     close to 1.  Both agree with ``scipy.special.stdtr`` to 1e-12 relative
     wherever the p-value is a normal float; a p-value below the smallest
-    normal float is 0.0.  ``t^2`` must be finite.
+    normal float is 0.0.  Where ``t^2`` overflows (``|t|`` above about
+    1.3e154, or infinite) the tail is 0.0, as ``stdtr``'s; a NaN ``t`` is a
+    ``ValueError``.
     """
     t2 = t * t
+    if not t2 < math.inf:
+        if t2 != t2:
+            raise ValueError(f"Student-t tail of a NaN t (df={df})")
+        return 0.0
     u = math.log1p(t2 / df)
     z = 0.5 * df * u  # -log(x^(df/2))
     if df >= 100 and u <= 1.0:
@@ -284,16 +273,17 @@ def _unresolved(query, data):
 
 
 def parcorr_test(query, data, correction="bonferroni"):
-    """Component-wise partial correlation test on pooled data.
+    """Partial correlation test of one selector against another on pooled data.
 
-    For every (x-component, y-component) pair the Pearson correlation ``r``
-    of the conditioning residuals is transformed to
-    ``t = r * sqrt(df / (1 - r^2))`` and tested two-sidedly against a
-    Student-t law with ``df = n - rank(design) - 1`` degrees of freedom,
-    where the design includes the intercept (numerical rank, not column
-    count).  The reported statistic is ``max |r|``; the p-value is the
-    Bonferroni-combined minimum, the p-value of the largest ``|t|``
-    (``correction="none"`` reports the raw minimum instead).
+    The Pearson correlation ``r`` of the conditioning residuals of ``x`` and
+    ``y`` is transformed to ``t = r * sqrt(df / (1 - r^2))`` and tested
+    two-sidedly against a Student-t law with ``df = n - rank(design) - 1``
+    degrees of freedom, where the design includes the intercept (numerical
+    rank, not column count).  The reported statistic is ``|r|``.  At most
+    one side may be a dummy; it is tested component-wise, each of its G
+    group indicators against the other side, and the result is the largest
+    ``|r|`` with the p-value of the largest ``|t|``, Bonferroni-combined over
+    the G components (``correction="none"`` reports it raw).
 
     Selectors are looked up in ``data.selectors``; one missing from it is a
     ``SelectionError``.  The residual cross-products come from
@@ -301,9 +291,8 @@ def parcorr_test(query, data, correction="bonferroni"):
     Gram matrix, scalar ``z`` columns are projected out by a
     pseudo-inverse of their Gram block (``data.z_projection``, reused by
     consecutive tests on the same columns), and a dummy endpoint's components
-    are the group sums of the residuals.  At most one dummy may be a tested
-    endpoint.  A query of one scalar ``x`` and one scalar ``y`` finishes on
-    Python floats, with the same arithmetic as the component arrays.
+    are the group sums of the residuals.  A scalar pair is read as three
+    Python floats, a dummy endpoint as vectors over its G groups.
 
     Tested variables flagged degenerate (constant dummy blocks) or residuals
     with zero variance yield an independence verdict with ``p_value = 1`` and
@@ -312,8 +301,7 @@ def parcorr_test(query, data, correction="bonferroni"):
     check_correction(correction)
     table = data.selectors
     try:
-        x_sel = [table[s] for s in query.x]
-        y_sel = [table[s] for s in query.y]
+        x, y = table[query.x[0]], table[query.y[0]]
         # one pass over z: the start it forces, its column count, the
         # dummies that set the demeaning mode and its scalar columns
         start, n_z_cols, z_dummies, z_cols = 0, 0, set(), []
@@ -327,26 +315,19 @@ def parcorr_test(query, data, correction="bonferroni"):
                 z_cols.append(column)
     except (KeyError, TypeError):
         return _unresolved(query, data)
-    for sel in x_sel + y_sel:
-        if sel.degenerate:
-            return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
-        if sel.start > start:
-            start = sel.start
+    if x.degenerate or y.degenerate:
+        return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
+    start = max(start, x.start, y.start)
 
     n = data.M * (data.T - start)
     if n <= n_z_cols + 3:
         raise QueryError(
             f"too few samples: n={n} with {n_z_cols} conditioning columns "
             f"(query x={query.x} y={query.y} z={query.z})")
-
-    x_dummies = [s.dummy for s in x_sel if s.dummy]
-    y_dummies = [s.dummy for s in y_sel if s.dummy]
-    if len(x_dummies) + len(y_dummies) > 1:
-        raise QueryError("a dummy may appear among the tested variables once only")
-    xs = [s.column for s in x_sel if not s.dummy]
-    ys = [s.column for s in y_sel if not s.dummy]
-    if y_dummies:  # the test is symmetric in x and y: keep a dummy in x
-        xs, x_dummies, ys = ys, y_dummies, xs
+    if y.dummy:  # the test is symmetric in x and y: keep a dummy in x
+        if x.dummy:
+            raise QueryError("a dummy may appear among the tested variables once only")
+        x, y = y, x
     mode = ("both" if len(z_dummies) == 2
             else z_dummies.pop() if z_dummies else "none")
     stats = data.gram_stats(start, mode)
@@ -366,76 +347,41 @@ def parcorr_test(query, data, correction="bonferroni"):
     if df < 1:
         return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
 
+    # a residual sum of squares at or below ``floor``, or in the span of z,
+    # leaves nothing to correlate
     floor = n * _VARIANCE_EPS ** 2
-    vs = xs + ys
-    if len(vs) == 2 and not x_dummies:
-        return _scalar_pair_tail(diag, resid, vs, n, df, floor)
-
-    # ndarray methods, slicing and broadcasting in place of ``np.ix_``,
-    # ``np.diag``, ``np.outer``, ``np.clip`` and ``np.max``: the same
-    # arithmetic without Python-level wrappers that cost more than it does
-    # on arrays this small
-    base = stats.gram.diagonal().take(vs)
-    cross = resid.take(vs, axis=0).take(vs, axis=1)
-    ss = cross.diagonal()
-    kx = len(xs)
-    num = cross[:kx, kx:]
-    ss_x, base_x, ss_y, base_y = ss[:kx], base[:kx], ss[kx:], base[kx:]
-    if x_dummies:
-        # one row per group indicator: its residual cross-products with y
-        # and its residual squared norm, from the group sums alone
-        sums, norms = stats.group_sums[x_dummies[0]], stats.group_norms[x_dummies[0]]
-        group_num, group_ss = sums.take(ys, axis=1), norms
+    b = y.column
+    ss_y = resid.item(b, b)
+    if not (ss_y > floor and ss_y > _SPAN_TOL * diag[b]):
+        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
+    if x.dummy:
+        # one component per group indicator: its residual cross-product with
+        # y and its residual squared norm, from the group sums alone
+        sums, norms = stats.group_sums[x.dummy], stats.group_norms[x.dummy]
+        num, ss = sums[:, b], norms
         if factor is not None:
             group_proj = sums.take(zs, axis=1) @ factor.whiten
-            group_num = group_num - group_proj @ factor.proj.take(ys, axis=1)
-            group_ss = norms - np.einsum("gr,gr->g", group_proj, group_proj)
-        num = np.concatenate((num, group_num))
-        ss_x = np.concatenate((ss_x, group_ss))
-        base_x = np.concatenate((base_x, norms))
-
-    ok_x = (ss_x > floor) & (ss_x > _SPAN_TOL * base_x)
-    ok_y = (ss_y > floor) & (ss_y > _SPAN_TOL * base_y)
-    if not ok_x.any() or not ok_y.any():
-        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = num / np.sqrt(np.where(ok_x, ss_x, 1.0)[:, None] * np.where(ok_y, ss_y, 1.0))
-    corr = np.where(ok_x[:, None] & ok_y, corr, 0.0)
-    corr = np.minimum(np.maximum(corr, -1 + 1e-15), 1 - 1e-15)
-    tvals = corr * np.sqrt(df / (1.0 - corr ** 2))
-    # the p-value falls as |t| grows, so the smallest one is that of the
-    # largest |t|; unusable pairs have t = 0 and p = 1
-    min_p = _t_tail(float(abs(tvals).max()), df)
-
-    statistic = float(abs(corr).max())
-    n_pairs = corr.size
-    p_value = min(1.0, min_p * n_pairs) if correction == "bonferroni" else min_p
-    return CITestResult(statistic, p_value, n, degenerate=False, df=df)
-
-
-def _scalar_pair_tail(diag, resid, vs, n, df, floor):
-    """The last steps of ``parcorr_test`` for one scalar x and one scalar y.
-
-    The component-array arithmetic on Python floats, step for step, so the
-    result is bit-identical.  With one pair the statistic is ``|r|`` and the
-    p-value needs no Bonferroni factor (it is at most 1).  ``diag`` is the
-    Gram diagonal (``GramStats.diag``) and ``resid`` the residual
-    cross-products.
-    """
-    a, b = vs
-    base_x, base_y = diag[a], diag[b]
-    ss_x, ss_y, num = resid.item(a, a), resid.item(b, b), resid.item(a, b)
-    if not (ss_x > floor and ss_x > _SPAN_TOL * base_x
-            and ss_y > floor and ss_y > _SPAN_TOL * base_y):
-        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
-    corr = num / math.sqrt(ss_x * ss_y)
-    corr = min(max(corr, -1 + 1e-15), 1 - 1e-15)
-    # corr * corr, not corr ** 2: numpy squares an array by multiplication,
-    # and the power of a numpy scalar can differ in the last bit
-    t = corr * math.sqrt(df / (1.0 - corr * corr))
-    p_value = _t_tail(t, df)
-    return CITestResult(abs(corr), p_value, n, degenerate=False, df=df)
+            num = num - group_proj @ factor.proj[:, b]
+            ss = norms - np.einsum("gr,gr->g", group_proj, group_proj)
+        ok = (ss > floor) & (ss > _SPAN_TOL * norms)
+        if not ok.any():
+            return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
+        # unusable components count as r = 0; |t| grows with |r|, also in
+        # floating point, so the largest |r| gives the largest |t|
+        r = float((abs(num[ok]) / np.sqrt(ss[ok] * ss_y)).max())
+        n_components = len(norms)
+    else:
+        a = x.column
+        ss_x = resid.item(a, a)
+        if not (ss_x > floor and ss_x > _SPAN_TOL * diag[a]):
+            return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
+        r = abs(resid.item(a, b)) / math.sqrt(ss_x * ss_y)
+        n_components = 1
+    r = min(r, 1 - 1e-15)
+    p_value = _t_tail(r * math.sqrt(df / (1.0 - r * r)), df)
+    if correction == "bonferroni":
+        p_value = min(1.0, p_value * n_components)
+    return CITestResult(r, p_value, n, degenerate=False, df=df)
 
 
 class ParCorrCI:

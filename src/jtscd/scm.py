@@ -34,6 +34,10 @@ class NonFiniteDataError(ValueError):
     """A dataset holds NaN or infinite values."""
 
 
+class PanelShapeError(ValueError):
+    """The arrays of a DatasetCollection do not form one balanced panel."""
+
+
 class ConstantColumnError(ValueError):
     """A system variable takes one value over every dataset and time step."""
 
@@ -70,12 +74,6 @@ class SCMSpec:
     @property
     def n_vars(self):
         return self.n_system + self.n_contexts
-
-    def temporal_ctx_var(self, k):
-        return self.n_system + k
-
-    def spatial_ctx_var(self, k):
-        return self.n_system + self.n_temporal_ctx + k
 
     def role_of(self, v):
         if v < self.n_system:
@@ -171,7 +169,38 @@ class DatasetCollection:
     spatial_scale: np.ndarray | None = None
 
     def __post_init__(self):
+        self.check_shapes()
         self.check_finite()
+
+    def check_shapes(self):
+        """Raise ``PanelShapeError`` unless the arrays form one balanced panel.
+
+        ``system`` must be (M, T, n_system) -- M datasets of one length T --
+        ``temporal_ctx`` (T, n_temporal_ctx) and ``spatial_ctx``
+        (M, n_spatial_ctx), and ``observed_mask`` needs one entry per context.
+        """
+        try:
+            system = np.shape(self.system)
+        except ValueError:  # datasets of different shapes
+            shapes = sorted({np.shape(d) for d in self.system})
+            raise PanelShapeError(
+                f"system datasets differ in shape: {shapes[0]} and {shapes[-1]}") from None
+        if len(system) != 3:
+            raise PanelShapeError(
+                f"system has shape {system}; it must be 3-D (M, T, n_system)")
+        M, T, _ = system
+        temporal, spatial = np.shape(self.temporal_ctx), np.shape(self.spatial_ctx)
+        for name, shape, axis, rows in (("temporal_ctx", temporal, "T", T),
+                                        ("spatial_ctx", spatial, "M", M)):
+            if len(shape) != 2 or shape[0] != rows:
+                raise PanelShapeError(
+                    f"{name} has shape {shape}; system of shape {system} "
+                    f"needs ({axis}={rows}, n_{name})")
+        n_contexts = temporal[1] + spatial[1]
+        if len(self.observed_mask) != n_contexts:
+            raise PanelShapeError(
+                f"observed_mask has {len(self.observed_mask)} entries; temporal_ctx of "
+                f"shape {temporal} and spatial_ctx of shape {spatial} need {n_contexts}")
 
     def check_finite(self):
         """Raise ``NonFiniteDataError`` if any data value is NaN or infinite."""
@@ -273,12 +302,12 @@ class DatasetCollection:
             rows = list(csv.reader((path / f"data_{m:03d}.csv").read_text().splitlines()))
             body = rows[1:]
             if len(body) != T:
-                raise ValueError(f"dataset {m} has {len(body)} rows, expected {T}")
+                raise PanelShapeError(f"dataset {m} has {len(body)} rows, expected {T}")
             for t, row in enumerate(body):
                 vals = [float(v) for v in row[1:]]
                 if len(vals) != width:
-                    raise ValueError(f"dataset {m} row {t} has {len(vals)} values, "
-                                     f"expected {width}")
+                    raise PanelShapeError(f"dataset {m} row {t} has {len(vals)} values, "
+                                          f"expected {width}")
                 system[m, t] = vals[:n_sys]
                 temporal_row = vals[n_sys:n_sys + n_t]
                 if m == 0:

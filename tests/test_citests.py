@@ -1,5 +1,6 @@
 """Partial-correlation test behaviour and the exact graph oracle."""
 
+import math
 import os
 import subprocess
 import sys
@@ -154,6 +155,11 @@ class TestParCorr:
                 test(x, y, z)
             assert str(called.value) == str(direct.value), (x, y, z)
 
+    def test_query_takes_one_selector_per_side(self):
+        for x, y in ((((0, 0), (2, 0)), ((1, 0),)), (((0, 0),), ((1, 0), (2, 1)))):
+            with pytest.raises(QueryError, match="x and y must be one selector each"):
+                CIQuery(x=x, y=y, z=((3, 0),))
+
     def test_query_fields_are_tuples_and_frozen(self):
         q = CIQuery(x=([0, 0],), y=[(1, 0)], z=[[2, 0], (3, 0)])
         assert (q.x, q.y, q.z) == (((0, 0),), ((1, 0),), ((2, 0), (3, 0)))
@@ -250,6 +256,19 @@ class TestStudentTail:
             _tail_polynomials.cache_clear()
         warm = [_t_tail(t, df) for df, t in points]
         assert [p.hex() for p in cold] == [p.hex() for p in warm]
+
+    @pytest.mark.parametrize("df", (1, 500, 9958))
+    def test_overflowing_t_squared(self, df):
+        # t * t overflows to inf: the tail is 0.0, as stdtr's
+        for t in (1e155, 1e300, math.inf):
+            for signed in (t, -t):
+                assert _t_tail(signed, df) == 0.0, signed
+                assert 2.0 * float(special.stdtr(float(df), -abs(signed))) == 0.0
+
+    @pytest.mark.parametrize("df", (1, 500, 9958))
+    def test_nan_t(self, df):
+        with pytest.raises(ValueError, match="NaN"):
+            _t_tail(math.nan, df)
 
 
 class TestDummyConditioningEquivalence:

@@ -53,16 +53,17 @@ def draw_query(data, p, rng):
                for lag in (range(2 * data.tau_max + 1)
                            if data.var_roles[v].is_time_indexed else (0,))]
     picks = [scalars[i] for i in rng.permutation(len(scalars))]
+    # kx and ky place z among the picks: one selector per side is tested
     kx = min(p["kx"], len(picks) - 1)
     ky = min(p["ky"], len(picks) - kx)
-    x, y = picks[:kx], picks[kx:kx + ky]
+    x, y = picks[0], picks[kx]
     z = picks[kx + ky:kx + ky + p["kz"]]
     dummies = {"time": (data.time_dummy, 0), "space": (data.space_dummy, 0)}
     if p["endpoint"]:
-        # the dummy takes the place of one x selector
-        x = [dummies[p["endpoint"]]] + x[1:]
+        # the dummy takes the place of the x selector
+        x = dummies[p["endpoint"]]
     z += [dummies[k] for k in p["z_dummies"] if k != p["endpoint"]]
-    return CIQuery(x=tuple(x), y=tuple(y), z=tuple(z))
+    return CIQuery(x=(x,), y=(y,), z=tuple(z))
 
 
 def random_params(rng):
@@ -135,11 +136,12 @@ def test_property_matches_reference(p):
 
 
 def scalar_pair(query, data):
-    """The query cut to its first scalar x and first y, or None."""
-    xs = [s for s in query.x if not data.var_roles[s[0]].is_dummy]
-    if not xs:
-        return None
-    return CIQuery(x=xs[:1], y=query.y[:1], z=query.z)
+    """The query with a dummy x replaced by the first scalar column that is
+    neither y nor in z; a query with a scalar x is its own pair."""
+    if not data.var_roles[query.x[0][0]].is_dummy:
+        return query
+    x = next(s for s in data.scalar_columns if s not in query.y + query.z)
+    return CIQuery(x=(x,), y=query.y, z=query.z)
 
 
 def test_seeded_corpus_matches_reference():
@@ -160,11 +162,11 @@ def test_seeded_corpus_matches_reference():
             kinds["endpoint"] += p["endpoint"] is not None
         # the same panel and z with one scalar on each side: the pair path
         pair = scalar_pair(query, data)
-        if pair is not None:
+        if pair is not query:
             for correction in ("bonferroni", "none"):
                 ref = assert_equivalent(data, pair, correction)
-            pairs["error" if ref is None else
-                  "degenerate" if ref.degenerate else "tested"] += 1
+        pairs["error" if ref is None else
+              "degenerate" if ref.degenerate else "tested"] += 1
     # the corpus exercises every outcome, not only the easy one
     assert kinds["tested"] > 150 and kinds["endpoint"] > 50
     assert kinds["degenerate"] > 20 and kinds["error"] > 5
@@ -174,7 +176,7 @@ def test_seeded_corpus_matches_reference():
 def sibling_groups(data, rng):
     """Queries in groups that share one ``z``, as the tests of a discovery
     level do: per ``z``, dummy mode and row set, a few ``x`` against one
-    ``y``, plus a dummy-endpoint and a two-selector query on the same ``z``.
+    ``y``, plus a dummy-endpoint query on the same ``z``.
 
     The same scalar ``z`` columns recur under every dummy mode and row set
     (an ``x`` at lag ``tau_max + k`` moves the rows to start ``tau_max +
@@ -198,8 +200,6 @@ def sibling_groups(data, rng):
                 endpoint = dummies[("time", "space")[k % 2]]
                 group.append(CIQuery(x=(endpoint,), y=(y,),
                                      z=tuple(s for s in zz if s != endpoint)))
-                if len(xs) > 1:
-                    group.append(CIQuery(x=tuple(xs[:2]), y=(y,), z=zz))
                 groups.append(group)
     return groups
 
@@ -329,11 +329,13 @@ class TestCoverage:
         assert ref.df == 2 * 18 - 2 - 1
 
     def test_multi_selector_sides(self):
+        # a query tests one selector against one selector
         data = panel()
-        assert_equivalent(data, CIQuery(x=((0, 1), (2, 2)), y=((1, 0), (4, 1)),
-                                        z=((3, 0), (data.time_dummy, 0))))
-        assert_equivalent(data, CIQuery(x=((data.space_dummy, 0), (2, 2)),
-                                        y=((1, 0),), z=((3, 0),)))
+        with pytest.raises(QueryError, match="one selector each"):
+            CIQuery(x=((0, 1), (2, 2)), y=((1, 0), (4, 1)),
+                    z=((3, 0), (data.time_dummy, 0)))
+        with pytest.raises(QueryError, match="one selector each"):
+            CIQuery(x=((data.space_dummy, 0), (2, 2)), y=((1, 0),), z=((3, 0),))
 
 
 class TestScalarPair:

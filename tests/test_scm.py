@@ -18,8 +18,9 @@ import pytest
 
 from jtscd.graph import VariableRole
 from jtscd.scm import (DatasetCollection, GenerationError, LinearTerm,
-                       NonFiniteDataError, SCMSpec, SimulationError, generate_random_model,
-                       simplified_preset, simulate, spectral_radius)
+                       NonFiniteDataError, PanelShapeError, SCMSpec, SimulationError,
+                       generate_random_model, simplified_preset, simulate,
+                       spectral_radius)
 from reference_simulate import reference_simulate
 from test_acceptance import seed_for
 
@@ -338,8 +339,16 @@ class TestSerialization:
         dc.to_dir(tmp_path, spec=spec)
         width = dc.n_system + dc.n_temporal_ctx + dc.n_spatial_ctx
         self._edit_cell(tmp_path / "data_000.csv", 3, 2, None)
-        with pytest.raises(ValueError, match=f"dataset 0 row 2 has {width - 1} values, "
-                                             f"expected {width}"):
+        with pytest.raises(PanelShapeError, match=f"dataset 0 row 2 has {width - 1} values, "
+                                                  f"expected {width}"):
+            DatasetCollection.from_dir(tmp_path)
+
+    def test_from_dir_rejects_a_dataset_of_another_length(self, tmp_path):
+        spec, _ = generate_random_model(seed=12, max_lag=2)
+        simulate(spec, M=2, T=10, seed=13).to_dir(tmp_path, spec=spec)
+        path = tmp_path / "data_001.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(PanelShapeError, match="dataset 1 has 9 rows, expected 10"):
             DatasetCollection.from_dir(tmp_path)
 
     def test_mask_all_latent(self):
@@ -348,6 +357,40 @@ class TestSerialization:
         masked = dc.mask_all_latent()
         assert not any(masked.observed_mask)
         assert masked.observed_roles() == [R.SYSTEM] * spec.n_system
+
+
+def _panel_arrays():
+    """The arrays of a well-formed panel at M=4, T=40."""
+    rng = np.random.default_rng(0)
+    return dict(system=rng.standard_normal((4, 40, 3)),
+                temporal_ctx=rng.standard_normal((40, 1)),
+                spatial_ctx=rng.standard_normal((4, 1)), observed_mask=(True, True))
+
+
+# replacements that break the panel of ``_panel_arrays``, and the message
+# that must name the array and both shapes
+MALFORMED_PANELS = {
+    "long temporal_ctx": (dict(temporal_ctx=np.zeros((50, 1))),
+                          r"temporal_ctx has shape \(50, 1\); system of shape \(4, 40, 3\)"),
+    "short temporal_ctx": (dict(temporal_ctx=np.zeros((30, 1))),
+                           r"temporal_ctx has shape \(30, 1\); .* needs \(T=40"),
+    "short spatial_ctx": (dict(spatial_ctx=np.zeros((3, 1))),
+                          r"spatial_ctx has shape \(3, 1\); .* needs \(M=4"),
+    "short observed_mask": (dict(observed_mask=(True,)),
+                            r"observed_mask has 1 entries; .* \(40, 1\) .* \(4, 1\) need 2"),
+    "2-D system": (dict(system=np.zeros((40, 3))),
+                   r"system has shape \(40, 3\); it must be 3-D"),
+    "ragged datasets": (dict(system=[np.zeros((40, 3)), np.zeros((30, 3)),
+                                     np.zeros((40, 3)), np.zeros((40, 3))]),
+                        r"system datasets differ in shape: \(30, 3\) and \(40, 3\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PANELS))
+def test_malformed_panel_is_refused(case):
+    change, message = MALFORMED_PANELS[case]
+    with pytest.raises(PanelShapeError, match=message):
+        DatasetCollection(**{**_panel_arrays(), **change})
 
 
 if __name__ == "__main__":
