@@ -49,6 +49,14 @@ class ExperimentConfig:
             raise ValueError("every T must exceed tau_max")
         if any(m < 1 for m in self.m_values):
             raise ValueError("M values must be positive")
+        if any(not 0.0 <= f <= 1.0 for f in self.frac_observed_values):
+            raise ValueError("frac_observed values must lie in [0, 1]")
+        if self.n_realizations < 1:
+            raise ValueError("n_realizations must be positive")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        if self.ci_test not in discovery.CI_TESTS:
+            raise ValueError(f"unknown CI test {self.ci_test!r}")
         if not self.variants:
             raise ValueError("need at least one variant")
         for v in self.variants:

@@ -99,9 +99,10 @@ class CIQuery(_QueryFields):
 
     ``x`` and ``y`` hold one selector each, ``z`` any number; each selector
     is stored as a tuple, so list-form selectors compare equal to their
-    tuple form.  The constructor is the one validation of a query: each
-    tested side is exactly one non-empty selector, the two differ, and
-    neither is in ``z``.  Queries are immutable named tuples.
+    tuple form.  The constructor is the one validation of a query, also
+    for ``_make`` and ``_replace``: each tested side is exactly one
+    non-empty selector, the two differ, and neither is in ``z``.  Queries
+    are immutable named tuples.
     """
     __slots__ = ()
 
@@ -116,6 +117,11 @@ class CIQuery(_QueryFields):
         if z and (x[0] in z or y[0] in z):
             raise QueryError("conditioning set overlaps the tested pair")
         return tuple.__new__(cls, (x, y, z))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the named tuple's _make, which _replace calls, bypasses __new__
+        return cls(*iterable)
 
 
 _VARIANCE_EPS = 1e-12

@@ -12,8 +12,18 @@ from .graph import GroundTruthGraph
 from .pooling import pool_data
 
 
+_SIMULATE_KEYS = ("preset", "seed", "data_seed", "n_system", "n_temporal_ctx",
+                  "n_spatial_ctx", "frac_observed", "max_lag", "lag_free",
+                  "M", "T", "burn_in")
+
+
 def _cmd_simulate(args):
     cfg = json.loads(Path(args.config).read_text())
+    unknown = set(cfg) - set(_SIMULATE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    if cfg.get("preset", "simplified") != "simplified":
+        raise ValueError(f"unknown preset {cfg['preset']!r}")
     seed = cfg.get("seed", 0)
     if cfg.get("preset") == "simplified":
         spec, graph = scm.simplified_preset()
@@ -86,7 +96,7 @@ def build_parser():
     p_disc.add_argument("--alpha", type=float, default=0.05)
     p_disc.add_argument("--tau-max", type=int, default=2, dest="tau_max")
     p_disc.add_argument("--ci", "--ci-test", dest="ci",
-                        choices=("parcorr", "oracle"), default="parcorr")
+                        choices=discovery.CI_TESTS, default="parcorr")
     p_disc.add_argument("--variant", choices=discovery.VARIANTS,
                         default="jpcmci+")
     p_disc.add_argument("--lag-free", action="store_true", dest="lag_free")

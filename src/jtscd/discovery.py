@@ -2,8 +2,10 @@
 
 Every discovery here is one staged driver, ``_run_stages``.  It runs an
 optional lagged-adjacency phase that shrinks the candidate lagged drivers of
-each variable, then a list of momentary-CI skeleton stages, and orients the
-marks of the last stage with the collider and propagation rules.  A stage
+each variable, then a list of momentary-CI skeleton stages.  Each stage
+sweeps its own ``TimeSeriesGraph`` over the graph's variables; the graph of
+the last stage is oriented in place by the collider and propagation rules and
+returned as the result.  Conflicting orientations are marked ``x-x``.  A stage
 is a declarative ``_Stage``: the tested pairs, the directed parents and the
 contemporaneous links held fixed while they are tested, the roles the
 subsets S are drawn from, the base conditioning sets, the fixed conditions
@@ -30,8 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (CONFLICT, DIRECTED, UNDIRECTED, TimeSeriesGraph,
-                    VariableRole, mirror_mark)
+from .graph import CONFLICT, DIRECTED, UNDIRECTED, TimeSeriesGraph, VariableRole
 
 
 class DiscoveryError(RuntimeError):
@@ -92,10 +93,9 @@ class LaggedAdjacencies:
 
     ``sets[j]`` lists ``(var, lag)`` candidates ordered by the minimum
     absolute test statistic seen across iterations (descending, ties broken
-    lexicographically); ``strengths[j]`` holds those minima.
+    lexicographically).
     """
     sets: dict
-    strengths: dict
 
     def system_only(self, roles):
         return {j: [(i, lag) for (i, lag) in self.sets.get(j, [])
@@ -113,38 +113,6 @@ class DiscoveryResult:
     ambiguous_triples: list = field(default_factory=list)
 
 
-# ---------------------------------------------------------------------------
-# mark-array helpers
-
-
-def _blank_marks(n, tau_max):
-    return np.full((n, n, tau_max + 1), "", dtype="<U3")
-
-
-def _set_mark(marks, i, tau, j, mark):
-    marks[i, j, tau] = mark
-    if tau == 0:
-        marks[j, i, 0] = mirror_mark(mark)
-
-
-def _remove_mark(marks, i, tau, j):
-    marks[i, j, tau] = ""
-    if tau == 0:
-        marks[j, i, 0] = ""
-
-
-def _marks_to_graph(marks, roles, tau_max, n_out):
-    g = TimeSeriesGraph(roles[:n_out], tau_max)
-    for j in range(n_out):
-        for i in range(n_out):
-            for tau in range(tau_max + 1):
-                mark = str(marks[i, j, tau])
-                if mark == "" or (tau == 0 and i > j):
-                    continue
-                g.set_mark(i, j, tau, mark)
-    return g
-
-
 def _run_ci(ci, x, y, z):
     try:
         return ci(x, y, z)
@@ -157,8 +125,8 @@ def _run_ci(ci, x, y, z):
 
 
 def lagged_skeleton_pcmciplus(ci, roles=None, tau_max=2, alpha=0.05,
-                              max_conds_dim=None, fixed_conditions=(),
-                              sepsets=None, include_contexts=True):
+                              fixed_conditions=(), sepsets=None,
+                              include_contexts=True):
     """Iterative lagged-adjacency search (one condition set per cardinality).
 
     For every system and observed temporal-context variable, candidate lagged
@@ -175,15 +143,14 @@ def lagged_skeleton_pcmciplus(ci, roles=None, tau_max=2, alpha=0.05,
     system = [v for v, r in enumerate(roles) if r.is_system]
     tctx = [v for v, r in enumerate(roles)
             if include_contexts and r is VariableRole.TEMPORAL_CONTEXT]
-    sets, strengths = {}, {}
-    max_dim = max_conds_dim if max_conds_dim is not None else np.inf
+    sets = {}
 
     for j in system + tctx:
         drivers = system + tctx if j in system else tctx
         current = sorted((i, lag) for i in drivers for lag in range(1, tau_max + 1))
         vals = {c: np.inf for c in current}
         dim = 0
-        while dim <= max_dim and len(current) - 1 >= dim:
+        while len(current) - 1 >= dim:
             removed = set()
             for cand in current:
                 others = [c for c in current if c != cand][:dim]
@@ -201,11 +168,9 @@ def lagged_skeleton_pcmciplus(ci, roles=None, tau_max=2, alpha=0.05,
             current.sort(key=lambda c: (-vals[c], c))
             dim += 1
         sets[j] = list(current)
-        strengths[j] = {c: vals[c] for c in current}
     for v in range(len(roles)):
         sets.setdefault(v, [])
-        strengths.setdefault(v, {})
-    return LaggedAdjacencies(sets=sets, strengths=strengths)
+    return LaggedAdjacencies(sets=sets)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +190,12 @@ def _condition_set(S, base_sets, i, tau, j, fixed, roles):
             if sel not in ends]
 
 
-def _contemp_adjacencies(marks, roles, allowed_roles, strengths):
-    n = marks.shape[0]
+def _contemp_adjacencies(graph, allowed_roles, strengths):
+    n, roles = graph.n_vars, graph.roles
     adj = {}
     for j in range(n):
         cands = [(i, 0) for i in range(n)
-                 if i != j and marks[i, j, 0] != "" and roles[i] in allowed_roles]
+                 if i != j and roles[i] in allowed_roles and graph.has_link(i, j, 0)]
         cands.sort(key=lambda s: (-strengths.get((s[0], 0, j), np.inf), s))
         adj[j] = cands
     return adj
@@ -240,24 +205,26 @@ def _sorted_pairs(pairs):
     return sorted(set(pairs), key=lambda p: (p[2], p[1], p[0]))
 
 
-def _skeleton_sweep(ci, marks, stage, alpha, roles, max_conds_dim, sepsets):
-    """Remove links among ``stage.pairs`` by CI tests with growing subsets ``S``.
+def _skeleton_sweep(ci, graph, stage, alpha, roles, sepsets):
+    """Remove links of ``graph`` among ``stage.pairs`` by CI tests with
+    growing subsets ``S``, until no link has enough adjacencies left.
 
     Within one cardinality level, candidate subsets are drawn from the
     adjacency sets frozen at level start, so decisions do not depend on the
     order in which the links are visited.  One unordered link is removed at
-    its first separating test, in either direction.
+    its first separating test, in either direction.  ``roles`` spans every
+    variable the CI test knows, dummies beyond the graph included.
     """
     pairs = _sorted_pairs(stage.pairs)
     strengths = {}
     dummy_vars = {v for v, r in enumerate(roles) if r.is_dummy}
-    max_dim = max_conds_dim if max_conds_dim is not None else np.inf
     p = 0
-    while p <= max_dim:
-        adj = _contemp_adjacencies(marks, roles, stage.s_roles, strengths)
+    while True:
+        adj = _contemp_adjacencies(graph, stage.s_roles, strengths)
         tasks = {}
         for (i, tau, j) in pairs:
-            if marks[i, j, tau] == "" or len([a for a in adj[j] if a != (i, tau)]) < p:
+            if (not graph.has_link(i, j, tau)
+                    or len([a for a in adj[j] if a != (i, tau)]) < p):
                 continue
             key = (min(i, j), max(i, j), 0) if tau == 0 else (i, j, tau)
             tasks.setdefault(key, []).append((i, tau, j))
@@ -275,7 +242,7 @@ def _skeleton_sweep(ci, marks, stage, alpha, roles, max_conds_dim, sepsets):
                 link = (i, tau, j)
                 strengths[link] = min(strengths.get(link, np.inf), abs(res.statistic))
                 if res.p_value > alpha:
-                    _remove_mark(marks, i, tau, j)
+                    graph.remove_link(i, j, tau)
                     sepsets.store(i, tau, j, SepSetEntry(tuple(S), tuple(z),
                                                          res.p_value, res.statistic,
                                                          link))
@@ -287,38 +254,39 @@ def _skeleton_sweep(ci, marks, stage, alpha, roles, max_conds_dim, sepsets):
 # orientation
 
 
-def _triples(marks, tau_max, outer):
+def _triples(graph, outer):
     """Triples ``((i, tau), k, j)`` with ``(i, tau) *-> k o-o j``, the ``*->``
     mark in ``outer``, and ``i``, ``j`` non-adjacent.  Lazy, so a caller that
     changes marks between two triples sees the change."""
-    n = marks.shape[0]
+    n = graph.n_vars
     for j in range(n):
         for k in range(n):
-            if k == j or marks[k, j, 0] != UNDIRECTED:
+            if k == j or graph.mark(k, j, 0) != UNDIRECTED:
                 continue
             for i in range(n):
-                for tau in range(tau_max + 1):
-                    if ((i, tau) not in ((j, 0), (k, 0)) and marks[i, k, tau] in outer
-                            and marks[i, j, tau] == ""):
+                for tau in range(graph.tau_max + 1):
+                    if ((i, tau) not in ((j, 0), (k, 0))
+                            and graph.mark(i, k, tau) in outer
+                            and not graph.has_link(i, j, tau)):
                         yield (i, tau), k, j
 
 
-def _orient(marks, a, b, oriented, conflict_resolution):
-    """Orient contemporaneous ``a --> b`` with conflict bookkeeping."""
-    if (b, a) not in oriented and (a, b) not in oriented:
-        _set_mark(marks, a, 0, b, DIRECTED)
-        oriented.append((a, b))
-        return True
-    if conflict_resolution and (b, a) in oriented:
-        marks[a, b, 0] = marks[b, a, 0] = CONFLICT
-        return True
-    return False
+def _orient(graph, a, b, oriented):
+    """Orient contemporaneous ``a --> b``; a link already oriented the other
+    way becomes ``x-x``.  Returns whether the graph changed."""
+    if (a, b) in oriented:
+        return False
+    if (b, a) in oriented:
+        graph.set_mark(a, b, 0, CONFLICT)
+    else:
+        graph.set_mark(a, b, 0, DIRECTED)
+        oriented.add((a, b))
+    return True
 
 
-def collider_phase(marks, sepsets, roles, tau_max, conflict_resolution=True,
-                   rule="none", ci=None, base_sets=None, alpha=None,
-                   fixed_conditions=()):
-    """Orient unshielded triples as colliders.
+def collider_phase(graph, sepsets, rule="none", ci=None, base_sets=None,
+                   alpha=None, fixed_conditions=()):
+    """Orient unshielded triples of ``graph`` as colliders, in place.
 
     With ``rule="none"`` the middle node is checked against the stored
     separating set of the outer pair; ``rule="majority"`` re-tests all
@@ -326,7 +294,7 @@ def collider_phase(marks, sepsets, roles, tau_max, conflict_resolution=True,
     less than half of the separating subsets.  Conflicting orientations are
     marked ``x-x``.  Returns the list of ambiguous triples (majority only).
     """
-    triples = sorted(_triples(marks, tau_max, (DIRECTED, UNDIRECTED)))
+    triples = sorted(_triples(graph, (DIRECTED, UNDIRECTED)))
     v_structures = []
     ambiguous = []
     if rule == "none":
@@ -340,7 +308,7 @@ def collider_phase(marks, sepsets, roles, tau_max, conflict_resolution=True,
             raise ValueError("majority rule needs a CI test and alpha")
         base_sets = base_sets or {}
         non_dummy = {r for r in VariableRole if not r.is_dummy}
-        adj = _contemp_adjacencies(marks, roles, non_dummy, {})
+        adj = _contemp_adjacencies(graph, non_dummy, {})
         for ((i, tau), k, j) in triples:
             pool = [a for a in adj[j] if a != (i, tau)]
             if tau == 0:
@@ -350,7 +318,8 @@ def collider_phase(marks, sepsets, roles, tau_max, conflict_resolution=True,
                 subsets.extend(itertools.combinations(pool, size))
             separating = []
             for S in subsets:
-                z = _condition_set(S, base_sets, i, tau, j, fixed_conditions, roles)
+                z = _condition_set(S, base_sets, i, tau, j, fixed_conditions,
+                                   graph.roles)
                 res = _run_ci(ci, (i, tau), (j, 0), z)
                 if res.p_value > alpha:
                     separating.append(S)
@@ -365,63 +334,61 @@ def collider_phase(marks, sepsets, roles, tau_max, conflict_resolution=True,
     else:
         raise ValueError(f"unknown collider rule {rule!r}")
 
-    oriented = []
+    oriented = set()
     for ((i, tau), k, j) in v_structures:
-        _orient(marks, j, k, oriented, conflict_resolution)
+        _orient(graph, j, k, oriented)
         if tau == 0:
-            _orient(marks, i, k, oriented, conflict_resolution)
+            _orient(graph, i, k, oriented)
     return ambiguous
 
 
-def rule_phase(marks, tau_max, ambiguous_triples=(), conflict_resolution=True):
-    """Propagate orientations (acyclicity / no-new-collider rules) to fixpoint.
+def rule_phase(graph, ambiguous_triples=()):
+    """Propagate orientations of ``graph`` (acyclicity / no-new-collider
+    rules) to fixpoint, in place.
 
     Rule 1: ``(i, tau) --> k o-o j`` with ``i, j`` non-adjacent orients
     ``k --> j``; rule 2 closes directed two-chains over an undirected link;
     rule 3 orients the hub of two converging chains.  Conflicting
-    orientations are marked and excluded from further matching.
+    orientations are marked ``x-x`` and excluded from further matching.
     """
-    n = marks.shape[0]
+    n, mark = graph.n_vars, graph.mark
     ambiguous = set(ambiguous_triples)
-    oriented = []
+    oriented = set()
 
     def undirected():
         for i in range(n):
             for j in range(n):
-                if i != j and marks[i, j, 0] == UNDIRECTED:
+                if i != j and mark(i, j, 0) == UNDIRECTED:
                     yield i, j
 
     def rule1():
         changed = False
-        for ((i, tau), k, j) in _triples(marks, tau_max, (DIRECTED,)):
-            if ((i, tau), k, j) not in ambiguous and marks[k, j, 0] == UNDIRECTED:
-                changed |= _orient(marks, k, j, oriented, conflict_resolution)
+        for ((i, tau), k, j) in _triples(graph, (DIRECTED,)):
+            if ((i, tau), k, j) not in ambiguous and mark(k, j, 0) == UNDIRECTED:
+                changed |= _orient(graph, k, j, oriented)
         return changed
 
     def rule2():
         changed = False
         for i, j in undirected():
             for k in range(n):
-                if (k not in (i, j) and marks[i, k, 0] == DIRECTED
-                        and marks[k, j, 0] == DIRECTED and marks[i, j, 0] == UNDIRECTED):
-                    changed |= _orient(marks, i, j, oriented, conflict_resolution)
+                if (k not in (i, j) and mark(i, k, 0) == DIRECTED
+                        and mark(k, j, 0) == DIRECTED and mark(i, j, 0) == UNDIRECTED):
+                    changed |= _orient(graph, i, j, oriented)
         return changed
 
     def rule3():
         changed = False
         for i, j in undirected():
             hubs = [k for k in range(n) if k not in (i, j)
-                    and marks[i, k, 0] == UNDIRECTED and marks[k, j, 0] == DIRECTED]
+                    and mark(i, k, 0) == UNDIRECTED and mark(k, j, 0) == DIRECTED]
             for k, l in itertools.combinations(hubs, 2):
-                if (marks[k, l, 0] == "" and marks[l, k, 0] == ""
-                        and marks[i, j, 0] == UNDIRECTED):
-                    changed |= _orient(marks, i, j, oriented, conflict_resolution)
+                if not graph.has_link(k, l, 0) and mark(i, j, 0) == UNDIRECTED:
+                    changed |= _orient(graph, i, j, oriented)
         return changed
 
-    while True:
-        if not (rule1() or rule2() or rule3()):
-            break
-    return marks
+    while rule1() or rule2() or rule3():
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -443,26 +410,27 @@ class _Stage:
     #                            name each system target's parents among variables
 
 
-def _stage_marks(stage, roles, tau_max):
-    marks = _blank_marks(len(roles), tau_max)
+def _stage_graph(stage, roles, tau_max):
+    """The stage's starting graph over ``roles``: held parents directed,
+    unmarked links directed out of contexts and dummies, else undirected."""
+    graph = TimeSeriesGraph(roles, tau_max)
     for j, sels in stage.parents.items():
         for (v, lag) in sels:
-            _set_mark(marks, v, lag, j, DIRECTED)
+            graph.set_mark(v, j, lag, DIRECTED)
     for (i, tau, j) in stage.links:
-        if marks[i, j, tau] == "":
+        if not graph.has_link(i, j, tau):
             exogenous = roles[i].is_context or roles[i].is_dummy
-            _set_mark(marks, i, tau, j, DIRECTED if exogenous else UNDIRECTED)
-    return marks
+            graph.set_mark(i, j, tau, DIRECTED if exogenous else UNDIRECTED)
+    return graph
 
 
-def _run_stages(ci, roles, tau_max, alpha, max_conds_dim, plan, lagged=None,
-                orient=None, sepsets=None):
+def _run_stages(ci, roles, tau_max, alpha, plan, lagged=None, orient=None):
     """Run the lagged phase (``lagged`` holds its keyword arguments; None
     skips it), then the stages of ``plan = (builders, nodes)``, each built by
-    ``build(lagged_adjacencies, kept_parents)``, then orient the last stage's marks
-    (``orient = (collider_rule, conflict_resolution)``; None keeps the
-    skeleton).  The graph spans the variables before the first whose role is
-    not in ``nodes``.
+    ``build(lagged_adjacencies, kept_parents)`` and swept on its own graph.
+    The last stage's graph is oriented in place with the collider rule
+    ``orient`` (None keeps the skeleton) and returned.  The graph spans the
+    variables before the first whose role is not in ``nodes``.
     """
     stages, nodes = plan
     n = len(roles)
@@ -470,28 +438,26 @@ def _run_stages(ci, roles, tau_max, alpha, max_conds_dim, plan, lagged=None,
     n_out = next((v for v, r in enumerate(roles) if r not in nodes), n)
     if any(r in nodes for r in roles[n_out:]):
         raise ValueError("graph variables must form a prefix of the index space")
-    sepsets = sepsets if sepsets is not None else SepSetStore()
+    sepsets = SepSetStore()
     adjacencies = None if lagged is None else lagged_skeleton_pcmciplus(
-        ci, roles, tau_max, alpha, max_conds_dim, sepsets=sepsets, **lagged)
-    lagged_adj = adjacencies or LaggedAdjacencies({v: [] for v in range(n)}, {})
+        ci, roles, tau_max, alpha, sepsets=sepsets, **lagged)
+    lagged_adj = adjacencies or LaggedAdjacencies({v: [] for v in range(n)})
     kept = {"context_parents": {}, "dummy_parents": {}}
     for build in stages:
         stage = build(lagged_adj, kept)
-        marks = _stage_marks(stage, roles, tau_max)
-        _skeleton_sweep(ci, marks, stage, alpha, roles, max_conds_dim, sepsets)
+        graph = _stage_graph(stage, roles[:n_out], tau_max)
+        _skeleton_sweep(ci, graph, stage, alpha, roles, sepsets)
         if stage.keep is not None:
             name, variables = stage.keep
             kept[name] = {j: [(v, lag) for v in variables for lag in range(tau_max + 1)
-                              if marks[v, j, lag] != ""] for j in system}
+                              if graph.has_link(v, j, lag)] for j in system}
     ambiguous = []
     if orient is not None:
-        rule, conflict_resolution = orient
-        ambiguous = collider_phase(marks, sepsets, roles, tau_max, conflict_resolution,
-                                   rule=rule, ci=ci, base_sets=stage.base, alpha=alpha,
+        ambiguous = collider_phase(graph, sepsets, rule=orient, ci=ci,
+                                   base_sets=stage.base, alpha=alpha,
                                    fixed_conditions=stage.fixed)
-        rule_phase(marks, tau_max, ambiguous, conflict_resolution)
-    return DiscoveryResult(graph=_marks_to_graph(marks, roles, tau_max, n_out),
-                           sepsets=sepsets, lagged=adjacencies,
+        rule_phase(graph, ambiguous)
+    return DiscoveryResult(graph=graph, sepsets=sepsets, lagged=adjacencies,
                            ambiguous_triples=ambiguous, **kept)
 
 
@@ -556,23 +522,20 @@ def _staged_plan(roles, tau_max, dummies=(), refine=False, joint=True, fixed=())
             _CONTEXT_ROLES + (_DUMMY_ROLES if dummies else ()))
 
 
-def j_pcmciplus(ci, roles=None, tau_max=2, alpha=0.05, use_dummies=True,
-                collider_rule="none", conflict_resolution=True,
-                max_conds_dim=None):
+def j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=True, collider_rule="none"):
     """J-PCMCI+: the lagged phase on system and temporal-context variables,
     stages C, D, refinement and S, then orientation.  Context- and
     dummy-system links keep the context as parent (exogeneity), lagged links
     follow time order.  The graph spans the observed variables plus, if
     used, the two dummies."""
-    roles = list(roles if roles is not None else ci.var_roles)
+    roles = list(ci.var_roles)
     dummies = [v for v, r in enumerate(roles) if r.is_dummy] if use_dummies else []
-    return _run_stages(ci, roles, tau_max, alpha, max_conds_dim,
+    return _run_stages(ci, roles, tau_max, alpha,
                        _staged_plan(roles, tau_max, dummies, refine=True), lagged={},
-                       orient=(collider_rule, conflict_resolution))
+                       orient=collider_rule)
 
 
-def run_pcmciplus(ci, roles=None, tau_max=2, alpha=0.05, collider_rule="none",
-                  conflict_resolution=True, max_conds_dim=None,
+def run_pcmciplus(ci, tau_max=2, alpha=0.05, collider_rule="none",
                   fixed_conditions=()):
     """Plain lagged-plus-contemporaneous discovery over the system variables.
 
@@ -581,46 +544,43 @@ def run_pcmciplus(ci, roles=None, tau_max=2, alpha=0.05, collider_rule="none",
     appended to every conditioning set, which turns this into the
     always-conditioned baseline used in the convergence experiments.
     """
-    roles = list(roles if roles is not None else ci.var_roles)
+    roles = list(ci.var_roles)
     return _run_stages(
-        ci, roles, tau_max, alpha, max_conds_dim,
+        ci, roles, tau_max, alpha,
         _staged_plan(roles, tau_max, joint=False, fixed=fixed_conditions),
         lagged=dict(fixed_conditions=fixed_conditions, include_contexts=False),
-        orient=(collider_rule, conflict_resolution))
+        orient=collider_rule)
 
 
-def partial_skeleton_pc(ci, pairs, alpha, roles=None, knowledge=None,
-                        allowed_s_roles=None, max_conds_dim=None, sepsets=None):
+def partial_skeleton_pc(ci, pairs, alpha, roles=None, knowledge=None):
     """PC skeleton over the given pairs with fixed background-knowledge links.
 
     ``knowledge`` maps a target variable to parent selectors whose links are
     held fixed (never tested) and always added to the conditioning sets.
     Context- or dummy-driven pairs start out directed (exogeneity); system
-    pairs start undirected.  Returns the skeleton graph and separating sets.
+    pairs start undirected.  Subsets are drawn from the non-dummy
+    adjacencies.  Returns the skeleton graph and separating sets.
     """
     roles = list(roles if roles is not None else ci.var_roles)
     knowledge = knowledge or {}
     pairs = _sorted_pairs([(p[0], 0, p[-1]) for p in pairs])
-    allowed = tuple(allowed_s_roles) if allowed_s_roles is not None else tuple(
-        r for r in VariableRole if not r.is_dummy)
+    non_dummy = tuple(r for r in VariableRole if not r.is_dummy)
     stage = _Stage(pairs, {j: [(v, 0) for (v, _) in sels] for j, sels in knowledge.items()},
-                   pairs, allowed, {j: list(sels) for j, sels in knowledge.items()})
-    result = _run_stages(ci, roles, 0, alpha, max_conds_dim,
-                         ([lambda *_: stage], tuple(VariableRole)), sepsets=sepsets)
+                   pairs, non_dummy, {j: list(sels) for j, sels in knowledge.items()})
+    result = _run_stages(ci, roles, 0, alpha, ([lambda *_: stage], tuple(VariableRole)))
     return result.graph, result.sepsets
 
 
-def j_pc(ci, roles=None, alpha=0.05, use_dummy=True, collider_rule="none",
-         conflict_resolution=True, max_conds_dim=None):
+def j_pc(ci, alpha=0.05, use_dummy=True, collider_rule="none"):
     """J-PC for the lag-free setting: stages C, D (space dummy only) and S
     at tau_max = 0, then orientation, colliders at context- and
     dummy-anchored triples included.  The graph spans the observed
     variables plus, if used, the two dummies."""
-    roles = list(roles if roles is not None else ci.var_roles)
+    roles = list(ci.var_roles)
     dummies = [v for v, r in enumerate(roles)
                if r is VariableRole.SPACE_DUMMY] if use_dummy else []
-    return _run_stages(ci, roles, 0, alpha, max_conds_dim, _staged_plan(roles, 0, dummies),
-                       orient=(collider_rule, conflict_resolution))
+    return _run_stages(ci, roles, 0, alpha, _staged_plan(roles, 0, dummies),
+                       orient=collider_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +588,12 @@ def j_pc(ci, roles=None, alpha=0.05, use_dummy=True, collider_rule="none",
 
 
 VARIANTS = ("jpcmci+", "pcmci+C", "pcmci+D", "pcmci+")
+CI_TESTS = ("parcorr", "oracle")
 
 
 def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
                    tau_max=2, alpha=0.05, lag_free=False, collider_rule="none",
-                   max_conds_dim=None, correction="bonferroni"):
+                   correction="bonferroni"):
     """Run one discovery variant on a dataset collection.
 
     ``jpcmci+`` uses observed contexts and dummies, ``pcmci+C`` only observed
@@ -678,8 +639,7 @@ def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
     else:
         raise ValueError(f"unknown CI test {ci!r}")
 
-    kwargs = dict(alpha=alpha, collider_rule=collider_rule,
-                  max_conds_dim=max_conds_dim)
+    kwargs = dict(alpha=alpha, collider_rule=collider_rule)
     if variant == "pcmci+":
         if lag_free:
             return j_pc(test, use_dummy=False, **kwargs)

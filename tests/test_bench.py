@@ -34,6 +34,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(json.dumps({"nope": 1}))
 
+    @pytest.mark.parametrize("override, message", [
+        (dict(alpha=1.5), "alpha must lie in"),
+        (dict(alpha=0.0), "alpha must lie in"),
+        (dict(n_realizations=0), "n_realizations must be positive"),
+        (dict(ci_test="foo"), "unknown CI test 'foo'"),
+        (dict(frac_observed_values=[0.5, 2.0]), "frac_observed values must lie in"),
+        (dict(frac_observed_values=[-0.1]), "frac_observed values must lie in"),
+    ])
+    def test_out_of_range_values_are_refused(self, override, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**override).validate()
+        text = json.dumps({**json.loads(tiny_config().to_json()), **override})
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(text)
+
     def test_realization_seeds_depend_only_on_coordinates(self):
         a = realization_seeds(3, 2, 5)
         b = realization_seeds(3, 2, 5)

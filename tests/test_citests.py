@@ -1,5 +1,6 @@
 """Partial-correlation test behaviour and the exact graph oracle."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -13,11 +14,13 @@ from scipy import special, stats
 import jtscd
 from jtscd.citests import (CIQuery, GraphOracle, ParCorrCI, QueryError, _t_tail,
                            _tail_polynomials, parcorr_test)
+from jtscd.discovery import j_pcmciplus
 from jtscd.graph import GroundTruthGraph, VariableRole, d_separated
 from jtscd.pooling import build_space_dummy, build_time_dummy, pool_data
 from jtscd.scm import DatasetCollection, generate_random_model, simplified_preset, simulate
 
 from reference_kernel import centered_parcorr_test
+from test_acceptance import criterion1_instances
 
 R = VariableRole
 
@@ -154,6 +157,13 @@ class TestParCorr:
             with pytest.raises(QueryError) as called:
                 test(x, y, z)
             assert str(called.value) == str(direct.value), (x, y, z)
+        # _make and _replace, inherited from the named tuple, validate too
+        valid = CIQuery(((0, 0),), ((1, 0),))
+        with pytest.raises(QueryError, match="x and y must be one selector each"):
+            valid._replace(x=((0, 0), (2, 0)))
+        with pytest.raises(QueryError, match="x and y overlap"):
+            CIQuery._make([((0, 0),), ((0, 0),), ()])
+        assert valid._replace(z=[[2, 0]]) == CIQuery(((0, 0),), ((1, 0),), ((2, 0),))
 
     def test_query_takes_one_selector_per_side(self):
         for x, y in ((((0, 0), (2, 0)), ((1, 0),)), (((0, 0),), ((1, 0), (2, 1)))):
@@ -357,6 +367,14 @@ class TestOracle:
                        if v in o.obs_map]
             assert o((j, 0), (o.space_dummy, 0), parents).p_value == 1.0
             assert o((j, 0), (o.time_dummy, 0), parents).p_value == 1.0
+
+    def test_default_unroll_depth_is_deep_enough(self):
+        # twice the default window (4 * tau_max = 8 lags) changes no graph
+        for k, graph in itertools.islice(criterion1_instances(), 30):
+            default = j_pcmciplus(GraphOracle(graph, 2), tau_max=2).graph
+            deep = GraphOracle(graph, 2, unroll_depth=16)
+            assert deep.depth == 2 * GraphOracle(graph, 2).depth
+            assert j_pcmciplus(deep, tau_max=2).graph == default, k
 
     def test_preset_time_dummy_is_dependent(self):
         _, g = simplified_preset()

@@ -41,6 +41,18 @@ class TestSimulate:
         assert meta["n_system"] == 2
         assert meta["observed_mask"] == [True, False, True, False]
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"n_sytem": 3}, r"unknown config keys: \['n_sytem'\]"),
+        ({"preset": "simplfied"}, "unknown preset 'simplfied'"),
+    ])
+    def test_malformed_config_is_refused(self, tmp_path, extra, message):
+        cfg_path = tmp_path / "cfg.json"
+        write_sim_config(cfg_path, **extra)
+        out = tmp_path / "data"
+        with pytest.raises(ValueError, match=message):
+            main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        assert not out.exists()
+
 
 class TestDiscover:
     def test_oracle_discovery_recovers_target(self, tmp_path):
