@@ -71,15 +71,6 @@ class QueryError(ValueError):
     """Raised for malformed CI queries or violated sample-size preconditions."""
 
 
-CORRECTIONS = ("bonferroni", "none")
-
-
-def check_correction(correction):
-    """Raise ``ValueError`` unless ``correction`` is one of ``CORRECTIONS``."""
-    if correction not in CORRECTIONS:
-        raise ValueError(f"correction must be one of {CORRECTIONS}, got {correction!r}")
-
-
 class CITestResult(NamedTuple):
     statistic: float
     p_value: float
@@ -278,7 +269,7 @@ def _unresolved(query, data):
     raise SelectionError(f"selector {missing} out of range")
 
 
-def parcorr_test(query, data, correction="bonferroni"):
+def parcorr_test(query, data):
     """Partial correlation test of one selector against another on pooled data.
 
     The Pearson correlation ``r`` of the conditioning residuals of ``x`` and
@@ -289,7 +280,7 @@ def parcorr_test(query, data, correction="bonferroni"):
     one side may be a dummy; it is tested component-wise, each of its G
     group indicators against the other side, and the result is the largest
     ``|r|`` with the p-value of the largest ``|t|``, Bonferroni-combined over
-    the G components (``correction="none"`` reports it raw).
+    the G components.
 
     Selectors are looked up in ``data.selectors``; one missing from it is a
     ``SelectionError``.  The residual cross-products come from
@@ -304,7 +295,6 @@ def parcorr_test(query, data, correction="bonferroni"):
     with zero variance yield an independence verdict with ``p_value = 1`` and
     the degenerate flag set.
     """
-    check_correction(correction)
     table = data.selectors
     try:
         x, y = table[query.x[0]], table[query.y[0]]
@@ -384,9 +374,7 @@ def parcorr_test(query, data, correction="bonferroni"):
         r = abs(resid.item(a, b)) / math.sqrt(ss_x * ss_y)
         n_components = 1
     r = min(r, 1 - 1e-15)
-    p_value = _t_tail(r * math.sqrt(df / (1.0 - r * r)), df)
-    if correction == "bonferroni":
-        p_value = min(1.0, p_value * n_components)
+    p_value = min(1.0, _t_tail(r * math.sqrt(df / (1.0 - r * r)), df) * n_components)
     return CITestResult(r, p_value, n, degenerate=False, df=df)
 
 
@@ -398,16 +386,14 @@ class ParCorrCI:
     dummy mode and shared by all later tests on the same dataset.
     """
 
-    def __init__(self, data, correction="bonferroni"):
-        check_correction(correction)
+    def __init__(self, data):
         self.data = data
-        self.correction = correction
         self.var_roles = list(data.var_roles)
         self.n_tests = 0
 
     def __call__(self, x, y, z=()):
         self.n_tests += 1
-        return parcorr_test(CIQuery((x,), (y,), z), self.data, correction=self.correction)
+        return parcorr_test(CIQuery((x,), (y,), z), self.data)
 
 
 class GraphOracle:

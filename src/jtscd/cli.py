@@ -114,9 +114,15 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; a ``ValueError`` it raises (a malformed config, for
+    instance) is reported on one stderr line with argparse's usage status 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

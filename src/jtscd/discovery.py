@@ -1,25 +1,25 @@
 """Constraint-based causal discovery over pooled multi-dataset time series.
 
-Every discovery here is one staged driver, ``_run_stages``.  It runs an
-optional lagged-adjacency phase that shrinks the candidate lagged drivers of
-each variable, then a list of momentary-CI skeleton stages.  Each stage
-sweeps its own ``TimeSeriesGraph`` over the graph's variables; the graph of
-the last stage is oriented in place by the collider and propagation rules and
-returned as the result.  Conflicting orientations are marked ``x-x``.  A stage
-is a declarative ``_Stage``: the tested pairs, the directed parents and the
-contemporaneous links held fixed while they are tested, the roles the
-subsets S are drawn from, the base conditioning sets, the fixed conditions
-and whether a dummy may appear in a conditioning set.  Stages are built one
-after the other from the lagged sets and the parents kept by earlier stages.
+Every discovery here prunes one ``TimeSeriesGraph`` stage by stage
+(``_discover``).  The graph starts with every candidate link: the lagged
+drivers left by an optional lagged-adjacency phase and the context and dummy
+links into the system variables, all directed (time order and exogeneity),
+and the system clique, undirected.  Each stage is one ``_skeleton_sweep`` of
+that graph over a ``_Stage``: the tested pairs, the roles the subsets S are
+drawn from, the base conditioning sets, the fixed conditions and whether a
+dummy may appear in a conditioning set.  A stage reads the links kept by
+earlier stages straight from the graph.  The pruned graph is oriented in
+place by the collider and propagation rules and returned; conflicting
+orientations are marked ``x-x``.
 
 J-PCMCI+ runs the stages C (context-system pairs, dummies excluded), D
 (dummy-system pairs given the context parents), refinement (context links
 re-tested given the opposite-kind dummy parents) and S (system-system pairs
 given everything found so far).  Testing contexts before dummies avoids the
 spurious independencies that deterministic dummy-context relations would
-otherwise inject into the PC-style search.  J-PC is the same list at
-tau_max = 0 with no lagged phase, the space dummy only and no refinement;
-plain PCMCI+ is the lagged phase over the system variables and stage S.
+otherwise inject into the PC-style search.  J-PC is the same at tau_max = 0
+with no lagged phase, hence no refinement, and the space dummy only; plain
+PCMCI+ is the lagged phase over the system variables and stage S.
 
 All selectors are ``(var, lag)`` with non-negative lags; pair entries
 ``(i, tau, j)`` test variable ``i`` at ``t - tau`` against ``j`` at ``t``.
@@ -97,11 +97,6 @@ class LaggedAdjacencies:
     """
     sets: dict
 
-    def system_only(self, roles):
-        return {j: [(i, lag) for (i, lag) in self.sets.get(j, [])
-                    if roles[i].is_system]
-                for j in self.sets}
-
 
 @dataclass
 class DiscoveryResult:
@@ -124,9 +119,8 @@ def _run_ci(ci, x, y, z):
 # lagged phase
 
 
-def lagged_skeleton_pcmciplus(ci, roles=None, tau_max=2, alpha=0.05,
-                              fixed_conditions=(), sepsets=None,
-                              include_contexts=True):
+def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
+                              sepsets=None, include_contexts=True):
     """Iterative lagged-adjacency search (one condition set per cardinality).
 
     For every system and observed temporal-context variable, candidate lagged
@@ -139,7 +133,7 @@ def lagged_skeleton_pcmciplus(ci, roles=None, tau_max=2, alpha=0.05,
     """
     if tau_max < 1:
         raise ValueError("the lagged phase needs tau_max >= 1")
-    roles = list(roles if roles is not None else ci.var_roles)
+    roles = ci.var_roles
     system = [v for v, r in enumerate(roles) if r.is_system]
     tctx = [v for v, r in enumerate(roles)
             if include_contexts and r is VariableRole.TEMPORAL_CONTEXT]
@@ -392,134 +386,108 @@ def rule_phase(graph, ambiguous_triples=()):
 
 
 # ---------------------------------------------------------------------------
-# stage assembly
+# the driver
 
 
 @dataclass(frozen=True)
 class _Stage:
-    """One skeleton sweep of the staged driver (see the module docstring)."""
+    """One skeleton sweep of the driver (see the module docstring)."""
     pairs: list                # tested links (i, tau, j)
-    parents: dict              # j -> selectors (v, lag) held as v --> j
-    links: list                # unmarked lag-0 links (i, 0, j) held as i --> j
-    #                            when i is a context or dummy, else undirected
     s_roles: tuple             # roles the subsets S are drawn from
     base: dict                 # variable -> base conditioning set
     fixed: tuple = ()          # appended to every conditioning set
     forbid_dummy_z: bool = False
-    keep: tuple | None = None  # (name, variables): the driver records under
-    #                            name each system target's parents among variables
 
 
-def _stage_graph(stage, roles, tau_max):
-    """The stage's starting graph over ``roles``: held parents directed,
-    unmarked links directed out of contexts and dummies, else undirected."""
-    graph = TimeSeriesGraph(roles, tau_max)
-    for j, sels in stage.parents.items():
-        for (v, lag) in sels:
-            graph.set_mark(v, j, lag, DIRECTED)
-    for (i, tau, j) in stage.links:
-        if not graph.has_link(i, j, tau):
-            exogenous = roles[i].is_context or roles[i].is_dummy
-            graph.set_mark(i, j, tau, DIRECTED if exogenous else UNDIRECTED)
-    return graph
+def _held(graph, variables, j):
+    """The links ``(v, lag)`` into ``j`` from ``variables`` that ``graph``
+    still holds, variable by variable, lags ascending."""
+    return [(v, lag) for v in variables for lag in range(graph.tau_max + 1)
+            if graph.has_link(v, j, lag)]
 
 
-def _run_stages(ci, roles, tau_max, alpha, plan, lagged=None, orient=None):
-    """Run the lagged phase (``lagged`` holds its keyword arguments; None
-    skips it), then the stages of ``plan = (builders, nodes)``, each built by
-    ``build(lagged_adjacencies, kept_parents)`` and swept on its own graph.
-    The last stage's graph is oriented in place with the collider rule
-    ``orient`` (None keeps the skeleton) and returned.  The graph spans the
-    variables before the first whose role is not in ``nodes``.
+def _discover(ci, tau_max, alpha, collider_rule, lagged=True, joint=True,
+              dummies=(), fixed=()):
+    """Prune one graph stage by stage, then orient it (module docstring).
+
+    ``lagged`` runs the lagged phase first (and, when ``joint``, the
+    refinement after stage D); ``joint`` makes the observed contexts and
+    the ``dummies`` graph nodes and runs stages C and D, otherwise the graph
+    spans the system variables and only stage S runs.  ``fixed`` selectors
+    are appended to every conditioning set of the lagged phase and stage S.
     """
-    stages, nodes = plan
-    n = len(roles)
+    roles = list(ci.var_roles)
     system = [v for v, r in enumerate(roles) if r.is_system]
-    n_out = next((v for v, r in enumerate(roles) if r not in nodes), n)
+    tctx = [v for v, r in enumerate(roles) if joint and r is VariableRole.TEMPORAL_CONTEXT]
+    sctx = [v for v, r in enumerate(roles) if joint and r is VariableRole.SPATIAL_CONTEXT]
+    contexts = tctx + sctx
+    nodes = (_CONTEXT_ROLES + (_DUMMY_ROLES if dummies else ())) if joint else _SYSTEM_ONLY
+    n_out = next((v for v, r in enumerate(roles) if r not in nodes), len(roles))
     if any(r in nodes for r in roles[n_out:]):
         raise ValueError("graph variables must form a prefix of the index space")
     sepsets = SepSetStore()
-    adjacencies = None if lagged is None else lagged_skeleton_pcmciplus(
-        ci, roles, tau_max, alpha, sepsets=sepsets, **lagged)
-    lagged_adj = adjacencies or LaggedAdjacencies({v: [] for v in range(n)})
-    kept = {"context_parents": {}, "dummy_parents": {}}
-    for build in stages:
-        stage = build(lagged_adj, kept)
-        graph = _stage_graph(stage, roles[:n_out], tau_max)
-        _skeleton_sweep(ci, graph, stage, alpha, roles, sepsets)
-        if stage.keep is not None:
-            name, variables = stage.keep
-            kept[name] = {j: [(v, lag) for v in variables for lag in range(tau_max + 1)
-                              if graph.has_link(v, j, lag)] for j in system}
-    ambiguous = []
-    if orient is not None:
-        ambiguous = collider_phase(graph, sepsets, rule=orient, ci=ci,
-                                   base_sets=stage.base, alpha=alpha,
-                                   fixed_conditions=stage.fixed)
-        rule_phase(graph, ambiguous)
-    return DiscoveryResult(graph=graph, sepsets=sepsets, lagged=adjacencies,
-                           ambiguous_triples=ambiguous, **kept)
-
-
-def _staged_plan(roles, tau_max, dummies=(), refine=False, joint=True, fixed=()):
-    """Stages C, D, refinement (both kinds, if ``refine``) and S over the
-    system, context and ``dummies`` nodes, or stage S alone over the system
-    nodes when not ``joint``."""
-    system = [v for v, r in enumerate(roles) if r.is_system]
-    tctx = [v for v, r in enumerate(roles) if r is VariableRole.TEMPORAL_CONTEXT]
-    sctx = [v for v, r in enumerate(roles) if r is VariableRole.SPATIAL_CONTEXT]
-    contexts = tctx + sctx
+    adjacencies = lagged_skeleton_pcmciplus(
+        ci, tau_max, alpha, fixed_conditions=fixed, sepsets=sepsets,
+        include_contexts=joint) if lagged else None
+    lagged_sets = adjacencies.sets if lagged else {v: [] for v in range(len(roles))}
+    lagged_sys = {j: [(i, lag) for (i, lag) in lagged_sets[j] if roles[i].is_system]
+                  for j in system}
     clique = [(a, 0, b) for a, b in itertools.combinations(system, 2)]
 
-    def stage_c(lagged, kept):
-        pairs = [(i, lag, j) for j in system for (i, lag) in lagged.sets[j] if i in tctx]
+    # every candidate link: lagged drivers, contexts and dummies into the
+    # system variables directed, the system clique undirected
+    graph = TimeSeriesGraph(roles[:n_out], tau_max)
+    for j in system:
+        for (v, lag) in lagged_sets[j] + [(c, 0) for c in contexts + list(dummies)]:
+            graph.set_mark(v, j, lag, DIRECTED)
+    for (a, _, b) in clique:
+        graph.set_mark(a, b, 0, UNDIRECTED)
+
+    def sweep(stage):
+        _skeleton_sweep(ci, graph, stage, alpha, roles, sepsets)
+
+    if joint:
+        # C: context-system pairs and lagged temporal-context links
+        pairs = [(i, lag, j) for j in system for (i, lag) in lagged_sets[j] if i in tctx]
         pairs += [p for j in system for c in contexts for p in ((c, 0, j), (j, 0, c))]
-        return _Stage(pairs, {j: lagged.sets[j] + [(c, 0) for c in contexts] for j in system},
-                      clique, _CONTEXT_ROLES, dict(lagged.sets), forbid_dummy_z=True,
-                      keep=("context_parents", contexts))
-
-    def stage_d(lagged, kept):
-        lagged_sys = lagged.system_only(roles)
-        base = {j: lagged_sys[j] + kept["context_parents"][j] for j in system}
-        return _Stage([p for j in system for d in dummies for p in ((d, 0, j), (j, 0, d))],
-                      {j: base[j] + [(d, 0) for d in dummies] for j in system},
-                      clique, _SYSTEM_ONLY, base, keep=("dummy_parents", dummies))
-
-    def refinement(kind, cross):
-        # Re-test context links given the opposite-kind dummy parents: latent
-        # contexts of the other kind can keep a spurious context-system link
-        # d-connected through conditioned collider children among the lagged
-        # adjacencies, and only conditioning on all contexts of that kind, the
-        # cross-kind dummy, closes it.  The same-kind dummy is never used: the
-        # tested context is a deterministic function of it.
-        def build(lagged, kept):
-            ctx, base = kept["context_parents"], dict(lagged.sets)
-            pairs = []
+        sweep(_Stage(pairs, _CONTEXT_ROLES, dict(lagged_sets), forbid_dummy_z=True))
+        # D: dummy-system pairs given the context parents
+        sweep(_Stage([p for j in system for d in dummies for p in ((d, 0, j), (j, 0, d))],
+                     _SYSTEM_ONLY,
+                     {j: lagged_sys[j] + _held(graph, contexts, j) for j in system}))
+        # Refinement: re-test context links given the opposite-kind dummy
+        # parents.  Latent contexts of the other kind can keep a spurious
+        # context-system link d-connected through conditioned collider
+        # children among the lagged adjacencies, and only conditioning on all
+        # contexts of that kind, the cross-kind dummy, closes it.  The
+        # same-kind dummy is never used: the tested context is a
+        # deterministic function of it.  It runs after a lagged phase only.
+        refinements = ((tctx, VariableRole.SPACE_DUMMY), (sctx, VariableRole.TIME_DUMMY))
+        for kind, cross_role in refinements if lagged else ():
+            cross = [d for d in dummies if roles[d] is cross_role]
+            base, pairs = dict(lagged_sets), []
             for j in system:
-                held = [(d, lag) for (d, lag) in kept["dummy_parents"][j] if d in cross]
+                held = _held(graph, cross, j)
                 if held:
                     base[j] = base[j] + held
-                    pairs += [(c, lag, j) for (c, lag) in ctx[j] if c in kind]
-            lagged_sys = lagged.system_only(roles)
-            return _Stage(pairs, {j: lagged_sys[j] + ctx[j] for j in system},
-                          clique, _CONTEXT_ROLES, base, keep=("context_parents", contexts))
-        return build
+                    pairs += [(c, lag, j) for (c, lag) in _held(graph, kind, j)]
+            sweep(_Stage(pairs, _CONTEXT_ROLES, base))
+    # S: system-system pairs given everything found so far
+    base = {j: lagged_sys[j] + _held(graph, contexts, j) + _held(graph, dummies, j)
+            for j in system}
+    pairs = [(i, lag, j) for j in system for (i, lag) in lagged_sys[j]]
+    sweep(_Stage(pairs + clique + [(b, 0, a) for (a, _, b) in clique], _SYSTEM_ONLY,
+                 base, tuple(fixed)))
 
-    def stage_s(lagged, kept):
-        lagged_sys = lagged.system_only(roles)
-        base = {j: lagged_sys[j] + kept["context_parents"].get(j, [])
-                + kept["dummy_parents"].get(j, []) for j in system}
-        pairs = [(i, lag, j) for j in system for (i, lag) in lagged_sys[j]]
-        pairs += clique + [(b, 0, a) for (a, _, b) in clique]
-        return _Stage(pairs, base, clique, _SYSTEM_ONLY, base, fixed=tuple(fixed))
-
-    if not joint:
-        return [stage_s], _SYSTEM_ONLY
-    refinements = [refinement(kind, [d for d in dummies if roles[d] is cross])
-                   for kind, cross in ((tctx, VariableRole.SPACE_DUMMY),
-                                       (sctx, VariableRole.TIME_DUMMY))]
-    return ([stage_c, stage_d] + (refinements if refine else []) + [stage_s],
-            _CONTEXT_ROLES + (_DUMMY_ROLES if dummies else ()))
+    ambiguous = collider_phase(graph, sepsets, rule=collider_rule, ci=ci, base_sets=base,
+                               alpha=alpha, fixed_conditions=tuple(fixed))
+    rule_phase(graph, ambiguous)
+    parents = {}
+    if joint:
+        parents = dict(context_parents={j: _held(graph, contexts, j) for j in system},
+                       dummy_parents={j: _held(graph, dummies, j) for j in system})
+    return DiscoveryResult(graph=graph, sepsets=sepsets, lagged=adjacencies,
+                           ambiguous_triples=ambiguous, **parents)
 
 
 def j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=True, collider_rule="none"):
@@ -528,11 +496,8 @@ def j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=True, collider_rule="none
     dummy-system links keep the context as parent (exogeneity), lagged links
     follow time order.  The graph spans the observed variables plus, if
     used, the two dummies."""
-    roles = list(ci.var_roles)
-    dummies = [v for v, r in enumerate(roles) if r.is_dummy] if use_dummies else []
-    return _run_stages(ci, roles, tau_max, alpha,
-                       _staged_plan(roles, tau_max, dummies, refine=True), lagged={},
-                       orient=collider_rule)
+    dummies = [v for v, r in enumerate(ci.var_roles) if r.is_dummy] if use_dummies else []
+    return _discover(ci, tau_max, alpha, collider_rule, dummies=dummies)
 
 
 def run_pcmciplus(ci, tau_max=2, alpha=0.05, collider_rule="none",
@@ -544,12 +509,8 @@ def run_pcmciplus(ci, tau_max=2, alpha=0.05, collider_rule="none",
     appended to every conditioning set, which turns this into the
     always-conditioned baseline used in the convergence experiments.
     """
-    roles = list(ci.var_roles)
-    return _run_stages(
-        ci, roles, tau_max, alpha,
-        _staged_plan(roles, tau_max, joint=False, fixed=fixed_conditions),
-        lagged=dict(fixed_conditions=fixed_conditions, include_contexts=False),
-        orient=collider_rule)
+    return _discover(ci, tau_max, alpha, collider_rule, joint=False,
+                     fixed=fixed_conditions)
 
 
 def partial_skeleton_pc(ci, pairs, alpha, roles=None, knowledge=None):
@@ -564,11 +525,20 @@ def partial_skeleton_pc(ci, pairs, alpha, roles=None, knowledge=None):
     roles = list(roles if roles is not None else ci.var_roles)
     knowledge = knowledge or {}
     pairs = _sorted_pairs([(p[0], 0, p[-1]) for p in pairs])
+    graph = TimeSeriesGraph(roles, 0)
+    for j, sels in knowledge.items():
+        for (v, _) in sels:
+            graph.set_mark(v, j, 0, DIRECTED)
+    for (i, _, j) in pairs:
+        if not graph.has_link(i, j, 0):
+            exogenous = roles[i].is_context or roles[i].is_dummy
+            graph.set_mark(i, j, 0, DIRECTED if exogenous else UNDIRECTED)
     non_dummy = tuple(r for r in VariableRole if not r.is_dummy)
-    stage = _Stage(pairs, {j: [(v, 0) for (v, _) in sels] for j, sels in knowledge.items()},
-                   pairs, non_dummy, {j: list(sels) for j, sels in knowledge.items()})
-    result = _run_stages(ci, roles, 0, alpha, ([lambda *_: stage], tuple(VariableRole)))
-    return result.graph, result.sepsets
+    sepsets = SepSetStore()
+    _skeleton_sweep(ci, graph, _Stage(pairs, non_dummy,
+                                      {j: list(sels) for j, sels in knowledge.items()}),
+                    alpha, roles, sepsets)
+    return graph, sepsets
 
 
 def j_pc(ci, alpha=0.05, use_dummy=True, collider_rule="none"):
@@ -576,11 +546,9 @@ def j_pc(ci, alpha=0.05, use_dummy=True, collider_rule="none"):
     at tau_max = 0, then orientation, colliders at context- and
     dummy-anchored triples included.  The graph spans the observed
     variables plus, if used, the two dummies."""
-    roles = list(ci.var_roles)
-    dummies = [v for v, r in enumerate(roles)
+    dummies = [v for v, r in enumerate(ci.var_roles)
                if r is VariableRole.SPACE_DUMMY] if use_dummy else []
-    return _run_stages(ci, roles, 0, alpha, _staged_plan(roles, 0, dummies),
-                       orient=collider_rule)
+    return _discover(ci, 0, alpha, collider_rule, lagged=False, dummies=dummies)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +560,7 @@ CI_TESTS = ("parcorr", "oracle")
 
 
 def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
-                   tau_max=2, alpha=0.05, lag_free=False, collider_rule="none",
-                   correction="bonferroni"):
+                   tau_max=2, alpha=0.05, lag_free=False, collider_rule="none"):
     """Run one discovery variant on a dataset collection.
 
     ``jpcmci+`` uses observed contexts and dummies, ``pcmci+C`` only observed
@@ -603,18 +570,15 @@ def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
     partial-correlation test needs ``T > 2 * tau_max`` and raises
     ``SelectionError`` otherwise; it raises ``ConstantColumnError`` for a
     system variable that is constant over every dataset and time step,
-    which it could only ever find independent of everything.  An unknown
-    ``correction`` raises ``ValueError`` before any pooling, for either CI
-    test (the oracle does not use it).
+    which it could only ever find independent of everything.
     """
-    from .citests import GraphOracle, ParCorrCI, check_correction
+    from .citests import GraphOracle, ParCorrCI
     from .graph import mask_contexts_latent
     from .pooling import SelectionError, pool_data
     from .scm import ConstantColumnError
 
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    check_correction(correction)
     mask_ctx = variant in ("pcmci+D", "pcmci+")
     data = dc.mask_all_latent() if mask_ctx else dc
     if ci == "parcorr":
@@ -630,7 +594,7 @@ def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
                 raise ConstantColumnError(
                     f"system variable {v} is constant over every dataset and "
                     f"time step: ParCorr cannot test it")
-        test = ParCorrCI(pool_data(data, pool_tau), correction=correction)
+        test = ParCorrCI(pool_data(data, pool_tau))
     elif ci == "oracle":
         if ground_truth is None:
             raise ValueError("the oracle CI test needs the ground-truth graph")

@@ -362,17 +362,24 @@ def spectral_radius(spec):
     return float(np.max(np.abs(np.linalg.eigvals(companion))))
 
 
+# the shape every random model shares (see ``generate_random_model``)
+CONTEMP_FRAC = 0.5
+N_SYSTEM_PARENTS = 1
+AUTOCORR_RANGE = (0.3, 0.8)
+COEFF_RANGE = (0.5, 0.9)
+
+
 def generate_random_model(n_system=5, n_temporal_ctx=2, n_spatial_ctx=1,
                           frac_observed=0.5, seed=0, max_lag=3,
-                          contemp_frac=0.5, n_system_parents=1,
-                          ctx_link_prob=1.0, autocorr_range=(0.3, 0.8),
-                          coeff_range=(0.5, 0.9), lag_free=False,
+                          ctx_link_prob=1.0, lag_free=False,
                           stability_radius=0.95, max_attempts=100):
     """Draw a random SCM spec together with its ground-truth graph.
 
-    Each system variable gets an autocorrelation coefficient, a fixed number
-    of system parents (half contemporaneous, the rest at lags drawn uniformly
-    from ``1..max_lag``) and at most one context parent.  The observed subset
+    Each system variable gets an autocorrelation coefficient drawn from
+    ``AUTOCORR_RANGE``, ``N_SYSTEM_PARENTS`` system parents (each
+    contemporaneous with probability ``CONTEMP_FRAC``, otherwise at a lag
+    drawn uniformly from ``1..max_lag``) and at most one context parent,
+    with coupling magnitudes drawn from ``COEFF_RANGE``.  The observed subset
     of contexts has size ``ceil(frac_observed * n_contexts)``.  Coefficient
     draws are rejected until the reduced-form VAR companion matrix has
     spectral radius below ``stability_radius``.
@@ -394,13 +401,13 @@ def generate_random_model(n_system=5, n_temporal_ctx=2, n_spatial_ctx=1,
         order = list(rng.permutation(n_system))
         pos = {v: k for k, v in enumerate(order)}
         autocorr = ([0.0] * n_system if lag_free
-                    else list(rng.uniform(*autocorr_range, size=n_system)))
+                    else list(rng.uniform(*AUTOCORR_RANGE, size=n_system)))
         terms = [[] for _ in range(n_system)]
         for i in range(n_system):
             used = {(i, 1)}
-            for _ in range(n_system_parents):
+            for _ in range(N_SYSTEM_PARENTS):
                 for _retry in range(20):
-                    contemp = lag_free or rng.random() < contemp_frac
+                    contemp = lag_free or rng.random() < CONTEMP_FRAC
                     earlier = [v for v in range(n_system) if pos[v] < pos[i]]
                     if contemp and not earlier:
                         if lag_free:
@@ -422,18 +429,18 @@ def generate_random_model(n_system=5, n_temporal_ctx=2, n_spatial_ctx=1,
                         # are almost surely explosive
                         sign = -1.0 if rng.random() < 0.5 else 1.0
                         terms[i].append(LinearTerm(
-                            parent, lag, sign * float(rng.uniform(*coeff_range))))
+                            parent, lag, sign * float(rng.uniform(*COEFF_RANGE))))
                         break
             if n_ctx > 0 and rng.random() < ctx_link_prob:
                 c = int(rng.integers(n_ctx))
                 if c < n_temporal_ctx:
                     var = n_system + c
-                    lag = 0 if (lag_free or rng.random() < contemp_frac) \
+                    lag = 0 if (lag_free or rng.random() < CONTEMP_FRAC) \
                         else int(rng.integers(1, max_lag + 1))
                 else:
                     var = n_system + c
                     lag = 0
-                terms[i].append(LinearTerm(var, lag, float(rng.uniform(*coeff_range))))
+                terms[i].append(LinearTerm(var, lag, float(rng.uniform(*COEFF_RANGE))))
         n_observed = int(np.ceil(frac_observed * n_ctx)) if n_ctx else 0
         mask = [False] * n_ctx
         if n_observed:

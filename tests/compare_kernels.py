@@ -45,11 +45,11 @@ def record(out_path):
 
     kernel, calls = citests.parcorr_test, []
 
-    def recording(query, data, correction="bonferroni"):
+    def recording(query, data, **options):  # older trees pass ``correction``
         entry = [[list(s) for s in query.x], [list(s) for s in query.y],
                  [list(s) for s in query.z]]
         try:
-            res = kernel(query, data, correction=correction)
+            res = kernel(query, data, **options)
         except Exception as exc:  # the error type is part of the record
             calls.append(entry + [type(exc).__name__])
             raise

@@ -1,6 +1,7 @@
 """Command-line interface round trips."""
 
 import json
+import re
 
 import pytest
 
@@ -45,12 +46,13 @@ class TestSimulate:
         ({"n_sytem": 3}, r"unknown config keys: \['n_sytem'\]"),
         ({"preset": "simplfied"}, "unknown preset 'simplfied'"),
     ])
-    def test_malformed_config_is_refused(self, tmp_path, extra, message):
+    def test_malformed_config_is_refused(self, tmp_path, capsys, extra, message):
         cfg_path = tmp_path / "cfg.json"
         write_sim_config(cfg_path, **extra)
         out = tmp_path / "data"
-        with pytest.raises(ValueError, match=message):
-            main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"jtscd simulate: error: {message}\n", err), err
         assert not out.exists()
 
 
@@ -107,13 +109,13 @@ class TestDiscover:
 
 
 class TestBenchCLI:
-    def bench_config(self, path):
+    def bench_config(self, path, **overrides):
         cfg = {"t_values": [30], "m_values": [4],
                "frac_observed_values": [0.5],
                "variants": ["jpcmci+"], "n_realizations": 2, "n_system": 3,
                "n_temporal_ctx": 1, "n_spatial_ctx": 1, "tau_max": 2,
                "alpha": 0.05, "ci_test": "oracle", "max_model_lag": 2,
-               "burn_in": 20, "master_seed": 3}
+               "burn_in": 20, "master_seed": 3, **overrides}
         path.write_text(json.dumps(cfg))
 
     def test_bench_outputs_and_determinism(self, tmp_path):
@@ -127,3 +129,13 @@ class TestBenchCLI:
         assert ((out_a / "results.csv").read_bytes()
                 == (out_b / "results.csv").read_bytes())
         assert (out_a / "summary.md").exists()
+
+    def test_malformed_config_is_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bench.json"
+        self.bench_config(cfg_path, alpha=1.5)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("jtscd bench: error: alpha must lie in"), err
+        assert err.count("\n") == 1
+        assert not out.exists()

@@ -15,7 +15,6 @@ from jtscd.graph import (CONFLICT, DIRECTED, UNDIRECTED, GroundTruthGraph,
                          TimeSeriesGraph, VariableRole, dummy_deletion,
                          target_graph)
 from jtscd.metrics import LinkClass, score
-from jtscd import pooling
 from jtscd.pooling import SelectionError, pool_data
 from jtscd.scm import (ConstantColumnError, generate_random_model,
                        simplified_preset, simulate)
@@ -507,20 +506,6 @@ class TestEstimateGraph:
         dc = simulate(spec, M=2, T=30, seed=2)
         with pytest.raises(ValueError):
             estimate_graph(dc, variant="nope")
-
-    @pytest.mark.parametrize("ci", ["parcorr", "oracle"])
-    def test_unknown_correction_rejected_before_pooling(self, ci, monkeypatch):
-        spec, g = generate_random_model(seed=1, max_lag=2)
-        dc = simulate(spec, M=2, T=30, seed=2)
-
-        def no_pooling(*args, **kwargs):
-            raise AssertionError("pooled before the correction was checked")
-
-        monkeypatch.setattr(pooling, "pool_data", no_pooling)
-        with pytest.raises(ValueError, match=r"correction must be one of \('bonferroni', 'none'\)"):
-            estimate_graph(dc, ci=ci, ground_truth=g, correction="bogus")
-        monkeypatch.undo()
-        estimate_graph(dc, ci=ci, ground_truth=g, correction="none")
 
     @pytest.mark.parametrize("variant", ["jpcmci+", "pcmci+"])
     def test_parcorr_rejects_t_up_to_twice_tau_max(self, variant):

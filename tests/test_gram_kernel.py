@@ -106,18 +106,18 @@ def params(draw):
     )
 
 
-def outcome(kernel, query, data, correction):
+def outcome(kernel, query, data):
     try:
-        return kernel(query, data, correction=correction)
+        return kernel(query, data)
     except (QueryError, SelectionError) as exc:
         return type(exc)
 
 
-def assert_equivalent(data, query, correction="bonferroni", new=None):
+def assert_equivalent(data, query, new=None):
     """``new`` (by default ``parcorr_test`` on ``data``) against the reference."""
     if new is None:
-        new = outcome(parcorr_test, query, data, correction)
-    ref = outcome(lstsq_parcorr_test, query, data, correction)
+        new = outcome(parcorr_test, query, data)
+    ref = outcome(lstsq_parcorr_test, query, data)
     if isinstance(ref, type):
         assert new is ref, query
         return None
@@ -151,8 +151,7 @@ def test_seeded_corpus_matches_reference():
     for _ in range(400):
         p = random_params(rng)
         data, query = build_case(p)
-        for correction in ("bonferroni", "none"):
-            ref = assert_equivalent(data, query, correction)
+        ref = assert_equivalent(data, query)
         if ref is None:
             kinds["error"] += 1
         elif ref.degenerate:
@@ -163,8 +162,7 @@ def test_seeded_corpus_matches_reference():
         # the same panel and z with one scalar on each side: the pair path
         pair = scalar_pair(query, data)
         if pair is not query:
-            for correction in ("bonferroni", "none"):
-                ref = assert_equivalent(data, pair, correction)
+            ref = assert_equivalent(data, pair)
         pairs["error" if ref is None else
               "degenerate" if ref.degenerate else "tested"] += 1
     # the corpus exercises every outcome, not only the easy one
@@ -225,9 +223,8 @@ def test_shared_dataset_matches_cold_and_reference():
             continue
         data, _ = build_case(p)
         for query in interleaved(sibling_groups(data, rng), rng):
-            new = outcome(parcorr_test, query, data, "bonferroni")
-            cold = outcome(parcorr_test, query, pool_data(data.dc, data.tau_max),
-                           "bonferroni")
+            new = outcome(parcorr_test, query, data)
+            cold = outcome(parcorr_test, query, pool_data(data.dc, data.tau_max))
             assert new == cold, query
             ref = assert_equivalent(data, query, new=new)
             n_queries += 1
@@ -246,9 +243,9 @@ def test_discovery_matches_reference_kernel(seed, monkeypatch):
     fast = [estimate_graph(dc, tau_max=2, **run) for run in runs]
     used = []
 
-    def reference(query, data, correction="bonferroni"):
+    def reference(query, data):
         used.append(query)
-        return lstsq_parcorr_test(query, data, correction=correction)
+        return lstsq_parcorr_test(query, data)
 
     monkeypatch.setattr(citests, "parcorr_test", reference)
     for run, new in zip(runs, fast):
@@ -297,7 +294,7 @@ class TestCoverage:
         # the lag-4 selector empties the first two of the 18 time groups
         data = panel()
         query = CIQuery(x=((data.time_dummy, 0),), y=((0, 0),), z=((1, 4),))
-        raw = parcorr_test(query, data, correction="none")
+        raw = lstsq_parcorr_test(query, data, correction="none")
         combined = assert_equivalent(data, query)
         assert combined.p_value == pytest.approx(min(1.0, 18 * raw.p_value), rel=1e-12)
 
