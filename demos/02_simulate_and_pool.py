@@ -33,9 +33,9 @@ print("variables in discovery order:",
       [r.value for r in pooled.var_roles])
 
 # Lagged extraction respects dataset boundaries.
-lagged = pooled.extract([(0, 0), (0, 1)])
+lagged, _ = pooled.extract_aligned([(0, 0), (0, 1)])
 print("X0 at t and t-1, first rows:\n", np.round(lagged[:3], 3))
 
-space_block = pooled.extract([(pooled.space_dummy, 0)])
+space_block, _ = pooled.extract_aligned([(pooled.space_dummy, 0)])
 print("space dummy block column sums (one per dataset):",
       space_block.sum(axis=0))

@@ -65,6 +65,7 @@ import numpy as np
 
 from .graph import GroundTruthGraph, VariableRole, d_separated, observed_variables
 from .pooling import SelectionError
+from .scm import ConstantColumnError
 
 
 class QueryError(ValueError):
@@ -384,9 +385,24 @@ class ParCorrCI:
     Every test works from the dataset's cached Gram statistics
     (``PooledData.gram_stats``), built on first use for each row set and
     dummy mode and shared by all later tests on the same dataset.
+
+    The data must have ``T > 2 * tau_max``: conditioning sets shifted to a
+    lagged endpoint reach back ``2 * tau_max`` steps and would have no rows
+    left to test on (``SelectionError``).  A system variable constant over
+    every dataset and time step is refused (``ConstantColumnError``): the
+    test could only ever find it independent of everything.
     """
 
     def __init__(self, data):
+        if data.T <= 2 * data.tau_max:
+            raise SelectionError(f"T={data.T} is too short for tau_max={data.tau_max}: "
+                                 f"ParCorr needs T > 2 * tau_max")
+        system = np.asarray(data.dc.system)
+        for v in range(system.shape[2]):
+            if np.all(system[:, :, v] == system[0, 0, v]):
+                raise ConstantColumnError(
+                    f"system variable {v} is constant over every dataset and "
+                    f"time step: ParCorr cannot test it")
         self.data = data
         self.var_roles = list(data.var_roles)
         self.n_tests = 0
@@ -418,6 +434,7 @@ class GraphOracle:
         self.n_observed = len(obs)
         self.time_dummy = self.n_observed
         self.space_dummy = self.n_observed + 1
+        self._dummy_kinds = {self.time_dummy: "time", self.space_dummy: "space"}
         self.var_roles = [graph.roles[v] for v in obs]
         self.var_roles += [VariableRole.TIME_DUMMY, VariableRole.SPACE_DUMMY]
 
@@ -436,12 +453,13 @@ class GraphOracle:
         self._cache = {}
         self.n_tests = 0
 
-    def _dummy_kind(self, var):
-        if var == self.time_dummy:
-            return "time"
-        if var == self.space_dummy:
-            return "space"
-        return None
+    def _dummy_kind(self, sel):
+        """``"time"`` or ``"space"`` for a dummy selector, else ``None``; a
+        dummy is one node, so a dummy selector at a nonzero lag is refused."""
+        kind = self._dummy_kinds.get(sel[0])
+        if kind and sel[1] != 0:
+            raise QueryError(f"selector {tuple(sel)} must have lag 0")
+        return kind
 
     def _to_graph_node(self, sel):
         var, lag = sel
@@ -457,7 +475,7 @@ class GraphOracle:
     def _substituted_z(self, z):
         out = []
         for sel in z:
-            kind = self._dummy_kind(sel[0])
+            kind = self._dummy_kind(sel)
             if kind == "time":
                 out.extend(self._time_substitution)
             elif kind == "space":
@@ -472,7 +490,7 @@ class GraphOracle:
         if key in self._cache:
             return self._cache[key]
         self.n_tests += 1
-        x_kind, y_kind = self._dummy_kind(x[0]), self._dummy_kind(y[0])
+        x_kind, y_kind = self._dummy_kind(x), self._dummy_kind(y)
         if x_kind and y_kind:
             raise QueryError("a dummy may appear on one side of the query only")
         zsub = self._substituted_z(z)

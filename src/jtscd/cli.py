@@ -12,9 +12,11 @@ from .graph import GroundTruthGraph
 from .pooling import pool_data
 
 
-_SIMULATE_KEYS = ("preset", "seed", "data_seed", "n_system", "n_temporal_ctx",
-                  "n_spatial_ctx", "frac_observed", "max_lag", "lag_free",
-                  "M", "T", "burn_in")
+# config keys passed on to ``scm.generate_random_model`` when given, so
+# that scm owns their defaults
+_MODEL_KEYS = ("n_system", "n_temporal_ctx", "n_spatial_ctx", "frac_observed",
+               "max_lag", "lag_free")
+_SIMULATE_KEYS = ("preset", "seed", "data_seed", "M", "T", "burn_in") + _MODEL_KEYS
 
 
 def _cmd_simulate(args):
@@ -29,16 +31,10 @@ def _cmd_simulate(args):
         spec, graph = scm.simplified_preset()
     else:
         spec, graph = scm.generate_random_model(
-            n_system=cfg.get("n_system", 5),
-            n_temporal_ctx=cfg.get("n_temporal_ctx", 2),
-            n_spatial_ctx=cfg.get("n_spatial_ctx", 1),
-            frac_observed=cfg.get("frac_observed", 0.5),
-            seed=seed,
-            max_lag=cfg.get("max_lag", 3),
-            lag_free=cfg.get("lag_free", False))
+            seed=seed, **{k: cfg[k] for k in _MODEL_KEYS if k in cfg})
+    burn_in = {"burn_in": cfg["burn_in"]} if "burn_in" in cfg else {}
     dc = scm.simulate(spec, M=cfg.get("M", 10), T=cfg.get("T", 100),
-                      burn_in=cfg.get("burn_in", 100),
-                      seed=cfg.get("data_seed", seed + 1))
+                      seed=cfg.get("data_seed", seed + 1), **burn_in)
     out = Path(args.out)
     dc.to_dir(out, spec=spec, seed=seed)
     (out / "ground_truth.txt").write_text(graph.to_text())

@@ -10,7 +10,7 @@ drawn from, the base conditioning sets, the fixed conditions and whether a
 dummy may appear in a conditioning set.  A stage reads the links kept by
 earlier stages straight from the graph.  The pruned graph is oriented in
 place by the collider and propagation rules and returned; conflicting
-orientations are marked ``x-x``.
+collider orientations are marked ``x-x``.
 
 J-PCMCI+ runs the stages C (context-system pairs, dummies excluded), D
 (dummy-system pairs given the context parents), refinement (context links
@@ -88,21 +88,12 @@ class SepSetStore:
 
 
 @dataclass
-class LaggedAdjacencies:
-    """Surviving lagged drivers per variable, strongest first.
-
-    ``sets[j]`` lists ``(var, lag)`` candidates ordered by the minimum
-    absolute test statistic seen across iterations (descending, ties broken
-    lexicographically).
-    """
-    sets: dict
-
-
-@dataclass
 class DiscoveryResult:
+    """The oriented graph of a discovery; ``lagged`` is the result of
+    ``lagged_skeleton_pcmciplus``, ``None`` when no lagged phase ran."""
     graph: TimeSeriesGraph
     sepsets: SepSetStore
-    lagged: LaggedAdjacencies | None = None
+    lagged: dict | None = None
     context_parents: dict = field(default_factory=dict)
     dummy_parents: dict = field(default_factory=dict)
     ambiguous_triples: list = field(default_factory=list)
@@ -130,6 +121,10 @@ def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
     lagged parents under a consistent CI test.  Temporal contexts only admit
     temporal-context drivers (contexts are exogenous to the system); with
     ``include_contexts=False`` the search runs over system variables alone.
+
+    Returns a dict mapping every variable to its surviving ``(var, lag)``
+    drivers, ordered by the minimum absolute test statistic seen across
+    iterations (descending, ties broken lexicographically).
     """
     if tau_max < 1:
         raise ValueError("the lagged phase needs tau_max >= 1")
@@ -164,7 +159,7 @@ def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
         sets[j] = list(current)
     for v in range(len(roles)):
         sets.setdefault(v, [])
-    return LaggedAdjacencies(sets=sets)
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +337,12 @@ def rule_phase(graph, ambiguous_triples=()):
 
     Rule 1: ``(i, tau) --> k o-o j`` with ``i, j`` non-adjacent orients
     ``k --> j``; rule 2 closes directed two-chains over an undirected link;
-    rule 3 orients the hub of two converging chains.  Conflicting
-    orientations are marked ``x-x`` and excluded from further matching.
+    rule 3 orients the hub of two converging chains.  A rule orients only an
+    ``o-o`` link, so it never meets a link it oriented itself and makes no
+    conflict; an ``x-x`` link of the collider phase matches no rule.
     """
     n, mark = graph.n_vars, graph.mark
     ambiguous = set(ambiguous_triples)
-    oriented = set()
 
     def undirected():
         for i in range(n):
@@ -359,7 +354,8 @@ def rule_phase(graph, ambiguous_triples=()):
         changed = False
         for ((i, tau), k, j) in _triples(graph, (DIRECTED,)):
             if ((i, tau), k, j) not in ambiguous and mark(k, j, 0) == UNDIRECTED:
-                changed |= _orient(graph, k, j, oriented)
+                graph.set_mark(k, j, 0, DIRECTED)
+                changed = True
         return changed
 
     def rule2():
@@ -368,7 +364,8 @@ def rule_phase(graph, ambiguous_triples=()):
             for k in range(n):
                 if (k not in (i, j) and mark(i, k, 0) == DIRECTED
                         and mark(k, j, 0) == DIRECTED and mark(i, j, 0) == UNDIRECTED):
-                    changed |= _orient(graph, i, j, oriented)
+                    graph.set_mark(i, j, 0, DIRECTED)
+                    changed = True
         return changed
 
     def rule3():
@@ -378,7 +375,8 @@ def rule_phase(graph, ambiguous_triples=()):
                     and mark(i, k, 0) == UNDIRECTED and mark(k, j, 0) == DIRECTED]
             for k, l in itertools.combinations(hubs, 2):
                 if not graph.has_link(k, l, 0) and mark(i, j, 0) == UNDIRECTED:
-                    changed |= _orient(graph, i, j, oriented)
+                    graph.set_mark(i, j, 0, DIRECTED)
+                    changed = True
         return changed
 
     while rule1() or rule2() or rule3():
@@ -429,7 +427,7 @@ def _discover(ci, tau_max, alpha, collider_rule, lagged=True, joint=True,
     adjacencies = lagged_skeleton_pcmciplus(
         ci, tau_max, alpha, fixed_conditions=fixed, sepsets=sepsets,
         include_contexts=joint) if lagged else None
-    lagged_sets = adjacencies.sets if lagged else {v: [] for v in range(len(roles))}
+    lagged_sets = adjacencies if lagged else {v: [] for v in range(len(roles))}
     lagged_sys = {j: [(i, lag) for (i, lag) in lagged_sets[j] if roles[i].is_system]
                   for j in system}
     clique = [(a, 0, b) for a, b in itertools.combinations(system, 2)]
@@ -567,34 +565,18 @@ def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
     contexts, ``pcmci+D`` only dummies (contexts masked latent), ``pcmci+``
     system data alone.  ``ci`` selects the pooled partial-correlation test or
     the exact graph oracle (which requires ``ground_truth``).  The
-    partial-correlation test needs ``T > 2 * tau_max`` and raises
-    ``SelectionError`` otherwise; it raises ``ConstantColumnError`` for a
-    system variable that is constant over every dataset and time step,
-    which it could only ever find independent of everything.
+    partial-correlation test refuses data it cannot test (see ``ParCorrCI``).
     """
     from .citests import GraphOracle, ParCorrCI
     from .graph import mask_contexts_latent
-    from .pooling import SelectionError, pool_data
-    from .scm import ConstantColumnError
+    from .pooling import pool_data
 
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     mask_ctx = variant in ("pcmci+D", "pcmci+")
     data = dc.mask_all_latent() if mask_ctx else dc
     if ci == "parcorr":
-        pool_tau = 0 if lag_free else tau_max
-        if dc.T <= 2 * pool_tau:
-            # conditioning sets shifted to a lagged endpoint reach back
-            # 2 * tau_max steps and would have no rows left to test on
-            raise SelectionError(f"T={dc.T} is too short for tau_max={pool_tau}: "
-                                 f"ParCorr needs T > 2 * tau_max")
-        system = np.asarray(dc.system)
-        for v in range(system.shape[2]):
-            if np.all(system[:, :, v] == system[0, 0, v]):
-                raise ConstantColumnError(
-                    f"system variable {v} is constant over every dataset and "
-                    f"time step: ParCorr cannot test it")
-        test = ParCorrCI(pool_data(data, pool_tau))
+        test = ParCorrCI(pool_data(data, 0 if lag_free else tau_max))
     elif ci == "oracle":
         if ground_truth is None:
             raise ValueError("the oracle CI test needs the ground-truth graph")

@@ -357,22 +357,11 @@ def observed_variables(g):
             if role.is_system or role.is_observed_context]
 
 
-def mask_contexts_latent(g, variables=None):
-    """Copy of ``g`` with the given observed contexts re-labelled as latent.
-
-    With ``variables=None`` every observed context becomes latent.
-    """
-    to_mask = set(variables) if variables is not None else {
-        v for v, r in enumerate(g.roles) if r.is_observed_context}
+def mask_contexts_latent(g):
+    """Copy of ``g`` with every observed context re-labelled as latent."""
     latent_of = {VariableRole.TEMPORAL_CONTEXT: VariableRole.LATENT_TEMPORAL_CONTEXT,
                  VariableRole.SPATIAL_CONTEXT: VariableRole.LATENT_SPATIAL_CONTEXT}
-    roles = []
-    for v, role in enumerate(g.roles):
-        if v in to_mask:
-            if role not in latent_of:
-                raise GraphStructureError(f"variable {v} is not an observed context")
-            role = latent_of[role]
-        roles.append(role)
+    roles = [latent_of.get(role, role) for role in g.roles]
     out = g.__class__(roles, g.tau_max)
     out._marks = dict(g._marks)
     return out

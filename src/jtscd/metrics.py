@@ -91,7 +91,7 @@ def _slot_class(roles, i, j):
     return LinkClass.CONTEXT_SYSTEM
 
 
-def _slots(roles, tau_max, include_latent):
+def _slots(roles, tau_max):
     """All scoreable ``(i, j, tau)`` slots with their link class."""
     n = len(roles)
     for j in range(n):
@@ -99,7 +99,7 @@ def _slots(roles, tau_max, include_latent):
             continue
         for i in range(n):
             ri = roles[i]
-            if ri.is_latent and not include_latent:
+            if ri.is_latent:
                 continue
             cls = _slot_class(roles, i, j)
             if cls is None:
@@ -114,40 +114,26 @@ def _slots(roles, tau_max, include_latent):
                 yield (i, j, tau, cls)
 
 
-def score(estimated, target, include_latent_positives=False):
+def score(estimated, target):
     """Score an estimated graph against a target graph, split by link class.
 
     Dummy nodes in the estimate are deleted first when the target carries
     none (their links are scored only if the target has dummy nodes too,
-    e.g. against a dummy projection).  With ``include_latent_positives`` the
-    target may retain latent-context nodes, whose links into the system count
-    as unreachable positives; this caps the attainable context TPR at the
-    observed fraction of context links.
+    e.g. against a dummy projection).  Links out of latent nodes are not
+    scored.
     """
     est = estimated
     target_has_dummies = any(r.is_dummy for r in target.roles)
     if not target_has_dummies and any(r.is_dummy for r in est.roles):
         est = dummy_deletion(est)
-    if include_latent_positives:
-        visible = [v for v, r in enumerate(target.roles) if not r.is_latent]
-        remap = {v: k for k, v in enumerate(visible)}
-        if list(est.roles) != [target.roles[v] for v in visible]:
-            raise ScoringError("estimated graph must cover the non-latent "
-                               "variables of the target, in order")
-    else:
-        remap = {v: v for v in range(target.n_vars)}
-        if est.roles != target.roles:
-            raise ScoringError("estimated and target graphs must share the "
-                               "same variable set")
+    if est.roles != target.roles:
+        raise ScoringError("estimated and target graphs must share the "
+                           "same variable set")
     tau_max = max(est.tau_max, target.tau_max)
-    roles = target.roles
     classes = {}
-    for (i, j, tau, cls) in _slots(roles, tau_max, include_latent_positives):
+    for (i, j, tau, cls) in _slots(target.roles, tau_max):
         sc = classes.setdefault(cls, ClassScores())
-        if i in remap and j in remap:
-            est_mark = est.mark(remap[i], remap[j], tau)
-        else:
-            est_mark = ""
+        est_mark = est.mark(i, j, tau)
         tgt_mark = target.mark(i, j, tau)
         est_adj = est_mark != ""
         tgt_adj = tgt_mark != ""

@@ -12,7 +12,10 @@ time-indexed variables, lag 0 of the spatial contexts and dummies -- to
 what a CI test needs of it: its Gram column, dummy kind, the first time
 step of the rows it is defined on, its component count and whether it is
 degenerate.  ``aligned_start``, ``n_components``, ``is_degenerate`` and
-``extract`` read it, and a selector missing from it is a ``SelectionError``.
+``extract_aligned`` read it, and a selector missing from it is a
+``SelectionError``.  ``extract_aligned`` is the one accessor of pooled rows:
+the CI tests never read them, and ``matrix``/``to_csv`` (``jtscd discover
+--dump-pooled``) take the lag-0 design from it.
 
 ``PooledData.gram_stats`` keeps the sufficient statistics the partial
 correlation test works from: per row set and dummy mode, the cross-products
@@ -223,12 +226,8 @@ class PooledData:
     def is_degenerate(self, var):
         return self._selector(var, 0).degenerate
 
-    def _column_block(self, var, lag, start=None):
-        """Block of ``(var, lag)`` on the rows from time step ``start`` on.
-
-        ``start`` defaults to ``tau_max``, the first row of the pooled design.
-        """
-        start = self.tau_max if start is None else start
+    def _column_block(self, var, lag, start):
+        """Block of ``(var, lag)`` on the rows from time step ``start`` on."""
         role = self.var_roles[var]
         if role.is_dummy:
             rows = self.time_index >= start
@@ -238,22 +237,6 @@ class PooledData:
         # the rows are dataset-major, so the (M, T - start) panel flattens onto them
         panel = self._panel(var, lag, start)
         return np.broadcast_to(panel, (self.M, self.T - start)).reshape(-1, 1)
-
-    def extract(self, selectors):
-        """Column matrix for ``(var, lag)`` selectors, aligned on provenance.
-
-        Only selectors defined on every pooled row are admitted: lags up to
-        ``tau_max``, and lag 0 for dummy and spatial selectors.  Values are
-        returned bit-exactly as stored (no transformation).
-        """
-        blocks = []
-        for (var, lag) in selectors:
-            if self._selector(var, lag).start > self.tau_max:
-                raise SelectionError(f"lag {lag} exceeds tau_max={self.tau_max}")
-            blocks.append(self._column_block(var, lag))
-        if not blocks:
-            return np.zeros((self.n_rows, 0))
-        return np.hstack(blocks)
 
     def aligned_start(self, selectors):
         """First time step of the rows on which all ``selectors`` are defined.
@@ -266,12 +249,15 @@ class PooledData:
                    default=self.tau_max)
 
     def extract_aligned(self, selectors):
-        """Like ``extract`` but admits lags up to ``2 * tau_max``.
+        """Column matrix of ``(var, lag)`` selectors on the rows all are defined on.
 
-        Rows whose look-back would cross the start of a dataset are dropped,
-        so conditioning sets shifted to the lagged endpoint of a test stay
-        well defined; returns ``(matrix, row_indices)``.  A lag that leaves
-        no rows (a start at or past ``T``) is a ``SelectionError``.
+        Lags go up to ``2 * tau_max`` (lag 0 for dummy and spatial
+        selectors); rows whose look-back would cross the start of a dataset
+        are dropped (``aligned_start``), so conditioning sets shifted to the
+        lagged endpoint of a test stay well defined.  Returns ``(matrix,
+        row_indices)``, values bit-exactly as stored; selectors of lag at
+        most ``tau_max`` keep every pooled row.  A lag that leaves no rows (a
+        start at or past ``T``) is a ``SelectionError``.
         """
         start = self.aligned_start(selectors)
         if start >= self.T:
@@ -366,7 +352,7 @@ class PooledData:
 
     def matrix(self):
         """Full lag-0 design including dummy blocks, one row per pooled sample."""
-        return self.extract([(v, 0) for v in range(self.n_vars)])
+        return self.extract_aligned([(v, 0) for v in range(self.n_vars)])[0]
 
     def to_csv(self):
         """CSV text of the lag-0 design with a descriptor header row."""

@@ -364,25 +364,29 @@ def spectral_radius(spec):
 
 # the shape every random model shares (see ``generate_random_model``)
 CONTEMP_FRAC = 0.5
-N_SYSTEM_PARENTS = 1
 AUTOCORR_RANGE = (0.3, 0.8)
 COEFF_RANGE = (0.5, 0.9)
+STABILITY_RADIUS = 0.95
+MAX_ATTEMPTS = 100
 
 
 def generate_random_model(n_system=5, n_temporal_ctx=2, n_spatial_ctx=1,
                           frac_observed=0.5, seed=0, max_lag=3,
-                          ctx_link_prob=1.0, lag_free=False,
-                          stability_radius=0.95, max_attempts=100):
+                          ctx_link_prob=1.0, lag_free=False):
     """Draw a random SCM spec together with its ground-truth graph.
 
     Each system variable gets an autocorrelation coefficient drawn from
-    ``AUTOCORR_RANGE``, ``N_SYSTEM_PARENTS`` system parents (each
-    contemporaneous with probability ``CONTEMP_FRAC``, otherwise at a lag
-    drawn uniformly from ``1..max_lag``) and at most one context parent,
-    with coupling magnitudes drawn from ``COEFF_RANGE``.  The observed subset
-    of contexts has size ``ceil(frac_observed * n_contexts)``.  Coefficient
-    draws are rejected until the reduced-form VAR companion matrix has
-    spectral radius below ``stability_radius``.
+    ``AUTOCORR_RANGE``, one system parent and at most one context parent,
+    with coupling magnitudes drawn from ``COEFF_RANGE``.  With probability
+    ``CONTEMP_FRAC`` the system parent is contemporaneous, an earlier
+    variable of a random causal order; otherwise, and always for the first
+    variable of the order, it is another variable at a lag drawn uniformly
+    from ``1..max_lag``.  A lone system variable has no system parent, nor
+    has the first of the order in a lag-free model.  The observed subset of
+    contexts has size ``ceil(frac_observed * n_contexts)``.  Coefficient
+    draws are rejected, at most ``MAX_ATTEMPTS`` times, until the
+    reduced-form VAR companion matrix has spectral radius below
+    ``STABILITY_RADIUS``.
 
     With ``lag_free=True`` all links are contemporaneous and autocorrelation
     is disabled (requires ``n_temporal_ctx == 0``): the i.i.d. multi-dataset
@@ -397,40 +401,30 @@ def generate_random_model(n_system=5, n_temporal_ctx=2, n_spatial_ctx=1,
     n_ctx = n_temporal_ctx + n_spatial_ctx
     rng = np.random.default_rng(seed)
 
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         order = list(rng.permutation(n_system))
         pos = {v: k for k, v in enumerate(order)}
         autocorr = ([0.0] * n_system if lag_free
                     else list(rng.uniform(*AUTOCORR_RANGE, size=n_system)))
         terms = [[] for _ in range(n_system)]
         for i in range(n_system):
-            used = {(i, 1)}
-            for _ in range(N_SYSTEM_PARENTS):
-                for _retry in range(20):
-                    contemp = lag_free or rng.random() < CONTEMP_FRAC
-                    earlier = [v for v in range(n_system) if pos[v] < pos[i]]
-                    if contemp and not earlier:
-                        if lag_free:
-                            break
-                        contemp = False
-                    if contemp:
-                        parent = int(earlier[rng.integers(len(earlier))])
-                        lag = 0
-                    else:
-                        others = [v for v in range(n_system) if v != i]
-                        if not others:
-                            break
-                        parent = int(others[rng.integers(len(others))])
-                        lag = int(rng.integers(1, max_lag + 1))
-                    if (parent, lag) not in used:
-                        used.add((parent, lag))
-                        # random sign keeps the rejection sampler viable:
-                        # all-positive cross couplings on top of autocorrelation
-                        # are almost surely explosive
-                        sign = -1.0 if rng.random() < 0.5 else 1.0
-                        terms[i].append(LinearTerm(
-                            parent, lag, sign * float(rng.uniform(*COEFF_RANGE))))
-                        break
+            earlier = [v for v in range(n_system) if pos[v] < pos[i]]
+            others = [v for v in range(n_system) if v != i]
+            contemp = lag_free or rng.random() < CONTEMP_FRAC
+            if contemp and earlier:
+                parent, lag = int(earlier[rng.integers(len(earlier))]), 0
+            elif not lag_free and others:
+                parent = int(others[rng.integers(len(others))])
+                lag = int(rng.integers(1, max_lag + 1))
+            else:
+                parent = None
+            if parent is not None:
+                # random sign keeps the rejection sampler viable: all-positive
+                # cross couplings on top of autocorrelation are almost surely
+                # explosive
+                sign = -1.0 if rng.random() < 0.5 else 1.0
+                terms[i].append(LinearTerm(
+                    parent, lag, sign * float(rng.uniform(*COEFF_RANGE))))
             if n_ctx > 0 and rng.random() < ctx_link_prob:
                 c = int(rng.integers(n_ctx))
                 if c < n_temporal_ctx:
@@ -452,12 +446,12 @@ def generate_random_model(n_system=5, n_temporal_ctx=2, n_spatial_ctx=1,
             terms=tuple(tuple(t) for t in terms),
             noise_std=tuple(1.0 for _ in range(n_system)),
             observed_mask=tuple(mask))
-        if lag_free or spectral_radius(spec) < stability_radius:
+        if lag_free or spectral_radius(spec) < STABILITY_RADIUS:
             spec.validate()
             return spec, spec.to_graph()
     raise GenerationError(
-        f"no stable model found in {max_attempts} attempts "
-        f"(radius threshold {stability_radius})")
+        f"no stable model found in {MAX_ATTEMPTS} attempts "
+        f"(radius threshold {STABILITY_RADIUS})")
 
 
 def simplified_preset():
@@ -484,7 +478,7 @@ def simplified_preset():
     return spec, spec.to_graph()
 
 
-def simulate(spec, M, T, burn_in=100, seed=0, rescale=True):
+def simulate(spec, M, T, burn_in=100, seed=0):
     """Simulate ``M`` datasets of length ``T`` from a linear SCM spec.
 
     Contexts and noises are standard normal.  The spec is compiled once into
@@ -537,17 +531,14 @@ def simulate(spec, M, T, burn_in=100, seed=0, rescale=True):
         s = a.std(axis=axes) if a.size else np.ones(a.shape[-1])
         return np.where(s < 1e-12, 1.0, s)
 
-    if rescale:
-        s_sys = pooled_std(system, (0, 1))
-        s_t = pooled_std(temporal, (0,)) if Kt else np.ones(0)
-        s_s = pooled_std(spatial, (0,)) if Ks and M > 1 else np.ones(Ks)
-        system /= s_sys
-        if Kt:
-            temporal /= s_t
-        if Ks:
-            spatial /= s_s
-    else:
-        s_sys, s_t, s_s = np.ones(N), np.ones(Kt), np.ones(Ks)
+    s_sys = pooled_std(system, (0, 1))
+    s_t = pooled_std(temporal, (0,)) if Kt else np.ones(0)
+    s_s = pooled_std(spatial, (0,)) if Ks and M > 1 else np.ones(Ks)
+    system /= s_sys
+    if Kt:
+        temporal /= s_t
+    if Ks:
+        spatial /= s_s
 
     return DatasetCollection(
         system=system, temporal_ctx=temporal, spatial_ctx=spatial,

@@ -148,15 +148,15 @@ def centered_parcorr_test(x, y, data, groups="dataset"):
     (``n - M - 1``), which makes the decision identical to conditioning on
     the full one-hot dummy block.
     """
-    x_col = data.extract([x])
-    y_col = data.extract([y])
+    cols, rows = data.extract_aligned([x, y])
+    x_col, y_col = cols[:, :1], cols[:, 1:]
     if groups == "dataset":
-        labels, n_groups = data.dataset_index, data.M
+        labels, n_groups = data.dataset_index[rows], data.M
     elif groups == "time":
-        labels, n_groups = data.time_index - data.tau_max, data.T - data.tau_max
+        labels, n_groups = data.time_index[rows] - data.tau_max, data.T - data.tau_max
     else:
         raise ValueError("groups must be 'dataset' or 'time'")
-    n = data.n_rows
+    n = len(rows)
     rx, occ = _demean_by_groups(x_col, labels, n_groups)
     ry, _ = _demean_by_groups(y_col, labels, n_groups)
     df = n - occ - 1

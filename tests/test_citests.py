@@ -380,6 +380,11 @@ class TestOracle:
         o = GraphOracle(g, 1)
         with pytest.raises(QueryError):
             o((o.time_dummy, 0), (o.space_dummy, 0), [])
+        # a dummy is one node at lag 0, as in ParCorr's selector table
+        with pytest.raises(QueryError, match=rf"selector \({o.time_dummy}, 3\) must have lag 0"):
+            o((0, 0), (1, 0), [(o.time_dummy, 3)])
+        with pytest.raises(QueryError, match=rf"selector \({o.space_dummy}, 2\) must have lag 0"):
+            o((o.space_dummy, 2), (1, 0))
 
     def test_pass_through_matches_d_separated(self):
         rng = np.random.default_rng(11)

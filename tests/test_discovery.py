@@ -128,7 +128,7 @@ class TestLaggedSkeleton:
         _, g = simplified_preset()
         o = GraphOracle(g, 2)
         lagged = lagged_skeleton_pcmciplus(o, tau_max=2, alpha=0.05)
-        assert (1, 1) in lagged.sets[1]
+        assert (1, 1) in lagged[1]
 
     def test_superset_property_under_oracle(self):
         for seed in range(15):
@@ -140,7 +140,7 @@ class TestLaggedSkeleton:
             for j in range(spec.n_system):
                 true_lagged = {(o.obs_map.index(v), lag)
                                for (v, lag) in g.parents(j) if lag >= 1}
-                assert true_lagged <= set(lagged.sets[j])
+                assert true_lagged <= set(lagged[j])
 
     def test_white_noise_retention_rate_is_alpha_like(self):
         retained = total = 0
@@ -154,7 +154,7 @@ class TestLaggedSkeleton:
             ci = ParCorrCI(pool_data(dc, 2))
             lagged = lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05)
             for j in range(3):
-                retained += len(lagged.sets[j])
+                retained += len(lagged[j])
                 total += 6
         assert retained / total < 0.08
 
@@ -165,7 +165,7 @@ class TestLaggedSkeleton:
         ctx_var = 2  # the observed temporal context in discovery space
         assert o.var_roles[ctx_var] is R.TEMPORAL_CONTEXT
         assert all(o.var_roles[i] is R.TEMPORAL_CONTEXT
-                   for (i, _) in lagged.sets[ctx_var])
+                   for (i, _) in lagged[ctx_var])
 
 
 def system_graph(n, tau_max, links):
@@ -507,23 +507,33 @@ class TestEstimateGraph:
         with pytest.raises(ValueError):
             estimate_graph(dc, variant="nope")
 
-    @pytest.mark.parametrize("variant", ["jpcmci+", "pcmci+"])
-    def test_parcorr_rejects_t_up_to_twice_tau_max(self, variant):
+    @staticmethod
+    def parcorr_run(dc, entry, lag_free=False):
+        """A ParCorr discovery at tau_max 2 through ``estimate_graph`` with
+        variant ``entry``, or through a ``ParCorrCI`` built on the pooled data
+        (``entry="ParCorrCI"``)."""
+        if entry != "ParCorrCI":
+            return estimate_graph(dc, variant=entry, tau_max=2, lag_free=lag_free)
+        if lag_free:
+            return j_pc(ParCorrCI(pool_data(dc, 0)))
+        return j_pcmciplus(ParCorrCI(pool_data(dc, 2)), tau_max=2)
+
+    @pytest.mark.parametrize("entry", ["jpcmci+", "pcmci+", "ParCorrCI"])
+    def test_parcorr_rejects_t_up_to_twice_tau_max(self, entry):
         # lag-shifted conditioning reaches back 2 * tau_max steps, so a panel
         # no longer than that leaves no rows to test on
         spec, _ = generate_random_model(seed=0, n_system=3, n_temporal_ctx=1,
                                         n_spatial_ctx=1, frac_observed=1.0, max_lag=2)
         for T in (3, 4):
             with pytest.raises(SelectionError, match=f"T={T} .*tau_max=2"):
-                estimate_graph(simulate(spec, M=4, T=T, seed=1), variant=variant, tau_max=2)
-        res = estimate_graph(simulate(spec, M=4, T=5, seed=1), variant=variant, tau_max=2)
+                self.parcorr_run(simulate(spec, M=4, T=T, seed=1), entry)
+        res = self.parcorr_run(simulate(spec, M=4, T=5, seed=1), entry)
         assert res.graph.tau_max == 2
         # the lag-free run pools at tau_max 0 and needs no look-back
-        estimate_graph(simulate(spec, M=4, T=4, seed=1), variant=variant, tau_max=2,
-                       lag_free=True)
+        self.parcorr_run(simulate(spec, M=4, T=4, seed=1), entry, lag_free=True)
 
-    @pytest.mark.parametrize("variant", ["jpcmci+", "pcmci+"])
-    def test_parcorr_rejects_a_constant_system_variable(self, variant):
+    @pytest.mark.parametrize("entry", ["jpcmci+", "pcmci+", "ParCorrCI"])
+    def test_parcorr_rejects_a_constant_system_variable(self, entry):
         # a constant column is independent of everything: refused, not tested
         spec, g = generate_random_model(seed=0, n_system=3, n_temporal_ctx=1,
                                         n_spatial_ctx=1, frac_observed=1.0, max_lag=2)
@@ -531,9 +541,10 @@ class TestEstimateGraph:
         dc.system[:, :, 1] = 2.5
         for lag_free in (False, True):
             with pytest.raises(ConstantColumnError, match="system variable 1 "):
-                estimate_graph(dc, variant=variant, tau_max=2, lag_free=lag_free)
-        # the oracle never reads the values
-        estimate_graph(dc, variant=variant, ci="oracle", ground_truth=g, tau_max=2)
+                self.parcorr_run(dc, entry, lag_free=lag_free)
+        if entry != "ParCorrCI":
+            # the oracle never reads the values
+            estimate_graph(dc, variant=entry, ci="oracle", ground_truth=g, tau_max=2)
         # constant within each dataset but not across them is a column to test
         dc.system[:, :, 1] = np.arange(4.0)[:, None]
-        estimate_graph(dc, variant=variant, tau_max=2)
+        self.parcorr_run(dc, entry)

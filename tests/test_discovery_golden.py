@@ -98,7 +98,7 @@ def _oracle_record(run):
         "graph": res.graph.to_text(),
         "sepsets": [[list(k), _plain(e.s), _plain(e.z), list(e.pair)]
                     for k, e in res.sepsets.items()],
-        "lagged": _plain(res.lagged.sets) if res.lagged is not None else None,
+        "lagged": _plain(res.lagged) if res.lagged is not None else None,
         "context_parents": _plain(res.context_parents),
         "dummy_parents": _plain(res.dummy_parents),
         "ambiguous_triples": _plain(res.ambiguous_triples),

@@ -110,18 +110,6 @@ class TestScore:
                 a, b = rep.metric(cls, metric), rep_p.metric(cls, metric)
                 assert (math.isnan(a) and math.isnan(b)) or a == b
 
-    def test_latent_positive_mode_caps_context_tpr(self):
-        # two contexts, one latent; the estimate finds the observed link
-        g = GroundTruthGraph([R.SYSTEM, R.SYSTEM, R.TEMPORAL_CONTEXT,
-                              R.LATENT_TEMPORAL_CONTEXT], 1)
-        g.add_edge(2, 0, 0)
-        g.add_edge(3, 1, 0)
-        est = target_graph(g)  # only the observed-context link
-        rep = score(est, g, include_latent_positives=True)
-        ctx = rep.classes[LinkClass.CONTEXT_SYSTEM]
-        assert ctx.tp == 1 and ctx.fn == 1
-        assert ctx.tpr == 0.5  # the observed fraction of context links
-
 
 class TestAggregate:
     def test_single_report_has_zero_std(self):

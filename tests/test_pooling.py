@@ -37,15 +37,15 @@ class TestDummyBlocks:
     def test_balanced_column_sums(self):
         dc = small_collection(M=2, T=12)
         pd = pool_data(dc, 2)
-        space = pd.extract([(pd.space_dummy, 0)])
-        time = pd.extract([(pd.time_dummy, 0)])
+        space = pd.extract_aligned([(pd.space_dummy, 0)])[0]
+        time = pd.extract_aligned([(pd.time_dummy, 0)])[0]
         assert np.array_equal(space.sum(axis=0), np.full(2, 10.0))  # T - tau_max
         assert np.array_equal(time.sum(axis=0), np.full(10, 2.0))   # M
 
     def test_rows_sharing_t_share_the_one_hot_vector(self):
         dc = small_collection(M=3, T=8)
         pd = pool_data(dc, 2)
-        time = pd.extract([(pd.time_dummy, 0)])
+        time = pd.extract_aligned([(pd.time_dummy, 0)])[0]
         per = pd.T - pd.tau_max
         for t in range(per):
             rows = [m * per + t for m in range(3)]
@@ -56,7 +56,7 @@ class TestDummyBlocks:
         dc = small_collection(M=3, T=9)
         pd = pool_data(dc, 2)
         for var in (pd.time_dummy, pd.space_dummy):
-            block = pd.extract([(var, 0)])
+            block = pd.extract_aligned([(var, 0)])[0]
             prod = block.T @ block
             assert np.all(prod[~np.eye(prod.shape[0], dtype=bool)] == 0.0)
 
@@ -71,7 +71,7 @@ class TestPoolData:
     def test_every_usable_sample_appears_once(self):
         dc = small_collection(M=2, T=12)
         pd = pool_data(dc, 2)
-        col = pd.extract([(0, 0)])[:, 0]
+        col = pd.extract_aligned([(0, 0)])[0][:, 0]
         expected = np.concatenate([dc.system[m, 2:, 0] for m in range(2)])
         assert np.array_equal(col, expected)
 
@@ -80,7 +80,7 @@ class TestPoolData:
         pd = pool_data(dc, 2)
         sctx_var = pd.n_system + 1  # one observed temporal ctx comes first
         assert pd.var_roles[sctx_var] is R.SPATIAL_CONTEXT
-        col = pd.extract([(sctx_var, 0)])[:, 0]
+        col = pd.extract_aligned([(sctx_var, 0)])[0][:, 0]
         per = pd.T - pd.tau_max
         assert np.all(col[:per] == dc.spatial_ctx[0, 0])
         assert np.all(col[per:] == dc.spatial_ctx[1, 0])
@@ -88,14 +88,14 @@ class TestPoolData:
     def test_lagged_extraction_shifts_within_dataset(self):
         dc = small_collection(M=2, T=12)
         pd = pool_data(dc, 2)
-        col = pd.extract([(0, 1)])[:, 0]
+        col = pd.extract_aligned([(0, 1)])[0][:, 0]
         expected = np.concatenate([dc.system[m, 1:-1, 0] for m in range(2)])
         assert np.array_equal(col, expected)
 
     def test_extract_round_trips_bit_exactly(self):
         dc = small_collection(M=3, T=10)
         pd = pool_data(dc, 2)
-        again = pd.extract([(0, 0), (1, 0)])
+        again = pd.extract_aligned([(0, 0), (1, 0)])[0]
         pooled = np.concatenate([dc.system[m, 2:, :2] for m in range(3)])
         assert np.array_equal(again, pooled)
 
@@ -103,14 +103,14 @@ class TestPoolData:
         dc = small_collection()
         pd = pool_data(dc, 2)
         with pytest.raises(SelectionError):
-            pd.extract([(0, 3)])
+            pd.extract_aligned([(0, 5)])
         with pytest.raises(SelectionError):
-            pd.extract([(pd.space_dummy, 1)])
+            pd.extract_aligned([(pd.space_dummy, 1)])
         sctx_var = pd.n_system + 1
         with pytest.raises(SelectionError):
-            pd.extract([(sctx_var, 1)])
+            pd.extract_aligned([(sctx_var, 1)])
         with pytest.raises(SelectionError):
-            pd.extract([(99, 0)])
+            pd.extract_aligned([(99, 0)])
 
     def test_extract_aligned_drops_short_history_rows(self):
         dc = small_collection(M=2, T=12)
@@ -157,15 +157,13 @@ class TestPoolData:
                     with pytest.raises(SelectionError):
                         pd.aligned_start([(0, 0), (var, lag)])
                     with pytest.raises(SelectionError):
-                        pd.extract([(var, lag)])
+                        pd.extract_aligned([(var, lag)])
                     continue
                 assert pd.aligned_start([(var, lag)]) == entry[2]
                 assert pd.n_components(var) == entry[3]
                 assert pd.is_degenerate(var) == entry[4]
                 if lag > tau_max:
                     # defined only from time step ``lag`` on, not on every row
-                    with pytest.raises(SelectionError, match="exceeds tau_max"):
-                        pd.extract([(var, lag)])
                     if lag < T:
                         rows = pd.extract_aligned([(var, lag)])[1]
                         assert len(rows) == M * (T - lag)
@@ -175,7 +173,9 @@ class TestPoolData:
                         with pytest.raises(QueryError, match="too few samples"):
                             parcorr_test(CIQuery(x=((var, lag),), y=((var, 0),)), pd)
                 else:
-                    assert pd.extract([(var, lag)]).shape == (pd.n_rows, entry[3])
+                    mat, rows = pd.extract_aligned([(var, lag)])
+                    assert mat.shape == (pd.n_rows, entry[3])
+                    assert np.array_equal(rows, np.arange(pd.n_rows))
         assert pd.aligned_start([]) == tau_max
 
     def test_variable_outside_range_is_a_selection_error(self):
@@ -240,5 +240,19 @@ class TestPoolData:
         pd = pool_data(dc, 2)
         text = pd.to_csv()
         header = text.splitlines()[0].split(",")
-        assert header[:3] == ["dataset", "t", "System0"]
-        assert len(text.splitlines()) == pd.n_rows + 1
+        assert header == ["dataset", "t", "System0", "System1", "TemporalContext2",
+                          "SpatialContext3", "TimeDummy4_0", "TimeDummy4_1",
+                          "TimeDummy4_2", "TimeDummy4_3", "SpaceDummy5_0",
+                          "SpaceDummy5_1"]
+        body = np.array([[float(v) for v in line.split(",")]
+                         for line in text.splitlines()[1:]])
+        assert body.shape == (pd.n_rows, len(header))
+        # every value as stored: dataset-major rows t = tau_max..T-1, then
+        # the system, temporal and spatial columns and the one-hot blocks
+        per = pd.T - pd.tau_max
+        m, t = np.divmod(np.arange(pd.n_rows), per)
+        t += pd.tau_max
+        expected = np.column_stack([
+            m, t, dc.system[m, t], dc.temporal_ctx[t], dc.spatial_ctx[m],
+            np.eye(per)[t - pd.tau_max], np.eye(pd.M)[m]])
+        assert np.array_equal(body, expected)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jtscd import scm
 from jtscd.graph import VariableRole
 from jtscd.scm import (DatasetCollection, GenerationError, LinearTerm,
                        NonFiniteDataError, PanelShapeError, SCMSpec, SimulationError,
@@ -62,6 +63,20 @@ def _model_corpus():
     for r in range(50):
         yield f"c9/{r}", dict(n_system=4, n_temporal_ctx=0, n_spatial_ctx=0,
                               ctx_link_prob=0.0, seed=seed_for("c9-model", r), max_lag=2)
+    # edge cases of the draw: one or two system variables (no earlier
+    # variable, no other variable), the shortest and a longer lag range,
+    # sparse context links, no contexts at all and lag-free models
+    for n in (1, 2):
+        for seed in range(4):
+            for max_lag in (1, 3):
+                for prob in (0.0, 0.5):
+                    yield f"edge/N={n}/max_lag={max_lag}/p={prob}/{seed}", dict(
+                        n_system=n, max_lag=max_lag, ctx_link_prob=prob, seed=seed)
+            yield f"edge/N={n}/no-contexts/{seed}", dict(
+                n_system=n, n_temporal_ctx=0, n_spatial_ctx=0, seed=seed)
+            yield f"edge/N={n}/lag-free/{seed}", dict(
+                n_system=n, n_temporal_ctx=0, n_spatial_ctx=2, ctx_link_prob=0.5,
+                frac_observed=1.0, lag_free=True, seed=seed)
 
 
 def _spec_digest(kwargs):
@@ -132,12 +147,14 @@ class TestGenerateRandomModel:
     def test_specs_match_the_recorded_digests(self):
         want = json.loads(SPEC_FIXTURE.read_text())
         got = {name: _spec_digest(kwargs) for name, kwargs in _model_corpus()}
-        assert len(got) == 398
+        assert len(got) == 398 + 48
         assert got == want
 
-    def test_generation_error_when_impossible(self):
-        with pytest.raises(GenerationError):
-            generate_random_model(seed=0, stability_radius=1e-6, max_attempts=5)
+    def test_generation_error_when_impossible(self, monkeypatch):
+        monkeypatch.setattr(scm, "STABILITY_RADIUS", 1e-6)
+        monkeypatch.setattr(scm, "MAX_ATTEMPTS", 5)
+        with pytest.raises(GenerationError, match="in 5 attempts .*threshold 1e-06"):
+            generate_random_model(seed=0)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
