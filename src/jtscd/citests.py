@@ -23,9 +23,12 @@ float, and a p-value below the smallest normal float is 0.0.
 No test touches the pooled rows.  Each works from sufficient statistics
 cached on the ``PooledData`` per row set and dummy mode: the Gram matrix of
 every scalar lagged column after centring or demeaning by the dummies in
-``z``, and the per-time-step and per-dataset sums of those columns.  Scalar
-``z`` columns are projected out of a Gram sub-block with a pseudo-inverse
-whose numerical rank sets ``df``.  That factorization
+``z``, and the per-time-step and per-dataset sums of those columns.  All of
+them come from one raw pass over the panel, as group-sum corrections of
+raw cross-products; a column constant within the mode's groups is exactly
+zero there, so it drops out of ``z`` and leaves a tested side degenerate.
+Scalar ``z`` columns are projected out of a Gram sub-block with a
+pseudo-inverse whose numerical rank sets ``df``.  That factorization
 (``PooledData.z_projection``) covers every column of the row set and is
 kept per row set and dummy mode until a test conditions on other columns
 there, so the tests of one discovery level that share a ``z`` -- in the

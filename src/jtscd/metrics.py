@@ -23,7 +23,8 @@ from .graph import CONFLICT, UNDIRECTED, VariableRole, dummy_deletion
 
 
 class ScoringError(ValueError):
-    """Variable sets of the two graphs do not match."""
+    """The two graphs do not share one variable set, or the target holds
+    latent nodes."""
 
 
 class LinkClass(Enum):
@@ -80,10 +81,8 @@ class ScoreReport:
         return self.classes[link_class].metric(name)
 
 
-def _slot_class(roles, i, j):
-    ri, rj = roles[i], roles[j]
-    if not rj.is_system:
-        return None
+def _slot_class(roles, i):
+    ri = roles[i]
     if ri.is_system:
         return LinkClass.SYSTEM_SYSTEM
     if ri.is_dummy:
@@ -98,13 +97,8 @@ def _slots(roles, tau_max):
         if not roles[j].is_system:
             continue
         for i in range(n):
-            ri = roles[i]
-            if ri.is_latent:
-                continue
-            cls = _slot_class(roles, i, j)
-            if cls is None:
-                continue
-            if ri.is_time_indexed:
+            cls = _slot_class(roles, i)
+            if roles[i].is_time_indexed:
                 lags = range(0, tau_max + 1) if i != j else range(1, tau_max + 1)
             else:
                 lags = (0,)
@@ -119,9 +113,12 @@ def score(estimated, target):
 
     Dummy nodes in the estimate are deleted first when the target carries
     none (their links are scored only if the target has dummy nodes too,
-    e.g. against a dummy projection).  Links out of latent nodes are not
-    scored.
+    e.g. against a dummy projection).  A target that holds latent nodes is
+    refused: score against its ``target_graph`` over the observed nodes.
     """
+    if any(r.is_latent for r in target.roles):
+        raise ScoringError("the target graph holds latent nodes: score against "
+                           "its target_graph over the observed variables")
     est = estimated
     target_has_dummies = any(r.is_dummy for r in target.roles)
     if not target_has_dummies and any(r.is_dummy for r in est.roles):

@@ -19,19 +19,33 @@ the CI tests never read them, and ``matrix``/``to_csv`` (``jtscd discover
 
 ``PooledData.gram_stats`` keeps the sufficient statistics the partial
 correlation test works from: per row set and dummy mode, the cross-products
-and per-group sums of every scalar lagged column after demeaning.  A build
-fills one column-major ``(column, dataset, time)`` block, so each column is
-written and demeaned contiguously and the Gram matrix is one ``flat @
-flat.T``.  Every column of the row set is kept: the tests of a discovery
-use most of them (in a J-PCMCI+ run at ``tau_max = 2``, M=20, T=500, about
-20 of 20 columns at row set 2 and 24 of 32 at row set 4), so building only
-the used ones would not pay.  ``PooledData.z_projection`` keeps, per row set and dummy
-mode, the last factorization of a conditioning block: sibling tests of a
-discovery level share one ``z`` and reuse it.  A factorization calls the
-gufunc behind ``np.linalg.eigh`` through ``_eigh``, without the wrapper's
-argument checks and error-state context, which cost as much as the
-eigendecomposition of a block of a few columns; the results are the same
-bits.
+and per-group sums of every scalar lagged column after demeaning.  Every
+row set's columns are shifts of the same observed series, and demeaning by
+dummies is a group-sum correction of raw cross-products (the shifted-sum
+identity of sample autocovariances), so the first request takes one raw
+pass over the panel and every row set and mode is derived from it in
+closed form.  The pass shifts each series by its mean -- demeaning is
+shift-invariant, and the shift keeps the raw sums near the size of the
+demeaned ones -- and forms, over the rows from ``2 * tau_max`` on, the raw
+cross-products of every column and their per-dataset and per-time-step
+sums; each smaller start adds the ``M`` rows of one time step.  A mode's
+Gram matrix is the raw one less ``n mu mu'`` (centring), ``S'S / M`` (time
+steps) or ``D'D / (T - start)`` (datasets); for both dummies, less the
+last two and plus ``n mu mu'``.  A column whose demeaned diagonal is at
+most ``_CANCEL_TOL`` of its shifted raw diagonal is constant within the
+mode's groups -- a spatial context within datasets, a temporal one within
+time steps, any context on one dataset -- and what the subtraction leaves
+of it is cancellation noise: its row, column and sums are set to exact
+zero.  Every column of a row set is kept: the tests of a discovery use
+most of them (in a J-PCMCI+ run at ``tau_max = 2``, M=20, T=500, about 20
+of 20 columns at row set 2 and 24 of 32 at row set 4).
+
+``PooledData.z_projection`` keeps, per row set and dummy mode, the last
+factorization of a conditioning block: sibling tests of a discovery level
+share one ``z`` and reuse it.  A factorization calls the gufunc behind
+``np.linalg.eigh`` through ``_eigh``, without the wrapper's argument checks
+and error-state context, which cost as much as the eigendecomposition of a
+block of a few columns; the results are the same bits.
 """
 
 from __future__ import annotations
@@ -53,12 +67,10 @@ class SelectionError(ValueError):
     """Raised for out-of-range or role-inconsistent column selectors."""
 
 
-def build_space_dummy(M, dataset_index=None):
+def build_space_dummy(M, dataset_index):
     """One-hot block labelling datasets: row for dataset m is e_m (M columns)."""
     if M < 1:
         raise SelectionError("M must be at least 1")
-    if dataset_index is None:
-        dataset_index = np.arange(M)
     return np.eye(M)[np.asarray(dataset_index)]
 
 
@@ -91,6 +103,10 @@ class GramStats:
     the same.  ``group_rank`` is the rank the mode's intercept and dummy
     blocks add to a conditioning design.  ``diag`` is the diagonal of
     ``gram`` as a tuple of Python floats, for the per-test lookups.
+
+    The statistics are group-sum corrections of raw cross-products (see the
+    module docstring).  A column constant within the mode's groups has an
+    exactly zero row and column in ``gram`` and exactly zero sums.
     """
     group_rank: int
     gram: np.ndarray
@@ -101,6 +117,10 @@ class GramStats:
 
 DUMMY_MODES = ("none", "time", "space", "both")
 
+# a demeaned Gram diagonal at or below this share of the column's raw
+# diagonal (after the shift by the series mean) is what the group-sum
+# corrections leave of a column constant within its demeaning groups
+_CANCEL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 # the gufunc behind ``np.linalg.eigh(a)`` (lower triangle), called without
 # the wrapper's argument checks and error-state context; ``_eigh`` restores
@@ -141,6 +161,18 @@ class ZProjection(NamedTuple):
     rank: int
     proj: np.ndarray
     resid: np.ndarray
+
+
+class _RowSetSums(NamedTuple):
+    """Raw sums of the scalar columns defined on one row set.
+
+    ``gram`` holds their cross-products, ``dataset_sums`` (column x dataset)
+    and ``time_sums`` (column x time step, from the row set's start on)
+    their group sums, all of the series shifted by their means.
+    """
+    gram: np.ndarray
+    dataset_sums: np.ndarray
+    time_sums: np.ndarray
 
 
 class Selector(NamedTuple):
@@ -200,6 +232,7 @@ class PooledData:
         self.scalar_columns += [(v, lag) for lag in range(1, 2 * tau_max + 1)
                                 for v in lagged]
         self._n_lagged = len(lagged)
+        self._raw_sums = None
         self._gram_stats = {}
         self._z_projections = {}
 
@@ -265,8 +298,6 @@ class PooledData:
             raise SelectionError(f"lag {lag} leaves no rows: T={self.T}")
         rows = np.flatnonzero(self.time_index >= start)
         blocks = [self._column_block(var, lag, start) for (var, lag) in selectors]
-        if not blocks:
-            return np.zeros((len(rows), 0)), rows
         return np.hstack(blocks), rows
 
     def gram_stats(self, start, mode):
@@ -274,13 +305,19 @@ class PooledData:
 
         ``start`` is an ``aligned_start`` value and ``mode`` one of
         ``DUMMY_MODES``.  The statistics cover every column defined on the
-        rows, in a fixed order, so they do not depend on the query that
-        first asks for them.
+        rows, in a fixed order.  The first request takes the raw pass of
+        every row set (``_raw_pass``), and each key is derived from its row
+        set's raw sums alone, so no statistics depend on the queries that
+        asked before.
         """
         key = (start, mode)
         stats = self._gram_stats.get(key)
         if stats is None:
-            stats = self._gram_stats.setdefault(key, self._build_gram_stats(start, mode))
+            if mode not in DUMMY_MODES:
+                raise ValueError(f"mode must be one of {DUMMY_MODES}")
+            if self._raw_sums is None:
+                self._raw_sums = self._raw_pass()
+            stats = self._gram_stats.setdefault(key, self._derive_gram_stats(start, mode))
         return stats
 
     def z_projection(self, start, mode, columns):
@@ -318,37 +355,110 @@ class PooledData:
         k = self._spatial_idx[var - self.n_system - len(self._temporal_idx)]
         return self.dc.spatial_ctx[:, k][:, None]
 
-    def _build_gram_stats(self, start, mode):
-        if mode not in DUMMY_MODES:
-            raise ValueError(f"mode must be one of {DUMMY_MODES}")
-        width = self.T - start
-        cols = self.scalar_columns[:self.n_observed + start * self._n_lagged]
-        # rows are dataset-major over a balanced panel, so a column-major
-        # (p, M, width) block holds each column as its (M, width) panel:
-        # datasets along axis 1, time steps along axis 2
-        block = np.empty((len(cols), self.M, width))
-        for k, (var, lag) in enumerate(cols):
-            block[k] = self._panel(var, lag, start)
+    def _raw_pass(self):
+        """``_RowSetSums`` of every row set, keyed by start, from one pass.
+
+        Each observed series is shifted by its mean and laid out as a
+        ``(time step, dataset)`` panel; the columns of lag ``a`` on the rows
+        from time step ``s`` on are then the panels' time steps ``s - a ..
+        T - 1 - a``, a view.  On the rows from the last start ``top = 2 *
+        tau_max`` on, the lag-0 columns against those of each lag ``d`` are
+        one product each; the block of lags ``(a, a + d)`` is that of ``(a -
+        1, a - 1 + d)`` over a window one time step earlier, so it follows
+        by adding the entering time step's rows and subtracting the leaving
+        one's.  Each smaller start adds the ``M`` rows of its own time step.
+        (``top`` is ``T - 1`` where that is smaller: no row set starts
+        later.)
+        """
+        tau, M, T, n_system = self.tau_max, self.M, self.T, self.n_system
+        top = min(2 * tau, T - 1)
+        n_obs, n_lag = self.n_observed, self._n_lagged
+        n_temporal = len(self._temporal_idx)
+        series = np.empty((n_obs, T, M))
+        series[:n_system] = self.dc.system.transpose(2, 1, 0)
+        series[n_system:n_system + n_temporal] = \
+            self.dc.temporal_ctx[:, self._temporal_idx].T[:, :, None]
+        series[n_system + n_temporal:] = \
+            self.dc.spatial_ctx[:, self._spatial_idx].T[:, None, :]
+        series -= series.mean(axis=(1, 2), keepdims=True)
+        # scalar columns are lag-major: every series at lag 0, then the
+        # time-indexed ones -- the leading n_lag series -- at lags 1..top
+        widths = [n_obs] + [n_lag] * top
+        edges = np.cumsum([0] + widths)
+        tail = [series[:widths[a], top - a:T - a] for a in range(top + 1)]
+        gram = np.empty((edges[-1], edges[-1]))
+
+        def put(a, b, block):
+            gram[edges[a]:edges[a + 1], edges[b]:edges[b + 1]] = block
+            gram[edges[b]:edges[b + 1], edges[a]:edges[a + 1]] = block.T
+
+        lag0 = tail[0].reshape(n_obs, -1)
+        blocks = [lag0 @ tail[d].reshape(widths[d], -1).T for d in range(top + 1)]
+        for d, block in enumerate(blocks):
+            put(0, d, block)
+        lagged = series[:n_lag]
+        for a in range(1, top + 1):
+            enter, leave = lagged[:, top - a], lagged[:, T - a]
+            for d in range(top + 1 - a):
+                blocks[d] = (blocks[d][:n_lag, :n_lag] + enter @ lagged[:, top - a - d].T
+                             - leave @ lagged[:, T - a - d].T)
+                put(a, a + d, blocks[d])
+        dataset_sums = np.concatenate([np.ones(T - top) @ t for t in tail])
+        step_sums = series @ np.ones(M)
+        time_sums = np.zeros((edges[-1], T - tau))
+        for a in range(top + 1):
+            first = max(a, tau)
+            time_sums[edges[a]:edges[a + 1], first - tau:] = \
+                step_sums[:widths[a], first - a:T - a]
+        sums = {}
+        for start in range(top, tau - 1, -1):
+            k = edges[start + 1]
+            if start < top:
+                rows = np.concatenate([series[:widths[a], start - a]
+                                       for a in range(start + 1)])
+                gram = gram[:k, :k] + rows @ rows.T
+                dataset_sums = dataset_sums[:k] + rows
+            sums[start] = _RowSetSums(gram, dataset_sums, time_sums[:k, start - tau:])
+        return sums
+
+    def _derive_gram_stats(self, start, mode):
+        """``GramStats`` of one row set and mode from its raw sums."""
+        raw, dataset_sums, time_sums = self._raw_sums[start]
+        M, width = self.M, self.T - start
+        total = dataset_sums.sum(axis=1)
         if mode == "none":
-            block -= block.mean(axis=(1, 2), keepdims=True)
-        if mode in ("time", "both"):
-            block -= block.mean(axis=1, keepdims=True)
-        if mode in ("space", "both"):
-            block -= block.mean(axis=2, keepdims=True)
-        flat = block.reshape(len(cols), -1)
+            gram = raw - np.outer(total, total) / (M * width)
+        elif mode == "time":
+            gram = raw - time_sums @ time_sums.T / M
+        elif mode == "space":
+            gram = raw - dataset_sums @ dataset_sums.T / width
+        else:
+            gram = (raw - time_sums @ time_sums.T / M
+                    - dataset_sums @ dataset_sums.T / width
+                    + np.outer(total, total) / (M * width))
+        # group sums of the demeaned columns: centred by the other dummy's
+        # demeaning, zero by the mode's own
         n_steps = self.T - self.tau_max
-        time_sums = np.zeros((n_steps, len(cols)))
-        time_sums[start - self.tau_max:] = block.sum(axis=1).T
+        group_time = np.zeros((n_steps, len(raw)))
+        if mode in ("none", "space"):
+            group_time[start - self.tau_max:] = time_sums.T - total / width
+        group_space = (dataset_sums.T - total / M if mode in ("none", "time")
+                       else np.zeros((M, len(raw))))
+        dead = gram.diagonal() <= _CANCEL_TOL * raw.diagonal()
+        if dead.any():
+            gram[dead] = 0.0
+            gram[:, dead] = 0.0
+            group_time[:, dead] = 0.0
+            group_space[:, dead] = 0.0
         time_norms = np.zeros(n_steps)
-        time_norms[start - self.tau_max:] = self.M * (1.0 - 1.0 / width)
-        group_rank = {"none": 1, "time": width, "space": self.M,
-                      "both": width + self.M - 1}[mode]
-        gram = flat @ flat.T
+        time_norms[start - self.tau_max:] = M * (1.0 - 1.0 / width)
+        group_rank = {"none": 1, "time": width, "space": M,
+                      "both": width + M - 1}[mode]
         return GramStats(
             group_rank=group_rank, gram=gram, diag=tuple(gram.diagonal().tolist()),
-            group_sums={"time": time_sums, "space": block.sum(axis=2).T},
+            group_sums={"time": group_time, "space": group_space},
             group_norms={"time": time_norms,
-                         "space": np.full(self.M, width * (1.0 - 1.0 / self.M))})
+                         "space": np.full(M, width * (1.0 - 1.0 / M))})
 
     def matrix(self):
         """Full lag-0 design including dummy blocks, one row per pooled sample."""

@@ -94,6 +94,16 @@ class TestScore:
         with pytest.raises(ScoringError):
             score(bad, target)
 
+    def test_target_with_latent_nodes_raises(self):
+        # a ground-truth graph carries its latent contexts; the scorer takes
+        # only the observed target, so neither side's links are dropped silently
+        _, g = generate_random_model(seed=0, max_lag=2, frac_observed=0.0)
+        assert any(r.is_latent for r in g.roles)
+        for est in (g, TimeSeriesGraph(g.roles, g.tau_max)):
+            with pytest.raises(ScoringError, match="latent nodes"):
+                score(est, g)
+        score(target_graph(g), target_graph(g))
+
     def test_permutation_invariance(self):
         est, target = hand_graphs()
         rep = score(est, target)
