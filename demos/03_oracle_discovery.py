@@ -3,7 +3,8 @@
 Runs the staged time-series discovery on random models with the graph-based
 oracle CI test and checks that dummy deletion of the output reproduces the
 target graph (system plus observed-context links), including when every
-context is hidden.
+context is hidden.  "oracle queries" is the number of CI tests the discovery
+asked the oracle, a repeated query counted each time.
 """
 
 from jtscd import (GraphOracle, dummy_deletion, generate_random_model,

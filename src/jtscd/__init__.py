@@ -18,7 +18,7 @@ from .pooling import PooledData, build_space_dummy, build_time_dummy, pool_data
 from .citests import CIQuery, CITestResult, GraphOracle, ParCorrCI, parcorr_test
 from .discovery import (VARIANTS, DiscoveryResult, SepSetStore, collider_phase,
                         estimate_graph, j_pc, j_pcmciplus, lagged_skeleton_pcmciplus,
-                        partial_skeleton_pc, rule_phase, run_pcmciplus)
+                        rule_phase, run_pcmciplus)
 from .metrics import LinkClass, ScoreReport, aggregate, score
 from .bench import ExperimentConfig, compare_variants, run_experiment
 

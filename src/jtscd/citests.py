@@ -420,10 +420,11 @@ class GraphOracle:
 
     Queries use the observed-variable indexing (system, observed temporal
     contexts, observed spatial contexts) followed by the time and space
-    dummy.  Conditioning on a dummy is realized by substituting all context
-    nodes of its kind at every lag inside the unrolled window; testing a
-    dummy against a system node quantifies d-separation over the latent
-    contexts of its kind.
+    dummy, and are validated by ``CIQuery`` as ParCorr's are.  Conditioning
+    on a dummy is realized by substituting all context nodes of its kind at
+    every lag inside the unrolled window; testing a dummy against a system
+    node quantifies d-separation over the latent contexts of its kind.
+    Every query is answered afresh; ``n_tests`` counts them all.
     """
 
     def __init__(self, graph, tau_max, unroll_depth=None):
@@ -453,7 +454,6 @@ class GraphOracle:
             for lag in range(self.depth + 1)]
         self._space_substitution = [
             (v, 0) for v, r in enumerate(roles) if r.is_context and r.is_spatial_kind]
-        self._cache = {}
         self.n_tests = 0
 
     def _dummy_kind(self, sel):
@@ -488,11 +488,8 @@ class GraphOracle:
         return frozenset(out)
 
     def __call__(self, x, y, z=()):
-        x, y = tuple(x), tuple(y)
-        key = (x, y, frozenset(tuple(s) for s in z))
-        if key in self._cache:
-            return self._cache[key]
         self.n_tests += 1
+        (x,), (y,), z = CIQuery((x,), (y,), z)
         x_kind, y_kind = self._dummy_kind(x), self._dummy_kind(y)
         if x_kind and y_kind:
             raise QueryError("a dummy may appear on one side of the query only")
@@ -517,8 +514,5 @@ class GraphOracle:
             gx, gy = self._to_graph_node(x), self._to_graph_node(y)
             independent = d_separated(self.graph, gx, gy, zsub,
                                       unroll_depth=self.depth)
-        result = (CITestResult(0.0, 1.0, 0) if independent
-                  else CITestResult(1.0, 0.0, 0))
-        self._cache[key] = result
-        return result
+        return CITestResult(0.0, 1.0, 0) if independent else CITestResult(1.0, 0.0, 0)
 

@@ -50,7 +50,8 @@ def _cmd_discover(args):
     if gt_path.exists():
         ground_truth = GroundTruthGraph.from_text(gt_path.read_text())
     if args.dump_pooled:
-        pooled = pool_data(dc, max(args.tau_max, 1))
+        # the rows estimate_graph pools and tests on
+        pooled = pool_data(dc, 0 if args.lag_free else args.tau_max)
         Path(args.dump_pooled).write_text(pooled.to_csv())
     result = discovery.estimate_graph(
         dc, variant=args.variant, ci=args.ci, ground_truth=ground_truth,

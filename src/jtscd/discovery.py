@@ -5,10 +5,10 @@ Every discovery here prunes one ``TimeSeriesGraph`` stage by stage
 drivers left by an optional lagged-adjacency phase and the context and dummy
 links into the system variables, all directed (time order and exogeneity),
 and the system clique, undirected.  Each stage is one ``_skeleton_sweep`` of
-that graph over a ``_Stage``: the tested pairs, the roles the subsets S are
-drawn from, the base conditioning sets, the fixed conditions and whether a
-dummy may appear in a conditioning set.  A stage reads the links kept by
-earlier stages straight from the graph.  The pruned graph is oriented in
+that graph, given the tested pairs, the roles the subsets S are drawn from,
+the base conditioning sets, the fixed conditions and whether a dummy may
+appear in a conditioning set.  A stage reads the links kept by earlier
+stages straight from the graph.  The pruned graph is oriented in
 place by the collider and propagation rules and returned; conflicting
 collider orientations are marked ``x-x``.
 
@@ -27,6 +27,7 @@ All selectors are ``(var, lag)`` with non-negative lags; pair entries
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -190,33 +191,32 @@ def _contemp_adjacencies(graph, allowed_roles, strengths):
     return adj
 
 
-def _sorted_pairs(pairs):
-    return sorted(set(pairs), key=lambda p: (p[2], p[1], p[0]))
+def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, fixed=(),
+                    forbid_dummy_z=False):
+    """Remove links of ``graph`` among ``pairs`` by CI tests with growing
+    subsets ``S``, until no link has enough adjacencies left.
 
-
-def _skeleton_sweep(ci, graph, stage, alpha, roles, sepsets):
-    """Remove links of ``graph`` among ``stage.pairs`` by CI tests with
-    growing subsets ``S``, until no link has enough adjacencies left.
-
-    Within one cardinality level, candidate subsets are drawn from the
-    adjacency sets frozen at level start, so decisions do not depend on the
-    order in which the links are visited.  One unordered link is removed at
-    its first separating test, in either direction.  ``roles`` spans every
-    variable the CI test knows, dummies beyond the graph included.
+    ``S`` is drawn from the contemporaneous adjacencies with a role in
+    ``s_roles``; ``base`` and ``fixed`` complete each conditioning set (see
+    ``_condition_set``), and with ``forbid_dummy_z`` a dummy in it is a
+    ``DiscoveryError``.  Within one cardinality level, candidate subsets are
+    drawn from the adjacency sets frozen at level start, so decisions do not
+    depend on the order in which the links are visited.  One unordered link
+    is removed at its first separating test, in either direction.
     """
-    pairs = _sorted_pairs(stage.pairs)
+    pairs = sorted(set(pairs), key=lambda p: (p[2], p[1], p[0]))
+    roles = ci.var_roles  # every variable the CI test knows, dummies included
     strengths = {}
     dummy_vars = {v for v, r in enumerate(roles) if r.is_dummy}
     p = 0
     while True:
-        adj = _contemp_adjacencies(graph, stage.s_roles, strengths)
+        adj = _contemp_adjacencies(graph, s_roles, strengths)
         tasks = {}
         for (i, tau, j) in pairs:
             if (not graph.has_link(i, j, tau)
                     or len([a for a in adj[j] if a != (i, tau)]) < p):
                 continue
-            key = (min(i, j), max(i, j), 0) if tau == 0 else (i, j, tau)
-            tasks.setdefault(key, []).append((i, tau, j))
+            tasks.setdefault(SepSetStore._key(i, tau, j), []).append((i, tau, j))
         if not tasks:
             break
         for links in tasks.values():
@@ -224,8 +224,8 @@ def _skeleton_sweep(ci, graph, stage, alpha, roles, sepsets):
                      for S in itertools.combinations(
                          [a for a in adj[j] if a != (i, tau)], p))
             for (i, tau, j, S) in tests:
-                z = _condition_set(S, stage.base, i, tau, j, stage.fixed, roles)
-                if stage.forbid_dummy_z and any(v in dummy_vars for (v, _) in z):
+                z = _condition_set(S, base, i, tau, j, fixed, roles)
+                if forbid_dummy_z and any(v in dummy_vars for (v, _) in z):
                     raise DiscoveryError(f"dummy column in a context-stage query: {z}")
                 res = _run_ci(ci, (i, tau), (j, 0), z)
                 link = (i, tau, j)
@@ -387,16 +387,6 @@ def rule_phase(graph, ambiguous_triples=()):
 # the driver
 
 
-@dataclass(frozen=True)
-class _Stage:
-    """One skeleton sweep of the driver (see the module docstring)."""
-    pairs: list                # tested links (i, tau, j)
-    s_roles: tuple             # roles the subsets S are drawn from
-    base: dict                 # variable -> base conditioning set
-    fixed: tuple = ()          # appended to every conditioning set
-    forbid_dummy_z: bool = False
-
-
 def _held(graph, variables, j):
     """The links ``(v, lag)`` into ``j`` from ``variables`` that ``graph``
     still holds, variable by variable, lags ascending."""
@@ -441,18 +431,16 @@ def _discover(ci, tau_max, alpha, collider_rule, lagged=True, joint=True,
     for (a, _, b) in clique:
         graph.set_mark(a, b, 0, UNDIRECTED)
 
-    def sweep(stage):
-        _skeleton_sweep(ci, graph, stage, alpha, roles, sepsets)
+    sweep = functools.partial(_skeleton_sweep, ci, graph, alpha, sepsets)
 
     if joint:
         # C: context-system pairs and lagged temporal-context links
         pairs = [(i, lag, j) for j in system for (i, lag) in lagged_sets[j] if i in tctx]
         pairs += [p for j in system for c in contexts for p in ((c, 0, j), (j, 0, c))]
-        sweep(_Stage(pairs, _CONTEXT_ROLES, dict(lagged_sets), forbid_dummy_z=True))
+        sweep(pairs, _CONTEXT_ROLES, dict(lagged_sets), forbid_dummy_z=True)
         # D: dummy-system pairs given the context parents
-        sweep(_Stage([p for j in system for d in dummies for p in ((d, 0, j), (j, 0, d))],
-                     _SYSTEM_ONLY,
-                     {j: lagged_sys[j] + _held(graph, contexts, j) for j in system}))
+        sweep([p for j in system for d in dummies for p in ((d, 0, j), (j, 0, d))],
+              _SYSTEM_ONLY, {j: lagged_sys[j] + _held(graph, contexts, j) for j in system})
         # Refinement: re-test context links given the opposite-kind dummy
         # parents.  Latent contexts of the other kind can keep a spurious
         # context-system link d-connected through conditioned collider
@@ -469,13 +457,13 @@ def _discover(ci, tau_max, alpha, collider_rule, lagged=True, joint=True,
                 if held:
                     base[j] = base[j] + held
                     pairs += [(c, lag, j) for (c, lag) in _held(graph, kind, j)]
-            sweep(_Stage(pairs, _CONTEXT_ROLES, base))
+            sweep(pairs, _CONTEXT_ROLES, base)
     # S: system-system pairs given everything found so far
     base = {j: lagged_sys[j] + _held(graph, contexts, j) + _held(graph, dummies, j)
             for j in system}
     pairs = [(i, lag, j) for j in system for (i, lag) in lagged_sys[j]]
-    sweep(_Stage(pairs + clique + [(b, 0, a) for (a, _, b) in clique], _SYSTEM_ONLY,
-                 base, tuple(fixed)))
+    sweep(pairs + clique + [(b, 0, a) for (a, _, b) in clique], _SYSTEM_ONLY, base,
+          tuple(fixed))
 
     ambiguous = collider_phase(graph, sepsets, rule=collider_rule, ci=ci, base_sets=base,
                                alpha=alpha, fixed_conditions=tuple(fixed))
@@ -509,34 +497,6 @@ def run_pcmciplus(ci, tau_max=2, alpha=0.05, collider_rule="none",
     """
     return _discover(ci, tau_max, alpha, collider_rule, joint=False,
                      fixed=fixed_conditions)
-
-
-def partial_skeleton_pc(ci, pairs, alpha, roles=None, knowledge=None):
-    """PC skeleton over the given pairs with fixed background-knowledge links.
-
-    ``knowledge`` maps a target variable to parent selectors whose links are
-    held fixed (never tested) and always added to the conditioning sets.
-    Context- or dummy-driven pairs start out directed (exogeneity); system
-    pairs start undirected.  Subsets are drawn from the non-dummy
-    adjacencies.  Returns the skeleton graph and separating sets.
-    """
-    roles = list(roles if roles is not None else ci.var_roles)
-    knowledge = knowledge or {}
-    pairs = _sorted_pairs([(p[0], 0, p[-1]) for p in pairs])
-    graph = TimeSeriesGraph(roles, 0)
-    for j, sels in knowledge.items():
-        for (v, _) in sels:
-            graph.set_mark(v, j, 0, DIRECTED)
-    for (i, _, j) in pairs:
-        if not graph.has_link(i, j, 0):
-            exogenous = roles[i].is_context or roles[i].is_dummy
-            graph.set_mark(i, j, 0, DIRECTED if exogenous else UNDIRECTED)
-    non_dummy = tuple(r for r in VariableRole if not r.is_dummy)
-    sepsets = SepSetStore()
-    _skeleton_sweep(ci, graph, _Stage(pairs, non_dummy,
-                                      {j: list(sels) for j, sels in knowledge.items()}),
-                    alpha, roles, sepsets)
-    return graph, sepsets
 
 
 def j_pc(ci, alpha=0.05, use_dummy=True, collider_rule="none"):

@@ -74,7 +74,7 @@ def build_space_dummy(M, dataset_index):
     return np.eye(M)[np.asarray(dataset_index)]
 
 
-def build_time_dummy(T, tau_max, time_index=None):
+def build_time_dummy(T, tau_max, time_index):
     """One-hot block labelling usable time steps (T - tau_max columns).
 
     Rows that share the same ``t`` across datasets share the same one-hot
@@ -82,8 +82,6 @@ def build_time_dummy(T, tau_max, time_index=None):
     """
     if T <= tau_max:
         raise SelectionError("T must exceed tau_max")
-    if time_index is None:
-        time_index = np.arange(tau_max, T)
     return np.eye(T - tau_max)[np.asarray(time_index) - tau_max]
 
 

@@ -41,6 +41,8 @@ class TestConfig:
         (dict(ci_test="foo"), "unknown CI test 'foo'"),
         (dict(frac_observed_values=[0.5, 2.0]), "frac_observed values must lie in"),
         (dict(frac_observed_values=[-0.1]), "frac_observed values must lie in"),
+        (dict(m_values=[4, 0]), "M values must be positive"),
+        (dict(variants=[]), "need at least one variant"),
     ])
     def test_out_of_range_values_are_refused(self, override, message):
         with pytest.raises(ValueError, match=message):

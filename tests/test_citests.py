@@ -15,7 +15,7 @@ import jtscd
 from jtscd.citests import (CIQuery, GraphOracle, ParCorrCI, QueryError, _t_tail,
                            _tail_polynomials, parcorr_test)
 from jtscd.discovery import j_pcmciplus
-from jtscd.graph import GroundTruthGraph, VariableRole, d_separated
+from jtscd.graph import GroundTruthGraph, TimeSeriesGraph, VariableRole, d_separated
 from jtscd.pooling import build_space_dummy, build_time_dummy, pool_data
 from jtscd.scm import DatasetCollection, generate_random_model, simplified_preset, simulate
 
@@ -149,14 +149,16 @@ class TestParCorr:
 
     def test_query_validation(self):
         # every malformed query fails in the one validating constructor,
-        # built directly or by ``ParCorrCI`` from single selectors
-        test = ParCorrCI(null_pool(0, k=4))
+        # built directly or by either CI test from single selectors
+        tests = (ParCorrCI(null_pool(0, k=4)),
+                 GraphOracle(GroundTruthGraph([R.SYSTEM] * 4, 1), 1))
         for x, y, z, message in MALFORMED_QUERIES:
             with pytest.raises(QueryError, match=message) as direct:
                 CIQuery(x=(x,) if x else (), y=(y,) if y else (), z=z)
-            with pytest.raises(QueryError) as called:
-                test(x, y, z)
-            assert str(called.value) == str(direct.value), (x, y, z)
+            for test in tests:
+                with pytest.raises(QueryError) as called:
+                    test(x, y, z)
+                assert str(called.value) == str(direct.value), (test, x, y, z)
         # _make and _replace, inherited from the named tuple, validate too
         valid = CIQuery(((0, 0),), ((1, 0),))
         with pytest.raises(QueryError, match="x and y must be one selector each"):
@@ -336,6 +338,37 @@ class TestDummyConditioningEquivalence:
             assert abs(res.p_value - p) < 1e-9
 
 
+def _spatial_oracle():
+    """Oracle over two system variables, an observed spatial context (index
+    2) and a latent one; unrolled 4 lags deep."""
+    g = GroundTruthGraph([R.SYSTEM, R.SYSTEM, R.SPATIAL_CONTEXT,
+                          R.LATENT_SPATIAL_CONTEXT], 1)
+    g.add_edge(2, 0, 0)
+    g.add_edge(3, 1, 0)
+    return GraphOracle(g, 1)
+
+
+# (call, message) for each oracle construction or query the oracle refuses
+ORACLE_ERRORS = {
+    "not a ground-truth graph": (
+        lambda: GraphOracle(TimeSeriesGraph([R.SYSTEM] * 2, 1), 1),
+        "the oracle needs a ground-truth graph"),
+    "not an observed variable": (lambda: _spatial_oracle()((0, 0), (7, 0)),
+                                 r"selector \(7, 0\) is not an observed variable"),
+    "lagged spatial context": (lambda: _spatial_oracle()((0, 0), (1, 0), [(2, 1)]),
+                               r"selector \(2, 1\) must have lag 0"),
+    "lag beyond the window": (lambda: _spatial_oracle()((0, 5), (1, 0)),
+                              "lag 5 outside the unrolled window 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_ERRORS))
+def test_malformed_oracle_query_is_refused(case):
+    call, message = ORACLE_ERRORS[case]
+    with pytest.raises(QueryError, match=f"^{message}$"):
+        call()
+
+
 class TestOracle:
     def latent_space_pair(self):
         g = GroundTruthGraph([R.SYSTEM, R.SYSTEM, R.LATENT_SPATIAL_CONTEXT], 1)
@@ -410,9 +443,16 @@ class TestOracle:
                 got = o(x, y, z).p_value == 1.0
                 assert got == expected
 
-    def test_memoization_counts_unique_queries(self):
+    def test_n_tests_counts_every_query(self):
         g = self.latent_space_pair()
         o = GraphOracle(g, 1)
         o((0, 0), (1, 0), [])
         o((0, 0), (1, 0), [])
-        assert o.n_tests == 1
+        o([0, 0], [1, 0], [(o.space_dummy, 0)])
+        assert o.n_tests == 3
+
+    def test_dummy_in_its_own_conditioning_set_rejected(self):
+        o = GraphOracle(self.latent_space_pair(), 1)
+        td = o.time_dummy
+        with pytest.raises(QueryError, match="conditioning set overlaps the tested pair"):
+            o((td, 0), (0, 0), [(td, 0)])

@@ -86,6 +86,20 @@ class TestDiscover:
         assert lines[0].startswith("dataset,t,System0")
         assert len(lines) == 2 * (20 - 2) + 1
 
+    @pytest.mark.parametrize("flags, n_rows", [
+        ((), 3 * (20 - 2)),
+        (("--lag-free",), 3 * 20),
+        (("--lag-free", "--tau-max", "0"), 3 * 20),
+    ])
+    def test_dump_pooled_writes_the_rows_discovery_tests_on(self, tmp_path, flags, n_rows):
+        write_sim_config(tmp_path / "cfg.json", M=3, T=20)
+        data = tmp_path / "data"
+        main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(data)])
+        pooled_csv = tmp_path / "pooled.csv"
+        assert main(["discover", "--data", str(data), *flags, "--dump-pooled",
+                     str(pooled_csv), "--out", str(tmp_path / "g.txt")]) == 0
+        assert len(pooled_csv.read_text().splitlines()) == n_rows + 1
+
     def test_stdout_output(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         write_sim_config(cfg_path, M=2, T=25)

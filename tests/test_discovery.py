@@ -9,8 +9,8 @@ import pytest
 from jtscd.citests import GraphOracle, ParCorrCI
 from jtscd.discovery import (SepSetEntry, SepSetStore, collider_phase,
                              estimate_graph, j_pc, j_pcmciplus,
-                             lagged_skeleton_pcmciplus, partial_skeleton_pc,
-                             rule_phase, run_pcmciplus)
+                             lagged_skeleton_pcmciplus, rule_phase,
+                             run_pcmciplus)
 from jtscd.graph import (CONFLICT, DIRECTED, UNDIRECTED, GroundTruthGraph,
                          TimeSeriesGraph, VariableRole, dummy_deletion,
                          target_graph)
@@ -82,45 +82,36 @@ def cpdag_by_enumeration(n, dag_edges):
     return directed, members
 
 
-class TestPartialSkeletonPC:
-    def oracle_for(self, edges, n=3, extra_roles=()):
-        g = GroundTruthGraph([R.SYSTEM] * n + list(extra_roles), 1)
+class TestSkeletonSweep:
+    """The system stage's sweep, run by ``j_pc`` without dummies on
+    context-free graphs."""
+
+    def oracle_for(self, edges, n=3):
+        g = GroundTruthGraph([R.SYSTEM] * n, 1)
         for (i, j) in edges:
             g.add_edge(i, j, 0)
         return GraphOracle(g, 1)
 
     def test_direct_link_retained(self):
         o = self.oracle_for([(0, 1)], n=2)
-        graph, _ = partial_skeleton_pc(o, [(0, 0, 1)], alpha=0.05,
-                                       roles=[R.SYSTEM] * 2)
+        graph = j_pc(o, use_dummy=False).graph
         assert graph.has_link(0, 1, 0)
 
     def test_chain_removed_with_middle_sepset(self):
         o = self.oracle_for([(0, 1), (1, 2)])
-        pairs = [(a, 0, b) for a in range(3) for b in range(3) if a != b]
-        graph, sepsets = partial_skeleton_pc(o, pairs, alpha=0.05,
-                                             roles=[R.SYSTEM] * 3)
-        assert not graph.has_link(0, 2, 0)
-        assert graph.has_link(0, 1, 0) and graph.has_link(1, 2, 0)
-        assert sepsets.get(0, 0, 2).s == ((1, 0),)
+        res = j_pc(o, use_dummy=False)
+        assert not res.graph.has_link(0, 2, 0)
+        assert res.graph.has_link(0, 1, 0) and res.graph.has_link(1, 2, 0)
+        assert res.sepsets.get(0, 0, 2).s == ((1, 0),)
 
     def test_alpha_zero_removes_everything(self):
         spec, _ = generate_random_model(n_system=3, n_temporal_ctx=0,
                                         n_spatial_ctx=0, seed=0, lag_free=True)
         dc = simulate(spec, M=1, T=80, seed=1)
-        ci = ParCorrCI(pool_data(dc, 0))
-        pairs = [(a, 0, b) for a in range(3) for b in range(3) if a != b]
-        graph, _ = partial_skeleton_pc(ci, pairs, alpha=0.0,
-                                       roles=ci.var_roles)
+        graph = j_pc(ParCorrCI(pool_data(dc, 0)), alpha=0.0, use_dummy=False).graph
+        assert graph.n_vars == 3
         assert all(not graph.has_link(a, b, 0)
                    for a in range(3) for b in range(3) if a != b)
-
-    def test_knowledge_links_survive_untested(self):
-        o = self.oracle_for([(0, 1)], n=3)
-        graph, _ = partial_skeleton_pc(
-            o, [(0, 0, 1)], alpha=0.05, roles=[R.SYSTEM] * 3,
-            knowledge={2: [(0, 0)]})
-        assert graph.mark(0, 2, 0) == DIRECTED  # kept although not in truth
 
 
 class TestLaggedSkeleton:
@@ -292,13 +283,10 @@ class TestJPC:
             dc = simulate(spec, M=1, T=400, seed=seed + 100)
             ci = ParCorrCI(pool_data(dc, 0))
             res = j_pc(ci, alpha=0.05)
-            pairs = [(a, 0, b) for a in range(4) for b in range(4) if a != b]
-            ci2 = ParCorrCI(pool_data(dc, 0))
-            skel, seps = partial_skeleton_pc(ci2, pairs, alpha=0.05,
-                                             roles=ci2.var_roles)
-            amb = collider_phase(skel, seps)
-            rule_phase(skel, amb)
-            assert dummy_deletion(res.graph) == dummy_deletion(skel)
+            # without contexts and dummies J-PC is plain PC over the system
+            plain = j_pc(ParCorrCI(pool_data(dc, 0)), alpha=0.05, use_dummy=False)
+            assert plain.graph.n_vars == 4
+            assert dummy_deletion(res.graph) == dummy_deletion(plain.graph)
 
     def test_oracle_consistency_random_lag_free(self):
         hits = 0

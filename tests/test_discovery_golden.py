@@ -1,7 +1,7 @@
 """Golden outputs of the discovery drivers.
 
 ``tests/data/discovery_golden.json`` holds, per case, the graph text and the
-separating sets of one discovery run or ``partial_skeleton_pc`` call.
+separating sets of one discovery run.
 Oracle cases record every sepset entry (``s``, ``z`` and ``pair``) together
 with the lagged sets, context and dummy parents and ambiguous triples;
 ParCorr cases record the graph text and the sepset keys only, so that
@@ -25,8 +25,8 @@ from pathlib import Path
 import pytest
 
 from jtscd.citests import GraphOracle
-from jtscd.discovery import (DiscoveryError, DiscoveryResult, estimate_graph, j_pc,
-                             j_pcmciplus, partial_skeleton_pc, run_pcmciplus)
+from jtscd.discovery import (DiscoveryError, estimate_graph, j_pc, j_pcmciplus,
+                             run_pcmciplus)
 from jtscd.graph import mask_contexts_latent
 from jtscd.scm import generate_random_model, simulate
 
@@ -59,10 +59,6 @@ def _oracle_runs(seed):
     yield "jpc", lambda: j_pc(o0)
     yield "jpc/no-dummy", lambda: j_pc(o0, use_dummy=False)
     yield "jpc/majority", lambda: j_pc(o0, collider_rule="majority")
-    n_obs = len(o0.var_roles) - 2
-    pairs = [(a, 0, b) for a in range(n_obs) for b in range(n_obs) if a != b]
-    yield "partial-skeleton", lambda: DiscoveryResult(*partial_skeleton_pc(
-        o0, pairs, 0.05, knowledge={0: [(n_obs - 1, 0)]} if seed % 2 else None))
     yield "pcmci+fixed", lambda: run_pcmciplus(masked, tau_max=2,
                                                fixed_conditions=fixed)
     yield "pcmci+fixed/majority", lambda: run_pcmciplus(

@@ -166,6 +166,52 @@ class TestTimeSeriesGraph:
             TimeSeriesGraph.from_text("graph 2 1\nroles System\n")
 
 
+def _two_system_and_dummy():
+    return TimeSeriesGraph([R.SYSTEM, R.SYSTEM, R.SPACE_DUMMY], 1)
+
+
+# (call, error type, message) for each malformed construction or query
+GRAPH_ERRORS = {
+    "negative tau_max": (lambda: TimeSeriesGraph([R.SYSTEM], -1),
+                         GraphStructureError, "tau_max must be non-negative"),
+    "variable out of range": (lambda: _two_system_and_dummy().set_mark(0, 3, 0, DIRECTED),
+                              GraphStructureError, r"variable out of range: \(0, 3\)"),
+    "lag outside the window": (lambda: _two_system_and_dummy().set_mark(0, 1, 2, DIRECTED),
+                               GraphStructureError, r"lag 2 outside \[0, 1\]"),
+    "lag-0 self-link": (lambda: _two_system_and_dummy().set_mark(1, 1, 0, UNDIRECTED),
+                        GraphStructureError, "contemporaneous self-links are not allowed"),
+    "invalid mark": (lambda: _two_system_and_dummy().set_mark(0, 1, 0, "<->"),
+                     GraphStructureError, "invalid mark '<->'"),
+    "undirected dummy link": (lambda: _two_system_and_dummy().set_mark(2, 0, 0, UNDIRECTED),
+                              GraphStructureError, "dummy links are always directed"),
+    "bad header": (lambda: TimeSeriesGraph.from_text("graph two 1\nroles System\n"),
+                   GraphFormatError, "bad header line: 'graph two 1'"),
+    "missing roles line": (lambda: TimeSeriesGraph.from_text("graph 1 0\nrole System\n"),
+                           GraphFormatError, "missing roles line"),
+    "unknown role": (lambda: TimeSeriesGraph.from_text("graph 1 0\nroles Sytem\n"),
+                     GraphFormatError, "'Sytem' is not a valid VariableRole"),
+    "bad edge line": (lambda: TimeSeriesGraph.from_text(
+                          "graph 2 0\nroles System System\n0 1 -->\n"),
+                      GraphFormatError, "bad edge line: '0 1 -->'"),
+    "d-separation variable out of range": (
+        lambda: d_separated(catchment_graph(), (0, 0), (4, 0), set()),
+        GraphStructureError, "variable 4 out of range"),
+    "d-separation lag beyond the unrolled window": (
+        lambda: d_separated(catchment_graph(), (0, 9), (1, 0), set(), unroll_depth=8),
+        GraphStructureError, "lag 9 of variable 0 outside window"),
+    "d-separation lagged spatial context": (
+        lambda: d_separated(catchment_graph(), (0, 0), (1, 0), {(3, 1)}),
+        GraphStructureError, "lag 1 of variable 3 outside window"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_ERRORS))
+def test_malformed_graph_input_is_refused(case):
+    call, error, message = GRAPH_ERRORS[case]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 class TestDummyProjection:
     def test_latent_space_confounder_projects_to_space_dummy(self):
         g = GroundTruthGraph([R.SYSTEM, R.SYSTEM, R.LATENT_SPATIAL_CONTEXT], 1)

@@ -19,6 +19,22 @@ def small_collection(M=2, T=12, seed=0, frac_observed=1.0):
     return simulate(spec, M=M, T=T, seed=seed + 1)
 
 
+# (call, error type, message) for each malformed pooling request
+POOLING_ERRORS = {
+    "T at most tau_max": (lambda: pool_data(small_collection(T=3), 3),
+                          SelectionError, "T=3 must exceed tau_max=3"),
+    "unknown dummy mode": (lambda: pool_data(small_collection(), 2).gram_stats(2, "all"),
+                           ValueError, r"mode must be one of \('none', 'time', 'space', 'both'\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POOLING_ERRORS))
+def test_malformed_pooling_request_is_refused(case):
+    call, error, message = POOLING_ERRORS[case]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 class TestDummyBlocks:
     def test_space_dummy_rows(self):
         block = build_space_dummy(3, np.array([0, 1, 1, 2]))
@@ -30,7 +46,7 @@ class TestDummyBlocks:
         assert np.all(block == 1.0)
 
     def test_time_dummy_column_count(self):
-        block = build_time_dummy(5, 2)
+        block = build_time_dummy(5, 2, np.arange(2, 5))
         assert block.shape == (3, 3)
         assert np.array_equal(block, np.eye(3))
 

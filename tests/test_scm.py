@@ -368,6 +368,15 @@ class TestSerialization:
         with pytest.raises(PanelShapeError, match="dataset 1 has 9 rows, expected 10"):
             DatasetCollection.from_dir(tmp_path)
 
+    def test_from_dir_rejects_temporal_context_differing_between_datasets(self, tmp_path):
+        spec, _ = generate_random_model(seed=12, max_lag=2)
+        dc = simulate(spec, M=2, T=10, seed=13)
+        dc.to_dir(tmp_path, spec=spec)
+        assert dc.n_temporal_ctx == 2  # the columns after the system ones
+        self._edit_cell(tmp_path / "data_001.csv", 4, 1 + dc.n_system, "0.25")
+        with pytest.raises(ValueError, match="^temporal context differs across datasets$"):
+            DatasetCollection.from_dir(tmp_path)
+
     def test_mask_all_latent(self):
         spec, _ = generate_random_model(seed=14, frac_observed=1.0)
         dc = simulate(spec, M=2, T=20, seed=15)
@@ -408,6 +417,41 @@ def test_malformed_panel_is_refused(case):
     change, message = MALFORMED_PANELS[case]
     with pytest.raises(PanelShapeError, match=message):
         DatasetCollection(**{**_panel_arrays(), **change})
+
+
+def _spec(**change):
+    """A valid spec with two system variables, one temporal and one spatial
+    context, with ``change`` applied."""
+    fields = dict(n_system=2, n_temporal_ctx=1, n_spatial_ctx=1, autocorr=(0.5, 0.5),
+                  terms=((LinearTerm(1, 1, 0.3),), ()), noise_std=(1.0, 1.0),
+                  observed_mask=(True, True))
+    return SCMSpec(**{**fields, **change})
+
+
+# changes that make ``_spec()`` malformed, and the message ``validate`` gives
+MALFORMED_SPECS = {
+    "short autocorr": (dict(autocorr=(0.5,)),
+                       "autocorr/terms must have one entry per system variable"),
+    "long noise_std": (dict(noise_std=(1.0, 1.0, 1.0)),
+                       "noise_std must have one entry per system variable"),
+    "short observed_mask": (dict(observed_mask=(True,)),
+                            "observed_mask must have one entry per context"),
+    "zero coefficient": (dict(terms=((LinearTerm(1, 1, 0.0),), ())),
+                         "zero-coefficient terms are not allowed"),
+    "parent out of range": (dict(terms=((), (LinearTerm(4, 0, 0.3),))),
+                            "term parent 4 out of range"),
+    "lagged spatial parent": (dict(terms=((LinearTerm(3, 1, 0.3),), ())),
+                              "spatial context parents must have lag 0"),
+    "negative lag": (dict(terms=((LinearTerm(1, -1, 0.3),), ())),
+                     "negative lags are not allowed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+def test_malformed_spec_is_refused(case):
+    change, message = MALFORMED_SPECS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _spec(**change).validate()
 
 
 if __name__ == "__main__":
