@@ -53,6 +53,17 @@ class ExperimentConfig:
             raise ValueError("frac_observed values must lie in [0, 1]")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be positive")
+        if self.n_system < 1:
+            raise ValueError("n_system must be positive")
+        if self.n_temporal_ctx < 0 or self.n_spatial_ctx < 0:
+            raise ValueError("context counts must be non-negative")
+        # every realization draws a lagged model and runs a lagged discovery
+        if self.tau_max < 1:
+            raise ValueError("tau_max must be at least 1")
+        if self.max_model_lag < 1:
+            raise ValueError("max_model_lag must be at least 1")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be non-negative")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.ci_test not in discovery.CI_TESTS:

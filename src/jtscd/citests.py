@@ -53,8 +53,8 @@ and finishes on Python floats too.
 
 The oracle test answers the same queries exactly from a ground-truth graph:
 a dummy inside the conditioning set stands for all context variables of its
-kind (observed and latent), and a dummy as a tested endpoint is independent
-of a system node iff every latent context of its kind is d-separated from it.
+kind (observed and latent), and a dummy endpoint is independent of a node
+iff one reachability pass from the node reaches no latent context of its kind.
 """
 
 from __future__ import annotations
@@ -62,11 +62,13 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import GroundTruthGraph, VariableRole, d_separated, observed_variables
+from .graph import (GraphStructureError, GroundTruthGraph, VariableRole, d_connected,
+                    d_separated, observed_variables)
 from .pooling import SelectionError
 from .scm import ConstantColumnError
 
@@ -265,9 +267,10 @@ def _unresolved(query, data):
     """A query with a selector outside ``data.selectors``.
 
     A degenerate tested endpoint answers first, as in the kernel; otherwise
-    the first missing selector raises ``SelectionError``.
+    the first missing selector, a malformed one included, raises
+    ``SelectionError``.
     """
-    if any(data.is_degenerate(var) for (var, _) in query.x + query.y):
+    if any(len(s) == 2 and data.is_degenerate(s[0]) for s in query.x + query.y):
         return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
     missing = next(s for s in query.x + query.y + query.z if s not in data.selectors)
     raise SelectionError(f"selector {missing} out of range")
@@ -420,99 +423,76 @@ class GraphOracle:
 
     Queries use the observed-variable indexing (system, observed temporal
     contexts, observed spatial contexts) followed by the time and space
-    dummy, and are validated by ``CIQuery`` as ParCorr's are.  Conditioning
-    on a dummy is realized by substituting all context nodes of its kind at
-    every lag inside the unrolled window; testing a dummy against a system
-    node quantifies d-separation over the latent contexts of its kind.
-    Every query is answered afresh; ``n_tests`` counts them all.
+    dummy, and are validated by ``CIQuery`` as ParCorr's are.  The table
+    ``selectors`` maps each valid ``(var, lag)`` to the ground-truth nodes
+    it stands for: an observed variable at a lag in the unrolled window
+    (lag 0 only for a single-node one), and a dummy at lag 0 to every
+    context node of its kind in the window.  A dummy tested against a node
+    is independent of it iff the ``d_connected`` pass from that node reaches
+    no latent context node of its kind.  ``n_tests`` counts every query.
     """
 
     def __init__(self, graph, tau_max, unroll_depth=None):
         if not isinstance(graph, GroundTruthGraph):
             raise QueryError("the oracle needs a ground-truth graph")
-        self.graph = graph
-        self.tau_max = tau_max
-        self.depth = unroll_depth or 4 * max(graph.tau_max, tau_max, 1)
-        obs = observed_variables(graph)
-        self.obs_map = obs
+        if unroll_depth is None:
+            unroll_depth = 4 * max(graph.tau_max, tau_max, 1)
+        if unroll_depth < graph.tau_max:
+            raise QueryError(
+                f"unroll_depth {unroll_depth} is smaller than tau_max {graph.tau_max}")
+        self.graph, self.tau_max, self.depth = graph, tau_max, unroll_depth
+        self.obs_map = obs = observed_variables(graph)
         self.n_observed = len(obs)
-        self.time_dummy = self.n_observed
-        self.space_dummy = self.n_observed + 1
-        self._dummy_kinds = {self.time_dummy: "time", self.space_dummy: "space"}
-        self.var_roles = [graph.roles[v] for v in obs]
+        self.time_dummy, self.space_dummy = self.n_observed, self.n_observed + 1
+        roles = graph.roles
+        self.var_roles = [roles[v] for v in obs]
         self.var_roles += [VariableRole.TIME_DUMMY, VariableRole.SPACE_DUMMY]
 
-        roles = graph.roles
-        self._latent = {
-            "time": [v for v, r in enumerate(roles)
-                     if r is VariableRole.LATENT_TEMPORAL_CONTEXT],
-            "space": [v for v, r in enumerate(roles)
-                      if r is VariableRole.LATENT_SPATIAL_CONTEXT],
-        }
-        self._time_substitution = [
-            (v, lag) for v, r in enumerate(roles) if r.is_context and r.is_temporal_kind
-            for lag in range(self.depth + 1)]
-        self._space_substitution = [
-            (v, 0) for v, r in enumerate(roles) if r.is_context and r.is_spatial_kind]
+        window = range(unroll_depth + 1)
+        nodes = [[(v, lag) for lag in (window if r.is_time_indexed else (0,))]
+                 for v, r in enumerate(roles)]
+        table = {(k, n[1]): frozenset([n]) for k, v in enumerate(obs) for n in nodes[v]}
+        for dummy, temporal in ((self.time_dummy, True), (self.space_dummy, False)):
+            table[(dummy, 0)] = frozenset(
+                n for v, r in enumerate(roles)
+                if r.is_context and r.is_temporal_kind == temporal for n in nodes[v])
+        self.selectors = MappingProxyType(table)
+        # the latent context nodes a dummy selector stands for
+        self._latent = {sel: frozenset(n for n in table[sel] if roles[n[0]].is_latent)
+                        for sel in ((self.time_dummy, 0), (self.space_dummy, 0))}
         self.n_tests = 0
 
-    def _dummy_kind(self, sel):
-        """``"time"`` or ``"space"`` for a dummy selector, else ``None``; a
-        dummy is one node, so a dummy selector at a nonzero lag is refused."""
-        kind = self._dummy_kinds.get(sel[0])
-        if kind and sel[1] != 0:
-            raise QueryError(f"selector {tuple(sel)} must have lag 0")
-        return kind
-
-    def _to_graph_node(self, sel):
+    def _refusal(self, sel):
+        """The ``QueryError`` for a selector missing from ``selectors``."""
+        if len(sel) != 2:
+            return QueryError(f"selector {sel} is not a (var, lag) pair")
         var, lag = sel
-        if not (0 <= var < self.n_observed):
-            raise QueryError(f"selector {sel} is not an observed variable")
-        gvar = self.obs_map[var]
-        if not self.graph.roles[gvar].is_time_indexed and lag != 0:
-            raise QueryError(f"selector {sel} must have lag 0")
-        if lag > self.depth:
-            raise QueryError(f"lag {lag} outside the unrolled window {self.depth}")
-        return (gvar, lag)
-
-    def _substituted_z(self, z):
-        out = []
-        for sel in z:
-            kind = self._dummy_kind(sel)
-            if kind == "time":
-                out.extend(self._time_substitution)
-            elif kind == "space":
-                out.extend(self._space_substitution)
-            else:
-                out.append(self._to_graph_node(sel))
-        return frozenset(out)
+        if (var, 0) not in self.selectors:
+            return QueryError(f"selector {sel} is not an observed variable")
+        if not self.var_roles[var].is_time_indexed:
+            return QueryError(f"selector {sel} must have lag 0")
+        return QueryError(f"lag {lag} outside the unrolled window {self.depth}")
 
     def __call__(self, x, y, z=()):
         self.n_tests += 1
         (x,), (y,), z = CIQuery((x,), (y,), z)
-        x_kind, y_kind = self._dummy_kind(x), self._dummy_kind(y)
-        if x_kind and y_kind:
-            raise QueryError("a dummy may appear on one side of the query only")
-        zsub = self._substituted_z(z)
-        if x_kind or y_kind:
-            kind = x_kind or y_kind
-            node = self._to_graph_node(y if x_kind else x)
-            independent = True
-            for latent in self._latent[kind]:
-                lags = (range(self.depth + 1)
-                        if self.graph.roles[latent].is_time_indexed else (0,))
-                for lag in lags:
-                    if (latent, lag) == node or (latent, lag) in zsub:
-                        continue
-                    if not d_separated(self.graph, (latent, lag), node, zsub,
-                                       unroll_depth=self.depth):
-                        independent = False
-                        break
-                if not independent:
-                    break
+        try:
+            nx, ny = self.selectors[x], self.selectors[y]
+            zsub = frozenset().union(*map(self.selectors.__getitem__, z))
+        except KeyError as missing:
+            raise self._refusal(missing.args[0]) from None
+        if y in self._latent:  # d-separation is symmetric: keep a dummy in x
+            if x in self._latent:
+                raise QueryError("a dummy may appear on one side of the query only")
+            x, nx, ny = y, ny, nx
+        (node,) = ny
+        if x in self._latent:
+            latent = self._latent[x]
+            if latent and node in zsub:  # as d_separated from a latent node refuses it
+                raise GraphStructureError("x and y must not be part of z")
+            independent = not latent or latent.isdisjoint(
+                d_connected(self.graph, node, zsub, self.depth))
         else:
-            gx, gy = self._to_graph_node(x), self._to_graph_node(y)
-            independent = d_separated(self.graph, gx, gy, zsub,
+            independent = d_separated(self.graph, *nx, node, zsub,
                                       unroll_depth=self.depth)
         return CITestResult(0.0, 1.0, 0) if independent else CITestResult(1.0, 0.0, 0)
-

@@ -425,14 +425,50 @@ def target_graph(g):
     return out
 
 
+def d_connected(g, x, z, depth):
+    """Yield the nodes d-connected to ``x`` given the node set ``z``.
+
+    One ball-bouncing pass (Bayes-ball; Shachter 1998) over ``g`` unrolled
+    ``depth`` lags into the past yields each node once, as it reaches it,
+    and never ``x`` or a node of ``z``; ``x`` must not be in ``z``.  A caller
+    that stops iterating stops the pass.  ``d_separated`` checks the nodes.
+    """
+    parents, children = g._unrolled(depth)
+    ancestors, stack = set(z), list(z)
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in ancestors:
+                ancestors.add(p)
+                stack.append(p)
+
+    # states (node, up): up means the ball arrived from a child
+    visited, reached = set(), {x}
+    queue = deque([(x, True)])
+    while queue:
+        state = queue.popleft()
+        if state in visited:
+            continue
+        visited.add(state)
+        node, up = state
+        if node not in reached and node not in z:
+            reached.add(node)
+            yield node
+        if up and node not in z:
+            queue.extend([(p, True) for p in parents[node]])
+        if node not in z:
+            queue.extend([(c, False) for c in children[node]])
+        if not up and node in ancestors:
+            queue.extend([(p, True) for p in parents[node]])
+
+
 def d_separated(g, x, y, z, unroll_depth=None):
     """Exact d-separation of ``x`` and ``y`` given ``z`` in the unrolled graph.
 
     Nodes are ``(var, lag)`` references with non-negative lags (``lag`` means
     time ``t - lag``).  The stationary graph is unrolled ``unroll_depth`` lags
-    into the past (default ``4 * tau_max``) and reachability is propagated by
-    ball bouncing; a brute-force path enumeration validates this on small
-    graphs in the test-suite.
+    into the past (default ``4 * max(tau_max, 1)``); the ``d_connected`` pass
+    from ``x`` stops once it reaches ``y``.  A brute-force path enumeration
+    validates this on small graphs in the test-suite.
     """
     if unroll_depth is None:
         unroll_depth = 4 * max(g.tau_max, 1)
@@ -450,39 +486,4 @@ def d_separated(g, x, y, z, unroll_depth=None):
         max_lag = unroll_depth if g.roles[v].is_time_indexed else 0
         if not (0 <= lag <= max_lag):
             raise GraphStructureError(f"lag {lag} of variable {v} outside window")
-
-    parents, children = g._unrolled(unroll_depth)
-
-    ancestors = set(zset)
-    stack = list(zset)
-    while stack:
-        node = stack.pop()
-        for p in parents[node]:
-            if p not in ancestors:
-                ancestors.add(p)
-                stack.append(p)
-
-    # Ball bouncing: states (node, direction), "up" = arrived from a child.
-    visited = set()
-    queue = deque([(x, "up")])
-    while queue:
-        node, direction = queue.popleft()
-        if (node, direction) in visited:
-            continue
-        visited.add((node, direction))
-        if node == y:
-            return False
-        if direction == "up":
-            if node not in zset:
-                for p in parents[node]:
-                    queue.append((p, "up"))
-                for c in children[node]:
-                    queue.append((c, "down"))
-        else:
-            if node not in zset:
-                for c in children[node]:
-                    queue.append((c, "down"))
-            if node in ancestors:
-                for p in parents[node]:
-                    queue.append((p, "up"))
-    return True
+    return y not in d_connected(g, x, zset, unroll_depth)

@@ -396,8 +396,12 @@ def generate_random_model(n_system=5, n_temporal_ctx=2, n_spatial_ctx=1,
         raise ValueError("need at least one system variable")
     if not (0.0 <= frac_observed <= 1.0):
         raise ValueError("frac_observed must lie in [0, 1]")
+    if n_temporal_ctx < 0 or n_spatial_ctx < 0:
+        raise ValueError("context counts must be non-negative")
     if lag_free and n_temporal_ctx > 0:
         raise ValueError("lag-free models cannot have temporal contexts")
+    if not lag_free and max_lag < 1:
+        raise ValueError("a lagged model needs max_lag >= 1")
     n_ctx = n_temporal_ctx + n_spatial_ctx
     rng = np.random.default_rng(seed)
 
@@ -492,6 +496,8 @@ def simulate(spec, M, T, burn_in=100, seed=0):
     spec.validate()
     if T <= spec.max_lag:
         raise ValueError(f"T={T} must exceed the maximum lag {spec.max_lag}")
+    if burn_in < 0:
+        raise ValueError("burn_in must be non-negative")
     rng = np.random.default_rng(seed)
     N, Kt, Ks = spec.n_system, spec.n_temporal_ctx, spec.n_spatial_ctx
     total = T + burn_in

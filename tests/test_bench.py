@@ -43,6 +43,12 @@ class TestConfig:
         (dict(frac_observed_values=[-0.1]), "frac_observed values must lie in"),
         (dict(m_values=[4, 0]), "M values must be positive"),
         (dict(variants=[]), "need at least one variant"),
+        (dict(tau_max=0), "tau_max must be at least 1"),
+        (dict(max_model_lag=0), "max_model_lag must be at least 1"),
+        (dict(burn_in=-5), "burn_in must be non-negative"),
+        (dict(n_system=0), "n_system must be positive"),
+        (dict(n_temporal_ctx=-1), "context counts must be non-negative"),
+        (dict(n_spatial_ctx=-1), "context counts must be non-negative"),
     ])
     def test_out_of_range_values_are_refused(self, override, message):
         with pytest.raises(ValueError, match=message):

@@ -15,8 +15,9 @@ import jtscd
 from jtscd.citests import (CIQuery, GraphOracle, ParCorrCI, QueryError, _t_tail,
                            _tail_polynomials, parcorr_test)
 from jtscd.discovery import j_pcmciplus
-from jtscd.graph import GroundTruthGraph, TimeSeriesGraph, VariableRole, d_separated
-from jtscd.pooling import build_space_dummy, build_time_dummy, pool_data
+from jtscd.graph import (GraphStructureError, GroundTruthGraph, TimeSeriesGraph,
+                         VariableRole, d_separated)
+from jtscd.pooling import SelectionError, build_space_dummy, build_time_dummy, pool_data
 from jtscd.scm import DatasetCollection, generate_random_model, simplified_preset, simulate
 
 from reference_kernel import centered_parcorr_test
@@ -46,6 +47,20 @@ MALFORMED_QUERIES = (
     ((0, 0), [1, 0], ([2, 0], [0, 0]), "conditioning set overlaps the tested pair"),
     ((), (1, 0), (), "x and y must be non-empty"),
     ((0, 0), (), ((2, 0),), "x and y must be non-empty"),
+)
+
+
+# (x, y, z, ParCorr's SelectionError, the oracle's QueryError) for queries
+# whose selectors are not valid (var, lag) pairs of a four-variable model
+MALFORMED_SELECTORS = (
+    ((0,), (1, 0), (), r"selector \(0,\) out of range",
+     r"selector \(0,\) is not a \(var, lag\) pair"),
+    ((0, 0, 0), (1, 0), (), r"selector \(0, 0, 0\) out of range",
+     r"selector \(0, 0, 0\) is not a \(var, lag\) pair"),
+    ((0, 0), (1, -1), (), r"selector \(1, -1\) out of range",
+     "lag -1 outside the unrolled window 4"),
+    ((0, 0), (1, 0), ((2,),), r"selector \(2,\) out of range",
+     r"selector \(2,\) is not a \(var, lag\) pair"),
 )
 
 
@@ -159,6 +174,13 @@ class TestParCorr:
                 with pytest.raises(QueryError) as called:
                     test(x, y, z)
                 assert str(called.value) == str(direct.value), (test, x, y, z)
+        # a selector that is no valid (var, lag) pair is named by both tests
+        parcorr, oracle = tests
+        for x, y, z, selection_message, query_message in MALFORMED_SELECTORS:
+            with pytest.raises(SelectionError, match=f"^{selection_message}$"):
+                parcorr(x, y, z)
+            with pytest.raises(QueryError, match=f"^{query_message}$"):
+                oracle(x, y, z)
         # _make and _replace, inherited from the named tuple, validate too
         valid = CIQuery(((0, 0),), ((1, 0),))
         with pytest.raises(QueryError, match="x and y must be one selector each"):
@@ -338,14 +360,14 @@ class TestDummyConditioningEquivalence:
             assert abs(res.p_value - p) < 1e-9
 
 
-def _spatial_oracle():
+def _spatial_oracle(unroll_depth=None):
     """Oracle over two system variables, an observed spatial context (index
-    2) and a latent one; unrolled 4 lags deep."""
+    2) and a latent one, with tau_max 1; unrolled 4 lags deep by default."""
     g = GroundTruthGraph([R.SYSTEM, R.SYSTEM, R.SPATIAL_CONTEXT,
                           R.LATENT_SPATIAL_CONTEXT], 1)
     g.add_edge(2, 0, 0)
     g.add_edge(3, 1, 0)
-    return GraphOracle(g, 1)
+    return GraphOracle(g, 1, unroll_depth=unroll_depth)
 
 
 # (call, message) for each oracle construction or query the oracle refuses
@@ -359,6 +381,10 @@ ORACLE_ERRORS = {
                                r"selector \(2, 1\) must have lag 0"),
     "lag beyond the window": (lambda: _spatial_oracle()((0, 5), (1, 0)),
                               "lag 5 outside the unrolled window 4"),
+    "unroll depth below tau_max": (lambda: _spatial_oracle(unroll_depth=0),
+                                   "unroll_depth 0 is smaller than tau_max 1"),
+    "negative spatial lag": (lambda: _spatial_oracle()((2, -1), (1, 0)),
+                             r"selector \(2, -1\) must have lag 0"),
 }
 
 
@@ -367,6 +393,40 @@ def test_malformed_oracle_query_is_refused(case):
     call, message = ORACLE_ERRORS[case]
     with pytest.raises(QueryError, match=f"^{message}$"):
         call()
+
+
+def reference_dummy_endpoint(oracle, dummy, sel, z):
+    """The dummy-endpoint answer as one ``d_separated`` call per latent
+    context node of the dummy's kind and lag: independent iff every such
+    node is d-separated from ``sel`` given ``z`` with each dummy in ``z``
+    replaced by every context node of its kind in the window."""
+    g, depth = oracle.graph, oracle.depth
+
+    def context_nodes(temporal):
+        return {(v, lag) for v, r in enumerate(g.roles)
+                if r.is_context and r.is_temporal_kind == temporal
+                for lag in (range(depth + 1) if r.is_time_indexed else (0,))}
+
+    zsub = set()
+    for (v, lag) in z:
+        if v in (oracle.time_dummy, oracle.space_dummy):
+            zsub |= context_nodes(v == oracle.time_dummy)
+        else:
+            zsub.add((oracle.obs_map[v], lag))
+    node = (oracle.obs_map[sel[0]], sel[1])
+    for latent in sorted(context_nodes(dummy == oracle.time_dummy)):
+        if g.roles[latent[0]].is_latent and not d_separated(
+                g, latent, node, zsub, unroll_depth=depth):
+            return False
+    return True
+
+
+def _answer(call):
+    """Whether a query found independence, or the message it raised."""
+    try:
+        return call()
+    except GraphStructureError as exc:
+        return str(exc)
 
 
 class TestOracle:
@@ -442,6 +502,64 @@ class TestOracle:
                     unroll_depth=o.depth)
                 got = o(x, y, z).p_value == 1.0
                 assert got == expected
+
+    def test_dummy_endpoint_matches_per_latent_node_reference(self):
+        rng = np.random.default_rng(5)
+        answers = {}
+        for seed in range(12):
+            _, g = generate_random_model(n_system=3, n_temporal_ctx=2, n_spatial_ctx=2,
+                                         frac_observed=0.5, seed=seed, max_lag=2)
+            o = GraphOracle(g, 2)
+            nodes = [sel for sel in o.selectors if sel[0] < o.n_observed]
+            for dummy, other in ((o.time_dummy, o.space_dummy),
+                                 (o.space_dummy, o.time_dummy)):
+                for _ in range(12):
+                    sel = nodes[rng.integers(len(nodes))]
+                    rest = [nd for nd in nodes if nd != sel]
+                    z = [rest[i] for i in rng.choice(len(rest), int(rng.integers(0, 3)),
+                                                     replace=False)]
+                    if rng.random() < 0.5:
+                        z.append((other, 0))
+                    expected = _answer(lambda: reference_dummy_endpoint(o, dummy, sel, z))
+                    for x, y in (((dummy, 0), sel), (sel, (dummy, 0))):
+                        got = _answer(lambda: o(x, y, z).p_value == 1.0)
+                        assert got == expected, (seed, x, y, z)
+                    key = (dummy == o.time_dummy, (other, 0) in z, sel[1] > 2 * o.tau_max)
+                    answers.setdefault(key, set()).add(expected)
+        # both dummies, z with and without the other dummy, lags past
+        # 2 * tau_max: each seen dependent and independent
+        assert len(answers) == 8
+        assert all({True, False} <= seen for seen in answers.values()), answers
+
+    def test_dummy_endpoint_makes_no_d_separated_call(self, monkeypatch):
+        # perfbench/tracing.py counts oracle d-separation through these
+        # module globals
+        import jtscd.citests as citests
+        calls = {"d_separated": 0, "d_connected": 0}
+
+        def counting(name):
+            original = getattr(citests, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(citests, name, counting(name))
+        _, g = simplified_preset()
+        o = GraphOracle(g, 2)
+        assert o((0, 0), (o.time_dummy, 0), []).p_value == 0.0
+        assert o((o.space_dummy, 0), (1, 0), [(o.time_dummy, 0)]).p_value == 0.0
+        assert calls == {"d_separated": 0, "d_connected": 2}
+        o((0, 0), (1, 0), [(o.space_dummy, 0)])
+        assert calls == {"d_separated": 1, "d_connected": 2}
+
+    def test_explicit_unroll_depth_is_kept(self):
+        # an unroll depth of 0 is a depth, not a request for the default
+        lag_free = GroundTruthGraph([R.SYSTEM, R.SYSTEM, R.LATENT_SPATIAL_CONTEXT], 0)
+        assert GraphOracle(lag_free, 0, unroll_depth=0).depth == 0
+        assert GraphOracle(self.latent_space_pair(), 1, unroll_depth=1).depth == 1
 
     def test_n_tests_counts_every_query(self):
         g = self.latent_space_pair()

@@ -45,6 +45,9 @@ class TestSimulate:
     @pytest.mark.parametrize("extra, message", [
         ({"n_sytem": 3}, r"unknown config keys: \['n_sytem'\]"),
         ({"preset": "simplfied"}, "unknown preset 'simplfied'"),
+        ({"max_lag": 0}, "a lagged model needs max_lag >= 1"),
+        ({"n_spatial_ctx": -1}, "context counts must be non-negative"),
+        ({"burn_in": -5}, "burn_in must be non-negative"),
     ])
     def test_malformed_config_is_refused(self, tmp_path, capsys, extra, message):
         cfg_path = tmp_path / "cfg.json"

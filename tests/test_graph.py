@@ -8,7 +8,7 @@ import pytest
 from jtscd.graph import (DIRECTED, MARKS, REVERSED, UNDIRECTED, CONFLICT,
                          GraphFormatError, GraphStructureError,
                          GroundTruthGraph, TimeSeriesGraph, VariableRole,
-                         d_separated, dummy_deletion, dummy_projection,
+                         d_connected, d_separated, dummy_deletion, dummy_projection,
                          mask_contexts_latent, target_graph)
 from jtscd.scm import generate_random_model, simplified_preset
 
@@ -449,6 +449,9 @@ class TestDSeparation:
                 fast = d_separated(g, x, y, z, unroll_depth=depth)
                 slow = brute_force_d_separated(g, x, y, z, depth)
                 assert fast == slow, (g.edges(), x, y, z)
+                connected = {n for n in nodes if n != x and n not in z
+                             and not brute_force_d_separated(g, x, n, z, depth)}
+                assert set(d_connected(g, x, z, depth)) == connected, (g.edges(), x, z)
                 checked += 1
         assert checked > 300
 

@@ -163,6 +163,13 @@ class TestGenerateRandomModel:
             generate_random_model(frac_observed=1.5)
         with pytest.raises(ValueError):
             generate_random_model(lag_free=True, n_temporal_ctx=1)
+        with pytest.raises(ValueError, match="^a lagged model needs max_lag >= 1$"):
+            generate_random_model(max_lag=0)
+        for counts in (dict(n_temporal_ctx=-1), dict(n_spatial_ctx=-1)):
+            with pytest.raises(ValueError, match="^context counts must be non-negative$"):
+                generate_random_model(**counts)
+        # a lag-free model draws no lag, so it needs none
+        generate_random_model(n_temporal_ctx=0, lag_free=True, max_lag=0)
 
     def test_lag_free_models_have_no_lags(self):
         spec, g = generate_random_model(n_temporal_ctx=0, n_spatial_ctx=2,
@@ -280,6 +287,11 @@ class TestSimulate:
         spec, _ = generate_random_model(seed=1, max_lag=3)
         with pytest.raises(ValueError):
             simulate(spec, M=2, T=spec.max_lag, seed=0)
+
+    def test_negative_burn_in_rejected(self):
+        spec, _ = generate_random_model(seed=1, max_lag=3)
+        with pytest.raises(ValueError, match="^burn_in must be non-negative$"):
+            simulate(spec, M=2, T=30, burn_in=-5, seed=0)
 
 
 class TestSimplifiedPreset:
