@@ -75,9 +75,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown variant {v!r}")
         return self
 
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
@@ -205,19 +202,6 @@ def rows_to_csv(rows):
                          row["metric"], f"{row['mean']:.10g}",
                          f"{row['std']:.10g}", row["n_realizations"]])
     return buf.getvalue()
-
-
-def parse_results_csv(text):
-    rows = []
-    reader = csv.DictReader(io.StringIO(text))
-    for rec in reader:
-        rows.append({"variant": rec["variant"], "T": int(rec["T"]),
-                     "M": int(rec["M"]),
-                     "frac_observed": float(rec["frac_observed"]),
-                     "class": rec["class"], "metric": rec["metric"],
-                     "mean": float(rec["mean"]), "std": float(rec["std"]),
-                     "n_realizations": int(rec["n_realizations"])})
-    return rows
 
 
 def compare_variants(rows):

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from types import MappingProxyType
 from typing import NamedTuple
@@ -85,21 +86,15 @@ class CITestResult(NamedTuple):
     df: int | None = None
 
 
-class _QueryFields(NamedTuple):
-    x: tuple
-    y: tuple
-    z: tuple
-
-
-class CIQuery(_QueryFields):
+class CIQuery(tuple):
     """A conditional independence query over ``(var, lag)`` column selectors.
 
     ``x`` and ``y`` hold one selector each, ``z`` any number; each selector
     is stored as a tuple, so list-form selectors compare equal to their
-    tuple form.  The constructor is the one validation of a query, also
-    for ``_make`` and ``_replace``: each tested side is exactly one
-    non-empty selector, the two differ, and neither is in ``z``.  Queries
-    are immutable named tuples.
+    tuple form.  The constructor is the one validation of a query: each
+    tested side is exactly one non-empty selector, the two differ, and
+    neither is in ``z``.  A query is the immutable tuple ``(x, y, z)``
+    with read-only ``x``, ``y`` and ``z``.
     """
     __slots__ = ()
 
@@ -115,10 +110,12 @@ class CIQuery(_QueryFields):
             raise QueryError("conditioning set overlaps the tested pair")
         return tuple.__new__(cls, (x, y, z))
 
-    @classmethod
-    def _make(cls, iterable):
-        # the named tuple's _make, which _replace calls, bypasses __new__
-        return cls(*iterable)
+    def __getnewargs__(self):  # pickle and copy rebuild through __new__
+        return tuple(self)
+
+    x = property(operator.itemgetter(0))
+    y = property(operator.itemgetter(1))
+    z = property(operator.itemgetter(2))
 
 
 _VARIANCE_EPS = 1e-12
@@ -488,7 +485,7 @@ class GraphOracle:
         (node,) = ny
         if x in self._latent:
             latent = self._latent[x]
-            if latent and node in zsub:  # as d_separated from a latent node refuses it
+            if node in zsub:  # as d_separated refuses it
                 raise GraphStructureError("x and y must not be part of z")
             independent = not latent or latent.isdisjoint(
                 d_connected(self.graph, node, zsub, self.depth))

@@ -84,9 +84,6 @@ class SepSetStore:
     def items(self):
         return sorted(self._entries.items())
 
-    def __len__(self):
-        return len(self._entries)
-
 
 @dataclass
 class DiscoveryResult:
@@ -403,7 +400,10 @@ def _discover(ci, tau_max, alpha, collider_rule, lagged=True, joint=True,
     the ``dummies`` graph nodes and runs stages C and D, otherwise the graph
     spans the system variables and only stage S runs.  ``fixed`` selectors
     are appended to every conditioning set of the lagged phase and stage S.
+    ``alpha`` must lie in [0, 1].
     """
+    if not 0.0 <= alpha <= 1.0:  # NaN included
+        raise ValueError(f"alpha={alpha} must lie in [0, 1]")
     roles = list(ci.var_roles)
     system = [v for v, r in enumerate(roles) if r.is_system]
     tctx = [v for v, r in enumerate(roles) if joint and r is VariableRole.TEMPORAL_CONTEXT]

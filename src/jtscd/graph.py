@@ -71,14 +71,6 @@ class VariableRole(Enum):
         )
 
     @property
-    def is_spatial_kind(self):
-        return self in (
-            VariableRole.SPATIAL_CONTEXT,
-            VariableRole.LATENT_SPATIAL_CONTEXT,
-            VariableRole.SPACE_DUMMY,
-        )
-
-    @property
     def is_time_indexed(self):
         """Whether copies of the variable exist at every time step.
 
@@ -185,16 +177,6 @@ class TimeSeriesGraph:
 
     def n_edges(self):
         return len(self._marks)
-
-    def parents(self, j):
-        """All ``(i, tau)`` with a directed link ``(i, t - tau) --> (j, t)``."""
-        out = []
-        for (a, b, tau, mark) in self.edges():
-            if b == j and mark == DIRECTED:
-                out.append((a, tau))
-            elif a == j and tau == 0 and mark == REVERSED:
-                out.append((b, 0))
-        return out
 
     def copy(self):
         g = self.__class__(self.roles, self.tau_max)

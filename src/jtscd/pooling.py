@@ -201,6 +201,8 @@ class PooledData:
 
     def __init__(self, dc, tau_max):
         dc.check_finite()
+        if tau_max < 0:
+            raise SelectionError(f"tau_max={tau_max} must be non-negative")
         if dc.T <= tau_max:
             raise SelectionError(f"T={dc.T} must exceed tau_max={tau_max}")
         self.dc = dc

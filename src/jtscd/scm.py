@@ -136,37 +136,21 @@ class SCMSpec:
             "observed_mask": list(self.observed_mask),
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            n_system=d["n_system"],
-            n_temporal_ctx=d["n_temporal_ctx"],
-            n_spatial_ctx=d["n_spatial_ctx"],
-            autocorr=tuple(d["autocorr"]),
-            terms=tuple(tuple(LinearTerm(*t) for t in terms) for terms in d["terms"]),
-            noise_std=tuple(d["noise_std"]),
-            observed_mask=tuple(bool(b) for b in d["observed_mask"]),
-        ).validate()
-
 
 @dataclass
 class DatasetCollection:
-    """M simulated datasets plus the shared and per-dataset context values.
+    """M datasets plus the shared and per-dataset context values.
 
     ``system`` has shape (M, T, n_system); ``temporal_ctx`` (T, n_temporal_ctx)
     is shared by every dataset; ``spatial_ctx`` (M, n_spatial_ctx) is constant
-    over time within a dataset.  The ``noise`` array and the ``*_scale``
-    factors are simulation diagnostics that allow reconstructing the raw
-    (pre-rescaling) values.
+    over time within a dataset; ``observed_mask`` flags each context, temporal
+    ones first.  A collection holds these four values only, whether
+    ``simulate`` drew it or ``from_dir`` read it back.
     """
     system: np.ndarray
     temporal_ctx: np.ndarray
     spatial_ctx: np.ndarray
     observed_mask: tuple
-    noise: np.ndarray | None = None
-    system_scale: np.ndarray | None = None
-    temporal_scale: np.ndarray | None = None
-    spatial_scale: np.ndarray | None = None
 
     def __post_init__(self):
         self.check_shapes()
@@ -177,7 +161,8 @@ class DatasetCollection:
 
         ``system`` must be (M, T, n_system) -- M datasets of one length T --
         ``temporal_ctx`` (T, n_temporal_ctx) and ``spatial_ctx``
-        (M, n_spatial_ctx), and ``observed_mask`` needs one entry per context.
+        (M, n_spatial_ctx), with M >= 1 and T >= 1, and ``observed_mask``
+        needs one entry per context.
         """
         try:
             system = np.shape(self.system)
@@ -189,6 +174,9 @@ class DatasetCollection:
             raise PanelShapeError(
                 f"system has shape {system}; it must be 3-D (M, T, n_system)")
         M, T, _ = system
+        if M < 1 or T < 1:
+            raise PanelShapeError(
+                f"system has shape {system}; it needs at least one dataset and one time step")
         temporal, spatial = np.shape(self.temporal_ctx), np.shape(self.spatial_ctx)
         for name, shape, axis, rows in (("temporal_ctx", temporal, "T", T),
                                         ("spatial_ctx", spatial, "M", M)):
@@ -250,9 +238,7 @@ class DatasetCollection:
         return DatasetCollection(
             system=self.system, temporal_ctx=self.temporal_ctx,
             spatial_ctx=self.spatial_ctx,
-            observed_mask=tuple(False for _ in self.observed_mask),
-            noise=self.noise, system_scale=self.system_scale,
-            temporal_scale=self.temporal_scale, spatial_scale=self.spatial_scale)
+            observed_mask=tuple(False for _ in self.observed_mask))
 
     # -- serialization -----------------------------------------------------
 
@@ -491,9 +477,13 @@ def simulate(spec, M, T, burn_in=100, seed=0):
     ``max_lag`` steps (zero before the first); the first ``burn_in`` steps
     are dropped.  Afterwards every system variable is divided by its
     standard deviation pooled over all datasets (and, for comparability,
-    context variables by theirs), so pooled variances are one.
+    context variables by theirs), so pooled variances are one.  The
+    collection holds the rescaled values only; the noise and the scale
+    factors are not kept.
     """
     spec.validate()
+    if M < 1:
+        raise ValueError(f"M={M} must be at least 1")
     if T <= spec.max_lag:
         raise ValueError(f"T={T} must exceed the maximum lag {spec.max_lag}")
     if burn_in < 0:
@@ -524,12 +514,11 @@ def simulate(spec, M, T, burn_in=100, seed=0):
         for t in range(total):
             X[:, (p + t) * N:(p + t + 1) * N] = drive[t] + X[:, t * N:(t + p) * N] @ W
         X = X.reshape(M, p + total, N)
-    del drive  # released before the copies below, so they do not add to the peak
+    del drive, noise  # released before the copies below, so they do not add to the peak
     if not np.all(np.isfinite(X)):
         raise SimulationError("simulation produced non-finite values")
 
     system = X[:, p + burn_in:, :].copy()
-    noise_kept = noise[:, burn_in:, :].copy()
     temporal = ctx_t[burn_in:, :].copy()
     spatial = ctx_s.copy()
 
@@ -537,16 +526,12 @@ def simulate(spec, M, T, burn_in=100, seed=0):
         s = a.std(axis=axes) if a.size else np.ones(a.shape[-1])
         return np.where(s < 1e-12, 1.0, s)
 
-    s_sys = pooled_std(system, (0, 1))
-    s_t = pooled_std(temporal, (0,)) if Kt else np.ones(0)
-    s_s = pooled_std(spatial, (0,)) if Ks and M > 1 else np.ones(Ks)
-    system /= s_sys
+    system /= pooled_std(system, (0, 1))
     if Kt:
-        temporal /= s_t
-    if Ks:
-        spatial /= s_s
+        temporal /= pooled_std(temporal, (0,))
+    if Ks and M > 1:
+        spatial /= pooled_std(spatial, (0,))
 
     return DatasetCollection(
         system=system, temporal_ctx=temporal, spatial_ctx=spatial,
-        observed_mask=tuple(spec.observed_mask), noise=noise_kept,
-        system_scale=s_sys, temporal_scale=s_t, spatial_scale=s_s)
+        observed_mask=tuple(spec.observed_mask))

@@ -4,13 +4,29 @@ This is the path that the lag-matrix simulator replaced: contemporaneous
 assignments are evaluated in a topological order of the lag-0 links, and
 every term of every system variable is added one at a time at each step.
 It draws the same random arrays in the same order, so outputs agree up to
-the order of floating-point summation.  It is kept only for the
-equivalence tests.
+the order of floating-point summation.  Besides the collection it returns
+the noise it drew and the factors it rescaled by, which ``simulate`` does
+not keep, so that tests can rebuild the raw values of a simulation.  It is
+kept only for the tests.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from jtscd.scm import DatasetCollection, SimulationError
+
+
+@dataclass
+class ReferenceRun:
+    """A reference simulation: the collection, the noise of the kept steps
+    (M, T, n_system), and the pooled standard deviations that system,
+    temporal and spatial values were divided by."""
+    collection: DatasetCollection
+    noise: np.ndarray
+    system_scale: np.ndarray
+    temporal_scale: np.ndarray
+    spatial_scale: np.ndarray
 
 
 def _contemporaneous_order(spec):
@@ -36,14 +52,14 @@ def _contemporaneous_order(spec):
     return order
 
 
-def reference_simulate(spec, M, T, burn_in=100, seed=0, rescale=True):
+def reference_simulate(spec, M, T, burn_in=100, seed=0):
     """Simulate ``M`` datasets of length ``T`` from a linear SCM spec.
 
     Contexts and noises are standard normal; contemporaneous assignments are
     evaluated in topological order; the first ``burn_in`` steps are dropped.
     Afterwards every system variable is divided by its standard deviation
     pooled over all datasets (and, for comparability, context variables by
-    theirs), so pooled variances are one.
+    theirs), so pooled variances are one.  Returns a ``ReferenceRun``.
     """
     spec.validate()
     if T <= spec.max_lag:
@@ -84,19 +100,15 @@ def reference_simulate(spec, M, T, burn_in=100, seed=0, rescale=True):
         s = a.std(axis=axes) if a.size else np.ones(a.shape[-1])
         return np.where(s < 1e-12, 1.0, s)
 
-    if rescale:
-        s_sys = pooled_std(system, (0, 1))
-        s_t = pooled_std(temporal, (0,)) if Kt else np.ones(0)
-        s_s = pooled_std(spatial, (0,)) if Ks and M > 1 else np.ones(Ks)
-        system /= s_sys
-        if Kt:
-            temporal /= s_t
-        if Ks:
-            spatial /= s_s
-    else:
-        s_sys, s_t, s_s = np.ones(N), np.ones(Kt), np.ones(Ks)
+    s_sys = pooled_std(system, (0, 1))
+    s_t = pooled_std(temporal, (0,)) if Kt else np.ones(0)
+    s_s = pooled_std(spatial, (0,)) if Ks and M > 1 else np.ones(Ks)
+    system /= s_sys
+    if Kt:
+        temporal /= s_t
+    if Ks:
+        spatial /= s_s
 
-    return DatasetCollection(
-        system=system, temporal_ctx=temporal, spatial_ctx=spatial,
-        observed_mask=tuple(spec.observed_mask), noise=noise_kept,
-        system_scale=s_sys, temporal_scale=s_t, spatial_scale=s_s)
+    collection = DatasetCollection(system=system, temporal_ctx=temporal, spatial_ctx=spatial,
+                                   observed_mask=tuple(spec.observed_mask))
+    return ReferenceRun(collection, noise_kept, s_sys, s_t, s_s)

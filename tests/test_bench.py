@@ -1,11 +1,14 @@
 """Experiment harness: grids, determinism, outputs."""
 
+import csv
+import io
 import json
+from dataclasses import asdict
 
 import pytest
 
-from jtscd.bench import (ExperimentConfig, compare_variants, parse_results_csv,
-                         realization_seeds, rows_to_csv, run_experiment)
+from jtscd.bench import (ExperimentConfig, compare_variants, realization_seeds, rows_to_csv,
+                         run_experiment)
 
 
 def tiny_config(**overrides):
@@ -21,7 +24,7 @@ def tiny_config(**overrides):
 class TestConfig:
     def test_json_round_trip(self):
         cfg = tiny_config()
-        again = ExperimentConfig.from_json(cfg.to_json())
+        again = ExperimentConfig.from_json(json.dumps(asdict(cfg)))
         assert again == cfg
 
     def test_validation(self):
@@ -53,7 +56,7 @@ class TestConfig:
     def test_out_of_range_values_are_refused(self, override, message):
         with pytest.raises(ValueError, match=message):
             tiny_config(**override).validate()
-        text = json.dumps({**json.loads(tiny_config().to_json()), **override})
+        text = json.dumps({**asdict(tiny_config()), **override})
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json(text)
 
@@ -97,11 +100,11 @@ class TestRunExperiment:
     def test_csv_round_trip(self):
         rows, _ = run_experiment(tiny_config())
         text = rows_to_csv(rows)
-        again = parse_results_csv(text)
+        again = list(csv.DictReader(io.StringIO(text)))
         assert len(again) == len(rows)
         for a, b in zip(again, rows):
             assert a["variant"] == b["variant"]
-            assert abs(a["mean"] - b["mean"]) < 1e-9
+            assert abs(float(a["mean"]) - b["mean"]) < 1e-9
 
     def test_compare_variants_table(self):
         rows, _ = run_experiment(tiny_config())

@@ -48,6 +48,7 @@ class TestSimulate:
         ({"max_lag": 0}, "a lagged model needs max_lag >= 1"),
         ({"n_spatial_ctx": -1}, "context counts must be non-negative"),
         ({"burn_in": -5}, "burn_in must be non-negative"),
+        ({"M": 0}, "M=0 must be at least 1"),
     ])
     def test_malformed_config_is_refused(self, tmp_path, capsys, extra, message):
         cfg_path = tmp_path / "cfg.json"
@@ -112,6 +113,22 @@ class TestDiscover:
         main(["discover", "--data", str(data), "--ci", "oracle"])
         out = capsys.readouterr().out
         assert out.startswith("graph ")
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--alpha", "2"), r"alpha=2\.0 must lie in \[0, 1\]"),
+        (("--alpha", "-0.5", "--lag-free"), r"alpha=-0\.5 must lie in \[0, 1\]"),
+        (("--alpha", "nan", "--variant", "pcmci+"), r"alpha=nan must lie in \[0, 1\]"),
+    ])
+    def test_malformed_request_is_refused(self, tmp_path, capsys, flags, message):
+        write_sim_config(tmp_path / "cfg.json", M=2, T=25)
+        data = tmp_path / "data"
+        main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(data)])
+        capsys.readouterr()
+        out = tmp_path / "g.txt"
+        assert main(["discover", "--data", str(data), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"jtscd discover: error: {message}\n", err), err
+        assert not out.exists()
 
     def test_variant_switch(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jtscd.citests import GraphOracle, ParCorrCI
-from jtscd.discovery import (SepSetEntry, SepSetStore, collider_phase,
+from jtscd.discovery import (CI_TESTS, VARIANTS, SepSetEntry, SepSetStore, collider_phase,
                              estimate_graph, j_pc, j_pcmciplus,
                              lagged_skeleton_pcmciplus, rule_phase,
                              run_pcmciplus)
@@ -130,7 +130,7 @@ class TestLaggedSkeleton:
             lagged = lagged_skeleton_pcmciplus(o, tau_max=2, alpha=0.05)
             for j in range(spec.n_system):
                 true_lagged = {(o.obs_map.index(v), lag)
-                               for (v, lag) in g.parents(j) if lag >= 1}
+                               for (v, c, lag) in g.directed_edges() if c == j and lag >= 1}
                 assert true_lagged <= set(lagged[j])
 
     def test_white_noise_retention_rate_is_alpha_like(self):
@@ -345,7 +345,7 @@ class TestJPCMCIPlus:
         dc = simulate(spec, M=4, T=60, seed=4)
         ci = ParCorrCI(pool_data(dc, 2))
         res = j_pcmciplus(ci, tau_max=2, alpha=0.05)
-        assert len(res.sepsets) > 0
+        assert res.sepsets.items()
         for _, entry in res.sepsets.items():
             i, tau, j = entry.pair
             replay = ci((i, tau), (j, 0), list(entry.z))
@@ -494,6 +494,16 @@ class TestEstimateGraph:
         dc = simulate(spec, M=2, T=30, seed=2)
         with pytest.raises(ValueError):
             estimate_graph(dc, variant="nope")
+
+    @pytest.mark.parametrize("alpha", [2.0, -0.5, float("nan")])
+    def test_alpha_outside_the_unit_interval_is_refused(self, alpha):
+        # refused once, by the driver every variant and CI test runs through
+        spec, g = generate_random_model(seed=1, max_lag=2)
+        dc = simulate(spec, M=2, T=30, seed=2)
+        for variant, ci, lag_free in itertools.product(VARIANTS, CI_TESTS, (False, True)):
+            with pytest.raises(ValueError, match=rf"^alpha={alpha} must lie in \[0, 1\]$"):
+                estimate_graph(dc, variant=variant, ci=ci, ground_truth=g, alpha=alpha,
+                               lag_free=lag_free)
 
     @staticmethod
     def parcorr_run(dc, entry, lag_free=False):

@@ -23,6 +23,8 @@ def small_collection(M=2, T=12, seed=0, frac_observed=1.0):
 POOLING_ERRORS = {
     "T at most tau_max": (lambda: pool_data(small_collection(T=3), 3),
                           SelectionError, "T=3 must exceed tau_max=3"),
+    "negative tau_max": (lambda: pool_data(small_collection(), -1),
+                         SelectionError, "tau_max=-1 must be non-negative"),
     "unknown dummy mode": (lambda: pool_data(small_collection(), 2).gram_stats(2, "all"),
                            ValueError, r"mode must be one of \('none', 'time', 'space', 'both'\)"),
 }

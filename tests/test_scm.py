@@ -9,6 +9,7 @@ sampler changes on purpose::
     PYTHONPATH=src python tests/test_scm.py
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -103,6 +104,17 @@ def _simulate_corpus():
         yield f"no-contexts/{seed}", spec, 5, 60, seed
         spec, _ = generate_random_model(n_system=5, max_lag=3, seed=seed)
         yield f"M=1/{seed}", spec, 1, 100, seed
+
+
+def _raw_values(spec, **kwargs):
+    """The system, temporal and spatial values of ``simulate(spec, **kwargs)``
+    before rescaling, and the noise it drew.  ``simulate`` keeps neither its
+    scale factors nor its noise, so both come from the reference, which
+    draws the same numbers in the same order."""
+    dc = simulate(spec, **kwargs)
+    ref = reference_simulate(spec, **kwargs)
+    return (dc.system * ref.system_scale, dc.temporal_ctx * ref.temporal_scale,
+            dc.spatial_ctx * ref.spatial_scale, ref.noise)
 
 
 class TestGenerateRandomModel:
@@ -217,8 +229,9 @@ class TestSimulate:
         dc = simulate(spec, M=3, T=50, seed=1)
         pooled = dc.system.reshape(-1, 2)
         assert np.allclose(pooled.var(axis=0), 1.0, atol=1e-12)
-        # the rescaled series is exactly the rescaled noise
-        assert np.allclose(dc.system * dc.system_scale, dc.noise, atol=1e-12)
+        # the series before rescaling is exactly the noise
+        raw_x, _, _, noise = _raw_values(spec, M=3, T=50, seed=1)
+        assert np.allclose(raw_x, noise, atol=1e-12)
 
     def test_temporal_context_shared_and_spatial_constant(self):
         spec, _ = generate_random_model(seed=8, max_lag=2)
@@ -228,29 +241,23 @@ class TestSimulate:
 
     def test_preset_assignment_reconstructed_exactly(self):
         spec, _ = simplified_preset()
-        dc = simulate(spec, M=2, T=30, burn_in=50, seed=13)
-        raw_x = dc.system * dc.system_scale
-        raw_ct = dc.temporal_ctx * dc.temporal_scale
-        raw_cs = dc.spatial_ctx * dc.spatial_scale
+        raw_x, raw_ct, raw_cs, noise = _raw_values(spec, M=2, T=30, burn_in=50, seed=13)
         for m in range(2):
             for t in range(1, 30):
                 x0 = (0.5 * raw_x[m, t, 1]
                       + 0.5 * raw_cs[m, 0] + 0.5 * raw_cs[m, 1]
                       + 0.5 * raw_ct[t - 1, 0] + 0.5 * raw_ct[t - 1, 1]
-                      + dc.noise[m, t, 0])
+                      + noise[m, t, 0])
                 assert abs(raw_x[m, t, 0] - x0) < 1e-10
                 x1 = (0.5 * raw_x[m, t - 1, 1]
                       + 0.5 * raw_cs[m, 0] + 0.5 * raw_cs[m, 1]
                       + 0.5 * raw_ct[t - 1, 0] + 0.5 * raw_ct[t - 1, 1]
-                      + dc.noise[m, t, 1])
+                      + noise[m, t, 1])
                 assert abs(raw_x[m, t, 1] - x1) < 1e-10
 
     def test_preset_regression_recovers_coefficients(self):
         spec, _ = simplified_preset()
-        dc = simulate(spec, M=50, T=200, seed=21)
-        raw_x = dc.system * dc.system_scale
-        raw_ct = dc.temporal_ctx * dc.temporal_scale
-        raw_cs = dc.spatial_ctx * dc.spatial_scale
+        raw_x, raw_ct, raw_cs, _ = _raw_values(spec, M=50, T=200, seed=21)
         rows = []
         y = []
         for m in range(50):
@@ -265,16 +272,14 @@ class TestSimulate:
         names = set()
         for name, spec, M, T, seed in _simulate_corpus():
             got = simulate(spec, M=M, T=T, seed=seed)
-            want = reference_simulate(spec, M=M, T=T, seed=seed)
+            want = reference_simulate(spec, M=M, T=T, seed=seed).collection
             names.add(name)
-            # the same random draws, taken in the same order
-            for field in ("noise", "temporal_ctx", "spatial_ctx", "temporal_scale",
-                          "spatial_scale"):
+            # the same context draws, taken in the same order and rescaled alike
+            for field in ("temporal_ctx", "spatial_ctx"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), name
             # sums taken in another order: equal up to rounding
-            for field in ("system", "system_scale"):
-                a, b = getattr(got, field), getattr(want, field)
-                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (name, field)
+            a, b = got.system, want.system
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
         assert len(names) == 20
 
     def test_explosive_spec_raises_simulation_error(self):
@@ -287,6 +292,11 @@ class TestSimulate:
         spec, _ = generate_random_model(seed=1, max_lag=3)
         with pytest.raises(ValueError):
             simulate(spec, M=2, T=spec.max_lag, seed=0)
+
+    def test_no_datasets_rejected(self):
+        spec, _ = generate_random_model(seed=1, max_lag=3)
+        with pytest.raises(ValueError, match="^M=0 must be at least 1$"):
+            simulate(spec, M=0, T=30, seed=0)
 
     def test_negative_burn_in_rejected(self):
         spec, _ = generate_random_model(seed=1, max_lag=3)
@@ -315,20 +325,18 @@ class TestSimplifiedPreset:
 
 
 class TestSerialization:
-    def test_spec_dict_round_trip(self):
-        spec, _ = generate_random_model(seed=11)
-        again = SCMSpec.from_dict(spec.to_dict())
-        assert again == spec
-
     def test_collection_dir_round_trip(self, tmp_path):
         spec, _ = generate_random_model(seed=12, max_lag=2)
         dc = simulate(spec, M=3, T=25, seed=13)
         dc.to_dir(tmp_path / "out", spec=spec, seed=12)
         again = DatasetCollection.from_dir(tmp_path / "out")
-        assert np.allclose(again.system, dc.system)
-        assert np.allclose(again.temporal_ctx, dc.temporal_ctx)
-        assert np.allclose(again.spatial_ctx, dc.spatial_ctx)
-        assert again.observed_mask == dc.observed_mask
+        # one kind of collection: the same fields, holding the same values
+        for f in dataclasses.fields(DatasetCollection):
+            a, b = getattr(again, f.name), getattr(dc, f.name)
+            if isinstance(b, np.ndarray):
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
 
     def test_from_dir_rejects_non_finite_values(self, tmp_path):
         spec, _ = generate_random_model(seed=12, max_lag=2)
@@ -421,6 +429,12 @@ MALFORMED_PANELS = {
     "ragged datasets": (dict(system=[np.zeros((40, 3)), np.zeros((30, 3)),
                                      np.zeros((40, 3)), np.zeros((40, 3))]),
                         r"system datasets differ in shape: \(30, 3\) and \(40, 3\)"),
+    "no datasets": (dict(system=np.zeros((0, 40, 3))),
+                    r"system has shape \(0, 40, 3\); it needs at least one dataset and one "
+                    r"time step"),
+    "no time steps": (dict(system=np.zeros((4, 0, 3))),
+                      r"system has shape \(4, 0, 3\); it needs at least one dataset and one "
+                      r"time step"),
 }
 
 
