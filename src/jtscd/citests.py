@@ -27,29 +27,41 @@ every scalar lagged column after centring or demeaning by the dummies in
 them come from one raw pass over the panel, as group-sum corrections of
 raw cross-products; a column constant within the mode's groups is exactly
 zero there, so it drops out of ``z`` and leaves a tested side degenerate.
-Scalar ``z`` columns are projected out of a Gram sub-block with a
-pseudo-inverse whose numerical rank sets ``df``.  That factorization
+A scalar ``x`` against a scalar ``y`` -- most tests of a discovery -- is
+read from the lower Cholesky factor L of the Gram block of ``(z..., x,
+y)``: the residual sums of squares are ``L_xx^2`` and ``L_yx^2 + L_yy^2``,
+and ``r = |L_yx| / sqrt(L_yx^2 + L_yy^2)``.  The factor takes the scalar
+``z`` columns to be of full rank; where a ``z`` pivot, or a tested side,
+says otherwise, the pair falls back to the path of a dummy endpoint, which
+projects the ``z`` columns out of a Gram sub-block with a pseudo-inverse
+whose numerical rank sets ``df``.  That factorization
 (``PooledData.z_projection``) covers every column of the row set and is
 kept per row set and dummy mode until a test conditions on other columns
-there, so the tests of one discovery level that share a ``z`` -- in the
-lagged phase, every candidate outside the top parents -- factorize it once
-and then only look up entries.  A dummy endpoint needs no one-hot
-columns: with ``beta`` the ``z``-coefficients of ``y``, the residual
-cross-product of group ``g`` is ``S_y[g] - S_z[g] beta`` and the residual
-squared norm of its indicator is ``n_g - S_z[g] G_zz^+ S_z[g]'``, where
-``n_g`` is the indicator's squared norm after demeaning by the other dummy.
+there, so the tests that share a ``z`` factorize it once and then only
+look up entries.  A dummy endpoint needs no one-hot columns: with ``beta``
+the ``z``-coefficients of ``y``, the residual cross-product of group ``g``
+is ``S_y[g] - S_z[g] beta`` and the residual squared norm of its indicator
+is ``n_g - S_z[g] G_zz^+ S_z[g]'``, where ``n_g`` is the indicator's
+squared norm after demeaning by the other dummy.
 A test thus costs O(G k + k^3) for G groups and k conditioning columns,
 independent of the number of rows.
 
 A discovery runs hundreds of such tests, each small enough that Python and
-numpy call overhead would dominate it, so the per-test path is kept lean.
-``CIQuery`` validates a query once, in its constructor.  ``parcorr_test``
+numpy call overhead would dominate it, so a discovery asks them in batches
+(``parcorr_batch``): the tests of one level do not depend on each other's
+order.  A batch gathers the blocks of its scalar pairs per row set, dummy
+mode and ``z`` size and factorizes each stack in one call of the gufunc
+behind ``np.linalg.cholesky``; each block is factorized on its own inside
+the stack, so a query gets the same bits in a batch of any size, and
+``parcorr_test`` answers one query as a batch of one.  Dummy endpoints and
+the pairs the factor cannot decide go through ``parcorr_test`` one at a
+time.  ``CIQuery`` validates a query once, in its constructor; the kernel
 looks its selectors up in the table ``PooledData.selectors`` built with the
 pooled data, reads the conditioning set in one pass, and takes the Gram
-diagonal as Python floats (``GramStats.diag``).  A test of a scalar ``x``
-against a scalar ``y`` -- most tests of a discovery -- works on Python
-floats throughout; a dummy endpoint works on vectors of its G group rows
-and finishes on Python floats too.
+diagonal as Python floats (``GramStats.diag``).  A scalar pair finishes on
+Python floats; a dummy endpoint works on vectors of its G group rows and
+finishes on Python floats too.  A context endpoint conditioned on the
+dummy of its own kind, which it is a function of, is a ``QueryError``.
 
 The oracle test answers the same queries exactly from a ground-truth graph:
 a dummy inside the conditioning set stands for all context variables of its
@@ -123,6 +135,10 @@ _VARIANCE_EPS = 1e-12
 # before the scalar conditioning is cancellation noise of the cross-product
 # algebra: the column lies in the span of the conditioning columns
 _SPAN_TOL = 1e-10
+# the gufunc behind ``np.linalg.cholesky`` over a stack of blocks, called
+# without the wrapper's checks; a block that is not positive definite comes
+# back as NaNs and raises the ``invalid`` floating-point flag
+_cholesky_lo = np.linalg._umath_linalg.cholesky_lo
 
 
 # Taylor coefficients c_k of sqrt(w / (1 - exp(-w))) = sum_k c_k w^k.  The
@@ -273,31 +289,15 @@ def _unresolved(query, data):
     raise SelectionError(f"selector {missing} out of range")
 
 
-def parcorr_test(query, data):
-    """Partial correlation test of one selector against another on pooled data.
+def _resolve(query, data):
+    """Look a query's selectors up in ``data.selectors`` and check it.
 
-    The Pearson correlation ``r`` of the conditioning residuals of ``x`` and
-    ``y`` is transformed to ``t = r * sqrt(df / (1 - r^2))`` and tested
-    two-sidedly against a Student-t law with ``df = n - rank(design) - 1``
-    degrees of freedom, where the design includes the intercept (numerical
-    rank, not column count).  The reported statistic is ``|r|``.  At most
-    one side may be a dummy; it is tested component-wise, each of its G
-    group indicators against the other side, and the result is the largest
-    ``|r|`` with the p-value of the largest ``|t|``, Bonferroni-combined over
-    the G components.
-
-    Selectors are looked up in ``data.selectors``; one missing from it is a
-    ``SelectionError``.  The residual cross-products come from
-    ``data.gram_stats``: dummies in ``z`` select the demeaning of the cached
-    Gram matrix, scalar ``z`` columns are projected out by a
-    pseudo-inverse of their Gram block (``data.z_projection``, reused by
-    consecutive tests on the same columns), and a dummy endpoint's components
-    are the group sums of the residuals.  A scalar pair is read as three
-    Python floats, a dummy endpoint as vectors over its G groups.
-
-    Tested variables flagged degenerate (constant dummy blocks) or residuals
-    with zero variance yield an independence verdict with ``p_value = 1`` and
-    the degenerate flag set.
+    Returns a ``CITestResult`` for a query answered before any statistic is
+    read -- a degenerate tested endpoint -- and otherwise the tuple ``(x,
+    y, start, mode, n, stats, zs)``: the ``Selector`` entries of the tested
+    sides, a dummy endpoint in ``x``; the row set and dummy mode the query
+    works in, with its row count and ``GramStats``; and the positions of the
+    scalar ``z`` columns that are not exactly zero there.
     """
     table = data.selectors
     try:
@@ -317,6 +317,8 @@ def parcorr_test(query, data):
         return _unresolved(query, data)
     if x.degenerate or y.degenerate:
         return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
+    if z_dummies:
+        _check_own_dummy(query, data)
     start = max(start, x.start, y.start)
 
     n = data.M * (data.T - start)
@@ -332,9 +334,37 @@ def parcorr_test(query, data):
             else z_dummies.pop() if z_dummies else "none")
     stats = data.gram_stats(start, mode)
     diag = stats.diag
-
     cutoff = _VARIANCE_EPS * max(1.0, math.sqrt(n))
     zs = tuple([c for c in z_cols if math.sqrt(diag[c]) > cutoff])
+    return x, y, start, mode, n, stats, zs
+
+
+def _check_own_dummy(query, data):
+    """Refuse a context endpoint conditioned on the dummy of its own kind.
+
+    The context is a function of that dummy, so the test could only find
+    its residual zero.  A constant dummy block in ``z`` (``degenerate`` in
+    ``data.selectors``) carries no signal and is let through.
+    """
+    for var, lag in query.x + query.y:
+        role = data.var_roles[var]
+        if role.is_context:
+            own = (data.time_dummy if role.is_temporal_kind else data.space_dummy, 0)
+            if own in query.z and not data.selectors[own].degenerate:
+                raise QueryError(
+                    f"context {(var, lag)} is conditioned on the dummy {own} of its "
+                    f"own kind (query x={query.x} y={query.y} z={query.z})")
+
+
+def _projected(case, data):
+    """The test of a resolved query (``_resolve``) from its ``z`` projection.
+
+    Scalar ``z`` columns are projected out by the pseudo-inverse of their
+    Gram block (``data.z_projection``), whose numerical rank sets ``df``; a
+    dummy endpoint's components are the group sums of the residuals.
+    """
+    x, y, start, mode, n, stats, zs = case
+    diag = stats.diag
     if zs:
         # factorized once for the sibling tests that condition on the same
         # columns; ``resid`` holds the cross-products of every column's
@@ -382,6 +412,118 @@ def parcorr_test(query, data):
     return CITestResult(r, p_value, n, degenerate=False, df=df)
 
 
+def _factored_pairs(cases):
+    """Results of resolved scalar-pair queries, read from Cholesky factors.
+
+    The queries are grouped by row set, dummy mode and ``|zs|``; each group
+    gathers the ``(zs..., x, y)`` blocks of its Gram matrix and factorizes
+    them in one stacked call.  With L the lower factor of a block, the
+    residual sums of squares are ``ss_x = L_xx^2`` and ``ss_y = L_yx^2 +
+    L_yy^2``, and ``r = |L_yx| / sqrt(ss_y)``.  The factor assumes ``zs`` of
+    full rank: a query with a ``z`` pivot ``L_ii^2`` at or below
+    ``_SPAN_TOL`` of its Gram diagonal, a non-finite factor (a block that is
+    not positive definite) or a degenerate side gets ``None``, for
+    ``_projected`` to decide on the numerical rank.  Each block is factorized
+    on its own inside the stack, so a query gets the same bits in any batch.
+    """
+    results = [None] * len(cases)
+    groups = {}
+    for k, case in enumerate(cases):
+        groups.setdefault((case[2], case[3], len(case[6])), []).append(k)
+    stacks = []
+    with np.errstate(invalid="ignore"):  # NaN factors of blocks not positive definite
+        for members in groups.values():
+            index = np.array([cases[k][6] + (cases[k][0].column, cases[k][1].column)
+                              for k in members])
+            gram = cases[members[0]][5].gram
+            stacks.append((members, _cholesky_lo(gram[index[:, :, None], index[:, None, :]])))
+    for members, factors in stacks:
+        # the pivots L_ii of zs, x and y, and L_yx
+        pivots, l_yxs = factors.diagonal(0, 1, 2).tolist(), factors[:, -1, -2].tolist()
+        for k, row, l_yx in zip(members, pivots, l_yxs):
+            x, y, _, _, n, stats, zs = cases[k]
+            diag = stats.diag
+            if not all(l * l > _SPAN_TOL * diag[c] for l, c in zip(row, zs)):
+                continue  # a NaN pivot fails the comparison too
+            l_xx, l_yy = row[-2:]
+            ss_x, ss_y = l_xx * l_xx, l_yx * l_yx + l_yy * l_yy
+            floor = n * _VARIANCE_EPS ** 2
+            df = n - (stats.group_rank + len(zs)) - 1
+            if (df < 1 or not (ss_x > floor and ss_x > _SPAN_TOL * diag[x.column]
+                               and ss_y > floor and ss_y > _SPAN_TOL * diag[y.column])):
+                continue
+            r = min(abs(l_yx) / math.sqrt(ss_y), 1 - 1e-15)
+            p_value = min(1.0, _t_tail(r * math.sqrt(df / (1.0 - r * r)), df))
+            results[k] = CITestResult(r, p_value, n, degenerate=False, df=df)
+    return results
+
+
+def parcorr_test(query, data):
+    """Partial correlation test of one selector against another on pooled data.
+
+    The Pearson correlation ``r`` of the conditioning residuals of ``x`` and
+    ``y`` is transformed to ``t = r * sqrt(df / (1 - r^2))`` and tested
+    two-sidedly against a Student-t law with ``df = n - rank(design) - 1``
+    degrees of freedom, where the design includes the intercept (numerical
+    rank, not column count).  The reported statistic is ``|r|``.  At most
+    one side may be a dummy; it is tested component-wise, each of its G
+    group indicators against the other side, and the result is the largest
+    ``|r|`` with the p-value of the largest ``|t|``, Bonferroni-combined over
+    the G components.
+
+    Selectors are looked up in ``data.selectors``; one missing from it is a
+    ``SelectionError``.  A context endpoint conditioned on the (non-constant)
+    dummy of its own kind is a ``QueryError``.  The residual cross-products
+    come from ``data.gram_stats``: dummies in ``z`` select the demeaning of
+    the cached Gram matrix.  A scalar pair is answered as a batch of one
+    (``parcorr_batch``), from the Cholesky factor of its ``(z, x, y)`` block;
+    a dummy endpoint, and a pair whose factor cannot decide, from the
+    pseudo-inverse projection of the scalar ``z`` columns
+    (``data.z_projection``), whose components for a dummy endpoint are the
+    group sums of the residuals.
+
+    Tested variables flagged degenerate (constant dummy blocks) or residuals
+    with zero variance yield an independence verdict with ``p_value = 1`` and
+    the degenerate flag set.
+    """
+    case = _resolve(query, data)
+    if isinstance(case, CITestResult):
+        return case
+    if not case[0].dummy:
+        (result,) = _factored_pairs([case])
+        if result is not None:
+            return result
+    return _projected(case, data)
+
+
+def parcorr_batch(queries, data):
+    """``parcorr_test`` of every query in ``queries``, a list of ``CIQuery``.
+
+    Returns the list of ``CITestResult``, each the same bits as a
+    ``parcorr_test`` call on its own.  The scalar pairs are answered
+    together (``_factored_pairs``): one gather and one stacked Cholesky call
+    per row set, dummy mode and ``z`` size.  Every other query -- a dummy
+    endpoint, or a pair whose factor cannot decide -- goes to the module's
+    ``parcorr_test``.  The queries are resolved in order, so the first
+    malformed one raises before any is tested.
+    """
+    results, cases, at = [], [], []
+    for query in queries:
+        case = _resolve(query, data)
+        if isinstance(case, CITestResult):
+            results.append(case)
+        elif case[0].dummy:
+            results.append(None)
+        else:
+            at.append(len(results))
+            cases.append(case)
+            results.append(None)
+    for k, result in zip(at, _factored_pairs(cases)):
+        results[k] = result
+    return [parcorr_test(query, data) if result is None else result
+            for query, result in zip(queries, results)]
+
+
 class ParCorrCI:
     """Callable CI test bound to a pooled dataset.
 
@@ -413,6 +555,11 @@ class ParCorrCI:
     def __call__(self, x, y, z=()):
         self.n_tests += 1
         return parcorr_test(CIQuery((x,), (y,), z), self.data)
+
+    def batch(self, queries):
+        """The results of ``(x, y, z)`` queries, asked as one ``parcorr_batch``."""
+        self.n_tests += len(queries)
+        return parcorr_batch([CIQuery((x,), (y,), z) for x, y, z in queries], self.data)
 
 
 class GraphOracle:
@@ -493,3 +640,7 @@ class GraphOracle:
             independent = d_separated(self.graph, *nx, node, zsub,
                                       unroll_depth=self.depth)
         return CITestResult(0.0, 1.0, 0) if independent else CITestResult(1.0, 0.0, 0)
+
+    def batch(self, queries):
+        """The results of ``(x, y, z)`` queries, one call each."""
+        return [self(x, y, z) for x, y, z in queries]

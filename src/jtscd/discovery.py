@@ -12,6 +12,13 @@ stages straight from the graph.  The pruned graph is oriented in
 place by the collider and propagation rules and returned; conflicting
 collider orientations are marked ``x-x``.
 
+The tests of one level do not depend on each other's order (PC-stable), so
+each is asked in batches through ``ci.batch``: one batch per level of the
+lagged phase across every target, one per round of a sweep level (the next
+test of every link still open), and one for all subsets of the majority
+collider rule.  Every discovery asks the same tests as one asked one at a
+time, and each link falls at the same first separating test.
+
 J-PCMCI+ runs the stages C (context-system pairs, dummies excluded), D
 (dummy-system pairs given the context parents), refinement (context links
 re-tested given the opposite-kind dummy parents) and S (system-system pairs
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +52,10 @@ _CONTEXT_ROLES = (VariableRole.SYSTEM, VariableRole.TEMPORAL_CONTEXT,
                   VariableRole.SPATIAL_CONTEXT)
 _SYSTEM_ONLY = (VariableRole.SYSTEM,)
 _DUMMY_ROLES = (VariableRole.TIME_DUMMY, VariableRole.SPACE_DUMMY)
+# the dummy an observed context is a deterministic function of
+_OWN_DUMMY = {VariableRole.TEMPORAL_CONTEXT: VariableRole.TIME_DUMMY,
+              VariableRole.SPATIAL_CONTEXT: VariableRole.SPACE_DUMMY}
+COLLIDER_RULES = ("none", "majority")
 
 
 @dataclass(frozen=True)
@@ -97,11 +109,23 @@ class DiscoveryResult:
     ambiguous_triples: list = field(default_factory=list)
 
 
-def _run_ci(ci, x, y, z):
+def _run_batch(ci, queries):
+    """``ci.batch(queries)`` for a list of ``(x, y, z)`` queries.
+
+    The tests of one batch do not depend on each other's order.  If the
+    batch fails, the queries are asked one at a time up to the first that
+    fails, and the ``DiscoveryError`` names it.
+    """
     try:
-        return ci(x, y, z)
+        return ci.batch(queries)
     except Exception as exc:
-        raise DiscoveryError(f"CI test failed for {x} vs {y} given {z}: {exc}") from exc
+        failure = exc
+    for x, y, z in queries:
+        try:
+            ci(x, y, z)
+        except Exception as exc:
+            raise DiscoveryError(f"CI test failed for {x} vs {y} given {z}: {exc}") from exc
+    raise DiscoveryError(f"CI batch of {len(queries)} queries failed: {failure}") from failure
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +139,12 @@ def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
     For every system and observed temporal-context variable, candidate lagged
     drivers (lags ``1..tau_max``) are pruned by CI tests conditioned on the
     currently strongest remaining candidates, growing the conditioning
-    cardinality until convergence.  The result always contains the true
-    lagged parents under a consistent CI test.  Temporal contexts only admit
-    temporal-context drivers (contexts are exogenous to the system); with
-    ``include_contexts=False`` the search runs over system variables alone.
+    cardinality until convergence.  Each cardinality level is one batch of
+    CI tests over every target still searching.  The result always contains
+    the true lagged parents under a consistent CI test.  Temporal contexts
+    only admit temporal-context drivers (contexts are exogenous to the
+    system); with ``include_contexts=False`` the search runs over system
+    variables alone.
 
     Returns a dict mapping every variable to its surviving ``(var, lag)``
     drivers, ordered by the minimum absolute test statistic seen across
@@ -130,62 +156,85 @@ def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
     system = [v for v, r in enumerate(roles) if r.is_system]
     tctx = [v for v, r in enumerate(roles)
             if include_contexts and r is VariableRole.TEMPORAL_CONTEXT]
-    sets = {}
-
+    fixed = list(fixed_conditions)
+    current, vals = {}, {}
     for j in system + tctx:
         drivers = system + tctx if j in system else tctx
-        current = sorted((i, lag) for i in drivers for lag in range(1, tau_max + 1))
-        vals = {c: np.inf for c in current}
-        dim = 0
-        while len(current) - 1 >= dim:
-            removed = set()
-            for cand in current:
-                others = [c for c in current if c != cand][:dim]
-                z = list(others) + list(fixed_conditions)
-                res = _run_ci(ci, cand, (j, 0), z)
-                vals[cand] = min(vals[cand], abs(res.statistic))
-                if res.p_value > alpha:
-                    removed.add(cand)
-                    if sepsets is not None:
-                        sepsets.store(cand[0], cand[1], j,
-                                      SepSetEntry((), tuple(z), res.p_value,
-                                                  res.statistic,
-                                                  (cand[0], cand[1], j)))
-            current = [c for c in current if c not in removed]
-            current.sort(key=lambda c: (-vals[c], c))
-            dim += 1
-        sets[j] = list(current)
-    for v in range(len(roles)):
-        sets.setdefault(v, [])
-    return sets
+        current[j] = sorted((i, lag) for i in drivers for lag in range(1, tau_max + 1))
+        vals[j] = {c: np.inf for c in current[j]}
+
+    # level by level across every target, each level one batch: a target's
+    # tests at a level depend only on its own earlier levels
+    dim = 0
+    active = [j for j in current if len(current[j]) - 1 >= dim]
+    while active:
+        asked = [(j, cand, [c for c in current[j] if c != cand][:dim] + fixed)
+                 for j in active for cand in current[j]]
+        results = _run_batch(ci, [(cand, (j, 0), z) for j, cand, z in asked])
+        removed = set()
+        for (j, cand, z), res in zip(asked, results):
+            vals[j][cand] = min(vals[j][cand], abs(res.statistic))
+            if res.p_value > alpha:
+                removed.add((j, cand))
+                if sepsets is not None:
+                    sepsets.store(cand[0], cand[1], j,
+                                  SepSetEntry((), tuple(z), res.p_value, res.statistic,
+                                              (cand[0], cand[1], j)))
+        for j in active:
+            kept = [c for c in current[j] if (j, c) not in removed]
+            current[j] = sorted(kept, key=lambda c: (-vals[j][c], c))
+        dim += 1
+        active = [j for j in active if len(current[j]) - 1 >= dim]
+    return {v: current.get(v, []) for v in range(len(roles))}
 
 
 # ---------------------------------------------------------------------------
 # skeleton sweep engine
 
 
-def _condition_set(S, base_sets, i, tau, j, fixed, roles):
-    """Full conditioning set: chosen subset, target-side base set minus the
-    tested driver, driver-side base set shifted by ``tau`` (single-node
-    variables keep pseudo-lag 0), plus any fixed conditions; first
-    occurrences only, without the tested endpoints."""
+def _base_part(base_sets, i, tau, j, fixed, roles):
+    """The part of a conditioning set that does not depend on the subset:
+    target-side base set minus the tested driver, driver-side base set
+    shifted by ``tau`` (single-node variables keep pseudo-lag 0), plus any
+    fixed conditions; first occurrences only, without the tested
+    endpoints."""
     shifted = [(v, lag + tau) if roles[v].is_time_indexed else (v, lag)
                for (v, lag) in base_sets.get(i, ())]
     ends = {(i, tau), (j, 0)}
-    return [sel for sel in dict.fromkeys(itertools.chain(S, base_sets.get(j, ()),
+    return [sel for sel in dict.fromkeys(itertools.chain(base_sets.get(j, ()),
                                                          shifted, fixed))
             if sel not in ends]
 
 
+def _with_subset(S, rest):
+    """Full conditioning set: the chosen subset ``S`` (adjacencies, never a
+    tested endpoint), then the base part ``rest`` without ``S``."""
+    return list(S) + [sel for sel in rest if sel not in S]
+
+
 def _contemp_adjacencies(graph, allowed_roles, strengths):
-    n, roles = graph.n_vars, graph.roles
-    adj = {}
-    for j in range(n):
-        cands = [(i, 0) for i in range(n)
-                 if i != j and roles[i] in allowed_roles and graph.has_link(i, j, 0)]
+    """Each variable's contemporaneous neighbours with a role in
+    ``allowed_roles``, from one pass over the graph's lag-0 links, strongest
+    first (the minimum |statistic| in ``strengths``), then by selector."""
+    roles = graph.roles
+    adj = {j: [] for j in range(graph.n_vars)}
+    for (a, b, tau, _) in graph.edges():
+        if tau == 0:
+            if roles[a] in allowed_roles:
+                adj[b].append((a, 0))
+            if roles[b] in allowed_roles:
+                adj[a].append((b, 0))
+    for j, cands in adj.items():
         cands.sort(key=lambda s: (-strengths.get((s[0], 0, j), np.inf), s))
-        adj[j] = cands
     return adj
+
+
+def _link_tests(links, p):
+    """The tests of one unordered link at level ``p``, in order: each
+    direction's subsets of its candidate list."""
+    for link, cands, rest in links:
+        for S in itertools.combinations(cands, p):
+            yield link, S, rest
 
 
 def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, fixed=(),
@@ -195,49 +244,64 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, fixed=(),
 
     ``S`` is drawn from the contemporaneous adjacencies with a role in
     ``s_roles``; ``base`` and ``fixed`` complete each conditioning set (see
-    ``_condition_set``), and with ``forbid_dummy_z`` a dummy in it is a
-    ``DiscoveryError``.  Within one cardinality level, candidate subsets are
-    drawn from the adjacency sets frozen at level start, so decisions do not
-    depend on the order in which the links are visited.  One unordered link
-    is removed at its first separating test, in either direction.
+    ``_base_part``, built once per link), and with ``forbid_dummy_z`` a
+    dummy in it is a ``DiscoveryError``.  Within one cardinality level,
+    candidate subsets are drawn from the adjacency sets frozen at level
+    start, so decisions do not depend on the order in which the links are
+    visited.  One unordered link is removed at its first separating test,
+    in either direction.  A level is asked in rounds, each one batch of the
+    next test of every link still open.
     """
     pairs = sorted(set(pairs), key=lambda p: (p[2], p[1], p[0]))
     roles = ci.var_roles  # every variable the CI test knows, dummies included
     strengths = {}
     dummy_vars = {v for v, r in enumerate(roles) if r.is_dummy}
+    rests = {(i, tau, j): _base_part(base, i, tau, j, fixed, roles) for (i, tau, j) in pairs}
     p = 0
     while True:
         adj = _contemp_adjacencies(graph, s_roles, strengths)
         tasks = {}
-        for (i, tau, j) in pairs:
-            if (not graph.has_link(i, j, tau)
-                    or len([a for a in adj[j] if a != (i, tau)]) < p):
-                continue
-            tasks.setdefault(SepSetStore._key(i, tau, j), []).append((i, tau, j))
+        for link in pairs:
+            i, tau, j = link
+            cands = [a for a in adj[j] if a != (i, tau)]
+            if graph.has_link(i, j, tau) and len(cands) >= p:
+                tasks.setdefault(SepSetStore._key(i, tau, j), []).append(
+                    (link, cands, rests[link]))
         if not tasks:
             break
-        for links in tasks.values():
-            tests = ((i, tau, j, S) for (i, tau, j) in links
-                     for S in itertools.combinations(
-                         [a for a in adj[j] if a != (i, tau)], p))
-            for (i, tau, j, S) in tests:
-                z = _condition_set(S, base, i, tau, j, fixed, roles)
-                if forbid_dummy_z and any(v in dummy_vars for (v, _) in z):
-                    raise DiscoveryError(f"dummy column in a context-stage query: {z}")
-                res = _run_ci(ci, (i, tau), (j, 0), z)
-                link = (i, tau, j)
+        open_links = [_link_tests(links, p) for links in tasks.values()]
+        while open_links:
+            asked = []
+            for tests in open_links:
+                test = next(tests, None)
+                if test is not None:
+                    link, S, rest = test
+                    z = _with_subset(S, rest)
+                    if forbid_dummy_z and any(v in dummy_vars for (v, _) in z):
+                        raise DiscoveryError(f"dummy column in a context-stage query: {z}")
+                    asked.append((tests, link, S, z))
+            results = _run_batch(ci, [((i, tau), (j, 0), z)
+                                      for _, (i, tau, j), _, z in asked])
+            open_links = []
+            for (tests, link, S, z), res in zip(asked, results):
                 strengths[link] = min(strengths.get(link, np.inf), abs(res.statistic))
                 if res.p_value > alpha:
+                    i, tau, j = link
                     graph.remove_link(i, j, tau)
-                    sepsets.store(i, tau, j, SepSetEntry(tuple(S), tuple(z),
-                                                         res.p_value, res.statistic,
-                                                         link))
-                    break
+                    sepsets.store(i, tau, j, SepSetEntry(tuple(S), tuple(z), res.p_value,
+                                                         res.statistic, link))
+                else:
+                    open_links.append(tests)
         p += 1
 
 
 # ---------------------------------------------------------------------------
 # orientation
+
+
+def _check_collider_rule(rule):
+    if rule not in COLLIDER_RULES:
+        raise ValueError(f"unknown collider rule {rule!r}; choose from {COLLIDER_RULES}")
 
 
 def _triples(graph, outer):
@@ -276,10 +340,13 @@ def collider_phase(graph, sepsets, rule="none", ci=None, base_sets=None,
 
     With ``rule="none"`` the middle node is checked against the stored
     separating set of the outer pair; ``rule="majority"`` re-tests all
-    subsets of the relevant neighbourhoods and requires the middle node in
-    less than half of the separating subsets.  Conflicting orientations are
+    subsets of the relevant neighbourhoods, all triples in one batch, and
+    requires the middle node in less than half of the separating subsets.
+    Its conditioning sets never hold the dummy of a context endpoint's own
+    kind: the context is a function of it.  Conflicting orientations are
     marked ``x-x``.  Returns the list of ambiguous triples (majority only).
     """
+    _check_collider_rule(rule)
     triples = sorted(_triples(graph, (DIRECTED, UNDIRECTED)))
     v_structures = []
     ambiguous = []
@@ -289,36 +356,38 @@ def collider_phase(graph, sepsets, rule="none", ci=None, base_sets=None,
             s = entry.s if entry is not None else ()
             if (k, 0) not in s:
                 v_structures.append(((i, tau), k, j))
-    elif rule == "majority":
+    else:
         if ci is None or alpha is None:
             raise ValueError("majority rule needs a CI test and alpha")
         base_sets = base_sets or {}
+        roles = ci.var_roles  # the dummies included, graph nodes or not
         non_dummy = {r for r in VariableRole if not r.is_dummy}
         adj = _contemp_adjacencies(graph, non_dummy, {})
+        asked = []
         for ((i, tau), k, j) in triples:
             pool = [a for a in adj[j] if a != (i, tau)]
             if tau == 0:
                 pool += [a for a in adj[i] if a != (j, 0) and a not in pool]
-            subsets = []
-            for size in range(len(pool) + 1):
-                subsets.extend(itertools.combinations(pool, size))
-            separating = []
-            for S in subsets:
-                z = _condition_set(S, base_sets, i, tau, j, fixed_conditions,
-                                   graph.roles)
-                res = _run_ci(ci, (i, tau), (j, 0), z)
-                if res.p_value > alpha:
-                    separating.append(S)
+            rest = _base_part(base_sets, i, tau, j, fixed_conditions, graph.roles)
+            own = {_OWN_DUMMY.get(roles[i]), _OWN_DUMMY.get(roles[j])}
+            rest = [sel for sel in rest if roles[sel[0]] not in own]
+            subsets = [S for size in range(len(pool) + 1)
+                       for S in itertools.combinations(pool, size)]
+            asked.append((((i, tau), k, j), subsets, rest))
+        results = iter(_run_batch(ci, [((i, tau), (j, 0), _with_subset(S, rest))
+                                       for ((i, tau), _, j), subsets, rest in asked
+                                       for S in subsets]))
+        for triple, subsets, _ in asked:
+            separating = [S for S in subsets if next(results).p_value > alpha]
+            k = triple[1]
             if not separating:
-                ambiguous.append(((i, tau), k, j))
+                ambiguous.append(triple)
                 continue
             fraction = sum((k, 0) in S for S in separating) / len(separating)
             if fraction == 0.5:
-                ambiguous.append(((i, tau), k, j))
+                ambiguous.append(triple)
             elif fraction < 0.5:
-                v_structures.append(((i, tau), k, j))
-    else:
-        raise ValueError(f"unknown collider rule {rule!r}")
+                v_structures.append(triple)
 
     oriented = set()
     for ((i, tau), k, j) in v_structures:
@@ -391,6 +460,20 @@ def _held(graph, variables, j):
             if graph.has_link(v, j, lag)]
 
 
+def _fixed_selectors(fixed):
+    """``fixed`` as a tuple of ``(var, lag)`` tuples of integers; a
+    malformed entry is a ``ValueError`` that names it."""
+    out = []
+    for sel in fixed:
+        try:
+            var, lag = sel
+            out.append((operator.index(var), operator.index(lag)))
+        except (TypeError, ValueError):
+            raise ValueError(f"fixed condition {sel!r} is not a (var, lag) pair "
+                             f"of integers") from None
+    return tuple(out)
+
+
 def _discover(ci, tau_max, alpha, collider_rule, lagged=True, joint=True,
               dummies=(), fixed=()):
     """Prune one graph stage by stage, then orient it (module docstring).
@@ -400,10 +483,12 @@ def _discover(ci, tau_max, alpha, collider_rule, lagged=True, joint=True,
     the ``dummies`` graph nodes and runs stages C and D, otherwise the graph
     spans the system variables and only stage S runs.  ``fixed`` selectors
     are appended to every conditioning set of the lagged phase and stage S.
-    ``alpha`` must lie in [0, 1].
+    ``alpha`` must lie in [0, 1]; the inputs are checked before any test.
     """
     if not 0.0 <= alpha <= 1.0:  # NaN included
         raise ValueError(f"alpha={alpha} must lie in [0, 1]")
+    _check_collider_rule(collider_rule)
+    fixed = _fixed_selectors(fixed)
     roles = list(ci.var_roles)
     system = [v for v, r in enumerate(roles) if r.is_system]
     tctx = [v for v, r in enumerate(roles) if joint and r is VariableRole.TEMPORAL_CONTEXT]
@@ -463,10 +548,10 @@ def _discover(ci, tau_max, alpha, collider_rule, lagged=True, joint=True,
             for j in system}
     pairs = [(i, lag, j) for j in system for (i, lag) in lagged_sys[j]]
     sweep(pairs + clique + [(b, 0, a) for (a, _, b) in clique], _SYSTEM_ONLY, base,
-          tuple(fixed))
+          fixed)
 
     ambiguous = collider_phase(graph, sepsets, rule=collider_rule, ci=ci, base_sets=base,
-                               alpha=alpha, fixed_conditions=tuple(fixed))
+                               alpha=alpha, fixed_conditions=fixed)
     rule_phase(graph, ambiguous)
     parents = {}
     if joint:

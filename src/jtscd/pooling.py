@@ -41,11 +41,14 @@ most of them (in a J-PCMCI+ run at ``tau_max = 2``, M=20, T=500, about 20
 of 20 columns at row set 2 and 24 of 32 at row set 4).
 
 ``PooledData.z_projection`` keeps, per row set and dummy mode, the last
-factorization of a conditioning block: sibling tests of a discovery level
-share one ``z`` and reuse it.  A factorization calls the gufunc behind
-``np.linalg.eigh`` through ``_eigh``, without the wrapper's argument checks
-and error-state context, which cost as much as the eigendecomposition of a
-block of a few columns; the results are the same bits.
+factorization of a conditioning block, so consecutive tests that share one
+``z`` reuse it.  The partial correlation test reads a scalar pair from a
+Cholesky factor of its own block and uses this factorization for dummy
+endpoints and for the pairs whose conditioning block is not of full rank.
+A factorization calls the gufunc behind ``np.linalg.eigh`` through
+``_eigh``, without the wrapper's argument checks and error-state context,
+which cost as much as the eigendecomposition of a block of a few columns;
+the results are the same bits.
 """
 
 from __future__ import annotations

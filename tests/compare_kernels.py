@@ -6,16 +6,28 @@ Each argument is a directory holding the ``jtscd`` package (the ``src``
 directory of a checkout).  For each tree a child process imports that
 package and ``perfbench/workloads.py`` of this checkout (read only), runs
 one pass of the panel-long corpus and the 50 grid-small realizations in
-corpus order, and records every ``citests.parcorr_test`` call: the query
-and its result, or the type of the error it raised.  The report gives
+corpus order, and records every query the discovery asks of the kernel:
+each query of a ``citests.parcorr_batch`` call, where the tree has that
+function, and each ``citests.parcorr_test`` call made outside a batch,
+with its result or the type of the error it raised.  A batch that raises
+records nothing; the discovery then asks its queries one at a time, and
+those calls are recorded.  It also records each discovery's graph and the
+keys of its separating sets.
 
-* where the two query sequences diverge, per discovery,
+Results are aligned by query, not by call position: per corpus entry (one
+panel-long discovery, or the two discoveries of a grid-small realization),
+the queries ``(x, y, z)`` of the two trees are matched as multisets, so two
+trees that ask the same tests in another order compare test by test.  The
+report gives
+
+* per corpus entry, the queries that only one tree ran,
 * how many aligned results differ, and the largest relative difference of
   the statistic and the p-value,
+* the discoveries whose graph or separating-set keys differ,
 * the decision flips (``p > alpha`` on one side only), and
 * every p-value within 1e-6 of ``alpha`` on either side.
 
-The exit status is 1 if the query sequences diverge or a decision flips;
+The exit status is 1 if the query multisets differ or a decision flips;
 with ``--exact``, also if any aligned result differs in any bit.
 Children run with BLAS pinned to one thread.  This file is a tool, not a
 test: pytest does not collect it.
@@ -30,6 +42,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,26 +51,46 @@ NEAR_ALPHA = 1e-6
 PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
+def _entry(query):
+    return [[list(s) for s in query.x], [list(s) for s in query.y],
+            [list(s) for s in query.z]]
+
+
+def _outcome(res):
+    return [res.statistic, res.p_value, res.n_effective, res.df, res.degenerate]
+
+
 def record(out_path):
     """Child side: run the corpora and write one JSON line per discovery."""
     import workloads
     from jtscd import citests
 
-    kernel, calls = citests.parcorr_test, []
+    single, batch = citests.parcorr_test, getattr(citests, "parcorr_batch", None)
+    calls, depth = [], [0]
 
-    def recording(query, data, **options):  # older trees pass ``correction``
-        entry = [[list(s) for s in query.x], [list(s) for s in query.y],
-                 [list(s) for s in query.z]]
+    def recording_test(query, data, **options):  # older trees pass ``correction``
+        if depth[0]:  # asked by a batch, which records its own queries
+            return single(query, data, **options)
         try:
-            res = kernel(query, data, **options)
+            res = single(query, data, **options)
         except Exception as exc:  # the error type is part of the record
-            calls.append(entry + [type(exc).__name__])
+            calls.append(_entry(query) + [type(exc).__name__])
             raise
-        calls.append(entry + [[res.statistic, res.p_value, res.n_effective,
-                               res.df, res.degenerate]])
+        calls.append(_entry(query) + [_outcome(res)])
         return res
 
-    citests.parcorr_test = recording
+    def recording_batch(queries, data):
+        depth[0] += 1
+        try:
+            results = batch(queries, data)
+        finally:
+            depth[0] -= 1
+        calls.extend(_entry(q) + [_outcome(r)] for q, r in zip(queries, results))
+        return results
+
+    citests.parcorr_test = recording_test
+    if batch is not None:
+        citests.parcorr_batch = recording_batch
     with open(out_path, "w") as out:
         out.write(json.dumps({"alpha": workloads.ALPHA}) + "\n")
         for name in ("panel-long", "grid-small"):
@@ -65,8 +98,10 @@ def record(out_path):
                 calls.clear()
                 outcomes = workloads.run_op(name, inst, time.perf_counter)
                 errors = [o.error for o, _ in outcomes if o.error]
+                graphs = [[res.graph.to_text(), [list(k) for k, _ in res.sepsets.items()]]
+                          for _, res in outcomes if res is not None]
                 out.write(json.dumps({"op": f"{name}/{inst.key}", "calls": calls,
-                                      "errors": errors}) + "\n")
+                                      "errors": errors, "graphs": graphs}) + "\n")
 
 
 def run_child(src, out_path):
@@ -88,48 +123,61 @@ def _rel(a, b):
     return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
 
 
+def _by_query(calls):
+    """A discovery's results keyed by query, each key's results in order."""
+    out = {}
+    for call in calls:
+        out.setdefault(json.dumps(call[:3]), []).append(call[3])
+    return out
+
+
 def compare(runs_a, runs_b, alpha):
     """Report lines, whether the two trees disagree on queries or decisions,
     and the number of aligned results that differ."""
     lines, bad = [], False
-    n_calls = n_differ = 0
+    n_calls = n_differ = n_graphs = n_discoveries = 0
     max_rel = {"statistic": 0.0, "p_value": 0.0}
     flips, near = [], []
     for ra, rb in zip(runs_a, runs_b, strict=True):
-        op, ca, cb = ra["op"], ra["calls"], rb["calls"]
+        op = ra["op"]
+        n_discoveries += len(ra.get("graphs", ()))
         if ra["errors"] != rb["errors"]:
             lines.append(f"{op}: errors differ: {ra['errors']} vs {rb['errors']}")
             bad = True
-        for i, (a, b) in enumerate(zip(ca, cb)):
-            if a[:3] != b[:3]:
-                break
-            n_calls += 1
-            query = f"{op} call {i}: x={a[0]} y={a[1]} z={a[2]}"
-            res_a, res_b = a[3], b[3]
-            n_differ += res_a != res_b
-            if isinstance(res_a, str) or isinstance(res_b, str):
-                if res_a != res_b:
-                    lines.append(f"{query}: {res_a} vs {res_b}")
-                    bad = True
-                continue
-            max_rel["statistic"] = max(max_rel["statistic"], _rel(res_a[0], res_b[0]))
-            max_rel["p_value"] = max(max_rel["p_value"], _rel(res_a[1], res_b[1]))
-            if res_a[2:] != res_b[2:]:
-                lines.append(f"{query}: n, df or degenerate differ: "
-                             f"{res_a[2:]} vs {res_b[2:]}")
+        if ra.get("graphs") != rb.get("graphs"):
+            n_graphs += 1
+            lines.append(f"{op}: graph or separating-set keys differ")
+        qa, qb = _by_query(ra["calls"]), _by_query(rb["calls"])
+        count_a = Counter({k: len(v) for k, v in qa.items()})
+        count_b = Counter({k: len(v) for k, v in qb.items()})
+        for side, only in (("A", count_a - count_b), ("B", count_b - count_a)):
+            for key, times in sorted(only.items()):
+                lines.append(f"{op}: only {side} ran x, y, z = {key} ({times}x)")
                 bad = True
-            if (res_a[1] > alpha) != (res_b[1] > alpha):
-                flips.append(f"{query}: p {res_a[1]!r} vs {res_b[1]!r}")
-            if min(abs(res_a[1] - alpha), abs(res_b[1] - alpha)) <= NEAR_ALPHA:
-                near.append(f"{query}: p {res_a[1]!r} vs {res_b[1]!r}")
-        else:
-            i = min(len(ca), len(cb))
-            if len(ca) == len(cb):
-                continue
-        lines.append(f"{op}: query sequences diverge at call {i} "
-                     f"({len(ca)} vs {len(cb)} calls)")
-        bad = True
-    lines += [f"aligned calls: {n_calls}",
+        for key in sorted(qa.keys() & qb.keys()):
+            x, y, z = json.loads(key)
+            query = f"{op}: x={x} y={y} z={z}"
+            for res_a, res_b in zip(qa[key], qb[key]):
+                n_calls += 1
+                n_differ += res_a != res_b
+                if isinstance(res_a, str) or isinstance(res_b, str):
+                    if res_a != res_b:
+                        lines.append(f"{query}: {res_a} vs {res_b}")
+                        bad = True
+                    continue
+                max_rel["statistic"] = max(max_rel["statistic"], _rel(res_a[0], res_b[0]))
+                max_rel["p_value"] = max(max_rel["p_value"], _rel(res_a[1], res_b[1]))
+                if res_a[2:] != res_b[2:]:
+                    lines.append(f"{query}: n, df or degenerate differ: "
+                                 f"{res_a[2:]} vs {res_b[2:]}")
+                    bad = True
+                if (res_a[1] > alpha) != (res_b[1] > alpha):
+                    flips.append(f"{query}: p {res_a[1]!r} vs {res_b[1]!r}")
+                if min(abs(res_a[1] - alpha), abs(res_b[1] - alpha)) <= NEAR_ALPHA:
+                    near.append(f"{query}: p {res_a[1]!r} vs {res_b[1]!r}")
+    lines += [f"discoveries: {n_discoveries} in {len(runs_a)} corpus entries; entries "
+              f"with graph or separating-set key changes: {n_graphs}",
+              f"aligned queries: {n_calls}",
               f"differing results: {n_differ}",
               f"largest relative difference: statistic {max_rel['statistic']:.3g}, "
               f"p-value {max_rel['p_value']:.3g}",

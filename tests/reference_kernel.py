@@ -8,8 +8,10 @@ demeaning, fit the scalar conditioning columns plus an intercept by
 which the pooled kernel now reaches through its gufunc directly.
 ``centered_parcorr_test`` is the dense group-demeaned correlation test that
 conditioning on a full dummy block must equal.  All are kept only for the
-equivalence tests.  Their p-values come from ``scipy.stats``, independent of
-the package's own Student-t tail.
+equivalence tests.  Like the kernel, ``lstsq_parcorr_test`` refuses a
+context endpoint conditioned on the non-constant dummy of its own kind.
+Their p-values come from ``scipy.stats``, independent of the package's own
+Student-t tail.
 """
 
 import numpy as np
@@ -84,6 +86,11 @@ def lstsq_parcorr_test(query, data, correction="bonferroni"):
 
     all_sel = list(query.x) + list(query.y) + list(query.z)
     start = data.aligned_start(all_sel)
+    for (var, _) in query.x + query.y:
+        role = data.var_roles[var]
+        own = (data.time_dummy if role.is_temporal_kind else data.space_dummy, 0)
+        if role.is_context and own in query.z and not data.is_degenerate(own[0]):
+            raise QueryError(f"context {var} is conditioned on its own dummy {own}")
     n = int(np.count_nonzero(data.time_index >= start))
     n_z_cols = _z_column_count(query.z, data)
     if n <= n_z_cols + 3:

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from jtscd.citests import GraphOracle, ParCorrCI
-from jtscd.discovery import (CI_TESTS, VARIANTS, SepSetEntry, SepSetStore, collider_phase,
-                             estimate_graph, j_pc, j_pcmciplus,
-                             lagged_skeleton_pcmciplus, rule_phase,
-                             run_pcmciplus)
+from jtscd.discovery import (CI_TESTS, VARIANTS, DiscoveryError, SepSetEntry, SepSetStore,
+                             collider_phase, estimate_graph, j_pc, j_pcmciplus,
+                             lagged_skeleton_pcmciplus, rule_phase, run_pcmciplus)
 from jtscd.graph import (CONFLICT, DIRECTED, UNDIRECTED, GroundTruthGraph,
                          TimeSeriesGraph, VariableRole, dummy_deletion,
-                         target_graph)
+                         mask_contexts_latent, target_graph)
 from jtscd.metrics import LinkClass, score
 from jtscd.pooling import SelectionError, pool_data
 from jtscd.scm import (ConstantColumnError, generate_random_model,
@@ -428,6 +427,36 @@ class TestAlwaysConditionedDummies:
                 assert a.z == b.z
                 assert abs(a.p_value - b.p_value) < 1e-12
 
+    def test_list_form_fixed_conditions(self):
+        # list-form selectors, as CIQuery accepts them, reach stage S intact
+        spec, _ = generate_random_model(seed=3, max_lag=2)
+        dc = simulate(spec, M=4, T=60, seed=4)
+        pooled = pool_data(dc.mask_all_latent(), 2)
+        as_lists = [[pooled.time_dummy, 0], [pooled.space_dummy, 0]]
+        res = run_pcmciplus(ParCorrCI(pooled), tau_max=2, fixed_conditions=as_lists)
+        ref = run_pcmciplus(ParCorrCI(pooled), tau_max=2,
+                            fixed_conditions=[tuple(s) for s in as_lists])
+        assert res.graph == ref.graph
+        assert res.sepsets.items() == ref.sepsets.items()
+        assert all((pooled.time_dummy, 0) in e.z for _, e in res.sepsets.items())
+
+    def test_a_failing_batch_names_its_query(self):
+        # a batch that raises is asked again one query at a time, so the
+        # error names the query that fails
+        spec, _ = generate_random_model(seed=3, max_lag=2)
+        ci = ParCorrCI(pool_data(simulate(spec, M=4, T=60, seed=4), 2))
+        with pytest.raises(DiscoveryError, match=r"^CI test failed for \(0, 1\) vs \(0, 0\) "
+                                                 r"given \[\(99, 0\)\]: selector \(99, 0\) out of range"):
+            run_pcmciplus(ci, tau_max=2, fixed_conditions=[(99, 0)])
+
+    @pytest.mark.parametrize("entry", [[5, 0, 1], 5, (5, "0"), "ab", None])
+    def test_malformed_fixed_condition_is_refused_before_any_test(self, entry):
+        spec, _ = generate_random_model(seed=3, max_lag=2)
+        ci = ParCorrCI(pool_data(simulate(spec, M=4, T=60, seed=4), 2))
+        with pytest.raises(ValueError, match=r"^fixed condition .* is not a \(var, lag\) pair"):
+            run_pcmciplus(ci, tau_max=2, fixed_conditions=[(5, 0), entry])
+        assert ci.n_tests == 0
+
 
 class TestEstimateGraph:
     def test_variant_graphs_have_expected_roles(self):
@@ -495,6 +524,17 @@ class TestEstimateGraph:
         with pytest.raises(ValueError):
             estimate_graph(dc, variant="nope")
 
+    def test_unknown_collider_rule_is_refused_before_any_test(self):
+        spec, g = generate_random_model(seed=1, max_lag=2)
+        dc = simulate(spec, M=2, T=30, seed=2)
+        with pytest.raises(ValueError, match="unknown collider rule 'Majority'"):
+            estimate_graph(dc, collider_rule="Majority")
+        for driver in (j_pcmciplus, run_pcmciplus, j_pc):
+            oracle = GraphOracle(g, 2)
+            with pytest.raises(ValueError, match="unknown collider rule"):
+                driver(oracle, collider_rule="Majority")
+            assert oracle.n_tests == 0
+
     @pytest.mark.parametrize("alpha", [2.0, -0.5, float("nan")])
     def test_alpha_outside_the_unit_interval_is_refused(self, alpha):
         # refused once, by the driver every variant and CI test runs through
@@ -546,3 +586,58 @@ class TestEstimateGraph:
         # constant within each dataset but not across them is a column to test
         dc.system[:, :, 1] = np.arange(4.0)[:, None]
         self.parcorr_run(dc, entry)
+
+
+class TestBatchedPhases:
+    """The lagged phase and the sweep ask each level in batches; the
+    one-query-at-a-time versions they replaced (``reference_discovery.py``)
+    must return the same graphs, separating sets and lagged sets."""
+
+    @staticmethod
+    def outputs(res):
+        return (res.graph.to_text(), res.sepsets.items(), res.lagged,
+                res.context_parents, res.dummy_parents, res.ambiguous_triples)
+
+    def assert_same_as_sequential(self, runs, monkeypatch):
+        import jtscd.discovery as discovery
+        from reference_discovery import sequential_lagged_skeleton, sequential_skeleton_sweep
+        batched = [self.outputs(run()) for run in runs]
+        monkeypatch.setattr(discovery, "lagged_skeleton_pcmciplus", sequential_lagged_skeleton)
+        monkeypatch.setattr(discovery, "_skeleton_sweep", sequential_skeleton_sweep)
+        for k, run in enumerate(runs):
+            assert self.outputs(run()) == batched[k], k
+        assert any(b[1] for b in batched)
+
+    def test_oracle(self, monkeypatch):
+        runs = []
+        for seed in range(6):
+            _, g = generate_random_model(n_system=4, n_temporal_ctx=1, n_spatial_ctx=1,
+                                         frac_observed=(0.0, 0.5, 1.0)[seed % 3],
+                                         seed=seed, max_lag=2)
+            _, g0 = generate_random_model(n_system=4, n_temporal_ctx=0, n_spatial_ctx=2,
+                                          seed=seed, lag_free=True)
+            o, o0 = GraphOracle(g, 2), GraphOracle(g0, 0)
+            masked = GraphOracle(mask_contexts_latent(g), 2)
+            fixed = [(masked.time_dummy, 0), (masked.space_dummy, 0)]
+            runs += [lambda o=o: j_pcmciplus(o, tau_max=2),
+                     lambda o=o: j_pcmciplus(o, tau_max=2, collider_rule="majority"),
+                     lambda o0=o0: j_pc(o0, collider_rule="majority"),
+                     lambda m=masked, f=fixed: run_pcmciplus(m, tau_max=2, fixed_conditions=f)]
+        self.assert_same_as_sequential(runs, monkeypatch)
+
+    def test_parcorr(self, monkeypatch):
+        # the sequential phases ask ``parcorr_test`` one query at a time; it
+        # gives the bits of the batch, so p-values agree exactly
+        runs = []
+        for seed in range(3):
+            spec, _ = generate_random_model(n_system=4, n_temporal_ctx=1, n_spatial_ctx=1,
+                                            frac_observed=0.5, seed=seed, max_lag=2)
+            dc = simulate(spec, M=5, T=60, seed=seed + 70)
+            ci = ParCorrCI(pool_data(dc.mask_all_latent(), 2))
+            fixed = [(v, 0) for v, r in enumerate(ci.var_roles) if r.is_dummy]
+            runs += [lambda dc=dc, v=v, lf=lf: estimate_graph(dc, variant=v, tau_max=2,
+                                                               lag_free=lf)
+                     for v in VARIANTS for lf in (False, True)]
+            runs += [lambda dc=dc: estimate_graph(dc, tau_max=2, collider_rule="majority"),
+                     lambda ci=ci, f=fixed: run_pcmciplus(ci, tau_max=2, fixed_conditions=f)]
+        self.assert_same_as_sequential(runs, monkeypatch)

@@ -6,10 +6,9 @@ Oracle cases record every sepset entry (``s``, ``z`` and ``pair``) together
 with the lagged sets, context and dummy parents and ambiguous triples;
 ParCorr cases record the graph text and the sepset keys only, so that
 last-bit BLAS differences in p-values cannot fail the test.  A run that
-raised is recorded by its error message: with the majority collider rule,
-lag-free oracle runs on models with an observed spatial context raise a
-``DiscoveryError`` (the space dummy in a base set stands in for the tested
-context itself), and the record keeps that outcome until it is mended.
+raised would be recorded by its error message; none does.  (The majority
+collider rule used to condition a context on the dummy of its own kind, and
+six lag-free oracle runs recorded the ``DiscoveryError`` that caused.)
 Graph text is compared exactly, node set included: lag-free runs without
 dummies (``j_pc(use_dummy=False)``, hence lag-free ``pcmci+C`` and
 ``pcmci+``) return graphs that end before the two dummy nodes.
@@ -146,7 +145,7 @@ def test_fixture_covers_every_case(golden):
     # the corpus exercises removals, context and dummy parents and both rules
     assert sum(len(golden[k].get("sepsets", ())) for k in keys) > 500
     assert any(golden[k].get("ambiguous_triples") for k in keys)
-    assert sum("error" in golden[k] for k in keys) == 6
+    assert not any("error" in golden[k] for k in keys)
     assert any(p for k in keys for _, p in golden[k].get("dummy_parents") or [])
 
 

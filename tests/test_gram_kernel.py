@@ -234,7 +234,8 @@ def test_shared_dataset_matches_cold_and_reference():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_discovery_matches_reference_kernel(seed, monkeypatch):
-    # ParCorrCI reaches the kernel through the module global
+    # ParCorrCI reaches the kernel through the module globals: one query
+    # through ``parcorr_test``, a discovery's batches through ``parcorr_batch``
     spec, _ = generate_random_model(n_system=4, n_temporal_ctx=1, n_spatial_ctx=1,
                                     frac_observed=0.5, seed=seed, max_lag=2)
     dc = simulate(spec, M=4, T=40, seed=100 + seed)
@@ -248,6 +249,8 @@ def test_discovery_matches_reference_kernel(seed, monkeypatch):
         return lstsq_parcorr_test(query, data)
 
     monkeypatch.setattr(citests, "parcorr_test", reference)
+    monkeypatch.setattr(citests, "parcorr_batch",
+                        lambda queries, data: [reference(q, data) for q in queries])
     for run, new in zip(runs, fast):
         used.clear()
         ref = estimate_graph(dc, tau_max=2, **run)
@@ -314,8 +317,10 @@ class TestCoverage:
         ref = assert_equivalent(data, CIQuery(
             x=((0, 1),), y=((1, 0),), z=((4, 0), (data.space_dummy, 0))))
         assert ref.df == 4 * 18 - 4 - 1
+        # the context tested given its own dummy is refused by both kernels
+        # (``TestBatch.test_own_dummy_refused_unless_constant``)
         assert assert_equivalent(data, CIQuery(
-            x=((4, 0),), y=((1, 0),), z=((data.space_dummy, 0),))).degenerate
+            x=((4, 0),), y=((1, 0),), z=((data.space_dummy, 0),))) is None
 
     def test_rank_deficient_z(self):
         data = panel(spatial=2, M=2)
@@ -452,3 +457,109 @@ class TestErrorParity:
                     test(x[0], y[0], z)
                 assert not test((0, 1), (1, 0), ((2, 1),)).degenerate
         assert dict(data.selectors) == table
+
+
+def batch_corpus(data, rng):
+    """Queries of one panel for the batch path: the sibling groups (every
+    dummy mode, dummy endpoints), pairs with an empty ``z`` or a spatial
+    context zeroed by the space dummy, and, on a panel with a duplicated
+    or affine system column, a ``z`` holding that column and its copy."""
+    queries = [q for group in sibling_groups(data, rng) for q in group]
+    n_sys = data.n_system
+    queries += [CIQuery(x=((0, 1),), y=((1, 0),)), CIQuery(x=((1, 0),), y=((0, 2),))]
+    spatial = [v for v in range(data.n_observed) if not data.var_roles[v].is_time_indexed]
+    for v in spatial:
+        queries.append(CIQuery(x=((0, 1),), y=((1, 0),),
+                               z=((v, 0), (2, 1), (data.space_dummy, 0))))
+    queries.append(CIQuery(x=((1, 0),), y=((2, 0),), z=((0, 1), (n_sys - 1, 1))))
+    return queries
+
+
+class TestBatch:
+    """``parcorr_batch`` against one ``parcorr_test`` call per query."""
+
+    def test_batch_is_bitwise_the_single_path_and_matches_reference(self, monkeypatch):
+        fallbacks = []
+        projected = citests._projected
+
+        def counting(case, data):
+            fallbacks.append(case[0].dummy is None)
+            return projected(case, data)
+
+        monkeypatch.setattr(citests, "_projected", counting)
+        rng = np.random.default_rng(20261019)
+        n_pairs = n_batches = n_collinear = 0
+        while n_batches < 20:
+            p = random_params(rng)
+            if p["tau_max"] == 0 or p["M"] == 1 or p["n_system"] < 3:
+                continue
+            data, _ = build_case(p)
+            corpus = batch_corpus(data, rng)
+            # a batch raises at its first failing query: keep those that pass
+            alone = pool_data(data.dc, data.tau_max)
+            singles = [outcome(parcorr_test, q, alone) for q in corpus]
+            queries = [q for q, s in zip(corpus, singles) if not isinstance(s, type)]
+            expected = [s for s in singles if not isinstance(s, type)]
+            fallbacks.clear()
+            batch = citests.parcorr_batch(queries, data)
+            assert batch == expected
+            for query, result in zip(queries, batch):
+                assert_equivalent(data, query, new=result)
+            n_pairs += sum(not data.var_roles[q.x[0][0]].is_dummy for q in queries)
+            n_batches += 1
+            if p["collinear"] in ("duplicate", "affine"):
+                # the copied column in z leaves a zero Cholesky pivot
+                assert any(fallbacks), p
+                n_collinear += 1
+        assert n_pairs > 500 and n_collinear > 3
+
+    @pytest.mark.parametrize("copy", ["duplicate", "affine"])
+    def test_collinear_z_falls_back_to_the_numerical_rank(self, copy):
+        system = np.random.default_rng(6).standard_normal((4, 20, 4))
+        system[:, :, 3] = system[:, :, 0] if copy == "duplicate" else 2.0 * system[:, :, 0] - 1.5
+        data = panel(system=system)
+        query = CIQuery(x=((1, 0),), y=((2, 0),), z=((0, 1), (3, 1)))
+        # the second z pivot is zero: the factor cannot decide the rank
+        assert citests._factored_pairs([citests._resolve(query, data)]) == [None]
+        result = citests.parcorr_batch([query], data)[0]
+        assert result == parcorr_test(query, data)
+        ref = assert_equivalent(data, query, new=result)
+        # the pseudo-inverse counts one of the two z columns
+        assert ref.df == 4 * 18 - 1 - 1 - 1 and not ref.degenerate
+
+    def test_single_query_batch(self):
+        data = panel()
+        query = CIQuery(x=((0, 1),), y=((1, 0),), z=((2, 3), (data.time_dummy, 0)))
+        assert citests.parcorr_batch([query], data) == [parcorr_test(query, data)]
+        assert citests.parcorr_batch([], data) == []
+
+    def test_batch_raises_the_single_path_error(self):
+        data = panel()
+        fine = CIQuery(x=((0, 1),), y=((1, 0),), z=((2, 3),))
+        for bad, error in ((CIQuery(x=((3, 0),), y=((1, 0),), z=((data.time_dummy, 0),)),
+                            QueryError),
+                           (CIQuery(x=((0, 5),), y=((1, 0),)), SelectionError)):
+            assert error_type(parcorr_test, bad, data) is error
+            with pytest.raises(error):
+                citests.parcorr_batch([fine, bad, fine], data)
+
+    def test_own_dummy_refused_unless_constant(self):
+        data = panel()
+        # temporal context 3 given the time dummy, spatial context 4 given
+        # the space dummy, on either side and beside other conditions
+        for query in (CIQuery(x=((3, 0),), y=((1, 0),), z=((data.time_dummy, 0),)),
+                      CIQuery(x=((1, 0),), y=((3, 2),), z=((0, 1), (data.time_dummy, 0))),
+                      CIQuery(x=((data.time_dummy, 0),), y=((4, 0),),
+                              z=((data.space_dummy, 0),))):
+            with pytest.raises(QueryError, match="own kind"):
+                parcorr_test(query, data)
+            assert error_type(lstsq_parcorr_test, query, data) is QueryError
+        # the other kind's dummy is a test like any other
+        assert not parcorr_test(CIQuery(x=((3, 0),), y=((1, 0),),
+                                        z=((data.space_dummy, 0),)), data).degenerate
+        # a single dataset's space dummy is a constant block: the spatial
+        # context given it stays a degenerate test
+        single = panel(M=1, T=20)
+        query = CIQuery(x=((4, 0),), y=((1, 0),), z=((single.space_dummy, 0),))
+        assert parcorr_test(query, single).degenerate
+        assert citests.parcorr_batch([query], single) == [lstsq_parcorr_test(query, single)]
