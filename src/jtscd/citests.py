@@ -27,41 +27,42 @@ every scalar lagged column after centring or demeaning by the dummies in
 them come from one raw pass over the panel, as group-sum corrections of
 raw cross-products; a column constant within the mode's groups is exactly
 zero there, so it drops out of ``z`` and leaves a tested side degenerate.
-A scalar ``x`` against a scalar ``y`` -- most tests of a discovery -- is
-read from the lower Cholesky factor L of the Gram block of ``(z..., x,
-y)``: the residual sums of squares are ``L_xx^2`` and ``L_yx^2 + L_yy^2``,
-and ``r = |L_yx| / sqrt(L_yx^2 + L_yy^2)``.  The factor takes the scalar
-``z`` columns to be of full rank; where a ``z`` pivot, or a tested side,
-says otherwise, the pair falls back to the path of a dummy endpoint, which
-projects the ``z`` columns out of a Gram sub-block with a pseudo-inverse
-whose numerical rank sets ``df``.  That factorization
-(``PooledData.z_projection``) covers every column of the row set and is
-kept per row set and dummy mode until a test conditions on other columns
-there, so the tests that share a ``z`` factorize it once and then only
-look up entries.  A dummy endpoint needs no one-hot columns: with ``beta``
-the ``z``-coefficients of ``y``, the residual cross-product of group ``g``
-is ``S_y[g] - S_z[g] beta`` and the residual squared norm of its indicator
-is ``n_g - S_z[g] G_zz^+ S_z[g]'``, where ``n_g`` is the indicator's
-squared norm after demeaning by the other dummy.
-A test thus costs O(G k + k^3) for G groups and k conditioning columns,
-independent of the number of rows.
+Every test is read from the lower Cholesky factor L of a Gram block, one
+factorization policy for all of them.  A scalar ``x`` against a scalar
+``y`` -- most tests of a discovery -- factorizes ``(z..., x, y)``: the
+residual sums of squares are ``L_xx^2`` and ``L_yx^2 + L_yy^2``, and ``r =
+|L_yx| / sqrt(L_yx^2 + L_yy^2)``.  A dummy endpoint needs no one-hot
+columns: it factorizes ``(z..., y)`` and whitens the group sums ``S_z`` of
+the ``z`` columns against ``L_zz``, ``W' = S_z L_zz^-T``; the residual
+cross-product of group ``g`` with ``y`` is then ``S_y[g] - W'[g] . L_yz``
+and the residual squared norm of its indicator ``n_g - |W'[g]|^2``,
+where ``n_g`` is the indicator's squared norm after demeaning by the other
+dummy.  A test thus costs O(G k^2 + k^3) for G groups and k conditioning
+columns, independent of the number of rows.  The factor takes the scalar
+``z`` columns to be of full rank; a block it rejects -- a ``z`` pivot in
+the span of the others, or a factorization that fails, as for ``x`` equal
+to ``y`` -- is whitened instead by the pseudo-inverse of the ``z`` block's
+eigendecomposition (``_eigh``), whose numerical rank sets ``df``.  One
+function (``_finish``) turns the residual sums of either into the
+``CITestResult``.
 
 A discovery runs hundreds of such tests, each small enough that Python and
 numpy call overhead would dominate it, so a discovery asks them in batches
 (``parcorr_batch``): the tests of one level do not depend on each other's
-order.  A batch gathers the blocks of its scalar pairs per row set, dummy
-mode and ``z`` size and factorizes each stack in one call of the gufunc
-behind ``np.linalg.cholesky``; each block is factorized on its own inside
-the stack, so a query gets the same bits in a batch of any size, and
-``parcorr_test`` answers one query as a batch of one.  Dummy endpoints and
-the pairs the factor cannot decide go through ``parcorr_test`` one at a
-time.  ``CIQuery`` validates a query once, in its constructor; the kernel
-looks its selectors up in the table ``PooledData.selectors`` built with the
-pooled data, reads the conditioning set in one pass, and takes the Gram
-diagonal as Python floats (``GramStats.diag``).  A scalar pair finishes on
-Python floats; a dummy endpoint works on vectors of its G group rows and
-finishes on Python floats too.  A context endpoint conditioned on the
-dummy of its own kind, which it is a function of, is a ``QueryError``.
+order.  A batch resolves each query once, groups the queries by row set,
+dummy mode, ``z`` size and endpoint kind, and gathers and factorizes each
+group's blocks in one call of the gufunc behind ``np.linalg.cholesky``
+(and inverts a group's ``L_zz`` blocks for its dummy sums in one call of
+that behind ``np.linalg.inv``).  Each block is factorized on its own
+inside the stack, so a query gets the same bits in a batch of any size,
+and ``parcorr_test`` answers one query as a batch of one.  ``CIQuery``
+validates a query once, in its constructor; the kernel looks its
+selectors up in the table ``PooledData.selectors`` built with the pooled
+data, reads the conditioning set in one pass, and takes the Gram diagonal
+as Python floats (``GramStats.diag``).  A scalar pair finishes on Python
+floats; a dummy endpoint works on vectors of its G group rows and finishes
+on Python floats too.  A context endpoint conditioned on the dummy of its
+own kind, which it is a function of, is a ``QueryError``.
 
 The oracle test answers the same queries exactly from a ground-truth graph:
 a dummy inside the conditioning set stands for all context variables of its
@@ -71,6 +72,7 @@ iff one reachability pass from the node reaches no latent context of its kind.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -135,10 +137,16 @@ _VARIANCE_EPS = 1e-12
 # before the scalar conditioning is cancellation noise of the cross-product
 # algebra: the column lies in the span of the conditioning columns
 _SPAN_TOL = 1e-10
-# the gufunc behind ``np.linalg.cholesky`` over a stack of blocks, called
-# without the wrapper's checks; a block that is not positive definite comes
-# back as NaNs and raises the ``invalid`` floating-point flag
+# the gufuncs behind ``np.linalg.cholesky``, ``np.linalg.inv`` and
+# ``np.linalg.eigh`` (lower triangle) over stacks of blocks, called without
+# the wrappers' argument checks and error-state context; a block that is
+# not positive definite, or singular, comes back as NaNs and raises the
+# ``invalid`` floating-point flag, and ``_eigh`` restores the one failure
+# check of the eigh wrapper
 _cholesky_lo = np.linalg._umath_linalg.cholesky_lo
+_inv = np.linalg._umath_linalg.inv
+_eigh_lo = np.linalg._umath_linalg.eigh_lo
+_EPS = sys.float_info.epsilon
 
 
 # Taylor coefficients c_k of sqrt(w / (1 - exp(-w))) = sum_k c_k w^k.  The
@@ -356,105 +364,168 @@ def _check_own_dummy(query, data):
                     f"own kind (query x={query.x} y={query.y} z={query.z})")
 
 
-def _projected(case, data):
-    """The test of a resolved query (``_resolve``) from its ``z`` projection.
+def _eigh(block, n):
+    """``np.linalg.eigh(block)`` and the number of eigenvalues to drop.
 
-    Scalar ``z`` columns are projected out by the pseudo-inverse of their
-    Gram block (``data.z_projection``), whose numerical rank sets ``df``; a
-    dummy endpoint's components are the group sums of the residuals.
+    ``block`` is a symmetric float64 Gram block of ``n`` rows.  The
+    eigenvalues come in ascending order, so the dropped ones -- those at or
+    below ``lstsq``'s ``rcond=None`` cutoff ``max(n, k) * eps * lam_max`` --
+    lead; they are counted on Python floats.  As ``np.linalg.eigh`` does on
+    non-convergence (where LAPACK leaves NaNs), a non-finite eigenvalue
+    raises ``LinAlgError``.
     """
-    x, y, start, mode, n, stats, zs = case
-    diag = stats.diag
-    if zs:
-        # factorized once for the sibling tests that condition on the same
-        # columns; ``resid`` holds the cross-products of every column's
-        # residuals on them
-        factor = data.z_projection(start, mode, zs)
-        rank, resid = factor.rank, factor.resid
-    else:
-        factor, rank, resid = None, 0, stats.gram
-    df = n - (stats.group_rank + rank) - 1
-    if df < 1:
-        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
+    lam, vecs = _eigh_lo(block)
+    values = lam.tolist()
+    if not all(map(math.isfinite, values)):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    dropped = bisect.bisect_right(values, max(n, len(values)) * _EPS * values[-1])
+    return lam, vecs, dropped
 
-    # a residual sum of squares at or below ``floor``, or in the span of z,
-    # leaves nothing to correlate
+
+def _eigh_sums(case):
+    """The residual sums of a resolved query whose Cholesky block is rejected.
+
+    Returns ``(rank, ss_y, ss_x, along)`` as ``_results`` passes them to
+    ``_finish``.  The scalar ``z`` block is whitened by the pseudo-inverse
+    of its eigendecomposition (``_eigh``), whose numerical rank sets ``df``.
+    """
+    x, y, _, _, n, stats, zs = case
+    gram = stats.gram
+    cols = (y.column,) if x.dummy else (x.column, y.column)
+    resid, rank = gram[np.ix_(cols, cols)], 0
+    if zs:
+        lam, vecs, dropped = _eigh(gram[np.ix_(zs, zs)], n)
+        whiten = vecs[:, dropped:] / np.sqrt(lam[dropped:])
+        rank = len(zs) - dropped
+        proj = whiten.T @ gram[np.ix_(zs, cols)]
+        resid = resid - proj.T @ proj
+    ss_y = resid.item(-1, -1)
+    if not x.dummy:
+        return rank, ss_y, resid.item(0, 0), float(resid[0, 1] / np.sqrt(resid[0, 0]))
+    sums, ss = stats.group_sums[x.dummy], stats.group_norms[x.dummy]
+    num = sums[:, y.column]
+    if zs:
+        group_proj = sums[:, zs] @ whiten
+        num = num - group_proj @ proj[:, 0]
+        ss = ss - np.einsum("gr,gr->g", group_proj, group_proj)
+    return rank, ss_y, ss, num / np.sqrt(ss)
+
+
+def _results(cases):
+    """The ``CITestResult`` of each resolved query (``_resolve``), in one batch.
+
+    The queries are grouped by row set, dummy mode, ``|zs|`` and endpoint
+    kind, and each group gathers its Gram blocks -- ``(zs..., x, y)`` for a
+    scalar pair, ``(zs..., y)`` for a dummy endpoint -- and factorizes them
+    in one stacked Cholesky call.  With L the lower factor, a pair has the
+    residual sums of squares ``ss_x = L_xx^2`` and ``ss_y = L_yx^2 +
+    L_yy^2``, and ``y``'s residual coordinate along the unit residual of
+    ``x`` is ``L_yx``.  A dummy endpoint has ``ss_y = L_yy^2``; the group
+    sums ``S_z`` of its ``z`` columns are whitened against ``L_zz``, ``W' =
+    S_z L_zz^-T``, so group g has the residual cross-product ``S_y[g] -
+    W'[g] . L_yz`` and the residual squared norm ``n_g - |W'[g]|^2``.  The
+    group's ``L_zz^-1`` come from one stacked inverse of the k x k blocks
+    and ``W'`` from one stacked product: a stacked solve against the G
+    columns of ``S_z'`` costs several times as much, as numpy's gufunc
+    copies a right-hand side one column at a time.
+
+    The factor takes ``zs`` to be of full rank: a block with a ``z`` pivot
+    ``L_ii^2`` at or below ``_SPAN_TOL`` of its Gram diagonal, or one the
+    factorization rejects (the gufunc then fills the whole factor with
+    NaN), is whitened by ``_eigh_sums`` instead.  Each block is factorized
+    and whitened on its own inside the stack, so a query gets the same bits
+    in any batch.  The caller sets the floating-point error state: NaN
+    factors and components of zero residual norm are expected.
+    """
+    out = [None] * len(cases)
+    groups = {}
+    for k, case in enumerate(cases):
+        groups.setdefault((case[2], case[3], len(case[6]), case[0].dummy), []).append(k)
+    for (_, _, width, dummy), members in groups.items():
+        stats = cases[members[0]][5]
+        index = np.array([cases[k][6] + ((cases[k][1].column,) if dummy else
+                                         (cases[k][0].column, cases[k][1].column))
+                          for k in members])
+        factors = _cholesky_lo(stats.gram[index[:, :, None], index[:, None, :]])
+        pivots = factors.diagonal(0, 1, 2).tolist()
+        if dummy:
+            # the group sums of (zs..., y): one G x (width + 1) block per query
+            sums = stats.group_sums[dummy][:, index].transpose(1, 0, 2)
+            num, ss = sums[:, :, -1], stats.group_norms[dummy]
+            if width:
+                whitened = np.matmul(sums[:, :, :-1],
+                                     _inv(factors[:, :-1, :-1]).transpose(0, 2, 1))
+                num = num - np.matmul(whitened, factors[:, -1, :-1, None])[:, :, 0]
+                ss = ss - (whitened * whitened).sum(axis=2)
+            ss_xs, alongs = np.broadcast_to(ss, num.shape), num / np.sqrt(ss)
+        else:
+            l_yxs = factors[:, -1, -2].tolist()
+        for i, (k, row) in enumerate(zip(members, pivots)):
+            case = cases[k]
+            diag, zs = case[5].diag, case[6]
+            if not (row[-1] == row[-1]  # a NaN factor
+                    and all(l * l > _SPAN_TOL * diag[c] for l, c in zip(row, zs))):
+                out[k] = _finish(case, *_eigh_sums(case))
+            elif dummy:
+                out[k] = _finish(case, width, row[-1] * row[-1], ss_xs[i], alongs[i])
+            else:
+                l_xx, l_yy = row[-2:]
+                l_yx = l_yxs[i]
+                out[k] = _finish(case, width, l_yx * l_yx + l_yy * l_yy, l_xx * l_xx, l_yx)
+    return out
+
+
+def _finish(case, rank, ss_y, ss_x, along):
+    """The ``CITestResult`` of a resolved query from its residual sums.
+
+    ``rank`` is the numerical rank of the scalar ``z`` block, ``ss_y`` the
+    residual sum of squares of ``y`` and ``ss_x`` that of ``x``, and
+    ``along`` is ``y``'s residual coordinate along the unit residual of
+    ``x``; for a dummy ``x``, the last two are arrays over its group
+    indicators.  ``df = n - (group rank + rank) - 1``.  A residual sum of
+    squares at or below ``n * _VARIANCE_EPS^2``, or at or below
+    ``_SPAN_TOL`` of the sum of squares before the scalar ``z`` (a side in
+    the span of ``z``), leaves nothing to correlate; of a dummy ``x``, the
+    components that are left are tested.  ``r = |along| / sqrt(ss_y)``, the
+    largest for a dummy, is tested against a Student-t law,
+    Bonferroni-combined over a dummy's components.
+    """
+    x, y, _, _, n, stats, _ = case
+    diag = stats.diag
+    df = n - (stats.group_rank + rank) - 1
     floor = n * _VARIANCE_EPS ** 2
-    b = y.column
-    ss_y = resid.item(b, b)
-    if not (ss_y > floor and ss_y > _SPAN_TOL * diag[b]):
+    if df < 1 or not (ss_y > floor and ss_y > _SPAN_TOL * diag[y.column]):
         return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
+    n_components = 1
     if x.dummy:
-        # one component per group indicator: its residual cross-product with
-        # y and its residual squared norm, from the group sums alone
-        sums, norms = stats.group_sums[x.dummy], stats.group_norms[x.dummy]
-        num, ss = sums[:, b], norms
-        if factor is not None:
-            group_proj = sums.take(zs, axis=1) @ factor.whiten
-            num = num - group_proj @ factor.proj[:, b]
-            ss = norms - np.einsum("gr,gr->g", group_proj, group_proj)
-        ok = (ss > floor) & (ss > _SPAN_TOL * norms)
+        norms = stats.group_norms[x.dummy]
+        ok = (ss_x > floor) & (ss_x > _SPAN_TOL * norms)
         if not ok.any():
             return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
         # unusable components count as r = 0; |t| grows with |r|, also in
         # floating point, so the largest |r| gives the largest |t|
-        r = float((abs(num[ok]) / np.sqrt(ss[ok] * ss_y)).max())
-        n_components = len(norms)
-    else:
-        a = x.column
-        ss_x = resid.item(a, a)
-        if not (ss_x > floor and ss_x > _SPAN_TOL * diag[a]):
-            return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
-        r = abs(resid.item(a, b)) / math.sqrt(ss_x * ss_y)
-        n_components = 1
-    r = min(r, 1 - 1e-15)
+        along, n_components = float(abs(along[ok]).max()), len(norms)
+    elif not (ss_x > floor and ss_x > _SPAN_TOL * diag[x.column]):
+        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
+    r = min(abs(along) / math.sqrt(ss_y), 1 - 1e-15)
     p_value = min(1.0, _t_tail(r * math.sqrt(df / (1.0 - r * r)), df) * n_components)
     return CITestResult(r, p_value, n, degenerate=False, df=df)
 
 
-def _factored_pairs(cases):
-    """Results of resolved scalar-pair queries, read from Cholesky factors.
-
-    The queries are grouped by row set, dummy mode and ``|zs|``; each group
-    gathers the ``(zs..., x, y)`` blocks of its Gram matrix and factorizes
-    them in one stacked call.  With L the lower factor of a block, the
-    residual sums of squares are ``ss_x = L_xx^2`` and ``ss_y = L_yx^2 +
-    L_yy^2``, and ``r = |L_yx| / sqrt(ss_y)``.  The factor assumes ``zs`` of
-    full rank: a query with a ``z`` pivot ``L_ii^2`` at or below
-    ``_SPAN_TOL`` of its Gram diagonal, a non-finite factor (a block that is
-    not positive definite) or a degenerate side gets ``None``, for
-    ``_projected`` to decide on the numerical rank.  Each block is factorized
-    on its own inside the stack, so a query gets the same bits in any batch.
-    """
-    results = [None] * len(cases)
-    groups = {}
-    for k, case in enumerate(cases):
-        groups.setdefault((case[2], case[3], len(case[6])), []).append(k)
-    stacks = []
-    with np.errstate(invalid="ignore"):  # NaN factors of blocks not positive definite
-        for members in groups.values():
-            index = np.array([cases[k][6] + (cases[k][0].column, cases[k][1].column)
-                              for k in members])
-            gram = cases[members[0]][5].gram
-            stacks.append((members, _cholesky_lo(gram[index[:, :, None], index[:, None, :]])))
-    for members, factors in stacks:
-        # the pivots L_ii of zs, x and y, and L_yx
-        pivots, l_yxs = factors.diagonal(0, 1, 2).tolist(), factors[:, -1, -2].tolist()
-        for k, row, l_yx in zip(members, pivots, l_yxs):
-            x, y, _, _, n, stats, zs = cases[k]
-            diag = stats.diag
-            if not all(l * l > _SPAN_TOL * diag[c] for l, c in zip(row, zs)):
-                continue  # a NaN pivot fails the comparison too
-            l_xx, l_yy = row[-2:]
-            ss_x, ss_y = l_xx * l_xx, l_yx * l_yx + l_yy * l_yy
-            floor = n * _VARIANCE_EPS ** 2
-            df = n - (stats.group_rank + len(zs)) - 1
-            if (df < 1 or not (ss_x > floor and ss_x > _SPAN_TOL * diag[x.column]
-                               and ss_y > floor and ss_y > _SPAN_TOL * diag[y.column])):
-                continue
-            r = min(abs(l_yx) / math.sqrt(ss_y), 1 - 1e-15)
-            p_value = min(1.0, _t_tail(r * math.sqrt(df / (1.0 - r * r)), df))
-            results[k] = CITestResult(r, p_value, n, degenerate=False, df=df)
+def _answers(queries, data):
+    """``parcorr_batch``, which ``parcorr_test`` calls as a batch of one."""
+    results, cases, at = [], [], []
+    for query in queries:
+        case = _resolve(query, data)
+        if isinstance(case, CITestResult):
+            results.append(case)
+        else:
+            at.append(len(results))
+            cases.append(case)
+            results.append(None)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k, result in zip(at, _results(cases)):
+            results[k] = result
     return results
 
 
@@ -475,53 +546,26 @@ def parcorr_test(query, data):
     ``SelectionError``.  A context endpoint conditioned on the (non-constant)
     dummy of its own kind is a ``QueryError``.  The residual cross-products
     come from ``data.gram_stats``: dummies in ``z`` select the demeaning of
-    the cached Gram matrix.  A scalar pair is answered as a batch of one
-    (``parcorr_batch``), from the Cholesky factor of its ``(z, x, y)`` block;
-    a dummy endpoint, and a pair whose factor cannot decide, from the
-    pseudo-inverse projection of the scalar ``z`` columns
-    (``data.z_projection``), whose components for a dummy endpoint are the
-    group sums of the residuals.
+    the cached Gram matrix.  The query is answered as a batch of one, by the
+    function behind ``parcorr_batch``.
 
     Tested variables flagged degenerate (constant dummy blocks) or residuals
     with zero variance yield an independence verdict with ``p_value = 1`` and
     the degenerate flag set.
     """
-    case = _resolve(query, data)
-    if isinstance(case, CITestResult):
-        return case
-    if not case[0].dummy:
-        (result,) = _factored_pairs([case])
-        if result is not None:
-            return result
-    return _projected(case, data)
+    return _answers([query], data)[0]
 
 
 def parcorr_batch(queries, data):
     """``parcorr_test`` of every query in ``queries``, a list of ``CIQuery``.
 
     Returns the list of ``CITestResult``, each the same bits as a
-    ``parcorr_test`` call on its own.  The scalar pairs are answered
-    together (``_factored_pairs``): one gather and one stacked Cholesky call
-    per row set, dummy mode and ``z`` size.  Every other query -- a dummy
-    endpoint, or a pair whose factor cannot decide -- goes to the module's
-    ``parcorr_test``.  The queries are resolved in order, so the first
-    malformed one raises before any is tested.
+    ``parcorr_test`` call on its own.  Each query is resolved once, in
+    order, so the first malformed one raises before any is tested; then
+    ``_results`` answers them with one gather and one stacked Cholesky
+    factorization per row set, dummy mode, ``z`` size and endpoint kind.
     """
-    results, cases, at = [], [], []
-    for query in queries:
-        case = _resolve(query, data)
-        if isinstance(case, CITestResult):
-            results.append(case)
-        elif case[0].dummy:
-            results.append(None)
-        else:
-            at.append(len(results))
-            cases.append(case)
-            results.append(None)
-    for k, result in zip(at, _factored_pairs(cases)):
-        results[k] = result
-    return [parcorr_test(query, data) if result is None else result
-            for query, result in zip(queries, results)]
+    return _answers(queries, data)
 
 
 class ParCorrCI:
@@ -574,6 +618,10 @@ class GraphOracle:
     context node of its kind in the window.  A dummy tested against a node
     is independent of it iff the ``d_connected`` pass from that node reaches
     no latent context node of its kind.  ``n_tests`` counts every query.
+
+    The unrolled window must reach the graph's ``tau_max`` and ``2 *
+    tau_max``, the deepest lag a discovery asks, as ``ParCorrCI`` needs
+    ``T > 2 * tau_max``; a shallower ``unroll_depth`` is a ``QueryError``.
     """
 
     def __init__(self, graph, tau_max, unroll_depth=None):
@@ -584,6 +632,10 @@ class GraphOracle:
         if unroll_depth < graph.tau_max:
             raise QueryError(
                 f"unroll_depth {unroll_depth} is smaller than tau_max {graph.tau_max}")
+        if unroll_depth < 2 * tau_max:
+            raise QueryError(
+                f"unroll_depth {unroll_depth} is smaller than 2 * tau_max = {2 * tau_max}: "
+                f"a discovery shifts conditioning sets to lags up to 2 * tau_max")
         self.graph, self.tau_max, self.depth = graph, tau_max, unroll_depth
         self.obs_map = obs = observed_variables(graph)
         self.n_observed = len(obs)

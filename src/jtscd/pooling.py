@@ -38,25 +38,14 @@ time steps, any context on one dataset -- and what the subtraction leaves
 of it is cancellation noise: its row, column and sums are set to exact
 zero.  Every column of a row set is kept: the tests of a discovery use
 most of them (in a J-PCMCI+ run at ``tau_max = 2``, M=20, T=500, about 20
-of 20 columns at row set 2 and 24 of 32 at row set 4).
-
-``PooledData.z_projection`` keeps, per row set and dummy mode, the last
-factorization of a conditioning block, so consecutive tests that share one
-``z`` reuse it.  The partial correlation test reads a scalar pair from a
-Cholesky factor of its own block and uses this factorization for dummy
-endpoints and for the pairs whose conditioning block is not of full rank.
-A factorization calls the gufunc behind ``np.linalg.eigh`` through
-``_eigh``, without the wrapper's argument checks and error-state context,
-which cost as much as the eigendecomposition of a block of a few columns;
-the results are the same bits.
+of 20 columns at row set 2 and 24 of 32 at row set 4).  ``pooling`` does
+no linear algebra: the CI tests factorize what they read of the statistics.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -122,46 +111,6 @@ DUMMY_MODES = ("none", "time", "space", "both")
 # diagonal (after the shift by the series mean) is what the group-sum
 # corrections leave of a column constant within its demeaning groups
 _CANCEL_TOL = 1e-10
-_EPS = float(np.finfo(float).eps)
-# the gufunc behind ``np.linalg.eigh(a)`` (lower triangle), called without
-# the wrapper's argument checks and error-state context; ``_eigh`` restores
-# the wrapper's one failure check
-_eigh_lo = np.linalg._umath_linalg.eigh_lo
-
-
-def _eigh(block, n):
-    """``np.linalg.eigh(block)`` and the number of eigenvalues to drop.
-
-    ``block`` is a symmetric float64 Gram block of ``n`` rows.  The
-    eigenvalues come in ascending order, so the dropped ones -- those at or
-    below ``lstsq``'s ``rcond=None`` cutoff ``max(n, k) * eps * lam_max`` --
-    lead; they are counted on Python floats.  As ``np.linalg.eigh`` does on
-    non-convergence (where LAPACK leaves NaNs), a non-finite eigenvalue
-    raises ``LinAlgError``.
-    """
-    lam, vecs = _eigh_lo(block)
-    values = lam.tolist()
-    if not all(map(math.isfinite, values)):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    dropped = bisect.bisect_right(values, max(n, len(values)) * _EPS * values[-1])
-    return lam, vecs, dropped
-
-
-class ZProjection(NamedTuple):
-    """The scalar conditioning columns ``columns`` factorized on one row set.
-
-    ``whiten`` (k x rank) maps the Gram block of ``columns`` to the identity
-    on its numerical range; ``proj = whiten.T @ gram[columns]`` holds the
-    projected rows of every column of the row set, and ``resid = gram -
-    proj.T @ proj`` the cross-products of the columns' residuals after
-    projecting ``columns`` out, so a test picks the entries of its tested
-    variables.
-    """
-    columns: tuple
-    whiten: np.ndarray
-    rank: int
-    proj: np.ndarray
-    resid: np.ndarray
 
 
 class _RowSetSums(NamedTuple):
@@ -237,7 +186,6 @@ class PooledData:
         self._n_lagged = len(lagged)
         self._raw_sums = None
         self._gram_stats = {}
-        self._z_projections = {}
 
         # every valid selector, resolved once: lags 0..2*tau_max of the
         # time-indexed columns, lag 0 of the spatial contexts and dummies
@@ -322,30 +270,6 @@ class PooledData:
                 self._raw_sums = self._raw_pass()
             stats = self._gram_stats.setdefault(key, self._derive_gram_stats(start, mode))
         return stats
-
-    def z_projection(self, start, mode, columns):
-        """``ZProjection`` of the scalar columns ``columns`` (a tuple of
-        positions in ``scalar_columns``) in ``gram_stats(start, mode)``.
-
-        The pseudo-inverse cutoff is ``lstsq``'s ``rcond=None`` rule applied
-        to the block's own spectrum.  The last projection per row set and
-        dummy mode is kept, so a run of tests that condition on the same
-        columns factorizes them once; a hit returns the very arrays a cold
-        build would compute.
-        """
-        key = (start, mode)
-        last = self._z_projections.get(key)
-        if last is not None and last.columns == columns:
-            return last
-        gram = self.gram_stats(start, mode).gram
-        z_rows = gram.take(columns, axis=0)
-        lam, vecs, dropped = _eigh(z_rows.take(columns, axis=1), self.M * (self.T - start))
-        whiten = vecs[:, dropped:] / np.sqrt(lam[dropped:])
-        proj = whiten.T @ z_rows
-        last = ZProjection(columns, whiten, len(columns) - dropped, proj,
-                           gram - proj.T @ proj)
-        self._z_projections[key] = last
-        return last
 
     def _panel(self, var, lag, start):
         """Values of a scalar column on the rows from ``start`` on, as (M, T - start)."""

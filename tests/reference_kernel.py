@@ -3,12 +3,9 @@
 ``lstsq_parcorr_test`` is the per-test path that ``citests.parcorr_test``
 replaced: extract the aligned columns, project dummy blocks out by group
 demeaning, fit the scalar conditioning columns plus an intercept by
-``lstsq`` and correlate the residuals.  ``eigh_z_projection`` is
-``PooledData.z_projection``'s factorization written on ``np.linalg.eigh``,
-which the pooled kernel now reaches through its gufunc directly.
-``centered_parcorr_test`` is the dense group-demeaned correlation test that
-conditioning on a full dummy block must equal.  All are kept only for the
-equivalence tests.  Like the kernel, ``lstsq_parcorr_test`` refuses a
+``lstsq`` and correlate the residuals.  ``centered_parcorr_test`` is the
+dense group-demeaned correlation test that conditioning on a full dummy
+block must equal.  Both are kept only for the equivalence tests.  Like the kernel, ``lstsq_parcorr_test`` refuses a
 context endpoint conditioned on the non-constant dummy of its own kind.
 Their p-values come from ``scipy.stats``, independent of the package's own
 Student-t tail.
@@ -19,7 +16,6 @@ from scipy import stats
 
 from jtscd.citests import CITestResult, QueryError
 from jtscd.graph import VariableRole
-from jtscd.pooling import ZProjection
 
 _VARIANCE_EPS = 1e-12
 
@@ -128,23 +124,6 @@ def lstsq_parcorr_test(query, data, correction="bonferroni"):
     n_pairs = kx * ky
     p_value = min(1.0, min_p * n_pairs) if correction == "bonferroni" else min_p
     return CITestResult(statistic, p_value, n, degenerate=False, df=df)
-
-
-def eigh_z_projection(gram, columns, n):
-    """The ``ZProjection`` of ``columns`` in the Gram matrix ``gram`` of ``n`` rows.
-
-    The pseudo-inverse cutoff is ``lstsq``'s ``rcond=None`` rule applied to
-    the block's own spectrum; ``np.linalg.eigh`` returns the eigenvalues in
-    ascending order, so the dropped ones lead.
-    """
-    z_rows = gram.take(columns, axis=0)
-    lam, vecs = np.linalg.eigh(z_rows.take(columns, axis=1))
-    eps = np.finfo(float).eps
-    dropped = int(np.count_nonzero(lam <= max(n, len(columns)) * eps * lam[-1]))
-    whiten = vecs[:, dropped:] / np.sqrt(lam[dropped:])
-    proj = whiten.T @ z_rows
-    return ZProjection(columns, whiten, len(columns) - dropped, proj,
-                       gram - proj.T @ proj)
 
 
 def centered_parcorr_test(x, y, data, groups="dataset"):

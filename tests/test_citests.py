@@ -379,6 +379,10 @@ ORACLE_ERRORS = {
                               "lag 5 outside the unrolled window 4"),
     "unroll depth below tau_max": (lambda: _spatial_oracle(unroll_depth=0),
                                    "unroll_depth 0 is smaller than tau_max 1"),
+    "unroll depth below twice tau_max": (
+        lambda: _spatial_oracle(unroll_depth=1),
+        r"unroll_depth 1 is smaller than 2 \* tau_max = 2: a discovery shifts "
+        r"conditioning sets to lags up to 2 \* tau_max"),
     "negative spatial lag": (lambda: _spatial_oracle()((2, -1), (1, 0)),
                              r"selector \(2, -1\) must have lag 0"),
 }
@@ -574,7 +578,7 @@ class TestOracle:
         # an unroll depth of 0 is a depth, not a request for the default
         lag_free = GroundTruthGraph([R.SYSTEM, R.SYSTEM, R.LATENT_SPATIAL_CONTEXT], 0)
         assert GraphOracle(lag_free, 0, unroll_depth=0).depth == 0
-        assert GraphOracle(self.latent_space_pair(), 1, unroll_depth=1).depth == 1
+        assert GraphOracle(self.latent_space_pair(), 1, unroll_depth=2).depth == 2
 
     def test_n_tests_counts_every_query(self):
         g = self.latent_space_pair()

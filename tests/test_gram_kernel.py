@@ -6,9 +6,9 @@ On random panels and queries both must raise the same error or agree on
 ``n_effective``, ``df`` and the degenerate flag exactly and on the statistic
 and p-value to 1e-9 relative.  The statistic gets an absolute floor of
 1e-12: a correlation near zero is a difference of cross-products of size
-``n``, which neither kernel resolves below that.  A pooled dataset keeps
-the last conditioning-block factorization per row set and dummy mode; a
-test must give the same result whatever ran on the dataset before it.
+``n``, which neither kernel resolves below that.  A pooled dataset caches
+its Gram statistics per row set and dummy mode; a test must give the same
+result whatever ran on the dataset before it.
 """
 
 import math
@@ -478,17 +478,9 @@ def batch_corpus(data, rng):
 class TestBatch:
     """``parcorr_batch`` against one ``parcorr_test`` call per query."""
 
-    def test_batch_is_bitwise_the_single_path_and_matches_reference(self, monkeypatch):
-        fallbacks = []
-        projected = citests._projected
-
-        def counting(case, data):
-            fallbacks.append(case[0].dummy is None)
-            return projected(case, data)
-
-        monkeypatch.setattr(citests, "_projected", counting)
+    def test_batch_is_bitwise_the_single_path_and_matches_reference(self):
         rng = np.random.default_rng(20261019)
-        n_pairs = n_batches = n_collinear = 0
+        n_pairs = n_endpoints = n_batches = n_collinear = 0
         while n_batches < 20:
             p = random_params(rng)
             if p["tau_max"] == 0 or p["M"] == 1 or p["n_system"] < 3:
@@ -500,27 +492,36 @@ class TestBatch:
             singles = [outcome(parcorr_test, q, alone) for q in corpus]
             queries = [q for q, s in zip(corpus, singles) if not isinstance(s, type)]
             expected = [s for s in singles if not isinstance(s, type)]
-            fallbacks.clear()
             batch = citests.parcorr_batch(queries, data)
             assert batch == expected
             for query, result in zip(queries, batch):
                 assert_equivalent(data, query, new=result)
-            n_pairs += sum(not data.var_roles[q.x[0][0]].is_dummy for q in queries)
+            endpoints = sum(data.var_roles[q.x[0][0]].is_dummy for q in queries)
+            n_endpoints += endpoints
+            n_pairs += len(queries) - endpoints
             n_batches += 1
             if p["collinear"] in ("duplicate", "affine"):
-                # the copied column in z leaves a zero Cholesky pivot
-                assert any(fallbacks), p
+                # a z holding a column and its copy counts one of them
+                n_sys = data.n_system
+                result = dict(zip(queries, batch))[
+                    CIQuery(x=((1, 0),), y=((2, 0),), z=((0, 1), (n_sys - 1, 1)))]
+                assert result.df == result.n_effective - 3, p
                 n_collinear += 1
-        assert n_pairs > 500 and n_collinear > 3
+        assert n_pairs > 500 and n_endpoints > 200 and n_collinear > 3
 
-    @pytest.mark.parametrize("copy", ["duplicate", "affine"])
-    def test_collinear_z_falls_back_to_the_numerical_rank(self, copy):
+    @pytest.mark.parametrize("copy, endpoint", [
+        pytest.param("duplicate", None, id="duplicate"),
+        pytest.param("affine", None, id="affine"),
+        pytest.param("duplicate", "time", id="duplicate-time"),
+        pytest.param("affine", "time", id="affine-time"),
+        pytest.param("duplicate", "space", id="duplicate-space"),
+        pytest.param("affine", "space", id="affine-space")])
+    def test_collinear_z_falls_back_to_the_numerical_rank(self, copy, endpoint):
         system = np.random.default_rng(6).standard_normal((4, 20, 4))
         system[:, :, 3] = system[:, :, 0] if copy == "duplicate" else 2.0 * system[:, :, 0] - 1.5
         data = panel(system=system)
-        query = CIQuery(x=((1, 0),), y=((2, 0),), z=((0, 1), (3, 1)))
-        # the second z pivot is zero: the factor cannot decide the rank
-        assert citests._factored_pairs([citests._resolve(query, data)]) == [None]
+        x = {None: (1, 0), "time": (data.time_dummy, 0), "space": (data.space_dummy, 0)}
+        query = CIQuery(x=(x[endpoint],), y=((2, 0),), z=((0, 1), (3, 1)))
         result = citests.parcorr_batch([query], data)[0]
         assert result == parcorr_test(query, data)
         ref = assert_equivalent(data, query, new=result)
@@ -532,6 +533,16 @@ class TestBatch:
         query = CIQuery(x=((0, 1),), y=((1, 0),), z=((2, 3), (data.time_dummy, 0)))
         assert citests.parcorr_batch([query], data) == [parcorr_test(query, data)]
         assert citests.parcorr_batch([], data) == []
+
+    def test_batch_answers_every_query_itself(self, monkeypatch):
+        # dummy endpoints included: a wrapper around parcorr_test and
+        # parcorr_batch sees each query of a batch once
+        data = panel()
+        queries = [CIQuery(x=((data.time_dummy, 0),), y=((1, 0),), z=((2, 3),)),
+                   CIQuery(x=((0, 1),), y=((data.space_dummy, 0),))]
+        expected = [parcorr_test(query, data) for query in queries]
+        monkeypatch.setattr(citests, "parcorr_test", None)
+        assert citests.parcorr_batch(queries, data) == expected
 
     def test_batch_raises_the_single_path_error(self):
         data = panel()

@@ -1,21 +1,21 @@
-"""``PooledData.z_projection`` against its ``np.linalg.eigh`` formulation.
+"""The ParCorr kernel's ``z`` factorizations against numpy's public functions.
 
-The pooled kernel calls the gufunc behind ``np.linalg.eigh`` directly
-(``pooling._eigh``) and counts the dropped eigenvalues on Python floats.
-The whitening, rank, projected rows and residual cross-products must be
-bitwise equal to those of ``reference_kernel.eigh_z_projection``, on
-conditioning blocks of 1 to 40 columns with exact and affine collinearity.
-A numpy release that changes the private gufunc fails here.
+``citests`` calls the gufuncs behind ``np.linalg.cholesky``,
+``np.linalg.inv`` and ``np.linalg.eigh`` directly, without the wrappers'
+argument checks and error-state context.  On stacks of conditioning blocks
+of 1 to 40 columns, each must give the same bits as its public function;
+a Cholesky factorization that fails must leave the whole factor NaN, which
+is how the kernel finds a block to hand to ``_eigh``.  A numpy release that
+changes a private gufunc fails here.
 """
 
 import numpy as np
 import pytest
 
-from jtscd import pooling
+from jtscd import citests
+from jtscd.citests import CIQuery, parcorr_test
 from jtscd.pooling import DUMMY_MODES, pool_data
 from jtscd.scm import DatasetCollection
-
-from reference_kernel import eigh_z_projection
 
 N_SYSTEM, M, T, TAU_MAX = 20, 3, 40, 1
 DUPLICATE = (0, 19)   # system 19 is a copy of system 0
@@ -53,25 +53,53 @@ def column_sets(data, start, rng):
             yield tuple(cols)
 
 
-@pytest.mark.parametrize("mode", DUMMY_MODES)
-def test_factorization_is_bitwise_the_eigh_one(mode):
+def block_stacks(mode):
+    """Gram blocks of ``column_sets`` on row set 2, stacked by width."""
     data = wide_panel()
-    start = 2 * TAU_MAX
-    n = data.M * (data.T - start)
-    gram = data.gram_stats(start, mode).gram
-    rng = np.random.default_rng(["none", "time", "space", "both"].index(mode))
-    ranks = {"full": 0, "deficient": 0, "wide": 0}
-    for cols in column_sets(data, start, rng):
-        got = data.z_projection(start, mode, cols)
-        want = eigh_z_projection(gram, cols, n)
-        assert got.columns == cols
-        assert got.rank == want.rank, cols
-        for field in ("whiten", "proj", "resid"):
-            assert same_bits(getattr(got, field), getattr(want, field)), (field, cols)
-        ranks["full" if got.rank == len(cols) else "deficient"] += 1
-        ranks["wide"] += len(cols) > 32
-    # the corpus reaches past 32 columns and drops eigenvalues
-    assert ranks["deficient"] >= 60 and ranks["full"] >= 15 and ranks["wide"] >= 20
+    gram = data.gram_stats(2 * TAU_MAX, mode).gram
+    rng = np.random.default_rng(DUMMY_MODES.index(mode))
+    stacks = {}
+    for cols in column_sets(data, 2 * TAU_MAX, rng):
+        stacks.setdefault(len(cols), []).append(cols)
+    return [gram[np.array(sets)[:, :, None], np.array(sets)[:, None, :]]
+            for sets in stacks.values()]
+
+
+@pytest.mark.parametrize("mode", DUMMY_MODES)
+def test_cholesky_gufunc_is_the_one_numpy_uses(mode):
+    n_factored = n_failed = 0
+    for blocks in block_stacks(mode):
+        with np.errstate(invalid="ignore"):
+            factors = citests._cholesky_lo(blocks)
+        for block, factor in zip(blocks, factors):
+            if np.isnan(factor).any():
+                # a failed factorization is NaN throughout, and numpy refuses it
+                assert np.isnan(factor).all()
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.cholesky(block)
+                n_failed += 1
+            else:
+                assert same_bits(factor, np.linalg.cholesky(block))
+                n_factored += 1
+    assert n_factored >= 40 and n_failed >= 10
+
+
+@pytest.mark.parametrize("mode", DUMMY_MODES)
+def test_inv_gufunc_is_the_one_numpy_uses(mode):
+    n_inverted = 0
+    for blocks in block_stacks(mode):
+        with np.errstate(invalid="ignore"):
+            factors = citests._cholesky_lo(blocks)
+        # the kernel inverts the leading k x k blocks of its factors
+        factors = factors[~np.isnan(factors).any(axis=(1, 2)), :-1, :-1]
+        if not factors.size:
+            continue
+        got = citests._inv(factors)
+        assert same_bits(got, np.linalg.inv(factors))
+        for factor, inverse in zip(factors, got):  # each on its own in the stack
+            assert same_bits(inverse, np.linalg.inv(factor))
+        n_inverted += len(factors)
+    assert n_inverted >= 40
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -86,16 +114,18 @@ def test_non_finite_eigenvalues_raise(monkeypatch, bad):
         lam[0] = bad
         return lam, np.full((k, k), np.nan)
 
-    monkeypatch.setattr(pooling, "_eigh_lo", failing)
+    monkeypatch.setattr(citests, "_eigh_lo", failing)
+    # a z holding a column and its copy is a block the Cholesky factor rejects
+    query = CIQuery(x=((2, 0),), y=((3, 0),), z=((DUPLICATE[0], 1), (DUPLICATE[1], 1)))
     with pytest.raises(np.linalg.LinAlgError):
-        data.z_projection(2, "none", (0, 3, 5))
+        parcorr_test(query, data)
     with pytest.raises(np.linalg.LinAlgError):
-        pooling._eigh(np.eye(2), 10)
+        citests._eigh(np.eye(2), 10)
 
 
 def test_eigh_gufunc_is_the_one_numpy_uses():
     block = wide_panel().gram_stats(2, "none").gram[:5, :5]
-    lam, vecs, dropped = pooling._eigh(block, 114)
+    lam, vecs, dropped = citests._eigh(block, 114)
     want_lam, want_vecs = np.linalg.eigh(block)
     assert same_bits(lam, want_lam) and same_bits(vecs, want_vecs)
     assert dropped == 0
