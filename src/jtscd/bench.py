@@ -18,11 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import discovery, metrics, scm
-from .graph import target_graph
-from .metrics import LinkClass
-
-
-_METRIC_NAMES = ("tpr", "fpr", "precision", "recall")
+from .graph import mask_contexts_latent, target_graph
+from .metrics import METRIC_NAMES, LinkClass
 
 
 @dataclass
@@ -117,9 +114,8 @@ def _run_realization(cfg, cell_index, cell, realization):
             dc, variant=variant, ci=cfg.ci_test, ground_truth=graph,
             tau_max=cfg.tau_max, alpha=cfg.alpha)
         est = result.graph
-        if variant in ("pcmci+", "pcmci+D"):
+        if variant in discovery.NO_CONTEXT_VARIANTS:
             # these arms see no contexts; score them on the system block only
-            from .graph import mask_contexts_latent
             ref = target_graph(mask_contexts_latent(graph))
         else:
             ref = target
@@ -147,7 +143,7 @@ def _cell_task(args):
             continue
         agg = metrics.aggregate(per_variant[variant])
         for cls in LinkClass:
-            for metric in _METRIC_NAMES:
+            for metric in METRIC_NAMES:
                 n = agg.n(cls, metric)
                 if not n:
                     continue
@@ -332,7 +328,7 @@ def render_plots(rows, cfg):
     x_key, x_label = ("T", "time series length T") if sweep_t else \
         ("M", "number of datasets M")
     for cls in sorted({r["class"] for r in rows}):
-        for metric in _METRIC_NAMES:
+        for metric in METRIC_NAMES:
             series = {}
             for r in rows:
                 if r["class"] != cls or r["metric"] != metric:

@@ -574,6 +574,7 @@ class ParCorrCI:
     Every test works from the dataset's cached Gram statistics
     (``PooledData.gram_stats``), built on first use for each row set and
     dummy mode and shared by all later tests on the same dataset.
+    ``selectors`` is the data's selector table.
 
     The data must have ``T > 2 * tau_max``: conditioning sets shifted to a
     lagged endpoint reach back ``2 * tau_max`` steps and would have no rows
@@ -594,6 +595,7 @@ class ParCorrCI:
                     f"time step: ParCorr cannot test it")
         self.data = data
         self.var_roles = list(data.var_roles)
+        self.selectors = data.selectors
         self.n_tests = 0
 
     def __call__(self, x, y, z=()):

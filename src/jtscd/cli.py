@@ -51,11 +51,11 @@ def _cmd_discover(args):
         ground_truth = GroundTruthGraph.from_text(gt_path.read_text())
     if args.dump_pooled:
         # the rows estimate_graph pools and tests on
-        pooled = pool_data(dc, 0 if args.lag_free else args.tau_max)
+        pooled = pool_data(dc, args.tau_max)
         Path(args.dump_pooled).write_text(pooled.to_csv())
     result = discovery.estimate_graph(
         dc, variant=args.variant, ci=args.ci, ground_truth=ground_truth,
-        tau_max=args.tau_max, alpha=args.alpha, lag_free=args.lag_free)
+        tau_max=args.tau_max, alpha=args.alpha)
     text = result.graph.to_text()
     if args.out:
         Path(args.out).write_text(text)
@@ -91,12 +91,12 @@ def build_parser():
     p_disc = sub.add_parser("discover", help="run causal discovery on a dataset")
     p_disc.add_argument("--data", required=True, help="simulate output directory")
     p_disc.add_argument("--alpha", type=float, default=0.05)
-    p_disc.add_argument("--tau-max", type=int, default=2, dest="tau_max")
+    p_disc.add_argument("--tau-max", type=int, default=2, dest="tau_max",
+                        help="largest lag; 0 is the lag-free run")
     p_disc.add_argument("--ci", "--ci-test", dest="ci",
                         choices=discovery.CI_TESTS, default="parcorr")
     p_disc.add_argument("--variant", choices=discovery.VARIANTS,
                         default="jpcmci+")
-    p_disc.add_argument("--lag-free", action="store_true", dest="lag_free")
     p_disc.add_argument("--dump-pooled", default=None, dest="dump_pooled",
                         help="write the pooled design matrix CSV here")
     p_disc.add_argument("--out", default=None, help="graph output file")

@@ -6,11 +6,10 @@ drivers left by an optional lagged-adjacency phase and the context and dummy
 links into the system variables, all directed (time order and exogeneity),
 and the system clique, undirected.  Each stage is one ``_skeleton_sweep`` of
 that graph, given the tested pairs, the roles the subsets S are drawn from,
-the base conditioning sets, the fixed conditions and whether a dummy may
-appear in a conditioning set.  A stage reads the links kept by earlier
-stages straight from the graph.  The pruned graph is oriented in
-place by the collider and propagation rules and returned; conflicting
-collider orientations are marked ``x-x``.
+the base conditioning sets and the fixed conditions.  A stage reads the
+links kept by earlier stages straight from the graph.  The pruned graph is
+oriented in place by the collider and propagation rules and returned;
+conflicting collider orientations are marked ``x-x``.
 
 The tests of one level do not depend on each other's order (PC-stable), so
 each is asked in batches through ``ci.batch``: one batch per level of the
@@ -24,9 +23,10 @@ J-PCMCI+ runs the stages C (context-system pairs, dummies excluded), D
 re-tested given the opposite-kind dummy parents) and S (system-system pairs
 given everything found so far).  Testing contexts before dummies avoids the
 spurious independencies that deterministic dummy-context relations would
-otherwise inject into the PC-style search.  J-PC is the same at tau_max = 0
-with no lagged phase, hence no refinement, and the space dummy only; plain
-PCMCI+ is the lagged phase over the system variables and stage S.
+otherwise inject into the PC-style search.  ``tau_max`` is the only lag
+setting: at 0 there is no lagged phase, hence no refinement, so J-PCMCI+ is
+J-PC (with the space dummy only) and plain PCMCI+, the lagged phase over the
+system variables and stage S, is PC.
 
 All selectors are ``(var, lag)`` with non-negative lags; pair entries
 ``(i, tau, j)`` test variable ``i`` at ``t - tau`` against ``j`` at ``t``.
@@ -100,7 +100,10 @@ class SepSetStore:
 @dataclass
 class DiscoveryResult:
     """The oriented graph of a discovery; ``lagged`` is the result of
-    ``lagged_skeleton_pcmciplus``, ``None`` when no lagged phase ran."""
+    ``lagged_skeleton_pcmciplus``, ``None`` at tau_max = 0, where no lagged
+    phase runs.  ``context_parents`` and ``dummy_parents`` map each system
+    variable to its held links of that kind, and are empty for
+    ``run_pcmciplus``, whose graph holds no contexts or dummies."""
     graph: TimeSeriesGraph
     sepsets: SepSetStore
     lagged: dict | None = None
@@ -237,15 +240,13 @@ def _link_tests(links, p):
             yield link, S, rest
 
 
-def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, fixed=(),
-                    forbid_dummy_z=False):
+def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, fixed=()):
     """Remove links of ``graph`` among ``pairs`` by CI tests with growing
     subsets ``S``, until no link has enough adjacencies left.
 
     ``S`` is drawn from the contemporaneous adjacencies with a role in
     ``s_roles``; ``base`` and ``fixed`` complete each conditioning set (see
-    ``_base_part``, built once per link), and with ``forbid_dummy_z`` a
-    dummy in it is a ``DiscoveryError``.  Within one cardinality level,
+    ``_base_part``, built once per link).  Within one cardinality level,
     candidate subsets are drawn from the adjacency sets frozen at level
     start, so decisions do not depend on the order in which the links are
     visited.  One unordered link is removed at its first separating test,
@@ -255,7 +256,6 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, fixed=(),
     pairs = sorted(set(pairs), key=lambda p: (p[2], p[1], p[0]))
     roles = ci.var_roles  # every variable the CI test knows, dummies included
     strengths = {}
-    dummy_vars = {v for v, r in enumerate(roles) if r.is_dummy}
     rests = {(i, tau, j): _base_part(base, i, tau, j, fixed, roles) for (i, tau, j) in pairs}
     p = 0
     while True:
@@ -276,10 +276,7 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, fixed=(),
                 test = next(tests, None)
                 if test is not None:
                     link, S, rest = test
-                    z = _with_subset(S, rest)
-                    if forbid_dummy_z and any(v in dummy_vars for (v, _) in z):
-                        raise DiscoveryError(f"dummy column in a context-stage query: {z}")
-                    asked.append((tests, link, S, z))
+                    asked.append((tests, link, S, _with_subset(S, rest)))
             results = _run_batch(ci, [((i, tau), (j, 0), z)
                                       for _, (i, tau, j), _, z in asked])
             open_links = []
@@ -474,19 +471,25 @@ def _fixed_selectors(fixed):
     return tuple(out)
 
 
-def _discover(ci, tau_max, alpha, collider_rule, lagged=True, joint=True,
-              dummies=(), fixed=()):
+def _discover(ci, tau_max, alpha, collider_rule, joint=True, dummies=(), fixed=()):
     """Prune one graph stage by stage, then orient it (module docstring).
 
-    ``lagged`` runs the lagged phase first (and, when ``joint``, the
-    refinement after stage D); ``joint`` makes the observed contexts and
+    A ``tau_max`` above 0 runs the lagged phase first (and, when ``joint``,
+    the refinement after stage D); ``joint`` makes the observed contexts and
     the ``dummies`` graph nodes and runs stages C and D, otherwise the graph
     spans the system variables and only stage S runs.  ``fixed`` selectors
     are appended to every conditioning set of the lagged phase and stage S.
-    ``alpha`` must lie in [0, 1]; the inputs are checked before any test.
+    ``alpha`` must lie in [0, 1] and ``tau_max`` be non-negative, with
+    ``2 * tau_max``, the deepest lag a discovery asks, among the lags of
+    ``ci.selectors``; the inputs are checked before any test.
     """
     if not 0.0 <= alpha <= 1.0:  # NaN included
         raise ValueError(f"alpha={alpha} must lie in [0, 1]")
+    window = max(lag for (_, lag) in ci.selectors)
+    if not 0 <= tau_max <= window // 2:
+        raise ValueError(f"tau_max={tau_max} must lie in [0, {window // 2}]: a discovery "
+                         f"asks lags up to 2 * tau_max, and the CI test's selectors end "
+                         f"at lag {window}")
     _check_collider_rule(collider_rule)
     fixed = _fixed_selectors(fixed)
     roles = list(ci.var_roles)
@@ -499,6 +502,7 @@ def _discover(ci, tau_max, alpha, collider_rule, lagged=True, joint=True,
     if any(r in nodes for r in roles[n_out:]):
         raise ValueError("graph variables must form a prefix of the index space")
     sepsets = SepSetStore()
+    lagged = tau_max > 0
     adjacencies = lagged_skeleton_pcmciplus(
         ci, tau_max, alpha, fixed_conditions=fixed, sepsets=sepsets,
         include_contexts=joint) if lagged else None
@@ -522,7 +526,7 @@ def _discover(ci, tau_max, alpha, collider_rule, lagged=True, joint=True,
         # C: context-system pairs and lagged temporal-context links
         pairs = [(i, lag, j) for j in system for (i, lag) in lagged_sets[j] if i in tctx]
         pairs += [p for j in system for c in contexts for p in ((c, 0, j), (j, 0, c))]
-        sweep(pairs, _CONTEXT_ROLES, dict(lagged_sets), forbid_dummy_z=True)
+        sweep(pairs, _CONTEXT_ROLES, dict(lagged_sets))
         # D: dummy-system pairs given the context parents
         sweep([p for j in system for d in dummies for p in ((d, 0, j), (j, 0, d))],
               _SYSTEM_ONLY, {j: lagged_sys[j] + _held(graph, contexts, j) for j in system})
@@ -566,8 +570,10 @@ def j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=True, collider_rule="none
     stages C, D, refinement and S, then orientation.  Context- and
     dummy-system links keep the context as parent (exogeneity), lagged links
     follow time order.  The graph spans the observed variables plus, if
-    used, the two dummies."""
-    dummies = [v for v, r in enumerate(ci.var_roles) if r.is_dummy] if use_dummies else []
+    used, the two dummies.  At ``tau_max = 0`` it is J-PC: no lagged phase,
+    no refinement and the space dummy only."""
+    kinds = _DUMMY_ROLES if tau_max > 0 else (VariableRole.SPACE_DUMMY,)
+    dummies = [v for v, r in enumerate(ci.var_roles) if r in kinds] if use_dummies else []
     return _discover(ci, tau_max, alpha, collider_rule, dummies=dummies)
 
 
@@ -585,13 +591,8 @@ def run_pcmciplus(ci, tau_max=2, alpha=0.05, collider_rule="none",
 
 
 def j_pc(ci, alpha=0.05, use_dummy=True, collider_rule="none"):
-    """J-PC for the lag-free setting: stages C, D (space dummy only) and S
-    at tau_max = 0, then orientation, colliders at context- and
-    dummy-anchored triples included.  The graph spans the observed
-    variables plus, if used, the two dummies."""
-    dummies = [v for v, r in enumerate(ci.var_roles)
-               if r is VariableRole.SPACE_DUMMY] if use_dummy else []
-    return _discover(ci, 0, alpha, collider_rule, lagged=False, dummies=dummies)
+    """J-PC for the lag-free setting: ``j_pcmciplus`` at tau_max = 0."""
+    return j_pcmciplus(ci, 0, alpha, use_dummy, collider_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -599,18 +600,22 @@ def j_pc(ci, alpha=0.05, use_dummy=True, collider_rule="none"):
 
 
 VARIANTS = ("jpcmci+", "pcmci+C", "pcmci+D", "pcmci+")
+# the variants that see no contexts: their data has every context masked latent
+NO_CONTEXT_VARIANTS = ("pcmci+D", "pcmci+")
 CI_TESTS = ("parcorr", "oracle")
 
 
 def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
-                   tau_max=2, alpha=0.05, lag_free=False, collider_rule="none"):
+                   tau_max=2, alpha=0.05, collider_rule="none"):
     """Run one discovery variant on a dataset collection.
 
     ``jpcmci+`` uses observed contexts and dummies, ``pcmci+C`` only observed
     contexts, ``pcmci+D`` only dummies (contexts masked latent), ``pcmci+``
-    system data alone.  ``ci`` selects the pooled partial-correlation test or
-    the exact graph oracle (which requires ``ground_truth``).  The
-    partial-correlation test refuses data it cannot test (see ``ParCorrCI``).
+    system data alone.  The data is pooled at ``tau_max``; ``tau_max = 0`` is
+    the lag-free run (J-PC, and PC for ``pcmci+``).  ``ci`` selects the
+    pooled partial-correlation test or the exact graph oracle (which
+    requires ``ground_truth``).  The partial-correlation test refuses data
+    it cannot test (see ``ParCorrCI``).
     """
     from .citests import GraphOracle, ParCorrCI
     from .graph import mask_contexts_latent
@@ -618,10 +623,10 @@ def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
 
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    mask_ctx = variant in ("pcmci+D", "pcmci+")
+    mask_ctx = variant in NO_CONTEXT_VARIANTS
     data = dc.mask_all_latent() if mask_ctx else dc
     if ci == "parcorr":
-        test = ParCorrCI(pool_data(data, 0 if lag_free else tau_max))
+        test = ParCorrCI(pool_data(data, tau_max))
     elif ci == "oracle":
         if ground_truth is None:
             raise ValueError("the oracle CI test needs the ground-truth graph")
@@ -630,12 +635,7 @@ def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
     else:
         raise ValueError(f"unknown CI test {ci!r}")
 
-    kwargs = dict(alpha=alpha, collider_rule=collider_rule)
+    kwargs = dict(tau_max=tau_max, alpha=alpha, collider_rule=collider_rule)
     if variant == "pcmci+":
-        if lag_free:
-            return j_pc(test, use_dummy=False, **kwargs)
-        return run_pcmciplus(test, tau_max=tau_max, **kwargs)
-    if lag_free:
-        return j_pc(test, use_dummy=(variant != "pcmci+C"), **kwargs)
-    return j_pcmciplus(test, tau_max=tau_max,
-                       use_dummies=(variant != "pcmci+C"), **kwargs)
+        return run_pcmciplus(test, **kwargs)
+    return j_pcmciplus(test, use_dummies=variant != "pcmci+C", **kwargs)

@@ -33,7 +33,7 @@ class LinkClass(Enum):
     DUMMY_SYSTEM = "DummySystem"
 
 
-_METRICS = ("tpr", "fpr", "precision", "recall")
+METRIC_NAMES = ("tpr", "fpr", "precision", "recall")
 
 
 @dataclass
@@ -174,7 +174,7 @@ def aggregate(reports):
         raise ValueError("aggregate needs at least one report")
     stats = {}
     for cls in LinkClass:
-        for metric in _METRICS:
+        for metric in METRIC_NAMES:
             vals = [r.metric(cls, metric) for r in reports]
             vals = [v for v in vals if not math.isnan(v)]
             if not vals:

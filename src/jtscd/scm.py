@@ -298,7 +298,7 @@ class DatasetCollection:
                 temporal_row = vals[n_sys:n_sys + n_t]
                 if m == 0:
                     temporal[t] = temporal_row
-                elif not np.array_equal(temporal[t], np.asarray(temporal_row)):
+                elif not np.array_equal(temporal[t], temporal_row, equal_nan=True):
                     raise ValueError("temporal context differs across datasets")
                 spatial_row = vals[n_sys + n_t:]
                 if t == 0:

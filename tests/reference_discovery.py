@@ -81,12 +81,10 @@ def _contemp_adjacencies(graph, allowed_roles, strengths):
     return adj
 
 
-def sequential_skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, fixed=(),
-                              forbid_dummy_z=False):
+def sequential_skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, fixed=()):
     pairs = sorted(set(pairs), key=lambda p: (p[2], p[1], p[0]))
     roles = ci.var_roles
     strengths = {}
-    dummy_vars = {v for v, r in enumerate(roles) if r.is_dummy}
     p = 0
     while True:
         adj = _contemp_adjacencies(graph, s_roles, strengths)
@@ -104,8 +102,6 @@ def sequential_skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, f
                          [a for a in adj[j] if a != (i, tau)], p))
             for (i, tau, j, S) in tests:
                 z = _condition_set(S, base, i, tau, j, fixed, roles)
-                if forbid_dummy_z and any(v in dummy_vars for (v, _) in z):
-                    raise DiscoveryError(f"dummy column in a context-stage query: {z}")
                 res = _run_ci(ci, (i, tau), (j, 0), z)
                 link = (i, tau, j)
                 strengths[link] = min(strengths.get(link, np.inf), abs(res.statistic))

@@ -223,7 +223,7 @@ def test_discovery_does_not_import_scipy_linalg():
         "spec, _ = generate_random_model(seed=0, max_lag=2)\n"
         "dc = simulate(spec, M=3, T=30, seed=1)\n"
         "estimate_graph(dc, variant='jpcmci+', tau_max=2)\n"
-        "estimate_graph(dc, variant='jpcmci+', lag_free=True)\n"
+        "estimate_graph(dc, variant='jpcmci+', tau_max=0)\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.startswith('scipy') and sys.modules[m] is not None))\n")
     src = str(Path(jtscd.__file__).resolve().parents[1])

@@ -92,8 +92,8 @@ class TestDiscover:
 
     @pytest.mark.parametrize("flags, n_rows", [
         ((), 3 * (20 - 2)),
-        (("--lag-free",), 3 * 20),
-        (("--lag-free", "--tau-max", "0"), 3 * 20),
+        (("--tau-max", "0"), 3 * 20),
+        (("--tau-max", "0", "--variant", "pcmci+"), 3 * 20),
     ])
     def test_dump_pooled_writes_the_rows_discovery_tests_on(self, tmp_path, flags, n_rows):
         write_sim_config(tmp_path / "cfg.json", M=3, T=20)
@@ -116,7 +116,7 @@ class TestDiscover:
 
     @pytest.mark.parametrize("flags, message", [
         (("--alpha", "2"), r"alpha=2\.0 must lie in \[0, 1\]"),
-        (("--alpha", "-0.5", "--lag-free"), r"alpha=-0\.5 must lie in \[0, 1\]"),
+        (("--alpha", "-0.5", "--tau-max", "0"), r"alpha=-0\.5 must lie in \[0, 1\]"),
         (("--alpha", "nan", "--variant", "pcmci+"), r"alpha=nan must lie in \[0, 1\]"),
     ])
     def test_malformed_request_is_refused(self, tmp_path, capsys, flags, message):

@@ -339,6 +339,52 @@ class TestJPCMCIPlus:
         res = j_pcmciplus(o, tau_max=2, alpha=0.05)
         assert all(not parents for parents in res.dummy_parents.values())
 
+    def test_stage_c_conditions_on_no_dummy(self, monkeypatch):
+        # stage C, a joint discovery's first sweep, draws S from system and
+        # context adjacencies and its base sets from the lagged phase's
+        # system and temporal-context drivers: none of its z holds a dummy
+        import jtscd.discovery as discovery
+        original, sweeps = discovery._skeleton_sweep, []
+
+        class Recording:
+            def __init__(self, ci):
+                self.ci, self.var_roles, self.asked = ci, ci.var_roles, []
+
+            def batch(self, queries):
+                self.asked += queries
+                return self.ci.batch(queries)
+
+        def recording(ci, *args, **kwargs):
+            sweeps.append(Recording(ci))
+            return original(sweeps[-1], *args, **kwargs)
+
+        monkeypatch.setattr(discovery, "_skeleton_sweep", recording)
+        runs = []
+        for seed in range(4):
+            spec, g = generate_random_model(n_system=3, n_temporal_ctx=1, n_spatial_ctx=1,
+                                            frac_observed=(0.0, 0.5, 1.0)[seed % 3],
+                                            seed=seed, max_lag=2)
+            _, g0 = generate_random_model(n_system=3, n_temporal_ctx=0, n_spatial_ctx=2,
+                                          seed=seed, lag_free=True)
+            dc = simulate(spec, M=4, T=60, seed=seed + 50)
+            runs += [lambda g=g: j_pcmciplus(GraphOracle(g, 2), tau_max=2),
+                     lambda g0=g0: j_pc(GraphOracle(g0, 0), collider_rule="majority"),
+                     lambda dc=dc: estimate_graph(dc, tau_max=2, collider_rule="majority"),
+                     lambda dc=dc: estimate_graph(dc, variant="pcmci+D", tau_max=2),
+                     lambda dc=dc: estimate_graph(dc, tau_max=0)]
+        n_context_z, n_later_dummy_z = 0, 0
+        for k, run in enumerate(runs):
+            sweeps.clear()
+            run()
+            dummies = {v for v, r in enumerate(sweeps[0].var_roles) if r.is_dummy}
+            in_z = [[any(v in dummies for (v, _) in z) for _, _, z in sweep.asked]
+                    for sweep in sweeps]
+            assert not any(in_z[0]), k
+            n_context_z += sum(bool(z) for _, _, z in sweeps[0].asked)
+            n_later_dummy_z += sum(map(sum, in_z[1:]))
+        # the check sees conditioning sets, and dummies in the later stages' ones
+        assert n_context_z > 0 and n_later_dummy_z > 0
+
     def test_sepsets_replay_to_the_stored_pvalue(self):
         spec, g = generate_random_model(seed=3, max_lag=2)
         dc = simulate(spec, M=4, T=60, seed=4)
@@ -479,7 +525,7 @@ class TestEstimateGraph:
         spec, _ = generate_random_model(seed=3, max_lag=2)
         dc = simulate(spec, M=5, T=60, seed=4)
         lagged = estimate_graph(dc, variant=variant, tau_max=2)
-        lag_free = estimate_graph(dc, variant=variant, tau_max=2, lag_free=True)
+        lag_free = estimate_graph(dc, variant=variant, tau_max=0)
         assert lag_free.graph.roles == lagged.graph.roles
         uses_dummies = variant in ("jpcmci+", "pcmci+D")
         assert (R.SPACE_DUMMY in lag_free.graph.roles) == uses_dummies
@@ -504,13 +550,13 @@ class TestEstimateGraph:
         spec, _ = generate_random_model(seed=1, max_lag=2)
         dc = simulate(spec, M=4, T=40, seed=2)
         for variant in discovery.VARIANTS:
-            for lag_free in (False, True):
+            for tau_max in (2, 0):
                 calls.clear()
-                estimate_graph(dc, variant=variant, tau_max=2, lag_free=lag_free)
+                estimate_graph(dc, variant=variant, tau_max=tau_max)
                 expected = {"collider_phase": 1, "rule_phase": 1}
-                if not lag_free:
+                if tau_max:
                     expected["lagged_skeleton_pcmciplus"] = 1
-                assert calls == expected, (variant, lag_free)
+                assert calls == expected, (variant, tau_max)
 
     def test_oracle_needs_ground_truth(self):
         spec, _ = generate_random_model(seed=1, max_lag=2)
@@ -540,21 +586,48 @@ class TestEstimateGraph:
         # refused once, by the driver every variant and CI test runs through
         spec, g = generate_random_model(seed=1, max_lag=2)
         dc = simulate(spec, M=2, T=30, seed=2)
-        for variant, ci, lag_free in itertools.product(VARIANTS, CI_TESTS, (False, True)):
+        for variant, ci, tau_max in itertools.product(VARIANTS, CI_TESTS, (2, 0)):
             with pytest.raises(ValueError, match=rf"^alpha={alpha} must lie in \[0, 1\]$"):
                 estimate_graph(dc, variant=variant, ci=ci, ground_truth=g, alpha=alpha,
-                               lag_free=lag_free)
+                               tau_max=tau_max)
+
+    @pytest.mark.parametrize("driver", [j_pcmciplus, run_pcmciplus])
+    def test_parcorr_refuses_a_tau_max_beyond_its_window(self, driver):
+        # data pooled at tau_max 1 holds lags up to 2; a discovery at
+        # tau_max 2 shifts conditioning sets to lag 4
+        spec, _ = generate_random_model(seed=1, max_lag=2)
+        dc = simulate(spec, M=4, T=40, seed=2)
+        ci = ParCorrCI(pool_data(dc, 1))
+        for tau_max in (2, -1):
+            with pytest.raises(ValueError, match=rf"^tau_max={tau_max} must lie in \[0, 1\]: "
+                               r"a discovery asks lags up to 2 \* tau_max, "
+                               r"and the CI test's selectors end at lag 2$"):
+                driver(ci, tau_max=tau_max)
+        assert ci.n_tests == 0
+        driver(ci, tau_max=1)
+
+    @pytest.mark.parametrize("driver", [j_pcmciplus, run_pcmciplus])
+    def test_oracle_refuses_a_tau_max_beyond_its_window(self, driver):
+        _, g = generate_random_model(seed=1, max_lag=2)
+        oracle = GraphOracle(g, 1, unroll_depth=2)
+        for tau_max in (2, -1):
+            with pytest.raises(ValueError, match=rf"^tau_max={tau_max} must lie in \[0, 1\]: "
+                               r"a discovery asks lags up to 2 \* tau_max, "
+                               r"and the CI test's selectors end at lag 2$"):
+                driver(oracle, tau_max=tau_max)
+        assert oracle.n_tests == 0
+        driver(oracle, tau_max=1)
 
     @staticmethod
-    def parcorr_run(dc, entry, lag_free=False):
-        """A ParCorr discovery at tau_max 2 through ``estimate_graph`` with
+    def parcorr_run(dc, entry, tau_max=2):
+        """A ParCorr discovery at ``tau_max`` through ``estimate_graph`` with
         variant ``entry``, or through a ``ParCorrCI`` built on the pooled data
-        (``entry="ParCorrCI"``)."""
+        (``entry="ParCorrCI"``, J-PC at tau_max 0)."""
         if entry != "ParCorrCI":
-            return estimate_graph(dc, variant=entry, tau_max=2, lag_free=lag_free)
-        if lag_free:
+            return estimate_graph(dc, variant=entry, tau_max=tau_max)
+        if tau_max == 0:
             return j_pc(ParCorrCI(pool_data(dc, 0)))
-        return j_pcmciplus(ParCorrCI(pool_data(dc, 2)), tau_max=2)
+        return j_pcmciplus(ParCorrCI(pool_data(dc, tau_max)), tau_max=tau_max)
 
     @pytest.mark.parametrize("entry", ["jpcmci+", "pcmci+", "ParCorrCI"])
     def test_parcorr_rejects_t_up_to_twice_tau_max(self, entry):
@@ -568,7 +641,7 @@ class TestEstimateGraph:
         res = self.parcorr_run(simulate(spec, M=4, T=5, seed=1), entry)
         assert res.graph.tau_max == 2
         # the lag-free run pools at tau_max 0 and needs no look-back
-        self.parcorr_run(simulate(spec, M=4, T=4, seed=1), entry, lag_free=True)
+        self.parcorr_run(simulate(spec, M=4, T=4, seed=1), entry, tau_max=0)
 
     @pytest.mark.parametrize("entry", ["jpcmci+", "pcmci+", "ParCorrCI"])
     def test_parcorr_rejects_a_constant_system_variable(self, entry):
@@ -577,9 +650,9 @@ class TestEstimateGraph:
                                         n_spatial_ctx=1, frac_observed=1.0, max_lag=2)
         dc = simulate(spec, M=4, T=30, seed=1)
         dc.system[:, :, 1] = 2.5
-        for lag_free in (False, True):
+        for tau_max in (2, 0):
             with pytest.raises(ConstantColumnError, match="system variable 1 "):
-                self.parcorr_run(dc, entry, lag_free=lag_free)
+                self.parcorr_run(dc, entry, tau_max=tau_max)
         if entry != "ParCorrCI":
             # the oracle never reads the values
             estimate_graph(dc, variant=entry, ci="oracle", ground_truth=g, tau_max=2)
@@ -635,9 +708,8 @@ class TestBatchedPhases:
             dc = simulate(spec, M=5, T=60, seed=seed + 70)
             ci = ParCorrCI(pool_data(dc.mask_all_latent(), 2))
             fixed = [(v, 0) for v, r in enumerate(ci.var_roles) if r.is_dummy]
-            runs += [lambda dc=dc, v=v, lf=lf: estimate_graph(dc, variant=v, tau_max=2,
-                                                               lag_free=lf)
-                     for v in VARIANTS for lf in (False, True)]
+            runs += [lambda dc=dc, v=v, t=t: estimate_graph(dc, variant=v, tau_max=t)
+                     for v in VARIANTS for t in (2, 0)]
             runs += [lambda dc=dc: estimate_graph(dc, tau_max=2, collider_rule="majority"),
                      lambda ci=ci, f=fixed: run_pcmciplus(ci, tau_max=2, fixed_conditions=f)]
         self.assert_same_as_sequential(runs, monkeypatch)

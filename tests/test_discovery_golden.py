@@ -10,8 +10,8 @@ raised would be recorded by its error message; none does.  (The majority
 collider rule used to condition a context on the dummy of its own kind, and
 six lag-free oracle runs recorded the ``DiscoveryError`` that caused.)
 Graph text is compared exactly, node set included: lag-free runs without
-dummies (``j_pc(use_dummy=False)``, hence lag-free ``pcmci+C`` and
-``pcmci+``) return graphs that end before the two dummy nodes.
+dummies (``j_pc(use_dummy=False)``, and ``pcmci+C`` and ``pcmci+`` at
+``tau_max=0``) return graphs that end before the two dummy nodes.
 
 Re-record only when outputs change on purpose::
 
@@ -72,7 +72,7 @@ def _parcorr_runs(seed):
     for variant in VARIANTS:
         yield variant, lambda v=variant: estimate_graph(dc, variant=v, tau_max=2)
         yield f"{variant}/lag-free", lambda v=variant: estimate_graph(
-            dc, variant=v, tau_max=2, lag_free=True)
+            dc, variant=v, tau_max=0)
 
 
 def _plain(obj):

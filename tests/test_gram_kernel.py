@@ -239,9 +239,9 @@ def test_discovery_matches_reference_kernel(seed, monkeypatch):
     spec, _ = generate_random_model(n_system=4, n_temporal_ctx=1, n_spatial_ctx=1,
                                     frac_observed=0.5, seed=seed, max_lag=2)
     dc = simulate(spec, M=4, T=40, seed=100 + seed)
-    runs = [dict(variant=v, lag_free=lag_free)
-            for v in ("jpcmci+", "pcmci+") for lag_free in (False, True)]
-    fast = [estimate_graph(dc, tau_max=2, **run) for run in runs]
+    runs = [dict(variant=v, tau_max=tau_max)
+            for v in ("jpcmci+", "pcmci+") for tau_max in (2, 0)]
+    fast = [estimate_graph(dc, **run) for run in runs]
     used = []
 
     def reference(query, data):
@@ -253,7 +253,7 @@ def test_discovery_matches_reference_kernel(seed, monkeypatch):
                         lambda queries, data: [reference(q, data) for q in queries])
     for run, new in zip(runs, fast):
         used.clear()
-        ref = estimate_graph(dc, tau_max=2, **run)
+        ref = estimate_graph(dc, **run)
         assert used, run
         assert new.graph.to_text() == ref.graph.to_text(), run
         assert [k for k, _ in new.sepsets.items()] == [k for k, _ in ref.sepsets.items()], run

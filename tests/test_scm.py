@@ -397,6 +397,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^temporal context differs across datasets$"):
             DatasetCollection.from_dir(tmp_path)
 
+    def test_from_dir_reports_a_temporal_context_nan_as_non_finite(self, tmp_path):
+        # the same NaN in every dataset is a shared value, just not a finite one
+        spec, _ = generate_random_model(seed=12, max_lag=2)
+        dc = simulate(spec, M=2, T=10, seed=13)
+        dc.to_dir(tmp_path, spec=spec)
+        for m in range(dc.M):
+            self._edit_cell(tmp_path / f"data_{m:03d}.csv", 4, 1 + dc.n_system, "nan")
+        with pytest.raises(NonFiniteDataError, match=r"^temporal_ctx .*\(3, 0\)$"):
+            DatasetCollection.from_dir(tmp_path)
+
     def test_mask_all_latent(self):
         spec, _ = generate_random_model(seed=14, frac_observed=1.0)
         dc = simulate(spec, M=2, T=20, seed=15)
