@@ -2,9 +2,9 @@
 
 The package bundles a joint-graph data model with an exact d-separation
 engine, a linear SCM simulator over multiple datasets, dataset pooling with
-one-hot dummy blocks, partial-correlation and oracle CI tests, the staged
-discovery algorithms (lag-free and time-series variants), scoring metrics,
-and a seeded benchmark harness.
+one-hot dummy blocks, partial-correlation and oracle CI tests, one staged
+discovery driver (J-PCMCI+, lag-free or lagged) and the comparison variants
+it runs, scoring metrics, and a seeded benchmark harness.
 """
 
 from .graph import (ABSENT, CONFLICT, DIRECTED, REVERSED, UNDIRECTED,
@@ -17,8 +17,8 @@ from .scm import (ConstantColumnError, DatasetCollection, LinearTerm,
 from .pooling import PooledData, build_space_dummy, build_time_dummy, pool_data
 from .citests import CIQuery, CITestResult, GraphOracle, ParCorrCI, parcorr_test
 from .discovery import (VARIANTS, DiscoveryResult, SepSetStore, collider_phase,
-                        estimate_graph, j_pc, j_pcmciplus, lagged_skeleton_pcmciplus,
-                        rule_phase, run_pcmciplus)
+                        estimate_graph, j_pcmciplus, lagged_skeleton_pcmciplus,
+                        rule_phase, variant_view)
 from .metrics import LinkClass, ScoreReport, aggregate, score
 from .bench import ExperimentConfig, compare_variants, run_experiment
 

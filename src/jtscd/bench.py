@@ -12,14 +12,35 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import discovery, metrics, scm
-from .graph import mask_contexts_latent, target_graph
+from .graph import target_graph
 from .metrics import METRIC_NAMES, LinkClass
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# config value types, checked before their ranges: the element type of each
+# list, and each integer's least value with the refusal below it (every
+# realization draws a lagged model and runs a lagged discovery)
+_LIST_KEYS = {"t_values": (_is_integer, "integers"), "m_values": (_is_integer, "integers"),
+              "frac_observed_values": (lambda v: isinstance(v, numbers.Real), "numbers"),
+              "variants": (lambda v: isinstance(v, str), "strings")}
+_INTEGER_KEYS = {"n_realizations": (1, "n_realizations must be positive"),
+                 "n_system": (1, "n_system must be positive"),
+                 "n_temporal_ctx": (0, "context counts must be non-negative"),
+                 "n_spatial_ctx": (0, "context counts must be non-negative"),
+                 "tau_max": (1, "tau_max must be at least 1"),
+                 "max_model_lag": (1, "max_model_lag must be at least 1"),
+                 "burn_in": (0, "burn_in must be non-negative"),
+                 "master_seed": (0, "master_seed must be non-negative")}
 
 
 @dataclass
@@ -40,6 +61,16 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def validate(self):
+        for key, (is_kind, kind) in _LIST_KEYS.items():
+            values = getattr(self, key)
+            if not isinstance(values, (list, tuple)) or not all(map(is_kind, values)):
+                raise ValueError(f"{key}={values!r} must be a list of {kind}")
+        for key, (least, refusal) in _INTEGER_KEYS.items():
+            value = getattr(self, key)
+            if not _is_integer(value):
+                raise ValueError(f"{key}={value!r} must be an integer")
+            if value < least:
+                raise ValueError(refusal)
         if not self.t_values or not self.m_values or not self.frac_observed_values:
             raise ValueError("grid axes must be non-empty")
         if any(t <= self.tau_max for t in self.t_values):
@@ -48,20 +79,7 @@ class ExperimentConfig:
             raise ValueError("M values must be positive")
         if any(not 0.0 <= f <= 1.0 for f in self.frac_observed_values):
             raise ValueError("frac_observed values must lie in [0, 1]")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be positive")
-        if self.n_system < 1:
-            raise ValueError("n_system must be positive")
-        if self.n_temporal_ctx < 0 or self.n_spatial_ctx < 0:
-            raise ValueError("context counts must be non-negative")
-        # every realization draws a lagged model and runs a lagged discovery
-        if self.tau_max < 1:
-            raise ValueError("tau_max must be at least 1")
-        if self.max_model_lag < 1:
-            raise ValueError("max_model_lag must be at least 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
-        if not 0.0 < self.alpha < 1.0:
+        if not isinstance(self.alpha, numbers.Real) or not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.ci_test not in discovery.CI_TESTS:
             raise ValueError(f"unknown CI test {self.ci_test!r}")
@@ -70,13 +88,16 @@ class ExperimentConfig:
         for v in self.variants:
             if v not in discovery.VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")
+        if len(set(self.variants)) < len(self.variants):
+            raise ValueError(f"variants={self.variants!r} name a variant twice")
         return self
 
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError("the config must be a JSON object of config keys")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data).validate()
@@ -107,19 +128,14 @@ def _run_realization(cfg, cell_index, cell, realization):
         n_spatial_ctx=cfg.n_spatial_ctx, frac_observed=frac,
         seed=model_seed, max_lag=cfg.max_model_lag)
     dc = scm.simulate(spec, M=m, T=t, burn_in=cfg.burn_in, seed=data_seed)
-    target = target_graph(graph)
     reports = {}
     for variant in cfg.variants:
         result = discovery.estimate_graph(
             dc, variant=variant, ci=cfg.ci_test, ground_truth=graph,
             tau_max=cfg.tau_max, alpha=cfg.alpha)
-        est = result.graph
-        if variant in discovery.NO_CONTEXT_VARIANTS:
-            # these arms see no contexts; score them on the system block only
-            ref = target_graph(mask_contexts_latent(graph))
-        else:
-            ref = target
-        reports[variant] = metrics.score(est, ref)
+        # each arm is scored against the ground truth it sees
+        _, truth, _ = discovery.variant_view(variant, ground_truth=graph)
+        reports[variant] = metrics.score(result.graph, target_graph(truth))
     return reports
 
 

@@ -45,17 +45,15 @@ def _cmd_simulate(args):
 def _cmd_discover(args):
     data_dir = Path(args.data)
     dc = scm.DatasetCollection.from_dir(data_dir)
-    ground_truth = None
     gt_path = data_dir / "ground_truth.txt"
-    if gt_path.exists():
-        ground_truth = GroundTruthGraph.from_text(gt_path.read_text())
-    if args.dump_pooled:
-        # the rows estimate_graph pools and tests on
-        pooled = pool_data(dc, args.tau_max)
-        Path(args.dump_pooled).write_text(pooled.to_csv())
+    ground_truth = GroundTruthGraph.from_text(gt_path.read_text()) if gt_path.exists() else None
     result = discovery.estimate_graph(
         dc, variant=args.variant, ci=args.ci, ground_truth=ground_truth,
         tau_max=args.tau_max, alpha=args.alpha)
+    if args.dump_pooled:
+        # the rows and columns the variant's discovery pooled and tested on
+        seen, _, _ = discovery.variant_view(args.variant, dc)
+        Path(args.dump_pooled).write_text(pool_data(seen, args.tau_max).to_csv())
     text = result.graph.to_text()
     if args.out:
         Path(args.out).write_text(text)

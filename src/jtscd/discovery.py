@@ -1,15 +1,16 @@
 """Constraint-based causal discovery over pooled multi-dataset time series.
 
-Every discovery here prunes one ``TimeSeriesGraph`` stage by stage
-(``_discover``).  The graph starts with every candidate link: the lagged
-drivers left by an optional lagged-adjacency phase and the context and dummy
-links into the system variables, all directed (time order and exogeneity),
-and the system clique, undirected.  Each stage is one ``_skeleton_sweep`` of
-that graph, given the tested pairs, the roles the subsets S are drawn from,
-the base conditioning sets and the fixed conditions.  A stage reads the
-links kept by earlier stages straight from the graph.  The pruned graph is
-oriented in place by the collider and propagation rules and returned;
-conflicting collider orientations are marked ``x-x``.
+Every discovery here is one ``j_pcmciplus`` run: it prunes one
+``TimeSeriesGraph`` stage by stage.  The graph starts with every candidate
+link: the lagged drivers left by an optional lagged-adjacency phase and the
+context and dummy links into the system variables, all directed (time
+order and exogeneity), and the system clique, undirected.  Each stage is
+one ``_skeleton_sweep`` of that graph, given the tested pairs, the roles the
+subsets S are drawn from, the base conditioning sets and the fixed
+conditions.  A stage reads the links kept by earlier stages straight from
+the graph.  The pruned graph is oriented in place by the collider and
+propagation rules and returned; conflicting collider orientations are
+marked ``x-x``.
 
 The tests of one level do not depend on each other's order (PC-stable), so
 each is asked in batches through ``ci.batch``: one batch per level of the
@@ -24,9 +25,11 @@ re-tested given the opposite-kind dummy parents) and S (system-system pairs
 given everything found so far).  Testing contexts before dummies avoids the
 spurious independencies that deterministic dummy-context relations would
 otherwise inject into the PC-style search.  ``tau_max`` is the only lag
-setting: at 0 there is no lagged phase, hence no refinement, so J-PCMCI+ is
-J-PC (with the space dummy only) and plain PCMCI+, the lagged phase over the
-system variables and stage S, is PC.
+setting: at 0 there is no lagged phase, hence no refinement, and J-PCMCI+
+is J-PC (with the space dummy only).  On a CI test that knows no observed
+context, run without dummies, stages C, D and refinement have no pairs and
+J-PCMCI+ is plain PCMCI+ (PC at ``tau_max = 0``).  ``variant_view`` decides
+what each comparison variant sees.
 
 All selectors are ``(var, lag)`` with non-negative lags; pair entries
 ``(i, tau, j)`` test variable ``i`` at ``t - tau`` against ``j`` at ``t``.
@@ -37,11 +40,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CONFLICT, DIRECTED, UNDIRECTED, TimeSeriesGraph, VariableRole
+from .graph import (CONFLICT, DIRECTED, UNDIRECTED, TimeSeriesGraph, VariableRole,
+                    mask_contexts_latent)
 
 
 class DiscoveryError(RuntimeError):
@@ -102,14 +106,14 @@ class DiscoveryResult:
     """The oriented graph of a discovery; ``lagged`` is the result of
     ``lagged_skeleton_pcmciplus``, ``None`` at tau_max = 0, where no lagged
     phase runs.  ``context_parents`` and ``dummy_parents`` map each system
-    variable to its held links of that kind, and are empty for
-    ``run_pcmciplus``, whose graph holds no contexts or dummies."""
+    variable to its held links of that kind, an empty list when the graph
+    holds no context or dummy."""
     graph: TimeSeriesGraph
     sepsets: SepSetStore
-    lagged: dict | None = None
-    context_parents: dict = field(default_factory=dict)
-    dummy_parents: dict = field(default_factory=dict)
-    ambiguous_triples: list = field(default_factory=list)
+    lagged: dict | None
+    context_parents: dict
+    dummy_parents: dict
+    ambiguous_triples: list
 
 
 def _run_batch(ci, queries):
@@ -136,18 +140,18 @@ def _run_batch(ci, queries):
 
 
 def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
-                              sepsets=None, include_contexts=True):
+                              sepsets=None):
     """Iterative lagged-adjacency search (one condition set per cardinality).
 
-    For every system and observed temporal-context variable, candidate lagged
-    drivers (lags ``1..tau_max``) are pruned by CI tests conditioned on the
-    currently strongest remaining candidates, growing the conditioning
-    cardinality until convergence.  Each cardinality level is one batch of
-    CI tests over every target still searching.  The result always contains
-    the true lagged parents under a consistent CI test.  Temporal contexts
-    only admit temporal-context drivers (contexts are exogenous to the
-    system); with ``include_contexts=False`` the search runs over system
-    variables alone.
+    For every system and observed temporal-context variable the CI test
+    knows, candidate lagged drivers (lags ``1..tau_max``) are pruned by CI
+    tests conditioned on the currently strongest remaining candidates,
+    growing the conditioning cardinality until convergence.  Each
+    cardinality level is one batch of CI tests over every target still
+    searching.  The result always contains the true lagged parents under a
+    consistent CI test.  Temporal contexts only admit temporal-context
+    drivers (contexts are exogenous to the system); on context-masked data
+    the search runs over the system variables alone.
 
     Returns a dict mapping every variable to its surviving ``(var, lag)``
     drivers, ordered by the minimum absolute test statistic seen across
@@ -157,8 +161,7 @@ def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
         raise ValueError("the lagged phase needs tau_max >= 1")
     roles = ci.var_roles
     system = [v for v, r in enumerate(roles) if r.is_system]
-    tctx = [v for v, r in enumerate(roles)
-            if include_contexts and r is VariableRole.TEMPORAL_CONTEXT]
+    tctx = [v for v, r in enumerate(roles) if r is VariableRole.TEMPORAL_CONTEXT]
     fixed = list(fixed_conditions)
     current, vals = {}, {}
     for j in system + tctx:
@@ -254,6 +257,8 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, fixed=()):
     next test of every link still open.
     """
     pairs = sorted(set(pairs), key=lambda p: (p[2], p[1], p[0]))
+    if not pairs:  # a stage with nothing to test, such as C on masked data
+        return
     roles = ci.var_roles  # every variable the CI test knows, dummies included
     strengths = {}
     rests = {(i, tau, j): _base_part(base, i, tau, j, fixed, roles) for (i, tau, j) in pairs}
@@ -471,14 +476,20 @@ def _fixed_selectors(fixed):
     return tuple(out)
 
 
-def _discover(ci, tau_max, alpha, collider_rule, joint=True, dummies=(), fixed=()):
-    """Prune one graph stage by stage, then orient it (module docstring).
+def j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=True, collider_rule="none",
+                fixed_conditions=()):
+    """J-PCMCI+: prune one graph stage by stage, then orient it (module
+    docstring), and return a ``DiscoveryResult``.
 
-    A ``tau_max`` above 0 runs the lagged phase first (and, when ``joint``,
-    the refinement after stage D); ``joint`` makes the observed contexts and
-    the ``dummies`` graph nodes and runs stages C and D, otherwise the graph
-    spans the system variables and only stage S runs.  ``fixed`` selectors
-    are appended to every conditioning set of the lagged phase and stage S.
+    The graph spans the observed variables the CI test knows (system
+    variables, then observed contexts) plus, with ``use_dummies``, the dummy
+    nodes; it uses both dummies above ``tau_max = 0`` and the space dummy
+    only at 0.  A ``tau_max`` above 0 runs the lagged phase first and the
+    refinement after stage D.  Context- and dummy-system links keep the
+    context as parent (exogeneity), lagged links follow time order.
+    ``fixed_conditions`` selectors are appended to every conditioning set of
+    the lagged phase and stage S; the dummy blocks on context-masked data,
+    without ``use_dummies``, make the always-conditioned baseline.
     ``alpha`` must lie in [0, 1] and ``tau_max`` be non-negative, with
     ``2 * tau_max``, the deepest lag a discovery asks, among the lags of
     ``ci.selectors``; the inputs are checked before any test.
@@ -491,21 +502,22 @@ def _discover(ci, tau_max, alpha, collider_rule, joint=True, dummies=(), fixed=(
                          f"asks lags up to 2 * tau_max, and the CI test's selectors end "
                          f"at lag {window}")
     _check_collider_rule(collider_rule)
-    fixed = _fixed_selectors(fixed)
+    fixed = _fixed_selectors(fixed_conditions)
     roles = list(ci.var_roles)
     system = [v for v, r in enumerate(roles) if r.is_system]
-    tctx = [v for v, r in enumerate(roles) if joint and r is VariableRole.TEMPORAL_CONTEXT]
-    sctx = [v for v, r in enumerate(roles) if joint and r is VariableRole.SPATIAL_CONTEXT]
+    tctx = [v for v, r in enumerate(roles) if r is VariableRole.TEMPORAL_CONTEXT]
+    sctx = [v for v, r in enumerate(roles) if r is VariableRole.SPATIAL_CONTEXT]
     contexts = tctx + sctx
-    nodes = (_CONTEXT_ROLES + (_DUMMY_ROLES if dummies else ())) if joint else _SYSTEM_ONLY
+    kinds = _DUMMY_ROLES if tau_max > 0 else (VariableRole.SPACE_DUMMY,)
+    dummies = [v for v, r in enumerate(roles) if r in kinds] if use_dummies else []
+    nodes = _CONTEXT_ROLES + (_DUMMY_ROLES if dummies else ())
     n_out = next((v for v, r in enumerate(roles) if r not in nodes), len(roles))
     if any(r in nodes for r in roles[n_out:]):
         raise ValueError("graph variables must form a prefix of the index space")
     sepsets = SepSetStore()
     lagged = tau_max > 0
     adjacencies = lagged_skeleton_pcmciplus(
-        ci, tau_max, alpha, fixed_conditions=fixed, sepsets=sepsets,
-        include_contexts=joint) if lagged else None
+        ci, tau_max, alpha, fixed_conditions=fixed, sepsets=sepsets) if lagged else None
     lagged_sets = adjacencies if lagged else {v: [] for v in range(len(roles))}
     lagged_sys = {j: [(i, lag) for (i, lag) in lagged_sets[j] if roles[i].is_system]
                   for j in system}
@@ -515,38 +527,37 @@ def _discover(ci, tau_max, alpha, collider_rule, joint=True, dummies=(), fixed=(
     # system variables directed, the system clique undirected
     graph = TimeSeriesGraph(roles[:n_out], tau_max)
     for j in system:
-        for (v, lag) in lagged_sets[j] + [(c, 0) for c in contexts + list(dummies)]:
+        for (v, lag) in lagged_sets[j] + [(c, 0) for c in contexts + dummies]:
             graph.set_mark(v, j, lag, DIRECTED)
     for (a, _, b) in clique:
         graph.set_mark(a, b, 0, UNDIRECTED)
 
     sweep = functools.partial(_skeleton_sweep, ci, graph, alpha, sepsets)
 
-    if joint:
-        # C: context-system pairs and lagged temporal-context links
-        pairs = [(i, lag, j) for j in system for (i, lag) in lagged_sets[j] if i in tctx]
-        pairs += [p for j in system for c in contexts for p in ((c, 0, j), (j, 0, c))]
-        sweep(pairs, _CONTEXT_ROLES, dict(lagged_sets))
-        # D: dummy-system pairs given the context parents
-        sweep([p for j in system for d in dummies for p in ((d, 0, j), (j, 0, d))],
-              _SYSTEM_ONLY, {j: lagged_sys[j] + _held(graph, contexts, j) for j in system})
-        # Refinement: re-test context links given the opposite-kind dummy
-        # parents.  Latent contexts of the other kind can keep a spurious
-        # context-system link d-connected through conditioned collider
-        # children among the lagged adjacencies, and only conditioning on all
-        # contexts of that kind, the cross-kind dummy, closes it.  The
-        # same-kind dummy is never used: the tested context is a
-        # deterministic function of it.  It runs after a lagged phase only.
-        refinements = ((tctx, VariableRole.SPACE_DUMMY), (sctx, VariableRole.TIME_DUMMY))
-        for kind, cross_role in refinements if lagged else ():
-            cross = [d for d in dummies if roles[d] is cross_role]
-            base, pairs = dict(lagged_sets), []
-            for j in system:
-                held = _held(graph, cross, j)
-                if held:
-                    base[j] = base[j] + held
-                    pairs += [(c, lag, j) for (c, lag) in _held(graph, kind, j)]
-            sweep(pairs, _CONTEXT_ROLES, base)
+    # C: context-system pairs and lagged temporal-context links
+    pairs = [(i, lag, j) for j in system for (i, lag) in lagged_sets[j] if i in tctx]
+    pairs += [p for j in system for c in contexts for p in ((c, 0, j), (j, 0, c))]
+    sweep(pairs, _CONTEXT_ROLES, dict(lagged_sets))
+    # D: dummy-system pairs given the context parents
+    sweep([p for j in system for d in dummies for p in ((d, 0, j), (j, 0, d))],
+          _SYSTEM_ONLY, {j: lagged_sys[j] + _held(graph, contexts, j) for j in system})
+    # Refinement: re-test context links given the opposite-kind dummy
+    # parents.  Latent contexts of the other kind can keep a spurious
+    # context-system link d-connected through conditioned collider
+    # children among the lagged adjacencies, and only conditioning on all
+    # contexts of that kind, the cross-kind dummy, closes it.  The
+    # same-kind dummy is never used: the tested context is a
+    # deterministic function of it.  It runs after a lagged phase only.
+    refinements = ((tctx, VariableRole.SPACE_DUMMY), (sctx, VariableRole.TIME_DUMMY))
+    for kind, cross_role in refinements if lagged else ():
+        cross = [d for d in dummies if roles[d] is cross_role]
+        base, pairs = dict(lagged_sets), []
+        for j in system:
+            held = _held(graph, cross, j)
+            if held:
+                base[j] = base[j] + held
+                pairs += [(c, lag, j) for (c, lag) in _held(graph, kind, j)]
+        sweep(pairs, _CONTEXT_ROLES, base)
     # S: system-system pairs given everything found so far
     base = {j: lagged_sys[j] + _held(graph, contexts, j) + _held(graph, dummies, j)
             for j in system}
@@ -557,85 +568,58 @@ def _discover(ci, tau_max, alpha, collider_rule, joint=True, dummies=(), fixed=(
     ambiguous = collider_phase(graph, sepsets, rule=collider_rule, ci=ci, base_sets=base,
                                alpha=alpha, fixed_conditions=fixed)
     rule_phase(graph, ambiguous)
-    parents = {}
-    if joint:
-        parents = dict(context_parents={j: _held(graph, contexts, j) for j in system},
-                       dummy_parents={j: _held(graph, dummies, j) for j in system})
     return DiscoveryResult(graph=graph, sepsets=sepsets, lagged=adjacencies,
-                           ambiguous_triples=ambiguous, **parents)
-
-
-def j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=True, collider_rule="none"):
-    """J-PCMCI+: the lagged phase on system and temporal-context variables,
-    stages C, D, refinement and S, then orientation.  Context- and
-    dummy-system links keep the context as parent (exogeneity), lagged links
-    follow time order.  The graph spans the observed variables plus, if
-    used, the two dummies.  At ``tau_max = 0`` it is J-PC: no lagged phase,
-    no refinement and the space dummy only."""
-    kinds = _DUMMY_ROLES if tau_max > 0 else (VariableRole.SPACE_DUMMY,)
-    dummies = [v for v, r in enumerate(ci.var_roles) if r in kinds] if use_dummies else []
-    return _discover(ci, tau_max, alpha, collider_rule, dummies=dummies)
-
-
-def run_pcmciplus(ci, tau_max=2, alpha=0.05, collider_rule="none",
-                  fixed_conditions=()):
-    """Plain lagged-plus-contemporaneous discovery over the system variables.
-
-    Context and dummy variables known to the CI test are ignored as graph
-    nodes; ``fixed_conditions`` selectors (for instance the dummy blocks) are
-    appended to every conditioning set, which turns this into the
-    always-conditioned baseline used in the convergence experiments.
-    """
-    return _discover(ci, tau_max, alpha, collider_rule, joint=False,
-                     fixed=fixed_conditions)
-
-
-def j_pc(ci, alpha=0.05, use_dummy=True, collider_rule="none"):
-    """J-PC for the lag-free setting: ``j_pcmciplus`` at tau_max = 0."""
-    return j_pcmciplus(ci, 0, alpha, use_dummy, collider_rule)
+                           context_parents={j: _held(graph, contexts, j) for j in system},
+                           dummy_parents={j: _held(graph, dummies, j) for j in system},
+                           ambiguous_triples=ambiguous)
 
 
 # ---------------------------------------------------------------------------
 # variant dispatch
 
 
-VARIANTS = ("jpcmci+", "pcmci+C", "pcmci+D", "pcmci+")
-# the variants that see no contexts: their data has every context masked latent
-NO_CONTEXT_VARIANTS = ("pcmci+D", "pcmci+")
+# what each variant sees: (contexts masked latent, dummies used)
+_VIEWS = {"jpcmci+": (False, True), "pcmci+C": (False, False),
+          "pcmci+D": (True, True), "pcmci+": (True, False)}
+VARIANTS = tuple(_VIEWS)
 CI_TESTS = ("parcorr", "oracle")
+
+
+def variant_view(variant, dc=None, ground_truth=None):
+    """What ``variant`` sees: ``(dc, ground_truth, use_dummies)``, the first
+    two with every context masked latent for ``pcmci+D`` and ``pcmci+`` (a
+    ``None`` stays ``None``); ``jpcmci+`` and ``pcmci+D`` use the dummies."""
+    if variant not in _VIEWS:
+        raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    masked, use_dummies = _VIEWS[variant]
+    if masked and dc is not None:
+        dc = dc.mask_all_latent()
+    if masked and ground_truth is not None:
+        ground_truth = mask_contexts_latent(ground_truth)
+    return dc, ground_truth, use_dummies
 
 
 def estimate_graph(dc, variant="jpcmci+", ci="parcorr", ground_truth=None,
                    tau_max=2, alpha=0.05, collider_rule="none"):
-    """Run one discovery variant on a dataset collection.
+    """Run ``j_pcmciplus`` on what ``variant`` sees of a dataset collection
+    (``variant_view``): ``pcmci+`` is PCMCI+ on the system data alone.
 
-    ``jpcmci+`` uses observed contexts and dummies, ``pcmci+C`` only observed
-    contexts, ``pcmci+D`` only dummies (contexts masked latent), ``pcmci+``
-    system data alone.  The data is pooled at ``tau_max``; ``tau_max = 0`` is
-    the lag-free run (J-PC, and PC for ``pcmci+``).  ``ci`` selects the
-    pooled partial-correlation test or the exact graph oracle (which
-    requires ``ground_truth``).  The partial-correlation test refuses data
-    it cannot test (see ``ParCorrCI``).
+    The data is pooled at ``tau_max``; ``tau_max = 0`` is the lag-free run
+    (J-PC, and PC for ``pcmci+``).  ``ci`` selects the pooled
+    partial-correlation test or the exact graph oracle (which requires
+    ``ground_truth``).  The partial-correlation test refuses data it cannot
+    test (see ``ParCorrCI``).
     """
     from .citests import GraphOracle, ParCorrCI
-    from .graph import mask_contexts_latent
     from .pooling import pool_data
 
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    mask_ctx = variant in NO_CONTEXT_VARIANTS
-    data = dc.mask_all_latent() if mask_ctx else dc
+    data, truth, use_dummies = variant_view(variant, dc, ground_truth)
     if ci == "parcorr":
         test = ParCorrCI(pool_data(data, tau_max))
     elif ci == "oracle":
-        if ground_truth is None:
+        if truth is None:
             raise ValueError("the oracle CI test needs the ground-truth graph")
-        gt = mask_contexts_latent(ground_truth) if mask_ctx else ground_truth
-        test = GraphOracle(gt, tau_max)
+        test = GraphOracle(truth, tau_max)
     else:
         raise ValueError(f"unknown CI test {ci!r}")
-
-    kwargs = dict(tau_max=tau_max, alpha=alpha, collider_rule=collider_rule)
-    if variant == "pcmci+":
-        return run_pcmciplus(test, **kwargs)
-    return j_pcmciplus(test, use_dummies=variant != "pcmci+C", **kwargs)
+    return j_pcmciplus(test, tau_max, alpha, use_dummies, collider_rule)

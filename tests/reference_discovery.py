@@ -26,13 +26,12 @@ def _run_ci(ci, x, y, z):
 
 
 def sequential_lagged_skeleton(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
-                               sepsets=None, include_contexts=True):
+                               sepsets=None):
     if tau_max < 1:
         raise ValueError("the lagged phase needs tau_max >= 1")
     roles = ci.var_roles
     system = [v for v, r in enumerate(roles) if r.is_system]
-    tctx = [v for v, r in enumerate(roles)
-            if include_contexts and r is VariableRole.TEMPORAL_CONTEXT]
+    tctx = [v for v, r in enumerate(roles) if r is VariableRole.TEMPORAL_CONTEXT]
     sets = {}
     for j in system + tctx:
         drivers = system + tctx if j in system else tctx

@@ -15,7 +15,7 @@ from scipy import stats
 from jtscd.bench import ExperimentConfig, run_experiment
 from jtscd.citests import CIQuery, GraphOracle, ParCorrCI, parcorr_test
 from jtscd.cli import main as cli_main
-from jtscd.discovery import (estimate_graph, j_pc, j_pcmciplus, run_pcmciplus)
+from jtscd.discovery import estimate_graph, j_pcmciplus
 from jtscd.graph import (CONFLICT, GroundTruthGraph, TimeSeriesGraph,
                          dummy_deletion, mask_contexts_latent, target_graph)
 from jtscd.metrics import LinkClass, score
@@ -92,7 +92,7 @@ class TestAcceptance:
                 n_system=3, n_temporal_ctx=0, n_spatial_ctx=2,
                 frac_observed=frac, seed=seed_for("c2", k), lag_free=True)
             oracle = GraphOracle(graph, 0)
-            result = j_pc(oracle, alpha=0.05)
+            result = j_pcmciplus(oracle, 0, alpha=0.05)
             deleted = dummy_deletion(result.graph)
             target = target_graph(graph)
             exact += (adjacency(deleted) == adjacency(target)
@@ -164,8 +164,8 @@ class TestAcceptance:
             pooled = pool_data(dc.mask_all_latent(), 2)
             ci = ParCorrCI(pooled)
             fixed = [(pooled.time_dummy, 0), (pooled.space_dummy, 0)]
-            result = run_pcmciplus(ci, tau_max=2, alpha=0.05,
-                                   fixed_conditions=fixed)
+            result = j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=False,
+                                 fixed_conditions=fixed)
             rep = score(result.graph, target_sys)
             vals.append(rep.metric(LinkClass.SYSTEM_SYSTEM, "fpr"))
         return float(np.mean(vals))
@@ -279,8 +279,8 @@ class TestAcceptance:
             dc = simulate(spec, M=1, T=120, seed=seed_for("c9-data", r))
             joint = j_pcmciplus(ParCorrCI(pool_data(dc, 2)), tau_max=2,
                                 alpha=0.05)
-            plain = run_pcmciplus(ParCorrCI(pool_data(dc, 2)), tau_max=2,
-                                  alpha=0.05)
+            plain = j_pcmciplus(ParCorrCI(pool_data(dc.mask_all_latent(), 2)), tau_max=2,
+                                alpha=0.05, use_dummies=False)
             identical += dummy_deletion(joint.graph) == plain.graph
         report(9, f"M=1/no-context reduction identical {identical}/50",
                identical == 50)

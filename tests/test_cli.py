@@ -94,15 +94,28 @@ class TestDiscover:
         ((), 3 * (20 - 2)),
         (("--tau-max", "0"), 3 * 20),
         (("--tau-max", "0", "--variant", "pcmci+"), 3 * 20),
+        (("--variant", "pcmci+D"), 3 * (20 - 2)),
+        # refused: a discovery at tau_max 10 asks lags up to 20, and T is 20
+        (("--tau-max", "10"), None),
     ])
     def test_dump_pooled_writes_the_rows_discovery_tests_on(self, tmp_path, flags, n_rows):
         write_sim_config(tmp_path / "cfg.json", M=3, T=20)
         data = tmp_path / "data"
         main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(data)])
         pooled_csv = tmp_path / "pooled.csv"
-        assert main(["discover", "--data", str(data), *flags, "--dump-pooled",
-                     str(pooled_csv), "--out", str(tmp_path / "g.txt")]) == 0
-        assert len(pooled_csv.read_text().splitlines()) == n_rows + 1
+        status = main(["discover", "--data", str(data), *flags, "--dump-pooled",
+                       str(pooled_csv), "--out", str(tmp_path / "g.txt")])
+        if n_rows is None:
+            assert status == 2 and not pooled_csv.exists()
+            return
+        assert status == 0
+        lines = pooled_csv.read_text().splitlines()
+        assert len(lines) == n_rows + 1
+        # the variants that see no contexts test on no context column
+        sees_contexts = not {"pcmci+", "pcmci+D"} & set(flags)
+        header = lines[0].split(",")
+        assert any(c.startswith("TemporalContext") for c in header) == sees_contexts
+        assert any(c.startswith("SpatialContext") for c in header) == sees_contexts
 
     def test_stdout_output(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -163,6 +176,27 @@ class TestBenchCLI:
         assert ((out_a / "results.csv").read_bytes()
                 == (out_b / "results.csv").read_bytes())
         assert (out_a / "summary.md").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"t_values": 30}, r"t_values=30 must be a list of integers"),
+        ({"m_values": ["a"]}, r"m_values=\['a'\] must be a list of integers"),
+        ({"alpha": "x"}, r"alpha must lie in \(0, 1\)"),
+        ({"n_realizations": 1.5}, r"n_realizations=1\.5 must be an integer"),
+        ({"variants": ["pcmci+", "pcmci+"]},
+         r"variants=\['pcmci\+', 'pcmci\+'\] name a variant twice"),
+        (None, r"the config must be a JSON object of config keys"),
+    ], ids=["t_values", "m_values", "alpha", "n_realizations", "variants", "array"])
+    def test_malformed_config_value_is_named(self, tmp_path, capsys, overrides, message):
+        cfg_path = tmp_path / "bench.json"
+        if overrides is None:
+            cfg_path.write_text("[1, 2]")
+        else:
+            self.bench_config(cfg_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"jtscd bench: error: {message}\n", err), err
+        assert not out.exists()
 
     def test_malformed_config_is_refused(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.json"

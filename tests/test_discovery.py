@@ -8,8 +8,8 @@ import pytest
 
 from jtscd.citests import GraphOracle, ParCorrCI
 from jtscd.discovery import (CI_TESTS, VARIANTS, DiscoveryError, SepSetEntry, SepSetStore,
-                             collider_phase, estimate_graph, j_pc, j_pcmciplus,
-                             lagged_skeleton_pcmciplus, rule_phase, run_pcmciplus)
+                             collider_phase, estimate_graph, j_pcmciplus,
+                             lagged_skeleton_pcmciplus, rule_phase, variant_view)
 from jtscd.graph import (CONFLICT, DIRECTED, UNDIRECTED, GroundTruthGraph,
                          TimeSeriesGraph, VariableRole, dummy_deletion,
                          mask_contexts_latent, target_graph)
@@ -82,8 +82,8 @@ def cpdag_by_enumeration(n, dag_edges):
 
 
 class TestSkeletonSweep:
-    """The system stage's sweep, run by ``j_pc`` without dummies on
-    context-free graphs."""
+    """The system stage's sweep, run by ``j_pcmciplus`` at tau_max 0 without
+    dummies on context-free graphs."""
 
     def oracle_for(self, edges, n=3):
         g = GroundTruthGraph([R.SYSTEM] * n, 1)
@@ -93,12 +93,12 @@ class TestSkeletonSweep:
 
     def test_direct_link_retained(self):
         o = self.oracle_for([(0, 1)], n=2)
-        graph = j_pc(o, use_dummy=False).graph
+        graph = j_pcmciplus(o, 0, use_dummies=False).graph
         assert graph.has_link(0, 1, 0)
 
     def test_chain_removed_with_middle_sepset(self):
         o = self.oracle_for([(0, 1), (1, 2)])
-        res = j_pc(o, use_dummy=False)
+        res = j_pcmciplus(o, 0, use_dummies=False)
         assert not res.graph.has_link(0, 2, 0)
         assert res.graph.has_link(0, 1, 0) and res.graph.has_link(1, 2, 0)
         assert res.sepsets.get(0, 0, 2).s == ((1, 0),)
@@ -107,7 +107,8 @@ class TestSkeletonSweep:
         spec, _ = generate_random_model(n_system=3, n_temporal_ctx=0,
                                         n_spatial_ctx=0, seed=0, lag_free=True)
         dc = simulate(spec, M=1, T=80, seed=1)
-        graph = j_pc(ParCorrCI(pool_data(dc, 0)), alpha=0.0, use_dummy=False).graph
+        graph = j_pcmciplus(ParCorrCI(pool_data(dc, 0)), 0, alpha=0.0,
+                            use_dummies=False).graph
         assert graph.n_vars == 3
         assert all(not graph.has_link(a, b, 0)
                    for a in range(3) for b in range(3) if a != b)
@@ -234,7 +235,7 @@ class TestColliderAndRules:
             else:
                 assert mark == UNDIRECTED, (edges, a, b, mark)
 
-    def test_run_pcmciplus_reports_its_ambiguous_triples(self, monkeypatch):
+    def test_pcmciplus_reports_its_ambiguous_triples(self, monkeypatch):
         import jtscd.discovery as discovery
         found = []
         original = discovery.collider_phase
@@ -246,8 +247,8 @@ class TestColliderAndRules:
         monkeypatch.setattr(discovery, "collider_phase", recording)
         for seed in range(10):
             _, g = generate_random_model(n_system=4, seed=seed, max_lag=2)
-            result = run_pcmciplus(GraphOracle(g, 2), tau_max=2,
-                                   collider_rule="majority")
+            result = j_pcmciplus(GraphOracle(mask_contexts_latent(g), 2), tau_max=2,
+                                 use_dummies=False, collider_rule="majority")
             assert result.ambiguous_triples == found[-1], seed
         assert sum(map(bool, found)) >= 5
 
@@ -258,7 +259,7 @@ class TestJPC:
         g.add_edge(2, 0, 0)
         g.add_edge(2, 1, 0)
         o = GraphOracle(g, 0)
-        res = j_pc(o, alpha=0.05)
+        res = j_pcmciplus(o, 0, alpha=0.05)
         sd = o.space_dummy
         assert res.graph.has_link(sd, 0, 0) and res.graph.has_link(sd, 1, 0)
         assert not res.graph.has_link(0, 1, 0)
@@ -269,7 +270,7 @@ class TestJPC:
         g.add_edge(2, 0, 0)
         g.add_edge(0, 1, 0)
         o = GraphOracle(g, 1)
-        res = j_pc(o, alpha=0.05)
+        res = j_pcmciplus(o, 0, alpha=0.05)
         # collider check on C -> X0 o-o X1 resolves the chain direction
         assert res.graph.mark(0, 1, 0) == "-->"
         assert res.graph.mark(2, 0, 0) == "-->"
@@ -281,9 +282,10 @@ class TestJPC:
                 ctx_link_prob=0.0, seed=seed, lag_free=True)
             dc = simulate(spec, M=1, T=400, seed=seed + 100)
             ci = ParCorrCI(pool_data(dc, 0))
-            res = j_pc(ci, alpha=0.05)
+            res = j_pcmciplus(ci, 0, alpha=0.05)
             # without contexts and dummies J-PC is plain PC over the system
-            plain = j_pc(ParCorrCI(pool_data(dc, 0)), alpha=0.05, use_dummy=False)
+            plain = j_pcmciplus(ParCorrCI(pool_data(dc, 0)), 0, alpha=0.05,
+                                use_dummies=False)
             assert plain.graph.n_vars == 4
             assert dummy_deletion(res.graph) == dummy_deletion(plain.graph)
 
@@ -295,7 +297,7 @@ class TestJPC:
                 n_system=3, n_temporal_ctx=0, n_spatial_ctx=2,
                 frac_observed=frac, seed=seed, lag_free=True)
             o = GraphOracle(g, 1)
-            res = j_pc(o, alpha=0.05)
+            res = j_pcmciplus(o, 0, alpha=0.05)
             dd = dummy_deletion(res.graph)
             tg = target_graph(g)
             assert adjacency_set(dd) == adjacency_set(tg), (seed, frac)
@@ -338,6 +340,14 @@ class TestJPCMCIPlus:
         o = GraphOracle(g, 2)
         res = j_pcmciplus(o, tau_max=2, alpha=0.05)
         assert all(not parents for parents in res.dummy_parents.values())
+        # every variant maps each system variable, held parents or none
+        dc = simulate(spec, M=2, T=30, seed=3)
+        system = list(range(spec.n_system))
+        for variant, tau_max in itertools.product(VARIANTS, (2, 0)):
+            res = estimate_graph(dc, variant=variant, ci="oracle", ground_truth=g,
+                                 tau_max=tau_max)
+            assert list(res.context_parents) == system, (variant, tau_max)
+            assert list(res.dummy_parents) == system, (variant, tau_max)
 
     def test_stage_c_conditions_on_no_dummy(self, monkeypatch):
         # stage C, a joint discovery's first sweep, draws S from system and
@@ -368,7 +378,8 @@ class TestJPCMCIPlus:
                                           seed=seed, lag_free=True)
             dc = simulate(spec, M=4, T=60, seed=seed + 50)
             runs += [lambda g=g: j_pcmciplus(GraphOracle(g, 2), tau_max=2),
-                     lambda g0=g0: j_pc(GraphOracle(g0, 0), collider_rule="majority"),
+                     lambda g0=g0: j_pcmciplus(GraphOracle(g0, 0), 0,
+                                               collider_rule="majority"),
                      lambda dc=dc: estimate_graph(dc, tau_max=2, collider_rule="majority"),
                      lambda dc=dc: estimate_graph(dc, variant="pcmci+D", tau_max=2),
                      lambda dc=dc: estimate_graph(dc, tau_max=0)]
@@ -405,8 +416,8 @@ class TestJPCMCIPlus:
             dc = simulate(spec, M=1, T=120, seed=seed + 50)
             joint = j_pcmciplus(ParCorrCI(pool_data(dc, 2)), tau_max=2,
                                 alpha=0.05)
-            plain = run_pcmciplus(ParCorrCI(pool_data(dc, 2)), tau_max=2,
-                                  alpha=0.05)
+            plain = j_pcmciplus(ParCorrCI(pool_data(dc.mask_all_latent(), 2)), tau_max=2,
+                                alpha=0.05, use_dummies=False)
             assert dummy_deletion(joint.graph) == plain.graph
 
     def test_preset_parcorr_deconfounds_majority_of_seeds(self):
@@ -461,9 +472,8 @@ class TestAlwaysConditionedDummies:
                 dc = simulate(s, M=10, T=50, seed=seed + 300)
                 pooled = pool_data(dc.mask_all_latent(), 2)
                 fixed = [(pooled.time_dummy, 0), (pooled.space_dummy, 0)]
-                results.append(run_pcmciplus(ParCorrCI(pooled), tau_max=2,
-                                             alpha=0.05,
-                                             fixed_conditions=fixed))
+                results.append(j_pcmciplus(ParCorrCI(pooled), tau_max=2, alpha=0.05,
+                                           use_dummies=False, fixed_conditions=fixed))
             preset_res, twin_res = results
             assert preset_res.graph == twin_res.graph, seed
             preset_seps, twin_seps = (preset_res.sepsets.items(),
@@ -479,9 +489,10 @@ class TestAlwaysConditionedDummies:
         dc = simulate(spec, M=4, T=60, seed=4)
         pooled = pool_data(dc.mask_all_latent(), 2)
         as_lists = [[pooled.time_dummy, 0], [pooled.space_dummy, 0]]
-        res = run_pcmciplus(ParCorrCI(pooled), tau_max=2, fixed_conditions=as_lists)
-        ref = run_pcmciplus(ParCorrCI(pooled), tau_max=2,
-                            fixed_conditions=[tuple(s) for s in as_lists])
+        res = j_pcmciplus(ParCorrCI(pooled), tau_max=2, use_dummies=False,
+                          fixed_conditions=as_lists)
+        ref = j_pcmciplus(ParCorrCI(pooled), tau_max=2, use_dummies=False,
+                          fixed_conditions=[tuple(s) for s in as_lists])
         assert res.graph == ref.graph
         assert res.sepsets.items() == ref.sepsets.items()
         assert all((pooled.time_dummy, 0) in e.z for _, e in res.sepsets.items())
@@ -490,17 +501,17 @@ class TestAlwaysConditionedDummies:
         # a batch that raises is asked again one query at a time, so the
         # error names the query that fails
         spec, _ = generate_random_model(seed=3, max_lag=2)
-        ci = ParCorrCI(pool_data(simulate(spec, M=4, T=60, seed=4), 2))
+        ci = ParCorrCI(pool_data(simulate(spec, M=4, T=60, seed=4).mask_all_latent(), 2))
         with pytest.raises(DiscoveryError, match=r"^CI test failed for \(0, 1\) vs \(0, 0\) "
                                                  r"given \[\(99, 0\)\]: selector \(99, 0\) out of range"):
-            run_pcmciplus(ci, tau_max=2, fixed_conditions=[(99, 0)])
+            j_pcmciplus(ci, tau_max=2, use_dummies=False, fixed_conditions=[(99, 0)])
 
     @pytest.mark.parametrize("entry", [[5, 0, 1], 5, (5, "0"), "ab", None])
     def test_malformed_fixed_condition_is_refused_before_any_test(self, entry):
         spec, _ = generate_random_model(seed=3, max_lag=2)
-        ci = ParCorrCI(pool_data(simulate(spec, M=4, T=60, seed=4), 2))
+        ci = ParCorrCI(pool_data(simulate(spec, M=4, T=60, seed=4).mask_all_latent(), 2))
         with pytest.raises(ValueError, match=r"^fixed condition .* is not a \(var, lag\) pair"):
-            run_pcmciplus(ci, tau_max=2, fixed_conditions=[(5, 0), entry])
+            j_pcmciplus(ci, tau_max=2, use_dummies=False, fixed_conditions=[(5, 0), entry])
         assert ci.n_tests == 0
 
 
@@ -575,10 +586,12 @@ class TestEstimateGraph:
         dc = simulate(spec, M=2, T=30, seed=2)
         with pytest.raises(ValueError, match="unknown collider rule 'Majority'"):
             estimate_graph(dc, collider_rule="Majority")
-        for driver in (j_pcmciplus, run_pcmciplus, j_pc):
-            oracle = GraphOracle(g, 2)
+        # J-PCMCI+, PCMCI+ on the context-masked oracle, and J-PC
+        for truth, kwargs in ((g, {}), (mask_contexts_latent(g), dict(use_dummies=False)),
+                              (g, dict(tau_max=0))):
+            oracle = GraphOracle(truth, 2)
             with pytest.raises(ValueError, match="unknown collider rule"):
-                driver(oracle, collider_rule="Majority")
+                j_pcmciplus(oracle, collider_rule="Majority", **kwargs)
             assert oracle.n_tests == 0
 
     @pytest.mark.parametrize("alpha", [2.0, -0.5, float("nan")])
@@ -591,32 +604,33 @@ class TestEstimateGraph:
                 estimate_graph(dc, variant=variant, ci=ci, ground_truth=g, alpha=alpha,
                                tau_max=tau_max)
 
-    @pytest.mark.parametrize("driver", [j_pcmciplus, run_pcmciplus])
-    def test_parcorr_refuses_a_tau_max_beyond_its_window(self, driver):
+    @pytest.mark.parametrize("variant", [pytest.param("jpcmci+", id="j_pcmciplus"), "pcmci+"])
+    def test_parcorr_refuses_a_tau_max_beyond_its_window(self, variant):
         # data pooled at tau_max 1 holds lags up to 2; a discovery at
         # tau_max 2 shifts conditioning sets to lag 4
         spec, _ = generate_random_model(seed=1, max_lag=2)
-        dc = simulate(spec, M=4, T=40, seed=2)
+        dc, _, use_dummies = variant_view(variant, simulate(spec, M=4, T=40, seed=2))
         ci = ParCorrCI(pool_data(dc, 1))
         for tau_max in (2, -1):
             with pytest.raises(ValueError, match=rf"^tau_max={tau_max} must lie in \[0, 1\]: "
                                r"a discovery asks lags up to 2 \* tau_max, "
                                r"and the CI test's selectors end at lag 2$"):
-                driver(ci, tau_max=tau_max)
+                j_pcmciplus(ci, tau_max=tau_max, use_dummies=use_dummies)
         assert ci.n_tests == 0
-        driver(ci, tau_max=1)
+        j_pcmciplus(ci, tau_max=1, use_dummies=use_dummies)
 
-    @pytest.mark.parametrize("driver", [j_pcmciplus, run_pcmciplus])
-    def test_oracle_refuses_a_tau_max_beyond_its_window(self, driver):
+    @pytest.mark.parametrize("variant", [pytest.param("jpcmci+", id="j_pcmciplus"), "pcmci+"])
+    def test_oracle_refuses_a_tau_max_beyond_its_window(self, variant):
         _, g = generate_random_model(seed=1, max_lag=2)
-        oracle = GraphOracle(g, 1, unroll_depth=2)
+        _, truth, use_dummies = variant_view(variant, ground_truth=g)
+        oracle = GraphOracle(truth, 1, unroll_depth=2)
         for tau_max in (2, -1):
             with pytest.raises(ValueError, match=rf"^tau_max={tau_max} must lie in \[0, 1\]: "
                                r"a discovery asks lags up to 2 \* tau_max, "
                                r"and the CI test's selectors end at lag 2$"):
-                driver(oracle, tau_max=tau_max)
+                j_pcmciplus(oracle, tau_max=tau_max, use_dummies=use_dummies)
         assert oracle.n_tests == 0
-        driver(oracle, tau_max=1)
+        j_pcmciplus(oracle, tau_max=1, use_dummies=use_dummies)
 
     @staticmethod
     def parcorr_run(dc, entry, tau_max=2):
@@ -625,8 +639,6 @@ class TestEstimateGraph:
         (``entry="ParCorrCI"``, J-PC at tau_max 0)."""
         if entry != "ParCorrCI":
             return estimate_graph(dc, variant=entry, tau_max=tau_max)
-        if tau_max == 0:
-            return j_pc(ParCorrCI(pool_data(dc, 0)))
         return j_pcmciplus(ParCorrCI(pool_data(dc, tau_max)), tau_max=tau_max)
 
     @pytest.mark.parametrize("entry", ["jpcmci+", "pcmci+", "ParCorrCI"])
@@ -694,8 +706,9 @@ class TestBatchedPhases:
             fixed = [(masked.time_dummy, 0), (masked.space_dummy, 0)]
             runs += [lambda o=o: j_pcmciplus(o, tau_max=2),
                      lambda o=o: j_pcmciplus(o, tau_max=2, collider_rule="majority"),
-                     lambda o0=o0: j_pc(o0, collider_rule="majority"),
-                     lambda m=masked, f=fixed: run_pcmciplus(m, tau_max=2, fixed_conditions=f)]
+                     lambda o0=o0: j_pcmciplus(o0, 0, collider_rule="majority"),
+                     lambda m=masked, f=fixed: j_pcmciplus(m, tau_max=2, use_dummies=False,
+                                                           fixed_conditions=f)]
         self.assert_same_as_sequential(runs, monkeypatch)
 
     def test_parcorr(self, monkeypatch):
@@ -711,5 +724,6 @@ class TestBatchedPhases:
             runs += [lambda dc=dc, v=v, t=t: estimate_graph(dc, variant=v, tau_max=t)
                      for v in VARIANTS for t in (2, 0)]
             runs += [lambda dc=dc: estimate_graph(dc, tau_max=2, collider_rule="majority"),
-                     lambda ci=ci, f=fixed: run_pcmciplus(ci, tau_max=2, fixed_conditions=f)]
+                     lambda ci=ci, f=fixed: j_pcmciplus(ci, tau_max=2, use_dummies=False,
+                                                        fixed_conditions=f)]
         self.assert_same_as_sequential(runs, monkeypatch)

@@ -10,8 +10,11 @@ raised would be recorded by its error message; none does.  (The majority
 collider rule used to condition a context on the dummy of its own kind, and
 six lag-free oracle runs recorded the ``DiscoveryError`` that caused.)
 Graph text is compared exactly, node set included: lag-free runs without
-dummies (``j_pc(use_dummy=False)``, and ``pcmci+C`` and ``pcmci+`` at
-``tau_max=0``) return graphs that end before the two dummy nodes.
+dummies (``j_pcmciplus(tau_max=0, use_dummies=False)``, and ``pcmci+C`` and
+``pcmci+`` at ``tau_max=0``) return graphs that end before the two dummy
+nodes.  The always-conditioned baseline (``pcmci+fixed``) is
+``j_pcmciplus`` without dummies on the context-masked oracle, with both
+dummies as fixed conditions.
 
 Re-record only when outputs change on purpose::
 
@@ -24,8 +27,7 @@ from pathlib import Path
 import pytest
 
 from jtscd.citests import GraphOracle
-from jtscd.discovery import (DiscoveryError, estimate_graph, j_pc, j_pcmciplus,
-                             run_pcmciplus)
+from jtscd.discovery import DiscoveryError, estimate_graph, j_pcmciplus
 from jtscd.graph import mask_contexts_latent
 from jtscd.scm import generate_random_model, simulate
 
@@ -55,13 +57,14 @@ def _oracle_runs(seed):
     yield "jpcmci+", lambda: j_pcmciplus(o, tau_max=2)
     yield "jpcmci+/no-dummy", lambda: j_pcmciplus(o, tau_max=2, use_dummies=False)
     yield "jpcmci+/majority", lambda: j_pcmciplus(o, tau_max=2, collider_rule="majority")
-    yield "jpc", lambda: j_pc(o0)
-    yield "jpc/no-dummy", lambda: j_pc(o0, use_dummy=False)
-    yield "jpc/majority", lambda: j_pc(o0, collider_rule="majority")
-    yield "pcmci+fixed", lambda: run_pcmciplus(masked, tau_max=2,
-                                               fixed_conditions=fixed)
-    yield "pcmci+fixed/majority", lambda: run_pcmciplus(
-        masked, tau_max=2, fixed_conditions=fixed, collider_rule="majority")
+    yield "jpc", lambda: j_pcmciplus(o0, 0)
+    yield "jpc/no-dummy", lambda: j_pcmciplus(o0, 0, use_dummies=False)
+    yield "jpc/majority", lambda: j_pcmciplus(o0, 0, collider_rule="majority")
+    yield "pcmci+fixed", lambda: j_pcmciplus(masked, tau_max=2, use_dummies=False,
+                                             fixed_conditions=fixed)
+    yield "pcmci+fixed/majority", lambda: j_pcmciplus(
+        masked, tau_max=2, use_dummies=False, fixed_conditions=fixed,
+        collider_rule="majority")
 
 
 def _parcorr_runs(seed):
