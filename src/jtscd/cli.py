@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -16,16 +17,33 @@ from .pooling import pool_data
 # that scm owns their defaults
 _MODEL_KEYS = ("n_system", "n_temporal_ctx", "n_spatial_ctx", "frac_observed",
                "max_lag", "lag_free")
-_SIMULATE_KEYS = ("preset", "seed", "data_seed", "M", "T", "burn_in") + _MODEL_KEYS
+# what each config key but "preset" must hold, checked before any draw; scm
+# bounds the integers further, the seeds aside
+_CONFIG_KINDS = {
+    **dict.fromkeys(("M", "T", "burn_in", "n_system", "n_temporal_ctx", "n_spatial_ctx",
+                     "max_lag"), (bench._is_integer, "an integer")),
+    **dict.fromkeys(("seed", "data_seed"),
+                    (lambda v: bench._is_integer(v) and v >= 0, "a non-negative integer")),
+    "frac_observed": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+                      "a number"),
+    "lag_free": (lambda v: isinstance(v, bool), "true or false")}
 
 
 def _cmd_simulate(args):
     cfg = json.loads(Path(args.config).read_text())
-    unknown = set(cfg) - set(_SIMULATE_KEYS)
+    if not isinstance(cfg, dict):
+        raise ValueError("the config must be a JSON object of config keys")
+    unknown = set(cfg) - set(_CONFIG_KINDS) - {"preset"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if cfg.get("preset", "simplified") != "simplified":
         raise ValueError(f"unknown preset {cfg['preset']!r}")
+    if "preset" in cfg and set(cfg) & set(_MODEL_KEYS):
+        raise ValueError(f"model keys {sorted(set(cfg) & set(_MODEL_KEYS))} do not apply "
+                         f"to a preset")
+    for key, (holds, kind) in _CONFIG_KINDS.items():
+        if key in cfg and not holds(cfg[key]):
+            raise ValueError(f"{key}={cfg[key]!r} must be {kind}")
     seed = cfg.get("seed", 0)
     if cfg.get("preset") == "simplified":
         spec, graph = scm.simplified_preset()
@@ -109,13 +127,13 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command; a ``ValueError`` it raises (a malformed config, for
-    instance) is reported on one stderr line with argparse's usage status 2."""
+    """Run one command; a ``ValueError`` or ``OSError`` it raises (a malformed
+    config or a missing file) is one stderr line with argparse's usage status 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

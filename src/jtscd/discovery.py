@@ -6,11 +6,10 @@ link: the lagged drivers left by an optional lagged-adjacency phase and the
 context and dummy links into the system variables, all directed (time
 order and exogeneity), and the system clique, undirected.  Each stage is
 one ``_skeleton_sweep`` of that graph, given the tested pairs, the roles the
-subsets S are drawn from, the base conditioning sets and the fixed
-conditions.  A stage reads the links kept by earlier stages straight from
-the graph.  The pruned graph is oriented in place by the collider and
-propagation rules and returned; conflicting collider orientations are
-marked ``x-x``.
+subsets S are drawn from and the base conditioning sets.  A stage reads
+the links kept by earlier stages straight from the graph.  The pruned graph
+is oriented in place by the collider and propagation rules and returned;
+conflicting collider orientations are marked ``x-x``.
 
 The tests of one level do not depend on each other's order (PC-stable), so
 each is asked in batches through ``ci.batch``: one batch per level of the
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +65,9 @@ class SepSetEntry:
     """Separating set found when a link was removed.
 
     ``s`` is the contemporaneous subset chosen by the search (used by the
-    collider rule); ``z`` is the full conditioning set of the accepting test
-    and ``pair`` its ``(i, tau, j)`` anchor, so the decision can be replayed
-    exactly.
+    collider rule); ``z`` is the conditioning set the discovery asked in the
+    accepting test and ``pair`` its ``(i, tau, j)`` anchor: replaying ``z``
+    through the same CI test repeats the decision exactly.
     """
     s: tuple
     z: tuple
@@ -139,8 +137,7 @@ def _run_batch(ci, queries):
 # lagged phase
 
 
-def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
-                              sepsets=None):
+def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, sepsets=None):
     """Iterative lagged-adjacency search (one condition set per cardinality).
 
     For every system and observed temporal-context variable the CI test
@@ -162,7 +159,6 @@ def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
     roles = ci.var_roles
     system = [v for v, r in enumerate(roles) if r.is_system]
     tctx = [v for v, r in enumerate(roles) if r is VariableRole.TEMPORAL_CONTEXT]
-    fixed = list(fixed_conditions)
     current, vals = {}, {}
     for j in system + tctx:
         drivers = system + tctx if j in system else tctx
@@ -174,7 +170,7 @@ def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
     dim = 0
     active = [j for j in current if len(current[j]) - 1 >= dim]
     while active:
-        asked = [(j, cand, [c for c in current[j] if c != cand][:dim] + fixed)
+        asked = [(j, cand, [c for c in current[j] if c != cand][:dim])
                  for j in active for cand in current[j]]
         results = _run_batch(ci, [(cand, (j, 0), z) for j, cand, z in asked])
         removed = set()
@@ -198,17 +194,15 @@ def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
 # skeleton sweep engine
 
 
-def _base_part(base_sets, i, tau, j, fixed, roles):
+def _base_part(base_sets, i, tau, j, roles):
     """The part of a conditioning set that does not depend on the subset:
-    target-side base set minus the tested driver, driver-side base set
-    shifted by ``tau`` (single-node variables keep pseudo-lag 0), plus any
-    fixed conditions; first occurrences only, without the tested
-    endpoints."""
+    target-side base set, then the driver-side base set shifted by ``tau``
+    (single-node variables keep pseudo-lag 0); first occurrences only,
+    without the tested endpoints."""
     shifted = [(v, lag + tau) if roles[v].is_time_indexed else (v, lag)
                for (v, lag) in base_sets.get(i, ())]
     ends = {(i, tau), (j, 0)}
-    return [sel for sel in dict.fromkeys(itertools.chain(base_sets.get(j, ()),
-                                                         shifted, fixed))
+    return [sel for sel in dict.fromkeys(itertools.chain(base_sets.get(j, ()), shifted))
             if sel not in ends]
 
 
@@ -243,12 +237,12 @@ def _link_tests(links, p):
             yield link, S, rest
 
 
-def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, fixed=()):
+def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
     """Remove links of ``graph`` among ``pairs`` by CI tests with growing
     subsets ``S``, until no link has enough adjacencies left.
 
     ``S`` is drawn from the contemporaneous adjacencies with a role in
-    ``s_roles``; ``base`` and ``fixed`` complete each conditioning set (see
+    ``s_roles``; ``base`` completes each conditioning set (see
     ``_base_part``, built once per link).  Within one cardinality level,
     candidate subsets are drawn from the adjacency sets frozen at level
     start, so decisions do not depend on the order in which the links are
@@ -261,7 +255,7 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, fixed=()):
         return
     roles = ci.var_roles  # every variable the CI test knows, dummies included
     strengths = {}
-    rests = {(i, tau, j): _base_part(base, i, tau, j, fixed, roles) for (i, tau, j) in pairs}
+    rests = {(i, tau, j): _base_part(base, i, tau, j, roles) for (i, tau, j) in pairs}
     p = 0
     while True:
         adj = _contemp_adjacencies(graph, s_roles, strengths)
@@ -336,8 +330,7 @@ def _orient(graph, a, b, oriented):
     return True
 
 
-def collider_phase(graph, sepsets, rule="none", ci=None, base_sets=None,
-                   alpha=None, fixed_conditions=()):
+def collider_phase(graph, sepsets, rule="none", ci=None, base_sets=None, alpha=None):
     """Orient unshielded triples of ``graph`` as colliders, in place.
 
     With ``rule="none"`` the middle node is checked against the stored
@@ -370,7 +363,7 @@ def collider_phase(graph, sepsets, rule="none", ci=None, base_sets=None,
             pool = [a for a in adj[j] if a != (i, tau)]
             if tau == 0:
                 pool += [a for a in adj[i] if a != (j, 0) and a not in pool]
-            rest = _base_part(base_sets, i, tau, j, fixed_conditions, graph.roles)
+            rest = _base_part(base_sets, i, tau, j, graph.roles)
             own = {_OWN_DUMMY.get(roles[i]), _OWN_DUMMY.get(roles[j])}
             rest = [sel for sel in rest if roles[sel[0]] not in own]
             subsets = [S for size in range(len(pool) + 1)
@@ -462,22 +455,7 @@ def _held(graph, variables, j):
             if graph.has_link(v, j, lag)]
 
 
-def _fixed_selectors(fixed):
-    """``fixed`` as a tuple of ``(var, lag)`` tuples of integers; a
-    malformed entry is a ``ValueError`` that names it."""
-    out = []
-    for sel in fixed:
-        try:
-            var, lag = sel
-            out.append((operator.index(var), operator.index(lag)))
-        except (TypeError, ValueError):
-            raise ValueError(f"fixed condition {sel!r} is not a (var, lag) pair "
-                             f"of integers") from None
-    return tuple(out)
-
-
-def j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=True, collider_rule="none",
-                fixed_conditions=()):
+def j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=True, collider_rule="none"):
     """J-PCMCI+: prune one graph stage by stage, then orient it (module
     docstring), and return a ``DiscoveryResult``.
 
@@ -487,9 +465,8 @@ def j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=True, collider_rule="none
     only at 0.  A ``tau_max`` above 0 runs the lagged phase first and the
     refinement after stage D.  Context- and dummy-system links keep the
     context as parent (exogeneity), lagged links follow time order.
-    ``fixed_conditions`` selectors are appended to every conditioning set of
-    the lagged phase and stage S; the dummy blocks on context-masked data,
-    without ``use_dummies``, make the always-conditioned baseline.
+    Without ``use_dummies``, on a context-masked CI test that appends both
+    dummies to every query, this is the always-conditioned baseline.
     ``alpha`` must lie in [0, 1] and ``tau_max`` be non-negative, with
     ``2 * tau_max``, the deepest lag a discovery asks, among the lags of
     ``ci.selectors``; the inputs are checked before any test.
@@ -502,7 +479,6 @@ def j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=True, collider_rule="none
                          f"asks lags up to 2 * tau_max, and the CI test's selectors end "
                          f"at lag {window}")
     _check_collider_rule(collider_rule)
-    fixed = _fixed_selectors(fixed_conditions)
     roles = list(ci.var_roles)
     system = [v for v, r in enumerate(roles) if r.is_system]
     tctx = [v for v, r in enumerate(roles) if r is VariableRole.TEMPORAL_CONTEXT]
@@ -516,8 +492,7 @@ def j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=True, collider_rule="none
         raise ValueError("graph variables must form a prefix of the index space")
     sepsets = SepSetStore()
     lagged = tau_max > 0
-    adjacencies = lagged_skeleton_pcmciplus(
-        ci, tau_max, alpha, fixed_conditions=fixed, sepsets=sepsets) if lagged else None
+    adjacencies = lagged_skeleton_pcmciplus(ci, tau_max, alpha, sepsets) if lagged else None
     lagged_sets = adjacencies if lagged else {v: [] for v in range(len(roles))}
     lagged_sys = {j: [(i, lag) for (i, lag) in lagged_sets[j] if roles[i].is_system]
                   for j in system}
@@ -562,11 +537,10 @@ def j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=True, collider_rule="none
     base = {j: lagged_sys[j] + _held(graph, contexts, j) + _held(graph, dummies, j)
             for j in system}
     pairs = [(i, lag, j) for j in system for (i, lag) in lagged_sys[j]]
-    sweep(pairs + clique + [(b, 0, a) for (a, _, b) in clique], _SYSTEM_ONLY, base,
-          fixed)
+    sweep(pairs + clique + [(b, 0, a) for (a, _, b) in clique], _SYSTEM_ONLY, base)
 
     ambiguous = collider_phase(graph, sepsets, rule=collider_rule, ci=ci, base_sets=base,
-                               alpha=alpha, fixed_conditions=fixed)
+                               alpha=alpha)
     rule_phase(graph, ambiguous)
     return DiscoveryResult(graph=graph, sepsets=sepsets, lagged=adjacencies,
                            context_parents={j: _held(graph, contexts, j) for j in system},

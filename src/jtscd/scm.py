@@ -276,10 +276,17 @@ class DatasetCollection:
 
     @classmethod
     def from_dir(cls, path):
+        """Read a ``to_dir`` directory; a malformed meta.json is a ``ValueError``."""
         path = Path(path)
         meta = json.loads((path / "meta.json").read_text())
-        M, T = meta["M"], meta["T"]
-        n_sys, n_t, n_s = meta["n_system"], meta["n_temporal_ctx"], meta["n_spatial_ctx"]
+        counts = ("M", "T", "n_system", "n_temporal_ctx", "n_spatial_ctx")
+        for key in counts + ("observed_mask",):
+            if not isinstance(meta, dict) or key not in meta:
+                raise ValueError(f"{path / 'meta.json'} has no {key!r}")
+            if key in counts and (type(meta[key]) is not int or meta[key] < 0):
+                raise ValueError(f"{path / 'meta.json'}: {key}={meta[key]!r} must be a "
+                                 f"non-negative integer")
+        M, T, n_sys, n_t, n_s = (meta[key] for key in counts)
         system = np.zeros((M, T, n_sys))
         temporal = np.zeros((T, n_t))
         spatial = np.zeros((M, n_s))

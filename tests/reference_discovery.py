@@ -25,8 +25,7 @@ def _run_ci(ci, x, y, z):
         raise DiscoveryError(f"CI test failed for {x} vs {y} given {z}: {exc}") from exc
 
 
-def sequential_lagged_skeleton(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
-                               sepsets=None):
+def sequential_lagged_skeleton(ci, tau_max=2, alpha=0.05, sepsets=None):
     if tau_max < 1:
         raise ValueError("the lagged phase needs tau_max >= 1")
     roles = ci.var_roles
@@ -41,8 +40,7 @@ def sequential_lagged_skeleton(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
         while len(current) - 1 >= dim:
             removed = set()
             for cand in current:
-                others = [c for c in current if c != cand][:dim]
-                z = list(others) + list(fixed_conditions)
+                z = [c for c in current if c != cand][:dim]
                 res = _run_ci(ci, cand, (j, 0), z)
                 vals[cand] = min(vals[cand], abs(res.statistic))
                 if res.p_value > alpha:
@@ -60,12 +58,11 @@ def sequential_lagged_skeleton(ci, tau_max=2, alpha=0.05, fixed_conditions=(),
     return sets
 
 
-def _condition_set(S, base_sets, i, tau, j, fixed, roles):
+def _condition_set(S, base_sets, i, tau, j, roles):
     shifted = [(v, lag + tau) if roles[v].is_time_indexed else (v, lag)
                for (v, lag) in base_sets.get(i, ())]
     ends = {(i, tau), (j, 0)}
-    return [sel for sel in dict.fromkeys(itertools.chain(S, base_sets.get(j, ()),
-                                                         shifted, fixed))
+    return [sel for sel in dict.fromkeys(itertools.chain(S, base_sets.get(j, ()), shifted))
             if sel not in ends]
 
 
@@ -80,7 +77,7 @@ def _contemp_adjacencies(graph, allowed_roles, strengths):
     return adj
 
 
-def sequential_skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, fixed=()):
+def sequential_skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
     pairs = sorted(set(pairs), key=lambda p: (p[2], p[1], p[0]))
     roles = ci.var_roles
     strengths = {}
@@ -100,7 +97,7 @@ def sequential_skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base, f
                      for S in itertools.combinations(
                          [a for a in adj[j] if a != (i, tau)], p))
             for (i, tau, j, S) in tests:
-                z = _condition_set(S, base, i, tau, j, fixed, roles)
+                z = _condition_set(S, base, i, tau, j, roles)
                 res = _run_ci(ci, (i, tau), (j, 0), z)
                 link = (i, tau, j)
                 strengths[link] = min(strengths.get(link, np.inf), abs(res.statistic))

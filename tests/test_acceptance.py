@@ -23,6 +23,7 @@ from jtscd.pooling import pool_data
 from jtscd.scm import (DatasetCollection, generate_random_model,
                        simplified_preset, simulate)
 
+from always_conditioned import AlwaysConditioned
 from reference_kernel import centered_parcorr_test
 
 
@@ -162,10 +163,9 @@ class TestAcceptance:
         for r in range(n_real):
             dc = simulate(spec, M=M, T=T, seed=seed_for(tag, T, M, r))
             pooled = pool_data(dc.mask_all_latent(), 2)
-            ci = ParCorrCI(pooled)
-            fixed = [(pooled.time_dummy, 0), (pooled.space_dummy, 0)]
-            result = j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=False,
-                                 fixed_conditions=fixed)
+            ci = AlwaysConditioned(ParCorrCI(pooled),
+                                   [(pooled.time_dummy, 0), (pooled.space_dummy, 0)])
+            result = j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=False)
             rep = score(result.graph, target_sys)
             vals.append(rep.metric(LinkClass.SYSTEM_SYSTEM, "fpr"))
         return float(np.mean(vals))

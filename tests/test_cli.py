@@ -49,10 +49,26 @@ class TestSimulate:
         ({"n_spatial_ctx": -1}, "context counts must be non-negative"),
         ({"burn_in": -5}, "burn_in must be non-negative"),
         ({"M": 0}, "M=0 must be at least 1"),
+        # value types are checked before any draw; a string is the whole config
+        ({"M": "a"}, "M='a' must be an integer"),
+        ({"M": True}, "M=True must be an integer"),
+        ({"T": 2.5}, r"T=2\.5 must be an integer"),
+        ({"n_system": 2.0}, r"n_system=2\.0 must be an integer"),
+        ({"seed": 1.5}, r"seed=1\.5 must be a non-negative integer"),
+        ({"seed": -1}, "seed=-1 must be a non-negative integer"),
+        ({"data_seed": "x"}, "data_seed='x' must be a non-negative integer"),
+        ({"frac_observed": "0.5"}, r"frac_observed='0\.5' must be a number"),
+        ({"lag_free": "no", "n_temporal_ctx": 0}, "lag_free='no' must be true or false"),
+        ('{"preset": "simplified", "n_system": 7}',
+         r"model keys \['n_system'\] do not apply to a preset"),
+        ("[1, 2]", "the config must be a JSON object of config keys"),
     ])
     def test_malformed_config_is_refused(self, tmp_path, capsys, extra, message):
         cfg_path = tmp_path / "cfg.json"
-        write_sim_config(cfg_path, **extra)
+        if isinstance(extra, str):
+            cfg_path.write_text(extra)
+        else:
+            write_sim_config(cfg_path, **extra)
         out = tmp_path / "data"
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -153,6 +169,32 @@ class TestDiscover:
                      "--variant", "pcmci+", "--out", str(out)]) == 0
         est = TimeSeriesGraph.from_text(out.read_text())
         assert all(r.value == "System" for r in est.roles)
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command, meta, message", [
+        ("discover", None, r"\[Errno 2\] No such file or directory: '.*missing/meta\.json'"),
+        ("simulate", None, r"\[Errno 2\] No such file or directory: '.*missing'"),
+        ("bench", None, r"\[Errno 2\] No such file or directory: '.*missing'"),
+        ("discover", {"observed_mask": None}, r".*data/meta\.json has no 'observed_mask'"),
+        ("discover", {"M": "a"}, r".*data/meta\.json: M='a' must be a non-negative integer"),
+    ], ids=["discover", "simulate", "bench", "meta-key", "meta-count"])
+    def test_is_one_error_line(self, tmp_path, capsys, command, meta, message):
+        # a missing file or a malformed meta.json, not a traceback
+        source, out = tmp_path / "missing", tmp_path / "out"
+        if meta is not None:  # a simulated directory, meta.json edited (None drops a key)
+            source = tmp_path / "data"
+            write_sim_config(tmp_path / "cfg.json")
+            main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(source)])
+            fields = {**json.loads((source / "meta.json").read_text()), **meta}
+            (source / "meta.json").write_text(
+                json.dumps({k: v for k, v in fields.items() if v is not None}))
+        flag = "--data" if command == "discover" else "--config"
+        capsys.readouterr()
+        assert main([command, flag, str(source), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"jtscd {command}: error: {message}\n", err), err
+        assert not out.exists()
 
 
 class TestBenchCLI:

@@ -18,6 +18,8 @@ from jtscd.pooling import SelectionError, pool_data
 from jtscd.scm import (ConstantColumnError, generate_random_model,
                        simplified_preset, simulate)
 
+from always_conditioned import AlwaysConditioned
+
 R = VariableRole
 
 
@@ -397,16 +399,21 @@ class TestJPCMCIPlus:
         assert n_context_z > 0 and n_later_dummy_z > 0
 
     def test_sepsets_replay_to_the_stored_pvalue(self):
+        # a stored z is the set the discovery asked: the always-conditioned
+        # baseline's CI test adds the dummies to its replay as it did to the query
         spec, g = generate_random_model(seed=3, max_lag=2)
         dc = simulate(spec, M=4, T=60, seed=4)
-        ci = ParCorrCI(pool_data(dc, 2))
-        res = j_pcmciplus(ci, tau_max=2, alpha=0.05)
-        assert res.sepsets.items()
-        for _, entry in res.sepsets.items():
-            i, tau, j = entry.pair
-            replay = ci((i, tau), (j, 0), list(entry.z))
-            assert replay.p_value == entry.p_value
-            assert replay.p_value > 0.05
+        masked = pool_data(dc.mask_all_latent(), 2)
+        always = AlwaysConditioned(ParCorrCI(masked),
+                                   [(masked.time_dummy, 0), (masked.space_dummy, 0)])
+        for ci, use_dummies in ((ParCorrCI(pool_data(dc, 2)), True), (always, False)):
+            res = j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=use_dummies)
+            assert res.sepsets.items()
+            for _, entry in res.sepsets.items():
+                i, tau, j = entry.pair
+                replay = ci((i, tau), (j, 0), list(entry.z))
+                assert replay.p_value == entry.p_value
+                assert replay.p_value > 0.05
 
     def test_reduction_to_plain_pcmciplus(self):
         for seed in range(5):
@@ -471,9 +478,9 @@ class TestAlwaysConditionedDummies:
             for s in (spec, twin):
                 dc = simulate(s, M=10, T=50, seed=seed + 300)
                 pooled = pool_data(dc.mask_all_latent(), 2)
-                fixed = [(pooled.time_dummy, 0), (pooled.space_dummy, 0)]
-                results.append(j_pcmciplus(ParCorrCI(pooled), tau_max=2, alpha=0.05,
-                                           use_dummies=False, fixed_conditions=fixed))
+                ci = AlwaysConditioned(ParCorrCI(pooled),
+                                       [(pooled.time_dummy, 0), (pooled.space_dummy, 0)])
+                results.append(j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=False))
             preset_res, twin_res = results
             assert preset_res.graph == twin_res.graph, seed
             preset_seps, twin_seps = (preset_res.sepsets.items(),
@@ -483,36 +490,14 @@ class TestAlwaysConditionedDummies:
                 assert a.z == b.z
                 assert abs(a.p_value - b.p_value) < 1e-12
 
-    def test_list_form_fixed_conditions(self):
-        # list-form selectors, as CIQuery accepts them, reach stage S intact
-        spec, _ = generate_random_model(seed=3, max_lag=2)
-        dc = simulate(spec, M=4, T=60, seed=4)
-        pooled = pool_data(dc.mask_all_latent(), 2)
-        as_lists = [[pooled.time_dummy, 0], [pooled.space_dummy, 0]]
-        res = j_pcmciplus(ParCorrCI(pooled), tau_max=2, use_dummies=False,
-                          fixed_conditions=as_lists)
-        ref = j_pcmciplus(ParCorrCI(pooled), tau_max=2, use_dummies=False,
-                          fixed_conditions=[tuple(s) for s in as_lists])
-        assert res.graph == ref.graph
-        assert res.sepsets.items() == ref.sepsets.items()
-        assert all((pooled.time_dummy, 0) in e.z for _, e in res.sepsets.items())
-
     def test_a_failing_batch_names_its_query(self):
         # a batch that raises is asked again one query at a time, so the
         # error names the query that fails
         spec, _ = generate_random_model(seed=3, max_lag=2)
         ci = ParCorrCI(pool_data(simulate(spec, M=4, T=60, seed=4).mask_all_latent(), 2))
         with pytest.raises(DiscoveryError, match=r"^CI test failed for \(0, 1\) vs \(0, 0\) "
-                                                 r"given \[\(99, 0\)\]: selector \(99, 0\) out of range"):
-            j_pcmciplus(ci, tau_max=2, use_dummies=False, fixed_conditions=[(99, 0)])
-
-    @pytest.mark.parametrize("entry", [[5, 0, 1], 5, (5, "0"), "ab", None])
-    def test_malformed_fixed_condition_is_refused_before_any_test(self, entry):
-        spec, _ = generate_random_model(seed=3, max_lag=2)
-        ci = ParCorrCI(pool_data(simulate(spec, M=4, T=60, seed=4).mask_all_latent(), 2))
-        with pytest.raises(ValueError, match=r"^fixed condition .* is not a \(var, lag\) pair"):
-            j_pcmciplus(ci, tau_max=2, use_dummies=False, fixed_conditions=[(5, 0), entry])
-        assert ci.n_tests == 0
+                                                 r"given \[\]: selector \(99, 0\) out of range"):
+            j_pcmciplus(AlwaysConditioned(ci, [(99, 0)]), tau_max=2, use_dummies=False)
 
 
 class TestEstimateGraph:
@@ -703,12 +688,12 @@ class TestBatchedPhases:
                                           seed=seed, lag_free=True)
             o, o0 = GraphOracle(g, 2), GraphOracle(g0, 0)
             masked = GraphOracle(mask_contexts_latent(g), 2)
-            fixed = [(masked.time_dummy, 0), (masked.space_dummy, 0)]
+            always = AlwaysConditioned(masked, [(masked.time_dummy, 0),
+                                                (masked.space_dummy, 0)])
             runs += [lambda o=o: j_pcmciplus(o, tau_max=2),
                      lambda o=o: j_pcmciplus(o, tau_max=2, collider_rule="majority"),
                      lambda o0=o0: j_pcmciplus(o0, 0, collider_rule="majority"),
-                     lambda m=masked, f=fixed: j_pcmciplus(m, tau_max=2, use_dummies=False,
-                                                           fixed_conditions=f)]
+                     lambda a=always: j_pcmciplus(a, tau_max=2, use_dummies=False)]
         self.assert_same_as_sequential(runs, monkeypatch)
 
     def test_parcorr(self, monkeypatch):
@@ -720,10 +705,10 @@ class TestBatchedPhases:
                                             frac_observed=0.5, seed=seed, max_lag=2)
             dc = simulate(spec, M=5, T=60, seed=seed + 70)
             ci = ParCorrCI(pool_data(dc.mask_all_latent(), 2))
-            fixed = [(v, 0) for v, r in enumerate(ci.var_roles) if r.is_dummy]
+            always = AlwaysConditioned(ci, [(v, 0) for v, r in enumerate(ci.var_roles)
+                                            if r.is_dummy])
             runs += [lambda dc=dc, v=v, t=t: estimate_graph(dc, variant=v, tau_max=t)
                      for v in VARIANTS for t in (2, 0)]
             runs += [lambda dc=dc: estimate_graph(dc, tau_max=2, collider_rule="majority"),
-                     lambda ci=ci, f=fixed: j_pcmciplus(ci, tau_max=2, use_dummies=False,
-                                                        fixed_conditions=f)]
+                     lambda a=always: j_pcmciplus(a, tau_max=2, use_dummies=False)]
         self.assert_same_as_sequential(runs, monkeypatch)

@@ -13,8 +13,9 @@ Graph text is compared exactly, node set included: lag-free runs without
 dummies (``j_pcmciplus(tau_max=0, use_dummies=False)``, and ``pcmci+C`` and
 ``pcmci+`` at ``tau_max=0``) return graphs that end before the two dummy
 nodes.  The always-conditioned baseline (``pcmci+fixed``) is
-``j_pcmciplus`` without dummies on the context-masked oracle, with both
-dummies as fixed conditions.
+``j_pcmciplus`` without dummies on the context-masked oracle wrapped in
+``AlwaysConditioned``, which adds both dummies to every query; its sepset
+``z`` is the set the discovery asked, without the dummies.
 
 Re-record only when outputs change on purpose::
 
@@ -30,6 +31,8 @@ from jtscd.citests import GraphOracle
 from jtscd.discovery import DiscoveryError, estimate_graph, j_pcmciplus
 from jtscd.graph import mask_contexts_latent
 from jtscd.scm import generate_random_model, simulate
+
+from always_conditioned import AlwaysConditioned
 
 FIXTURE = Path(__file__).with_name("data") / "discovery_golden.json"
 N_ORACLE = 20
@@ -51,7 +54,7 @@ def _oracle_runs(seed):
     _, g = _oracle_model(seed)
     o = GraphOracle(g, 2)
     masked = GraphOracle(mask_contexts_latent(g), 2)
-    fixed = [(masked.time_dummy, 0), (masked.space_dummy, 0)]
+    always = AlwaysConditioned(masked, [(masked.time_dummy, 0), (masked.space_dummy, 0)])
     _, g0 = _oracle_model(seed, lag_free=True)
     o0 = GraphOracle(g0, 1)
     yield "jpcmci+", lambda: j_pcmciplus(o, tau_max=2)
@@ -60,11 +63,9 @@ def _oracle_runs(seed):
     yield "jpc", lambda: j_pcmciplus(o0, 0)
     yield "jpc/no-dummy", lambda: j_pcmciplus(o0, 0, use_dummies=False)
     yield "jpc/majority", lambda: j_pcmciplus(o0, 0, collider_rule="majority")
-    yield "pcmci+fixed", lambda: j_pcmciplus(masked, tau_max=2, use_dummies=False,
-                                             fixed_conditions=fixed)
-    yield "pcmci+fixed/majority", lambda: j_pcmciplus(
-        masked, tau_max=2, use_dummies=False, fixed_conditions=fixed,
-        collider_rule="majority")
+    yield "pcmci+fixed", lambda: j_pcmciplus(always, tau_max=2, use_dummies=False)
+    yield "pcmci+fixed/majority", lambda: j_pcmciplus(always, tau_max=2, use_dummies=False,
+                                                      collider_rule="majority")
 
 
 def _parcorr_runs(seed):
