@@ -81,6 +81,8 @@ def _cmd_discover(args):
 
 
 def _cmd_bench(args):
+    if args.workers is not None and args.workers < 1:
+        raise ValueError(f"--workers={args.workers} must be at least 1")
     cfg = bench.ExperimentConfig.from_json(Path(args.config).read_text())
     rows, failures = bench.run_experiment(cfg, out_dir=args.out,
                                           workers=args.workers)

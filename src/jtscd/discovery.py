@@ -12,11 +12,11 @@ is oriented in place by the collider and propagation rules and returned;
 conflicting collider orientations are marked ``x-x``.
 
 The tests of one level do not depend on each other's order (PC-stable), so
-each is asked in batches through ``ci.batch``: one batch per level of the
-lagged phase across every target, one per round of a sweep level (the next
-test of every link still open), and one for all subsets of the majority
-collider rule.  Every discovery asks the same tests as one asked one at a
-time, and each link falls at the same first separating test.
+each level is one batch through ``ci.batch``: a lagged-phase level across
+every target, a sweep level across every link, and all subsets of the
+majority collider rule.  A sweep level asks every test of its links and
+keeps each link's first separating one, the test it falls at when asked
+one at a time.
 
 J-PCMCI+ runs the stages C (context-system pairs, dummies excluded), D
 (dummy-system pairs given the context parents), refinement (context links
@@ -229,14 +229,6 @@ def _contemp_adjacencies(graph, allowed_roles, strengths):
     return adj
 
 
-def _link_tests(links, p):
-    """The tests of one unordered link at level ``p``, in order: each
-    direction's subsets of its candidate list."""
-    for link, cands, rest in links:
-        for S in itertools.combinations(cands, p):
-            yield link, S, rest
-
-
 def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
     """Remove links of ``graph`` among ``pairs`` by CI tests with growing
     subsets ``S``, until no link has enough adjacencies left.
@@ -246,9 +238,10 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
     ``_base_part``, built once per link).  Within one cardinality level,
     candidate subsets are drawn from the adjacency sets frozen at level
     start, so decisions do not depend on the order in which the links are
-    visited.  One unordered link is removed at its first separating test,
-    in either direction.  A level is asked in rounds, each one batch of the
-    next test of every link still open.
+    visited, and a level is one batch of every test of every link.  One
+    unordered link is removed at its first separating test, in either
+    direction's subset order; the tests after it are asked too (a CI test's
+    ``n_tests`` counts them) and their results are dropped.
     """
     pairs = sorted(set(pairs), key=lambda p: (p[2], p[1], p[0]))
     if not pairs:  # a stage with nothing to test, such as C on masked data
@@ -268,26 +261,16 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
                     (link, cands, rests[link]))
         if not tasks:
             break
-        open_links = [_link_tests(links, p) for links in tasks.values()]
-        while open_links:
-            asked = []
-            for tests in open_links:
-                test = next(tests, None)
-                if test is not None:
-                    link, S, rest = test
-                    asked.append((tests, link, S, _with_subset(S, rest)))
-            results = _run_batch(ci, [((i, tau), (j, 0), z)
-                                      for _, (i, tau, j), _, z in asked])
-            open_links = []
-            for (tests, link, S, z), res in zip(asked, results):
-                strengths[link] = min(strengths.get(link, np.inf), abs(res.statistic))
-                if res.p_value > alpha:
-                    i, tau, j = link
-                    graph.remove_link(i, j, tau)
-                    sepsets.store(i, tau, j, SepSetEntry(tuple(S), tuple(z), res.p_value,
-                                                         res.statistic, link))
-                else:
-                    open_links.append(tests)
+        asked = [(link, S, _with_subset(S, rest)) for links in tasks.values()
+                 for link, cands, rest in links for S in itertools.combinations(cands, p)]
+        results = _run_batch(ci, [((i, tau), (j, 0), z) for (i, tau, j), _, z in asked])
+        for (link, S, z), res in zip(asked, results):
+            i, tau, j = link
+            strengths[link] = min(strengths.get(link, np.inf), abs(res.statistic))
+            if res.p_value > alpha and graph.has_link(i, j, tau):  # first to separate
+                graph.remove_link(i, j, tau)
+                sepsets.store(i, tau, j, SepSetEntry(tuple(S), tuple(z), res.p_value,
+                                                     res.statistic, link))
         p += 1
 
 

@@ -286,6 +286,10 @@ class DatasetCollection:
             if key in counts and (type(meta[key]) is not int or meta[key] < 0):
                 raise ValueError(f"{path / 'meta.json'}: {key}={meta[key]!r} must be a "
                                  f"non-negative integer")
+        mask = meta["observed_mask"]
+        if type(mask) is not list or any(type(b) is not bool for b in mask):
+            raise ValueError(f"{path / 'meta.json'}: observed_mask={mask!r} must be a list "
+                             f"of true/false values")
         M, T, n_sys, n_t, n_s = (meta[key] for key in counts)
         system = np.zeros((M, T, n_sys))
         temporal = np.zeros((T, n_t))
@@ -314,7 +318,7 @@ class DatasetCollection:
                     raise ValueError(f"spatial context changes within dataset {m} "
                                      f"at row {t}")
         return cls(system=system, temporal_ctx=temporal, spatial_ctx=spatial,
-                   observed_mask=tuple(bool(b) for b in meta["observed_mask"]))
+                   observed_mask=tuple(mask))
 
 
 def _lag_matrices(spec):

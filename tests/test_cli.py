@@ -196,6 +196,21 @@ class TestUnreadableInput:
         assert re.fullmatch(f"jtscd {command}: error: {message}\n", err), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mask", ["ab", ["yes", "no"], [1, 0], None],
+                             ids=["string", "strings", "integers", "null"])
+    def test_observed_mask_must_be_a_list_of_booleans(self, tmp_path, capsys, mask):
+        data, out = tmp_path / "data", tmp_path / "g.txt"
+        write_sim_config(tmp_path / "cfg.json")
+        main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(data)])
+        meta = json.loads((data / "meta.json").read_text())
+        (data / "meta.json").write_text(json.dumps({**meta, "observed_mask": mask}))
+        capsys.readouterr()
+        assert main(["discover", "--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"jtscd discover: error: .*data/meta\.json: observed_mask=.* "
+                            r"must be a list of true/false values\n", err), err
+        assert not out.exists()
+
 
 class TestBenchCLI:
     def bench_config(self, path, **overrides):
@@ -238,6 +253,17 @@ class TestBenchCLI:
         assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(f"jtscd bench: error: {message}\n", err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_refused(self, tmp_path, capsys, workers):
+        cfg_path = tmp_path / "bench.json"
+        self.bench_config(cfg_path)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg_path), "--out", str(out),
+                     "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err == f"jtscd bench: error: --workers={workers} must be at least 1\n", err
         assert not out.exists()
 
     def test_malformed_config_is_refused(self, tmp_path, capsys):

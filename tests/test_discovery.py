@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -659,7 +660,7 @@ class TestEstimateGraph:
 
 
 class TestBatchedPhases:
-    """The lagged phase and the sweep ask each level in batches; the
+    """The lagged phase and the sweep ask each level as one batch; the
     one-query-at-a-time versions they replaced (``reference_discovery.py``)
     must return the same graphs, separating sets and lagged sets."""
 
@@ -668,17 +669,15 @@ class TestBatchedPhases:
         return (res.graph.to_text(), res.sepsets.items(), res.lagged,
                 res.context_parents, res.dummy_parents, res.ambiguous_triples)
 
-    def assert_same_as_sequential(self, runs, monkeypatch):
+    @staticmethod
+    def sequential(monkeypatch):
         import jtscd.discovery as discovery
         from reference_discovery import sequential_lagged_skeleton, sequential_skeleton_sweep
-        batched = [self.outputs(run()) for run in runs]
         monkeypatch.setattr(discovery, "lagged_skeleton_pcmciplus", sequential_lagged_skeleton)
         monkeypatch.setattr(discovery, "_skeleton_sweep", sequential_skeleton_sweep)
-        for k, run in enumerate(runs):
-            assert self.outputs(run()) == batched[k], k
-        assert any(b[1] for b in batched)
 
-    def test_oracle(self, monkeypatch):
+    @staticmethod
+    def oracle_runs():
         runs = []
         for seed in range(6):
             _, g = generate_random_model(n_system=4, n_temporal_ctx=1, n_spatial_ctx=1,
@@ -694,9 +693,10 @@ class TestBatchedPhases:
                      lambda o=o: j_pcmciplus(o, tau_max=2, collider_rule="majority"),
                      lambda o0=o0: j_pcmciplus(o0, 0, collider_rule="majority"),
                      lambda a=always: j_pcmciplus(a, tau_max=2, use_dummies=False)]
-        self.assert_same_as_sequential(runs, monkeypatch)
+        return runs
 
-    def test_parcorr(self, monkeypatch):
+    @staticmethod
+    def parcorr_runs():
         # the sequential phases ask ``parcorr_test`` one query at a time; it
         # gives the bits of the batch, so p-values agree exactly
         runs = []
@@ -711,4 +711,77 @@ class TestBatchedPhases:
                      for v in VARIANTS for t in (2, 0)]
             runs += [lambda dc=dc: estimate_graph(dc, tau_max=2, collider_rule="majority"),
                      lambda a=always: j_pcmciplus(a, tau_max=2, use_dummies=False)]
-        self.assert_same_as_sequential(runs, monkeypatch)
+        return runs
+
+    def assert_same_as_sequential(self, runs, monkeypatch):
+        batched = [self.outputs(run()) for run in runs]
+        self.sequential(monkeypatch)
+        for k, run in enumerate(runs):
+            assert self.outputs(run()) == batched[k], k
+        assert any(b[1] for b in batched)
+
+    def test_oracle(self, monkeypatch):
+        self.assert_same_as_sequential(self.oracle_runs(), monkeypatch)
+
+    def test_parcorr(self, monkeypatch):
+        self.assert_same_as_sequential(self.parcorr_runs(), monkeypatch)
+
+    def test_a_sweep_level_is_one_batch(self, monkeypatch):
+        # a level starts with one freeze of the adjacencies; the last freeze
+        # of a sweep finds no link left to test.  The batched discovery also
+        # asks the tests after a link's first separating one, so its queries
+        # hold the sequential reference's, with the same results.
+        import jtscd.discovery as discovery
+        import reference_discovery
+        sweep, adjacencies, run_batch = (discovery._skeleton_sweep,
+                                         discovery._contemp_adjacencies, discovery._run_batch)
+        run_ci, inside, sweeps, asked = reference_discovery._run_ci, [], [], []
+
+        def key(x, y, z):
+            return tuple(x), tuple(y), tuple(map(tuple, z))
+
+        def recording_sweep(*args):
+            sweeps.append([0, []])  # levels started, the level of each batch
+            inside.append(True)
+            try:
+                return sweep(*args)
+            finally:
+                inside.pop()
+
+        def recording_adjacencies(*args):
+            if inside:
+                sweeps[-1][0] += 1
+            return adjacencies(*args)
+
+        def recording_batch(ci, queries):
+            if inside:
+                sweeps[-1][1].append(sweeps[-1][0])
+            results = run_batch(ci, queries)
+            asked.extend(zip(itertools.starmap(key, queries), results))
+            return results
+
+        def recording_ci(ci, x, y, z):
+            res = run_ci(ci, x, y, z)
+            asked.append((key(x, y, z), res))
+            return res
+
+        monkeypatch.setattr(discovery, "_contemp_adjacencies", recording_adjacencies)
+        monkeypatch.setattr(discovery, "_run_batch", recording_batch)
+        monkeypatch.setattr(reference_discovery, "_run_ci", recording_ci)
+        monkeypatch.setattr(discovery, "_skeleton_sweep", recording_sweep)
+        runs = self.oracle_runs() + self.parcorr_runs()
+        batched = []
+        for run in runs:
+            run()
+            batched.append(asked[:])
+            del asked[:]
+        for levels, batches in sweeps:
+            assert batches == list(range(1, levels)), (levels, batches)
+        assert max(levels for levels, _ in sweeps) > 3
+        self.sequential(monkeypatch)
+        for k, run in enumerate(runs):
+            run()
+            results = dict(batched[k])
+            assert not Counter(q for q, _ in asked) - Counter(q for q, _ in batched[k]), k
+            assert all(results[q] == res for q, res in asked), k
+            del asked[:]
