@@ -47,22 +47,25 @@ function (``_finish``) turns the residual sums of either into the
 ``CITestResult``.
 
 A discovery runs hundreds of such tests, each small enough that Python and
-numpy call overhead would dominate it, so a discovery asks them in batches
-(``parcorr_batch``): the tests of one level do not depend on each other's
-order.  A batch resolves each query once, groups the queries by row set,
-dummy mode, ``z`` size and endpoint kind, and gathers and factorizes each
-group's blocks in one call of the gufunc behind ``np.linalg.cholesky``
-(and inverts a group's ``L_zz`` blocks for its dummy sums in one call of
-that behind ``np.linalg.inv``).  Each block is factorized on its own
-inside the stack, so a query gets the same bits in a batch of any size,
-and ``parcorr_test`` answers one query as a batch of one.  ``CIQuery``
+numpy call overhead would dominate it, so a CI test is asked in batches
+only (``ParCorrCI.batch``, ``parcorr_batch``): the tests of one level do
+not depend on each other's order.  A batch resolves each query once,
+groups the queries by row set, dummy mode, ``z`` size and endpoint kind,
+and gathers and factorizes each group's blocks in one call of the gufunc
+behind ``np.linalg.cholesky`` (and inverts a group's ``L_zz`` blocks for
+its dummy sums in one call of that behind ``np.linalg.inv``).  Each block
+is factorized on its own inside the stack, so a query gets the same bits
+in a batch of any size; ``parcorr_test`` is a batch of one.  ``CIQuery``
 validates a query once, in its constructor; the kernel looks its
 selectors up in the table ``PooledData.selectors`` built with the pooled
 data, reads the conditioning set in one pass, and takes the Gram diagonal
 as Python floats (``GramStats.diag``).  A scalar pair finishes on Python
 floats; a dummy endpoint works on vectors of its G group rows and finishes
 on Python floats too.  A context endpoint conditioned on the dummy of its
-own kind, which it is a function of, is a ``QueryError``.
+own kind, which it is a function of, is a ``QueryError``.  Every refusal of
+a query -- by ``CIQuery``, the kernel or the oracle -- ends by naming the
+query, ``(query x=... y=... z=...)``, so a batch that raises says which of
+its queries it refused.
 
 The oracle test answers the same queries exactly from a ground-truth graph:
 a dummy inside the conditioning set stands for all context variables of its
@@ -92,6 +95,11 @@ class QueryError(ValueError):
     """Raised for malformed CI queries or violated sample-size preconditions."""
 
 
+def _naming(x, y, z):
+    """The end of the message that refuses the query ``(x, y, z)``."""
+    return f" (query x={x} y={y} z={z})"
+
+
 class CITestResult(NamedTuple):
     statistic: float
     p_value: float
@@ -115,13 +123,13 @@ class CIQuery(tuple):
     def __new__(cls, x, y, z=()):
         x, y, z = tuple(map(tuple, x)), tuple(map(tuple, y)), tuple(map(tuple, z))
         if not x or not y or () in x or () in y:
-            raise QueryError("x and y must be non-empty")
+            raise QueryError("x and y must be non-empty" + _naming(x, y, z))
         if len(x) > 1 or len(y) > 1:
-            raise QueryError("x and y must be one selector each")
+            raise QueryError("x and y must be one selector each" + _naming(x, y, z))
         if x == y:
-            raise QueryError("x and y overlap")
+            raise QueryError("x and y overlap" + _naming(x, y, z))
         if z and (x[0] in z or y[0] in z):
-            raise QueryError("conditioning set overlaps the tested pair")
+            raise QueryError("conditioning set overlaps the tested pair" + _naming(x, y, z))
         return tuple.__new__(cls, (x, y, z))
 
     def __getnewargs__(self):  # pickle and copy rebuild through __new__
@@ -284,28 +292,16 @@ def _t_tail(t, df):
     return 1.0 if p > 1.0 else p
 
 
-def _unresolved(query, data):
-    """A query with a selector outside ``data.selectors``.
-
-    A degenerate tested endpoint answers first, as in the kernel; otherwise
-    the first missing selector, a malformed one included, raises
-    ``SelectionError``.
-    """
-    if any(len(s) == 2 and data.is_degenerate(s[0]) for s in query.x + query.y):
-        return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
-    missing = next(s for s in query.x + query.y + query.z if s not in data.selectors)
-    raise SelectionError(f"selector {missing} out of range")
-
-
 def _resolve(query, data):
     """Look a query's selectors up in ``data.selectors`` and check it.
 
     Returns a ``CITestResult`` for a query answered before any statistic is
-    read -- a degenerate tested endpoint -- and otherwise the tuple ``(x,
-    y, start, mode, n, stats, zs)``: the ``Selector`` entries of the tested
-    sides, a dummy endpoint in ``x``; the row set and dummy mode the query
-    works in, with its row count and ``GramStats``; and the positions of the
-    scalar ``z`` columns that are not exactly zero there.
+    read -- a degenerate tested endpoint, once every selector is found and
+    one side at most is a dummy -- and otherwise the tuple ``(x, y, start,
+    mode, n, stats, zs)``: the ``Selector`` entries of the tested sides, a
+    dummy endpoint in ``x``; the row set and dummy mode the query works in,
+    with its row count and ``GramStats``; and the positions of the scalar
+    ``z`` columns that are not exactly zero there.
     """
     table = data.selectors
     try:
@@ -322,7 +318,11 @@ def _resolve(query, data):
             else:
                 z_cols.append(column)
     except (KeyError, TypeError):
-        return _unresolved(query, data)
+        missing = next(s for s in query.x + query.y + query.z if s not in table)
+        raise SelectionError(f"selector {missing} out of range" + _naming(*query)) from None
+    if x.dummy and y.dummy:
+        raise QueryError("a dummy may appear among the tested variables once only"
+                         + _naming(*query))
     if x.degenerate or y.degenerate:
         return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
     if z_dummies:
@@ -331,12 +331,9 @@ def _resolve(query, data):
 
     n = data.M * (data.T - start)
     if n <= n_z_cols + 3:
-        raise QueryError(
-            f"too few samples: n={n} with {n_z_cols} conditioning columns "
-            f"(query x={query.x} y={query.y} z={query.z})")
+        raise QueryError(f"too few samples: n={n} with {n_z_cols} conditioning columns"
+                         + _naming(*query))
     if y.dummy:  # the test is symmetric in x and y: keep a dummy in x
-        if x.dummy:
-            raise QueryError("a dummy may appear among the tested variables once only")
         x, y = y, x
     mode = ("both" if len(z_dummies) == 2
             else z_dummies.pop() if z_dummies else "none")
@@ -359,9 +356,8 @@ def _check_own_dummy(query, data):
         if role.is_context:
             own = (data.time_dummy if role.is_temporal_kind else data.space_dummy, 0)
             if own in query.z and not data.selectors[own].degenerate:
-                raise QueryError(
-                    f"context {(var, lag)} is conditioned on the dummy {own} of its "
-                    f"own kind (query x={query.x} y={query.y} z={query.z})")
+                raise QueryError(f"context {(var, lag)} is conditioned on the dummy "
+                                 f"{own} of its own kind" + _naming(*query))
 
 
 def _eigh(block, n):
@@ -512,8 +508,29 @@ def _finish(case, rank, ss_y, ss_x, along):
     return CITestResult(r, p_value, n, degenerate=False, df=df)
 
 
-def _answers(queries, data):
-    """``parcorr_batch``, which ``parcorr_test`` calls as a batch of one."""
+def parcorr_batch(queries, data):
+    """Partial correlation tests of ``queries``, a list of ``CIQuery``, on
+    pooled data; returns the list of ``CITestResult``.
+
+    The Pearson correlation ``r`` of the conditioning residuals of ``x`` and
+    ``y`` is transformed to ``t = r * sqrt(df / (1 - r^2))`` and tested
+    two-sidedly against a Student-t law with ``df = n - rank(design) - 1``
+    degrees of freedom, where the design includes the intercept (numerical
+    rank, not column count).  The reported statistic is ``|r|``.  At most
+    one side may be a dummy; it is tested component-wise, each of its G
+    group indicators against the other side, and the result is the largest
+    ``|r|`` with the p-value of the largest ``|t|``, Bonferroni-combined over
+    the G components.  A degenerate tested variable (a constant dummy
+    block) or a residual with zero variance yields ``p_value = 1`` and the
+    degenerate flag.
+
+    Each query is resolved once, in order, so the first one refused raises
+    before any is tested, naming it: a selector missing from
+    ``data.selectors`` is a ``SelectionError``, a context endpoint
+    conditioned on the (non-constant) dummy of its own kind a
+    ``QueryError``.  ``_results`` then answers the rest from
+    ``data.gram_stats``, whose demeaning the dummies in ``z`` select.
+    """
     results, cases, at = [], [], []
     for query in queries:
         case = _resolve(query, data)
@@ -530,46 +547,12 @@ def _answers(queries, data):
 
 
 def parcorr_test(query, data):
-    """Partial correlation test of one selector against another on pooled data.
-
-    The Pearson correlation ``r`` of the conditioning residuals of ``x`` and
-    ``y`` is transformed to ``t = r * sqrt(df / (1 - r^2))`` and tested
-    two-sidedly against a Student-t law with ``df = n - rank(design) - 1``
-    degrees of freedom, where the design includes the intercept (numerical
-    rank, not column count).  The reported statistic is ``|r|``.  At most
-    one side may be a dummy; it is tested component-wise, each of its G
-    group indicators against the other side, and the result is the largest
-    ``|r|`` with the p-value of the largest ``|t|``, Bonferroni-combined over
-    the G components.
-
-    Selectors are looked up in ``data.selectors``; one missing from it is a
-    ``SelectionError``.  A context endpoint conditioned on the (non-constant)
-    dummy of its own kind is a ``QueryError``.  The residual cross-products
-    come from ``data.gram_stats``: dummies in ``z`` select the demeaning of
-    the cached Gram matrix.  The query is answered as a batch of one, by the
-    function behind ``parcorr_batch``.
-
-    Tested variables flagged degenerate (constant dummy blocks) or residuals
-    with zero variance yield an independence verdict with ``p_value = 1`` and
-    the degenerate flag set.
-    """
-    return _answers([query], data)[0]
-
-
-def parcorr_batch(queries, data):
-    """``parcorr_test`` of every query in ``queries``, a list of ``CIQuery``.
-
-    Returns the list of ``CITestResult``, each the same bits as a
-    ``parcorr_test`` call on its own.  Each query is resolved once, in
-    order, so the first malformed one raises before any is tested; then
-    ``_results`` answers them with one gather and one stacked Cholesky
-    factorization per row set, dummy mode, ``z`` size and endpoint kind.
-    """
-    return _answers(queries, data)
+    """``parcorr_batch`` of the one ``CIQuery`` ``query``."""
+    return parcorr_batch([query], data)[0]
 
 
 class ParCorrCI:
-    """Callable CI test bound to a pooled dataset.
+    """CI test bound to a pooled dataset, asked in batches (``batch``).
 
     Every test works from the dataset's cached Gram statistics
     (``PooledData.gram_stats``), built on first use for each row set and
@@ -597,10 +580,6 @@ class ParCorrCI:
         self.var_roles = list(data.var_roles)
         self.selectors = data.selectors
         self.n_tests = 0
-
-    def __call__(self, x, y, z=()):
-        self.n_tests += 1
-        return parcorr_test(CIQuery((x,), (y,), z), self.data)
 
     def batch(self, queries):
         """The results of ``(x, y, z)`` queries, asked as one ``parcorr_batch``."""
@@ -660,34 +639,39 @@ class GraphOracle:
                         for sel in ((self.time_dummy, 0), (self.space_dummy, 0))}
         self.n_tests = 0
 
-    def _refusal(self, sel):
+    def _refusal(self, sel, query):
         """The ``QueryError`` for a selector missing from ``selectors``."""
         if len(sel) != 2:
-            return QueryError(f"selector {sel} is not a (var, lag) pair")
-        var, lag = sel
-        if (var, 0) not in self.selectors:
-            return QueryError(f"selector {sel} is not an observed variable")
-        if not self.var_roles[var].is_time_indexed:
-            return QueryError(f"selector {sel} must have lag 0")
-        return QueryError(f"lag {lag} outside the unrolled window {self.depth}")
+            message = f"selector {sel} is not a (var, lag) pair"
+        elif (sel[0], 0) not in self.selectors:
+            message = f"selector {sel} is not an observed variable"
+        elif not self.var_roles[sel[0]].is_time_indexed:
+            message = f"selector {sel} must have lag 0"
+        else:
+            message = f"lag {sel[1]} outside the unrolled window {self.depth}"
+        return QueryError(message + _naming(*query))
 
     def __call__(self, x, y, z=()):
         self.n_tests += 1
-        (x,), (y,), z = CIQuery((x,), (y,), z)
+        query = CIQuery((x,), (y,), z)
+        (x,), (y,), z = query
         try:
             nx, ny = self.selectors[x], self.selectors[y]
             zsub = frozenset().union(*map(self.selectors.__getitem__, z))
         except KeyError as missing:
-            raise self._refusal(missing.args[0]) from None
+            raise self._refusal(missing.args[0], query) from None
         if y in self._latent:  # d-separation is symmetric: keep a dummy in x
             if x in self._latent:
-                raise QueryError("a dummy may appear on one side of the query only")
+                raise QueryError("a dummy may appear on one side of the query only"
+                                 + _naming(*query))
             x, nx, ny = y, ny, nx
         (node,) = ny
+        # an endpoint node in the substituted z is refused, as d_separated
+        # refuses it; the context nodes a dummy x stands for may be in z
+        if not zsub.isdisjoint(ny if x in self._latent else nx | ny):
+            raise GraphStructureError("x and y must not be part of z" + _naming(*query))
         if x in self._latent:
             latent = self._latent[x]
-            if node in zsub:  # as d_separated refuses it
-                raise GraphStructureError("x and y must not be part of z")
             independent = not latent or latent.isdisjoint(
                 d_connected(self.graph, node, zsub, self.depth))
         else:

@@ -12,11 +12,13 @@ is oriented in place by the collider and propagation rules and returned;
 conflicting collider orientations are marked ``x-x``.
 
 The tests of one level do not depend on each other's order (PC-stable), so
-each level is one batch through ``ci.batch``: a lagged-phase level across
-every target, a sweep level across every link, and all subsets of the
-majority collider rule.  A sweep level asks every test of its links and
-keeps each link's first separating one, the test it falls at when asked
-one at a time.
+each level is one batch through ``ci.batch``, the only way a discovery asks
+its CI test: a lagged-phase level across every target, a sweep level
+across every link, and all subsets of the majority collider rule.  A sweep
+level asks every test of its links and keeps each link's first separating
+one, the test it falls at when asked one at a time.  A CI test needs no
+more than ``var_roles``, ``selectors`` and ``batch``; a query it refuses
+raises out of the discovery unwrapped, its error naming the query.
 
 J-PCMCI+ runs the stages C (context-system pairs, dummies excluded), D
 (dummy-system pairs given the context parents), refinement (context links
@@ -44,10 +46,6 @@ import numpy as np
 
 from .graph import (CONFLICT, DIRECTED, UNDIRECTED, TimeSeriesGraph, VariableRole,
                     mask_contexts_latent)
-
-
-class DiscoveryError(RuntimeError):
-    """A CI test failed; the offending query is attached to the message."""
 
 
 _CONTEXT_ROLES = (VariableRole.SYSTEM, VariableRole.TEMPORAL_CONTEXT,
@@ -114,25 +112,6 @@ class DiscoveryResult:
     ambiguous_triples: list
 
 
-def _run_batch(ci, queries):
-    """``ci.batch(queries)`` for a list of ``(x, y, z)`` queries.
-
-    The tests of one batch do not depend on each other's order.  If the
-    batch fails, the queries are asked one at a time up to the first that
-    fails, and the ``DiscoveryError`` names it.
-    """
-    try:
-        return ci.batch(queries)
-    except Exception as exc:
-        failure = exc
-    for x, y, z in queries:
-        try:
-            ci(x, y, z)
-        except Exception as exc:
-            raise DiscoveryError(f"CI test failed for {x} vs {y} given {z}: {exc}") from exc
-    raise DiscoveryError(f"CI batch of {len(queries)} queries failed: {failure}") from failure
-
-
 # ---------------------------------------------------------------------------
 # lagged phase
 
@@ -172,7 +151,7 @@ def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, sepsets=None):
     while active:
         asked = [(j, cand, [c for c in current[j] if c != cand][:dim])
                  for j in active for cand in current[j]]
-        results = _run_batch(ci, [(cand, (j, 0), z) for j, cand, z in asked])
+        results = ci.batch([(cand, (j, 0), z) for j, cand, z in asked])
         removed = set()
         for (j, cand, z), res in zip(asked, results):
             vals[j][cand] = min(vals[j][cand], abs(res.statistic))
@@ -263,7 +242,7 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
             break
         asked = [(link, S, _with_subset(S, rest)) for links in tasks.values()
                  for link, cands, rest in links for S in itertools.combinations(cands, p)]
-        results = _run_batch(ci, [((i, tau), (j, 0), z) for (i, tau, j), _, z in asked])
+        results = ci.batch([((i, tau), (j, 0), z) for (i, tau, j), _, z in asked])
         for (link, S, z), res in zip(asked, results):
             i, tau, j = link
             strengths[link] = min(strengths.get(link, np.inf), abs(res.statistic))
@@ -352,9 +331,9 @@ def collider_phase(graph, sepsets, rule="none", ci=None, base_sets=None, alpha=N
             subsets = [S for size in range(len(pool) + 1)
                        for S in itertools.combinations(pool, size)]
             asked.append((((i, tau), k, j), subsets, rest))
-        results = iter(_run_batch(ci, [((i, tau), (j, 0), _with_subset(S, rest))
-                                       for ((i, tau), _, j), subsets, rest in asked
-                                       for S in subsets]))
+        results = iter(ci.batch([((i, tau), (j, 0), _with_subset(S, rest))
+                                 for ((i, tau), _, j), subsets, rest in asked
+                                 for S in subsets]))
         for triple, subsets, _ in asked:
             separating = [S for S in subsets if next(results).p_value > alpha]
             k = triple[1]

@@ -11,11 +11,11 @@ dataset, it maps every valid ``(var, lag)`` -- lags ``0..2*tau_max`` of the
 time-indexed variables, lag 0 of the spatial contexts and dummies -- to
 what a CI test needs of it: its Gram column, dummy kind, the first time
 step of the rows it is defined on, its component count and whether it is
-degenerate.  ``aligned_start``, ``n_components``, ``is_degenerate`` and
-``extract_aligned`` read it, and a selector missing from it is a
-``SelectionError``.  ``extract_aligned`` is the one accessor of pooled rows:
-the CI tests never read them, and ``matrix``/``to_csv`` (``jtscd discover
---dump-pooled``) take the lag-0 design from it.
+degenerate.  ``aligned_start``, ``n_components`` and ``extract_aligned``
+read it, and a selector missing from it is a ``SelectionError``.
+``extract_aligned`` is the one accessor of pooled rows: the CI tests never
+read them, and ``matrix``/``to_csv`` (``jtscd discover --dump-pooled``)
+take the lag-0 design from it.
 
 ``PooledData.gram_stats`` keeps the sufficient statistics the partial
 correlation test works from: per row set and dummy mode, the cross-products
@@ -206,9 +206,6 @@ class PooledData:
 
     def n_components(self, var):
         return self._selector(var, 0).n_components
-
-    def is_degenerate(self, var):
-        return self._selector(var, 0).degenerate
 
     def _column_block(self, var, lag, start):
         """Block of ``(var, lag)`` on the rows from time step ``start`` on."""

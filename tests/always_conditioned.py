@@ -10,8 +10,5 @@ class AlwaysConditioned:
         self.ci, self.fixed = ci, list(fixed)
         self.var_roles, self.selectors = ci.var_roles, ci.selectors
 
-    def __call__(self, x, y, z=()):
-        return self.ci(x, y, list(z) + self.fixed)
-
     def batch(self, queries):
         return self.ci.batch([(x, y, list(z) + self.fixed) for x, y, z in queries])

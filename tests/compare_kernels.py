@@ -8,11 +8,13 @@ package and ``perfbench/workloads.py`` of this checkout (read only), runs
 one pass of the panel-long corpus and the 50 grid-small realizations in
 corpus order, and records every query the discovery asks of the kernel:
 each query of a ``citests.parcorr_batch`` call, where the tree has that
-function, and each ``citests.parcorr_test`` call made outside a batch,
-with its result or the type of the error it raised.  A batch that raises
-records nothing; the discovery then asks its queries one at a time, and
-those calls are recorded.  It also records each discovery's graph and the
-keys of its separating sets.
+function, and each ``citests.parcorr_test`` call made outside a batch
+(once, where it is itself a batch of one), with its result or the type
+of the error it raised.  A batch that raises records nothing: in a tree
+whose discovery still retries a failed batch one query at a time, those
+calls are recorded; in one that does not, the error ends the discovery.
+It also records each discovery's graph and the keys of its separating
+sets.
 
 Results are aligned by query, not by call position: per corpus entry (one
 panel-long discovery, or the two discoveries of a grid-small realization),
@@ -71,12 +73,14 @@ def record(out_path):
     def recording_test(query, data, **options):  # older trees pass ``correction``
         if depth[0]:  # asked by a batch, which records its own queries
             return single(query, data, **options)
+        n_calls = len(calls)
         try:
             res = single(query, data, **options)
         except Exception as exc:  # the error type is part of the record
             calls.append(_entry(query) + [type(exc).__name__])
             raise
-        calls.append(_entry(query) + [_outcome(res)])
+        if len(calls) == n_calls:  # not recorded by the batch it is one of
+            calls.append(_entry(query) + [_outcome(res)])
         return res
 
     def recording_batch(queries, data):

@@ -3,8 +3,8 @@ ones in ``jtscd.discovery`` replaced.
 
 ``sequential_lagged_skeleton`` runs the lagged phase target by target, and
 ``sequential_skeleton_sweep`` visits the links of one level one after
-another; both ask each CI test on its own, through ``ci(x, y, z)``, and
-apply a removal as soon as its test is seen.  They take the same arguments
+another; both ask each CI test on its own, as a batch of one, and apply
+a removal as soon as its test is seen.  They take the same arguments
 as ``discovery.lagged_skeleton_pcmciplus`` and ``discovery._skeleton_sweep``,
 so a test can put them in their place and run a whole discovery on them.
 They are kept only for the equivalence tests.
@@ -14,15 +14,12 @@ import itertools
 
 import numpy as np
 
-from jtscd.discovery import DiscoveryError, SepSetEntry, SepSetStore
+from jtscd.discovery import SepSetEntry, SepSetStore
 from jtscd.graph import VariableRole
 
 
 def _run_ci(ci, x, y, z):
-    try:
-        return ci(x, y, z)
-    except Exception as exc:
-        raise DiscoveryError(f"CI test failed for {x} vs {y} given {z}: {exc}") from exc
+    return ci.batch([(x, y, z)])[0]
 
 
 def sequential_lagged_skeleton(ci, tau_max=2, alpha=0.05, sepsets=None):

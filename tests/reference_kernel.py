@@ -77,15 +77,14 @@ def lstsq_parcorr_test(query, data, correction="bonferroni"):
     """``parcorr_test`` computed from the dense residuals of every test."""
     if correction not in ("bonferroni", "none"):
         raise ValueError("correction must be 'bonferroni' or 'none'")
-    if any(data.is_degenerate(var) for (var, _) in query.x + query.y):
-        return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
-
     all_sel = list(query.x) + list(query.y) + list(query.z)
-    start = data.aligned_start(all_sel)
+    start = data.aligned_start(all_sel)  # every selector checked first
+    if any(data.selectors[sel].degenerate for sel in query.x + query.y):
+        return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
     for (var, _) in query.x + query.y:
         role = data.var_roles[var]
         own = (data.time_dummy if role.is_temporal_kind else data.space_dummy, 0)
-        if role.is_context and own in query.z and not data.is_degenerate(own[0]):
+        if role.is_context and own in query.z and not data.selectors[own].degenerate:
             raise QueryError(f"context {var} is conditioned on its own dummy {own}")
     n = int(np.count_nonzero(data.time_index >= start))
     n_z_cols = _z_column_count(query.z, data)

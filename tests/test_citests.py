@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +65,13 @@ MALFORMED_SELECTORS = (
     ((0, 0), (1, 0), ((2,),), r"selector \(2,\) out of range",
      r"selector \(2,\) is not a \(var, lag\) pair"),
 )
+
+
+def named(x, y, z=()):
+    """The pattern of the end of a message that refuses the single-selector
+    query ``(x, y, z)``."""
+    query = ((tuple(x),), (tuple(y),), tuple(map(tuple, z)))
+    return re.escape(" (query x={} y={} z={})".format(*query))
 
 
 def null_pool(seed, n=100, k=3):
@@ -169,20 +177,21 @@ class TestParCorr:
         # built directly or by either CI test from single selectors
         tests = (ParCorrCI(null_pool(0, k=4)),
                  GraphOracle(GroundTruthGraph([R.SYSTEM] * 4, 1), 1))
+        # and each refusal ends by naming the query
         for x, y, z, message in MALFORMED_QUERIES:
-            with pytest.raises(QueryError, match=message) as direct:
-                CIQuery(x=(x,) if x else (), y=(y,) if y else (), z=z)
+            with pytest.raises(QueryError, match=f"^{message}{named(x, y, z)}$") as direct:
+                CIQuery(x=(x,), y=(y,), z=z)
             for test in tests:
                 with pytest.raises(QueryError) as called:
-                    test(x, y, z)
+                    test.batch([(x, y, z)])
                 assert str(called.value) == str(direct.value), (test, x, y, z)
         # a selector that is no valid (var, lag) pair is named by both tests
         parcorr, oracle = tests
         for x, y, z, selection_message, query_message in MALFORMED_SELECTORS:
-            with pytest.raises(SelectionError, match=f"^{selection_message}$"):
-                parcorr(x, y, z)
-            with pytest.raises(QueryError, match=f"^{query_message}$"):
-                oracle(x, y, z)
+            with pytest.raises(SelectionError, match=f"^{selection_message}{named(x, y, z)}$"):
+                parcorr.batch([(x, y, z)])
+            with pytest.raises(QueryError, match=f"^{query_message}{named(x, y, z)}$"):
+                oracle.batch([(x, y, z)])
 
     def test_query_takes_one_selector_per_side(self):
         for x, y in ((((0, 0), (2, 0)), ((1, 0),)), (((0, 0),), ((1, 0), (2, 1)))):
@@ -199,7 +208,7 @@ class TestParCorr:
             q.z = ()
         assert pickle.loads(pickle.dumps(q)) == copy.deepcopy(q) == q
         pd = null_pool(4, k=4)
-        assert parcorr_test(q, pd) == ParCorrCI(pd)([0, 0], (1, 0), [[2, 0], (3, 0)])
+        assert parcorr_test(q, pd) == ParCorrCI(pd).batch([([0, 0], (1, 0), [[2, 0], (3, 0)])])[0]
 
     def test_query_error_excludes_tested_pair_lags(self):
         # deep-lag conditioning drops rows but keeps the test well defined
@@ -366,17 +375,20 @@ def _spatial_oracle(unroll_depth=None):
     return GraphOracle(g, 1, unroll_depth=unroll_depth)
 
 
-# (call, message) for each oracle construction or query the oracle refuses
+# (call, message) for each oracle construction or query the oracle refuses;
+# a refused query is named at the end of the message
 ORACLE_ERRORS = {
     "not a ground-truth graph": (
         lambda: GraphOracle(TimeSeriesGraph([R.SYSTEM] * 2, 1), 1),
         "the oracle needs a ground-truth graph"),
     "not an observed variable": (lambda: _spatial_oracle()((0, 0), (7, 0)),
-                                 r"selector \(7, 0\) is not an observed variable"),
+                                 r"selector \(7, 0\) is not an observed variable"
+                                 + named((0, 0), (7, 0))),
     "lagged spatial context": (lambda: _spatial_oracle()((0, 0), (1, 0), [(2, 1)]),
-                               r"selector \(2, 1\) must have lag 0"),
+                               r"selector \(2, 1\) must have lag 0"
+                               + named((0, 0), (1, 0), [(2, 1)])),
     "lag beyond the window": (lambda: _spatial_oracle()((0, 5), (1, 0)),
-                              "lag 5 outside the unrolled window 4"),
+                              "lag 5 outside the unrolled window 4" + named((0, 5), (1, 0))),
     "unroll depth below tau_max": (lambda: _spatial_oracle(unroll_depth=0),
                                    "unroll_depth 0 is smaller than tau_max 1"),
     "unroll depth below twice tau_max": (
@@ -384,7 +396,7 @@ ORACLE_ERRORS = {
         r"unroll_depth 1 is smaller than 2 \* tau_max = 2: a discovery shifts "
         r"conditioning sets to lags up to 2 \* tau_max"),
     "negative spatial lag": (lambda: _spatial_oracle()((2, -1), (1, 0)),
-                             r"selector \(2, -1\) must have lag 0"),
+                             r"selector \(2, -1\) must have lag 0" + named((2, -1), (1, 0))),
 }
 
 
@@ -469,8 +481,15 @@ class TestOracle:
             o = GraphOracle(g, 1)
             spatial = o.var_roles.index(R.SPATIAL_CONTEXT)
             for x, y in (((o.time_dummy, 0), (spatial, 0)), ((spatial, 0), (o.time_dummy, 0))):
-                with pytest.raises(GraphStructureError, match="^x and y must not be part of z$"):
-                    o(x, y, [(o.space_dummy, 0)])
+                z = [(o.space_dummy, 0)]
+                with pytest.raises(GraphStructureError,
+                                   match=f"^x and y must not be part of z{named(x, y, z)}$"):
+                    o(x, y, z)
+            # so is a scalar context endpoint given the dummy of its own kind
+            x, y, z = (spatial, 0), (0, 0), [(o.space_dummy, 0)]
+            with pytest.raises(GraphStructureError,
+                               match=f"^x and y must not be part of z{named(x, y, z)}$"):
+                o(x, y, z)
 
     def test_default_unroll_depth_is_deep_enough(self):
         # twice the default window (4 * tau_max = 8 lags) changes no graph
@@ -542,7 +561,11 @@ class TestOracle:
                     expected = _answer(lambda: reference_dummy_endpoint(o, dummy, sel, z))
                     for x, y in (((dummy, 0), sel), (sel, (dummy, 0))):
                         got = _answer(lambda: o(x, y, z).p_value == 1.0)
-                        assert got == expected, (seed, x, y, z)
+                        if isinstance(expected, bool):
+                            assert got == expected, (seed, x, y, z)
+                        else:  # the oracle's refusal names the query
+                            assert isinstance(got, str) and re.fullmatch(
+                                re.escape(expected) + named(x, y, z), got), (seed, x, y, z)
                     key = (dummy == o.time_dummy, (other, 0) in z, sel[1] > 2 * o.tau_max)
                     answers.setdefault(key, set()).add(expected)
         # both dummies, z with and without the other dummy, lags past

@@ -159,6 +159,20 @@ class TestDiscover:
         assert re.fullmatch(f"jtscd discover: error: {message}\n", err), err
         assert not out.exists()
 
+    def test_data_too_short_for_a_test_is_one_error_line(self, tmp_path, capsys):
+        # T=5 passes ParCorr's T > 2 * tau_max, but the first lagged test has
+        # 3 rows: the refusal that names it reaches the user, not a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_system": 4, "M": 1, "T": 5, "seed": 3, "max_lag": 2}))
+        data, out = tmp_path / "data", tmp_path / "g.txt"
+        main(["simulate", "--config", str(cfg), "--out", str(data)])
+        capsys.readouterr()
+        assert main(["discover", "--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("jtscd discover: error: too few samples: n=3 with 0 conditioning "
+                       "columns (query x=((0, 1),) y=((0, 0),) z=())\n"), err
+        assert not out.exists()
+
     def test_variant_switch(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_sim_config(cfg_path, M=3, T=30)

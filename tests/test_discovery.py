@@ -7,10 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from jtscd.citests import GraphOracle, ParCorrCI
-from jtscd.discovery import (CI_TESTS, VARIANTS, DiscoveryError, SepSetEntry, SepSetStore,
-                             collider_phase, estimate_graph, j_pcmciplus,
-                             lagged_skeleton_pcmciplus, rule_phase, variant_view)
+from jtscd.citests import GraphOracle, ParCorrCI, QueryError
+from jtscd.discovery import (CI_TESTS, VARIANTS, SepSetEntry, SepSetStore, collider_phase,
+                             estimate_graph, j_pcmciplus, lagged_skeleton_pcmciplus,
+                             rule_phase, variant_view)
 from jtscd.graph import (CONFLICT, DIRECTED, UNDIRECTED, GroundTruthGraph,
                          TimeSeriesGraph, VariableRole, dummy_deletion,
                          mask_contexts_latent, target_graph)
@@ -412,7 +412,7 @@ class TestJPCMCIPlus:
             assert res.sepsets.items()
             for _, entry in res.sepsets.items():
                 i, tau, j = entry.pair
-                replay = ci((i, tau), (j, 0), list(entry.z))
+                replay = ci.batch([((i, tau), (j, 0), list(entry.z))])[0]
                 assert replay.p_value == entry.p_value
                 assert replay.p_value > 0.05
 
@@ -492,13 +492,29 @@ class TestAlwaysConditionedDummies:
                 assert abs(a.p_value - b.p_value) < 1e-12
 
     def test_a_failing_batch_names_its_query(self):
-        # a batch that raises is asked again one query at a time, so the
-        # error names the query that fails
-        spec, _ = generate_random_model(seed=3, max_lag=2)
-        ci = ParCorrCI(pool_data(simulate(spec, M=4, T=60, seed=4).mask_all_latent(), 2))
-        with pytest.raises(DiscoveryError, match=r"^CI test failed for \(0, 1\) vs \(0, 0\) "
-                                                 r"given \[\]: selector \(99, 0\) out of range"):
-            j_pcmciplus(AlwaysConditioned(ci, [(99, 0)]), tau_max=2, use_dummies=False)
+        # the error a CI test raises leaves the discovery unwrapped and names
+        # the query it refused.  The first lagged-phase batch asks (0, 1),
+        # (0, 2), (1, 1), ... against (0, 0): conditioned on (1, 1), its
+        # third query alone is malformed.
+        spec, g = generate_random_model(seed=3, max_lag=2)
+        masked = pool_data(simulate(spec, M=4, T=60, seed=4).mask_all_latent(), 2)
+        # a selector the CI test does not know, in the words of its own table
+        for ci, error, message in (
+                (ParCorrCI(masked), SelectionError, r"selector \(99, 0\) out of range"),
+                (GraphOracle(mask_contexts_latent(g), 2), QueryError,
+                 r"selector \(99, 0\) is not an observed variable")):
+            with pytest.raises(QueryError, match=r"^conditioning set overlaps the tested pair "
+                                                 r"\(query x=\(\(1, 1\),\) y=\(\(0, 0\),\) "
+                                                 r"z=\(\(1, 1\),\)\)$"):
+                j_pcmciplus(AlwaysConditioned(ci, [(1, 1)]), tau_max=2, use_dummies=False)
+            with pytest.raises(error, match=rf"^{message} \(query x=\(\(0, 1\),\) "
+                                            r"y=\(\(0, 0\),\) z=\(\(99, 0\),\)\)$"):
+                j_pcmciplus(AlwaysConditioned(ci, [(99, 0)]), tau_max=2, use_dummies=False)
+            # asked directly, a batch [fine, bad, fine] names its bad query
+            fine, bad = ((0, 1), (1, 0), [(2, 1)]), ((0, 1), (1, 0), [(99, 0)])
+            with pytest.raises(error, match=rf"^{message} \(query x=\(\(0, 1\),\) "
+                                            r"y=\(\(1, 0\),\) z=\(\(99, 0\),\)\)$"):
+                ci.batch([fine, bad, fine])
 
 
 class TestEstimateGraph:
@@ -732,10 +748,8 @@ class TestBatchedPhases:
         # asks the tests after a link's first separating one, so its queries
         # hold the sequential reference's, with the same results.
         import jtscd.discovery as discovery
-        import reference_discovery
-        sweep, adjacencies, run_batch = (discovery._skeleton_sweep,
-                                         discovery._contemp_adjacencies, discovery._run_batch)
-        run_ci, inside, sweeps, asked = reference_discovery._run_ci, [], [], []
+        sweep, adjacencies = discovery._skeleton_sweep, discovery._contemp_adjacencies
+        inside, sweeps, asked = [], [], []
 
         def key(x, y, z):
             return tuple(x), tuple(y), tuple(map(tuple, z))
@@ -753,21 +767,18 @@ class TestBatchedPhases:
                 sweeps[-1][0] += 1
             return adjacencies(*args)
 
-        def recording_batch(ci, queries):
-            if inside:
-                sweeps[-1][1].append(sweeps[-1][0])
-            results = run_batch(ci, queries)
-            asked.extend(zip(itertools.starmap(key, queries), results))
-            return results
-
-        def recording_ci(ci, x, y, z):
-            res = run_ci(ci, x, y, z)
-            asked.append((key(x, y, z), res))
-            return res
+        def recording(batch):  # the reference asks its queries as batches of one
+            def recording_batch(ci, queries):
+                if inside:
+                    sweeps[-1][1].append(sweeps[-1][0])
+                results = batch(ci, queries)
+                asked.extend(zip(itertools.starmap(key, queries), results))
+                return results
+            return recording_batch
 
         monkeypatch.setattr(discovery, "_contemp_adjacencies", recording_adjacencies)
-        monkeypatch.setattr(discovery, "_run_batch", recording_batch)
-        monkeypatch.setattr(reference_discovery, "_run_ci", recording_ci)
+        for test in (ParCorrCI, GraphOracle):
+            monkeypatch.setattr(test, "batch", recording(test.batch))
         monkeypatch.setattr(discovery, "_skeleton_sweep", recording_sweep)
         runs = self.oracle_runs() + self.parcorr_runs()
         batched = []

@@ -6,9 +6,11 @@ Oracle cases record every sepset entry (``s``, ``z`` and ``pair``) together
 with the lagged sets, context and dummy parents and ambiguous triples;
 ParCorr cases record the graph text and the sepset keys only, so that
 last-bit BLAS differences in p-values cannot fail the test.  A run that
-raised would be recorded by its error message; none does.  (The majority
+raised a ``ValueError`` -- every refusal of a query is one, and names the
+query -- would be recorded by its error message; none does.  (The majority
 collider rule used to condition a context on the dummy of its own kind, and
-six lag-free oracle runs recorded the ``DiscoveryError`` that caused.)
+six lag-free oracle runs recorded the error that caused, wrapped then in a
+discovery error of its own.)
 Graph text is compared exactly, node set included: lag-free runs without
 dummies (``j_pcmciplus(tau_max=0, use_dummies=False)``, and ``pcmci+C`` and
 ``pcmci+`` at ``tau_max=0``) return graphs that end before the two dummy
@@ -28,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from jtscd.citests import GraphOracle
-from jtscd.discovery import DiscoveryError, estimate_graph, j_pcmciplus
+from jtscd.discovery import estimate_graph, j_pcmciplus
 from jtscd.graph import mask_contexts_latent
 from jtscd.scm import generate_random_model, simulate
 
@@ -91,7 +93,7 @@ def _plain(obj):
 def _oracle_record(run):
     try:
         res = run()
-    except DiscoveryError as exc:
+    except ValueError as exc:
         return {"error": str(exc)}
     return {
         "graph": res.graph.to_text(),

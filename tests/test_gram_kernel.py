@@ -12,6 +12,7 @@ result whatever ran on the dataset before it.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,8 +235,7 @@ def test_shared_dataset_matches_cold_and_reference():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_discovery_matches_reference_kernel(seed, monkeypatch):
-    # ParCorrCI reaches the kernel through the module globals: one query
-    # through ``parcorr_test``, a discovery's batches through ``parcorr_batch``
+    # ParCorrCI reaches the kernel through the module global ``parcorr_batch``
     spec, _ = generate_random_model(n_system=4, n_temporal_ctx=1, n_spatial_ctx=1,
                                     frac_observed=0.5, seed=seed, max_lag=2)
     dc = simulate(spec, M=4, T=40, seed=100 + seed)
@@ -248,7 +248,6 @@ def test_discovery_matches_reference_kernel(seed, monkeypatch):
         used.append(query)
         return lstsq_parcorr_test(query, data)
 
-    monkeypatch.setattr(citests, "parcorr_test", reference)
     monkeypatch.setattr(citests, "parcorr_batch",
                         lambda queries, data: [reference(q, data) for q in queries])
     for run, new in zip(runs, fast):
@@ -437,13 +436,26 @@ class TestErrorParity:
         with pytest.raises(QueryError, match="once only"):
             parcorr_test(CIQuery(x=((5, 0),), y=((6, 0),)), data)
 
-    def test_degenerate_endpoint_answers_before_a_bad_z(self):
-        # a single dataset's space dummy is degenerate; the verdict comes
-        # before z is validated, as it always has
-        data = panel(M=1, T=20)
-        query = CIQuery(x=((6, 0),), y=((1, 0),), z=((2, 5),))
-        assert parcorr_test(query, data) == lstsq_parcorr_test(query, data)
-        assert parcorr_test(query, data).degenerate
+    def test_degenerate_endpoint_does_not_hide_a_bad_query(self):
+        # a single dataset's space dummy is degenerate; its verdict comes only
+        # after every selector is found and one side at most is a dummy, so a
+        # query refused on four datasets is refused on one
+        single, data = panel(M=1, T=20), panel()
+        for z in (((2, 5),), ((99, 0),), ((0, 7),)):
+            query = CIQuery(x=((6, 0),), y=((1, 0),), z=z)
+            for kernel in (parcorr_test, lstsq_parcorr_test):
+                with pytest.raises(SelectionError,
+                                   match="^" + re.escape(f"selector {z[0]} out of range")):
+                    kernel(query, single)
+                assert error_type(kernel, query, data) is SelectionError
+        both = CIQuery(x=((6, 0),), y=((5, 0),))
+        for pooled in (single, data):
+            with pytest.raises(QueryError, match="once only"):
+                parcorr_test(both, pooled)
+        # a query the kernel can read still gets the degenerate verdict
+        query = CIQuery(x=((6, 0),), y=((1, 0),), z=((2, 4),))
+        assert parcorr_test(query, single) == lstsq_parcorr_test(query, single)
+        assert parcorr_test(query, single).degenerate
 
     def test_invalid_selector_raises_on_every_use(self):
         data = panel()
@@ -454,8 +466,8 @@ class TestErrorParity:
             expected = error_type(lstsq_parcorr_test, CIQuery(x=x, y=y, z=z), data)
             for _ in range(2):
                 with pytest.raises(expected):
-                    test(x[0], y[0], z)
-                assert not test((0, 1), (1, 0), ((2, 1),)).degenerate
+                    test.batch([(x[0], y[0], z)])
+                assert not test.batch([((0, 1), (1, 0), ((2, 1),))])[0].degenerate
         assert dict(data.selectors) == table
 
 
@@ -545,14 +557,21 @@ class TestBatch:
         assert citests.parcorr_batch(queries, data) == expected
 
     def test_batch_raises_the_single_path_error(self):
+        # and names the query it refused, asked through ParCorrCI or not
         data = panel()
         fine = CIQuery(x=((0, 1),), y=((1, 0),), z=((2, 3),))
         for bad, error in ((CIQuery(x=((3, 0),), y=((1, 0),), z=((data.time_dummy, 0),)),
                             QueryError),
-                           (CIQuery(x=((0, 5),), y=((1, 0),)), SelectionError)):
+                           (CIQuery(x=((0, 5),), y=((1, 0),)), SelectionError),
+                           (CIQuery(x=((0, 1),), y=((1, 0),), z=((2, 3), (9, 0))),
+                            SelectionError),
+                           (CIQuery(x=((5, 0),), y=((6, 0),)), QueryError)):
             assert error_type(parcorr_test, bad, data) is error
-            with pytest.raises(error):
+            named = re.escape(f" (query x={bad.x} y={bad.y} z={bad.z})") + "$"
+            with pytest.raises(error, match=named):
                 citests.parcorr_batch([fine, bad, fine], data)
+            with pytest.raises(error, match=named):
+                ParCorrCI(data).batch([(q.x[0], q.y[0], q.z) for q in (fine, bad, fine)])
 
     def test_own_dummy_refused_unless_constant(self):
         data = panel()

@@ -179,7 +179,7 @@ class TestPoolData:
                     continue
                 assert pd.aligned_start([(var, lag)]) == entry[2]
                 assert pd.n_components(var) == entry[3]
-                assert pd.is_degenerate(var) == entry[4]
+                assert pd.selectors[(var, lag)].degenerate == entry[4]
                 if lag > tau_max:
                     # defined only from time step ``lag`` on, not on every row
                     if lag < T:
@@ -203,8 +203,7 @@ class TestPoolData:
         for var in [*range(-pd.n_vars, 0), pd.n_vars]:
             with pytest.raises(SelectionError, match="out of range"):
                 pd.n_components(var)
-            with pytest.raises(SelectionError, match="out of range"):
-                pd.is_degenerate(var)
+            assert (var, 0) not in pd.selectors
 
     def test_rejects_non_finite_values(self):
         dc = small_collection()
@@ -238,15 +237,15 @@ class TestPoolData:
     def test_degenerate_flags(self):
         dc1 = small_collection(M=1, T=12)
         pd1 = pool_data(dc1, 2)
-        assert pd1.is_degenerate(pd1.space_dummy)
-        assert pd1.is_degenerate(pd1.time_dummy)
-        assert not pd1.is_degenerate(0)
+        assert pd1.selectors[(pd1.space_dummy, 0)].degenerate
+        assert pd1.selectors[(pd1.time_dummy, 0)].degenerate
+        assert not pd1.selectors[(0, 0)].degenerate
         dc2 = small_collection(M=3, T=12)
         pd2 = pool_data(dc2, 2)
-        assert not pd2.is_degenerate(pd2.space_dummy)
-        assert not pd2.is_degenerate(pd2.time_dummy)
+        assert not pd2.selectors[(pd2.space_dummy, 0)].degenerate
+        assert not pd2.selectors[(pd2.time_dummy, 0)].degenerate
         pd3 = pool_data(dc2, 11)  # a single usable time step
-        assert pd3.is_degenerate(pd3.time_dummy)
+        assert pd3.selectors[(pd3.time_dummy, 0)].degenerate
 
     def test_latent_contexts_not_exposed(self):
         dc = small_collection(frac_observed=0.0)
