@@ -42,9 +42,7 @@ columns, independent of the number of rows.  The factor takes the scalar
 ``z`` columns to be of full rank; a block it rejects -- a ``z`` pivot in
 the span of the others, or a factorization that fails, as for ``x`` equal
 to ``y`` -- is whitened instead by the pseudo-inverse of the ``z`` block's
-eigendecomposition (``_eigh``), whose numerical rank sets ``df``.  One
-function (``_finish``) turns the residual sums of either into the
-``CITestResult``.
+eigendecomposition (``_eigh``), whose numerical rank sets ``df``.
 
 A discovery runs hundreds of such tests, each small enough that Python and
 numpy call overhead would dominate it, so a CI test is asked in batches
@@ -58,10 +56,15 @@ is factorized on its own inside the stack, so a query gets the same bits
 in a batch of any size; ``parcorr_test`` is a batch of one.  ``CIQuery``
 validates a query once, in its constructor; the kernel looks its
 selectors up in the table ``PooledData.selectors`` built with the pooled
-data, reads the conditioning set in one pass, and takes the Gram diagonal
-as Python floats (``GramStats.diag``).  A scalar pair finishes on Python
-floats; a dummy endpoint works on vectors of its G group rows and finishes
-on Python floats too.  A context endpoint conditioned on the dummy of its
+data and reads the conditioning set in one pass.  The per-column
+thresholds -- whether a ``z`` column is live, and the residual sum of
+squares at or below which a column lies in the span of ``z`` -- are
+derived once per ``GramStats``, as tuples of Python booleans and floats.
+A group shares its row count and ``df``, so its results are finished on
+those constants: scalar pairs inline on Python floats, with no call per
+query, and dummy endpoints together, the usable components and largest
+``|r|`` of every query in one pass over the group's stacked rows of G
+group values.  A context endpoint conditioned on the dummy of its
 own kind, which it is a function of, is a ``QueryError``.  Every refusal of
 a query -- by ``CIQuery``, the kernel or the oracle -- ends by naming the
 query, ``(query x=... y=... z=...)``, so a batch that raises says which of
@@ -87,7 +90,7 @@ import numpy as np
 
 from .graph import (GraphStructureError, GroundTruthGraph, VariableRole, d_connected,
                     d_separated, observed_variables)
-from .pooling import SelectionError
+from .pooling import SPAN_TOL, VARIANCE_EPS, SelectionError
 from .scm import ConstantColumnError
 
 
@@ -140,11 +143,6 @@ class CIQuery(tuple):
     z = property(operator.itemgetter(2))
 
 
-_VARIANCE_EPS = 1e-12
-# a residual sum of squares below this share of the column's sum of squares
-# before the scalar conditioning is cancellation noise of the cross-product
-# algebra: the column lies in the span of the conditioning columns
-_SPAN_TOL = 1e-10
 # the gufuncs behind ``np.linalg.cholesky``, ``np.linalg.inv`` and
 # ``np.linalg.eigh`` (lower triangle) over stacks of blocks, called without
 # the wrappers' argument checks and error-state context; a block that is
@@ -301,7 +299,7 @@ def _resolve(query, data):
     mode, n, stats, zs)``: the ``Selector`` entries of the tested sides, a
     dummy endpoint in ``x``; the row set and dummy mode the query works in,
     with its row count and ``GramStats``; and the positions of the scalar
-    ``z`` columns that are not exactly zero there.
+    ``z`` columns that are not exactly zero there (``GramStats.live``).
     """
     table = data.selectors
     try:
@@ -338,10 +336,8 @@ def _resolve(query, data):
     mode = ("both" if len(z_dummies) == 2
             else z_dummies.pop() if z_dummies else "none")
     stats = data.gram_stats(start, mode)
-    diag = stats.diag
-    cutoff = _VARIANCE_EPS * max(1.0, math.sqrt(n))
-    zs = tuple([c for c in z_cols if math.sqrt(diag[c]) > cutoff])
-    return x, y, start, mode, n, stats, zs
+    live = stats.live
+    return x, y, start, mode, n, stats, tuple([c for c in z_cols if live[c]])
 
 
 def _check_own_dummy(query, data):
@@ -381,9 +377,11 @@ def _eigh(block, n):
 def _eigh_sums(case):
     """The residual sums of a resolved query whose Cholesky block is rejected.
 
-    Returns ``(rank, ss_y, ss_x, along)`` as ``_results`` passes them to
-    ``_finish``.  The scalar ``z`` block is whitened by the pseudo-inverse
-    of its eigendecomposition (``_eigh``), whose numerical rank sets ``df``.
+    Returns ``(rank, ss_y, ss_x, along)`` as ``_results`` reads them off a
+    Cholesky factor, ``ss_x`` and ``along`` arrays over the group
+    indicators of a dummy ``x``.  The scalar ``z`` block is whitened by the
+    pseudo-inverse of its eigendecomposition (``_eigh``), whose numerical
+    rank sets ``df``.
     """
     x, y, _, _, n, stats, zs = case
     gram = stats.gram
@@ -407,105 +405,134 @@ def _eigh_sums(case):
     return rank, ss_y, ss, num / np.sqrt(ss)
 
 
+def _dummy_results(n, df, stats, dummy, ys, ss_xs, alongs):
+    """The ``CITestResult`` of dummy-endpoint queries that share ``n``
+    rows, ``df``, ``stats`` and the dummy ``x``.
+
+    ``ys`` holds each query's ``(y column, ss_y)``; ``ss_xs`` and
+    ``alongs`` stack, one row per query, the residual squared norms of the
+    G group indicators and ``y``'s residual coordinates along them.  ``y``
+    is checked as a scalar pair's sides are (``_results``).  A group
+    indicator whose residual sum of squares is at or below ``n *
+    VARIANCE_EPS^2`` or ``SPAN_TOL`` of its squared norm before the scalar
+    ``z`` is unusable and counts as ``r = 0``; the mask, its ``any`` and the
+    largest usable ``|along|`` of every query come from one array pass.
+    The largest ``r`` -- ``|t|`` grows with ``|r|``, also in floating point,
+    so it gives the largest ``|t|`` -- is tested against a Student-t law,
+    Bonferroni-combined over the G components.
+    """
+    degenerate = CITestResult(0.0, 1.0, n, degenerate=True, df=df)
+    if df < 1:
+        return [degenerate] * len(ys)
+    norms = stats.group_norms[dummy]
+    floor, span, n_components = n * VARIANCE_EPS ** 2, stats.span, len(norms)
+    ok = (ss_xs > floor) & (ss_xs > SPAN_TOL * norms)
+    usable = ok.any(axis=1).tolist()
+    peaks = np.where(ok, np.abs(alongs), 0.0).max(axis=1).tolist()
+    out = []
+    for (y, ss_y), use, peak in zip(ys, usable, peaks):
+        if use and ss_y > floor and ss_y > span[y]:
+            r = min(peak / math.sqrt(ss_y), 1 - 1e-15)
+            t = r * math.sqrt(df / (1.0 - r * r))
+            out.append(CITestResult(r, min(1.0, _t_tail(t, df) * n_components), n,
+                                    degenerate=False, df=df))
+        else:
+            out.append(degenerate)
+    return out
+
+
 def _results(cases):
     """The ``CITestResult`` of each resolved query (``_resolve``), in one batch.
 
     The queries are grouped by row set, dummy mode, ``|zs|`` and endpoint
-    kind, and each group gathers its Gram blocks -- ``(zs..., x, y)`` for a
-    scalar pair, ``(zs..., y)`` for a dummy endpoint -- and factorizes them
-    in one stacked Cholesky call.  With L the lower factor, a pair has the
-    residual sums of squares ``ss_x = L_xx^2`` and ``ss_y = L_yx^2 +
-    L_yy^2``, and ``y``'s residual coordinate along the unit residual of
-    ``x`` is ``L_yx``.  A dummy endpoint has ``ss_y = L_yy^2``; the group
-    sums ``S_z`` of its ``z`` columns are whitened against ``L_zz``, ``W' =
-    S_z L_zz^-T``, so group g has the residual cross-product ``S_y[g] -
-    W'[g] . L_yz`` and the residual squared norm ``n_g - |W'[g]|^2``.  The
-    group's ``L_zz^-1`` come from one stacked inverse of the k x k blocks
-    and ``W'`` from one stacked product: a stacked solve against the G
-    columns of ``S_z'`` costs several times as much, as numpy's gufunc
-    copies a right-hand side one column at a time.
+    kind, so a group shares its ``GramStats``, row count ``n`` and ``df =
+    n - (group rank + |zs|) - 1``.  Each group gathers its Gram blocks --
+    ``(zs..., x, y)`` for a scalar pair, ``(zs..., y)`` for a dummy
+    endpoint -- and factorizes them in one stacked Cholesky call.
+
+    With L the lower factor, a pair has the residual sums of squares ``ss_x
+    = L_xx^2`` and ``ss_y = L_yx^2 + L_yy^2``, and ``y``'s residual
+    coordinate along the unit residual of ``x`` is ``along = L_yx``.  A
+    residual sum of squares at or below ``n * VARIANCE_EPS^2``, or at or
+    below ``GramStats.span`` of its column (a side in the span of ``z``),
+    leaves nothing to correlate; otherwise ``r = |along| / sqrt(ss_y)`` is
+    tested against a Student-t law.  Pairs finish inline, on Python floats
+    and the group's constants.
+
+    A dummy endpoint has ``ss_y = L_yy^2``; the group sums ``S_z`` of its
+    ``z`` columns are whitened against ``L_zz``, ``W' = S_z L_zz^-T``, so
+    group g has the residual cross-product ``S_y[g] - W'[g] . L_yz`` and
+    the residual squared norm ``n_g - |W'[g]|^2``.  The group's ``L_zz^-1``
+    come from one stacked inverse of the k x k blocks and ``W'`` from one
+    stacked product: a stacked solve against the G columns of ``S_z'``
+    costs several times as much, as numpy's gufunc copies a right-hand side
+    one column at a time.  ``_dummy_results`` finishes the group's queries
+    together on the stacked rows.
 
     The factor takes ``zs`` to be of full rank: a block with a ``z`` pivot
-    ``L_ii^2`` at or below ``_SPAN_TOL`` of its Gram diagonal, or one the
+    ``L_ii^2`` at or below ``GramStats.span`` of its column, or one the
     factorization rejects (the gufunc then fills the whole factor with
-    NaN), is whitened by ``_eigh_sums`` instead.  Each block is factorized
-    and whitened on its own inside the stack, so a query gets the same bits
-    in any batch.  The caller sets the floating-point error state: NaN
-    factors and components of zero residual norm are expected.
+    NaN), is whitened by ``_eigh_sums`` instead and finished on its own
+    rank.  Each block is factorized and whitened on its own inside the
+    stack, so a query gets the same bits in any batch.  The caller sets the
+    floating-point error state: NaN factors and components of zero residual
+    norm are expected.
     """
     out = [None] * len(cases)
     groups = {}
     for k, case in enumerate(cases):
         groups.setdefault((case[2], case[3], len(case[6]), case[0].dummy), []).append(k)
     for (_, _, width, dummy), members in groups.items():
-        stats = cases[members[0]][5]
+        _, _, _, _, n, stats, _ = cases[members[0]]
+        df = n - (stats.group_rank + width) - 1
+        span = stats.span
         index = np.array([cases[k][6] + ((cases[k][1].column,) if dummy else
                                          (cases[k][0].column, cases[k][1].column))
                           for k in members])
         factors = _cholesky_lo(stats.gram[index[:, :, None], index[:, None, :]])
         pivots = factors.diagonal(0, 1, 2).tolist()
-        if dummy:
-            # the group sums of (zs..., y): one G x (width + 1) block per query
-            sums = stats.group_sums[dummy][:, index].transpose(1, 0, 2)
-            num, ss = sums[:, :, -1], stats.group_norms[dummy]
-            if width:
-                whitened = np.matmul(sums[:, :, :-1],
-                                     _inv(factors[:, :-1, :-1]).transpose(0, 2, 1))
-                num = num - np.matmul(whitened, factors[:, -1, :-1, None])[:, :, 0]
-                ss = ss - (whitened * whitened).sum(axis=2)
-            ss_xs, alongs = np.broadcast_to(ss, num.shape), num / np.sqrt(ss)
-        else:
-            l_yxs = factors[:, -1, -2].tolist()
+        if not dummy:
+            floor = n * VARIANCE_EPS ** 2
+            for k, row, l_yx in zip(members, pivots, factors[:, -1, -2].tolist()):
+                case = cases[k]
+                x, y, _, _, _, _, zs = case
+                if row[-1] == row[-1] and all(l * l > span[c] for l, c in zip(row, zs)):
+                    l_xx, l_yy = row[-2:]
+                    pair_df, ss_y, ss_x, along = df, l_yx * l_yx + l_yy * l_yy, l_xx * l_xx, l_yx
+                else:
+                    rank, ss_y, ss_x, along = _eigh_sums(case)
+                    pair_df = n - (stats.group_rank + rank) - 1
+                if (pair_df > 0 and ss_y > floor and ss_y > span[y.column]
+                        and ss_x > floor and ss_x > span[x.column]):
+                    r = min(abs(along) / math.sqrt(ss_y), 1 - 1e-15)
+                    t = r * math.sqrt(pair_df / (1.0 - r * r))
+                    out[k] = CITestResult(r, min(1.0, _t_tail(t, pair_df)), n,
+                                          degenerate=False, df=pair_df)
+                else:
+                    out[k] = CITestResult(0.0, 1.0, n, degenerate=True, df=pair_df)
+            continue
+        # the group sums of (zs..., y): one G x (width + 1) block per query
+        sums = stats.group_sums[dummy][:, index].transpose(1, 0, 2)
+        num, ss = sums[:, :, -1], stats.group_norms[dummy]
+        if width:
+            whitened = np.matmul(sums[:, :, :-1], _inv(factors[:, :-1, :-1]).transpose(0, 2, 1))
+            num = num - np.matmul(whitened, factors[:, -1, :-1, None])[:, :, 0]
+            ss = ss - (whitened * whitened).sum(axis=2)
+        kept, ys = [], []
         for i, (k, row) in enumerate(zip(members, pivots)):
             case = cases[k]
-            diag, zs = case[5].diag, case[6]
-            if not (row[-1] == row[-1]  # a NaN factor
-                    and all(l * l > _SPAN_TOL * diag[c] for l, c in zip(row, zs))):
-                out[k] = _finish(case, *_eigh_sums(case))
-            elif dummy:
-                out[k] = _finish(case, width, row[-1] * row[-1], ss_xs[i], alongs[i])
+            if row[-1] == row[-1] and all(l * l > span[c] for l, c in zip(row, case[6])):
+                kept.append(i)
+                ys.append((case[1].column, row[-1] * row[-1]))
             else:
-                l_xx, l_yy = row[-2:]
-                l_yx = l_yxs[i]
-                out[k] = _finish(case, width, l_yx * l_yx + l_yy * l_yy, l_xx * l_xx, l_yx)
+                rank, ss_y, ss_x, along = _eigh_sums(case)
+                out[k] = _dummy_results(n, n - (stats.group_rank + rank) - 1, stats, dummy,
+                                        [(case[1].column, ss_y)], ss_x[None], along[None])[0]
+        ss_xs = np.broadcast_to(ss, num.shape)[kept]
+        results = _dummy_results(n, df, stats, dummy, ys, ss_xs, (num / np.sqrt(ss))[kept])
+        for i, result in zip(kept, results):
+            out[members[i]] = result
     return out
-
-
-def _finish(case, rank, ss_y, ss_x, along):
-    """The ``CITestResult`` of a resolved query from its residual sums.
-
-    ``rank`` is the numerical rank of the scalar ``z`` block, ``ss_y`` the
-    residual sum of squares of ``y`` and ``ss_x`` that of ``x``, and
-    ``along`` is ``y``'s residual coordinate along the unit residual of
-    ``x``; for a dummy ``x``, the last two are arrays over its group
-    indicators.  ``df = n - (group rank + rank) - 1``.  A residual sum of
-    squares at or below ``n * _VARIANCE_EPS^2``, or at or below
-    ``_SPAN_TOL`` of the sum of squares before the scalar ``z`` (a side in
-    the span of ``z``), leaves nothing to correlate; of a dummy ``x``, the
-    components that are left are tested.  ``r = |along| / sqrt(ss_y)``, the
-    largest for a dummy, is tested against a Student-t law,
-    Bonferroni-combined over a dummy's components.
-    """
-    x, y, _, _, n, stats, _ = case
-    diag = stats.diag
-    df = n - (stats.group_rank + rank) - 1
-    floor = n * _VARIANCE_EPS ** 2
-    if df < 1 or not (ss_y > floor and ss_y > _SPAN_TOL * diag[y.column]):
-        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
-    n_components = 1
-    if x.dummy:
-        norms = stats.group_norms[x.dummy]
-        ok = (ss_x > floor) & (ss_x > _SPAN_TOL * norms)
-        if not ok.any():
-            return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
-        # unusable components count as r = 0; |t| grows with |r|, also in
-        # floating point, so the largest |r| gives the largest |t|
-        along, n_components = float(abs(along[ok]).max()), len(norms)
-    elif not (ss_x > floor and ss_x > _SPAN_TOL * diag[x.column]):
-        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
-    r = min(abs(along) / math.sqrt(ss_y), 1 - 1e-15)
-    p_value = min(1.0, _t_tail(r * math.sqrt(df / (1.0 - r * r)), df) * n_components)
-    return CITestResult(r, p_value, n, degenerate=False, df=df)
 
 
 def parcorr_batch(queries, data):

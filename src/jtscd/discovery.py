@@ -15,10 +15,12 @@ The tests of one level do not depend on each other's order (PC-stable), so
 each level is one batch through ``ci.batch``, the only way a discovery asks
 its CI test: a lagged-phase level across every target, a sweep level
 across every link, and all subsets of the majority collider rule.  A sweep
-level asks every test of its links and keeps each link's first separating
-one, the test it falls at when asked one at a time.  A CI test needs no
-more than ``var_roles``, ``selectors`` and ``batch``; a query it refuses
-raises out of the discovery unwrapped, its error naming the query.
+level asks each distinct test of its links once -- both directions of a
+lag-0 link at one conditioning set are one test -- and keeps each link's
+first separating one, the test it falls at when asked one at a time.  A CI
+test needs no more than ``var_roles``, ``selectors`` and ``batch``; a query
+it refuses raises out of the discovery unwrapped, its error naming the
+query.
 
 J-PCMCI+ runs the stages C (context-system pairs, dummies excluded), D
 (dummy-system pairs given the context parents), refinement (context links
@@ -217,10 +219,14 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
     ``_base_part``, built once per link).  Within one cardinality level,
     candidate subsets are drawn from the adjacency sets frozen at level
     start, so decisions do not depend on the order in which the links are
-    visited, and a level is one batch of every test of every link.  One
-    unordered link is removed at its first separating test, in either
-    direction's subset order; the tests after it are asked too (a CI test's
-    ``n_tests`` counts them) and their results are dropped.
+    visited, and a level is one batch of every test of every link.  A test
+    whose ``z`` set its unordered link already asked at the level -- the
+    other direction of a lag-0 link, or another subset that gives the same
+    set -- is not asked again: it reuses the first answer, for the removal
+    and for ``strengths``.  One unordered link is removed at its first
+    separating test, in either direction's subset order; the distinct tests
+    after it are asked too (a CI test's ``n_tests`` counts them) and their
+    results are dropped.
     """
     pairs = sorted(set(pairs), key=lambda p: (p[2], p[1], p[0]))
     if not pairs:  # a stage with nothing to test, such as C on masked data
@@ -240,10 +246,21 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
                     (link, cands, rests[link]))
         if not tasks:
             break
-        asked = [(link, S, _with_subset(S, rest)) for links in tasks.values()
-                 for link, cands, rest in links for S in itertools.combinations(cands, p)]
-        results = ci.batch([((i, tau), (j, 0), z) for (i, tau, j), _, z in asked])
-        for (link, S, z), res in zip(asked, results):
+        # each distinct test once: a test of a task whose z set the task
+        # already asked, in either direction, reuses the first answer
+        tests, queries, first = [], [], {}
+        for key, links in tasks.items():
+            for link, cands, rest in links:
+                i, tau, j = link
+                for S in itertools.combinations(cands, p):
+                    z = _with_subset(S, rest)
+                    at = first.setdefault((key, frozenset(z)), len(queries))
+                    if at == len(queries):
+                        queries.append(((i, tau), (j, 0), z))
+                    tests.append((link, S, z, at))
+        results = ci.batch(queries)
+        for link, S, z, at in tests:
+            res = results[at]
             i, tau, j = link
             strengths[link] = min(strengths.get(link, np.inf), abs(res.statistic))
             if res.p_value > alpha and graph.has_link(i, j, tau):  # first to separate

@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -77,6 +78,15 @@ def build_time_dummy(T, tau_max, time_index):
     return np.eye(T - tau_max)[np.asarray(time_index) - tau_max]
 
 
+# a column whose demeaned norm is at or below this, times max(1, sqrt(n)),
+# is zero: it adds nothing to a conditioning design of n rows
+VARIANCE_EPS = 1e-12
+# a residual sum of squares below this share of the column's sum of squares
+# before the scalar conditioning is cancellation noise of the cross-product
+# algebra: the column lies in the span of the conditioning columns
+SPAN_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class GramStats:
     """Sufficient statistics of the scalar columns on one row set.
@@ -91,18 +101,35 @@ class GramStats:
     ``group_norms`` holds the squared norms of those group indicators after
     centring or demeaning by the other dummy, which on a balanced panel are
     the same.  ``group_rank`` is the rank the mode's intercept and dummy
-    blocks add to a conditioning design.  ``diag`` is the diagonal of
-    ``gram`` as a tuple of Python floats, for the per-test lookups.
+    blocks add to a conditioning design, and ``n_rows`` the row count.
 
     The statistics are group-sum corrections of raw cross-products (see the
     module docstring).  A column constant within the mode's groups has an
     exactly zero row and column in ``gram`` and exactly zero sums.
+
+    The per-column values a CI test reads on every query are derived once,
+    on construction, as tuples of Python floats and booleans: ``diag``, the
+    diagonal of ``gram``; ``live``, whether a column's norm exceeds
+    ``VARIANCE_EPS * max(1, sqrt(n_rows))``, so that it counts in a
+    conditioning set; and ``span``, ``SPAN_TOL`` times its diagonal, the
+    residual sum of squares at or below which it lies in the span of the
+    columns it is conditioned on.
     """
     group_rank: int
     gram: np.ndarray
     group_sums: dict
     group_norms: dict
-    diag: tuple
+    n_rows: int
+    diag: tuple = field(init=False)
+    live: tuple = field(init=False)
+    span: tuple = field(init=False)
+
+    def __post_init__(self):
+        diag = self.gram.diagonal().tolist()
+        cutoff = VARIANCE_EPS * max(1.0, math.sqrt(self.n_rows))
+        object.__setattr__(self, "diag", tuple(diag))
+        object.__setattr__(self, "live", tuple([math.sqrt(d) > cutoff for d in diag]))
+        object.__setattr__(self, "span", tuple([SPAN_TOL * d for d in diag]))
 
 
 DUMMY_MODES = ("none", "time", "space", "both")
@@ -379,7 +406,7 @@ class PooledData:
         group_rank = {"none": 1, "time": width, "space": M,
                       "both": width + M - 1}[mode]
         return GramStats(
-            group_rank=group_rank, gram=gram, diag=tuple(gram.diagonal().tolist()),
+            group_rank=group_rank, gram=gram, n_rows=M * width,
             group_sums={"time": group_time, "space": group_space},
             group_norms={"time": time_norms,
                          "space": np.full(M, width * (1.0 - 1.0 / M))})

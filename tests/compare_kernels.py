@@ -22,7 +22,10 @@ the queries ``(x, y, z)`` of the two trees are matched as multisets, so two
 trees that ask the same tests in another order compare test by test.  The
 report gives
 
-* per corpus entry, the queries that only one tree ran,
+* per corpus entry, the queries that only one tree ran, each marked with
+  whether the other tree asked the same test in that entry (the same
+  unordered endpoints and ``z`` set, in another order), as a sweep that
+  reuses a test's answer for its repeats does,
 * how many aligned results differ, and the largest relative difference of
   the statistic and the p-value,
 * the discoveries whose graph or separating-set keys differ,
@@ -135,11 +138,17 @@ def _by_query(calls):
     return out
 
 
+def _test(key):
+    """The test a recorded query asks: its unordered endpoints and ``z`` set."""
+    x, y, z = json.loads(key)
+    return frozenset((tuple(map(tuple, x)), tuple(map(tuple, y)))), frozenset(map(tuple, z))
+
+
 def compare(runs_a, runs_b, alpha):
     """Report lines, whether the two trees disagree on queries or decisions,
     and the number of aligned results that differ."""
     lines, bad = [], False
-    n_calls = n_differ = n_graphs = n_discoveries = 0
+    n_calls = n_differ = n_graphs = n_discoveries = n_one_side = n_same_test = 0
     max_rel = {"statistic": 0.0, "p_value": 0.0}
     flips, near = [], []
     for ra, rb in zip(runs_a, runs_b, strict=True):
@@ -154,9 +163,14 @@ def compare(runs_a, runs_b, alpha):
         qa, qb = _by_query(ra["calls"]), _by_query(rb["calls"])
         count_a = Counter({k: len(v) for k, v in qa.items()})
         count_b = Counter({k: len(v) for k, v in qb.items()})
-        for side, only in (("A", count_a - count_b), ("B", count_b - count_a)):
+        tests = {"A": set(map(_test, qa)), "B": set(map(_test, qb))}
+        for side, other, only in (("A", "B", count_a - count_b), ("B", "A", count_b - count_a)):
             for key, times in sorted(only.items()):
-                lines.append(f"{op}: only {side} ran x, y, z = {key} ({times}x)")
+                same = _test(key) in tests[other]
+                n_one_side += times
+                n_same_test += times if same else 0
+                lines.append(f"{op}: only {side} ran x, y, z = {key} ({times}x); {other} "
+                             f"{'asked the same test' if same else 'did not ask this test'}")
                 bad = True
         for key in sorted(qa.keys() & qb.keys()):
             x, y, z = json.loads(key)
@@ -181,6 +195,8 @@ def compare(runs_a, runs_b, alpha):
                     near.append(f"{query}: p {res_a[1]!r} vs {res_b[1]!r}")
     lines += [f"discoveries: {n_discoveries} in {len(runs_a)} corpus entries; entries "
               f"with graph or separating-set key changes: {n_graphs}",
+              f"one-side queries: {n_one_side}, {n_same_test} of them asked by the other "
+              f"tree as the same test",
               f"aligned queries: {n_calls}",
               f"differing results: {n_differ}",
               f"largest relative difference: statistic {max_rel['statistic']:.3g}, "

@@ -4,7 +4,9 @@ ones in ``jtscd.discovery`` replaced.
 ``sequential_lagged_skeleton`` runs the lagged phase target by target, and
 ``sequential_skeleton_sweep`` visits the links of one level one after
 another; both ask each CI test on its own, as a batch of one, and apply
-a removal as soon as its test is seen.  They take the same arguments
+a removal as soon as its test is seen.  Within one link's tests at a
+level, both directions of a lag-0 link included, the sweep asks a ``z``
+set once and reuses its answer, as the batched sweep does.  They take the same arguments
 as ``discovery.lagged_skeleton_pcmciplus`` and ``discovery._skeleton_sweep``,
 so a test can put them in their place and run a whole discovery on them.
 They are kept only for the equivalence tests.
@@ -93,9 +95,12 @@ def sequential_skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
             tests = ((i, tau, j, S) for (i, tau, j) in links
                      for S in itertools.combinations(
                          [a for a in adj[j] if a != (i, tau)], p))
+            answers = {}  # a z set the task asked, in either direction
             for (i, tau, j, S) in tests:
                 z = _condition_set(S, base, i, tau, j, roles)
-                res = _run_ci(ci, (i, tau), (j, 0), z)
+                if frozenset(z) not in answers:
+                    answers[frozenset(z)] = _run_ci(ci, (i, tau), (j, 0), z)
+                res = answers[frozenset(z)]
                 link = (i, tau, j)
                 strengths[link] = min(strengths.get(link, np.inf), abs(res.statistic))
                 if res.p_value > alpha:

@@ -41,7 +41,7 @@ def reference_gram_stats(data, start, mode):
                   "both": width + M - 1}[mode]
     gram = flat @ flat.T
     return GramStats(
-        group_rank=group_rank, gram=gram, diag=tuple(gram.diagonal().tolist()),
+        group_rank=group_rank, gram=gram, n_rows=M * width,
         group_sums={"time": time_sums, "space": block.sum(axis=2).T},
         group_norms={"time": time_norms,
                      "space": np.full(M, width * (1.0 - 1.0 / M))})

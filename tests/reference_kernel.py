@@ -9,13 +9,23 @@ block must equal.  Both are kept only for the equivalence tests.  Like the kerne
 context endpoint conditioned on the non-constant dummy of its own kind.
 Their p-values come from ``scipy.stats``, independent of the package's own
 Student-t tail.
+
+``per_query_parcorr_batch`` is the batch whose group finishes
+``citests._results`` replaced: it factorizes the same stacked blocks, but
+picks each query's conditioning columns against the live-column cutoff
+and finishes each query on its own (``_per_query_finish``), on per-query
+thresholds.  The batch must give the same bits.
 """
+
+import math
 
 import numpy as np
 from scipy import stats
 
+from jtscd import citests
 from jtscd.citests import CITestResult, QueryError
 from jtscd.graph import VariableRole
+from jtscd.pooling import SPAN_TOL, VARIANCE_EPS
 
 _VARIANCE_EPS = 1e-12
 
@@ -151,3 +161,95 @@ def centered_parcorr_test(x, y, data, groups="dataset"):
     r = float(np.clip(r, -1 + 1e-15, 1 - 1e-15))
     t = r * np.sqrt(df / (1.0 - r ** 2))
     return CITestResult(abs(r), float(2.0 * stats.t.sf(abs(t), df)), n, df=df)
+
+
+def _per_query_zs(query, data, case):
+    """The scalar ``z`` columns of a resolved query not exactly zero on its
+    rows, each checked against the cutoff of its query's row count."""
+    n, diag = case[4], case[5].diag
+    cutoff = VARIANCE_EPS * max(1.0, math.sqrt(n))
+    table = data.selectors
+    columns = [table[s].column for s in query.z if not table[s].dummy]
+    return tuple([c for c in columns if math.sqrt(diag[c]) > cutoff])
+
+
+def _per_query_finish(case, rank, ss_y, ss_x, along):
+    """The ``CITestResult`` of one resolved query from its residual sums;
+    for a dummy ``x``, ``ss_x`` and ``along`` are arrays over its groups."""
+    x, y, _, _, n, stats, _ = case
+    diag = stats.diag
+    df = n - (stats.group_rank + rank) - 1
+    floor = n * VARIANCE_EPS ** 2
+    if df < 1 or not (ss_y > floor and ss_y > SPAN_TOL * diag[y.column]):
+        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
+    n_components = 1
+    if x.dummy:
+        norms = stats.group_norms[x.dummy]
+        ok = (ss_x > floor) & (ss_x > SPAN_TOL * norms)
+        if not ok.any():
+            return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
+        along, n_components = float(abs(along[ok]).max()), len(norms)
+    elif not (ss_x > floor and ss_x > SPAN_TOL * diag[x.column]):
+        return CITestResult(0.0, 1.0, n, degenerate=True, df=df)
+    r = min(abs(along) / math.sqrt(ss_y), 1 - 1e-15)
+    p_value = min(1.0, citests._t_tail(r * math.sqrt(df / (1.0 - r * r)), df) * n_components)
+    return CITestResult(r, p_value, n, degenerate=False, df=df)
+
+
+def _per_query_results(cases):
+    """The results of resolved queries, grouped and factorized as the batch
+    does, each finished by ``_per_query_finish``."""
+    out = [None] * len(cases)
+    groups = {}
+    for k, case in enumerate(cases):
+        groups.setdefault((case[2], case[3], len(case[6]), case[0].dummy), []).append(k)
+    for (_, _, width, dummy), members in groups.items():
+        stats = cases[members[0]][5]
+        index = np.array([cases[k][6] + ((cases[k][1].column,) if dummy else
+                                         (cases[k][0].column, cases[k][1].column))
+                          for k in members])
+        factors = citests._cholesky_lo(stats.gram[index[:, :, None], index[:, None, :]])
+        pivots = factors.diagonal(0, 1, 2).tolist()
+        if dummy:
+            sums = stats.group_sums[dummy][:, index].transpose(1, 0, 2)
+            num, ss = sums[:, :, -1], stats.group_norms[dummy]
+            if width:
+                whitened = np.matmul(sums[:, :, :-1],
+                                     citests._inv(factors[:, :-1, :-1]).transpose(0, 2, 1))
+                num = num - np.matmul(whitened, factors[:, -1, :-1, None])[:, :, 0]
+                ss = ss - (whitened * whitened).sum(axis=2)
+            ss_xs, alongs = np.broadcast_to(ss, num.shape), num / np.sqrt(ss)
+        else:
+            l_yxs = factors[:, -1, -2].tolist()
+        for i, (k, row) in enumerate(zip(members, pivots)):
+            case = cases[k]
+            diag, zs = case[5].diag, case[6]
+            if not (row[-1] == row[-1]
+                    and all(l * l > SPAN_TOL * diag[c] for l, c in zip(row, zs))):
+                out[k] = _per_query_finish(case, *citests._eigh_sums(case))
+            elif dummy:
+                out[k] = _per_query_finish(case, width, row[-1] * row[-1], ss_xs[i], alongs[i])
+            else:
+                l_xx, l_yy = row[-2:]
+                l_yx = l_yxs[i]
+                out[k] = _per_query_finish(case, width, l_yx * l_yx + l_yy * l_yy,
+                                           l_xx * l_xx, l_yx)
+    return out
+
+
+def per_query_parcorr_batch(queries, data):
+    """``citests.parcorr_batch`` with every query finished on its own."""
+    results, cases, at = [], [], []
+    for query in queries:
+        case = citests._resolve(query, data)
+        if isinstance(case, CITestResult):
+            results.append(case)
+            continue
+        assert _per_query_zs(query, data, case) == case[6], query
+        at.append(len(results))
+        cases.append(case)
+        results.append(None)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k, result in zip(at, _per_query_results(cases)):
+            results[k] = result
+    return results

@@ -742,6 +742,48 @@ class TestBatchedPhases:
     def test_parcorr(self, monkeypatch):
         self.assert_same_as_sequential(self.parcorr_runs(), monkeypatch)
 
+    def test_a_sweep_level_asks_each_test_once(self, monkeypatch):
+        # both directions of a lag-0 link at one z set are one test, and so
+        # are two subsets that give one z set: a level asks it once
+        import jtscd.discovery as discovery
+        sweep, inside, batches = discovery._skeleton_sweep, [], []
+
+        def recording_sweep(*args):
+            inside.append(True)
+            try:
+                return sweep(*args)
+            finally:
+                inside.pop()
+
+        def recording(batch):
+            def recording_batch(ci, queries):
+                if inside:
+                    batches.append(list(queries))
+                return batch(ci, queries)
+            return recording_batch
+
+        for test in (ParCorrCI, GraphOracle):
+            monkeypatch.setattr(test, "batch", recording(test.batch))
+        monkeypatch.setattr(discovery, "_skeleton_sweep", recording_sweep)
+        for run in self.oracle_runs() + self.parcorr_runs():
+            run()
+        assert len(batches) > 100
+        for queries in batches:
+            tests = [(frozenset((tuple(x), tuple(y))), frozenset(map(tuple, z)))
+                     for x, y, z in queries]
+            assert len(set(tests)) == len(tests), queries
+
+    def test_a_seeded_discovery_asks_fewer_tests(self):
+        # the counts of the sweep that asked both directions of a link
+        # (ParCorr 161, oracle 365 queries)
+        spec, g = generate_random_model(n_system=4, n_temporal_ctx=1, n_spatial_ctx=1,
+                                        frac_observed=0.5, seed=0, max_lag=2)
+        ci = ParCorrCI(pool_data(simulate(spec, M=5, T=60, seed=70), 2))
+        oracle = GraphOracle(g, 2)
+        j_pcmciplus(ci, tau_max=2)
+        j_pcmciplus(oracle, tau_max=2)
+        assert ci.n_tests < 161 and oracle.n_tests < 365
+
     def test_a_sweep_level_is_one_batch(self, monkeypatch):
         # a level starts with one freeze of the adjacencies; the last freeze
         # of a sweep finds no link left to test.  The batched discovery also

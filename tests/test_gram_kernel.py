@@ -24,7 +24,7 @@ from jtscd.discovery import estimate_graph
 from jtscd.pooling import SelectionError, pool_data
 from jtscd.scm import DatasetCollection, generate_random_model, simulate
 
-from reference_kernel import lstsq_parcorr_test
+from reference_kernel import lstsq_parcorr_test, per_query_parcorr_batch
 
 COLLINEAR = (None, "duplicate", "affine", "spatial")
 
@@ -487,23 +487,68 @@ def batch_corpus(data, rng):
     return queries
 
 
+def seeded_batches():
+    """The 20 seeded panels of the batch tests, each with the queries of its
+    ``batch_corpus`` that a ``parcorr_test`` on a fresh pool answers, and
+    those answers: a batch raises at its first failing query."""
+    rng = np.random.default_rng(20261019)
+    n_batches = 0
+    while n_batches < 20:
+        p = random_params(rng)
+        if p["tau_max"] == 0 or p["M"] == 1 or p["n_system"] < 3:
+            continue
+        data, _ = build_case(p)
+        corpus = batch_corpus(data, rng)
+        alone = pool_data(data.dc, data.tau_max)
+        answered = [(q, outcome(parcorr_test, q, alone)) for q in corpus]
+        answered = [(q, s) for q, s in answered if not isinstance(s, type)]
+        yield p, data, [q for q, _ in answered], [s for _, s in answered]
+        n_batches += 1
+
+
+def edge_batches():
+    """Panels and queries of the named edge cases (``TestCoverage``,
+    ``TestScalarPair``, ``TestBatch``): empty time groups, a single
+    dataset, ``x`` in the span of ``z``, a collinear ``z`` (the eigh
+    fallback), the df floor and a constant column."""
+    out = []
+    data = panel()  # the lag-4 selector empties the first two time groups
+    out.append((data, [CIQuery(x=((data.time_dummy, 0),), y=((0, 0),), z=((1, 4),))]))
+    data = panel(M=1, T=40)
+    out.append((data, [CIQuery(x=((data.time_dummy, 0),), y=((0, 0),)),
+                       CIQuery(x=((data.space_dummy, 0),), y=((0, 0),)),
+                       CIQuery(x=((0, 1),), y=((1, 0),), z=((4, 0), (data.space_dummy, 0)))]))
+    for copy in ("duplicate", "affine"):
+        system = np.random.default_rng(3).standard_normal((4, 20, 3))
+        system[:, :, 2] = system[:, :, 0] if copy == "duplicate" else 2.0 * system[:, :, 0] - 1.5
+        data = panel(system=system)
+        zs = (((2, 1),), ((2, 1), (data.time_dummy, 0)), ((3, 0), (2, 1)))
+        out.append((data, [CIQuery(x=x, y=y, z=z) for z in zs
+                           for x, y in ((((0, 1),), ((1, 0),)), (((1, 0),), ((0, 1),)))]))
+        system = np.random.default_rng(6).standard_normal((4, 20, 4))
+        system[:, :, 3] = system[:, :, 0] if copy == "duplicate" else 2.0 * system[:, :, 0] - 1.5
+        data = panel(system=system)
+        out.append((data, [CIQuery(x=(x,), y=((2, 0),), z=((0, 1), (3, 1)))
+                           for x in ((1, 0), (data.time_dummy, 0), (data.space_dummy, 0))]))
+    for T in (7, 8):
+        system = np.random.default_rng(5).standard_normal((1, T, 5))
+        data = panel(tau_max=0, spatial=0, system=system)
+        out.append((data, [CIQuery(x=((0, 0),), y=((1, 0),), z=((2, 0), (3, 0), (4, 0)))]))
+    system = np.random.default_rng(4).standard_normal((4, 20, 3))
+    system[:, :, 1] = 2.5
+    data = panel(system=system)
+    out.append((data, [CIQuery(x=x, y=y, z=z)
+                       for z in ((), ((2, 1),), ((2, 1), (data.space_dummy, 0)))
+                       for x, y in ((((0, 1),), ((1, 0),)), (((1, 2),), ((0, 0),)))]))
+    return out
+
+
 class TestBatch:
     """``parcorr_batch`` against one ``parcorr_test`` call per query."""
 
     def test_batch_is_bitwise_the_single_path_and_matches_reference(self):
-        rng = np.random.default_rng(20261019)
-        n_pairs = n_endpoints = n_batches = n_collinear = 0
-        while n_batches < 20:
-            p = random_params(rng)
-            if p["tau_max"] == 0 or p["M"] == 1 or p["n_system"] < 3:
-                continue
-            data, _ = build_case(p)
-            corpus = batch_corpus(data, rng)
-            # a batch raises at its first failing query: keep those that pass
-            alone = pool_data(data.dc, data.tau_max)
-            singles = [outcome(parcorr_test, q, alone) for q in corpus]
-            queries = [q for q, s in zip(corpus, singles) if not isinstance(s, type)]
-            expected = [s for s in singles if not isinstance(s, type)]
+        n_pairs = n_endpoints = n_collinear = 0
+        for p, data, queries, expected in seeded_batches():
             batch = citests.parcorr_batch(queries, data)
             assert batch == expected
             for query, result in zip(queries, batch):
@@ -511,7 +556,6 @@ class TestBatch:
             endpoints = sum(data.var_roles[q.x[0][0]].is_dummy for q in queries)
             n_endpoints += endpoints
             n_pairs += len(queries) - endpoints
-            n_batches += 1
             if p["collinear"] in ("duplicate", "affine"):
                 # a z holding a column and its copy counts one of them
                 n_sys = data.n_system
@@ -520,6 +564,24 @@ class TestBatch:
                 assert result.df == result.n_effective - 3, p
                 n_collinear += 1
         assert n_pairs > 500 and n_endpoints > 200 and n_collinear > 3
+
+    def test_group_finishes_are_bitwise_the_per_query_finish(self, monkeypatch):
+        # every result of the seeded corpus and of the edge cases, finished
+        # per group, against the finish of one query at a time it replaced
+        eigh_sums, calls = citests._eigh_sums, []
+        monkeypatch.setattr(citests, "_eigh_sums",
+                            lambda case: calls.append(case) or eigh_sums(case))
+        batches = [(data, queries) for _, data, queries, _ in seeded_batches()]
+        results, fallbacks = [], []
+        for data, queries in batches + edge_batches():
+            expected = per_query_parcorr_batch(queries, data)
+            del calls[:]
+            batch = citests.parcorr_batch(queries, data)
+            assert batch == expected
+            results += batch
+            fallbacks += calls
+        assert sum(r.degenerate for r in results) > 200 and len(results) > 3000
+        assert len(fallbacks) > 300 and sum(bool(case[0].dummy) for case in fallbacks) > 40
 
     @pytest.mark.parametrize("copy, endpoint", [
         pytest.param("duplicate", None, id="duplicate"),
