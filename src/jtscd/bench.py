@@ -27,11 +27,15 @@ def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value):  # JSON true is a bool, which numbers.Real admits as 1
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 # config value types, checked before their ranges: the element type of each
 # list, and each integer's least value with the refusal below it (every
 # realization draws a lagged model and runs a lagged discovery)
 _LIST_KEYS = {"t_values": (_is_integer, "integers"), "m_values": (_is_integer, "integers"),
-              "frac_observed_values": (lambda v: isinstance(v, numbers.Real), "numbers"),
+              "frac_observed_values": (_is_real, "numbers"),
               "variants": (lambda v: isinstance(v, str), "strings")}
 _INTEGER_KEYS = {"n_realizations": (1, "n_realizations must be positive"),
                  "n_system": (1, "n_system must be positive"),

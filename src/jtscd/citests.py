@@ -53,13 +53,16 @@ and gathers and factorizes each group's blocks in one call of the gufunc
 behind ``np.linalg.cholesky`` (and inverts a group's ``L_zz`` blocks for
 its dummy sums in one call of that behind ``np.linalg.inv``).  Each block
 is factorized on its own inside the stack, so a query gets the same bits
-in a batch of any size; ``parcorr_test`` is a batch of one.  ``CIQuery``
-validates a query once, in its constructor; the kernel looks its
-selectors up in the table ``PooledData.selectors`` built with the pooled
-data and reads the conditioning set in one pass.  The per-column
-thresholds -- whether a ``z`` column is live, and the residual sum of
-squares at or below which a column lies in the span of ``z`` -- are
-derived once per ``GramStats``, as tuples of Python booleans and floats.
+in a batch of any size; ``parcorr_test`` is a batch of one.  A query is
+read by position, in ``CIQuery``'s shape ``((x,), (y,), z)``, and resolved
+in one pass: the kernel looks its selectors up as given in the table
+``PooledData.selectors`` built with the pooled data and does ``CIQuery``'s
+overlap checks on them, with no copy of the query.  A query that fails
+anything is handed to ``CIQuery`` and the lookup of its selectors, which
+raise the refusal.  The per-column thresholds -- whether a ``z`` column is
+live, and the residual sum of squares at or below which a column lies in
+the span of ``z`` -- are derived once per ``GramStats``, as tuples of
+Python booleans and floats.
 A group shares its row count and ``df``, so its results are finished on
 those constants: scalar pairs inline on Python floats, with no call per
 query, and dummy endpoints together, the usable components and largest
@@ -116,10 +119,13 @@ class CIQuery(tuple):
 
     ``x`` and ``y`` hold one selector each, ``z`` any number; each selector
     is stored as a tuple, so list-form selectors compare equal to their
-    tuple form.  The constructor is the one validation of a query: each
-    tested side is exactly one non-empty selector, the two differ, and
-    neither is in ``z``.  A query is the immutable tuple ``(x, y, z)``
-    with read-only ``x``, ``y`` and ``z``.
+    tuple form.  The constructor validates a query: each tested side is
+    exactly one non-empty selector, the two differ, and neither is in
+    ``z``.  A query is the immutable tuple ``(x, y, z)`` with read-only
+    ``x``, ``y`` and ``z``.  ParCorr's kernel also takes a plain tuple of
+    this shape and does the same checks as it looks the selectors up
+    (``_resolve``); a query that fails one is handed to this constructor,
+    so its refusal is the same.
     """
     __slots__ = ()
 
@@ -293,6 +299,19 @@ def _t_tail(t, df):
 def _resolve(query, data):
     """Look a query's selectors up in ``data.selectors`` and check it.
 
+    ``query`` is ``(x, y, z)`` in ``CIQuery``'s shape, read by position: a
+    ``CIQuery`` or a plain tuple ``((x,), (y,), z)``.  The selectors are
+    looked up as given, with no copy of the query; a ``CIQuery`` was
+    checked by its constructor, and a plain query gets the same overlap
+    checks here.  A plain query that would be refused -- its unpacking, a
+    lookup or a check fails, or it has two dummy endpoints, too few samples
+    or a context endpoint conditioned on its own dummy -- is handed to
+    ``CIQuery(*query)`` and resolved again, which raises the refusal of the
+    first check it fails, in order, naming the query in tuple form.  So is
+    a query with a list-form selector, which is unhashable, or with a ``z``
+    that is not a list or tuple; if the ``CIQuery`` holds, it is answered
+    as its tuple form.
+
     Returns a ``CITestResult`` for a query answered before any statistic is
     read -- a degenerate tested endpoint, once every selector is found and
     one side at most is a dummy -- and otherwise the tuple ``(x, y, start,
@@ -303,11 +322,14 @@ def _resolve(query, data):
     """
     table = data.selectors
     try:
-        x, y = table[query.x[0]], table[query.y[0]]
+        (x_sel,), (y_sel,), z = query
+        if z.__class__ is not list and z.__class__ is not tuple:
+            raise TypeError  # z is read twice: an iterator would be spent
+        x, y = table[x_sel], table[y_sel]
         # one pass over z: the start it forces, its column count, the
         # dummies that set the demeaning mode and its scalar columns
         start, n_z_cols, z_dummies, z_cols = 0, 0, set(), []
-        for column, dummy, sel_start, n_components, _ in map(table.__getitem__, query.z):
+        for column, dummy, sel_start, n_components, _ in map(table.__getitem__, z):
             if sel_start > start:
                 start = sel_start
             n_z_cols += n_components
@@ -315,19 +337,26 @@ def _resolve(query, data):
                 z_dummies.add(dummy)
             else:
                 z_cols.append(column)
-    except (KeyError, TypeError):
+    except (KeyError, TypeError, ValueError):
+        if not isinstance(query, CIQuery):
+            return _resolve(CIQuery(*query), data)
         missing = next(s for s in query.x + query.y + query.z if s not in table)
         raise SelectionError(f"selector {missing} out of range" + _naming(*query)) from None
+    start = max(start, x.start, y.start)
+    n = data.M * (data.T - start)
+    if not isinstance(query, CIQuery) and (
+            x_sel == y_sel or x_sel in z or y_sel in z or x.dummy and y.dummy
+            or n <= n_z_cols + 3 or z_dummies and _check_own_dummy(query, data)):
+        return _resolve(CIQuery(*query), data)
     if x.dummy and y.dummy:
         raise QueryError("a dummy may appear among the tested variables once only"
                          + _naming(*query))
     if x.degenerate or y.degenerate:
         return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
     if z_dummies:
-        _check_own_dummy(query, data)
-    start = max(start, x.start, y.start)
-
-    n = data.M * (data.T - start)
+        refusal = _check_own_dummy(query, data)
+        if refusal:
+            raise QueryError(refusal + _naming(*query))
     if n <= n_z_cols + 3:
         raise QueryError(f"too few samples: n={n} with {n_z_cols} conditioning columns"
                          + _naming(*query))
@@ -341,19 +370,21 @@ def _resolve(query, data):
 
 
 def _check_own_dummy(query, data):
-    """Refuse a context endpoint conditioned on the dummy of its own kind.
+    """The refusal of a context endpoint conditioned on the dummy of its
+    own kind in the query ``(x, y, z)``, or ``None``.
 
     The context is a function of that dummy, so the test could only find
     its residual zero.  A constant dummy block in ``z`` (``degenerate`` in
     ``data.selectors``) carries no signal and is let through.
     """
-    for var, lag in query.x + query.y:
+    (x,), (y,), z = query
+    for var, lag in (x, y):
         role = data.var_roles[var]
         if role.is_context:
             own = (data.time_dummy if role.is_temporal_kind else data.space_dummy, 0)
-            if own in query.z and not data.selectors[own].degenerate:
-                raise QueryError(f"context {(var, lag)} is conditioned on the dummy "
-                                 f"{own} of its own kind" + _naming(*query))
+            if own in z and not data.selectors[own].degenerate:
+                return f"context {(var, lag)} is conditioned on the dummy {own} of its own kind"
+    return None
 
 
 def _eigh(block, n):
@@ -421,7 +452,7 @@ def _dummy_results(n, df, stats, dummy, ys, ss_xs, alongs):
     so it gives the largest ``|t|`` -- is tested against a Student-t law,
     Bonferroni-combined over the G components.
     """
-    degenerate = CITestResult(0.0, 1.0, n, degenerate=True, df=df)
+    degenerate = CITestResult(0.0, 1.0, n, True, df)
     if df < 1:
         return [degenerate] * len(ys)
     norms = stats.group_norms[dummy]
@@ -434,8 +465,7 @@ def _dummy_results(n, df, stats, dummy, ys, ss_xs, alongs):
         if use and ss_y > floor and ss_y > span[y]:
             r = min(peak / math.sqrt(ss_y), 1 - 1e-15)
             t = r * math.sqrt(df / (1.0 - r * r))
-            out.append(CITestResult(r, min(1.0, _t_tail(t, df) * n_components), n,
-                                    degenerate=False, df=df))
+            out.append(CITestResult(r, min(1.0, _t_tail(t, df) * n_components), n, False, df))
         else:
             out.append(degenerate)
     return out
@@ -506,10 +536,9 @@ def _results(cases):
                         and ss_x > floor and ss_x > span[x.column]):
                     r = min(abs(along) / math.sqrt(ss_y), 1 - 1e-15)
                     t = r * math.sqrt(pair_df / (1.0 - r * r))
-                    out[k] = CITestResult(r, min(1.0, _t_tail(t, pair_df)), n,
-                                          degenerate=False, df=pair_df)
+                    out[k] = CITestResult(r, min(1.0, _t_tail(t, pair_df)), n, False, pair_df)
                 else:
-                    out[k] = CITestResult(0.0, 1.0, n, degenerate=True, df=pair_df)
+                    out[k] = CITestResult(0.0, 1.0, n, True, pair_df)
             continue
         # the group sums of (zs..., y): one G x (width + 1) block per query
         sums = stats.group_sums[dummy][:, index].transpose(1, 0, 2)
@@ -536,8 +565,10 @@ def _results(cases):
 
 
 def parcorr_batch(queries, data):
-    """Partial correlation tests of ``queries``, a list of ``CIQuery``, on
-    pooled data; returns the list of ``CITestResult``.
+    """Partial correlation tests of ``queries`` on pooled data; returns the
+    list of ``CITestResult``.  Each query is ``(x, y, z)`` in ``CIQuery``'s
+    shape, read by position: a ``CIQuery`` or a plain tuple ``((x,), (y,),
+    z)`` (``_resolve``).
 
     The Pearson correlation ``r`` of the conditioning residuals of ``x`` and
     ``y`` is transformed to ``t = r * sqrt(df / (1 - r^2))`` and tested
@@ -552,10 +583,11 @@ def parcorr_batch(queries, data):
     degenerate flag.
 
     Each query is resolved once, in order, so the first one refused raises
-    before any is tested, naming it: a selector missing from
-    ``data.selectors`` is a ``SelectionError``, a context endpoint
-    conditioned on the (non-constant) dummy of its own kind a
-    ``QueryError``.  ``_results`` then answers the rest from
+    before any is tested, naming it, with the error ``CIQuery`` or the
+    lookup of its selectors raises: a malformed query is a ``QueryError``, a
+    selector missing from ``data.selectors`` a ``SelectionError``, a
+    context endpoint conditioned on the (non-constant) dummy of its own
+    kind a ``QueryError``.  ``_results`` then answers the rest from
     ``data.gram_stats``, whose demeaning the dummies in ``z`` select.
     """
     results, cases, at = [], [], []
@@ -574,7 +606,7 @@ def parcorr_batch(queries, data):
 
 
 def parcorr_test(query, data):
-    """``parcorr_batch`` of the one ``CIQuery`` ``query``."""
+    """``parcorr_batch`` of the one query ``query``."""
     return parcorr_batch([query], data)[0]
 
 
@@ -609,9 +641,11 @@ class ParCorrCI:
         self.n_tests = 0
 
     def batch(self, queries):
-        """The results of ``(x, y, z)`` queries, asked as one ``parcorr_batch``."""
+        """The results of ``(x, y, z)`` queries, asked as one
+        ``parcorr_batch`` of the plain tuples ``((x,), (y,), z)``: the
+        kernel validates them as it looks them up."""
         self.n_tests += len(queries)
-        return parcorr_batch([CIQuery((x,), (y,), z) for x, y, z in queries], self.data)
+        return parcorr_batch([((x,), (y,), z) for x, y, z in queries], self.data)
 
 
 class GraphOracle:

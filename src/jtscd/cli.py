@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import sys
 from pathlib import Path
 
@@ -24,8 +23,7 @@ _CONFIG_KINDS = {
                      "max_lag"), (bench._is_integer, "an integer")),
     **dict.fromkeys(("seed", "data_seed"),
                     (lambda v: bench._is_integer(v) and v >= 0, "a non-negative integer")),
-    "frac_observed": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
-                      "a number"),
+    "frac_observed": (bench._is_real, "a number"),
     "lag_free": (lambda v: isinstance(v, bool), "true or false")}
 
 

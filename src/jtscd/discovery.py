@@ -216,17 +216,18 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
 
     ``S`` is drawn from the contemporaneous adjacencies with a role in
     ``s_roles``; ``base`` completes each conditioning set (see
-    ``_base_part``, built once per link).  Within one cardinality level,
-    candidate subsets are drawn from the adjacency sets frozen at level
-    start, so decisions do not depend on the order in which the links are
-    visited, and a level is one batch of every test of every link.  A test
-    whose ``z`` set its unordered link already asked at the level -- the
-    other direction of a lag-0 link, or another subset that gives the same
-    set -- is not asked again: it reuses the first answer, for the removal
-    and for ``strengths``.  One unordered link is removed at its first
-    separating test, in either direction's subset order; the distinct tests
-    after it are asked too (a CI test's ``n_tests`` counts them) and their
-    results are dropped.
+    ``_base_part``, built once per link with its frozenset, and asked as it
+    is at ``|S| = 0``).  Within one cardinality level, candidate subsets are
+    drawn from the adjacency sets frozen at level start, so decisions do
+    not depend on the order in which the links are visited, and a level is
+    one batch of every test of every link.  A test whose ``z`` set -- the
+    union of ``S`` with the base part's frozenset -- its unordered link
+    already asked at the level, as the other direction of a lag-0 link or
+    another subset that gives the same set, is not asked again: it reuses
+    the first answer, for the removal and for ``strengths``.  One unordered
+    link is removed at its first separating test, in either direction's
+    subset order; the distinct tests after it are asked too (a CI test's
+    ``n_tests`` counts them) and their results are dropped.
     """
     pairs = sorted(set(pairs), key=lambda p: (p[2], p[1], p[0]))
     if not pairs:  # a stage with nothing to test, such as C on masked data
@@ -234,6 +235,7 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
     roles = ci.var_roles  # every variable the CI test knows, dummies included
     strengths = {}
     rests = {(i, tau, j): _base_part(base, i, tau, j, roles) for (i, tau, j) in pairs}
+    rest_sets = {link: frozenset(rest) for link, rest in rests.items()}
     p = 0
     while True:
         adj = _contemp_adjacencies(graph, s_roles, strengths)
@@ -243,18 +245,18 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
             cands = [a for a in adj[j] if a != (i, tau)]
             if graph.has_link(i, j, tau) and len(cands) >= p:
                 tasks.setdefault(SepSetStore._key(i, tau, j), []).append(
-                    (link, cands, rests[link]))
+                    (link, cands, rests[link], rest_sets[link]))
         if not tasks:
             break
         # each distinct test once: a test of a task whose z set the task
         # already asked, in either direction, reuses the first answer
         tests, queries, first = [], [], {}
         for key, links in tasks.items():
-            for link, cands, rest in links:
+            for link, cands, rest, rest_set in links:
                 i, tau, j = link
                 for S in itertools.combinations(cands, p):
-                    z = _with_subset(S, rest)
-                    at = first.setdefault((key, frozenset(z)), len(queries))
+                    z = _with_subset(S, rest) if p else rest
+                    at = first.setdefault((key, rest_set.union(S)), len(queries))
                     if at == len(queries):
                         queries.append(((i, tau), (j, 0), z))
                     tests.append((link, S, z, at))

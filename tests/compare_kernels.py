@@ -57,8 +57,8 @@ PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS"
 
 
 def _entry(query):
-    return [[list(s) for s in query.x], [list(s) for s in query.y],
-            [list(s) for s in query.z]]
+    """A query ``(x, y, z)`` read by position: a ``CIQuery`` or a plain tuple."""
+    return [[list(s) for s in side] for side in query]
 
 
 def _outcome(res):

@@ -169,7 +169,7 @@ def _per_query_zs(query, data, case):
     n, diag = case[4], case[5].diag
     cutoff = VARIANCE_EPS * max(1.0, math.sqrt(n))
     table = data.selectors
-    columns = [table[s].column for s in query.z if not table[s].dummy]
+    columns = [table[s].column for s in query[2] if not table[s].dummy]
     return tuple([c for c in columns if math.sqrt(diag[c]) > cutoff])
 
 
@@ -238,7 +238,8 @@ def _per_query_results(cases):
 
 
 def per_query_parcorr_batch(queries, data):
-    """``citests.parcorr_batch`` with every query finished on its own."""
+    """``citests.parcorr_batch`` with every query finished on its own; a
+    query is read by position, as ``citests._resolve`` reads it."""
     results, cases, at = [], [], []
     for query in queries:
         case = citests._resolve(query, data)

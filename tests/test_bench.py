@@ -52,6 +52,8 @@ class TestConfig:
         (dict(n_system=0), "n_system must be positive"),
         (dict(n_temporal_ctx=-1), "context counts must be non-negative"),
         (dict(n_spatial_ctx=-1), "context counts must be non-negative"),
+        (dict(frac_observed_values=[True]),
+         r"frac_observed_values=\[True\] must be a list of numbers"),
     ])
     def test_out_of_range_values_are_refused(self, override, message):
         with pytest.raises(ValueError, match=message):

@@ -15,6 +15,7 @@ import pytest
 from scipy import special, stats
 
 import jtscd
+from jtscd import citests
 from jtscd.citests import (CIQuery, GraphOracle, ParCorrCI, QueryError, _t_tail,
                            _tail_polynomials, parcorr_test)
 from jtscd.discovery import j_pcmciplus
@@ -174,22 +175,35 @@ class TestParCorr:
 
     def test_query_validation(self):
         # every malformed query fails in the one validating constructor,
-        # built directly or by either CI test from single selectors
-        tests = (ParCorrCI(null_pool(0, k=4)),
-                 GraphOracle(GroundTruthGraph([R.SYSTEM] * 4, 1), 1))
+        # built directly or by either CI test from single selectors; the
+        # ParCorr kernel, which validates a plain query as it looks it up,
+        # hands it to that constructor in any form it is asked in
+        data = null_pool(0, k=4)
+        parcorr = ParCorrCI(data)
+        oracle = GraphOracle(GroundTruthGraph([R.SYSTEM] * 4, 1), 1)
+
+        def asked(x, y, z):
+            listed = ([list(x)], [list(y)], [list(s) for s in z])
+            return (lambda: parcorr.batch([(x, y, z)]),
+                    lambda: parcorr.batch([(x, y, iter(z))]),
+                    lambda: parcorr.batch([(list(x), list(y), listed[2])]),
+                    lambda: citests.parcorr_batch([((x,), (y,), list(z))], data),
+                    lambda: citests.parcorr_batch([listed], data))
+
         # and each refusal ends by naming the query
         for x, y, z, message in MALFORMED_QUERIES:
             with pytest.raises(QueryError, match=f"^{message}{named(x, y, z)}$") as direct:
                 CIQuery(x=(x,), y=(y,), z=z)
-            for test in tests:
+            for ask in asked(x, y, z) + (lambda: oracle.batch([(x, y, z)]),):
                 with pytest.raises(QueryError) as called:
-                    test.batch([(x, y, z)])
-                assert str(called.value) == str(direct.value), (test, x, y, z)
+                    ask()
+                assert str(called.value) == str(direct.value), (x, y, z)
         # a selector that is no valid (var, lag) pair is named by both tests
-        parcorr, oracle = tests
         for x, y, z, selection_message, query_message in MALFORMED_SELECTORS:
-            with pytest.raises(SelectionError, match=f"^{selection_message}{named(x, y, z)}$"):
-                parcorr.batch([(x, y, z)])
+            for ask in asked(x, y, z):
+                with pytest.raises(SelectionError,
+                                   match=f"^{selection_message}{named(x, y, z)}$"):
+                    ask()
             with pytest.raises(QueryError, match=f"^{query_message}{named(x, y, z)}$"):
                 oracle.batch([(x, y, z)])
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from jtscd import citests
 from jtscd.citests import CIQuery, ParCorrCI, QueryError, parcorr_test
-from jtscd.discovery import estimate_graph
+from jtscd.discovery import estimate_graph, j_pcmciplus
 from jtscd.pooling import SelectionError, pool_data
 from jtscd.scm import DatasetCollection, generate_random_model, simulate
 
@@ -244,9 +244,9 @@ def test_discovery_matches_reference_kernel(seed, monkeypatch):
     fast = [estimate_graph(dc, **run) for run in runs]
     used = []
 
-    def reference(query, data):
+    def reference(query, data):  # ParCorrCI asks plain ((x,), (y,), z) tuples
         used.append(query)
-        return lstsq_parcorr_test(query, data)
+        return lstsq_parcorr_test(CIQuery(*query), data)
 
     monkeypatch.setattr(citests, "parcorr_batch",
                         lambda queries, data: [reference(q, data) for q in queries])
@@ -430,6 +430,9 @@ class TestErrorParity:
         query = CIQuery(x=((0, 0),), y=((1, 0),), z=((2, 0), (3, 0), (0, 1), (1, 1), (2, 1)))
         assert error_type(lstsq_parcorr_test, query, data) is QueryError
         assert error_type(parcorr_test, query, data) is QueryError
+        named = re.escape(f" (query x={query.x} y={query.y} z={query.z})") + "$"
+        with pytest.raises(QueryError, match="^too few samples.*" + named):
+            ParCorrCI(data).batch([(query.x[0], query.y[0], list(query.z))])
 
     def test_dummy_on_both_sides(self):
         data = panel()
@@ -567,7 +570,10 @@ class TestBatch:
 
     def test_group_finishes_are_bitwise_the_per_query_finish(self, monkeypatch):
         # every result of the seeded corpus and of the edge cases, finished
-        # per group, against the finish of one query at a time it replaced
+        # per group, against the finish of one query at a time it replaced;
+        # the kernel reads a query by position, so the plain tuples ParCorrCI
+        # asks and list-form selectors, which take the hand-off to CIQuery,
+        # give the same results
         eigh_sums, calls = citests._eigh_sums, []
         monkeypatch.setattr(citests, "_eigh_sums",
                             lambda case: calls.append(case) or eigh_sums(case))
@@ -580,8 +586,32 @@ class TestBatch:
             assert batch == expected
             results += batch
             fallbacks += calls
+            plain = [((q.x[0],), (q.y[0],), list(q.z)) for q in queries]
+            listed = [([list(q.x[0])], [list(q.y[0])], [list(s) for s in q.z])
+                      for q in queries]
+            assert citests.parcorr_batch(plain, data) == expected
+            assert citests.parcorr_batch(listed, data) == expected
         assert sum(r.degenerate for r in results) > 200 and len(results) > 3000
         assert len(fallbacks) > 300 and sum(bool(case[0].dummy) for case in fallbacks) > 40
+
+    def test_discovery_builds_no_ciquery(self, monkeypatch):
+        # a ParCorr discovery validates its queries as the kernel looks them
+        # up: no query is copied into a CIQuery on the valid path
+        new, calls = CIQuery.__new__, []
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(CIQuery, "__new__", counting)
+        spec, _ = generate_random_model(n_system=4, n_temporal_ctx=1, n_spatial_ctx=1,
+                                        frac_observed=0.5, seed=2, max_lag=2)
+        test = ParCorrCI(pool_data(simulate(spec, M=4, T=40, seed=102), 2))
+        j_pcmciplus(test, tau_max=2, alpha=0.05)
+        assert test.n_tests > 100 and calls == []
+        with pytest.raises(QueryError, match="overlap"):  # the count sees a refusal
+            test.batch([((0, 0), (0, 0), [])])
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("copy, endpoint", [
         pytest.param("duplicate", None, id="duplicate"),
@@ -632,8 +662,10 @@ class TestBatch:
             named = re.escape(f" (query x={bad.x} y={bad.y} z={bad.z})") + "$"
             with pytest.raises(error, match=named):
                 citests.parcorr_batch([fine, bad, fine], data)
-            with pytest.raises(error, match=named):
-                ParCorrCI(data).batch([(q.x[0], q.y[0], q.z) for q in (fine, bad, fine)])
+            for z_form in (tuple, list, iter):  # a discovery asks z as a list
+                with pytest.raises(error, match=named):
+                    ParCorrCI(data).batch([(q.x[0], q.y[0], z_form(q.z))
+                                           for q in (fine, bad, fine)])
 
     def test_own_dummy_refused_unless_constant(self):
         data = panel()
