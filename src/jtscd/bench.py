@@ -19,12 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import discovery, metrics, scm
-from .graph import target_graph
+from .graph import is_integer, target_graph
 from .metrics import METRIC_NAMES, LinkClass
-
-
-def _is_integer(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value):  # JSON true is a bool, which numbers.Real admits as 1
@@ -34,7 +30,7 @@ def _is_real(value):  # JSON true is a bool, which numbers.Real admits as 1
 # config value types, checked before their ranges: the element type of each
 # list, and each integer's least value with the refusal below it (every
 # realization draws a lagged model and runs a lagged discovery)
-_LIST_KEYS = {"t_values": (_is_integer, "integers"), "m_values": (_is_integer, "integers"),
+_LIST_KEYS = {"t_values": (is_integer, "integers"), "m_values": (is_integer, "integers"),
               "frac_observed_values": (_is_real, "numbers"),
               "variants": (lambda v: isinstance(v, str), "strings")}
 _INTEGER_KEYS = {"n_realizations": (1, "n_realizations must be positive"),
@@ -71,7 +67,7 @@ class ExperimentConfig:
                 raise ValueError(f"{key}={values!r} must be a list of {kind}")
         for key, (least, refusal) in _INTEGER_KEYS.items():
             value = getattr(self, key)
-            if not _is_integer(value):
+            if not is_integer(value):
                 raise ValueError(f"{key}={value!r} must be an integer")
             if value < least:
                 raise ValueError(refusal)

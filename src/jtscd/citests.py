@@ -54,24 +54,28 @@ behind ``np.linalg.cholesky`` (and inverts a group's ``L_zz`` blocks for
 its dummy sums in one call of that behind ``np.linalg.inv``).  Each block
 is factorized on its own inside the stack, so a query gets the same bits
 in a batch of any size; ``parcorr_test`` is a batch of one.  A query is
-read by position, in ``CIQuery``'s shape ``((x,), (y,), z)``, and resolved
-in one pass: the kernel looks its selectors up as given in the table
-``PooledData.selectors`` built with the pooled data and does ``CIQuery``'s
-overlap checks on them, with no copy of the query.  A query that fails
-anything is handed to ``CIQuery`` and the lookup of its selectors, which
-raise the refusal.  The per-column thresholds -- whether a ``z`` column is
-live, and the residual sum of squares at or below which a column lies in
-the span of ``z`` -- are derived once per ``GramStats``, as tuples of
-Python booleans and floats.
+the plain triple ``(x, y, z)``: ``x`` and ``y`` are one ``(var, lag)``
+tuple each and ``z`` is a list or tuple of them.  ``_resolve`` checks it
+in one pass, each thing once and in this order: the tested pair overlaps
+(``x`` equal to ``y``, or either in ``z``); a selector is missing from
+the table ``PooledData.selectors`` built with the pooled data; both tested
+sides are dummies; a tested side is degenerate, which is answered, not
+refused; a context endpoint is conditioned on the dummy of its own kind,
+which it is a function of; too few samples remain.  A list-form selector
+or a ``z`` that is not a list or tuple is refused too, checked only once
+the overlap or lookup has failed, so a valid query pays nothing for it.
+The per-column thresholds -- whether a ``z`` column is live, and the
+residual sum of squares at or below which a column lies in the span of
+``z`` -- are derived once per ``GramStats``, as tuples of Python booleans
+and floats.
 A group shares its row count and ``df``, so its results are finished on
 those constants: scalar pairs inline on Python floats, with no call per
 query, and dummy endpoints together, the usable components and largest
 ``|r|`` of every query in one pass over the group's stacked rows of G
-group values.  A context endpoint conditioned on the dummy of its
-own kind, which it is a function of, is a ``QueryError``.  Every refusal of
-a query -- by ``CIQuery``, the kernel or the oracle -- ends by naming the
-query, ``(query x=... y=... z=...)``, so a batch that raises says which of
-its queries it refused.
+group values.  Every refusal of a query -- by the kernel or the oracle --
+ends by naming the query as it was given, ``(query x=... y=... z=...)``
+with ``z`` printed as a tuple, so a batch that raises says which of its
+queries it refused.
 
 The oracle test answers the same queries exactly from a ground-truth graph:
 a dummy inside the conditioning set stands for all context variables of its
@@ -84,7 +88,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import operator
 import sys
 from types import MappingProxyType
 from typing import NamedTuple
@@ -92,7 +95,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import (GraphStructureError, GroundTruthGraph, VariableRole, d_connected,
-                    d_separated, observed_variables)
+                    d_separated, is_integer, observed_variables)
 from .pooling import SPAN_TOL, VARIANCE_EPS, SelectionError
 from .scm import ConstantColumnError
 
@@ -102,7 +105,12 @@ class QueryError(ValueError):
 
 
 def _naming(x, y, z):
-    """The end of the message that refuses the query ``(x, y, z)``."""
+    """The end of the message that refuses the query ``(x, y, z)``, with
+    ``z`` printed as a tuple."""
+    try:
+        z = tuple(z)
+    except TypeError:  # a z that is not iterable is named as it is
+        pass
     return f" (query x={x} y={y} z={z})"
 
 
@@ -114,39 +122,34 @@ class CITestResult(NamedTuple):
     df: int | None = None
 
 
-class CIQuery(tuple):
-    """A conditional independence query over ``(var, lag)`` column selectors.
+def _check_form(x, y, z):
+    """Raise the ``QueryError`` of a query ``(x, y, z)`` whose ``z`` is not
+    a list or tuple -- the kernel reads it twice, so an iterator would be
+    spent -- or with a selector that is not a tuple, as no table key is."""
+    if z.__class__ is not list and z.__class__ is not tuple:
+        raise QueryError(f"z must be a list or tuple, not {type(z).__name__}"
+                         + _naming(x, y, z))
+    for sel in (x, y, *z):
+        if not isinstance(sel, tuple):
+            raise QueryError(f"selector {sel} must be a tuple" + _naming(x, y, z))
 
-    ``x`` and ``y`` hold one selector each, ``z`` any number; each selector
-    is stored as a tuple, so list-form selectors compare equal to their
-    tuple form.  The constructor validates a query: each tested side is
-    exactly one non-empty selector, the two differ, and neither is in
-    ``z``.  A query is the immutable tuple ``(x, y, z)`` with read-only
-    ``x``, ``y`` and ``z``.  ParCorr's kernel also takes a plain tuple of
-    this shape and does the same checks as it looks the selectors up
-    (``_resolve``); a query that fails one is handed to this constructor,
-    so its refusal is the same.
-    """
-    __slots__ = ()
 
-    def __new__(cls, x, y, z=()):
-        x, y, z = tuple(map(tuple, x)), tuple(map(tuple, y)), tuple(map(tuple, z))
-        if not x or not y or () in x or () in y:
-            raise QueryError("x and y must be non-empty" + _naming(x, y, z))
-        if len(x) > 1 or len(y) > 1:
-            raise QueryError("x and y must be one selector each" + _naming(x, y, z))
-        if x == y:
-            raise QueryError("x and y overlap" + _naming(x, y, z))
-        if z and (x[0] in z or y[0] in z):
-            raise QueryError("conditioning set overlaps the tested pair" + _naming(x, y, z))
-        return tuple.__new__(cls, (x, y, z))
+def _check_pair(x, y, z):
+    """Raise the ``QueryError`` of a query ``(x, y, z)`` whose tested pair
+    overlaps -- ``x`` equal to ``y``, or either in ``z`` -- or that is not
+    in form (``_check_form``), which is checked first."""
+    if (z.__class__ is not list and z.__class__ is not tuple
+            or x == y or x in z or y in z):
+        _check_form(x, y, z)
+        raise QueryError(("x and y overlap" if x == y else
+                          "conditioning set overlaps the tested pair") + _naming(x, y, z))
 
-    def __getnewargs__(self):  # pickle and copy rebuild through __new__
-        return tuple(self)
 
-    x = property(operator.itemgetter(0))
-    y = property(operator.itemgetter(1))
-    z = property(operator.itemgetter(2))
+def _missing(x, y, z, table):
+    """The first selector of the query ``(x, y, z)``, in that order, that
+    ``table`` does not hold, once the query is in form (``_check_form``)."""
+    _check_form(x, y, z)
+    return next(sel for sel in (x, y, *z) if sel not in table)
 
 
 # the gufuncs behind ``np.linalg.cholesky``, ``np.linalg.inv`` and
@@ -299,32 +302,29 @@ def _t_tail(t, df):
 def _resolve(query, data):
     """Look a query's selectors up in ``data.selectors`` and check it.
 
-    ``query`` is ``(x, y, z)`` in ``CIQuery``'s shape, read by position: a
-    ``CIQuery`` or a plain tuple ``((x,), (y,), z)``.  The selectors are
-    looked up as given, with no copy of the query; a ``CIQuery`` was
-    checked by its constructor, and a plain query gets the same overlap
-    checks here.  A plain query that would be refused -- its unpacking, a
-    lookup or a check fails, or it has two dummy endpoints, too few samples
-    or a context endpoint conditioned on its own dummy -- is handed to
-    ``CIQuery(*query)`` and resolved again, which raises the refusal of the
-    first check it fails, in order, naming the query in tuple form.  So is
-    a query with a list-form selector, which is unhashable, or with a ``z``
-    that is not a list or tuple; if the ``CIQuery`` holds, it is answered
-    as its tuple form.
+    ``query`` is the plain triple ``(x, y, z)``, its selectors looked up as
+    given, with no copy.  It is checked in one pass, each thing once, and
+    the first check it fails raises, naming the query: the tested pair
+    overlaps, or the query is not in form (``_check_pair``, a
+    ``QueryError``); a selector is missing from the table (a
+    ``SelectionError`` naming the first, in x, y, z order); both tested
+    sides are dummies (``QueryError``); a context endpoint is conditioned
+    on the dummy of its own kind (``_check_own_dummy``); too few samples
+    remain (``QueryError``).  A degenerate tested endpoint, found between
+    the dummy checks, is answered.
 
     Returns a ``CITestResult`` for a query answered before any statistic is
-    read -- a degenerate tested endpoint, once every selector is found and
-    one side at most is a dummy -- and otherwise the tuple ``(x, y, start,
-    mode, n, stats, zs)``: the ``Selector`` entries of the tested sides, a
-    dummy endpoint in ``x``; the row set and dummy mode the query works in,
-    with its row count and ``GramStats``; and the positions of the scalar
-    ``z`` columns that are not exactly zero there (``GramStats.live``).
+    read -- a degenerate tested endpoint -- and otherwise the tuple ``(x,
+    y, start, mode, n, stats, zs)``: the ``Selector`` entries of the tested
+    sides, a dummy endpoint in ``x``; the row set and dummy mode the query
+    works in, with its row count and ``GramStats``; and the positions of
+    the scalar ``z`` columns that are not exactly zero there
+    (``GramStats.live``).
     """
+    x_sel, y_sel, z = query
+    _check_pair(x_sel, y_sel, z)
     table = data.selectors
     try:
-        (x_sel,), (y_sel,), z = query
-        if z.__class__ is not list and z.__class__ is not tuple:
-            raise TypeError  # z is read twice: an iterator would be spent
         x, y = table[x_sel], table[y_sel]
         # one pass over z: the start it forces, its column count, the
         # dummies that set the demeaning mode and its scalar columns
@@ -337,29 +337,21 @@ def _resolve(query, data):
                 z_dummies.add(dummy)
             else:
                 z_cols.append(column)
-    except (KeyError, TypeError, ValueError):
-        if not isinstance(query, CIQuery):
-            return _resolve(CIQuery(*query), data)
-        missing = next(s for s in query.x + query.y + query.z if s not in table)
-        raise SelectionError(f"selector {missing} out of range" + _naming(*query)) from None
-    start = max(start, x.start, y.start)
-    n = data.M * (data.T - start)
-    if not isinstance(query, CIQuery) and (
-            x_sel == y_sel or x_sel in z or y_sel in z or x.dummy and y.dummy
-            or n <= n_z_cols + 3 or z_dummies and _check_own_dummy(query, data)):
-        return _resolve(CIQuery(*query), data)
+    except (KeyError, TypeError):  # TypeError: a list-form selector
+        raise SelectionError(f"selector {_missing(x_sel, y_sel, z, table)} out of range"
+                             + _naming(x_sel, y_sel, z)) from None
     if x.dummy and y.dummy:
         raise QueryError("a dummy may appear among the tested variables once only"
-                         + _naming(*query))
+                         + _naming(x_sel, y_sel, z))
     if x.degenerate or y.degenerate:
         return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
     if z_dummies:
-        refusal = _check_own_dummy(query, data)
-        if refusal:
-            raise QueryError(refusal + _naming(*query))
+        _check_own_dummy(x_sel, y_sel, z, data)
+    start = max(start, x.start, y.start)
+    n = data.M * (data.T - start)
     if n <= n_z_cols + 3:
         raise QueryError(f"too few samples: n={n} with {n_z_cols} conditioning columns"
-                         + _naming(*query))
+                         + _naming(x_sel, y_sel, z))
     if y.dummy:  # the test is symmetric in x and y: keep a dummy in x
         x, y = y, x
     mode = ("both" if len(z_dummies) == 2
@@ -369,22 +361,21 @@ def _resolve(query, data):
     return x, y, start, mode, n, stats, tuple([c for c in z_cols if live[c]])
 
 
-def _check_own_dummy(query, data):
-    """The refusal of a context endpoint conditioned on the dummy of its
-    own kind in the query ``(x, y, z)``, or ``None``.
+def _check_own_dummy(x, y, z, data):
+    """Raise the ``QueryError`` of a context endpoint conditioned on the
+    dummy of its own kind in the query ``(x, y, z)``.
 
     The context is a function of that dummy, so the test could only find
     its residual zero.  A constant dummy block in ``z`` (``degenerate`` in
     ``data.selectors``) carries no signal and is let through.
     """
-    (x,), (y,), z = query
     for var, lag in (x, y):
         role = data.var_roles[var]
         if role.is_context:
             own = (data.time_dummy if role.is_temporal_kind else data.space_dummy, 0)
             if own in z and not data.selectors[own].degenerate:
-                return f"context {(var, lag)} is conditioned on the dummy {own} of its own kind"
-    return None
+                raise QueryError(f"context {(var, lag)} is conditioned on the dummy {own} "
+                                 f"of its own kind" + _naming(x, y, z))
 
 
 def _eigh(block, n):
@@ -566,9 +557,8 @@ def _results(cases):
 
 def parcorr_batch(queries, data):
     """Partial correlation tests of ``queries`` on pooled data; returns the
-    list of ``CITestResult``.  Each query is ``(x, y, z)`` in ``CIQuery``'s
-    shape, read by position: a ``CIQuery`` or a plain tuple ``((x,), (y,),
-    z)`` (``_resolve``).
+    list of ``CITestResult``.  Each query is the plain triple ``(x, y, z)``
+    of one ``(var, lag)`` tuple per tested side and a list or tuple ``z``.
 
     The Pearson correlation ``r`` of the conditioning residuals of ``x`` and
     ``y`` is transformed to ``t = r * sqrt(df / (1 - r^2))`` and tested
@@ -582,12 +572,10 @@ def parcorr_batch(queries, data):
     block) or a residual with zero variance yields ``p_value = 1`` and the
     degenerate flag.
 
-    Each query is resolved once, in order, so the first one refused raises
-    before any is tested, naming it, with the error ``CIQuery`` or the
-    lookup of its selectors raises: a malformed query is a ``QueryError``, a
-    selector missing from ``data.selectors`` a ``SelectionError``, a
-    context endpoint conditioned on the (non-constant) dummy of its own
-    kind a ``QueryError``.  ``_results`` then answers the rest from
+    Each query is resolved once, in order (``_resolve``), so the first one
+    refused raises before any is tested, naming it: a selector missing from
+    ``data.selectors`` is a ``SelectionError``, every other refusal a
+    ``QueryError``.  ``_results`` then answers the rest from
     ``data.gram_stats``, whose demeaning the dummies in ``z`` select.
     """
     results, cases, at = [], [], []
@@ -642,10 +630,9 @@ class ParCorrCI:
 
     def batch(self, queries):
         """The results of ``(x, y, z)`` queries, asked as one
-        ``parcorr_batch`` of the plain tuples ``((x,), (y,), z)``: the
-        kernel validates them as it looks them up."""
+        ``parcorr_batch``, which checks them as it looks them up."""
         self.n_tests += len(queries)
-        return parcorr_batch([((x,), (y,), z) for x, y, z in queries], self.data)
+        return parcorr_batch(queries, self.data)
 
 
 class GraphOracle:
@@ -653,7 +640,8 @@ class GraphOracle:
 
     Queries use the observed-variable indexing (system, observed temporal
     contexts, observed spatial contexts) followed by the time and space
-    dummy, and are validated by ``CIQuery`` as ParCorr's are.  The table
+    dummy.  A query is the plain triple ``(x, y, z)`` that ParCorr takes,
+    its pair and form checked as ParCorr checks them.  The table
     ``selectors`` maps each valid ``(var, lag)`` to the ground-truth nodes
     it stands for: an observed variable at a lag in the unrolled window
     (lag 0 only for a single-node one), and a dummy at lag 0 to every
@@ -669,6 +657,8 @@ class GraphOracle:
     def __init__(self, graph, tau_max, unroll_depth=None):
         if not isinstance(graph, GroundTruthGraph):
             raise QueryError("the oracle needs a ground-truth graph")
+        if not is_integer(tau_max):
+            raise QueryError(f"tau_max={tau_max!r} must be an integer")
         if unroll_depth is None:
             unroll_depth = 4 * max(graph.tau_max, tau_max, 1)
         if unroll_depth < graph.tau_max:
@@ -714,13 +704,14 @@ class GraphOracle:
 
     def __call__(self, x, y, z=()):
         self.n_tests += 1
-        query = CIQuery((x,), (y,), z)
-        (x,), (y,), z = query
+        _check_pair(x, y, z)
+        table = self.selectors
         try:
-            nx, ny = self.selectors[x], self.selectors[y]
-            zsub = frozenset().union(*map(self.selectors.__getitem__, z))
-        except KeyError as missing:
-            raise self._refusal(missing.args[0], query) from None
+            nx, ny = table[x], table[y]
+            zsub = frozenset().union(*map(table.__getitem__, z))
+        except (KeyError, TypeError):  # TypeError: a list-form selector
+            raise self._refusal(_missing(x, y, z, table), (x, y, z)) from None
+        query = x, y, z  # named by a refusal after the swap below
         if y in self._latent:  # d-separation is symmetric: keep a dummy in x
             if x in self._latent:
                 raise QueryError("a dummy may appear on one side of the query only"

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import bench, discovery, scm
-from .graph import GroundTruthGraph
+from .graph import GroundTruthGraph, is_integer
 from .pooling import pool_data
 
 
@@ -20,9 +20,9 @@ _MODEL_KEYS = ("n_system", "n_temporal_ctx", "n_spatial_ctx", "frac_observed",
 # bounds the integers further, the seeds aside
 _CONFIG_KINDS = {
     **dict.fromkeys(("M", "T", "burn_in", "n_system", "n_temporal_ctx", "n_spatial_ctx",
-                     "max_lag"), (bench._is_integer, "an integer")),
+                     "max_lag"), (is_integer, "an integer")),
     **dict.fromkeys(("seed", "data_seed"),
-                    (lambda v: bench._is_integer(v) and v >= 0, "a non-negative integer")),
+                    (lambda v: is_integer(v) and v >= 0, "a non-negative integer")),
     "frac_observed": (bench._is_real, "a number"),
     "lag_free": (lambda v: isinstance(v, bool), "true or false")}
 

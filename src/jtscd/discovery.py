@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (CONFLICT, DIRECTED, UNDIRECTED, TimeSeriesGraph, VariableRole,
+from .graph import (CONFLICT, DIRECTED, UNDIRECTED, TimeSeriesGraph, VariableRole, is_integer,
                     mask_contexts_latent)
 
 
@@ -454,6 +454,8 @@ def j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=True, collider_rule="none
     """
     if not 0.0 <= alpha <= 1.0:  # NaN included
         raise ValueError(f"alpha={alpha} must lie in [0, 1]")
+    if not is_integer(tau_max):
+        raise ValueError(f"tau_max={tau_max!r} must be an integer")
     window = max(lag for (_, lag) in ci.selectors)
     if not 0 <= tau_max <= window // 2:
         raise ValueError(f"tau_max={tau_max} must lie in [0, {window // 2}]: a discovery "

@@ -10,8 +10,14 @@ to every time copy of their neighbours.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from enum import Enum
+
+
+def is_integer(value):
+    """Whether ``value`` is an integer, Python's or numpy's; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class GraphStructureError(ValueError):

@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import VariableRole
+from .graph import VariableRole, is_integer
 
 
 class SelectionError(ValueError):
@@ -180,6 +180,8 @@ class PooledData:
 
     def __init__(self, dc, tau_max):
         dc.check_finite()
+        if not is_integer(tau_max):
+            raise SelectionError(f"tau_max={tau_max!r} must be an integer")
         if tau_max < 0:
             raise SelectionError(f"tau_max={tau_max} must be non-negative")
         if dc.T <= tau_max:

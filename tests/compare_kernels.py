@@ -57,8 +57,12 @@ PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS"
 
 
 def _entry(query):
-    """A query ``(x, y, z)`` read by position: a ``CIQuery`` or a plain tuple."""
-    return [[list(s) for s in side] for side in query]
+    """A query as ``[x, y, z]`` lists, read from either shape a tree asks:
+    ``(x, y, z)``, or ``((x,), (y,), z)`` with each tested side wrapped."""
+    x, y, z = query
+    if isinstance(x[0], (tuple, list)):
+        (x,), (y,) = x, y
+    return [list(x), list(y), [list(s) for s in z]]
 
 
 def _outcome(res):
@@ -141,7 +145,7 @@ def _by_query(calls):
 def _test(key):
     """The test a recorded query asks: its unordered endpoints and ``z`` set."""
     x, y, z = json.loads(key)
-    return frozenset((tuple(map(tuple, x)), tuple(map(tuple, y)))), frozenset(map(tuple, z))
+    return frozenset((tuple(x), tuple(y))), frozenset(map(tuple, z))
 
 
 def compare(runs_a, runs_b, alpha):

@@ -5,8 +5,9 @@ replaced: extract the aligned columns, project dummy blocks out by group
 demeaning, fit the scalar conditioning columns plus an intercept by
 ``lstsq`` and correlate the residuals.  ``centered_parcorr_test`` is the
 dense group-demeaned correlation test that conditioning on a full dummy
-block must equal.  Both are kept only for the equivalence tests.  Like the kernel, ``lstsq_parcorr_test`` refuses a
-context endpoint conditioned on the non-constant dummy of its own kind.
+block must equal.  Both are kept only for the equivalence tests.  Like
+the kernel, ``lstsq_parcorr_test`` takes a query ``(x, y, z)`` and refuses
+a context endpoint conditioned on the non-constant dummy of its own kind.
 Their p-values come from ``scipy.stats``, independent of the package's own
 Student-t tail.
 
@@ -87,26 +88,26 @@ def lstsq_parcorr_test(query, data, correction="bonferroni"):
     """``parcorr_test`` computed from the dense residuals of every test."""
     if correction not in ("bonferroni", "none"):
         raise ValueError("correction must be 'bonferroni' or 'none'")
-    all_sel = list(query.x) + list(query.y) + list(query.z)
-    start = data.aligned_start(all_sel)  # every selector checked first
-    if any(data.selectors[sel].degenerate for sel in query.x + query.y):
+    x, y, z = query
+    start = data.aligned_start([x, y, *z])  # every selector checked first
+    if data.selectors[x].degenerate or data.selectors[y].degenerate:
         return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
-    for (var, _) in query.x + query.y:
+    for (var, _) in (x, y):
         role = data.var_roles[var]
         own = (data.time_dummy if role.is_temporal_kind else data.space_dummy, 0)
-        if role.is_context and own in query.z and not data.selectors[own].degenerate:
+        if role.is_context and own in z and not data.selectors[own].degenerate:
             raise QueryError(f"context {var} is conditioned on its own dummy {own}")
     n = int(np.count_nonzero(data.time_index >= start))
-    n_z_cols = _z_column_count(query.z, data)
+    n_z_cols = _z_column_count(z, data)
     if n <= n_z_cols + 3:
         raise QueryError(
             f"too few samples: n={n} with {n_z_cols} conditioning columns "
-            f"(query x={query.x} y={query.y} z={query.z})")
+            f"(query x={x} y={y} z={tuple(z)})")
 
-    x_block = np.hstack([data._column_block(v, l, start) for (v, l) in query.x])
-    y_block = np.hstack([data._column_block(v, l, start) for (v, l) in query.y])
+    x_block = data._column_block(*x, start)
+    y_block = data._column_block(*y, start)
     kx, ky = x_block.shape[1], y_block.shape[1]
-    resid, rank = _residualize(np.hstack([x_block, y_block]), query.z, data, start)
+    resid, rank = _residualize(np.hstack([x_block, y_block]), z, data, start)
     rx, ry = resid[:, :kx], resid[:, kx:]
     df = n - rank - 1
     if df < 1:

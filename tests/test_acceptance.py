@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from jtscd.bench import ExperimentConfig, run_experiment
-from jtscd.citests import CIQuery, GraphOracle, ParCorrCI, parcorr_test
+from jtscd.citests import GraphOracle, ParCorrCI, parcorr_test
 from jtscd.cli import main as cli_main
 from jtscd.discovery import estimate_graph, j_pcmciplus
 from jtscd.graph import (CONFLICT, GroundTruthGraph, TimeSeriesGraph,
@@ -193,7 +193,7 @@ class TestAcceptance:
                 pooled = pool_data(dc, 2)
                 z = ((1, 1), (pooled.time_dummy, 0), (pooled.space_dummy, 0))
                 for k, (x, y) in enumerate((((1, 2), (1, 0)), ((0, 1), (0, 0)))):
-                    res = parcorr_test(CIQuery(x=(x,), y=(y,), z=z), pooled)
+                    res = parcorr_test((x, y, z), pooled)
                     rejections[row, k] += res.p_value <= 0.05
         return rejections / n_real
 
@@ -238,8 +238,7 @@ class TestAcceptance:
                                    spatial_ctx=np.zeros((1, 0)),
                                    observed_mask=())
             pooled = pool_data(dc, 0)
-            res = parcorr_test(CIQuery(x=((0, 0),), y=((1, 0),), z=((2, 0),)),
-                               pooled)
+            res = parcorr_test(((0, 0), (1, 0), ((2, 0),)), pooled)
             pvals.append(res.p_value)
             rejections += res.p_value <= 0.05
         rate = rejections / 2000
@@ -261,8 +260,7 @@ class TestAcceptance:
             y = (int(rng.integers(2)), 0)
             if x == y or (x[0] == y[0] and x[1] == 0):
                 continue
-            blocked = parcorr_test(
-                CIQuery(x=(x,), y=(y,), z=((pooled.space_dummy, 0),)), pooled)
+            blocked = parcorr_test((x, y, ((pooled.space_dummy, 0),)), pooled)
             centered = centered_parcorr_test(x, y, pooled, groups="dataset")
             agreements += ((blocked.p_value <= 0.05)
                            == (centered.p_value <= 0.05))

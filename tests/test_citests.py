@@ -1,10 +1,8 @@
 """Partial-correlation test behaviour and the exact graph oracle."""
 
-import copy
 import itertools
 import math
 import os
-import pickle
 import re
 import subprocess
 import sys
@@ -16,8 +14,8 @@ from scipy import special, stats
 
 import jtscd
 from jtscd import citests
-from jtscd.citests import (CIQuery, GraphOracle, ParCorrCI, QueryError, _t_tail,
-                           _tail_polynomials, parcorr_test)
+from jtscd.citests import (GraphOracle, ParCorrCI, QueryError, _t_tail, _tail_polynomials,
+                           parcorr_test)
 from jtscd.discovery import j_pcmciplus
 from jtscd.graph import (GraphStructureError, GroundTruthGraph, TimeSeriesGraph,
                          VariableRole, d_separated)
@@ -42,37 +40,56 @@ def pooled_from_array(system, M=1, temporal=None, spatial=None, mask=(),
     return pool_data(dc, tau_max)
 
 
-# (x, y, z, QueryError message): x and y single selectors, () for an empty side
+# (x, y, z, ParCorr's error type, its message, the oracle's QueryError
+# message) for queries both CI tests refuse, on a four-variable model: a
+# tested pair that overlaps, a selector that is no valid (var, lag) pair --
+# an empty or two-selector side among them -- and a query not in form, a
+# list-form selector or a z that is not a list or tuple, which is refused
+# before the overlap; a callable z is asked fresh each time
 MALFORMED_QUERIES = (
-    ((0, 0), (0, 0), (), "x and y overlap"),
-    ((0, 0), (1, 0), ((0, 0),), "conditioning set overlaps the tested pair"),
-    ((0, 0), (1, 0), ((2, 0), (1, 0)), "conditioning set overlaps the tested pair"),
-    ([0, 0], (0, 0), (), "x and y overlap"),
-    ((0, 0), [1, 0], ([2, 0], [0, 0]), "conditioning set overlaps the tested pair"),
-    ((), (1, 0), (), "x and y must be non-empty"),
-    ((0, 0), (), ((2, 0),), "x and y must be non-empty"),
-)
-
-
-# (x, y, z, ParCorr's SelectionError, the oracle's QueryError) for queries
-# whose selectors are not valid (var, lag) pairs of a four-variable model
-MALFORMED_SELECTORS = (
-    ((0,), (1, 0), (), r"selector \(0,\) out of range",
+    ((0, 0), (0, 0), (), QueryError, "x and y overlap", "x and y overlap"),
+    ((0, 0), (1, 0), ((0, 0),), QueryError, "conditioning set overlaps the tested pair",
+     "conditioning set overlaps the tested pair"),
+    ((0, 0), (1, 0), [(2, 0), (1, 0)], QueryError,
+     "conditioning set overlaps the tested pair", "conditioning set overlaps the tested pair"),
+    ((0,), (1, 0), (), SelectionError, r"selector \(0,\) out of range",
      r"selector \(0,\) is not a \(var, lag\) pair"),
-    ((0, 0, 0), (1, 0), (), r"selector \(0, 0, 0\) out of range",
+    ((0, 0, 0), (1, 0), (), SelectionError, r"selector \(0, 0, 0\) out of range",
      r"selector \(0, 0, 0\) is not a \(var, lag\) pair"),
-    ((0, 0), (1, -1), (), r"selector \(1, -1\) out of range",
+    ((0, 0), (1, -1), (), SelectionError, r"selector \(1, -1\) out of range",
      "lag -1 outside the unrolled window 4"),
-    ((0, 0), (1, 0), ((2,),), r"selector \(2,\) out of range",
+    ((0, 0), (1, 0), ((2,),), SelectionError, r"selector \(2,\) out of range",
      r"selector \(2,\) is not a \(var, lag\) pair"),
+    ((), (1, 0), (), SelectionError, r"selector \(\) out of range",
+     r"selector \(\) is not a \(var, lag\) pair"),
+    ((0, 0), (), [(2, 0)], SelectionError, r"selector \(\) out of range",
+     r"selector \(\) is not a \(var, lag\) pair"),
+    (((0, 0), (2, 0)), (1, 0), ((3, 0),), SelectionError,
+     r"selector \(\(0, 0\), \(2, 0\)\) out of range",
+     r"selector \(\(0, 0\), \(2, 0\)\) is not an observed variable"),
+    ([0, 0], (1, 0), (), QueryError, r"selector \[0, 0\] must be a tuple",
+     r"selector \[0, 0\] must be a tuple"),
+    ([0, 0], [0, 0], (), QueryError, r"selector \[0, 0\] must be a tuple",
+     r"selector \[0, 0\] must be a tuple"),
+    ((0, 0), [1, 0], ([2, 0], [0, 0]), QueryError, r"selector \[1, 0\] must be a tuple",
+     r"selector \[1, 0\] must be a tuple"),
+    ((0, 0), (1, 0), [(2, 0), [3, 0]], QueryError, r"selector \[3, 0\] must be a tuple",
+     r"selector \[3, 0\] must be a tuple"),
+    ((0, 0), (1, 0), lambda: iter([(2, 0)]), QueryError,
+     "z must be a list or tuple, not list_iterator",
+     "z must be a list or tuple, not list_iterator"),
+    ((0, 0), (0, 0), lambda: iter([(2, 0)]), QueryError,
+     "z must be a list or tuple, not list_iterator",
+     "z must be a list or tuple, not list_iterator"),
+    ((0, 0), (1, 0), {(0, 0)}, QueryError, "z must be a list or tuple, not set",
+     "z must be a list or tuple, not set"),
 )
 
 
 def named(x, y, z=()):
-    """The pattern of the end of a message that refuses the single-selector
-    query ``(x, y, z)``."""
-    query = ((tuple(x),), (tuple(y),), tuple(map(tuple, z)))
-    return re.escape(" (query x={} y={} z={})".format(*query))
+    """The pattern of the end of a message that refuses the query ``(x,
+    y, z)``, which names ``z`` as a tuple."""
+    return re.escape(f" (query x={x} y={y} z={tuple(z)})")
 
 
 def null_pool(seed, n=100, k=3):
@@ -85,7 +102,7 @@ class TestParCorr:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(100)
         pd = pooled_from_array(np.stack([x, x], axis=1)[None, :, :])
-        res = parcorr_test(CIQuery(x=((0, 0),), y=((1, 0),)), pd)
+        res = parcorr_test(((0, 0), (1, 0), ()), pd)
         assert res.statistic > 0.999
         assert res.p_value < 1e-30
 
@@ -94,7 +111,7 @@ class TestParCorr:
         n_trials = 1000
         for seed in range(n_trials):
             pd = null_pool(seed, n=60)
-            res = parcorr_test(CIQuery(x=((0, 0),), y=((1, 0),), z=((2, 0),)), pd)
+            res = parcorr_test(((0, 0), (1, 0), ((2, 0),)), pd)
             rejections += res.p_value <= 0.05
         rate = rejections / n_trials
         assert 0.03 <= rate <= 0.07
@@ -109,9 +126,8 @@ class TestParCorr:
             y = 0.8 * x + rng.standard_normal(n)
             z = 0.8 * y + rng.standard_normal(n)
             pd = pooled_from_array(np.stack([x, y, z], axis=1)[None, :, :])
-            given_mid = parcorr_test(
-                CIQuery(x=((0, 0),), y=((2, 0),), z=((1, 0),)), pd)
-            marginal = parcorr_test(CIQuery(x=((0, 0),), y=((2, 0),)), pd)
+            given_mid = parcorr_test(((0, 0), (2, 0), ((1, 0),)), pd)
+            marginal = parcorr_test(((0, 0), (2, 0), ()), pd)
             reject_given_mid += given_mid.p_value <= 0.05
             reject_marginal += marginal.p_value <= 0.05
         assert reject_given_mid / n_seeds < 0.10
@@ -121,7 +137,7 @@ class TestParCorr:
         rng = np.random.default_rng(3)
         base = rng.standard_normal((1, 200, 3))
         scaled = base * np.array([3.7, -0.2, 11.0]) + np.array([1.0, -4.0, 0.5])
-        q = CIQuery(x=((0, 0),), y=((1, 0),), z=((2, 0),))
+        q = ((0, 0), (1, 0), ((2, 0),))
         a = parcorr_test(q, pooled_from_array(base))
         b = parcorr_test(q, pooled_from_array(scaled))
         assert abs(a.statistic - b.statistic) < 1e-10
@@ -129,13 +145,13 @@ class TestParCorr:
 
     def test_symmetry_in_x_and_y(self):
         pd = null_pool(17, n=80)
-        a = parcorr_test(CIQuery(x=((0, 0),), y=((1, 0),), z=((2, 0),)), pd)
-        b = parcorr_test(CIQuery(x=((1, 0),), y=((0, 0),), z=((2, 0),)), pd)
+        a = parcorr_test(((0, 0), (1, 0), ((2, 0),)), pd)
+        b = parcorr_test(((1, 0), (0, 0), ((2, 0),)), pd)
         assert abs(a.statistic - b.statistic) < 1e-12
         assert abs(a.p_value - b.p_value) < 1e-12
 
     def test_pvalues_uniform_under_null(self):
-        pvals = [parcorr_test(CIQuery(x=((0, 0),), y=((1, 0),)),
+        pvals = [parcorr_test(((0, 0), (1, 0), ()),
                               null_pool(seed, n=40, k=2)).p_value
                  for seed in range(2000)]
         assert stats.kstest(pvals, "uniform").pvalue > 0.01
@@ -144,93 +160,53 @@ class TestParCorr:
         arr = np.ones((1, 50, 2))
         arr[0, :, 1] = np.arange(50.0)
         pd = pooled_from_array(arr)
-        res = parcorr_test(CIQuery(x=((0, 0),), y=((1, 0),)), pd)
+        res = parcorr_test(((0, 0), (1, 0), ()), pd)
         assert res.degenerate and res.p_value == 1.0
 
     def test_degenerate_dummy_short_circuit(self):
         spec, _ = generate_random_model(n_system=2, seed=0, max_lag=2)
         dc = simulate(spec, M=1, T=30, seed=1)
         pd = pool_data(dc, 2)
-        res = parcorr_test(
-            CIQuery(x=((pd.space_dummy, 0),), y=((0, 0),)), pd)
+        res = parcorr_test(((pd.space_dummy, 0), (0, 0), ()), pd)
         assert res.degenerate and res.p_value == 1.0
 
     def test_rank_deficient_conditioning_uses_effective_rank(self):
         # duplicated conditioning column must not change the p-value
         pd = null_pool(23, n=120, k=4)
-        base = parcorr_test(CIQuery(x=((0, 0),), y=((1, 0),), z=((2, 0),)), pd)
+        base = parcorr_test(((0, 0), (1, 0), ((2, 0),)), pd)
         rng = np.random.default_rng(23)
         raw = rng.standard_normal((1, 120, 4))
         dup = np.concatenate([raw, raw[:, :, 2:3]], axis=2)
         pd_dup = pooled_from_array(dup)
-        two = parcorr_test(
-            CIQuery(x=((0, 0),), y=((1, 0),), z=((2, 0), (4, 0))), pd_dup)
+        two = parcorr_test(((0, 0), (1, 0), ((2, 0), (4, 0))), pd_dup)
         assert abs(base.p_value - two.p_value) < 1e-9
 
     def test_small_sample_precondition(self):
         pd = null_pool(2, n=5, k=4)
         with pytest.raises(QueryError):
-            parcorr_test(CIQuery(x=((0, 0),), y=((1, 0),),
-                                 z=((2, 0), (3, 0))), pd)
+            parcorr_test(((0, 0), (1, 0), ((2, 0), (3, 0))), pd)
 
     def test_query_validation(self):
-        # every malformed query fails in the one validating constructor,
-        # built directly or by either CI test from single selectors; the
-        # ParCorr kernel, which validates a plain query as it looks it up,
-        # hands it to that constructor in any form it is asked in
+        # every malformed query is refused by both CI tests, batched or not,
+        # and each refusal ends by naming the query as it was given
         data = null_pool(0, k=4)
         parcorr = ParCorrCI(data)
         oracle = GraphOracle(GroundTruthGraph([R.SYSTEM] * 4, 1), 1)
-
-        def asked(x, y, z):
-            listed = ([list(x)], [list(y)], [list(s) for s in z])
-            return (lambda: parcorr.batch([(x, y, z)]),
-                    lambda: parcorr.batch([(x, y, iter(z))]),
-                    lambda: parcorr.batch([(list(x), list(y), listed[2])]),
-                    lambda: citests.parcorr_batch([((x,), (y,), list(z))], data),
-                    lambda: citests.parcorr_batch([listed], data))
-
-        # and each refusal ends by naming the query
-        for x, y, z, message in MALFORMED_QUERIES:
-            with pytest.raises(QueryError, match=f"^{message}{named(x, y, z)}$") as direct:
-                CIQuery(x=(x,), y=(y,), z=z)
-            for ask in asked(x, y, z) + (lambda: oracle.batch([(x, y, z)]),):
-                with pytest.raises(QueryError) as called:
+        for x, y, z, error, message, oracle_message in MALFORMED_QUERIES:
+            given = z if callable(z) else lambda z=z: z
+            asked = ((error, message, lambda: parcorr.batch([(x, y, given())])),
+                     (error, message, lambda: citests.parcorr_batch([(x, y, given())], data)),
+                     (QueryError, oracle_message, lambda: oracle.batch([(x, y, given())])))
+            for raised, text, ask in asked:
+                with pytest.raises(raised, match=f"^{text}{named(x, y, given())}$"):
                     ask()
-                assert str(called.value) == str(direct.value), (x, y, z)
-        # a selector that is no valid (var, lag) pair is named by both tests
-        for x, y, z, selection_message, query_message in MALFORMED_SELECTORS:
-            for ask in asked(x, y, z):
-                with pytest.raises(SelectionError,
-                                   match=f"^{selection_message}{named(x, y, z)}$"):
-                    ask()
-            with pytest.raises(QueryError, match=f"^{query_message}{named(x, y, z)}$"):
-                oracle.batch([(x, y, z)])
-
-    def test_query_takes_one_selector_per_side(self):
-        for x, y in ((((0, 0), (2, 0)), ((1, 0),)), (((0, 0),), ((1, 0), (2, 1)))):
-            with pytest.raises(QueryError, match="x and y must be one selector each"):
-                CIQuery(x=x, y=y, z=((3, 0),))
-
-    def test_query_fields_are_tuples_and_frozen(self):
-        q = CIQuery(x=([0, 0],), y=[(1, 0)], z=[[2, 0], (3, 0)])
-        assert (q.x, q.y, q.z) == tuple(q) == (((0, 0),), ((1, 0),), ((2, 0), (3, 0)))
-        assert q == CIQuery(((0, 0),), ((1, 0),), ((2, 0), (3, 0)))
-        assert hash(q) == hash(CIQuery(((0, 0),), ((1, 0),), ((2, 0), (3, 0))))
-        assert q != CIQuery(((0, 0),), ((1, 0),), ((2, 0),))
-        with pytest.raises(AttributeError):
-            q.z = ()
-        assert pickle.loads(pickle.dumps(q)) == copy.deepcopy(q) == q
-        pd = null_pool(4, k=4)
-        assert parcorr_test(q, pd) == ParCorrCI(pd).batch([([0, 0], (1, 0), [[2, 0], (3, 0)])])[0]
 
     def test_query_error_excludes_tested_pair_lags(self):
         # deep-lag conditioning drops rows but keeps the test well defined
         spec, _ = generate_random_model(n_system=3, seed=5, max_lag=2)
         dc = simulate(spec, M=3, T=40, seed=6)
         pd = pool_data(dc, 2)
-        res = parcorr_test(
-            CIQuery(x=((0, 1),), y=((1, 0),), z=((2, 3),)), pd)
+        res = parcorr_test(((0, 1), (1, 0), ((2, 3),)), pd)
         assert res.n_effective == 3 * (40 - 3)
 
 
@@ -328,8 +304,7 @@ class TestDummyConditioningEquivalence:
             y = (int(rng.integers(2)), 0)
             if x[0] == y[0] and x[1] == y[1]:
                 continue
-            blocked = parcorr_test(
-                CIQuery(x=(x,), y=(y,), z=((pd.space_dummy, 0),)), pd)
+            blocked = parcorr_test((x, y, ((pd.space_dummy, 0),)), pd)
             centered = centered_parcorr_test(x, y, pd, groups="dataset")
             assert abs(blocked.statistic - centered.statistic) < 1e-9
             assert abs(blocked.p_value - centered.p_value) < 1e-9
@@ -341,8 +316,7 @@ class TestDummyConditioningEquivalence:
         spec, _ = simplified_preset()
         dc = simulate(spec, M=6, T=40, seed=9)
         pd = pool_data(dc, 2)
-        blocked = parcorr_test(
-            CIQuery(x=((0, 0),), y=((1, 0),), z=((pd.time_dummy, 0),)), pd)
+        blocked = parcorr_test(((0, 0), (1, 0), ((pd.time_dummy, 0),)), pd)
         centered = centered_parcorr_test((0, 0), (1, 0), pd, groups="time")
         assert abs(blocked.p_value - centered.p_value) < 1e-9
 
@@ -358,8 +332,7 @@ class TestDummyConditioningEquivalence:
         for x, y, scalars in (((0, 1), (1, 0), ((1, 4),)),
                               ((1, 2), (1, 0), ((1, 1), (0, 4))),
                               ((0, 3), (0, 0), ((1, 4), (1, 1), (0, 2)))):
-            res = parcorr_test(CIQuery(x=(x,), y=(y,), z=scalars + dummies),
-                               pd)
+            res = parcorr_test((x, y, scalars + dummies), pd)
             cols, rows = pd.extract_aligned([x, y] + list(scalars))
             n = len(rows)
             assert n == res.n_effective == M * (T - 2 * tau_max)
@@ -622,8 +595,11 @@ class TestOracle:
         o = GraphOracle(g, 1)
         o((0, 0), (1, 0), [])
         o((0, 0), (1, 0), [])
-        o([0, 0], [1, 0], [(o.space_dummy, 0)])
+        o((0, 0), (1, 0), [(o.space_dummy, 0)])
         assert o.n_tests == 3
+        with pytest.raises(QueryError, match="must be a tuple"):  # a refusal counts too
+            o([0, 0], [1, 0], [(o.space_dummy, 0)])
+        assert o.n_tests == 4
 
     def test_dummy_in_its_own_conditioning_set_rejected(self):
         o = GraphOracle(self.latent_space_pair(), 1)

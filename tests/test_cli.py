@@ -170,7 +170,7 @@ class TestDiscover:
         assert main(["discover", "--data", str(data), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == ("jtscd discover: error: too few samples: n=3 with 0 conditioning "
-                       "columns (query x=((0, 1),) y=((0, 0),) z=())\n"), err
+                       "columns (query x=(0, 1) y=(0, 0) z=())\n"), err
         assert not out.exists()
 
     def test_variant_switch(self, tmp_path):

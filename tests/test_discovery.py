@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -504,16 +505,15 @@ class TestAlwaysConditionedDummies:
                 (GraphOracle(mask_contexts_latent(g), 2), QueryError,
                  r"selector \(99, 0\) is not an observed variable")):
             with pytest.raises(QueryError, match=r"^conditioning set overlaps the tested pair "
-                                                 r"\(query x=\(\(1, 1\),\) y=\(\(0, 0\),\) "
-                                                 r"z=\(\(1, 1\),\)\)$"):
+                                                 r"\(query x=\(1, 1\) y=\(0, 0\) z=\(\(1, 1\),\)\)$"):
                 j_pcmciplus(AlwaysConditioned(ci, [(1, 1)]), tau_max=2, use_dummies=False)
-            with pytest.raises(error, match=rf"^{message} \(query x=\(\(0, 1\),\) "
-                                            r"y=\(\(0, 0\),\) z=\(\(99, 0\),\)\)$"):
+            with pytest.raises(error, match=rf"^{message} \(query x=\(0, 1\) "
+                                            r"y=\(0, 0\) z=\(\(99, 0\),\)\)$"):
                 j_pcmciplus(AlwaysConditioned(ci, [(99, 0)]), tau_max=2, use_dummies=False)
             # asked directly, a batch [fine, bad, fine] names its bad query
             fine, bad = ((0, 1), (1, 0), [(2, 1)]), ((0, 1), (1, 0), [(99, 0)])
-            with pytest.raises(error, match=rf"^{message} \(query x=\(\(0, 1\),\) "
-                                            r"y=\(\(1, 0\),\) z=\(\(99, 0\),\)\)$"):
+            with pytest.raises(error, match=rf"^{message} \(query x=\(0, 1\) "
+                                            r"y=\(1, 0\) z=\(\(99, 0\),\)\)$"):
                 ci.batch([fine, bad, fine])
 
 
@@ -634,6 +634,26 @@ class TestEstimateGraph:
         assert oracle.n_tests == 0
         j_pcmciplus(oracle, tau_max=1, use_dummies=use_dummies)
 
+    @pytest.mark.parametrize("tau_max", [1.0, True, "1", None])
+    def test_tau_max_must_be_an_integer(self, tau_max):
+        # each entry point refuses it before any test, with the error type
+        # of its other tau_max refusals; a numpy integer is an integer
+        spec, g = generate_random_model(seed=1, max_lag=2)
+        dc = simulate(spec, M=3, T=30, seed=2)
+        message = "^" + re.escape(f"tau_max={tau_max!r} must be an integer") + "$"
+        oracle = GraphOracle(g, 1)
+        for error, call in ((SelectionError, lambda: pool_data(dc, tau_max)),
+                            (QueryError, lambda: GraphOracle(g, tau_max)),
+                            (ValueError, lambda: j_pcmciplus(oracle, tau_max)),
+                            (SelectionError, lambda: estimate_graph(dc, tau_max=tau_max)),
+                            (QueryError, lambda: estimate_graph(
+                                dc, ci="oracle", ground_truth=g, tau_max=tau_max))):
+            with pytest.raises(error, match=message):
+                call()
+        assert oracle.n_tests == 0
+        assert (estimate_graph(dc, tau_max=np.int64(1)).graph.to_text()
+                == estimate_graph(dc, tau_max=1).graph.to_text())
+
     @staticmethod
     def parcorr_run(dc, entry, tau_max=2):
         """A ParCorr discovery at ``tau_max`` through ``estimate_graph`` with
@@ -713,8 +733,8 @@ class TestBatchedPhases:
 
     @staticmethod
     def parcorr_runs():
-        # the sequential phases ask ``parcorr_test`` one query at a time; it
-        # gives the bits of the batch, so p-values agree exactly
+        # every phase asks ``ci.batch``, and a query gets the same bits in a
+        # batch of any size, so p-values agree exactly
         runs = []
         for seed in range(3):
             spec, _ = generate_random_model(n_system=4, n_temporal_ctx=1, n_spatial_ctx=1,

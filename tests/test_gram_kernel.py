@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jtscd import citests
-from jtscd.citests import CIQuery, ParCorrCI, QueryError, parcorr_test
+from jtscd.citests import ParCorrCI, QueryError, parcorr_test
 from jtscd.discovery import estimate_graph, j_pcmciplus
 from jtscd.pooling import SelectionError, pool_data
 from jtscd.scm import DatasetCollection, generate_random_model, simulate
@@ -64,7 +64,7 @@ def draw_query(data, p, rng):
         # the dummy takes the place of the x selector
         x = dummies[p["endpoint"]]
     z += [dummies[k] for k in p["z_dummies"] if k != p["endpoint"]]
-    return CIQuery(x=(x,), y=(y,), z=tuple(z))
+    return (x, y, tuple(z))
 
 
 def random_params(rng):
@@ -139,10 +139,10 @@ def test_property_matches_reference(p):
 def scalar_pair(query, data):
     """The query with a dummy x replaced by the first scalar column that is
     neither y nor in z; a query with a scalar x is its own pair."""
-    if not data.var_roles[query.x[0][0]].is_dummy:
+    x, y, z = query
+    if not data.var_roles[x[0]].is_dummy:
         return query
-    x = next(s for s in data.scalar_columns if s not in query.y + query.z)
-    return CIQuery(x=(x,), y=query.y, z=query.z)
+    return next(s for s in data.scalar_columns if s != y and s not in z), y, z
 
 
 def test_seeded_corpus_matches_reference():
@@ -195,10 +195,9 @@ def sibling_groups(data, rng):
             for k in range(tau + 1):
                 xs = [(v, tau + k) for v in lagged if (v, tau + k) not in zz + (y,)]
                 xs += [s for s in others if s not in z][:2]
-                group = [CIQuery(x=(x,), y=(y,), z=zz) for x in xs]
+                group = [(x, y, zz) for x in xs]
                 endpoint = dummies[("time", "space")[k % 2]]
-                group.append(CIQuery(x=(endpoint,), y=(y,),
-                                     z=tuple(s for s in zz if s != endpoint)))
+                group.append((endpoint, y, tuple(s for s in zz if s != endpoint)))
                 groups.append(group)
     return groups
 
@@ -244,9 +243,9 @@ def test_discovery_matches_reference_kernel(seed, monkeypatch):
     fast = [estimate_graph(dc, **run) for run in runs]
     used = []
 
-    def reference(query, data):  # ParCorrCI asks plain ((x,), (y,), z) tuples
+    def reference(query, data):
         used.append(query)
-        return lstsq_parcorr_test(CIQuery(*query), data)
+        return lstsq_parcorr_test(query, data)
 
     monkeypatch.setattr(citests, "parcorr_batch",
                         lambda queries, data: [reference(q, data) for q in queries])
@@ -281,7 +280,7 @@ class TestCoverage:
         data = panel()
         dummies = {"time": (data.time_dummy, 0), "space": (data.space_dummy, 0)}
         z = ((0, 4), (2, 1)) + tuple(dummies[k] for k in z_dummies)
-        ref = assert_equivalent(data, CIQuery(x=((0, 1),), y=((1, 0),), z=z))
+        ref = assert_equivalent(data, ((0, 1), (1, 0), z))
         assert ref.n_effective == 4 * (20 - 4)
 
     @pytest.mark.parametrize("endpoint,other", [("time", "space"), ("space", "time")])
@@ -289,13 +288,13 @@ class TestCoverage:
         data = panel()
         dummies = {"time": (data.time_dummy, 0), "space": (data.space_dummy, 0)}
         for z in (((2, 3),), ((2, 3), dummies[other]), ((4, 0), (1, 2))):
-            assert_equivalent(data, CIQuery(x=(dummies[endpoint],), y=((0, 0),), z=z))
-            assert_equivalent(data, CIQuery(x=((0, 0),), y=(dummies[endpoint],), z=z))
+            assert_equivalent(data, (dummies[endpoint], (0, 0), z))
+            assert_equivalent(data, ((0, 0), dummies[endpoint], z))
 
     def test_bonferroni_counts_empty_time_groups(self):
         # the lag-4 selector empties the first two of the 18 time groups
         data = panel()
-        query = CIQuery(x=((data.time_dummy, 0),), y=((0, 0),), z=((1, 4),))
+        query = ((data.time_dummy, 0), (0, 0), ((1, 4),))
         raw = lstsq_parcorr_test(query, data, correction="none")
         combined = assert_equivalent(data, query)
         assert combined.p_value == pytest.approx(min(1.0, 18 * raw.p_value), rel=1e-12)
@@ -303,40 +302,27 @@ class TestCoverage:
     def test_single_dataset_dummies(self):
         data = panel(M=1, T=40)
         for dummy in (data.time_dummy, data.space_dummy):
-            ref = assert_equivalent(data, CIQuery(x=((dummy, 0),), y=((0, 0),)))
+            ref = assert_equivalent(data, ((dummy, 0), (0, 0), ()))
             assert ref.degenerate
         # a single dataset's space dummy in z is an intercept; the spatial
         # context is then a constant column, absorbed into it
-        ref = assert_equivalent(data, CIQuery(
-            x=((0, 1),), y=((1, 0),), z=((4, 0), (data.space_dummy, 0))))
+        ref = assert_equivalent(data, ((0, 1), (1, 0), ((4, 0), (data.space_dummy, 0))))
         assert ref.df == 38 - 1 - 1
 
     def test_spatial_context_zeroed_by_space_dummy(self):
         data = panel()
-        ref = assert_equivalent(data, CIQuery(
-            x=((0, 1),), y=((1, 0),), z=((4, 0), (data.space_dummy, 0))))
+        ref = assert_equivalent(data, ((0, 1), (1, 0), ((4, 0), (data.space_dummy, 0))))
         assert ref.df == 4 * 18 - 4 - 1
         # the context tested given its own dummy is refused by both kernels
         # (``TestBatch.test_own_dummy_refused_unless_constant``)
-        assert assert_equivalent(data, CIQuery(
-            x=((4, 0),), y=((1, 0),), z=((data.space_dummy, 0),))) is None
+        assert assert_equivalent(data, ((4, 0), (1, 0), ((data.space_dummy, 0),))) is None
 
     def test_rank_deficient_z(self):
         data = panel(spatial=2, M=2)
         # on two datasets, two spatial contexts and the intercept span the
         # two dataset indicators only: the second context adds no rank
-        ref = assert_equivalent(data, CIQuery(
-            x=((0, 1),), y=((1, 0),), z=((4, 0), (5, 0))))
+        ref = assert_equivalent(data, ((0, 1), (1, 0), ((4, 0), (5, 0))))
         assert ref.df == 2 * 18 - 2 - 1
-
-    def test_multi_selector_sides(self):
-        # a query tests one selector against one selector
-        data = panel()
-        with pytest.raises(QueryError, match="one selector each"):
-            CIQuery(x=((0, 1), (2, 2)), y=((1, 0), (4, 1)),
-                    z=((3, 0), (data.time_dummy, 0)))
-        with pytest.raises(QueryError, match="one selector each"):
-            CIQuery(x=((data.space_dummy, 0), (2, 2)), y=((1, 0),), z=((3, 0),))
 
 
 class TestScalarPair:
@@ -348,18 +334,18 @@ class TestScalarPair:
         system[:, :, 2] = system[:, :, 0] if copy == "duplicate" else 2.0 * system[:, :, 0] - 1.5
         data = panel(system=system)
         for z in (((2, 1),), ((2, 1), (data.time_dummy, 0)), ((3, 0), (2, 1))):
-            ref = assert_equivalent(data, CIQuery(x=((0, 1),), y=((1, 0),), z=z))
+            ref = assert_equivalent(data, ((0, 1), (1, 0), z))
             assert ref.degenerate and ref.df > 0
             # the span guard trips on either side
-            assert assert_equivalent(data, CIQuery(x=((1, 0),), y=((0, 1),), z=z)).degenerate
+            assert assert_equivalent(data, ((1, 0), (0, 1), z)).degenerate
 
     def test_constant_column(self):
         system = np.random.default_rng(4).standard_normal((4, 20, 3))
         system[:, :, 1] = 2.5
         data = panel(system=system)
         for z in ((), ((2, 1),), ((2, 1), (data.space_dummy, 0))):
-            assert assert_equivalent(data, CIQuery(x=((0, 1),), y=((1, 0),), z=z)).degenerate
-            assert assert_equivalent(data, CIQuery(x=((1, 2),), y=((0, 0),), z=z)).degenerate
+            assert assert_equivalent(data, ((0, 1), (1, 0), z)).degenerate
+            assert assert_equivalent(data, ((1, 2), (0, 0), z)).degenerate
 
     def test_df_floor(self):
         # df < 1 cannot reach the pair path: the sample check (n > z columns
@@ -368,12 +354,12 @@ class TestScalarPair:
         for T, df in ((7, 2), (8, 3)):
             system = np.random.default_rng(5).standard_normal((1, T, 5))
             data = panel(tau_max=0, spatial=0, system=system)
-            ref = assert_equivalent(data, CIQuery(x=((0, 0),), y=((1, 0),), z=z))
+            ref = assert_equivalent(data, ((0, 0), (1, 0), z))
             assert ref.df == df and not ref.degenerate
         system = np.random.default_rng(5).standard_normal((1, 6, 5))
         data = panel(tau_max=0, spatial=0, system=system)
         with pytest.raises(QueryError, match="too few samples"):
-            parcorr_test(CIQuery(x=((0, 0),), y=((1, 0),), z=z), data)
+            parcorr_test(((0, 0), (1, 0), z), data)
 
 
 def error_type(kernel, query, data):
@@ -386,16 +372,16 @@ def error_type(kernel, query, data):
 
 # panel(): system 0-2, temporal context 3, spatial context 4, dummies 5 and 6
 INVALID = {
-    "var past the end in x": (((7, 0),), ((1, 0),), ()),
-    "var past the end in z": (((0, 0),), ((1, 0),), ((9, 1),)),
-    "negative var": (((0, 0),), ((-1, 0),), ()),
-    "negative var aliasing a lagged column": (((0, 0),), ((1, 0),), ((-7, 3),)),
-    "lag past 2 tau_max": (((0, 5),), ((1, 0),), ()),
-    "lag past 2 tau_max in z": (((0, 0),), ((1, 0),), ((2, 5),)),
-    "negative lag": (((0, -1),), ((1, 0),), ()),
-    "spatial context at a lag": (((4, 1),), ((1, 0),), ()),
-    "time dummy at a lag": (((0, 0),), ((1, 0),), ((5, 1),)),
-    "space dummy at a lag": (((6, 2),), ((1, 0),), ()),
+    "var past the end in x": ((7, 0), (1, 0), ()),
+    "var past the end in z": ((0, 0), (1, 0), ((9, 1),)),
+    "negative var": ((0, 0), (-1, 0), ()),
+    "negative var aliasing a lagged column": ((0, 0), (1, 0), ((-7, 3),)),
+    "lag past 2 tau_max": ((0, 5), (1, 0), ()),
+    "lag past 2 tau_max in z": ((0, 0), (1, 0), ((2, 5),)),
+    "negative lag": ((0, -1), (1, 0), ()),
+    "spatial context at a lag": ((4, 1), (1, 0), ()),
+    "time dummy at a lag": ((0, 0), (1, 0), ((5, 1),)),
+    "space dummy at a lag": ((6, 2), (1, 0), ()),
 }
 
 
@@ -405,8 +391,7 @@ class TestErrorParity:
     @pytest.mark.parametrize("case", sorted(INVALID))
     def test_invalid_selector(self, case):
         data = panel()
-        x, y, z = INVALID[case]
-        query = CIQuery(x=x, y=y, z=z)
+        query = INVALID[case]
         expected = error_type(lstsq_parcorr_test, query, data)
         assert expected is not None
         assert error_type(parcorr_test, query, data) is expected
@@ -414,30 +399,30 @@ class TestErrorParity:
     @pytest.mark.parametrize("case", ["var past the end in x", "var past the end in z"])
     def test_variable_past_the_end_is_a_selection_error(self, case):
         # the range is checked before the role lookup, in both kernels
-        x, y, z = INVALID[case]
         for kernel in (parcorr_test, lstsq_parcorr_test):
             with pytest.raises(SelectionError, match="out of range"):
-                kernel(CIQuery(x=x, y=y, z=z), panel())
+                kernel(INVALID[case], panel())
 
     def test_negative_endpoint_is_not_counted_from_the_end(self):
         # on one dataset, var -1 used to be read as the degenerate space dummy
-        query = CIQuery(x=((0, 0),), y=((-1, 0),))
+        query = ((0, 0), (-1, 0), ())
         with pytest.raises(SelectionError, match="out of range"):
             parcorr_test(query, panel(M=1, T=20))
 
     def test_too_few_samples(self):
         data = panel(M=1, T=10)
-        query = CIQuery(x=((0, 0),), y=((1, 0),), z=((2, 0), (3, 0), (0, 1), (1, 1), (2, 1)))
+        query = ((0, 0), (1, 0), ((2, 0), (3, 0), (0, 1), (1, 1), (2, 1)))
         assert error_type(lstsq_parcorr_test, query, data) is QueryError
         assert error_type(parcorr_test, query, data) is QueryError
-        named = re.escape(f" (query x={query.x} y={query.y} z={query.z})") + "$"
+        x, y, z = query
+        named = re.escape(f" (query x={x} y={y} z={z})") + "$"
         with pytest.raises(QueryError, match="^too few samples.*" + named):
-            ParCorrCI(data).batch([(query.x[0], query.y[0], list(query.z))])
+            ParCorrCI(data).batch([(x, y, list(z))])
 
     def test_dummy_on_both_sides(self):
         data = panel()
         with pytest.raises(QueryError, match="once only"):
-            parcorr_test(CIQuery(x=((5, 0),), y=((6, 0),)), data)
+            parcorr_test(((5, 0), (6, 0), ()), data)
 
     def test_degenerate_endpoint_does_not_hide_a_bad_query(self):
         # a single dataset's space dummy is degenerate; its verdict comes only
@@ -445,18 +430,18 @@ class TestErrorParity:
         # query refused on four datasets is refused on one
         single, data = panel(M=1, T=20), panel()
         for z in (((2, 5),), ((99, 0),), ((0, 7),)):
-            query = CIQuery(x=((6, 0),), y=((1, 0),), z=z)
+            query = ((6, 0), (1, 0), z)
             for kernel in (parcorr_test, lstsq_parcorr_test):
                 with pytest.raises(SelectionError,
                                    match="^" + re.escape(f"selector {z[0]} out of range")):
                     kernel(query, single)
                 assert error_type(kernel, query, data) is SelectionError
-        both = CIQuery(x=((6, 0),), y=((5, 0),))
+        both = ((6, 0), (5, 0), ())
         for pooled in (single, data):
             with pytest.raises(QueryError, match="once only"):
                 parcorr_test(both, pooled)
         # a query the kernel can read still gets the degenerate verdict
-        query = CIQuery(x=((6, 0),), y=((1, 0),), z=((2, 4),))
+        query = ((6, 0), (1, 0), ((2, 4),))
         assert parcorr_test(query, single) == lstsq_parcorr_test(query, single)
         assert parcorr_test(query, single).degenerate
 
@@ -465,11 +450,10 @@ class TestErrorParity:
         test = ParCorrCI(data)
         table = dict(data.selectors)
         for case in sorted(INVALID):
-            x, y, z = INVALID[case]
-            expected = error_type(lstsq_parcorr_test, CIQuery(x=x, y=y, z=z), data)
+            expected = error_type(lstsq_parcorr_test, INVALID[case], data)
             for _ in range(2):
                 with pytest.raises(expected):
-                    test.batch([(x[0], y[0], z)])
+                    test.batch([INVALID[case]])
                 assert not test.batch([((0, 1), (1, 0), ((2, 1),))])[0].degenerate
         assert dict(data.selectors) == table
 
@@ -481,12 +465,11 @@ def batch_corpus(data, rng):
     or affine system column, a ``z`` holding that column and its copy."""
     queries = [q for group in sibling_groups(data, rng) for q in group]
     n_sys = data.n_system
-    queries += [CIQuery(x=((0, 1),), y=((1, 0),)), CIQuery(x=((1, 0),), y=((0, 2),))]
+    queries += [((0, 1), (1, 0), ()), ((1, 0), (0, 2), ())]
     spatial = [v for v in range(data.n_observed) if not data.var_roles[v].is_time_indexed]
     for v in spatial:
-        queries.append(CIQuery(x=((0, 1),), y=((1, 0),),
-                               z=((v, 0), (2, 1), (data.space_dummy, 0))))
-    queries.append(CIQuery(x=((1, 0),), y=((2, 0),), z=((0, 1), (n_sys - 1, 1))))
+        queries.append(((0, 1), (1, 0), ((v, 0), (2, 1), (data.space_dummy, 0))))
+    queries.append(((1, 0), (2, 0), ((0, 1), (n_sys - 1, 1))))
     return queries
 
 
@@ -516,33 +499,32 @@ def edge_batches():
     fallback), the df floor and a constant column."""
     out = []
     data = panel()  # the lag-4 selector empties the first two time groups
-    out.append((data, [CIQuery(x=((data.time_dummy, 0),), y=((0, 0),), z=((1, 4),))]))
+    out.append((data, [((data.time_dummy, 0), (0, 0), ((1, 4),))]))
     data = panel(M=1, T=40)
-    out.append((data, [CIQuery(x=((data.time_dummy, 0),), y=((0, 0),)),
-                       CIQuery(x=((data.space_dummy, 0),), y=((0, 0),)),
-                       CIQuery(x=((0, 1),), y=((1, 0),), z=((4, 0), (data.space_dummy, 0)))]))
+    out.append((data, [((data.time_dummy, 0), (0, 0), ()),
+                       ((data.space_dummy, 0), (0, 0), ()),
+                       ((0, 1), (1, 0), ((4, 0), (data.space_dummy, 0)))]))
     for copy in ("duplicate", "affine"):
         system = np.random.default_rng(3).standard_normal((4, 20, 3))
         system[:, :, 2] = system[:, :, 0] if copy == "duplicate" else 2.0 * system[:, :, 0] - 1.5
         data = panel(system=system)
         zs = (((2, 1),), ((2, 1), (data.time_dummy, 0)), ((3, 0), (2, 1)))
-        out.append((data, [CIQuery(x=x, y=y, z=z) for z in zs
-                           for x, y in ((((0, 1),), ((1, 0),)), (((1, 0),), ((0, 1),)))]))
+        out.append((data, [(x, y, z) for z in zs
+                           for x, y in (((0, 1), (1, 0)), ((1, 0), (0, 1)))]))
         system = np.random.default_rng(6).standard_normal((4, 20, 4))
         system[:, :, 3] = system[:, :, 0] if copy == "duplicate" else 2.0 * system[:, :, 0] - 1.5
         data = panel(system=system)
-        out.append((data, [CIQuery(x=(x,), y=((2, 0),), z=((0, 1), (3, 1)))
+        out.append((data, [(x, (2, 0), ((0, 1), (3, 1)))
                            for x in ((1, 0), (data.time_dummy, 0), (data.space_dummy, 0))]))
     for T in (7, 8):
         system = np.random.default_rng(5).standard_normal((1, T, 5))
         data = panel(tau_max=0, spatial=0, system=system)
-        out.append((data, [CIQuery(x=((0, 0),), y=((1, 0),), z=((2, 0), (3, 0), (4, 0)))]))
+        out.append((data, [((0, 0), (1, 0), ((2, 0), (3, 0), (4, 0)))]))
     system = np.random.default_rng(4).standard_normal((4, 20, 3))
     system[:, :, 1] = 2.5
     data = panel(system=system)
-    out.append((data, [CIQuery(x=x, y=y, z=z)
-                       for z in ((), ((2, 1),), ((2, 1), (data.space_dummy, 0)))
-                       for x, y in ((((0, 1),), ((1, 0),)), (((1, 2),), ((0, 0),)))]))
+    out.append((data, [(x, y, z) for z in ((), ((2, 1),), ((2, 1), (data.space_dummy, 0)))
+                       for x, y in (((0, 1), (1, 0)), ((1, 2), (0, 0)))]))
     return out
 
 
@@ -556,24 +538,22 @@ class TestBatch:
             assert batch == expected
             for query, result in zip(queries, batch):
                 assert_equivalent(data, query, new=result)
-            endpoints = sum(data.var_roles[q.x[0][0]].is_dummy for q in queries)
+            endpoints = sum(data.var_roles[x[0]].is_dummy for x, _, _ in queries)
             n_endpoints += endpoints
             n_pairs += len(queries) - endpoints
             if p["collinear"] in ("duplicate", "affine"):
                 # a z holding a column and its copy counts one of them
                 n_sys = data.n_system
                 result = dict(zip(queries, batch))[
-                    CIQuery(x=((1, 0),), y=((2, 0),), z=((0, 1), (n_sys - 1, 1)))]
+                    ((1, 0), (2, 0), ((0, 1), (n_sys - 1, 1)))]
                 assert result.df == result.n_effective - 3, p
                 n_collinear += 1
         assert n_pairs > 500 and n_endpoints > 200 and n_collinear > 3
 
     def test_group_finishes_are_bitwise_the_per_query_finish(self, monkeypatch):
         # every result of the seeded corpus and of the edge cases, finished
-        # per group, against the finish of one query at a time it replaced;
-        # the kernel reads a query by position, so the plain tuples ParCorrCI
-        # asks and list-form selectors, which take the hand-off to CIQuery,
-        # give the same results
+        # per group, against the finish of one query at a time it replaced,
+        # with z as a tuple and as the list a discovery asks
         eigh_sums, calls = citests._eigh_sums, []
         monkeypatch.setattr(citests, "_eigh_sums",
                             lambda case: calls.append(case) or eigh_sums(case))
@@ -586,32 +566,37 @@ class TestBatch:
             assert batch == expected
             results += batch
             fallbacks += calls
-            plain = [((q.x[0],), (q.y[0],), list(q.z)) for q in queries]
-            listed = [([list(q.x[0])], [list(q.y[0])], [list(s) for s in q.z])
-                      for q in queries]
-            assert citests.parcorr_batch(plain, data) == expected
-            assert citests.parcorr_batch(listed, data) == expected
+            assert citests.parcorr_batch([(x, y, list(z)) for x, y, z in queries],
+                                         data) == expected
         assert sum(r.degenerate for r in results) > 200 and len(results) > 3000
         assert len(fallbacks) > 300 and sum(bool(case[0].dummy) for case in fallbacks) > 40
 
-    def test_discovery_builds_no_ciquery(self, monkeypatch):
-        # a ParCorr discovery validates its queries as the kernel looks them
-        # up: no query is copied into a CIQuery on the valid path
-        new, calls = CIQuery.__new__, []
+    def test_batch_hands_its_queries_to_the_kernel(self, monkeypatch):
+        # ParCorrCI.batch passes the query objects it is given, not copies
+        data, asked, batch = panel(), [], citests.parcorr_batch
+        monkeypatch.setattr(citests, "parcorr_batch",
+                            lambda queries, d: asked.extend(queries) or batch(queries, d))
+        queries = [((0, 1), (1, 0), [(2, 3)]), ((data.time_dummy, 0), (1, 0), ((2, 3),))]
+        ParCorrCI(data).batch(queries)
+        assert len(asked) == 2 and all(a is q for a, q in zip(asked, queries))
 
-        def counting(cls, *args, **kwargs):
-            calls.append(args)
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(CIQuery, "__new__", counting)
+    def test_own_dummy_checked_once_per_query(self, monkeypatch):
+        # a discovery checks each query with a dummy in z for a context
+        # conditioned on its own dummy once, and no query without one
+        check, calls = citests._check_own_dummy, []
+        monkeypatch.setattr(citests, "_check_own_dummy",
+                            lambda *args: calls.append(args) or check(*args))
+        asked, batch = [], citests.parcorr_batch
+        monkeypatch.setattr(citests, "parcorr_batch",
+                            lambda queries, d: asked.extend(queries) or batch(queries, d))
         spec, _ = generate_random_model(n_system=4, n_temporal_ctx=1, n_spatial_ctx=1,
                                         frac_observed=0.5, seed=2, max_lag=2)
         test = ParCorrCI(pool_data(simulate(spec, M=4, T=40, seed=102), 2))
         j_pcmciplus(test, tau_max=2, alpha=0.05)
-        assert test.n_tests > 100 and calls == []
-        with pytest.raises(QueryError, match="overlap"):  # the count sees a refusal
-            test.batch([((0, 0), (0, 0), [])])
-        assert len(calls) == 1
+        dummies = {(test.data.time_dummy, 0), (test.data.space_dummy, 0)}
+        with_dummy = [q for q in asked if not dummies.isdisjoint(q[2])]
+        assert test.n_tests > 100 and len(with_dummy) > 5
+        assert len(calls) == len(with_dummy)
 
     @pytest.mark.parametrize("copy, endpoint", [
         pytest.param("duplicate", None, id="duplicate"),
@@ -625,7 +610,7 @@ class TestBatch:
         system[:, :, 3] = system[:, :, 0] if copy == "duplicate" else 2.0 * system[:, :, 0] - 1.5
         data = panel(system=system)
         x = {None: (1, 0), "time": (data.time_dummy, 0), "space": (data.space_dummy, 0)}
-        query = CIQuery(x=(x[endpoint],), y=((2, 0),), z=((0, 1), (3, 1)))
+        query = (x[endpoint], (2, 0), ((0, 1), (3, 1)))
         result = citests.parcorr_batch([query], data)[0]
         assert result == parcorr_test(query, data)
         ref = assert_equivalent(data, query, new=result)
@@ -634,7 +619,7 @@ class TestBatch:
 
     def test_single_query_batch(self):
         data = panel()
-        query = CIQuery(x=((0, 1),), y=((1, 0),), z=((2, 3), (data.time_dummy, 0)))
+        query = ((0, 1), (1, 0), ((2, 3), (data.time_dummy, 0)))
         assert citests.parcorr_batch([query], data) == [parcorr_test(query, data)]
         assert citests.parcorr_batch([], data) == []
 
@@ -642,8 +627,8 @@ class TestBatch:
         # dummy endpoints included: a wrapper around parcorr_test and
         # parcorr_batch sees each query of a batch once
         data = panel()
-        queries = [CIQuery(x=((data.time_dummy, 0),), y=((1, 0),), z=((2, 3),)),
-                   CIQuery(x=((0, 1),), y=((data.space_dummy, 0),))]
+        queries = [((data.time_dummy, 0), (1, 0), ((2, 3),)),
+                   ((0, 1), (data.space_dummy, 0), ())]
         expected = [parcorr_test(query, data) for query in queries]
         monkeypatch.setattr(citests, "parcorr_test", None)
         assert citests.parcorr_batch(queries, data) == expected
@@ -651,39 +636,36 @@ class TestBatch:
     def test_batch_raises_the_single_path_error(self):
         # and names the query it refused, asked through ParCorrCI or not
         data = panel()
-        fine = CIQuery(x=((0, 1),), y=((1, 0),), z=((2, 3),))
-        for bad, error in ((CIQuery(x=((3, 0),), y=((1, 0),), z=((data.time_dummy, 0),)),
+        fine = ((0, 1), (1, 0), ((2, 3),))
+        for bad, error in ((((3, 0), (1, 0), ((data.time_dummy, 0),)),
                             QueryError),
-                           (CIQuery(x=((0, 5),), y=((1, 0),)), SelectionError),
-                           (CIQuery(x=((0, 1),), y=((1, 0),), z=((2, 3), (9, 0))),
+                           (((0, 5), (1, 0), ()), SelectionError),
+                           (((0, 1), (1, 0), ((2, 3), (9, 0))),
                             SelectionError),
-                           (CIQuery(x=((5, 0),), y=((6, 0),)), QueryError)):
+                           (((5, 0), (6, 0), ()), QueryError)):
             assert error_type(parcorr_test, bad, data) is error
-            named = re.escape(f" (query x={bad.x} y={bad.y} z={bad.z})") + "$"
+            named = re.escape(" (query x={} y={} z={})".format(*bad)) + "$"
             with pytest.raises(error, match=named):
                 citests.parcorr_batch([fine, bad, fine], data)
-            for z_form in (tuple, list, iter):  # a discovery asks z as a list
+            for z_form in (tuple, list):  # a discovery asks z as a list
                 with pytest.raises(error, match=named):
-                    ParCorrCI(data).batch([(q.x[0], q.y[0], z_form(q.z))
-                                           for q in (fine, bad, fine)])
+                    ParCorrCI(data).batch([(x, y, z_form(z)) for x, y, z in (fine, bad, fine)])
 
     def test_own_dummy_refused_unless_constant(self):
         data = panel()
         # temporal context 3 given the time dummy, spatial context 4 given
         # the space dummy, on either side and beside other conditions
-        for query in (CIQuery(x=((3, 0),), y=((1, 0),), z=((data.time_dummy, 0),)),
-                      CIQuery(x=((1, 0),), y=((3, 2),), z=((0, 1), (data.time_dummy, 0))),
-                      CIQuery(x=((data.time_dummy, 0),), y=((4, 0),),
-                              z=((data.space_dummy, 0),))):
+        for query in (((3, 0), (1, 0), ((data.time_dummy, 0),)),
+                      ((1, 0), (3, 2), ((0, 1), (data.time_dummy, 0))),
+                      ((data.time_dummy, 0), (4, 0), ((data.space_dummy, 0),))):
             with pytest.raises(QueryError, match="own kind"):
                 parcorr_test(query, data)
             assert error_type(lstsq_parcorr_test, query, data) is QueryError
         # the other kind's dummy is a test like any other
-        assert not parcorr_test(CIQuery(x=((3, 0),), y=((1, 0),),
-                                        z=((data.space_dummy, 0),)), data).degenerate
+        assert not parcorr_test(((3, 0), (1, 0), ((data.space_dummy, 0),)), data).degenerate
         # a single dataset's space dummy is a constant block: the spatial
         # context given it stays a degenerate test
         single = panel(M=1, T=20)
-        query = CIQuery(x=((4, 0),), y=((1, 0),), z=((single.space_dummy, 0),))
+        query = ((4, 0), (1, 0), ((single.space_dummy, 0),))
         assert parcorr_test(query, single).degenerate
         assert citests.parcorr_batch([query], single) == [lstsq_parcorr_test(query, single)]

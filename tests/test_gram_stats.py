@@ -22,7 +22,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from jtscd.citests import CIQuery, QueryError, parcorr_test
+from jtscd.citests import QueryError, parcorr_test
 from jtscd.pooling import _CANCEL_TOL, DUMMY_MODES, SelectionError, pool_data
 from jtscd.scm import DatasetCollection
 
@@ -171,7 +171,7 @@ def queries(data, rng, count=6):
         if endpoint < 2:
             x = dummies[endpoint]
         z += [d for d, keep in zip(dummies, rng.integers(0, 2, 2)) if keep and d != x]
-        yield CIQuery(x=(x,), y=(y,), z=tuple(z))
+        yield (x, y, tuple(z))
 
 
 def outcome(query, data):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jtscd.citests import CIQuery, QueryError, parcorr_test
+from jtscd.citests import QueryError, parcorr_test
 from jtscd.graph import VariableRole
 from jtscd.pooling import (DUMMY_MODES, SelectionError, build_space_dummy,
                            build_time_dummy, pool_data)
@@ -189,7 +189,7 @@ class TestPoolData:
                         with pytest.raises(SelectionError, match=f"lag {lag} .*T={T}"):
                             pd.extract_aligned([(var, lag)])
                         with pytest.raises(QueryError, match="too few samples"):
-                            parcorr_test(CIQuery(x=((var, lag),), y=((var, 0),)), pd)
+                            parcorr_test(((var, lag), (var, 0), ()), pd)
                 else:
                     mat, rows = pd.extract_aligned([(var, lag)])
                     assert mat.shape == (pd.n_rows, entry[3])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from jtscd import citests
-from jtscd.citests import CIQuery, parcorr_test
+from jtscd.citests import parcorr_test
 from jtscd.pooling import DUMMY_MODES, pool_data
 from jtscd.scm import DatasetCollection
 
@@ -116,7 +116,7 @@ def test_non_finite_eigenvalues_raise(monkeypatch, bad):
 
     monkeypatch.setattr(citests, "_eigh_lo", failing)
     # a z holding a column and its copy is a block the Cholesky factor rejects
-    query = CIQuery(x=((2, 0),), y=((3, 0),), z=((DUPLICATE[0], 1), (DUPLICATE[1], 1)))
+    query = ((2, 0), (3, 0), ((DUPLICATE[0], 1), (DUPLICATE[1], 1)))
     with pytest.raises(np.linalg.LinAlgError):
         parcorr_test(query, data)
     with pytest.raises(np.linalg.LinAlgError):
