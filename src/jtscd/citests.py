@@ -649,9 +649,10 @@ class GraphOracle:
     is independent of it iff the ``d_connected`` pass from that node reaches
     no latent context node of its kind.  ``n_tests`` counts every query.
 
-    The unrolled window must reach the graph's ``tau_max`` and ``2 *
-    tau_max``, the deepest lag a discovery asks, as ``ParCorrCI`` needs
-    ``T > 2 * tau_max``; a shallower ``unroll_depth`` is a ``QueryError``.
+    ``tau_max`` must be a non-negative integer, and the unrolled window
+    must reach the graph's ``tau_max`` and ``2 * tau_max``, the deepest lag
+    a discovery asks, as ``ParCorrCI`` needs ``T > 2 * tau_max``; each
+    refusal is a ``QueryError``.
     """
 
     def __init__(self, graph, tau_max, unroll_depth=None):
@@ -659,6 +660,8 @@ class GraphOracle:
             raise QueryError("the oracle needs a ground-truth graph")
         if not is_integer(tau_max):
             raise QueryError(f"tau_max={tau_max!r} must be an integer")
+        if tau_max < 0:
+            raise QueryError(f"tau_max={tau_max} must be non-negative")
         if unroll_depth is None:
             unroll_depth = 4 * max(graph.tau_max, tau_max, 1)
         if unroll_depth < graph.tau_max:

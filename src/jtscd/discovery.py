@@ -147,25 +147,30 @@ def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, sepsets=None):
         vals[j] = {c: np.inf for c in current[j]}
 
     # level by level across every target, each level one batch: a target's
-    # tests at a level depend only on its own earlier levels
+    # tests at a level depend only on its own earlier levels.  A candidate
+    # outside the top ``dim`` is tested given them, the k-th inside given
+    # the top ``dim + 1`` less itself
     dim = 0
     active = [j for j in current if len(current[j]) - 1 >= dim]
     while active:
-        asked = [(j, cand, [c for c in current[j] if c != cand][:dim])
-                 for j in active for cand in current[j]]
-        results = ci.batch([(cand, (j, 0), z) for j, cand, z in asked])
-        removed = set()
-        for (j, cand, z), res in zip(asked, results):
-            vals[j][cand] = min(vals[j][cand], abs(res.statistic))
-            if res.p_value > alpha:
-                removed.add((j, cand))
-                if sepsets is not None:
-                    sepsets.store(cand[0], cand[1], j,
-                                  SepSetEntry((), tuple(z), res.p_value, res.statistic,
-                                              (cand[0], cand[1], j)))
+        queries = []
         for j in active:
-            kept = [c for c in current[j] if (j, c) not in removed]
-            current[j] = sorted(kept, key=lambda c: (-vals[j][c], c))
+            cur, y, top = current[j], (j, 0), current[j][:dim]
+            queries += [(cand, y, cur[:k] + cur[k + 1:dim + 1]) for k, cand in enumerate(top)]
+            queries += [(cand, y, top) for cand in cur[dim:]]
+        answers = zip(queries, ci.batch(queries))
+        for j in active:  # each target's answers in turn
+            v, kept = vals[j], []
+            for (cand, _, z), res in itertools.islice(answers, len(current[j])):
+                statistic, p_value = abs(res.statistic), res.p_value
+                if statistic < v[cand]:
+                    v[cand] = statistic
+                if not p_value > alpha:
+                    kept.append(cand)
+                elif sepsets is not None:
+                    sepsets.store(cand[0], cand[1], j, SepSetEntry(
+                        (), tuple(z), p_value, res.statistic, (cand[0], cand[1], j)))
+            current[j] = sorted(kept, key=lambda c: (-v[c], c))
         dim += 1
         active = [j for j in active if len(current[j]) - 1 >= dim]
     return {v: current.get(v, []) for v in range(len(roles))}
@@ -180,8 +185,10 @@ def _base_part(base_sets, i, tau, j, roles):
     target-side base set, then the driver-side base set shifted by ``tau``
     (single-node variables keep pseudo-lag 0); first occurrences only,
     without the tested endpoints."""
-    shifted = [(v, lag + tau) if roles[v].is_time_indexed else (v, lag)
-               for (v, lag) in base_sets.get(i, ())]
+    shifted = base_sets.get(i, ())
+    if tau:
+        shifted = [(v, lag + tau) if roles[v].is_time_indexed else (v, lag)
+                   for (v, lag) in shifted]
     ends = {(i, tau), (j, 0)}
     return [sel for sel in dict.fromkeys(itertools.chain(base_sets.get(j, ()), shifted))
             if sel not in ends]
@@ -199,14 +206,14 @@ def _contemp_adjacencies(graph, allowed_roles, strengths):
     first (the minimum |statistic| in ``strengths``), then by selector."""
     roles = graph.roles
     adj = {j: [] for j in range(graph.n_vars)}
-    for (a, b, tau, _) in graph.edges():
-        if tau == 0:
-            if roles[a] in allowed_roles:
-                adj[b].append((a, 0))
-            if roles[b] in allowed_roles:
-                adj[a].append((b, 0))
+    for (a, b) in graph.contemporaneous_pairs():
+        if roles[a] in allowed_roles:
+            adj[b].append((a, 0))
+        if roles[b] in allowed_roles:
+            adj[a].append((b, 0))
     for j, cands in adj.items():
-        cands.sort(key=lambda s: (-strengths.get((s[0], 0, j), np.inf), s))
+        if len(cands) > 1:
+            cands.sort(key=lambda s: (-strengths.get((s[0], 0, j), np.inf), s))
     return adj
 
 
@@ -215,60 +222,75 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
     subsets ``S``, until no link has enough adjacencies left.
 
     ``S`` is drawn from the contemporaneous adjacencies with a role in
-    ``s_roles``; ``base`` completes each conditioning set (see
-    ``_base_part``, built once per link with its frozenset, and asked as it
-    is at ``|S| = 0``).  Within one cardinality level, candidate subsets are
-    drawn from the adjacency sets frozen at level start, so decisions do
-    not depend on the order in which the links are visited, and a level is
-    one batch of every test of every link.  A test whose ``z`` set -- the
-    union of ``S`` with the base part's frozenset -- its unordered link
-    already asked at the level, as the other direction of a lag-0 link or
-    another subset that gives the same set, is not asked again: it reuses
-    the first answer, for the removal and for ``strengths``.  One unordered
-    link is removed at its first separating test, in either direction's
-    subset order; the distinct tests after it are asked too (a CI test's
-    ``n_tests`` counts them) and their results are dropped.
+    ``s_roles``; ``base`` completes each conditioning set (``_base_part``),
+    asked as it is at ``|S| = 0``.  Each held link's state -- endpoints,
+    unordered key, base part and its frozenset -- is built once per stage,
+    and a live list drops a link for good once it is removed or has fewer
+    than ``|S|`` adjacencies, which only shrink within a stage.  Within one
+    cardinality level, candidate subsets are drawn from the adjacency sets
+    frozen at level start, so decisions do not depend on the order in which
+    the links are visited, and a level is one batch of every test of every
+    live link.  A test whose ``z`` set -- the union of ``S`` with the base
+    part's frozenset -- its unordered link already asked at the level, as
+    the other direction of a lag-0 link or another subset that gives the
+    same set, is not asked again: it reuses the first answer, for the
+    removal and for ``strengths``.  One unordered link is removed at its
+    first separating test, in either direction's subset order; the distinct
+    tests after it are asked too (a CI test's ``n_tests`` counts them) and
+    their results are dropped.
     """
-    pairs = sorted(set(pairs), key=lambda p: (p[2], p[1], p[0]))
-    if not pairs:  # a stage with nothing to test, such as C on masked data
-        return
     roles = ci.var_roles  # every variable the CI test knows, dummies included
-    strengths = {}
-    rests = {(i, tau, j): _base_part(base, i, tau, j, roles) for (i, tau, j) in pairs}
-    rest_sets = {link: frozenset(rest) for link, rest in rests.items()}
-    p = 0
+    live = []
+    for link in sorted(set(pairs), key=lambda p: (p[2], p[1], p[0])):
+        i, tau, j = link
+        if graph.has_link(i, j, tau):
+            rest = _base_part(base, i, tau, j, roles)
+            live.append((link, (i, tau), (j, 0), rest, frozenset(rest),
+                         SepSetStore._key(i, tau, j)))
+    if not live:  # a stage with nothing to test, such as C on masked data
+        return
+    strengths, gone, p = {}, set(), 0
     while True:
         adj = _contemp_adjacencies(graph, s_roles, strengths)
-        tasks = {}
-        for link in pairs:
-            i, tau, j = link
-            cands = [a for a in adj[j] if a != (i, tau)]
-            if graph.has_link(i, j, tau) and len(cands) >= p:
-                tasks.setdefault(SepSetStore._key(i, tau, j), []).append(
-                    (link, cands, rests[link], rest_sets[link]))
+        tasks, kept = {}, []
+        for state in live:
+            (_, _, j), x, _, _, _, key = state
+            cands = (adj[j] if x[1] else [a for a in adj[j] if a != x]) if p else ()
+            if key not in gone and len(cands) >= p:  # else dropped for good
+                kept.append(state)
+                tasks.setdefault(key, []).append((state, cands))
+        live = kept
         if not tasks:
             break
-        # each distinct test once: a test of a task whose z set the task
-        # already asked, in either direction, reuses the first answer
-        tests, queries, first = [], [], {}
-        for key, links in tasks.items():
-            for link, cands, rest, rest_set in links:
-                i, tau, j = link
+        # each distinct test once: a test of a link whose z set its
+        # unordered link already asked, in either direction, reuses the
+        # first answer
+        tests, queries = [], []
+        for links in tasks.values():
+            first = {}
+            for state, cands in links:
+                _, x, y, rest, rest_set, _ = state
+                clean = rest_set.isdisjoint(cands)  # no S overlaps the base part
                 for S in itertools.combinations(cands, p):
-                    z = _with_subset(S, rest) if p else rest
-                    at = first.setdefault((key, rest_set.union(S)), len(queries))
+                    z = [*S, *rest] if clean else _with_subset(S, rest)
+                    at = first.setdefault(rest_set.union(S) if p else rest_set, len(queries))
                     if at == len(queries):
-                        queries.append(((i, tau), (j, 0), z))
-                    tests.append((link, S, z, at))
+                        queries.append((x, y, z))
+                    tests.append((state, S, z, at))
         results = ci.batch(queries)
-        for link, S, z, at in tests:
+        for (link, x, _, _, _, key), S, z, at in tests:
+            if key in gone:
+                continue
             res = results[at]
-            i, tau, j = link
-            strengths[link] = min(strengths.get(link, np.inf), abs(res.statistic))
-            if res.p_value > alpha and graph.has_link(i, j, tau):  # first to separate
+            statistic, p_value = abs(res.statistic), res.p_value
+            if not x[1] and statistic < strengths.get(link, np.inf):  # read at lag 0 only
+                strengths[link] = statistic
+            if p_value > alpha:  # first to separate
+                i, tau, j = link
                 graph.remove_link(i, j, tau)
-                sepsets.store(i, tau, j, SepSetEntry(tuple(S), tuple(z), res.p_value,
+                sepsets.store(i, tau, j, SepSetEntry(tuple(S), tuple(z), p_value,
                                                      res.statistic, link))
+                gone.add(key)
         p += 1
 
 

@@ -118,6 +118,8 @@ class TimeSeriesGraph:
 
     def __init__(self, roles, tau_max):
         roles = tuple(VariableRole(r) for r in roles)
+        if not is_integer(tau_max):
+            raise GraphStructureError(f"tau_max={tau_max!r} must be an integer")
         if tau_max < 0:
             raise GraphStructureError("tau_max must be non-negative")
         self.roles = roles
@@ -180,6 +182,10 @@ class TimeSeriesGraph:
         """Canonical edge list, sorted, as ``(i, j, tau, mark)`` tuples."""
         return [(i, j, tau, self._marks[(i, j, tau)])
                 for (i, j, tau) in sorted(self._marks)]
+
+    def contemporaneous_pairs(self):
+        """The endpoints ``(i, j)``, ``i < j``, of each lag-0 link, unsorted."""
+        return [(i, j) for (i, j, tau) in self._marks if not tau]
 
     def n_edges(self):
         return len(self._marks)

@@ -376,6 +376,8 @@ ORACLE_ERRORS = {
                                + named((0, 0), (1, 0), [(2, 1)])),
     "lag beyond the window": (lambda: _spatial_oracle()((0, 5), (1, 0)),
                               "lag 5 outside the unrolled window 4" + named((0, 5), (1, 0))),
+    "negative tau_max": (lambda: GraphOracle(_spatial_oracle().graph, -1),
+                         "tau_max=-1 must be non-negative"),
     "unroll depth below tau_max": (lambda: _spatial_oracle(unroll_depth=0),
                                    "unroll_depth 0 is smaller than tau_max 1"),
     "unroll depth below twice tau_max": (

@@ -794,15 +794,21 @@ class TestBatchedPhases:
             assert len(set(tests)) == len(tests), queries
 
     def test_a_seeded_discovery_asks_fewer_tests(self):
-        # the counts of the sweep that asked both directions of a link
-        # (ParCorr 161, oracle 365 queries)
+        # the query stream is pinned: each batch's size, lagged levels first,
+        # then the sweep levels stage by stage.  The sweep that asked both
+        # directions of a link asked ParCorr 161 and the oracle 365 queries;
+        # one that asked a removed link's tests again would ask more
         spec, g = generate_random_model(n_system=4, n_temporal_ctx=1, n_spatial_ctx=1,
                                         frac_observed=0.5, seed=0, max_lag=2)
         ci = ParCorrCI(pool_data(simulate(spec, M=5, T=60, seed=70), 2))
         oracle = GraphOracle(g, 2)
-        j_pcmciplus(ci, tau_max=2)
-        j_pcmciplus(oracle, tau_max=2)
-        assert ci.n_tests < 161 and oracle.n_tests < 365
+        expected = {ci: (134, [32, 22, 12, 4, 4, 9, 6, 2, 8, 3, 15, 15, 2]),
+                    oracle: (329, [32] * 7 + [8, 4, 12, 9, 3, 8, 3, 3, 1, 35, 17, 2])}
+        for test, (n_tests, sizes) in expected.items():
+            asked, batch = [], test.batch
+            test.batch = lambda queries, batch=batch: asked.append(len(queries)) or batch(queries)
+            j_pcmciplus(test, tau_max=2)
+            assert (test.n_tests, asked) == (n_tests, sizes)
 
     def test_a_sweep_level_is_one_batch(self, monkeypatch):
         # a level starts with one freeze of the adjacencies; the last freeze

@@ -85,6 +85,27 @@ class TestTimeSeriesGraph:
         g.set_mark(1, 2, 0, UNDIRECTED)
         assert g.mark(2, 1, 0) == UNDIRECTED
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_contemporaneous_pairs_are_the_lag_0_edges(self, seed):
+        # seeded writes and removals over every slot, both orders of a lag-0
+        # pair and x-x marks included; removing an absent link is a no-op
+        rng = np.random.default_rng(seed)
+        roles = [R.SYSTEM] * 4 + [R.TEMPORAL_CONTEXT, R.SPATIAL_CONTEXT, R.SPACE_DUMMY]
+        g = TimeSeriesGraph(roles, 2)
+        slots = [(i, j, tau) for i in range(7) for j in range(6) for tau in range(3)
+                 if (i, tau) != (j, 0) and (tau == 0 or max(i, j) < 5)]
+        for _ in range(200):
+            i, j, tau = slots[rng.integers(len(slots))]
+            if rng.random() < 0.3:
+                g.remove_link(i, j, tau)
+            else:
+                marks = [DIRECTED] if i == 6 else [DIRECTED, UNDIRECTED, CONFLICT]
+                g.set_mark(i, j, tau, marks[rng.integers(len(marks))])
+            assert (sorted(g.contemporaneous_pairs())
+                    == [(a, b) for (a, b, tau, _) in g.edges() if tau == 0])
+        assert g.contemporaneous_pairs() and g.n_edges() > len(g.contemporaneous_pairs())
+        assert CONFLICT in [mark for (_, _, tau, mark) in g.edges() if tau == 0]
+
     def test_lagged_head_tail_rejected(self):
         g = TimeSeriesGraph([R.SYSTEM] * 2, 2)
         with pytest.raises(GraphStructureError):
@@ -174,6 +195,12 @@ def _two_system_and_dummy():
 GRAPH_ERRORS = {
     "negative tau_max": (lambda: TimeSeriesGraph([R.SYSTEM], -1),
                          GraphStructureError, "tau_max must be non-negative"),
+    # once written as the header 'graph 1 True' or 'graph 1 1.0', which
+    # from_text refuses
+    "bool tau_max": (lambda: TimeSeriesGraph([R.SYSTEM], True),
+                     GraphStructureError, "tau_max=True must be an integer"),
+    "float tau_max": (lambda: GroundTruthGraph([R.SYSTEM], 1.0),
+                      GraphStructureError, r"tau_max=1\.0 must be an integer"),
     "variable out of range": (lambda: _two_system_and_dummy().set_mark(0, 3, 0, DIRECTED),
                               GraphStructureError, r"variable out of range: \(0, 3\)"),
     "lag outside the window": (lambda: _two_system_and_dummy().set_mark(0, 1, 2, DIRECTED),
