@@ -14,7 +14,7 @@ from .graph import (ABSENT, CONFLICT, DIRECTED, REVERSED, UNDIRECTED,
 from .scm import (ConstantColumnError, DatasetCollection, LinearTerm,
                   NonFiniteDataError, PanelShapeError, SCMSpec, generate_random_model,
                   simplified_preset, simulate)
-from .pooling import PooledData, build_space_dummy, build_time_dummy, pool_data
+from .pooling import PooledData, pool_data
 from .citests import CITestResult, GraphOracle, ParCorrCI, parcorr_test
 from .discovery import (VARIANTS, DiscoveryResult, SepSetStore, collider_phase,
                         estimate_graph, j_pcmciplus, lagged_skeleton_pcmciplus,

@@ -118,7 +118,7 @@ class DiscoveryResult:
 # lagged phase
 
 
-def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, sepsets=None):
+def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, *, sepsets):
     """Iterative lagged-adjacency search (one condition set per cardinality).
 
     For every system and observed temporal-context variable the CI test
@@ -133,7 +133,8 @@ def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, sepsets=None):
 
     Returns a dict mapping every variable to its surviving ``(var, lag)``
     drivers, ordered by the minimum absolute test statistic seen across
-    iterations (descending, ties broken lexicographically).
+    iterations (descending, ties broken lexicographically).  Each removed
+    driver's separating set goes into the ``SepSetStore`` ``sepsets``.
     """
     if tau_max < 1:
         raise ValueError("the lagged phase needs tau_max >= 1")
@@ -167,7 +168,7 @@ def lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, sepsets=None):
                     v[cand] = statistic
                 if not p_value > alpha:
                     kept.append(cand)
-                elif sepsets is not None:
+                else:
                     sepsets.store(cand[0], cand[1], j, SepSetEntry(
                         (), tuple(z), p_value, res.statistic, (cand[0], cand[1], j)))
             current[j] = sorted(kept, key=lambda c: (-v[c], c))
@@ -194,12 +195,6 @@ def _base_part(base_sets, i, tau, j, roles):
             if sel not in ends]
 
 
-def _with_subset(S, rest):
-    """Full conditioning set: the chosen subset ``S`` (adjacencies, never a
-    tested endpoint), then the base part ``rest`` without ``S``."""
-    return list(S) + [sel for sel in rest if sel not in S]
-
-
 def _contemp_adjacencies(graph, allowed_roles, strengths):
     """Each variable's contemporaneous neighbours with a role in
     ``allowed_roles``, from one pass over the graph's lag-0 links, strongest
@@ -223,21 +218,27 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
 
     ``S`` is drawn from the contemporaneous adjacencies with a role in
     ``s_roles``; ``base`` completes each conditioning set (``_base_part``),
-    asked as it is at ``|S| = 0``.  Each held link's state -- endpoints,
-    unordered key, base part and its frozenset -- is built once per stage,
-    and a live list drops a link for good once it is removed or has fewer
-    than ``|S|`` adjacencies, which only shrink within a stage.  Within one
-    cardinality level, candidate subsets are drawn from the adjacency sets
-    frozen at level start, so decisions do not depend on the order in which
-    the links are visited, and a level is one batch of every test of every
-    live link.  A test whose ``z`` set -- the union of ``S`` with the base
-    part's frozenset -- its unordered link already asked at the level, as
-    the other direction of a lag-0 link or another subset that gives the
-    same set, is not asked again: it reuses the first answer, for the
-    removal and for ``strengths``.  One unordered link is removed at its
-    first separating test, in either direction's subset order; the distinct
-    tests after it are asked too (a CI test's ``n_tests`` counts them) and
-    their results are dropped.
+    and a test asks ``[*S, *base part]``, the base part alone at ``|S| =
+    0``.  Precondition: no base part holds a lag-0 selector of a role in
+    ``s_roles``, so ``S`` never overlaps it.  Stages C and refinement draw
+    ``S`` from the observed roles, and their base sets hold lagged links
+    and dummies; stages D and S draw it from the system variables, and
+    theirs hold lagged links, contexts and dummies.
+
+    Each held link's state -- endpoints, unordered key, base part and its
+    frozenset -- is built once per stage, and a live list drops a link for
+    good once it is removed or has fewer than ``|S|`` adjacencies, which
+    only shrink within a stage.  A level that draws subsets (``|S| >= 1``)
+    draws them from the adjacency sets frozen at its start, so decisions do
+    not depend on the order in which the links are visited, and a level is
+    one batch of every test of every live link.  A test whose ``z`` set --
+    the union of ``S`` with the base part's frozenset -- its unordered link
+    already asked at the level, as the other direction of a lag-0 link or
+    another subset that gives the same set, is not asked again: it reuses
+    the first answer, for the removal and for ``strengths``.  One unordered
+    link is removed at its first separating test, in either direction's
+    subset order; the distinct tests after it are asked too (a CI test's
+    ``n_tests`` counts them) and their results are dropped.
     """
     roles = ci.var_roles  # every variable the CI test knows, dummies included
     live = []
@@ -251,7 +252,7 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
         return
     strengths, gone, p = {}, set(), 0
     while True:
-        adj = _contemp_adjacencies(graph, s_roles, strengths)
+        adj = _contemp_adjacencies(graph, s_roles, strengths) if p else None
         tasks, kept = {}, []
         for state in live:
             (_, _, j), x, _, _, _, key = state
@@ -270,9 +271,8 @@ def _skeleton_sweep(ci, graph, alpha, sepsets, pairs, s_roles, base):
             first = {}
             for state, cands in links:
                 _, x, y, rest, rest_set, _ = state
-                clean = rest_set.isdisjoint(cands)  # no S overlaps the base part
                 for S in itertools.combinations(cands, p):
-                    z = [*S, *rest] if clean else _with_subset(S, rest)
+                    z = [*S, *rest]
                     at = first.setdefault(rest_set.union(S) if p else rest_set, len(queries))
                     if at == len(queries):
                         queries.append((x, y, z))
@@ -372,9 +372,11 @@ def collider_phase(graph, sepsets, rule="none", ci=None, base_sets=None, alpha=N
             subsets = [S for size in range(len(pool) + 1)
                        for S in itertools.combinations(pool, size)]
             asked.append((((i, tau), k, j), subsets, rest))
-        results = iter(ci.batch([((i, tau), (j, 0), _with_subset(S, rest))
-                                 for ((i, tau), _, j), subsets, rest in asked
-                                 for S in subsets]))
+        # ``S``, then the base part without it: a context in ``pool`` can be
+        # in both
+        queries = [((i, tau), (j, 0), [*S, *(sel for sel in rest if sel not in S)])
+                   for ((i, tau), _, j), subsets, rest in asked for S in subsets]
+        results = iter(ci.batch(queries))
         for triple, subsets, _ in asked:
             separating = [S for S in subsets if next(results).p_value > alpha]
             k = triple[1]
@@ -497,7 +499,8 @@ def j_pcmciplus(ci, tau_max=2, alpha=0.05, use_dummies=True, collider_rule="none
         raise ValueError("graph variables must form a prefix of the index space")
     sepsets = SepSetStore()
     lagged = tau_max > 0
-    adjacencies = lagged_skeleton_pcmciplus(ci, tau_max, alpha, sepsets) if lagged else None
+    adjacencies = (lagged_skeleton_pcmciplus(ci, tau_max, alpha, sepsets=sepsets)
+                   if lagged else None)
     lagged_sets = adjacencies if lagged else {v: [] for v in range(len(roles))}
     lagged_sys = {j: [(i, lag) for (i, lag) in lagged_sets[j] if roles[i].is_system]
                   for j in system}

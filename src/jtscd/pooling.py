@@ -11,11 +11,11 @@ dataset, it maps every valid ``(var, lag)`` -- lags ``0..2*tau_max`` of the
 time-indexed variables, lag 0 of the spatial contexts and dummies -- to
 what a CI test needs of it: its Gram column, dummy kind, the first time
 step of the rows it is defined on, its component count and whether it is
-degenerate.  ``aligned_start``, ``n_components`` and ``extract_aligned``
-read it, and a selector missing from it is a ``SelectionError``.
-``extract_aligned`` is the one accessor of pooled rows: the CI tests never
-read them, and ``matrix``/``to_csv`` (``jtscd discover --dump-pooled``)
-take the lag-0 design from it.
+degenerate.  ``n_components`` and ``extract_aligned`` read it, and a
+selector missing from it is a ``SelectionError``.  ``extract_aligned`` is
+the one accessor of pooled rows: the CI tests never read them, and
+``to_csv`` (``jtscd discover --dump-pooled``) takes the lag-0 design from
+it.
 
 ``PooledData.gram_stats`` keeps the sufficient statistics the partial
 correlation test works from: per row set and dummy mode, the cross-products
@@ -58,24 +58,6 @@ from .graph import VariableRole, is_integer
 
 class SelectionError(ValueError):
     """Raised for out-of-range or role-inconsistent column selectors."""
-
-
-def build_space_dummy(M, dataset_index):
-    """One-hot block labelling datasets: row for dataset m is e_m (M columns)."""
-    if M < 1:
-        raise SelectionError("M must be at least 1")
-    return np.eye(M)[np.asarray(dataset_index)]
-
-
-def build_time_dummy(T, tau_max, time_index):
-    """One-hot block labelling usable time steps (T - tau_max columns).
-
-    Rows that share the same ``t`` across datasets share the same one-hot
-    vector; only pooled time indices ``tau_max..T-1`` get a column.
-    """
-    if T <= tau_max:
-        raise SelectionError("T must exceed tau_max")
-    return np.eye(T - tau_max)[np.asarray(time_index) - tau_max]
 
 
 # a column whose demeaned norm is at or below this, times max(1, sqrt(n)),
@@ -236,56 +218,47 @@ class PooledData:
     def n_components(self, var):
         return self._selector(var, 0).n_components
 
-    def _column_block(self, var, lag, start):
-        """Block of ``(var, lag)`` on the rows from time step ``start`` on."""
-        role = self.var_roles[var]
-        if role.is_dummy:
-            rows = self.time_index >= start
-            if role is VariableRole.TIME_DUMMY:
-                return build_time_dummy(self.T, self.tau_max, self.time_index[rows])
-            return build_space_dummy(self.M, self.dataset_index[rows])
-        # the rows are dataset-major, so the (M, T - start) panel flattens onto them
-        panel = self._panel(var, lag, start)
-        return np.broadcast_to(panel, (self.M, self.T - start)).reshape(-1, 1)
-
-    def aligned_start(self, selectors):
-        """First time step of the rows on which all ``selectors`` are defined.
-
-        The largest ``start`` of their ``selectors`` entries, ``tau_max`` for
-        none: a lag beyond ``tau_max`` (up to ``2 * tau_max``) moves the start
-        past the dataset starts it would look back across.
-        """
-        return max((self._selector(var, lag).start for (var, lag) in selectors),
-                   default=self.tau_max)
-
     def extract_aligned(self, selectors):
         """Column matrix of ``(var, lag)`` selectors on the rows all are defined on.
 
         Lags go up to ``2 * tau_max`` (lag 0 for dummy and spatial
-        selectors); rows whose look-back would cross the start of a dataset
-        are dropped (``aligned_start``), so conditioning sets shifted to the
-        lagged endpoint of a test stay well defined.  Returns ``(matrix,
-        row_indices)``, values bit-exactly as stored; selectors of lag at
-        most ``tau_max`` keep every pooled row.  A lag that leaves no rows (a
-        start at or past ``T``) is a ``SelectionError``.
+        selectors).  The rows start at the largest ``start`` of the
+        selectors' ``selectors`` entries, ``tau_max`` for none: a lag beyond
+        ``tau_max`` drops the rows whose look-back would cross the start of
+        a dataset, so conditioning sets shifted to the lagged endpoint of a
+        test stay well defined.  A dummy is its one-hot block, a scalar
+        column its values bit-exactly as stored.  Returns ``(matrix,
+        row_indices)``; selectors of lag at most ``tau_max`` keep every
+        pooled row.  A lag that leaves no rows (a start at or past ``T``) is
+        a ``SelectionError``.
         """
-        start = self.aligned_start(selectors)
+        entries = [self._selector(var, lag) for (var, lag) in selectors]
+        start = max((entry.start for entry in entries), default=self.tau_max)
         if start >= self.T:
             lag = max(lag for (_, lag) in selectors)
             raise SelectionError(f"lag {lag} leaves no rows: T={self.T}")
         rows = np.flatnonzero(self.time_index >= start)
-        blocks = [self._column_block(var, lag, start) for (var, lag) in selectors]
+        blocks = [np.empty((len(rows), 0))]  # no selectors: no columns
+        for (var, lag), entry in zip(selectors, entries):
+            if entry.dummy == "time":
+                block = np.eye(self.T - self.tau_max)[self.time_index[rows] - self.tau_max]
+            elif entry.dummy == "space":
+                block = np.eye(self.M)[self.dataset_index[rows]]
+            else:  # the rows are dataset-major: the (M, T - start) panel flattens onto them
+                panel = self._panel(var, lag, start)
+                block = np.broadcast_to(panel, (self.M, self.T - start)).reshape(-1, 1)
+            blocks.append(block)
         return np.hstack(blocks), rows
 
     def gram_stats(self, start, mode):
         """``GramStats`` of the rows from time step ``start`` on, built once.
 
-        ``start`` is an ``aligned_start`` value and ``mode`` one of
-        ``DUMMY_MODES``.  The statistics cover every column defined on the
-        rows, in a fixed order.  The first request takes the raw pass of
-        every row set (``_raw_pass``), and each key is derived from its row
-        set's raw sums alone, so no statistics depend on the queries that
-        asked before.
+        ``start`` is the largest ``Selector.start`` of a query and ``mode``
+        one of ``DUMMY_MODES``.  The statistics cover every column defined
+        on the rows, in a fixed order.  The first request takes the raw pass
+        of every row set (``_raw_pass``), and each key is derived from its
+        row set's raw sums alone, so no statistics depend on the queries
+        that asked before.
         """
         key = (start, mode)
         stats = self._gram_stats.get(key)
@@ -413,10 +386,6 @@ class PooledData:
             group_norms={"time": time_norms,
                          "space": np.full(M, width * (1.0 - 1.0 / M))})
 
-    def matrix(self):
-        """Full lag-0 design including dummy blocks, one row per pooled sample."""
-        return self.extract_aligned([(v, 0) for v in range(self.n_vars)])[0]
-
     def to_csv(self):
         """CSV text of the lag-0 design with a descriptor header row."""
         names = []
@@ -427,7 +396,7 @@ class PooledData:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["dataset", "t"] + names)
-        mat = self.matrix()
+        mat = self.extract_aligned([(v, 0) for v in range(self.n_vars)])[0]
         for r in range(self.n_rows):
             row = [str(self.dataset_index[r]), str(self.time_index[r])]
             row += [f"{v:.17g}" for v in mat[r]]

@@ -26,9 +26,11 @@ A/A control, each with a 95% bootstrap interval, wall and CPU.  An A/A
 interval that does not hold 1.0 says the run was too noisy to tell the A/B
 figure from zero.  Every discovery is checked against
 ``perfbench/reference.json`` as perfbench checks it; the exit status is 1
-if one fails its check in either tree, 0 otherwise.  The last stdout line
-is the result as JSON.  This file is a tool, not a test: pytest does not
-collect it.
+if one fails its check in either tree, 0 otherwise.  A child that does not
+answer within ``ANSWER_TIMEOUT_S`` -- its start-up, corpora built, or one
+corpus entry -- is killed, and the tool names it and the entry and exits 1.
+The last stdout line is the result as JSON.  This file is a tool, not a
+test: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -50,6 +53,7 @@ PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS"
 WORKLOADS = ("panel-long", "grid-small")
 ORDERS = ("ABBA", "BAAB")
 BOOTSTRAP = 2000
+ANSWER_TIMEOUT_S = 60.0  # a child's start-up, or one corpus entry
 
 
 def child(size):
@@ -94,24 +98,43 @@ class Child:
             raise SystemExit(f"{src} holds no jtscd package")
         env = {**os.environ, **PINNED,
                "PYTHONPATH": os.pathsep.join([str(src), str(PERFBENCH)])}
+        self.src = src
         self.proc = subprocess.Popen([sys.executable, __file__, "--child", size],
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                      text=True, env=env)
-        ready = self._read()
+        ready = self._read("its start-up")
         if not Path(ready["package"]).resolve().is_relative_to(src):
             raise SystemExit(f"a child imported {ready['package']}, not the tree {src}")
         self.entries = ready["entries"]
 
-    def _read(self):
-        line = self.proc.stdout.readline()
+    def _read(self, what):
+        """The child's answer to ``what``; a child silent for
+        ``ANSWER_TIMEOUT_S`` is killed."""
+        timed_out = threading.Event()
+
+        def kill():
+            timed_out.set()
+            self.proc.kill()
+
+        timer = threading.Timer(ANSWER_TIMEOUT_S, kill)
+        timer.start()
+        try:
+            line = self.proc.stdout.readline()
+        finally:
+            timer.cancel()
+        if timed_out.is_set():
+            self.proc.wait()
+            raise SystemExit(f"child {self.name} ({self.src}) did not answer {what} "
+                             f"within {ANSWER_TIMEOUT_S:.0f} s and was killed")
         if not line:
-            raise SystemExit(f"a child exited with code {self.proc.wait()}")
+            raise SystemExit(f"child {self.name} ({self.src}) exited with code "
+                             f"{self.proc.wait()} on {what}")
         return json.loads(line)
 
     def run(self, workload, index):
         self.proc.stdin.write(f"{workload} {index}\n")
         self.proc.stdin.flush()
-        return self._read()
+        return self._read(f"{workload} entry {index}")
 
     def close(self):
         self.proc.stdin.close()

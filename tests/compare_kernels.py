@@ -6,22 +6,21 @@ Each argument is a directory holding the ``jtscd`` package (the ``src``
 directory of a checkout).  For each tree a child process imports that
 package and ``perfbench/workloads.py`` of this checkout (read only), runs
 one pass of the panel-long corpus and the 50 grid-small realizations in
-corpus order, and records every query the discovery asks of the kernel:
-each query of a ``citests.parcorr_batch`` call, where the tree has that
-function, and each ``citests.parcorr_test`` call made outside a batch
-(once, where it is itself a batch of one), with its result or the type
-of the error it raised.  A batch that raises records nothing: in a tree
-whose discovery still retries a failed batch one query at a time, those
-calls are recorded; in one that does not, the error ends the discovery.
-It also records each discovery's graph and the keys of its separating
-sets.
+corpus order, and records every query the discovery asks of the kernel,
+batch by batch in the order asked: the queries ``(x, y, z)`` of each
+``citests.parcorr_batch`` call (``parcorr_test`` is a batch of one) with
+their results.  A batch that raises records nothing; the error ends the
+discovery and is recorded with it.  It also records each discovery's graph
+and the keys of its separating sets.
 
 Results are aligned by query, not by call position: per corpus entry (one
 panel-long discovery, or the two discoveries of a grid-small realization),
-the queries ``(x, y, z)`` of the two trees are matched as multisets, so two
-trees that ask the same tests in another order compare test by test.  The
-report gives
+the queries of the two trees are matched as multisets, so two trees that
+ask the same tests in another order compare test by test.  The report
+gives
 
+* per corpus entry whose two trees did not ask the same batches of the
+  same queries in the same order, the first batch that differs,
 * per corpus entry, the queries that only one tree ran, each marked with
   whether the other tree asked the same test in that entry (the same
   unordered endpoints and ``z`` set, in another order), as a sweep that
@@ -33,7 +32,8 @@ report gives
 * every p-value within 1e-6 of ``alpha`` on either side.
 
 The exit status is 1 if the query multisets differ or a decision flips;
-with ``--exact``, also if any aligned result differs in any bit.
+with ``--exact``, also if any aligned result differs in any bit or the
+query order differs.
 Children run with BLAS pinned to one thread.  This file is a tool, not a
 test: pytest does not collect it.
 """
@@ -56,15 +56,6 @@ NEAR_ALPHA = 1e-6
 PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def _entry(query):
-    """A query as ``[x, y, z]`` lists, read from either shape a tree asks:
-    ``(x, y, z)``, or ``((x,), (y,), z)`` with each tested side wrapped."""
-    x, y, z = query
-    if isinstance(x[0], (tuple, list)):
-        (x,), (y,) = x, y
-    return [list(x), list(y), [list(s) for s in z]]
-
-
 def _outcome(res):
     return [res.statistic, res.p_value, res.n_effective, res.df, res.degenerate]
 
@@ -74,45 +65,29 @@ def record(out_path):
     import workloads
     from jtscd import citests
 
-    single, batch = citests.parcorr_test, getattr(citests, "parcorr_batch", None)
-    calls, depth = [], [0]
-
-    def recording_test(query, data, **options):  # older trees pass ``correction``
-        if depth[0]:  # asked by a batch, which records its own queries
-            return single(query, data, **options)
-        n_calls = len(calls)
-        try:
-            res = single(query, data, **options)
-        except Exception as exc:  # the error type is part of the record
-            calls.append(_entry(query) + [type(exc).__name__])
-            raise
-        if len(calls) == n_calls:  # not recorded by the batch it is one of
-            calls.append(_entry(query) + [_outcome(res)])
-        return res
+    batch, calls, sizes = citests.parcorr_batch, [], []
 
     def recording_batch(queries, data):
-        depth[0] += 1
-        try:
-            results = batch(queries, data)
-        finally:
-            depth[0] -= 1
-        calls.extend(_entry(q) + [_outcome(r)] for q, r in zip(queries, results))
+        results = batch(queries, data)
+        sizes.append(len(queries))
+        calls.extend([[list(x), list(y), [list(s) for s in z], _outcome(res)]
+                      for (x, y, z), res in zip(queries, results)])
         return results
 
-    citests.parcorr_test = recording_test
-    if batch is not None:
-        citests.parcorr_batch = recording_batch
+    citests.parcorr_batch = recording_batch
     with open(out_path, "w") as out:
         out.write(json.dumps({"alpha": workloads.ALPHA}) + "\n")
         for name in ("panel-long", "grid-small"):
             for inst in workloads.build_inputs(name, "full", with_reference=False):
                 calls.clear()
+                sizes.clear()
                 outcomes = workloads.run_op(name, inst, time.perf_counter)
                 errors = [o.error for o, _ in outcomes if o.error]
                 graphs = [[res.graph.to_text(), [list(k) for k, _ in res.sepsets.items()]]
                           for _, res in outcomes if res is not None]
                 out.write(json.dumps({"op": f"{name}/{inst.key}", "calls": calls,
-                                      "errors": errors, "graphs": graphs}) + "\n")
+                                      "sizes": sizes, "errors": errors,
+                                      "graphs": graphs}) + "\n")
 
 
 def run_child(src, out_path):
@@ -142,6 +117,15 @@ def _by_query(calls):
     return out
 
 
+def _batches(run):
+    """A corpus entry's batches, each the list of its queries in the order asked."""
+    queries, out, at = [json.dumps(call[:3]) for call in run["calls"]], [], 0
+    for size in run["sizes"]:
+        out.append(queries[at:at + size])
+        at += size
+    return out
+
+
 def _test(key):
     """The test a recorded query asks: its unordered endpoints and ``z`` set."""
     x, y, z = json.loads(key)
@@ -150,9 +134,10 @@ def _test(key):
 
 def compare(runs_a, runs_b, alpha):
     """Report lines, whether the two trees disagree on queries or decisions,
-    and the number of aligned results that differ."""
+    the number of aligned results that differ and the number of corpus
+    entries whose query order differs."""
     lines, bad = [], False
-    n_calls = n_differ = n_graphs = n_discoveries = n_one_side = n_same_test = 0
+    n_calls = n_differ = n_graphs = n_discoveries = n_one_side = n_same_test = n_order = 0
     max_rel = {"statistic": 0.0, "p_value": 0.0}
     flips, near = [], []
     for ra, rb in zip(runs_a, runs_b, strict=True):
@@ -164,6 +149,14 @@ def compare(runs_a, runs_b, alpha):
         if ra.get("graphs") != rb.get("graphs"):
             n_graphs += 1
             lines.append(f"{op}: graph or separating-set keys differ")
+        batches_a, batches_b = _batches(ra), _batches(rb)
+        if batches_a != batches_b:
+            n_order += 1
+            k = next((k for k, (a, b) in enumerate(zip(batches_a, batches_b)) if a != b),
+                     min(len(batches_a), len(batches_b)))
+            sizes = [len(b[k]) if k < len(b) else "no" for b in (batches_a, batches_b)]
+            lines.append(f"{op}: query order differs from batch {k} on (counting from 0): "
+                         f"A asked {sizes[0]} queries in it, B {sizes[1]}")
         qa, qb = _by_query(ra["calls"]), _by_query(rb["calls"])
         count_a = Counter({k: len(v) for k, v in qa.items()})
         count_b = Counter({k: len(v) for k, v in qb.items()})
@@ -199,6 +192,7 @@ def compare(runs_a, runs_b, alpha):
                     near.append(f"{query}: p {res_a[1]!r} vs {res_b[1]!r}")
     lines += [f"discoveries: {n_discoveries} in {len(runs_a)} corpus entries; entries "
               f"with graph or separating-set key changes: {n_graphs}",
+              f"entries whose query order differs (batch by batch): {n_order}",
               f"one-side queries: {n_one_side}, {n_same_test} of them asked by the other "
               f"tree as the same test",
               f"aligned queries: {n_calls}",
@@ -207,15 +201,15 @@ def compare(runs_a, runs_b, alpha):
               f"p-value {max_rel['p_value']:.3g}",
               f"decision flips at alpha={alpha}: {len(flips)}", *flips,
               f"p-values within {NEAR_ALPHA:g} of alpha: {len(near)}", *near]
-    return lines, bad or bool(flips), n_differ
+    return lines, bad or bool(flips), n_differ, n_order
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="*", help="two directories holding jtscd")
     parser.add_argument("--exact", action="store_true",
-                        help="exit 1 on any differing result, not only on "
-                             "diverging queries or decision flips")
+                        help="exit 1 on any differing result or query order, not "
+                             "only on diverging queries or decision flips")
     parser.add_argument("--record", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.record:
@@ -228,10 +222,10 @@ def main(argv=None):
         for src, out in zip(args.src, outs):
             run_child(src, out)
         (head_a, *runs_a), (head_b, *runs_b) = (load(p) for p in outs)
-    lines, bad, n_differ = compare(runs_a, runs_b, head_a["alpha"])
+    lines, bad, n_differ, n_order = compare(runs_a, runs_b, head_a["alpha"])
     print(f"A = {args.src[0]}\nB = {args.src[1]}")
     print("\n".join(lines))
-    return 1 if bad or (args.exact and n_differ) else 0
+    return 1 if bad or (args.exact and (n_differ or n_order)) else 0
 
 
 if __name__ == "__main__":

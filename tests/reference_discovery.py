@@ -24,7 +24,7 @@ def _run_ci(ci, x, y, z):
     return ci.batch([(x, y, z)])[0]
 
 
-def sequential_lagged_skeleton(ci, tau_max=2, alpha=0.05, sepsets=None):
+def sequential_lagged_skeleton(ci, tau_max=2, alpha=0.05, *, sepsets):
     if tau_max < 1:
         raise ValueError("the lagged phase needs tau_max >= 1")
     roles = ci.var_roles
@@ -44,10 +44,9 @@ def sequential_lagged_skeleton(ci, tau_max=2, alpha=0.05, sepsets=None):
                 vals[cand] = min(vals[cand], abs(res.statistic))
                 if res.p_value > alpha:
                     removed.add(cand)
-                    if sepsets is not None:
-                        sepsets.store(cand[0], cand[1], j,
-                                      SepSetEntry((), tuple(z), res.p_value,
-                                                  res.statistic, (cand[0], cand[1], j)))
+                    sepsets.store(cand[0], cand[1], j,
+                                  SepSetEntry((), tuple(z), res.p_value,
+                                              res.statistic, (cand[0], cand[1], j)))
             current = [c for c in current if c not in removed]
             current.sort(key=lambda c: (-vals[c], c))
             dim += 1

@@ -31,6 +31,21 @@ from jtscd.pooling import SPAN_TOL, VARIANCE_EPS
 _VARIANCE_EPS = 1e-12
 
 
+def column_block(data, var, lag, start):
+    """Values of ``(var, lag)`` on the rows of ``data`` from time step
+    ``start`` on, built from the pooled panels: a dummy as its one-hot
+    block, a scalar as one column."""
+    rows = data.time_index >= start
+    role = data.var_roles[var]
+    if role is VariableRole.TIME_DUMMY:
+        return np.eye(data.T - data.tau_max)[data.time_index[rows] - data.tau_max]
+    if role is VariableRole.SPACE_DUMMY:
+        return np.eye(data.M)[data.dataset_index[rows]]
+    # the rows are dataset-major, so the (M, T - start) panel flattens onto them
+    panel = data._panel(var, lag, start)
+    return np.broadcast_to(panel, (data.M, data.T - start)).reshape(-1, 1)
+
+
 def _demean_by_groups(a, labels, n_groups):
     """Exact projection of columns of ``a`` onto group-mean complements."""
     sums = np.zeros((n_groups, a.shape[1]))
@@ -65,7 +80,7 @@ def _residualize(values, z_selectors, data, start):
     design_cols = [np.ones((n, 1))]
     if plain:
         design_cols.append(np.hstack(
-            [data._column_block(var, lag, start) for (var, lag) in plain]))
+            [column_block(data, var, lag, start) for (var, lag) in plain]))
     design = np.hstack(design_cols)
 
     work = np.hstack([values, design])
@@ -89,7 +104,8 @@ def lstsq_parcorr_test(query, data, correction="bonferroni"):
     if correction not in ("bonferroni", "none"):
         raise ValueError("correction must be 'bonferroni' or 'none'")
     x, y, z = query
-    start = data.aligned_start([x, y, *z])  # every selector checked first
+    # every selector checked first
+    start = max(data._selector(var, lag).start for (var, lag) in (x, y, *z))
     if data.selectors[x].degenerate or data.selectors[y].degenerate:
         return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
     for (var, _) in (x, y):
@@ -104,8 +120,8 @@ def lstsq_parcorr_test(query, data, correction="bonferroni"):
             f"too few samples: n={n} with {n_z_cols} conditioning columns "
             f"(query x={x} y={y} z={tuple(z)})")
 
-    x_block = data._column_block(*x, start)
-    y_block = data._column_block(*y, start)
+    x_block = column_block(data, *x, start)
+    y_block = column_block(data, *y, start)
     kx, ky = x_block.shape[1], y_block.shape[1]
     resid, rank = _residualize(np.hstack([x_block, y_block]), z, data, start)
     rx, ry = resid[:, :kx], resid[:, kx:]

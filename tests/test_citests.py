@@ -19,7 +19,7 @@ from jtscd.citests import (GraphOracle, ParCorrCI, QueryError, _t_tail, _tail_po
 from jtscd.discovery import j_pcmciplus
 from jtscd.graph import (GraphStructureError, GroundTruthGraph, TimeSeriesGraph,
                          VariableRole, d_separated)
-from jtscd.pooling import SelectionError, build_space_dummy, build_time_dummy, pool_data
+from jtscd.pooling import SelectionError, pool_data
 from jtscd.scm import DatasetCollection, generate_random_model, simplified_preset, simulate
 
 from reference_kernel import centered_parcorr_test
@@ -338,8 +338,8 @@ class TestDummyConditioningEquivalence:
             assert n == res.n_effective == M * (T - 2 * tau_max)
             design = np.hstack([
                 np.ones((n, 1)),
-                build_time_dummy(T, tau_max, pd.time_index[rows]),
-                build_space_dummy(M, pd.dataset_index[rows]),
+                np.eye(T - tau_max)[pd.time_index[rows] - tau_max],
+                np.eye(M)[pd.dataset_index[rows]],
                 cols[:, 2:]])
             rank = np.linalg.matrix_rank(design)
             assert rank == (T - 2 * tau_max) + (M - 1) + len(scalars)

@@ -122,7 +122,7 @@ class TestLaggedSkeleton:
     def test_preset_superset_contains_autoregression(self):
         _, g = simplified_preset()
         o = GraphOracle(g, 2)
-        lagged = lagged_skeleton_pcmciplus(o, tau_max=2, alpha=0.05)
+        lagged = lagged_skeleton_pcmciplus(o, tau_max=2, alpha=0.05, sepsets=SepSetStore())
         assert (1, 1) in lagged[1]
 
     def test_superset_property_under_oracle(self):
@@ -131,7 +131,7 @@ class TestLaggedSkeleton:
                                             n_spatial_ctx=1, frac_observed=1.0,
                                             seed=seed, max_lag=2)
             o = GraphOracle(g, 2)
-            lagged = lagged_skeleton_pcmciplus(o, tau_max=2, alpha=0.05)
+            lagged = lagged_skeleton_pcmciplus(o, tau_max=2, alpha=0.05, sepsets=SepSetStore())
             for j in range(spec.n_system):
                 true_lagged = {(o.obs_map.index(v), lag)
                                for (v, c, lag) in g.directed_edges() if c == j and lag >= 1}
@@ -147,7 +147,7 @@ class TestLaggedSkeleton:
                 temporal_ctx=np.zeros((400, 0)), spatial_ctx=np.zeros((1, 0)),
                 observed_mask=())
             ci = ParCorrCI(pool_data(dc, 2))
-            lagged = lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05)
+            lagged = lagged_skeleton_pcmciplus(ci, tau_max=2, alpha=0.05, sepsets=SepSetStore())
             for j in range(3):
                 retained += len(lagged[j])
                 total += 6
@@ -156,7 +156,7 @@ class TestLaggedSkeleton:
     def test_context_targets_only_admit_context_drivers(self):
         _, g = simplified_preset()
         o = GraphOracle(g, 2)
-        lagged = lagged_skeleton_pcmciplus(o, tau_max=2, alpha=0.05)
+        lagged = lagged_skeleton_pcmciplus(o, tau_max=2, alpha=0.05, sepsets=SepSetStore())
         ctx_var = 2  # the observed temporal context in discovery space
         assert o.var_roles[ctx_var] is R.TEMPORAL_CONTEXT
         assert all(o.var_roles[i] is R.TEMPORAL_CONTEXT
@@ -811,10 +811,12 @@ class TestBatchedPhases:
             assert (test.n_tests, asked) == (n_tests, sizes)
 
     def test_a_sweep_level_is_one_batch(self, monkeypatch):
-        # a level starts with one freeze of the adjacencies; the last freeze
-        # of a sweep finds no link left to test.  The batched discovery also
-        # asks the tests after a link's first separating one, so its queries
-        # hold the sequential reference's, with the same results.
+        # level 0 draws no subset and asks its batch before any freeze of
+        # the adjacencies; each later level starts with one freeze, and the
+        # last freeze of a sweep finds no link left to test.  The batched
+        # discovery also asks the tests after a link's first separating one,
+        # so its queries hold the sequential reference's, with the same
+        # results.
         import jtscd.discovery as discovery
         sweep, adjacencies = discovery._skeleton_sweep, discovery._contemp_adjacencies
         inside, sweeps, asked = [], [], []
@@ -855,7 +857,7 @@ class TestBatchedPhases:
             batched.append(asked[:])
             del asked[:]
         for levels, batches in sweeps:
-            assert batches == list(range(1, levels)), (levels, batches)
+            assert batches == list(range(levels)), (levels, batches)
         assert max(levels for levels, _ in sweeps) > 3
         self.sequential(monkeypatch)
         for k, run in enumerate(runs):

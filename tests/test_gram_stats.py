@@ -27,6 +27,7 @@ from jtscd.pooling import _CANCEL_TOL, DUMMY_MODES, SelectionError, pool_data
 from jtscd.scm import DatasetCollection
 
 from reference_gram import reference_gram_stats
+from reference_kernel import column_block
 
 EPS = np.finfo(float).eps
 RTOL = 1e-9
@@ -115,7 +116,7 @@ def below_floor(data, start, diag):
     shifted, plain = [], []
     for var, lag in data.scalar_columns[:len(diag)]:
         mean = np.broadcast_to(data._panel(var, 0, 0), (data.M, data.T)).mean()
-        values = data._column_block(var, lag, start)
+        values = column_block(data, var, lag, start)
         shifted.append(float(((values - mean) ** 2).sum()))
         plain.append(float((values ** 2).sum()))
     floor = _CANCEL_TOL * np.maximum(shifted, EPS * np.array(plain))

@@ -5,9 +5,8 @@ import pytest
 
 from jtscd.citests import QueryError, parcorr_test
 from jtscd.graph import VariableRole
-from jtscd.pooling import (DUMMY_MODES, SelectionError, build_space_dummy,
-                           build_time_dummy, pool_data)
-from jtscd.scm import NonFiniteDataError, generate_random_model, simulate
+from jtscd.pooling import DUMMY_MODES, SelectionError, pool_data
+from jtscd.scm import DatasetCollection, NonFiniteDataError, generate_random_model, simulate
 
 R = VariableRole
 
@@ -38,19 +37,37 @@ def test_malformed_pooling_request_is_refused(case):
 
 
 class TestDummyBlocks:
-    def test_space_dummy_rows(self):
-        block = build_space_dummy(3, np.array([0, 1, 1, 2]))
-        assert block.shape == (4, 3)
-        assert list(block[1]) == [0.0, 1.0, 0.0]
+    @pytest.mark.parametrize("M, T, tau_max", [(3, 8, 2), (1, 5, 2), (2, 12, 0)])
+    def test_blocks_are_one_hot_labels(self, M, T, tau_max):
+        # the space dummy labels datasets (one constant column for M = 1),
+        # the time dummy the T - tau_max usable time steps
+        pd = pool_data(small_collection(M=M, T=T), tau_max)
+        m, t = np.divmod(np.arange(M * (T - tau_max)), T - tau_max)
+        mat, rows = pd.extract_aligned([(pd.space_dummy, 0), (pd.time_dummy, 0)])
+        assert np.array_equal(rows, np.arange(pd.n_rows))
+        assert np.array_equal(mat, np.hstack([np.eye(M)[m], np.eye(T - tau_max)[t]]))
 
     def test_space_dummy_single_dataset_is_constant(self):
-        block = build_space_dummy(1, np.zeros(5, dtype=int))
+        pd = pool_data(small_collection(M=1, T=5), 2)
+        block = pd.extract_aligned([(pd.space_dummy, 0)])[0]
+        assert block.shape == (3, 1)
         assert np.all(block == 1.0)
 
     def test_time_dummy_column_count(self):
-        block = build_time_dummy(5, 2, np.arange(2, 5))
+        pd = pool_data(small_collection(M=1, T=5), 2)
+        block = pd.extract_aligned([(pd.time_dummy, 0)])[0]
         assert block.shape == (3, 3)
         assert np.array_equal(block, np.eye(3))
+
+    def test_blocks_on_dropped_rows_keep_every_column(self):
+        # a lag beyond tau_max drops the first time steps of every dataset:
+        # their time-dummy columns stay, empty
+        pd = pool_data(small_collection(M=2, T=12), 2)
+        mat, rows = pd.extract_aligned([(pd.time_dummy, 0), (0, 4), (pd.space_dummy, 0)])
+        m, t = np.divmod(np.arange(2 * 8), 8)
+        assert np.array_equal(rows, np.flatnonzero(pd.time_index >= 4))
+        assert np.array_equal(mat[:, :10], np.eye(10)[t + 2])
+        assert np.array_equal(mat[:, 11:], np.eye(2)[m])
 
     def test_balanced_column_sums(self):
         dc = small_collection(M=2, T=12)
@@ -173,18 +190,17 @@ class TestPoolData:
                 entry = expected.get((var, lag))
                 if entry is None:
                     with pytest.raises(SelectionError):
-                        pd.aligned_start([(0, 0), (var, lag)])
+                        pd.extract_aligned([(0, 0), (var, lag)])
                     with pytest.raises(SelectionError):
                         pd.extract_aligned([(var, lag)])
                     continue
-                assert pd.aligned_start([(var, lag)]) == entry[2]
                 assert pd.n_components(var) == entry[3]
                 assert pd.selectors[(var, lag)].degenerate == entry[4]
                 if lag > tau_max:
                     # defined only from time step ``lag`` on, not on every row
                     if lag < T:
-                        rows = pd.extract_aligned([(var, lag)])[1]
-                        assert len(rows) == M * (T - lag)
+                        rows = pd.extract_aligned([(0, 0), (var, lag)])[1]
+                        assert np.array_equal(rows, np.flatnonzero(pd.time_index >= lag))
                     else:  # no rows left to align on
                         with pytest.raises(SelectionError, match=f"lag {lag} .*T={T}"):
                             pd.extract_aligned([(var, lag)])
@@ -194,7 +210,13 @@ class TestPoolData:
                     mat, rows = pd.extract_aligned([(var, lag)])
                     assert mat.shape == (pd.n_rows, entry[3])
                     assert np.array_equal(rows, np.arange(pd.n_rows))
-        assert pd.aligned_start([]) == tau_max
+
+    def test_no_selectors_give_no_columns_on_every_row(self):
+        # no selector moves the start past tau_max
+        pd = pool_data(small_collection(M=2, T=12), 2)
+        mat, rows = pd.extract_aligned([])
+        assert mat.shape == (pd.n_rows, 0) and mat.dtype == float
+        assert np.array_equal(rows, np.arange(pd.n_rows))
 
     def test_variable_outside_range_is_a_selection_error(self):
         pd = pool_data(small_collection(M=3, T=12), 2)
@@ -218,8 +240,8 @@ class TestPoolData:
         for start in (2, 3, 4):
             stats = pd.gram_stats(start, mode)
             cols = pd.scalar_columns[:stats.gram.shape[0]]
-            assert pd.aligned_start(cols) == start
             mat, rows = pd.extract_aligned(cols)
+            assert np.array_equal(rows, np.flatnonzero(pd.time_index >= start))
             labels = {"time": pd.time_index[rows], "space": pd.dataset_index[rows]}
             if mode == "none":
                 mat = mat - mat.mean(axis=0)
@@ -273,3 +295,19 @@ class TestPoolData:
             m, t, dc.system[m, t], dc.temporal_ctx[t], dc.spatial_ctx[m],
             np.eye(per)[t - pd.tau_max], np.eye(pd.M)[m]])
         assert np.array_equal(body, expected)
+
+    def test_csv_dump_of_a_hand_built_panel(self):
+        # every byte of the dump: M=2, T=3, tau_max=1, one system variable
+        # and one observed context of each kind
+        dc = DatasetCollection(system=np.array([[[1.5], [2.5], [3.5]],
+                                                [[-1.0], [0.25], [7.0]]]),
+                               temporal_ctx=np.array([[10.0], [20.0], [0.1]]),
+                               spatial_ctx=np.array([[5.0], [-6.0]]),
+                               observed_mask=(True, True))
+        assert pool_data(dc, 1).to_csv() == (
+            "dataset,t,System0,TemporalContext1,SpatialContext2,TimeDummy3_0,"
+            "TimeDummy3_1,SpaceDummy4_0,SpaceDummy4_1\n"
+            "0,1,2.5,20,5,1,0,1,0\n"
+            "0,2,3.5,0.10000000000000001,5,0,1,1,0\n"
+            "1,1,0.25,20,-6,1,0,0,1\n"
+            "1,2,7,0.10000000000000001,-6,0,1,0,1\n")
