@@ -83,6 +83,9 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.ci_test not in discovery.CI_TESTS:
             raise ValueError(f"unknown CI test {self.ci_test!r}")
+        if self.ci_test == "parcorr" and min(self.t_values) <= 2 * self.tau_max:
+            raise ValueError(f"T={min(self.t_values)} is too short for tau_max={self.tau_max}"
+                             f": ParCorr needs T > 2 * tau_max")
         if not self.variants:
             raise ValueError("need at least one variant")
         for v in self.variants:
@@ -243,6 +246,16 @@ def compare_variants(rows):
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+def _svg(title, parts, width, height):
+    """An SVG document of the elements ``parts`` under a centred ``title``."""
+    head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}" viewBox="0 0 {width} {height}">',
+            f'<rect width="{width}" height="{height}" fill="white"/>',
+            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+            f'font-size="14">{title}</text>']
+    return "\n".join(head + parts + ["</svg>"]) + "\n"
+
+
 def _svg_line_chart(series, title, x_label, y_label, width=560, height=360):
     """Multi-series line chart; series maps name -> [(x, y), ...]."""
     pad = 56
@@ -262,13 +275,8 @@ def _svg_line_chart(series, title, x_label, y_label, width=560, height=360):
     def sy(y):
         return height - pad - (y - y_min) / (y_max - y_min) * (height - 2 * pad)
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-             f'font-size="14">{title}</text>']
-    parts.append(f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
-                 f'y2="{height - pad}" stroke="black"/>')
+    parts = [f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
+             f'y2="{height - pad}" stroke="black"/>']
     parts.append(f'<line x1="{pad}" y1="{pad}" x2="{pad}" '
                  f'y2="{height - pad}" stroke="black"/>')
     for x in xs:
@@ -296,8 +304,7 @@ def _svg_line_chart(series, title, x_label, y_label, width=560, height=360):
                          f'fill="{color}"/>')
         parts.append(f'<text x="{width - pad + 4}" y="{pad + 14 * k}" '
                      f'font-size="10" fill="{color}">{name}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(title, parts, width, height)
 
 
 def _svg_heatmap(grid, t_values, m_values, title, width=560, height=360):
@@ -305,11 +312,7 @@ def _svg_heatmap(grid, t_values, m_values, title, width=560, height=360):
     pad = 56
     cw = (width - 2 * pad) / len(t_values)
     ch = (height - 2 * pad) / len(m_values)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-             f'font-size="14">{title}</text>']
+    parts = []
     for a, t in enumerate(t_values):
         for b, m in enumerate(m_values):
             val = grid.get((t, m))
@@ -333,23 +336,27 @@ def _svg_heatmap(grid, t_values, m_values, title, width=560, height=360):
         parts.append(f'<text x="{pad - 6}" '
                      f'y="{height - pad - (b + 0.5) * ch + 3:.1f}" '
                      f'text-anchor="end" font-size="10">M={m}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(title, parts, width, height)
 
 
 def render_plots(rows, cfg):
-    """SVG documents per (class, metric): curves over the varying grid axis."""
+    """SVG documents per (class, metric): curves over the varying grid axis,
+    one per variant and per value of each other axis that varies, and where
+    T and M both vary a System-System FPR heat map per variant and per
+    ``frac_observed`` value."""
     plots = {}
-    sweep_t = len(cfg.t_values) > 1
-    x_key, x_label = ("T", "time series length T") if sweep_t else \
-        ("M", "number of datasets M")
+    x_key, x_label = (("T", "time series length T") if len(cfg.t_values) > 1
+                      else ("M", "number of datasets M"))
+    axes = {"T": cfg.t_values, "M": cfg.m_values, "frac_observed": cfg.frac_observed_values}
+    others = [key for key, values in axes.items() if key != x_key and len(values) > 1]
     for cls in sorted({r["class"] for r in rows}):
         for metric in METRIC_NAMES:
             series = {}
             for r in rows:
                 if r["class"] != cls or r["metric"] != metric:
                     continue
-                series.setdefault(r["variant"], []).append((r[x_key], r["mean"]))
+                label = r["variant"] + "".join(f", {key}={r[key]:g}" for key in others)
+                series.setdefault(label, []).append((r[x_key], r["mean"]))
             if not series:
                 continue
             name = f"{cls}_{metric}.svg".replace("/", "_")
@@ -357,12 +364,15 @@ def render_plots(rows, cfg):
                 series, f"{cls} {metric}", x_label, metric)
     if len(cfg.t_values) > 1 and len(cfg.m_values) > 1:
         for variant in cfg.variants:
-            grid = {(r["T"], r["M"]): r["mean"] for r in rows
-                    if r["variant"] == variant
-                    and r["class"] == LinkClass.SYSTEM_SYSTEM.value
-                    and r["metric"] == "fpr"}
-            if grid:
-                plots[f"fpr_surface_{variant.replace('+', 'plus')}.svg"] = \
-                    _svg_heatmap(grid, cfg.t_values, cfg.m_values,
-                                 f"SystemSystem fpr, {variant}")
+            for frac in dict.fromkeys(cfg.frac_observed_values):
+                grid = {(r["T"], r["M"]): r["mean"] for r in rows
+                        if r["variant"] == variant and r["frac_observed"] == frac
+                        and r["class"] == LinkClass.SYSTEM_SYSTEM.value
+                        and r["metric"] == "fpr"}
+                name, title = variant.replace("+", "plus"), f"SystemSystem fpr, {variant}"
+                if "frac_observed" in others:
+                    name, title = f"{name}_frac{frac:g}", f"{title}, frac_observed={frac:g}"
+                if grid:
+                    plots[f"fpr_surface_{name}.svg"] = \
+                        _svg_heatmap(grid, cfg.t_values, cfg.m_values, title)
     return plots

@@ -20,35 +20,36 @@ continued fraction of Numerical Recipes.  It matches
 ``scipy.special.stdtr`` to 1e-12 relative wherever the p-value is a normal
 float, and a p-value below the smallest normal float is 0.0.
 
-No test touches the pooled rows.  Each works from sufficient statistics
-cached on the ``PooledData`` per row set and dummy mode: the Gram matrix of
-every scalar lagged column after centring or demeaning by the dummies in
-``z``, and the per-time-step and per-dataset sums of those columns.  All of
-them come from one raw pass over the panel, as group-sum corrections of
-raw cross-products; a column constant within the mode's groups is exactly
-zero there, so it drops out of ``z`` and leaves a tested side degenerate.
-Every test is read from the lower Cholesky factor L of a Gram block, one
-factorization policy for all of them.  A scalar ``x`` against a scalar
-``y`` -- most tests of a discovery -- factorizes ``(z..., x, y)``: the
-residual sums of squares are ``L_xx^2`` and ``L_yx^2 + L_yy^2``, and ``r =
-|L_yx| / sqrt(L_yx^2 + L_yy^2)``.  A dummy endpoint needs no one-hot
-columns: it factorizes ``(z..., y)`` and whitens the group sums ``S_z`` of
-the ``z`` columns against ``L_zz``, ``W' = S_z L_zz^-T``; the residual
-cross-product of group ``g`` with ``y`` is then ``S_y[g] - W'[g] . L_yz``
-and the residual squared norm of its indicator ``n_g - |W'[g]|^2``,
-where ``n_g`` is the indicator's squared norm after demeaning by the other
-dummy.  A test thus costs O(G k^2 + k^3) for G groups and k conditioning
-columns, independent of the number of rows.  The factor takes the scalar
-``z`` columns to be of full rank; a block it rejects -- a ``z`` pivot in
-the span of the others, or a factorization that fails, as for ``x`` equal
-to ``y`` -- is whitened instead by the pseudo-inverse of the ``z`` block's
-eigendecomposition (``_eigh``), whose numerical rank sets ``df``.
+No test touches the pooled rows or counts them.  Each works from the
+``GramStats`` cached on the ``PooledData`` per row set and dummy mode: the
+row count, the Gram matrix of every scalar lagged column after centring or
+demeaning by the dummies in ``z``, and the per-time-step and per-dataset
+sums of those columns.  All of them come from one raw pass over the panel,
+as group-sum corrections of raw cross-products; a column constant within
+the mode's groups is exactly zero there, so it drops out of ``z`` and
+leaves a tested side degenerate.  Every test is read from the lower Cholesky
+factor L of a Gram block, one factorization policy for all of them.  A
+scalar ``x`` against a scalar ``y`` -- most tests of a discovery --
+factorizes ``(z..., x, y)``: the residual sums of squares are ``L_xx^2``
+and ``L_yx^2 + L_yy^2``, and ``r = |L_yx| / sqrt(L_yx^2 + L_yy^2)``.  A
+dummy endpoint needs no one-hot columns: it factorizes ``(z..., y)`` and
+whitens the group sums ``S_z`` of the ``z`` columns against ``L_zz``, ``W'
+= S_z L_zz^-T``; the residual cross-product of group ``g`` with ``y`` is
+then ``S_y[g] - W'[g] . L_yz`` and the residual squared norm of its
+indicator ``n_g - |W'[g]|^2``, where ``n_g`` is the indicator's squared
+norm after demeaning by the other dummy.  A test thus costs O(G k^2 + k^3)
+for G groups and k conditioning columns, independent of the number of rows.
+The factor takes the scalar ``z`` columns to be of full rank; a block it
+rejects -- a ``z`` pivot in the span of the others, or a factorization that
+fails, as for ``x`` equal to ``y`` -- is whitened instead by the
+pseudo-inverse of the ``z`` block's eigendecomposition (``_eigh``), whose
+numerical rank sets ``df``.
 
 A discovery runs hundreds of such tests, each small enough that Python and
 numpy call overhead would dominate it, so a CI test is asked in batches
 only (``ParCorrCI.batch``, ``parcorr_batch``): the tests of one level do
 not depend on each other's order.  A batch resolves each query once,
-groups the queries by row set, dummy mode, ``z`` size and endpoint kind,
+groups the queries by ``GramStats``, ``z`` size and endpoint kind,
 and gathers and factorizes each group's blocks in one call of the gufunc
 behind ``np.linalg.cholesky`` (and inverts a group's ``L_zz`` blocks for
 its dummy sums in one call of that behind ``np.linalg.inv``).  Each block
@@ -315,10 +316,10 @@ def _resolve(query, data):
 
     Returns a ``CITestResult`` for a query answered before any statistic is
     read -- a degenerate tested endpoint -- and otherwise the tuple ``(x,
-    y, start, mode, n, stats, zs)``: the ``Selector`` entries of the tested
-    sides, a dummy endpoint in ``x``; the row set and dummy mode the query
-    works in, with its row count and ``GramStats``; and the positions of
-    the scalar ``z`` columns that are not exactly zero there
+    y, stats, zs)``: the ``Selector`` entries of the tested sides, a dummy
+    endpoint in ``x``; the ``GramStats`` of the row set and dummy mode the
+    query works in, which holds its row count; and the positions of the
+    scalar ``z`` columns that are not exactly zero there
     (``GramStats.live``).
     """
     x_sel, y_sel, z = query
@@ -347,18 +348,16 @@ def _resolve(query, data):
         return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
     if z_dummies:
         _check_own_dummy(x_sel, y_sel, z, data)
-    start = max(start, x.start, y.start)
-    n = data.M * (data.T - start)
-    if n <= n_z_cols + 3:
-        raise QueryError(f"too few samples: n={n} with {n_z_cols} conditioning columns"
-                         + _naming(x_sel, y_sel, z))
-    if y.dummy:  # the test is symmetric in x and y: keep a dummy in x
-        x, y = y, x
     mode = ("both" if len(z_dummies) == 2
             else z_dummies.pop() if z_dummies else "none")
-    stats = data.gram_stats(start, mode)
+    stats = data.gram_stats(max(start, x.start, y.start), mode)
+    if stats.n_rows <= n_z_cols + 3:
+        raise QueryError(f"too few samples: n={stats.n_rows} with {n_z_cols} "
+                         f"conditioning columns" + _naming(x_sel, y_sel, z))
+    if y.dummy:  # the test is symmetric in x and y: keep a dummy in x
+        x, y = y, x
     live = stats.live
-    return x, y, start, mode, n, stats, tuple([c for c in z_cols if live[c]])
+    return x, y, stats, tuple([c for c in z_cols if live[c]])
 
 
 def _check_own_dummy(x, y, z, data):
@@ -405,12 +404,12 @@ def _eigh_sums(case):
     pseudo-inverse of its eigendecomposition (``_eigh``), whose numerical
     rank sets ``df``.
     """
-    x, y, _, _, n, stats, zs = case
+    x, y, stats, zs = case
     gram = stats.gram
     cols = (y.column,) if x.dummy else (x.column, y.column)
     resid, rank = gram[np.ix_(cols, cols)], 0
     if zs:
-        lam, vecs, dropped = _eigh(gram[np.ix_(zs, zs)], n)
+        lam, vecs, dropped = _eigh(gram[np.ix_(zs, zs)], stats.n_rows)
         whiten = vecs[:, dropped:] / np.sqrt(lam[dropped:])
         rank = len(zs) - dropped
         proj = whiten.T @ gram[np.ix_(zs, cols)]
@@ -427,22 +426,24 @@ def _eigh_sums(case):
     return rank, ss_y, ss, num / np.sqrt(ss)
 
 
-def _dummy_results(n, df, stats, dummy, ys, ss_xs, alongs):
-    """The ``CITestResult`` of dummy-endpoint queries that share ``n``
-    rows, ``df``, ``stats`` and the dummy ``x``.
+def _dummy_results(df, stats, dummy, ys, ss_xs, alongs):
+    """The ``CITestResult`` of dummy-endpoint queries that share ``df``,
+    ``stats`` and the dummy ``x``.
 
     ``ys`` holds each query's ``(y column, ss_y)``; ``ss_xs`` and
     ``alongs`` stack, one row per query, the residual squared norms of the
     G group indicators and ``y``'s residual coordinates along them.  ``y``
     is checked as a scalar pair's sides are (``_results``).  A group
     indicator whose residual sum of squares is at or below ``n *
-    VARIANCE_EPS^2`` or ``SPAN_TOL`` of its squared norm before the scalar
-    ``z`` is unusable and counts as ``r = 0``; the mask, its ``any`` and the
-    largest usable ``|along|`` of every query come from one array pass.
+    VARIANCE_EPS^2``, for the ``n`` rows of ``stats``, or ``SPAN_TOL`` of
+    its squared norm before the scalar ``z`` is unusable and counts as ``r
+    = 0``; the mask, its ``any`` and the largest usable ``|along|`` of every
+    query come from one array pass.
     The largest ``r`` -- ``|t|`` grows with ``|r|``, also in floating point,
     so it gives the largest ``|t|`` -- is tested against a Student-t law,
     Bonferroni-combined over the G components.
     """
+    n = stats.n_rows
     degenerate = CITestResult(0.0, 1.0, n, True, df)
     if df < 1:
         return [degenerate] * len(ys)
@@ -465,11 +466,12 @@ def _dummy_results(n, df, stats, dummy, ys, ss_xs, alongs):
 def _results(cases):
     """The ``CITestResult`` of each resolved query (``_resolve``), in one batch.
 
-    The queries are grouped by row set, dummy mode, ``|zs|`` and endpoint
-    kind, so a group shares its ``GramStats``, row count ``n`` and ``df =
-    n - (group rank + |zs|) - 1``.  Each group gathers its Gram blocks --
-    ``(zs..., x, y)`` for a scalar pair, ``(zs..., y)`` for a dummy
-    endpoint -- and factorizes them in one stacked Cholesky call.
+    The queries are grouped by ``GramStats`` (one per row set and dummy
+    mode), ``|zs|`` and endpoint kind, so a group shares its statistics,
+    row count ``n`` and ``df = n - (group rank + |zs|) - 1``.  Each group
+    gathers its Gram blocks -- ``(zs..., x, y)`` for a scalar pair,
+    ``(zs..., y)`` for a dummy endpoint -- and factorizes them in one
+    stacked Cholesky call.
 
     With L the lower factor, a pair has the residual sums of squares ``ss_x
     = L_xx^2`` and ``ss_y = L_yx^2 + L_yy^2``, and ``y``'s residual
@@ -502,12 +504,12 @@ def _results(cases):
     out = [None] * len(cases)
     groups = {}
     for k, case in enumerate(cases):
-        groups.setdefault((case[2], case[3], len(case[6]), case[0].dummy), []).append(k)
-    for (_, _, width, dummy), members in groups.items():
-        _, _, _, _, n, stats, _ = cases[members[0]]
+        groups.setdefault((case[2], len(case[3]), case[0].dummy), []).append(k)
+    for (stats, width, dummy), members in groups.items():
+        n = stats.n_rows
         df = n - (stats.group_rank + width) - 1
         span = stats.span
-        index = np.array([cases[k][6] + ((cases[k][1].column,) if dummy else
+        index = np.array([cases[k][3] + ((cases[k][1].column,) if dummy else
                                          (cases[k][0].column, cases[k][1].column))
                           for k in members])
         factors = _cholesky_lo(stats.gram[index[:, :, None], index[:, None, :]])
@@ -516,7 +518,7 @@ def _results(cases):
             floor = n * VARIANCE_EPS ** 2
             for k, row, l_yx in zip(members, pivots, factors[:, -1, -2].tolist()):
                 case = cases[k]
-                x, y, _, _, _, _, zs = case
+                x, y, _, zs = case
                 if row[-1] == row[-1] and all(l * l > span[c] for l, c in zip(row, zs)):
                     l_xx, l_yy = row[-2:]
                     pair_df, ss_y, ss_x, along = df, l_yx * l_yx + l_yy * l_yy, l_xx * l_xx, l_yx
@@ -541,15 +543,15 @@ def _results(cases):
         kept, ys = [], []
         for i, (k, row) in enumerate(zip(members, pivots)):
             case = cases[k]
-            if row[-1] == row[-1] and all(l * l > span[c] for l, c in zip(row, case[6])):
+            if row[-1] == row[-1] and all(l * l > span[c] for l, c in zip(row, case[3])):
                 kept.append(i)
                 ys.append((case[1].column, row[-1] * row[-1]))
             else:
                 rank, ss_y, ss_x, along = _eigh_sums(case)
-                out[k] = _dummy_results(n, n - (stats.group_rank + rank) - 1, stats, dummy,
+                out[k] = _dummy_results(n - (stats.group_rank + rank) - 1, stats, dummy,
                                         [(case[1].column, ss_y)], ss_x[None], along[None])[0]
         ss_xs = np.broadcast_to(ss, num.shape)[kept]
-        results = _dummy_results(n, df, stats, dummy, ys, ss_xs, (num / np.sqrt(ss))[kept])
+        results = _dummy_results(df, stats, dummy, ys, ss_xs, (num / np.sqrt(ss))[kept])
         for i, result in zip(kept, results):
             out[members[i]] = result
     return out
@@ -578,17 +580,10 @@ def parcorr_batch(queries, data):
     ``QueryError``.  ``_results`` then answers the rest from
     ``data.gram_stats``, whose demeaning the dummies in ``z`` select.
     """
-    results, cases, at = [], [], []
-    for query in queries:
-        case = _resolve(query, data)
-        if isinstance(case, CITestResult):
-            results.append(case)
-        else:
-            at.append(len(results))
-            cases.append(case)
-            results.append(None)
+    results = [_resolve(query, data) for query in queries]
+    at = [k for k, case in enumerate(results) if not isinstance(case, CITestResult)]
     with np.errstate(invalid="ignore", divide="ignore"):
-        for k, result in zip(at, _results(cases)):
+        for k, result in zip(at, _results([results[k] for k in at])):
             results[k] = result
     return results
 

@@ -6,40 +6,41 @@ dataset boundary because each row only looks back within its own dataset.
 Variables are indexed in discovery order: system, observed temporal
 contexts, observed spatial contexts, then the time dummy and space dummy.
 
-``PooledData.selectors`` is the one selector policy: built once per pooled
-dataset, it maps every valid ``(var, lag)`` -- lags ``0..2*tau_max`` of the
-time-indexed variables, lag 0 of the spatial contexts and dummies -- to
-what a CI test needs of it: its Gram column, dummy kind, the first time
-step of the rows it is defined on, its component count and whether it is
-degenerate.  ``n_components`` and ``extract_aligned`` read it, and a
-selector missing from it is a ``SelectionError``.  ``extract_aligned`` is
-the one accessor of pooled rows: the CI tests never read them, and
-``to_csv`` (``jtscd discover --dump-pooled``) takes the lag-0 design from
-it.
+``PooledData`` alone knows a query's rows.  ``_series`` lays every observed
+variable out as one ``(n_observed, T, M)`` array, a context repeated over
+the axis it is constant on.  ``selectors`` is the one selector policy: built
+once per pooled dataset, it maps every ``(var, lag)`` that has rows -- lags
+up to ``min(2 * tau_max, T - 1)`` of the time-indexed variables, lag 0 of
+the spatial contexts and dummies -- to what a CI test needs of it: its Gram
+column, dummy kind, the first time step of the rows it is defined on, its
+component count and whether it is degenerate.  A selector missing from it is
+a ``SelectionError``.  ``extract_aligned`` is the one accessor of pooled
+rows: the CI tests never read them, and ``to_csv`` (``jtscd discover
+--dump-pooled``) takes the lag-0 design from it.
 
-``PooledData.gram_stats`` keeps the sufficient statistics the partial
-correlation test works from: per row set and dummy mode, the cross-products
-and per-group sums of every scalar lagged column after demeaning.  Every
-row set's columns are shifts of the same observed series, and demeaning by
-dummies is a group-sum correction of raw cross-products (the shifted-sum
-identity of sample autocovariances), so the first request takes one raw
-pass over the panel and every row set and mode is derived from it in
-closed form.  The pass shifts each series by its mean -- demeaning is
-shift-invariant, and the shift keeps the raw sums near the size of the
-demeaned ones -- and forms, over the rows from ``2 * tau_max`` on, the raw
-cross-products of every column and their per-dataset and per-time-step
-sums; each smaller start adds the ``M`` rows of one time step.  A mode's
-Gram matrix is the raw one less ``n mu mu'`` (centring), ``S'S / M`` (time
-steps) or ``D'D / (T - start)`` (datasets); for both dummies, less the
-last two and plus ``n mu mu'``.  A column whose demeaned diagonal is at
+``gram_stats`` keeps the sufficient statistics the partial correlation test
+works from, one ``GramStats`` per row set and dummy mode, row count
+included: the cross-products and per-group sums of every scalar lagged
+column after demeaning.  Every row set's columns are shifts of the same
+observed series, and demeaning by dummies is a group-sum correction of raw
+cross-products (the shifted-sum identity of sample autocovariances), so the
+first request takes one raw pass over the series and every row set and mode
+is derived from it in closed form.  The pass shifts each series by its mean
+-- demeaning is shift-invariant, and the shift keeps the raw sums near the
+size of the demeaned ones -- and forms, over the rows from the deepest lag
+on, the raw cross-products of every column and their per-dataset and
+per-time-step sums; each smaller start adds the ``M`` rows of one time step.
+A mode's Gram matrix is the raw one less ``n mu mu'`` (centring), ``S'S /
+M`` (time steps) or ``D'D / (T - start)`` (datasets); for both dummies, less
+the last two and plus ``n mu mu'``.  A column whose demeaned diagonal is at
 most ``_CANCEL_TOL`` of its shifted raw diagonal is constant within the
 mode's groups -- a spatial context within datasets, a temporal one within
-time steps, any context on one dataset -- and what the subtraction leaves
-of it is cancellation noise: its row, column and sums are set to exact
-zero.  Every column of a row set is kept: the tests of a discovery use
-most of them (in a J-PCMCI+ run at ``tau_max = 2``, M=20, T=500, about 20
-of 20 columns at row set 2 and 24 of 32 at row set 4).  ``pooling`` does
-no linear algebra: the CI tests factorize what they read of the statistics.
+time steps, any context on one dataset -- and what the subtraction leaves of
+it is cancellation noise: its row, column and sums are set to exact zero.
+Every column of a row set is kept: the tests of a discovery use most of them
+(in a J-PCMCI+ run at ``tau_max = 2``, M=20, T=500, about 20 of 20 columns
+at row set 2 and 24 of 32 at row set 4).  ``pooling`` does no linear
+algebra: the CI tests factorize what they read of the statistics.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ VARIANCE_EPS = 1e-12
 SPAN_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramStats:
     """Sufficient statistics of the scalar columns on one row set.
 
@@ -84,14 +85,15 @@ class GramStats:
     centring or demeaning by the other dummy, which on a balanced panel are
     the same.  ``group_rank`` is the rank the mode's intercept and dummy
     blocks add to a conditioning design, and ``n_rows`` the row count.
+    Statistics compare by identity, as a CI batch groups its queries on them.
 
     The statistics are group-sum corrections of raw cross-products (see the
     module docstring).  A column constant within the mode's groups has an
     exactly zero row and column in ``gram`` and exactly zero sums.
 
     The per-column values a CI test reads on every query are derived once,
-    on construction, as tuples of Python floats and booleans: ``diag``, the
-    diagonal of ``gram``; ``live``, whether a column's norm exceeds
+    on construction from the diagonal of ``gram``, as tuples of Python
+    booleans and floats: ``live``, whether a column's norm exceeds
     ``VARIANCE_EPS * max(1, sqrt(n_rows))``, so that it counts in a
     conditioning set; and ``span``, ``SPAN_TOL`` times its diagonal, the
     residual sum of squares at or below which it lies in the span of the
@@ -102,14 +104,12 @@ class GramStats:
     group_sums: dict
     group_norms: dict
     n_rows: int
-    diag: tuple = field(init=False)
     live: tuple = field(init=False)
     span: tuple = field(init=False)
 
     def __post_init__(self):
         diag = self.gram.diagonal().tolist()
         cutoff = VARIANCE_EPS * max(1.0, math.sqrt(self.n_rows))
-        object.__setattr__(self, "diag", tuple(diag))
         object.__setattr__(self, "live", tuple([math.sqrt(d) > cutoff for d in diag]))
         object.__setattr__(self, "span", tuple([SPAN_TOL * d for d in diag]))
 
@@ -120,18 +120,6 @@ DUMMY_MODES = ("none", "time", "space", "both")
 # diagonal (after the shift by the series mean) is what the group-sum
 # corrections leave of a column constant within its demeaning groups
 _CANCEL_TOL = 1e-10
-
-
-class _RowSetSums(NamedTuple):
-    """Raw sums of the scalar columns defined on one row set.
-
-    ``gram`` holds their cross-products, ``dataset_sums`` (column x dataset)
-    and ``time_sums`` (column x time step, from the row set's start on)
-    their group sums, all of the series shifted by their means.
-    """
-    gram: np.ndarray
-    dataset_sums: np.ndarray
-    time_sums: np.ndarray
 
 
 class Selector(NamedTuple):
@@ -177,8 +165,6 @@ class PooledData:
         self.dataset_index = np.repeat(np.arange(self.M), per)
         self.time_index = np.tile(np.arange(tau_max, self.T), self.M)
 
-        self._temporal_idx = dc.observed_temporal_indices()
-        self._spatial_idx = dc.observed_spatial_indices()
         self.n_system = dc.n_system
         roles = dc.observed_roles()
         self.n_observed = len(roles)
@@ -189,17 +175,19 @@ class PooledData:
         self.space_dummy = self.n_observed + 1
 
         # scalar columns lag-major: those defined on the rows from time step
-        # ``start`` on are the first n_observed + start * len(lagged) entries
+        # ``start`` on are the first n_observed + start * len(lagged) entries,
+        # up to the deepest lag that leaves rows
         lagged = [v for v in range(self.n_observed) if roles[v].is_time_indexed]
         self.scalar_columns = [(v, 0) for v in range(self.n_observed)]
-        self.scalar_columns += [(v, lag) for lag in range(1, 2 * tau_max + 1)
+        self._deepest = min(2 * tau_max, self.T - 1)
+        self.scalar_columns += [(v, lag) for lag in range(1, self._deepest + 1)
                                 for v in lagged]
         self._n_lagged = len(lagged)
         self._raw_sums = None
         self._gram_stats = {}
 
-        # every valid selector, resolved once: lags 0..2*tau_max of the
-        # time-indexed columns, lag 0 of the spatial contexts and dummies
+        # every valid selector, resolved once: the scalar columns, and lag 0
+        # of the dummies
         table = {sel: Selector(k, None, max(tau_max, sel[1]), 1, False)
                  for k, sel in enumerate(self.scalar_columns)}
         table[(self.time_dummy, 0)] = Selector(None, "time", tau_max, per,
@@ -221,23 +209,20 @@ class PooledData:
     def extract_aligned(self, selectors):
         """Column matrix of ``(var, lag)`` selectors on the rows all are defined on.
 
-        Lags go up to ``2 * tau_max`` (lag 0 for dummy and spatial
-        selectors).  The rows start at the largest ``start`` of the
+        Lags go up to ``min(2 * tau_max, T - 1)`` (lag 0 for dummy and
+        spatial selectors).  The rows start at the largest ``start`` of the
         selectors' ``selectors`` entries, ``tau_max`` for none: a lag beyond
         ``tau_max`` drops the rows whose look-back would cross the start of
         a dataset, so conditioning sets shifted to the lagged endpoint of a
         test stay well defined.  A dummy is its one-hot block, a scalar
         column its values bit-exactly as stored.  Returns ``(matrix,
         row_indices)``; selectors of lag at most ``tau_max`` keep every
-        pooled row.  A lag that leaves no rows (a start at or past ``T``) is
-        a ``SelectionError``.
+        pooled row.
         """
         entries = [self._selector(var, lag) for (var, lag) in selectors]
         start = max((entry.start for entry in entries), default=self.tau_max)
-        if start >= self.T:
-            lag = max(lag for (_, lag) in selectors)
-            raise SelectionError(f"lag {lag} leaves no rows: T={self.T}")
         rows = np.flatnonzero(self.time_index >= start)
+        series = self._series()
         blocks = [np.empty((len(rows), 0))]  # no selectors: no columns
         for (var, lag), entry in zip(selectors, entries):
             if entry.dummy == "time":
@@ -245,8 +230,7 @@ class PooledData:
             elif entry.dummy == "space":
                 block = np.eye(self.M)[self.dataset_index[rows]]
             else:  # the rows are dataset-major: the (M, T - start) panel flattens onto them
-                panel = self._panel(var, lag, start)
-                block = np.broadcast_to(panel, (self.M, self.T - start)).reshape(-1, 1)
+                block = series[var, start - lag:self.T - lag].T.reshape(-1, 1)
             blocks.append(block)
         return np.hstack(blocks), rows
 
@@ -270,42 +254,38 @@ class PooledData:
             stats = self._gram_stats.setdefault(key, self._derive_gram_stats(start, mode))
         return stats
 
-    def _panel(self, var, lag, start):
-        """Values of a scalar column on the rows from ``start`` on, as (M, T - start)."""
-        steps = slice(start - lag, self.T - lag)
-        role = self.var_roles[var]
-        if role is VariableRole.SYSTEM:
-            return self.dc.system[:, steps, var]
-        if role is VariableRole.TEMPORAL_CONTEXT:
-            return self.dc.temporal_ctx[steps, self._temporal_idx[var - self.n_system]]
-        k = self._spatial_idx[var - self.n_system - len(self._temporal_idx)]
-        return self.dc.spatial_ctx[:, k][:, None]
+    def _series(self):
+        """Every observed variable as one fresh ``(n_observed, T, M)`` array:
+        the values of ``(var, lag)`` on the rows from time step ``s`` on are
+        ``series[var, s - lag:T - lag]``, dataset-major once transposed."""
+        dc = self.dc
+        temporal, spatial = dc.observed_temporal_indices(), dc.observed_spatial_indices()
+        n_system, n_temporal = self.n_system, len(temporal)
+        series = np.empty((self.n_observed, self.T, self.M))
+        series[:n_system] = dc.system.transpose(2, 1, 0)
+        series[n_system:n_system + n_temporal] = dc.temporal_ctx[:, temporal].T[:, :, None]
+        series[n_system + n_temporal:] = dc.spatial_ctx[:, spatial].T[:, None, :]
+        return series
 
     def _raw_pass(self):
-        """``_RowSetSums`` of every row set, keyed by start, from one pass.
+        """Raw sums of every row set, keyed by start, from one pass.
 
-        Each observed series is shifted by its mean and laid out as a
-        ``(time step, dataset)`` panel; the columns of lag ``a`` on the rows
-        from time step ``s`` on are then the panels' time steps ``s - a ..
-        T - 1 - a``, a view.  On the rows from the last start ``top = 2 *
-        tau_max`` on, the lag-0 columns against those of each lag ``d`` are
-        one product each; the block of lags ``(a, a + d)`` is that of ``(a -
-        1, a - 1 + d)`` over a window one time step earlier, so it follows
-        by adding the entering time step's rows and subtracting the leaving
-        one's.  Each smaller start adds the ``M`` rows of its own time step.
-        (``top`` is ``T - 1`` where that is smaller: no row set starts
-        later.)
+        A row set's sums are ``(gram, dataset_sums, time_sums)``: the
+        cross-products of its scalar columns and their sums per dataset and
+        per time step (from its start on), of the series shifted by their
+        means, in place.  The columns of lag ``a`` on the rows from time
+        step ``s`` on are then the series' time steps ``s - a .. T - 1 -
+        a``, a view.  On the rows from the last start ``top`` on -- the
+        deepest lag of ``scalar_columns``, ``min(2 * tau_max, T - 1)`` --
+        the lag-0 columns against those of each lag ``d`` are one product
+        each; the block of lags ``(a, a + d)`` is that of ``(a - 1, a - 1 +
+        d)`` over a window one time step earlier, so it follows by adding
+        the entering time step's rows and subtracting the leaving one's.
+        Each smaller start adds the ``M`` rows of its own time step.
         """
-        tau, M, T, n_system = self.tau_max, self.M, self.T, self.n_system
-        top = min(2 * tau, T - 1)
+        tau, M, T, top = self.tau_max, self.M, self.T, self._deepest
         n_obs, n_lag = self.n_observed, self._n_lagged
-        n_temporal = len(self._temporal_idx)
-        series = np.empty((n_obs, T, M))
-        series[:n_system] = self.dc.system.transpose(2, 1, 0)
-        series[n_system:n_system + n_temporal] = \
-            self.dc.temporal_ctx[:, self._temporal_idx].T[:, :, None]
-        series[n_system + n_temporal:] = \
-            self.dc.spatial_ctx[:, self._spatial_idx].T[:, None, :]
+        series = self._series()
         series -= series.mean(axis=(1, 2), keepdims=True)
         # scalar columns are lag-major: every series at lag 0, then the
         # time-indexed ones -- the leading n_lag series -- at lags 1..top
@@ -344,7 +324,7 @@ class PooledData:
                                        for a in range(start + 1)])
                 gram = gram[:k, :k] + rows @ rows.T
                 dataset_sums = dataset_sums[:k] + rows
-            sums[start] = _RowSetSums(gram, dataset_sums, time_sums[:k, start - tau:])
+            sums[start] = gram, dataset_sums, time_sums[:k, start - tau:]
         return sums
 
     def _derive_gram_stats(self, start, mode):

@@ -3,34 +3,37 @@
     python tests/ab_timing.py <src-A> <src-B> [--size full|tiny] [--seconds S]
 
 Each argument is a directory holding the ``jtscd`` package (the ``src``
-directory of a checkout).  Three child processes run with BLAS pinned to
-one thread and one fixed string-hash seed: one imports tree A, one tree
-B, and a second one tree A, the A/A control.  Each imports ``perfbench/workloads.py`` of this checkout
-(read only), builds the panel-long and grid-small corpora once, and times
-its own ``discovery.estimate_graph`` calls, wall and ``time.process_time``.
+directory of a checkout).  Four child processes run with BLAS pinned to
+one thread and one fixed string-hash seed, two per tree: A1 and A2 import
+tree A, B1 and B2 tree B.  Each process has its own speed offset of about
+0.5-2%, so each side of the A/B figure averages two of them.  Each child
+imports ``perfbench/workloads.py`` of this checkout (read only), builds
+the panel-long and grid-small corpora once, and times its own
+``discovery.estimate_graph`` calls, wall and ``time.process_time``.
 
 The parent drives the children in lockstep, one call at a time, so that
 they never share the CPU.  Per workload, a warm-up pass runs every corpus
-entry once in each child, untimed; then two segments run, A against B and
-A against the control, each of whole passes over the corpus until
-``--seconds`` are spent, at least one.  Per corpus entry a segment runs a
-quad of four calls, ABBA, and the next entry's quad BAAB, so that both
-sides hold every call position, and every gap since their own last call,
-equally often: the first call on an entry is the slowest, and a child
-that ran more recently runs faster.  A quad's ratio is B's two calls over
-A's.  Only the two children of a segment run in it, so a third child
-does not change how often either runs.
+entry once in each child, untimed; then three segments run, A1 against B1,
+A2 against B2 and A1 against A2, the A/A control, each of whole passes
+over the corpus until ``--seconds`` are spent, at least one.  Per corpus
+entry a segment runs a quad of four calls, ABBA, and the next entry's quad
+BAAB, so that both sides hold every call position, and every gap since
+their own last call, equally often: the first call on an entry is the
+slowest, and a child that ran more recently runs faster.  A quad's ratio
+is B's two calls over A's.  Only the two children of a segment run in it,
+so the other children do not change how often either runs.
 
-The report gives, per workload, the median quad ratio of A/B and of the
-A/A control, each with a 95% bootstrap interval, wall and CPU.  An A/A
-interval that does not hold 1.0 says the run was too noisy to tell the A/B
-figure from zero.  Every discovery is checked against
-``perfbench/reference.json`` as perfbench checks it; the exit status is 1
-if one fails its check in either tree, 0 otherwise.  A child that does not
-answer within ``ANSWER_TIMEOUT_S`` -- its start-up, corpora built, or one
-corpus entry -- is killed, and the tool names it and the entry and exits 1.
-The last stdout line is the result as JSON.  This file is a tool, not a
-test: pytest does not collect it.
+The report gives, per workload, the median quad ratio of A/B, over the
+quads of both A/B segments, and of the A/A control, each with a 95%
+bootstrap interval, wall and CPU.  An A/A interval that does not hold 1.0
+says the run was too noisy to tell the A/B figure from zero.  Every
+discovery is checked against ``perfbench/reference.json`` as perfbench
+checks it; the exit status is 1 if one fails its check in either tree, 0
+otherwise.  A child that does not answer within ``ANSWER_TIMEOUT_S`` --
+its start-up, corpora built, or one corpus entry -- is killed, and the
+tool names it and the entry and exits 1.  The last stdout line is the
+result as JSON.  This file is a tool, not a test: pytest does not collect
+it.
 """
 
 from __future__ import annotations
@@ -188,18 +191,24 @@ def main(argv=None):
     if len(args.src) != 2:
         parser.error("give two source directories")
     rng = np.random.default_rng(args.seed)
-    children = [Child(src, args.size, name) for src, name in
-                ((args.src[0], "A"), (args.src[1], "B"), (args.src[0], "A/A control"))]
+    children = {name + k: Child(src, args.size, name + k) for k in "12"
+                for src, name in ((args.src[0], "A"), (args.src[1], "B"))}
     print(f"A = {args.src[0]}\nB = {args.src[1]}")
     failed, result = [], {}
     try:
         for workload in WORKLOADS:
-            for index in range(children[0].entries[workload]):  # warm-up, checks included
-                for side in children:
+            for index in range(children["A1"].entries[workload]):  # warm-up, checks included
+                for side in children.values():
                     failed.extend(f"{workload}/{side.name}: {f}"
                                   for f in side.run(workload, index)["failed"])
-            ab, calls = measure(children[0], children[1], workload, args.seconds, failed)
-            aa, _ = measure(children[0], children[2], workload, args.seconds, failed)
+            ab, calls = {"wall": [], "cpu": []}, {"A": [], "B": []}
+            for k in "12":
+                ratios, segment_calls = measure(children["A" + k], children["B" + k],
+                                                workload, args.seconds, failed)
+                for part, whole in ((ratios, ab), (segment_calls, calls)):
+                    for key, values in part.items():
+                        whole[key] += values
+            aa, _ = measure(children["A1"], children["A2"], workload, args.seconds, failed)
             out = {"quads": len(ab["wall"]) + len(aa["wall"]),
                    "A_ms_p50": float(np.median(calls["A"])) * 1e3,
                    "B_ms_p50": float(np.median(calls["B"])) * 1e3}
@@ -214,7 +223,7 @@ def main(argv=None):
                 print(f"  {key:8s} median ratio {ratio:.4f}  95% interval "
                       f"[{low:.4f}, {high:.4f}]")
     finally:
-        for side in children:
+        for side in children.values():
             side.close()
     for line in failed:
         print(f"FAILED {line}")

@@ -11,7 +11,11 @@ batch by batch in the order asked: the queries ``(x, y, z)`` of each
 ``citests.parcorr_batch`` call (``parcorr_test`` is a batch of one) with
 their results.  A batch that raises records nothing; the error ends the
 discovery and is recorded with it.  It also records each discovery's graph
-and the keys of its separating sets.
+and the keys of its separating sets, and pins the pooled rows the kernel's
+statistics are built from: each ``pooling.pool_data`` call (which
+``estimate_graph`` looks up at call time) records a SHA-256 digest of
+``PooledData.extract_aligned`` of every scalar selector of the data's
+table, one at a time, with the row indices it returns.
 
 Results are aligned by query, not by call position: per corpus entry (one
 panel-long discovery, or the two discoveries of a grid-small realization),
@@ -28,12 +32,13 @@ gives
 * how many aligned results differ, and the largest relative difference of
   the statistic and the p-value,
 * the discoveries whose graph or separating-set keys differ,
+* the corpus entries whose pooled-row digests differ,
 * the decision flips (``p > alpha`` on one side only), and
 * every p-value within 1e-6 of ``alpha`` on either side.
 
 The exit status is 1 if the query multisets differ or a decision flips;
-with ``--exact``, also if any aligned result differs in any bit or the
-query order differs.
+with ``--exact``, also if any aligned result differs in any bit, the
+query order differs or a pooled-row digest differs.
 Children run with BLAS pinned to one thread.  This file is a tool, not a
 test: pytest does not collect it.
 """
@@ -41,6 +46,7 @@ test: pytest does not collect it.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -60,12 +66,31 @@ def _outcome(res):
     return [res.statistic, res.p_value, res.n_effective, res.df, res.degenerate]
 
 
+def _pooled_digest(data):
+    """SHA-256 of the pooled rows of every scalar selector of ``data``'s
+    table, in table order: each selector's column and row indices."""
+    digest = hashlib.sha256()
+    for sel, entry in data.selectors.items():
+        if entry.dummy is None:
+            column, rows = data.extract_aligned([sel])
+            digest.update(repr((sel, column.shape, column.dtype.str)).encode())
+            digest.update(column.tobytes())
+            digest.update(rows.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
 def record(out_path):
     """Child side: run the corpora and write one JSON line per discovery."""
     import workloads
-    from jtscd import citests
+    from jtscd import citests, pooling
 
-    batch, calls, sizes = citests.parcorr_batch, [], []
+    batch, calls, sizes, pooled = citests.parcorr_batch, [], [], []
+    pool_data = pooling.pool_data
+
+    def recording_pool_data(dc, tau_max):
+        data = pool_data(dc, tau_max)
+        pooled.append(_pooled_digest(data))
+        return data
 
     def recording_batch(queries, data):
         results = batch(queries, data)
@@ -75,19 +100,21 @@ def record(out_path):
         return results
 
     citests.parcorr_batch = recording_batch
+    pooling.pool_data = recording_pool_data
     with open(out_path, "w") as out:
         out.write(json.dumps({"alpha": workloads.ALPHA}) + "\n")
         for name in ("panel-long", "grid-small"):
             for inst in workloads.build_inputs(name, "full", with_reference=False):
                 calls.clear()
                 sizes.clear()
+                pooled.clear()
                 outcomes = workloads.run_op(name, inst, time.perf_counter)
                 errors = [o.error for o, _ in outcomes if o.error]
                 graphs = [[res.graph.to_text(), [list(k) for k, _ in res.sepsets.items()]]
                           for _, res in outcomes if res is not None]
                 out.write(json.dumps({"op": f"{name}/{inst.key}", "calls": calls,
                                       "sizes": sizes, "errors": errors,
-                                      "graphs": graphs}) + "\n")
+                                      "graphs": graphs, "pooled": pooled}) + "\n")
 
 
 def run_child(src, out_path):
@@ -135,9 +162,10 @@ def _test(key):
 def compare(runs_a, runs_b, alpha):
     """Report lines, whether the two trees disagree on queries or decisions,
     the number of aligned results that differ and the number of corpus
-    entries whose query order differs."""
+    entries whose query order or pooled rows differ."""
     lines, bad = [], False
     n_calls = n_differ = n_graphs = n_discoveries = n_one_side = n_same_test = n_order = 0
+    n_pooled = 0
     max_rel = {"statistic": 0.0, "p_value": 0.0}
     flips, near = [], []
     for ra, rb in zip(runs_a, runs_b, strict=True):
@@ -149,6 +177,9 @@ def compare(runs_a, runs_b, alpha):
         if ra.get("graphs") != rb.get("graphs"):
             n_graphs += 1
             lines.append(f"{op}: graph or separating-set keys differ")
+        if ra["pooled"] != rb["pooled"]:
+            n_pooled += 1
+            lines.append(f"{op}: pooled-row digests differ")
         batches_a, batches_b = _batches(ra), _batches(rb)
         if batches_a != batches_b:
             n_order += 1
@@ -193,6 +224,7 @@ def compare(runs_a, runs_b, alpha):
     lines += [f"discoveries: {n_discoveries} in {len(runs_a)} corpus entries; entries "
               f"with graph or separating-set key changes: {n_graphs}",
               f"entries whose query order differs (batch by batch): {n_order}",
+              f"entries whose pooled-row digests differ: {n_pooled}",
               f"one-side queries: {n_one_side}, {n_same_test} of them asked by the other "
               f"tree as the same test",
               f"aligned queries: {n_calls}",
@@ -201,15 +233,16 @@ def compare(runs_a, runs_b, alpha):
               f"p-value {max_rel['p_value']:.3g}",
               f"decision flips at alpha={alpha}: {len(flips)}", *flips,
               f"p-values within {NEAR_ALPHA:g} of alpha: {len(near)}", *near]
-    return lines, bad or bool(flips), n_differ, n_order
+    return lines, bad or bool(flips), n_differ, n_order + n_pooled
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="*", help="two directories holding jtscd")
     parser.add_argument("--exact", action="store_true",
-                        help="exit 1 on any differing result or query order, not "
-                             "only on diverging queries or decision flips")
+                        help="exit 1 on any differing result, query order or "
+                             "pooled-row digest, not only on diverging queries or "
+                             "decision flips")
     parser.add_argument("--record", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.record:
@@ -222,10 +255,10 @@ def main(argv=None):
         for src, out in zip(args.src, outs):
             run_child(src, out)
         (head_a, *runs_a), (head_b, *runs_b) = (load(p) for p in outs)
-    lines, bad, n_differ, n_order = compare(runs_a, runs_b, head_a["alpha"])
+    lines, bad, n_differ, n_changed = compare(runs_a, runs_b, head_a["alpha"])
     print(f"A = {args.src[0]}\nB = {args.src[1]}")
     print("\n".join(lines))
-    return 1 if bad or (args.exact and (n_differ or n_order)) else 0
+    return 1 if bad or (args.exact and (n_differ or n_changed)) else 0
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ import numpy as np
 
 from jtscd.pooling import DUMMY_MODES, GramStats
 
+from reference_kernel import panel
+
 
 def reference_gram_stats(data, start, mode):
     """``GramStats`` of the rows of ``data`` from time step ``start`` on."""
@@ -24,7 +26,7 @@ def reference_gram_stats(data, start, mode):
     # holds each column as its (M, width) panel
     block = np.empty((len(cols), M, width))
     for k, (var, lag) in enumerate(cols):
-        block[k] = data._panel(var, lag, start)
+        block[k] = panel(data, var, lag, start)
     if mode == "none":
         block -= block.mean(axis=(1, 2), keepdims=True)
     if mode in ("time", "both"):

@@ -31,6 +31,23 @@ from jtscd.pooling import SPAN_TOL, VARIANCE_EPS
 _VARIANCE_EPS = 1e-12
 
 
+def panel(data, var, lag, start):
+    """Values of the scalar column ``(var, lag)`` on the rows of ``data``
+    from time step ``start`` on, as an ``(M, T - start)`` panel read from
+    the collection by the variable's role."""
+    dc, steps = data.dc, slice(start - lag, data.T - lag)
+    temporal = dc.observed_temporal_indices()
+    role = data.var_roles[var]
+    if role is VariableRole.SYSTEM:
+        values = dc.system[:, steps, var]
+    elif role is VariableRole.TEMPORAL_CONTEXT:
+        values = dc.temporal_ctx[steps, temporal[var - data.n_system]]
+    else:
+        k = dc.observed_spatial_indices()[var - data.n_system - len(temporal)]
+        values = dc.spatial_ctx[:, k][:, None]
+    return np.broadcast_to(values, (data.M, data.T - start))
+
+
 def column_block(data, var, lag, start):
     """Values of ``(var, lag)`` on the rows of ``data`` from time step
     ``start`` on, built from the pooled panels: a dummy as its one-hot
@@ -42,8 +59,7 @@ def column_block(data, var, lag, start):
     if role is VariableRole.SPACE_DUMMY:
         return np.eye(data.M)[data.dataset_index[rows]]
     # the rows are dataset-major, so the (M, T - start) panel flattens onto them
-    panel = data._panel(var, lag, start)
-    return np.broadcast_to(panel, (data.M, data.T - start)).reshape(-1, 1)
+    return panel(data, var, lag, start).reshape(-1, 1)
 
 
 def _demean_by_groups(a, labels, n_groups):
@@ -183,7 +199,8 @@ def centered_parcorr_test(x, y, data, groups="dataset"):
 def _per_query_zs(query, data, case):
     """The scalar ``z`` columns of a resolved query not exactly zero on its
     rows, each checked against the cutoff of its query's row count."""
-    n, diag = case[4], case[5].diag
+    stats = case[2]
+    n, diag = stats.n_rows, stats.gram.diagonal().tolist()
     cutoff = VARIANCE_EPS * max(1.0, math.sqrt(n))
     table = data.selectors
     columns = [table[s].column for s in query[2] if not table[s].dummy]
@@ -193,8 +210,8 @@ def _per_query_zs(query, data, case):
 def _per_query_finish(case, rank, ss_y, ss_x, along):
     """The ``CITestResult`` of one resolved query from its residual sums;
     for a dummy ``x``, ``ss_x`` and ``along`` are arrays over its groups."""
-    x, y, _, _, n, stats, _ = case
-    diag = stats.diag
+    x, y, stats, _ = case
+    n, diag = stats.n_rows, stats.gram.diagonal().tolist()
     df = n - (stats.group_rank + rank) - 1
     floor = n * VARIANCE_EPS ** 2
     if df < 1 or not (ss_y > floor and ss_y > SPAN_TOL * diag[y.column]):
@@ -219,10 +236,10 @@ def _per_query_results(cases):
     out = [None] * len(cases)
     groups = {}
     for k, case in enumerate(cases):
-        groups.setdefault((case[2], case[3], len(case[6]), case[0].dummy), []).append(k)
-    for (_, _, width, dummy), members in groups.items():
-        stats = cases[members[0]][5]
-        index = np.array([cases[k][6] + ((cases[k][1].column,) if dummy else
+        groups.setdefault((case[2], len(case[3]), case[0].dummy), []).append(k)
+    for (stats, width, dummy), members in groups.items():
+        diag = stats.gram.diagonal().tolist()
+        index = np.array([cases[k][3] + ((cases[k][1].column,) if dummy else
                                          (cases[k][0].column, cases[k][1].column))
                           for k in members])
         factors = citests._cholesky_lo(stats.gram[index[:, :, None], index[:, None, :]])
@@ -240,7 +257,7 @@ def _per_query_results(cases):
             l_yxs = factors[:, -1, -2].tolist()
         for i, (k, row) in enumerate(zip(members, pivots)):
             case = cases[k]
-            diag, zs = case[5].diag, case[6]
+            zs = case[3]
             if not (row[-1] == row[-1]
                     and all(l * l > SPAN_TOL * diag[c] for l, c in zip(row, zs))):
                 out[k] = _per_query_finish(case, *citests._eigh_sums(case))
@@ -263,7 +280,7 @@ def per_query_parcorr_batch(queries, data):
         if isinstance(case, CITestResult):
             results.append(case)
             continue
-        assert _per_query_zs(query, data, case) == case[6], query
+        assert _per_query_zs(query, data, case) == case[3], query
         at.append(len(results))
         cases.append(case)
         results.append(None)

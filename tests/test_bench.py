@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 from dataclasses import asdict
 
 import pytest
@@ -54,6 +55,8 @@ class TestConfig:
         (dict(n_spatial_ctx=-1), "context counts must be non-negative"),
         (dict(frac_observed_values=[True]),
          r"frac_observed_values=\[True\] must be a list of numbers"),
+        (dict(ci_test="parcorr", t_values=[30, 4]),
+         r"T=4 is too short for tau_max=2: ParCorr needs T > 2 \* tau_max"),
     ])
     def test_out_of_range_values_are_refused(self, override, message):
         with pytest.raises(ValueError, match=message):
@@ -121,9 +124,28 @@ class TestRunExperiment:
         run_experiment(cfg, out_dir=tmp_path)
         assert (tmp_path / "fpr_surface_jpcmciplus.svg").exists()
 
+    def test_plots_keep_grid_cells_apart(self, tmp_path):
+        # T on the x axis: one curve per variant, M and frac_observed value,
+        # and one heat map per variant and frac_observed value
+        cfg = tiny_config(t_values=[20, 30], m_values=[3, 4],
+                          frac_observed_values=[0.0, 1.0], n_realizations=1)
+        run_experiment(cfg, out_dir=tmp_path)
+        charts = [p for p in tmp_path.glob("*.svg") if not p.name.startswith("fpr_surface_")]
+        for chart in charts:
+            lines = re.findall(r'<polyline points="([^"]*)"', chart.read_text())
+            assert lines and all(len(pts.split()) == len(cfg.t_values) for pts in lines)
+        lines = re.findall("<polyline", (tmp_path / "SystemSystem_fpr.svg").read_text())
+        assert len(lines) == 8
+        surfaces = sorted(p.name for p in tmp_path.glob("fpr_surface_*.svg"))
+        assert surfaces == [f"fpr_surface_{v}_frac{f}.svg"
+                            for v in ("jpcmciplus", "pcmciplus") for f in (0, 1)]
+        for name in surfaces:
+            assert (tmp_path / name).read_text().count("<rect x=") == 4
+
     def test_failures_recorded_not_raised(self, tmp_path):
-        # T barely above tau_max starves the CI tests into QueryErrors
-        cfg = tiny_config(ci_test="parcorr", t_values=[4], m_values=[1],
+        # T=5 passes ParCorr's T > 2 * tau_max, and the first lagged test,
+        # on 3 rows, is refused by name
+        cfg = tiny_config(ci_test="parcorr", t_values=[5], m_values=[1],
                           burn_in=5, n_realizations=1)
         rows, failures = run_experiment(cfg, out_dir=tmp_path)
         assert failures

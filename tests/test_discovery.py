@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from jtscd import citests
 from jtscd.citests import GraphOracle, ParCorrCI, QueryError
 from jtscd.discovery import (CI_TESTS, VARIANTS, SepSetEntry, SepSetStore, collider_phase,
                              estimate_graph, j_pcmciplus, lagged_skeleton_pcmciplus,
@@ -693,6 +694,49 @@ class TestEstimateGraph:
         # constant within each dataset but not across them is a column to test
         dc.system[:, :, 1] = np.arange(4.0)[:, None]
         self.parcorr_run(dc, entry)
+
+
+class TestDatasetOrder:
+    """A ParCorr discovery does not depend on the order of the datasets
+    (ROADMAP item 10): the pooled rows are exchangeable across datasets."""
+
+    # perfbench's model shape, at its grid-small panel sizes
+    MODEL = dict(n_system=5, n_temporal_ctx=2, n_spatial_ctx=1,
+                 frac_observed=0.5, max_lag=2)
+    ALPHA = 0.05
+
+    def test_permuted_datasets_give_the_same_discovery(self, monkeypatch):
+        asked, batch = [], citests.parcorr_batch
+
+        def recording(queries, data):
+            results = batch(queries, data)
+            asked[-1].update({(x, y, tuple(z)): res.p_value
+                              for (x, y, z), res in zip(queries, results)})
+            return results
+
+        monkeypatch.setattr(citests, "parcorr_batch", recording)
+        for r in range(20):
+            spec, _ = generate_random_model(seed=r, **self.MODEL)
+            dc = simulate(spec, M=10, T=(30, 60)[r % 2], seed=100 + r)
+            perm = np.random.default_rng(r).permutation(dc.M)
+            shuffled = dataclasses.replace(dc, system=dc.system[perm],
+                                           spatial_ctx=dc.spatial_ctx[perm])
+            for variant in ("jpcmci+", "pcmci+"):
+                runs = []
+                for data in (dc, shuffled):
+                    asked.append({})
+                    runs.append(estimate_graph(data, variant=variant, tau_max=2,
+                                               alpha=self.ALPHA))
+                p_a, p_b = asked[-2], asked[-1]
+                near = {q for q, p in (*p_a.items(), *p_b.items())
+                        if abs(p - self.ALPHA) <= 1e-9}
+                assert all((p_a[q] > self.ALPHA) == (p_b[q] > self.ALPHA)
+                           for q in p_a.keys() & p_b.keys() - near), (r, variant)
+                if not near:  # equal decisions ask the same tests to the same end
+                    assert p_a.keys() == p_b.keys(), (r, variant)
+                    assert runs[0].graph.to_text() == runs[1].graph.to_text(), (r, variant)
+                    assert (sorted(k for k, _ in runs[0].sepsets.items())
+                            == sorted(k for k, _ in runs[1].sepsets.items())), (r, variant)
 
 
 class TestBatchedPhases:

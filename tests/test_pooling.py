@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jtscd.citests import QueryError, parcorr_test
+from jtscd.citests import parcorr_test
 from jtscd.graph import VariableRole
 from jtscd.pooling import DUMMY_MODES, SelectionError, pool_data
 from jtscd.scm import DatasetCollection, NonFiniteDataError, generate_random_model, simulate
@@ -172,7 +172,8 @@ class TestPoolData:
         expected = {}
         for var, role in enumerate(pd.var_roles):
             if role in (R.SYSTEM, R.TEMPORAL_CONTEXT):
-                for lag in range(2 * tau_max + 1):
+                # up to the deepest lag that leaves a row: T - 1 below 2 * tau_max
+                for lag in range(min(2 * tau_max, T - 1) + 1):
                     expected[(var, lag)] = (pd.scalar_columns.index((var, lag)), None,
                                             max(tau_max, lag), 1, False)
             elif role is R.SPATIAL_CONTEXT:
@@ -198,18 +199,16 @@ class TestPoolData:
                 assert pd.selectors[(var, lag)].degenerate == entry[4]
                 if lag > tau_max:
                     # defined only from time step ``lag`` on, not on every row
-                    if lag < T:
-                        rows = pd.extract_aligned([(0, 0), (var, lag)])[1]
-                        assert np.array_equal(rows, np.flatnonzero(pd.time_index >= lag))
-                    else:  # no rows left to align on
-                        with pytest.raises(SelectionError, match=f"lag {lag} .*T={T}"):
-                            pd.extract_aligned([(var, lag)])
-                        with pytest.raises(QueryError, match="too few samples"):
-                            parcorr_test(((var, lag), (var, 0), ()), pd)
+                    rows = pd.extract_aligned([(0, 0), (var, lag)])[1]
+                    assert np.array_equal(rows, np.flatnonzero(pd.time_index >= lag))
                 else:
                     mat, rows = pd.extract_aligned([(var, lag)])
                     assert mat.shape == (pd.n_rows, entry[3])
                     assert np.array_equal(rows, np.arange(pd.n_rows))
+        # a lag that leaves no rows is out of range in the CI test too
+        for lag in range(T, 2 * tau_max + 1):
+            with pytest.raises(SelectionError, match=rf"^selector \(0, {lag}\) out of range"):
+                parcorr_test(((0, lag), (1, 0), ()), pd)
 
     def test_no_selectors_give_no_columns_on_every_row(self):
         # no selector moves the start past tau_max
