@@ -2,7 +2,7 @@
 
 Draws a random linear model (five system variables, two temporal and one
 spatial context, half observed), simulates ten datasets, and inspects the
-pooled design matrix with its one-hot dummy blocks.
+pooled design matrix with its dummy labels.
 """
 
 import numpy as np
@@ -36,6 +36,6 @@ print("variables in discovery order:",
 lagged, _ = pooled.extract_aligned([(0, 0), (0, 1)])
 print("X0 at t and t-1, first rows:\n", np.round(lagged[:3], 3))
 
-space_block, _ = pooled.extract_aligned([(pooled.space_dummy, 0)])
-print("space dummy block column sums (one per dataset):",
-      space_block.sum(axis=0))
+# A dummy is its labels: the space dummy is each row's dataset index.
+print("rows per space dummy label (one label per dataset):",
+      np.bincount(pooled.dataset_index))

@@ -1,10 +1,10 @@
 """Causal discovery for multi-dataset time series with observed and latent contexts.
 
 The package bundles a joint-graph data model with an exact d-separation
-engine, a linear SCM simulator over multiple datasets, dataset pooling with
-one-hot dummy blocks, partial-correlation and oracle CI tests, one staged
-discovery driver (J-PCMCI+, lag-free or lagged) and the comparison variants
-it runs, scoring metrics, and a seeded benchmark harness.
+engine, a linear SCM simulator over multiple datasets, dataset pooling whose
+time and space dummies are row labels, partial-correlation and oracle CI
+tests, one staged discovery driver (J-PCMCI+, lag-free or lagged) and the
+comparison variants it runs, scoring metrics, and a seeded benchmark harness.
 """
 
 from .graph import (ABSENT, CONFLICT, DIRECTED, REVERSED, UNDIRECTED,

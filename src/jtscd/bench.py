@@ -260,8 +260,6 @@ def _svg_line_chart(series, title, x_label, y_label, width=560, height=360):
     """Multi-series line chart; series maps name -> [(x, y), ...]."""
     pad = 56
     xs = sorted({x for pts in series.values() for (x, _) in pts})
-    if not xs:
-        return ""
     x_min, x_max = min(xs), max(xs)
     x_span = (x_max - x_min) or 1.0
     y_min, y_max = 0.0, 1.0
@@ -340,14 +338,15 @@ def _svg_heatmap(grid, t_values, m_values, title, width=560, height=360):
 
 
 def render_plots(rows, cfg):
-    """SVG documents per (class, metric): curves over the varying grid axis,
-    one per variant and per value of each other axis that varies, and where
-    T and M both vary a System-System FPR heat map per variant and per
-    ``frac_observed`` value."""
+    """SVG documents per (class, metric): curves over the first of T, M and
+    ``frac_observed`` that varies (M if none does), one per variant and per
+    value of each other axis that varies, and where T and M both vary a
+    System-System FPR heat map per variant and per ``frac_observed`` value."""
     plots = {}
-    x_key, x_label = (("T", "time series length T") if len(cfg.t_values) > 1
-                      else ("M", "number of datasets M"))
     axes = {"T": cfg.t_values, "M": cfg.m_values, "frac_observed": cfg.frac_observed_values}
+    x_key = next((key for key, values in axes.items() if len(values) > 1), "M")
+    x_label = {"T": "time series length T", "M": "number of datasets M",
+               "frac_observed": "fraction of contexts observed"}[x_key]
     others = [key for key, values in axes.items() if key != x_key and len(values) > 1]
     for cls in sorted({r["class"] for r in rows}):
         for metric in METRIC_NAMES:

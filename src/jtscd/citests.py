@@ -5,7 +5,7 @@ J-PCMCI+ asks: each side is one ``(var, lag)`` selector of a system
 variable, a context or a dummy.  The partial-correlation test residualizes
 both sides on the conditioning design (intercept included) and tests the
 residual Pearson correlation against a Student-t law.  A dummy endpoint is
-a one-hot block of G group indicators, each tested against the other side:
+the G group indicators of its labels, each tested against the other side:
 the statistic is the largest absolute correlation, and the p-value, that of
 the largest |t|, is Bonferroni-combined over the G components.  A dummy
 endpoint thus costs one Student-t evaluation, not one per component.
@@ -23,11 +23,11 @@ float, and a p-value below the smallest normal float is 0.0.
 No test touches the pooled rows or counts them.  Each works from the
 ``GramStats`` cached on the ``PooledData`` per row set and dummy mode: the
 row count, the Gram matrix of every scalar lagged column after centring or
-demeaning by the dummies in ``z``, and the per-time-step and per-dataset
-sums of those columns.  All of them come from one raw pass over the panel,
-as group-sum corrections of raw cross-products; a column constant within
-the mode's groups is exactly zero there, so it drops out of ``z`` and
-leaves a tested side degenerate.  Every test is read from the lower Cholesky
+demeaning by the dummies in ``z``, and the sums of those columns per group
+of each dummy not in ``z``.  All of them come from one raw pass over the
+panel, as group-sum corrections of raw cross-products; a column constant
+within the mode's groups is exactly zero there, so it drops out of ``z``
+and leaves a tested side degenerate.  Every test is read from the lower Cholesky
 factor L of a Gram block, one factorization policy for all of them.  A
 scalar ``x`` against a scalar ``y`` -- most tests of a discovery --
 factorizes ``(z..., x, y)``: the residual sums of squares are ``L_xx^2``
@@ -365,7 +365,7 @@ def _check_own_dummy(x, y, z, data):
     dummy of its own kind in the query ``(x, y, z)``.
 
     The context is a function of that dummy, so the test could only find
-    its residual zero.  A constant dummy block in ``z`` (``degenerate`` in
+    its residual zero.  A constant dummy in ``z`` (``degenerate`` in
     ``data.selectors``) carries no signal and is let through.
     """
     for var, lag in (x, y):

@@ -114,7 +114,7 @@ def build_parser():
     p_disc.add_argument("--variant", choices=discovery.VARIANTS,
                         default="jpcmci+")
     p_disc.add_argument("--dump-pooled", default=None, dest="dump_pooled",
-                        help="write the pooled design matrix CSV here")
+                        help="write the pooled rows here as CSV: dataset, t, lag-0 columns")
     p_disc.add_argument("--out", default=None, help="graph output file")
     p_disc.set_defaults(func=_cmd_discover)
 

@@ -1,10 +1,11 @@
-"""Row-pooled design matrices across datasets, with one-hot dummy blocks.
+"""Row-pooled design matrices across datasets; a dummy is its labels.
 
 Rows are ordered dataset-major: all usable time steps ``t = tau_max..T-1``
 of dataset 0, then of dataset 1, and so on.  Lagged columns never cross a
 dataset boundary because each row only looks back within its own dataset.
 Variables are indexed in discovery order: system, observed temporal
-contexts, observed spatial contexts, then the time dummy and space dummy.
+contexts, observed spatial contexts, then the time dummy and space dummy,
+whose only form is the row labels ``time_index`` and ``dataset_index``.
 
 ``PooledData`` alone knows a query's rows.  ``_series`` lays every observed
 variable out as one ``(n_observed, T, M)`` array, a context repeated over
@@ -15,37 +16,34 @@ the spatial contexts and dummies -- to what a CI test needs of it: its Gram
 column, dummy kind, the first time step of the rows it is defined on, its
 component count and whether it is degenerate.  A selector missing from it is
 a ``SelectionError``.  ``extract_aligned`` is the one accessor of pooled
-rows: the CI tests never read them, and ``to_csv`` (``jtscd discover
---dump-pooled``) takes the lag-0 design from it.
+scalar rows: the CI tests never read them, and ``to_csv`` (``jtscd
+discover --dump-pooled``) takes the lag-0 columns from it.
 
 ``gram_stats`` keeps the sufficient statistics the partial correlation test
-works from, one ``GramStats`` per row set and dummy mode, row count
-included: the cross-products and per-group sums of every scalar lagged
-column after demeaning.  Every row set's columns are shifts of the same
-observed series, and demeaning by dummies is a group-sum correction of raw
-cross-products (the shifted-sum identity of sample autocovariances), so the
-first request takes one raw pass over the series and every row set and mode
-is derived from it in closed form.  The pass shifts each series by its mean
--- demeaning is shift-invariant, and the shift keeps the raw sums near the
-size of the demeaned ones -- and forms, over the rows from the deepest lag
-on, the raw cross-products of every column and their per-dataset and
-per-time-step sums; each smaller start adds the ``M`` rows of one time step.
-A mode's Gram matrix is the raw one less ``n mu mu'`` (centring), ``S'S /
-M`` (time steps) or ``D'D / (T - start)`` (datasets); for both dummies, less
-the last two and plus ``n mu mu'``.  A column whose demeaned diagonal is at
-most ``_CANCEL_TOL`` of its shifted raw diagonal is constant within the
-mode's groups -- a spatial context within datasets, a temporal one within
-time steps, any context on one dataset -- and what the subtraction leaves of
-it is cancellation noise: its row, column and sums are set to exact zero.
-Every column of a row set is kept: the tests of a discovery use most of them
-(in a J-PCMCI+ run at ``tau_max = 2``, M=20, T=500, about 20 of 20 columns
-at row set 2 and 24 of 32 at row set 4).  ``pooling`` does no linear
-algebra: the CI tests factorize what they read of the statistics.
+works from, one ``GramStats`` per row set and dummy mode, row count included:
+the cross-products of every scalar lagged column after demeaning and their
+sums per group of each dummy a query can test.  Every row set's columns are
+shifts of the same observed series, and demeaning by dummies is a group-sum
+correction of raw cross-products (the shifted-sum identity of sample
+autocovariances), so the first request takes one raw pass over the series
+(``_raw_pass``) and every row set and mode is derived from it in closed form.
+The pass shifts each series by its mean: demeaning is shift-invariant, and
+the shift keeps the raw sums near the size of the demeaned ones.  A mode's
+Gram matrix is the raw one less ``n mu mu'`` (centring), ``S'S / M`` (time
+steps) or ``D'D / (T - start)`` (datasets); for both dummies, less the last
+two and plus ``n mu mu'``.  A column whose demeaned diagonal is at most
+``_CANCEL_TOL`` of its shifted raw diagonal is constant within the mode's
+groups -- a spatial context within datasets, a temporal one within time
+steps, any context on one dataset -- and what the subtraction leaves of it is
+cancellation noise: its row, column and sums are set to exact zero.  Every
+column of a row set is kept: the tests of a discovery use most of them (in a
+J-PCMCI+ run at ``tau_max = 2``, M=20, T=500, about 20 of 20 columns at row
+set 2 and 24 of 32 at row set 4).  ``pooling`` does no linear algebra: the CI
+tests factorize what they read of the statistics.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, field
@@ -78,14 +76,16 @@ class GramStats:
     ``gram.shape[0]`` entries of ``PooledData.scalar_columns`` (the ones
     defined on those rows).  Columns are demeaned according to the dummy
     mode: centred (``none``), within time steps (``time``), within datasets
-    (``space``) or both, time first.  ``gram`` holds their cross-products
-    and ``group_sums["time"]`` / ``group_sums["space"]`` their sums per
-    time-dummy / space-dummy component (zero for time steps without rows).
-    ``group_norms`` holds the squared norms of those group indicators after
-    centring or demeaning by the other dummy, which on a balanced panel are
-    the same.  ``group_rank`` is the rank the mode's intercept and dummy
-    blocks add to a conditioning design, and ``n_rows`` the row count.
-    Statistics compare by identity, as a CI batch groups its queries on them.
+    (``space``) or both, time first.  ``gram`` holds their cross-products.
+    ``group_sums[kind]`` holds their sums per group of each dummy the mode
+    does not demean by -- a dummy endpoint is never in its own ``z`` -- so
+    both kinds in ``none`` and neither in ``both``; the time sums are zero
+    for time steps without rows.  ``group_norms[kind]`` holds the squared
+    norms of those group indicators after centring or demeaning by the
+    other dummy, which on a balanced panel are the same.  ``group_rank`` is
+    the rank the mode's intercept and dummy groups add to a conditioning
+    design, and ``n_rows`` the row count.  Statistics compare by identity,
+    as a CI batch groups its queries on them.
 
     The statistics are group-sum corrections of raw cross-products (see the
     module docstring).  A column constant within the mode's groups has an
@@ -142,10 +142,11 @@ class PooledData:
     """Pooled view of a DatasetCollection for lag-aware column extraction.
 
     Spatial context values are repeated over the usable time steps of their
-    dataset; dummy blocks are one-hot encodings of dataset and time labels.
-    The space dummy is flagged degenerate for ``M == 1`` (constant block) and
-    the time dummy whenever ``M == 1`` or only a single usable time step
-    remains, since a constant or sample-identifying label carries no signal.
+    dataset.  The dummies are the row labels ``dataset_index`` and
+    ``time_index``.  The space dummy is flagged degenerate for ``M == 1``
+    (one label) and the time dummy whenever ``M == 1`` or only a single
+    usable time step remains, since a constant or sample-identifying label
+    carries no signal.
     """
 
     def __init__(self, dc, tau_max):
@@ -170,7 +171,6 @@ class PooledData:
         self.n_observed = len(roles)
         roles += [VariableRole.TIME_DUMMY, VariableRole.SPACE_DUMMY]
         self.var_roles = roles
-        self.n_vars = len(roles)
         self.time_dummy = self.n_observed
         self.space_dummy = self.n_observed + 1
 
@@ -196,43 +196,33 @@ class PooledData:
                                                 self.M == 1)
         self.selectors = MappingProxyType(table)
 
-    def _selector(self, var, lag):
-        """The ``selectors`` entry of ``(var, lag)``; ``SelectionError`` if none."""
-        try:
-            return self.selectors[(var, lag)]
-        except KeyError:
-            raise SelectionError(f"selector {(var, lag)} out of range") from None
-
-    def n_components(self, var):
-        return self._selector(var, 0).n_components
-
     def extract_aligned(self, selectors):
-        """Column matrix of ``(var, lag)`` selectors on the rows all are defined on.
+        """Column matrix of scalar ``(var, lag)`` selectors on the rows all
+        are defined on, each column bit-exactly as stored.
 
-        Lags go up to ``min(2 * tau_max, T - 1)`` (lag 0 for dummy and
-        spatial selectors).  The rows start at the largest ``start`` of the
-        selectors' ``selectors`` entries, ``tau_max`` for none: a lag beyond
-        ``tau_max`` drops the rows whose look-back would cross the start of
-        a dataset, so conditioning sets shifted to the lagged endpoint of a
-        test stay well defined.  A dummy is its one-hot block, a scalar
-        column its values bit-exactly as stored.  Returns ``(matrix,
-        row_indices)``; selectors of lag at most ``tau_max`` keep every
-        pooled row.
+        The rows start at the largest ``start`` of the selectors' entries in
+        ``selectors``, ``tau_max`` for none: a lag beyond ``tau_max`` drops
+        the rows whose look-back would cross the start of a dataset.  A
+        selector missing from ``selectors`` is a ``SelectionError``, and so
+        is a dummy, whose only form is its labels ``time_index`` /
+        ``dataset_index``.  Returns ``(matrix, row_indices)``.
         """
-        entries = [self._selector(var, lag) for (var, lag) in selectors]
-        start = max((entry.start for entry in entries), default=self.tau_max)
+        start = self.tau_max
+        for var, lag in selectors:
+            entry = self.selectors.get((var, lag))
+            if entry is None:
+                raise SelectionError(f"selector {(var, lag)} out of range")
+            if entry.dummy:
+                raise SelectionError(f"selector {(var, lag)} is the {entry.dummy} dummy, "
+                                     f"which has no columns, only its row labels")
+            start = max(start, entry.start)
         rows = np.flatnonzero(self.time_index >= start)
         series = self._series()
-        blocks = [np.empty((len(rows), 0))]  # no selectors: no columns
-        for (var, lag), entry in zip(selectors, entries):
-            if entry.dummy == "time":
-                block = np.eye(self.T - self.tau_max)[self.time_index[rows] - self.tau_max]
-            elif entry.dummy == "space":
-                block = np.eye(self.M)[self.dataset_index[rows]]
-            else:  # the rows are dataset-major: the (M, T - start) panel flattens onto them
-                block = series[var, start - lag:self.T - lag].T.reshape(-1, 1)
-            blocks.append(block)
-        return np.hstack(blocks), rows
+        mat = np.empty((len(rows), len(selectors)))
+        for k, (var, lag) in enumerate(selectors):
+            # the rows are dataset-major: the (M, T - start) panel flattens onto them
+            mat[:, k] = series[var, start - lag:self.T - lag].T.ravel()
+        return mat, rows
 
     def gram_stats(self, start, mode):
         """``GramStats`` of the rows from time step ``start`` on, built once.
@@ -342,45 +332,39 @@ class PooledData:
             gram = (raw - time_sums @ time_sums.T / M
                     - dataset_sums @ dataset_sums.T / width
                     + np.outer(total, total) / (M * width))
-        # group sums of the demeaned columns: centred by the other dummy's
-        # demeaning, zero by the mode's own
-        n_steps = self.T - self.tau_max
-        group_time = np.zeros((n_steps, len(raw)))
-        if mode in ("none", "space"):
-            group_time[start - self.tau_max:] = time_sums.T - total / width
-        group_space = (dataset_sums.T - total / M if mode in ("none", "time")
-                       else np.zeros((M, len(raw))))
+        # group sums of the demeaned columns, centred by the other dummy's
+        # demeaning, for the dummies a query in this mode can test: one the
+        # mode demeans by is in the query's z, so never its endpoint
+        sums, norms = {}, {}
+        if mode in ("none", "space"):  # zero for the time steps before start
+            skip = start - self.tau_max
+            sums["time"] = np.zeros((self.T - self.tau_max, len(raw)))
+            sums["time"][skip:] = time_sums.T - total / width
+            norms["time"] = np.concatenate([np.zeros(skip), np.full(width, M * (1 - 1 / width))])
+        if mode in ("none", "time"):
+            sums["space"] = dataset_sums.T - total / M
+            norms["space"] = np.full(M, width * (1.0 - 1.0 / M))
         dead = gram.diagonal() <= _CANCEL_TOL * raw.diagonal()
         if dead.any():
             gram[dead] = 0.0
             gram[:, dead] = 0.0
-            group_time[:, dead] = 0.0
-            group_space[:, dead] = 0.0
-        time_norms = np.zeros(n_steps)
-        time_norms[start - self.tau_max:] = M * (1.0 - 1.0 / width)
+            for block in sums.values():
+                block[:, dead] = 0.0
         group_rank = {"none": 1, "time": width, "space": M,
                       "both": width + M - 1}[mode]
-        return GramStats(
-            group_rank=group_rank, gram=gram, n_rows=M * width,
-            group_sums={"time": group_time, "space": group_space},
-            group_norms={"time": time_norms,
-                         "space": np.full(M, width * (1.0 - 1.0 / M))})
+        return GramStats(group_rank=group_rank, gram=gram, n_rows=M * width,
+                         group_sums=sums, group_norms=norms)
 
     def to_csv(self):
-        """CSV text of the lag-0 design with a descriptor header row."""
-        names = []
-        for var in range(self.n_vars):
-            base = f"{self.var_roles[var].value}{var}"
-            k = self.n_components(var)
-            names += [base] if k == 1 else [f"{base}_{c}" for c in range(k)]
+        """CSV text of the pooled rows under a descriptor header: each row's
+        labels ``dataset`` and ``t`` (the dummies), then its lag-0 columns."""
+        observed = range(self.n_observed)
+        names = ["dataset", "t"] + [f"{self.var_roles[v].value}{v}" for v in observed]
+        mat = self.extract_aligned([(v, 0) for v in observed])[0]
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["dataset", "t"] + names)
-        mat = self.extract_aligned([(v, 0) for v in range(self.n_vars)])[0]
-        for r in range(self.n_rows):
-            row = [str(self.dataset_index[r]), str(self.time_index[r])]
-            row += [f"{v:.17g}" for v in mat[r]]
-            writer.writerow(row)
+        np.savetxt(buf, np.column_stack([self.dataset_index, self.time_index, mat]),
+                   fmt=["%d", "%d"] + ["%.17g"] * len(observed), delimiter=",",
+                   header=",".join(names), comments="")
         return buf.getvalue()
 
 

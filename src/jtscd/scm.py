@@ -296,12 +296,19 @@ class DatasetCollection:
         spatial = np.zeros((M, n_s))
         width = n_sys + n_t + n_s
         for m in range(M):
-            rows = list(csv.reader((path / f"data_{m:03d}.csv").read_text().splitlines()))
-            body = rows[1:]
+            text = (path / f"data_{m:03d}.csv").read_text()
+            header, *body = list(csv.reader(text.splitlines())) or [[]]
             if len(body) != T:
                 raise PanelShapeError(f"dataset {m} has {len(body)} rows, expected {T}")
             for t, row in enumerate(body):
-                vals = [float(v) for v in row[1:]]
+                vals = []
+                for k, v in enumerate(row[1:], 1):
+                    try:
+                        vals.append(float(v))
+                    except ValueError:
+                        column = header[k] if k < len(header) else f"#{k}"
+                        raise ValueError(f"data_{m:03d}.csv data row {t}, column {column!r}: "
+                                         f"{v!r} is not a number") from None
                 if len(vals) != width:
                     raise PanelShapeError(f"dataset {m} row {t} has {len(vals)} values, "
                                           f"expected {width}")

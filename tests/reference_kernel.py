@@ -26,7 +26,7 @@ from scipy import stats
 from jtscd import citests
 from jtscd.citests import CITestResult, QueryError
 from jtscd.graph import VariableRole
-from jtscd.pooling import SPAN_TOL, VARIANCE_EPS
+from jtscd.pooling import SPAN_TOL, VARIANCE_EPS, SelectionError
 
 _VARIANCE_EPS = 1e-12
 
@@ -73,8 +73,16 @@ def _demean_by_groups(a, labels, n_groups):
     return a - means[labels], int(occupied.sum())
 
 
+def _entry(data, var, lag):
+    """The ``data.selectors`` entry of ``(var, lag)``; ``SelectionError`` if none."""
+    try:
+        return data.selectors[(var, lag)]
+    except KeyError:
+        raise SelectionError(f"selector {(var, lag)} out of range") from None
+
+
 def _z_column_count(z_selectors, data):
-    return sum(data.n_components(var) for (var, lag) in z_selectors)
+    return sum(data.selectors[(var, 0)].n_components for (var, lag) in z_selectors)
 
 
 def _residualize(values, z_selectors, data, start):
@@ -121,7 +129,7 @@ def lstsq_parcorr_test(query, data, correction="bonferroni"):
         raise ValueError("correction must be 'bonferroni' or 'none'")
     x, y, z = query
     # every selector checked first
-    start = max(data._selector(var, lag).start for (var, lag) in (x, y, *z))
+    start = max(_entry(data, var, lag).start for (var, lag) in (x, y, *z))
     if data.selectors[x].degenerate or data.selectors[y].degenerate:
         return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
     for (var, _) in (x, y):

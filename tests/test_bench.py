@@ -142,6 +142,25 @@ class TestRunExperiment:
         for name in surfaces:
             assert (tmp_path / name).read_text().count("<rect x=") == 4
 
+    def test_frac_observed_on_the_x_axis_when_only_it_varies(self, tmp_path):
+        # neither T nor M varies: one curve per variant over frac_observed,
+        # with a point at every frac_observed value its class was scored at
+        # (no context class at 0.0, where every context is latent)
+        cfg = tiny_config(frac_observed_values=[0.0, 0.5, 1.0], n_realizations=1)
+        rows, _ = run_experiment(cfg, out_dir=tmp_path)
+        charts = list(tmp_path.glob("*.svg"))
+        assert charts and not any(p.name.startswith("fpr_surface_") for p in charts)
+        for chart in charts:
+            cls = chart.name.split("_")[0]
+            scored = {(r["variant"], r["frac_observed"]) for r in rows if r["class"] == cls}
+            text = chart.read_text()
+            lines = re.findall(r'<polyline points="([^"]*)"', text)
+            assert sorted(len(pts.split()) for pts in lines) == sorted(
+                sum(v == variant for v, _ in scored) for variant in {v for v, _ in scored})
+            if cls == "SystemSystem":
+                assert [len(pts.split()) for pts in lines] == [3] * len(cfg.variants)
+            assert "fraction of contexts observed" in text
+
     def test_failures_recorded_not_raised(self, tmp_path):
         # T=5 passes ParCorr's T > 2 * tau_max, and the first lagged test,
         # on 3 rows, is refused by name

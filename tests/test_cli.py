@@ -132,6 +132,8 @@ class TestDiscover:
         header = lines[0].split(",")
         assert any(c.startswith("TemporalContext") for c in header) == sees_contexts
         assert any(c.startswith("SpatialContext") for c in header) == sees_contexts
+        # the dummies are the dataset and t labels, written once
+        assert header[:2] == ["dataset", "t"] and not any("Dummy" in c for c in header)
 
     def test_stdout_output(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -208,6 +210,23 @@ class TestUnreadableInput:
         assert main([command, flag, str(source), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(f"jtscd {command}: error: {message}\n", err), err
+        assert not out.exists()
+
+    def test_a_cell_that_is_not_a_number_is_named(self, tmp_path, capsys):
+        # the file, the data row and the column header, not float()'s bare message
+        data, out = tmp_path / "data", tmp_path / "g.txt"
+        write_sim_config(tmp_path / "cfg.json")
+        main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(data)])
+        lines = (data / "data_001.csv").read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[2] = "abc"
+        lines[4] = ",".join(cells)
+        (data / "data_001.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["discover", "--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("jtscd discover: error: data_001.csv data row 3, column 'X1': "
+                       "'abc' is not a number\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("mask", ["ab", ["yes", "no"], [1, 0], None],

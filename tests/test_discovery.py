@@ -739,6 +739,68 @@ class TestDatasetOrder:
                             == sorted(k for k, _ in runs[1].sepsets.items())), (r, variant)
 
 
+class TestContextOrder:
+    """A ParCorr discovery does not depend on the order of the observed
+    contexts within a kind (ROADMAP item 10): permuting the temporal and the
+    spatial context columns relabels those variables and nothing else."""
+
+    SHAPES = (dict(n_system=4, n_temporal_ctx=2, n_spatial_ctx=2),
+              dict(n_system=5, n_temporal_ctx=3, n_spatial_ctx=2))
+    ALPHA = 0.05
+
+    def test_permuted_contexts_give_the_same_discovery(self, monkeypatch):
+        asked, batch, back = [], citests.parcorr_batch, []
+
+        def recording(queries, data):
+            # keyed in the original labels; a test is symmetric in x and y
+            # and reads z as a set
+            results = batch(queries, data)
+            asked[-1].update({(frozenset({(back[x[0]], x[1]), (back[y[0]], y[1])}),
+                               frozenset((back[v], lag) for v, lag in z)): res.p_value
+                              for (x, y, z), res in zip(queries, results)})
+            return results
+
+        monkeypatch.setattr(citests, "parcorr_batch", recording)
+        for shape in self.SHAPES:
+            for r in range(20):
+                spec, _ = generate_random_model(seed=r, frac_observed=1.0, max_lag=2, **shape)
+                dc = simulate(spec, M=10, T=(30, 60)[r % 2], seed=100 + r)
+                rng = np.random.default_rng(r)
+                perm_t = rng.permutation(dc.n_temporal_ctx)
+                perm_s = rng.permutation(dc.n_spatial_ctx)
+                shuffled = dataclasses.replace(dc, temporal_ctx=dc.temporal_ctx[:, perm_t],
+                                               spatial_ctx=dc.spatial_ctx[:, perm_s])
+                # variable v of the shuffled run is variable to_original[v]
+                n_sys, n_t = dc.n_system, dc.n_temporal_ctx
+                n_vars = n_sys + n_t + dc.n_spatial_ctx + 2
+                to_original = [*range(n_sys), *(n_sys + perm_t), *(n_sys + n_t + perm_s),
+                               n_vars - 2, n_vars - 1]
+                for variant in ("jpcmci+", "pcmci+C"):
+                    runs = []
+                    for data, labels in ((dc, range(n_vars)), (shuffled, to_original)):
+                        back[:] = labels
+                        asked.append({})
+                        runs.append(estimate_graph(data, variant=variant, tau_max=2,
+                                                   alpha=self.ALPHA))
+                    p_a, p_b = asked[-2], asked[-1]
+                    near = {q for q, p in (*p_a.items(), *p_b.items())
+                            if abs(p - self.ALPHA) <= 1e-9}
+                    assert all((p_a[q] > self.ALPHA) == (p_b[q] > self.ALPHA)
+                               for q in p_a.keys() & p_b.keys() - near), (shape, r, variant)
+                    if near:
+                        continue
+                    # equal decisions ask the same tests to the same end
+                    assert p_a.keys() == p_b.keys(), (shape, r, variant)
+                    graph, mapped = runs[0].graph, TimeSeriesGraph(runs[0].graph.roles, 2)
+                    for i, j, tau, mark in runs[1].graph.edges():
+                        mapped.set_mark(to_original[i], to_original[j], tau, mark)
+                    assert mapped.to_text() == graph.to_text(), (shape, r, variant)
+                    keys = [k for k, _ in runs[0].sepsets.items()]
+                    assert sorted(SepSetStore._key(to_original[i], tau, to_original[j])
+                                  for (i, tau, j), _ in runs[1].sepsets.items()) == keys, \
+                        (shape, r, variant)
+
+
 class TestBatchedPhases:
     """The lagged phase and the sweep ask each level as one batch; the
     one-query-at-a-time versions they replaced (``reference_discovery.py``)

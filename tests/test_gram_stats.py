@@ -8,7 +8,8 @@ dataset, short series, collinear columns and columns constant within
 datasets, time steps or everywhere -- every ``(start, mode)`` must agree:
 Gram entries to 1e-9 relative to the geometric mean of their two diagonal
 entries, group sums to 1e-9 relative to the column's norm times the square
-root of the group size, and ranks and group norms exactly.  A column the
+root of the group size, and ranks and group norms exactly; both hold sums
+and norms only for the dummies a query in the mode can test.  A column the
 reference leaves below the cancellation floor -- at most ``_CANCEL_TOL`` of
 its sum of squares about the series mean, or at the rounding level of its
 values -- is exactly zero in the new statistics, in its row, column and
@@ -26,7 +27,7 @@ from jtscd.citests import QueryError, parcorr_test
 from jtscd.pooling import _CANCEL_TOL, DUMMY_MODES, SelectionError, pool_data
 from jtscd.scm import DatasetCollection
 
-from reference_gram import reference_gram_stats
+from reference_gram import TESTABLE, reference_gram_stats
 from reference_kernel import column_block, panel
 
 EPS = np.finfo(float).eps
@@ -132,7 +133,10 @@ def assert_matches_reference(data):
             new, ref = data.gram_stats(start, mode), reference_gram_stats(data, start, mode)
             key = (start, mode)
             assert new.group_rank == ref.group_rank, key
-            for kind in ("time", "space"):
+            # a dummy the mode demeans by is never a query's endpoint: no sums
+            assert new.group_sums.keys() == new.group_norms.keys() == TESTABLE[mode], key
+            assert ref.group_sums.keys() == ref.group_norms.keys() == TESTABLE[mode], key
+            for kind in TESTABLE[mode]:
                 assert np.array_equal(new.group_norms[kind], ref.group_norms[kind]), key
                 assert new.group_sums[kind].shape == ref.group_sums[kind].shape, key
             gram = new.gram
@@ -148,7 +152,8 @@ def assert_matches_reference(data):
             err = np.abs(gram - ref.gram)
             assert (err[~below][:, ~below] <= RTOL * scale[~below][:, ~below]).all(), key
             sizes = {"time": data.M, "space": data.T - start}
-            for kind, size in sizes.items():
+            for kind in TESTABLE[mode]:
+                size = sizes[kind]
                 sums, ref_sums = new.group_sums[kind], ref.group_sums[kind]
                 assert not sums[:, below].any(), (key, kind)
                 bound = RTOL * np.sqrt(ref_diag * size)
@@ -290,15 +295,16 @@ class TestFloor:
                 dead = [k for k, (v, _) in enumerate(data.scalar_columns[:len(stats.gram)])
                         if v == 2]
                 assert not stats.gram[dead].any() and not stats.gram[:, dead].any()
-                for kind in ("time", "space"):
-                    assert not stats.group_sums[kind][:, dead].any()
+                for sums in stats.group_sums.values():
+                    assert not sums[:, dead].any()
 
 
 def same_stats(a, b):
-    arrays = [(a.gram, b.gram)] + [(a.group_sums[k], b.group_sums[k])
-                                   for k in ("time", "space")]
-    arrays += [(a.group_norms[k], b.group_norms[k]) for k in ("time", "space")]
+    kinds = a.group_sums.keys()
+    arrays = [(a.gram, b.gram)] + [(a.group_sums[k], b.group_sums[k]) for k in kinds]
+    arrays += [(a.group_norms[k], b.group_norms[k]) for k in kinds]
     return (a.group_rank == b.group_rank and a.n_rows == b.n_rows
+            and kinds == b.group_sums.keys() == a.group_norms.keys() == b.group_norms.keys()
             and all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in arrays))
 
 

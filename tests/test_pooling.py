@@ -1,4 +1,4 @@
-"""Pooled design matrices, dummy blocks, lag-aware extraction."""
+"""Pooled design matrices, dummy labels, lag-aware extraction."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ from jtscd.citests import parcorr_test
 from jtscd.graph import VariableRole
 from jtscd.pooling import DUMMY_MODES, SelectionError, pool_data
 from jtscd.scm import DatasetCollection, NonFiniteDataError, generate_random_model, simulate
+
+from reference_gram import TESTABLE
 
 R = VariableRole
 
@@ -37,63 +39,65 @@ def test_malformed_pooling_request_is_refused(case):
 
 
 class TestDummyBlocks:
+    """A dummy is its labels: ``dataset_index`` and ``time_index`` are the
+    one-hot encodings of the space and time dummies, and no code builds a
+    block of them."""
+
     @pytest.mark.parametrize("M, T, tau_max", [(3, 8, 2), (1, 5, 2), (2, 12, 0)])
     def test_blocks_are_one_hot_labels(self, M, T, tau_max):
-        # the space dummy labels datasets (one constant column for M = 1),
-        # the time dummy the T - tau_max usable time steps
+        # the space dummy labels datasets (one label for M = 1), the time
+        # dummy the T - tau_max usable time steps, rows dataset-major
         pd = pool_data(small_collection(M=M, T=T), tau_max)
         m, t = np.divmod(np.arange(M * (T - tau_max)), T - tau_max)
-        mat, rows = pd.extract_aligned([(pd.space_dummy, 0), (pd.time_dummy, 0)])
-        assert np.array_equal(rows, np.arange(pd.n_rows))
-        assert np.array_equal(mat, np.hstack([np.eye(M)[m], np.eye(T - tau_max)[t]]))
+        assert np.array_equal(pd.dataset_index, m)
+        assert np.array_equal(pd.time_index, t + tau_max)
+        assert pd.selectors[(pd.space_dummy, 0)].n_components == M
+        assert pd.selectors[(pd.time_dummy, 0)].n_components == T - tau_max
 
     def test_space_dummy_single_dataset_is_constant(self):
         pd = pool_data(small_collection(M=1, T=5), 2)
-        block = pd.extract_aligned([(pd.space_dummy, 0)])[0]
-        assert block.shape == (3, 1)
-        assert np.all(block == 1.0)
+        assert np.array_equal(pd.dataset_index, np.zeros(3))
+        assert pd.selectors[(pd.space_dummy, 0)].n_components == 1
 
     def test_time_dummy_column_count(self):
         pd = pool_data(small_collection(M=1, T=5), 2)
-        block = pd.extract_aligned([(pd.time_dummy, 0)])[0]
-        assert block.shape == (3, 3)
-        assert np.array_equal(block, np.eye(3))
+        assert np.array_equal(pd.time_index, [2, 3, 4])
+        assert pd.selectors[(pd.time_dummy, 0)].n_components == 3
 
     def test_blocks_on_dropped_rows_keep_every_column(self):
         # a lag beyond tau_max drops the first time steps of every dataset:
-        # their time-dummy columns stay, empty
+        # the time dummy keeps its groups, those without rows empty
         pd = pool_data(small_collection(M=2, T=12), 2)
-        mat, rows = pd.extract_aligned([(pd.time_dummy, 0), (0, 4), (pd.space_dummy, 0)])
+        rows = pd.extract_aligned([(0, 4)])[1]
         m, t = np.divmod(np.arange(2 * 8), 8)
         assert np.array_equal(rows, np.flatnonzero(pd.time_index >= 4))
-        assert np.array_equal(mat[:, :10], np.eye(10)[t + 2])
-        assert np.array_equal(mat[:, 11:], np.eye(2)[m])
+        assert np.array_equal(pd.time_index[rows], t + 4)
+        assert np.array_equal(pd.dataset_index[rows], m)
+        assert pd.selectors[(pd.time_dummy, 0)].n_components == 10
+        norms = pd.gram_stats(4, "none").group_norms["time"]
+        assert len(norms) == 10 and not norms[:2].any() and norms[2:].all()
 
     def test_balanced_column_sums(self):
-        dc = small_collection(M=2, T=12)
-        pd = pool_data(dc, 2)
-        space = pd.extract_aligned([(pd.space_dummy, 0)])[0]
-        time = pd.extract_aligned([(pd.time_dummy, 0)])[0]
-        assert np.array_equal(space.sum(axis=0), np.full(2, 10.0))  # T - tau_max
-        assert np.array_equal(time.sum(axis=0), np.full(10, 2.0))   # M
+        pd = pool_data(small_collection(M=2, T=12), 2)
+        assert np.array_equal(np.bincount(pd.dataset_index), np.full(2, 10))  # T - tau_max
+        assert np.array_equal(np.bincount(pd.time_index - 2), np.full(10, 2))  # M
 
     def test_rows_sharing_t_share_the_one_hot_vector(self):
         dc = small_collection(M=3, T=8)
         pd = pool_data(dc, 2)
-        time = pd.extract_aligned([(pd.time_dummy, 0)])[0]
         per = pd.T - pd.tau_max
         for t in range(per):
             rows = [m * per + t for m in range(3)]
-            for r in rows[1:]:
-                assert np.array_equal(time[rows[0]], time[r])
+            assert np.all(pd.time_index[rows] == t + pd.tau_max)
 
-    def test_blocks_internally_orthogonal(self):
-        dc = small_collection(M=3, T=9)
-        pd = pool_data(dc, 2)
-        for var in (pd.time_dummy, pd.space_dummy):
-            block = pd.extract_aligned([(var, 0)])[0]
-            prod = block.T @ block
-            assert np.all(prod[~np.eye(prod.shape[0], dtype=bool)] == 0.0)
+    @pytest.mark.parametrize("kind", ["time", "space"])
+    def test_dummy_selector_is_refused(self, kind):
+        pd = pool_data(small_collection(M=3, T=9), 2)
+        dummy = (pd.time_dummy if kind == "time" else pd.space_dummy, 0)
+        for selectors in ([dummy], [(0, 0), dummy], [dummy, (0, 4)]):
+            with pytest.raises(SelectionError, match=rf"^selector \({dummy[0]}, 0\) is the "
+                                                     rf"{kind} dummy, which has no columns"):
+                pd.extract_aligned(selectors)
 
 
 class TestPoolData:
@@ -101,7 +105,7 @@ class TestPoolData:
         dc = small_collection(M=2, T=12)
         pd = pool_data(dc, 2)
         assert pd.n_rows == 2 * (12 - 2) == 20
-        assert pd.n_components(pd.space_dummy) == 2
+        assert pd.selectors[(pd.space_dummy, 0)].n_components == 2
 
     def test_every_usable_sample_appears_once(self):
         dc = small_collection(M=2, T=12)
@@ -159,7 +163,7 @@ class TestPoolData:
             pd.extract_aligned([(0, 5)])
         # a negative index must not alias a variable counted from the end
         with pytest.raises(SelectionError):
-            pd.extract_aligned([(-pd.n_vars, 3)])
+            pd.extract_aligned([(-len(pd.var_roles), 3)])
 
     @pytest.mark.parametrize("M, T, tau_max, time_degenerate, space_degenerate", [
         (3, 12, 2, False, False),
@@ -186,7 +190,8 @@ class TestPoolData:
         with pytest.raises(TypeError):
             pd.selectors[(0, 0)] = None
 
-        for var in range(-pd.n_vars, pd.n_vars + 1):
+        n_vars = len(pd.var_roles)
+        for var in range(-n_vars, n_vars + 1):
             for lag in range(-1, 2 * tau_max + 2):
                 entry = expected.get((var, lag))
                 if entry is None:
@@ -195,9 +200,10 @@ class TestPoolData:
                     with pytest.raises(SelectionError):
                         pd.extract_aligned([(var, lag)])
                     continue
-                assert pd.n_components(var) == entry[3]
-                assert pd.selectors[(var, lag)].degenerate == entry[4]
-                if lag > tau_max:
+                if entry[1]:  # a dummy: its labels, no columns
+                    with pytest.raises(SelectionError, match="dummy, which has no columns"):
+                        pd.extract_aligned([(var, lag)])
+                elif lag > tau_max:
                     # defined only from time step ``lag`` on, not on every row
                     rows = pd.extract_aligned([(0, 0), (var, lag)])[1]
                     assert np.array_equal(rows, np.flatnonzero(pd.time_index >= lag))
@@ -221,9 +227,10 @@ class TestPoolData:
         pd = pool_data(small_collection(M=3, T=12), 2)
         # a negative index must not count from the end, and one past the end
         # must not surface as a bare IndexError
-        for var in [*range(-pd.n_vars, 0), pd.n_vars]:
+        n_vars = len(pd.var_roles)
+        for var in [*range(-n_vars, 0), n_vars]:
             with pytest.raises(SelectionError, match="out of range"):
-                pd.n_components(var)
+                pd.extract_aligned([(var, 0)])
             assert (var, 0) not in pd.selectors
 
     def test_rejects_non_finite_values(self):
@@ -249,7 +256,10 @@ class TestPoolData:
                     for g in np.unique(labels[kind]):
                         mat[labels[kind] == g] -= mat[labels[kind] == g].mean(axis=0)
             assert np.allclose(stats.gram, mat.T @ mat, rtol=0, atol=1e-10)
-            for kind, offset in (("time", pd.tau_max), ("space", 0)):
+            # sums only of the dummies the mode does not demean by
+            assert stats.group_sums.keys() == stats.group_norms.keys() == TESTABLE[mode]
+            for kind in TESTABLE[mode]:
+                offset = pd.tau_max if kind == "time" else 0
                 dense = np.zeros_like(stats.group_sums[kind])
                 np.add.at(dense, labels[kind] - offset, mat)
                 assert np.allclose(stats.group_sums[kind], dense, rtol=0, atol=1e-10)
@@ -278,21 +288,18 @@ class TestPoolData:
         pd = pool_data(dc, 2)
         text = pd.to_csv()
         header = text.splitlines()[0].split(",")
+        # the dummies are the dataset and t labels, written once
         assert header == ["dataset", "t", "System0", "System1", "TemporalContext2",
-                          "SpatialContext3", "TimeDummy4_0", "TimeDummy4_1",
-                          "TimeDummy4_2", "TimeDummy4_3", "SpaceDummy5_0",
-                          "SpaceDummy5_1"]
+                          "SpatialContext3"]
         body = np.array([[float(v) for v in line.split(",")]
                          for line in text.splitlines()[1:]])
         assert body.shape == (pd.n_rows, len(header))
         # every value as stored: dataset-major rows t = tau_max..T-1, then
-        # the system, temporal and spatial columns and the one-hot blocks
-        per = pd.T - pd.tau_max
-        m, t = np.divmod(np.arange(pd.n_rows), per)
+        # the system, temporal and spatial columns
+        m, t = np.divmod(np.arange(pd.n_rows), pd.T - pd.tau_max)
         t += pd.tau_max
         expected = np.column_stack([
-            m, t, dc.system[m, t], dc.temporal_ctx[t], dc.spatial_ctx[m],
-            np.eye(per)[t - pd.tau_max], np.eye(pd.M)[m]])
+            m, t, dc.system[m, t], dc.temporal_ctx[t], dc.spatial_ctx[m]])
         assert np.array_equal(body, expected)
 
     def test_csv_dump_of_a_hand_built_panel(self):
@@ -304,9 +311,8 @@ class TestPoolData:
                                spatial_ctx=np.array([[5.0], [-6.0]]),
                                observed_mask=(True, True))
         assert pool_data(dc, 1).to_csv() == (
-            "dataset,t,System0,TemporalContext1,SpatialContext2,TimeDummy3_0,"
-            "TimeDummy3_1,SpaceDummy4_0,SpaceDummy4_1\n"
-            "0,1,2.5,20,5,1,0,1,0\n"
-            "0,2,3.5,0.10000000000000001,5,0,1,1,0\n"
-            "1,1,0.25,20,-6,1,0,0,1\n"
-            "1,2,7,0.10000000000000001,-6,0,1,0,1\n")
+            "dataset,t,System0,TemporalContext1,SpatialContext2\n"
+            "0,1,2.5,20,5\n"
+            "0,2,3.5,0.10000000000000001,5\n"
+            "1,1,0.25,20,-6\n"
+            "1,2,7,0.10000000000000001,-6\n")
