@@ -91,8 +91,10 @@ class ExperimentConfig:
         for v in self.variants:
             if v not in discovery.VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")
-        if len(set(self.variants)) < len(self.variants):
-            raise ValueError(f"variants={self.variants!r} name a variant twice")
+        for key in ("t_values", "m_values", "frac_observed_values", "variants"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key}={values!r} repeat a value")
         return self
 
     @classmethod
@@ -257,21 +259,17 @@ def _svg(title, parts, width, height):
 
 
 def _svg_line_chart(series, title, x_label, y_label, width=560, height=360):
-    """Multi-series line chart; series maps name -> [(x, y), ...]."""
+    """Multi-series line chart of rates in [0, 1]; series maps name -> [(x, y), ...]."""
     pad = 56
     xs = sorted({x for pts in series.values() for (x, _) in pts})
     x_min, x_max = min(xs), max(xs)
     x_span = (x_max - x_min) or 1.0
-    y_min, y_max = 0.0, 1.0
-    all_y = [y for pts in series.values() for (_, y) in pts]
-    if all_y and max(all_y) > 1.0:
-        y_max = max(all_y)
 
     def sx(x):
         return pad + (x - x_min) / x_span * (width - 2 * pad)
 
     def sy(y):
-        return height - pad - (y - y_min) / (y_max - y_min) * (height - 2 * pad)
+        return height - pad - y * (height - 2 * pad)
 
     parts = [f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
              f'y2="{height - pad}" stroke="black"/>']
@@ -280,8 +278,7 @@ def _svg_line_chart(series, title, x_label, y_label, width=560, height=360):
     for x in xs:
         parts.append(f'<text x="{sx(x):.1f}" y="{height - pad + 16:.1f}" '
                      f'text-anchor="middle" font-size="10">{x:g}</text>')
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        y = y_min + frac * (y_max - y_min)
+    for y in (0.0, 0.25, 0.5, 0.75, 1.0):
         parts.append(f'<text x="{pad - 6}" y="{sy(y) + 3:.1f}" '
                      f'text-anchor="end" font-size="10">{y:.2f}</text>')
         parts.append(f'<line x1="{pad}" y1="{sy(y):.1f}" x2="{width - pad}" '
@@ -363,7 +360,7 @@ def render_plots(rows, cfg):
                 series, f"{cls} {metric}", x_label, metric)
     if len(cfg.t_values) > 1 and len(cfg.m_values) > 1:
         for variant in cfg.variants:
-            for frac in dict.fromkeys(cfg.frac_observed_values):
+            for frac in cfg.frac_observed_values:
                 grid = {(r["T"], r["M"]): r["mean"] for r in rows
                         if r["variant"] == variant and r["frac_observed"] == frac
                         and r["class"] == LinkClass.SYSTEM_SYSTEM.value

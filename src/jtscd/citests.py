@@ -56,15 +56,16 @@ its dummy sums in one call of that behind ``np.linalg.inv``).  Each block
 is factorized on its own inside the stack, so a query gets the same bits
 in a batch of any size; ``parcorr_test`` is a batch of one.  A query is
 the plain triple ``(x, y, z)``: ``x`` and ``y`` are one ``(var, lag)``
-tuple each and ``z`` is a list or tuple of them.  ``_resolve`` checks it
-in one pass, each thing once and in this order: the tested pair overlaps
-(``x`` equal to ``y``, or either in ``z``); a selector is missing from
-the table ``PooledData.selectors`` built with the pooled data; both tested
-sides are dummies; a tested side is degenerate, which is answered, not
-refused; a context endpoint is conditioned on the dummy of its own kind,
-which it is a function of; too few samples remain.  A list-form selector
-or a ``z`` that is not a list or tuple is refused too, checked only once
-the overlap or lookup has failed, so a valid query pays nothing for it.
+tuple each and ``z`` is a list or tuple of them.  Both CI tests refuse a
+malformed query by one ladder, in this order: the tested pair overlaps
+(``_check_pair``); a selector is missing from the test's ``selectors``
+(``_out_of_range``, a ``SelectionError`` with its reason); both tested
+sides are dummies, or a context endpoint is conditioned on the dummy of
+its own kind, a function of it (``_check_dummies``).  A list-form selector
+or a ``z`` not a list or tuple is checked only once the overlap or lookup
+has failed, and the dummy step only for a query that holds a dummy, so a
+valid query pays nothing for them.  ParCorr then answers a degenerate
+tested side and refuses too few samples (``_resolve``).
 The per-column thresholds -- whether a ``z`` column is live, and the
 residual sum of squares at or below which a column lies in the span of
 ``z`` -- are derived once per ``GramStats``, as tuples of Python booleans
@@ -95,8 +96,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import (GraphStructureError, GroundTruthGraph, VariableRole, d_connected,
-                    d_separated, is_integer, observed_variables)
+from .graph import (GroundTruthGraph, VariableRole, d_connected, d_separated, is_integer,
+                    observed_variables)
 from .pooling import SPAN_TOL, VARIANCE_EPS, SelectionError
 from .scm import ConstantColumnError
 
@@ -146,11 +147,44 @@ def _check_pair(x, y, z):
                           "conditioning set overlaps the tested pair") + _naming(x, y, z))
 
 
-def _missing(x, y, z, table):
-    """The first selector of the query ``(x, y, z)``, in that order, that
-    ``table`` does not hold, once the query is in form (``_check_form``)."""
+def _out_of_range(x, y, z, test):
+    """The ``SelectionError`` of the first selector of the query ``(x, y,
+    z)``, in that order, missing from the CI test's ``test.selectors``, once
+    the query is in form (``_check_form``).  Its reason is the first that
+    holds: not a ``(var, lag)`` pair; no such variable; a single-node
+    variable (a spatial context or a dummy) at a lag other than 0; a lag
+    outside ``[0, W]``, W the table's largest lag."""
     _check_form(x, y, z)
-    return next(sel for sel in (x, y, *z) if sel not in table)
+    table = test.selectors
+    sel = next(sel for sel in (x, y, *z) if sel not in table)
+    if len(sel) != 2:
+        reason = "not a (var, lag) pair"
+    elif (sel[0], 0) not in table:
+        reason = "no such variable"
+    elif not test.var_roles[int(sel[0])].is_time_indexed:
+        reason = "lag must be 0"
+    else:
+        reason = f"lag outside [0, {max(lag for _, lag in table)}]"
+    return SelectionError(f"selector {sel} out of range: {reason}" + _naming(x, y, z))
+
+
+def _check_dummies(x, y, z, test):
+    """Raise the ``QueryError`` of a query ``(x, y, z)`` to the CI test
+    ``test`` with two dummy endpoints, or with a context endpoint
+    conditioned on the dummy of its own kind, of which it is a function.  A
+    constant dummy in ``z`` (``degenerate`` in ParCorr's table; the
+    oracle's dummies never are) carries no signal and is let through."""
+    roles = test.var_roles  # a var found in the table equals an int, as 1.0 does
+    x_role, y_role = roles[int(x[0])], roles[int(y[0])]
+    if x_role.is_dummy and y_role.is_dummy:
+        raise QueryError("a dummy may appear among the tested variables once only"
+                         + _naming(x, y, z))
+    for sel, role in ((x, x_role), (y, y_role)):
+        if role.is_context:
+            own = (test.time_dummy if role.is_temporal_kind else test.space_dummy, 0)
+            if own in z and not getattr(test.selectors[own], "degenerate", False):
+                raise QueryError(f"context {sel} is conditioned on the dummy {own} "
+                                 f"of its own kind" + _naming(x, y, z))
 
 
 # the gufuncs behind ``np.linalg.cholesky``, ``np.linalg.inv`` and
@@ -305,14 +339,10 @@ def _resolve(query, data):
 
     ``query`` is the plain triple ``(x, y, z)``, its selectors looked up as
     given, with no copy.  It is checked in one pass, each thing once, and
-    the first check it fails raises, naming the query: the tested pair
-    overlaps, or the query is not in form (``_check_pair``, a
-    ``QueryError``); a selector is missing from the table (a
-    ``SelectionError`` naming the first, in x, y, z order); both tested
-    sides are dummies (``QueryError``); a context endpoint is conditioned
-    on the dummy of its own kind (``_check_own_dummy``); too few samples
-    remain (``QueryError``).  A degenerate tested endpoint, found between
-    the dummy checks, is answered.
+    the first check it fails raises, naming the query: the refusal ladder
+    both CI tests share (``_check_pair``, ``_out_of_range``,
+    ``_check_dummies``), then too few samples (``QueryError``).  A
+    degenerate tested endpoint, found between the two, is answered.
 
     Returns a ``CITestResult`` for a query answered before any statistic is
     read -- a degenerate tested endpoint -- and otherwise the tuple ``(x,
@@ -339,15 +369,11 @@ def _resolve(query, data):
             else:
                 z_cols.append(column)
     except (KeyError, TypeError):  # TypeError: a list-form selector
-        raise SelectionError(f"selector {_missing(x_sel, y_sel, z, table)} out of range"
-                             + _naming(x_sel, y_sel, z)) from None
-    if x.dummy and y.dummy:
-        raise QueryError("a dummy may appear among the tested variables once only"
-                         + _naming(x_sel, y_sel, z))
+        raise _out_of_range(x_sel, y_sel, z, data) from None
+    if x.dummy and y.dummy or z_dummies:
+        _check_dummies(x_sel, y_sel, z, data)
     if x.degenerate or y.degenerate:
         return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
-    if z_dummies:
-        _check_own_dummy(x_sel, y_sel, z, data)
     mode = ("both" if len(z_dummies) == 2
             else z_dummies.pop() if z_dummies else "none")
     stats = data.gram_stats(max(start, x.start, y.start), mode)
@@ -358,23 +384,6 @@ def _resolve(query, data):
         x, y = y, x
     live = stats.live
     return x, y, stats, tuple([c for c in z_cols if live[c]])
-
-
-def _check_own_dummy(x, y, z, data):
-    """Raise the ``QueryError`` of a context endpoint conditioned on the
-    dummy of its own kind in the query ``(x, y, z)``.
-
-    The context is a function of that dummy, so the test could only find
-    its residual zero.  A constant dummy in ``z`` (``degenerate`` in
-    ``data.selectors``) carries no signal and is let through.
-    """
-    for var, lag in (x, y):
-        role = data.var_roles[var]
-        if role.is_context:
-            own = (data.time_dummy if role.is_temporal_kind else data.space_dummy, 0)
-            if own in z and not data.selectors[own].degenerate:
-                raise QueryError(f"context {(var, lag)} is conditioned on the dummy {own} "
-                                 f"of its own kind" + _naming(x, y, z))
 
 
 def _eigh(block, n):
@@ -636,11 +645,11 @@ class GraphOracle:
     Queries use the observed-variable indexing (system, observed temporal
     contexts, observed spatial contexts) followed by the time and space
     dummy.  A query is the plain triple ``(x, y, z)`` that ParCorr takes,
-    its pair and form checked as ParCorr checks them.  The table
-    ``selectors`` maps each valid ``(var, lag)`` to the ground-truth nodes
-    it stands for: an observed variable at a lag in the unrolled window
-    (lag 0 only for a single-node one), and a dummy at lag 0 to every
-    context node of its kind in the window.  A dummy tested against a node
+    and a malformed one is refused as ParCorr refuses it, by one ladder.
+    The table ``selectors`` maps each valid ``(var, lag)`` to the
+    ground-truth nodes it stands for: an observed variable at a lag in the
+    unrolled window (lag 0 only for a single-node one), and a dummy at lag
+    0 to every context node of its kind in the window.  A dummy tested against a node
     is independent of it iff the ``d_connected`` pass from that node reaches
     no latent context node of its kind.  ``n_tests`` counts every query.
 
@@ -688,18 +697,6 @@ class GraphOracle:
                         for sel in ((self.time_dummy, 0), (self.space_dummy, 0))}
         self.n_tests = 0
 
-    def _refusal(self, sel, query):
-        """The ``QueryError`` for a selector missing from ``selectors``."""
-        if len(sel) != 2:
-            message = f"selector {sel} is not a (var, lag) pair"
-        elif (sel[0], 0) not in self.selectors:
-            message = f"selector {sel} is not an observed variable"
-        elif not self.var_roles[sel[0]].is_time_indexed:
-            message = f"selector {sel} must have lag 0"
-        else:
-            message = f"lag {sel[1]} outside the unrolled window {self.depth}"
-        return QueryError(message + _naming(*query))
-
     def __call__(self, x, y, z=()):
         self.n_tests += 1
         _check_pair(x, y, z)
@@ -708,18 +705,11 @@ class GraphOracle:
             nx, ny = table[x], table[y]
             zsub = frozenset().union(*map(table.__getitem__, z))
         except (KeyError, TypeError):  # TypeError: a list-form selector
-            raise self._refusal(_missing(x, y, z, table), (x, y, z)) from None
-        query = x, y, z  # named by a refusal after the swap below
+            raise _out_of_range(x, y, z, self) from None
+        _check_dummies(x, y, z, self)
         if y in self._latent:  # d-separation is symmetric: keep a dummy in x
-            if x in self._latent:
-                raise QueryError("a dummy may appear on one side of the query only"
-                                 + _naming(*query))
             x, nx, ny = y, ny, nx
         (node,) = ny
-        # an endpoint node in the substituted z is refused, as d_separated
-        # refuses it; the context nodes a dummy x stands for may be in z
-        if not zsub.isdisjoint(ny if x in self._latent else nx | ny):
-            raise GraphStructureError("x and y must not be part of z" + _naming(*query))
         if x in self._latent:
             latent = self._latent[x]
             independent = not latent or latent.isdisjoint(

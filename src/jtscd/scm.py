@@ -246,10 +246,7 @@ class DatasetCollection:
         """CSV text of dataset ``m`` with t, system, temporal and spatial columns."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        header = (["t"] + [f"X{i}" for i in range(self.n_system)]
-                  + [f"Ctime{k}" for k in range(self.n_temporal_ctx)]
-                  + [f"Cspace{k}" for k in range(self.n_spatial_ctx)])
-        writer.writerow(header)
+        writer.writerow(_csv_header(self.n_system, self.n_temporal_ctx, self.n_spatial_ctx))
         for t in range(self.T):
             row = [str(t)]
             row += [f"{v:.17g}" for v in self.system[m, t]]
@@ -276,7 +273,8 @@ class DatasetCollection:
 
     @classmethod
     def from_dir(cls, path):
-        """Read a ``to_dir`` directory; a malformed meta.json is a ``ValueError``."""
+        """Read a ``to_dir`` directory; a malformed meta.json, a header other than
+        ``dataset_csv``'s or a ``t`` cell other than its row number is a ``ValueError``."""
         path = Path(path)
         meta = json.loads((path / "meta.json").read_text())
         counts = ("M", "T", "n_system", "n_temporal_ctx", "n_spatial_ctx")
@@ -294,10 +292,14 @@ class DatasetCollection:
         system = np.zeros((M, T, n_sys))
         temporal = np.zeros((T, n_t))
         spatial = np.zeros((M, n_s))
-        width = n_sys + n_t + n_s
+        header = _csv_header(n_sys, n_t, n_s)
+        width = len(header) - 1
         for m in range(M):
-            text = (path / f"data_{m:03d}.csv").read_text()
-            header, *body = list(csv.reader(text.splitlines())) or [[]]
+            name = f"data_{m:03d}.csv"
+            given, *body = list(csv.reader((path / name).read_text().splitlines())) or [[]]
+            if given != header:
+                raise ValueError(f"{name}: header {','.join(given)!r} must be "
+                                 f"{','.join(header)!r}")
             if len(body) != T:
                 raise PanelShapeError(f"dataset {m} has {len(body)} rows, expected {T}")
             for t, row in enumerate(body):
@@ -307,11 +309,13 @@ class DatasetCollection:
                         vals.append(float(v))
                     except ValueError:
                         column = header[k] if k < len(header) else f"#{k}"
-                        raise ValueError(f"data_{m:03d}.csv data row {t}, column {column!r}: "
+                        raise ValueError(f"{name} data row {t}, column {column!r}: "
                                          f"{v!r} is not a number") from None
                 if len(vals) != width:
                     raise PanelShapeError(f"dataset {m} row {t} has {len(vals)} values, "
                                           f"expected {width}")
+                if row[:1] != [str(t)]:
+                    raise ValueError(f"{name} data row {t}: t={''.join(row[:1])!r} must be {t}")
                 system[m, t] = vals[:n_sys]
                 temporal_row = vals[n_sys:n_sys + n_t]
                 if m == 0:
@@ -326,6 +330,13 @@ class DatasetCollection:
                                      f"at row {t}")
         return cls(system=system, temporal_ctx=temporal, spatial_ctx=spatial,
                    observed_mask=tuple(mask))
+
+
+def _csv_header(n_system, n_temporal_ctx, n_spatial_ctx):
+    """The columns of a dataset CSV file: ``t``, system, temporal and spatial contexts."""
+    return (["t"] + [f"X{i}" for i in range(n_system)]
+            + [f"Ctime{k}" for k in range(n_temporal_ctx)]
+            + [f"Cspace{k}" for k in range(n_spatial_ctx)])
 
 
 def _lag_matrices(spec):

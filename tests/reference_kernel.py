@@ -130,13 +130,13 @@ def lstsq_parcorr_test(query, data, correction="bonferroni"):
     x, y, z = query
     # every selector checked first
     start = max(_entry(data, var, lag).start for (var, lag) in (x, y, *z))
-    if data.selectors[x].degenerate or data.selectors[y].degenerate:
-        return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
     for (var, _) in (x, y):
         role = data.var_roles[var]
         own = (data.time_dummy if role.is_temporal_kind else data.space_dummy, 0)
         if role.is_context and own in z and not data.selectors[own].degenerate:
             raise QueryError(f"context {var} is conditioned on its own dummy {own}")
+    if data.selectors[x].degenerate or data.selectors[y].degenerate:
+        return CITestResult(0.0, 1.0, data.n_rows, degenerate=True)
     n = int(np.count_nonzero(data.time_index >= start))
     n_z_cols = _z_column_count(z, data)
     if n <= n_z_cols + 3:

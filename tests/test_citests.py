@@ -17,7 +17,7 @@ from jtscd import citests
 from jtscd.citests import (GraphOracle, ParCorrCI, QueryError, _t_tail, _tail_polynomials,
                            parcorr_test)
 from jtscd.discovery import j_pcmciplus
-from jtscd.graph import (GraphStructureError, GroundTruthGraph, TimeSeriesGraph,
+from jtscd.graph import (GroundTruthGraph, TimeSeriesGraph,
                          VariableRole, d_separated)
 from jtscd.pooling import SelectionError, pool_data
 from jtscd.scm import DatasetCollection, generate_random_model, simplified_preset, simulate
@@ -40,49 +40,59 @@ def pooled_from_array(system, M=1, temporal=None, spatial=None, mask=(),
     return pool_data(dc, tau_max)
 
 
-# (x, y, z, ParCorr's error type, its message, the oracle's QueryError
-# message) for queries both CI tests refuse, on a four-variable model: a
-# tested pair that overlaps, a selector that is no valid (var, lag) pair --
-# an empty or two-selector side among them -- and a query not in form, a
-# list-form selector or a z that is not a list or tuple, which is refused
-# before the overlap; a callable z is asked fresh each time
+# (x, y, z, error type, message) for queries both CI tests refuse alike, on
+# system variables 0-2, a temporal context 3 and a spatial context 4, with
+# the dummies 5 (time) and 6 (space) and lags up to 4: a tested pair that
+# overlaps; a selector missing from the table, for each reason -- not a
+# (var, lag) pair (an empty or two-selector side among them), no such
+# variable, a single-node variable at a lag, a lag outside the window; two
+# dummy endpoints; a context conditioned on its own dummy; and a query not
+# in form, a list-form selector or a z that is not a list or tuple, which
+# is refused before the overlap; a callable z is asked fresh each time
 MALFORMED_QUERIES = (
-    ((0, 0), (0, 0), (), QueryError, "x and y overlap", "x and y overlap"),
-    ((0, 0), (1, 0), ((0, 0),), QueryError, "conditioning set overlaps the tested pair",
-     "conditioning set overlaps the tested pair"),
-    ((0, 0), (1, 0), [(2, 0), (1, 0)], QueryError,
-     "conditioning set overlaps the tested pair", "conditioning set overlaps the tested pair"),
-    ((0,), (1, 0), (), SelectionError, r"selector \(0,\) out of range",
-     r"selector \(0,\) is not a \(var, lag\) pair"),
-    ((0, 0, 0), (1, 0), (), SelectionError, r"selector \(0, 0, 0\) out of range",
-     r"selector \(0, 0, 0\) is not a \(var, lag\) pair"),
-    ((0, 0), (1, -1), (), SelectionError, r"selector \(1, -1\) out of range",
-     "lag -1 outside the unrolled window 4"),
-    ((0, 0), (1, 0), ((2,),), SelectionError, r"selector \(2,\) out of range",
-     r"selector \(2,\) is not a \(var, lag\) pair"),
-    ((), (1, 0), (), SelectionError, r"selector \(\) out of range",
-     r"selector \(\) is not a \(var, lag\) pair"),
-    ((0, 0), (), [(2, 0)], SelectionError, r"selector \(\) out of range",
-     r"selector \(\) is not a \(var, lag\) pair"),
+    ((0, 0), (0, 0), (), QueryError, "x and y overlap"),
+    ((0, 0), (1, 0), ((0, 0),), QueryError, "conditioning set overlaps the tested pair"),
+    ((0, 0), (1, 0), [(2, 0), (1, 0)], QueryError, "conditioning set overlaps the tested pair"),
+    ((0,), (1, 0), (), SelectionError, r"selector \(0,\) out of range: not a \(var, lag\) pair"),
+    ((0, 0, 0), (1, 0), (), SelectionError,
+     r"selector \(0, 0, 0\) out of range: not a \(var, lag\) pair"),
+    ((0, 0), (1, 0), ((2,),), SelectionError,
+     r"selector \(2,\) out of range: not a \(var, lag\) pair"),
+    ((), (1, 0), (), SelectionError, r"selector \(\) out of range: not a \(var, lag\) pair"),
+    ((0, 0), (), [(2, 0)], SelectionError,
+     r"selector \(\) out of range: not a \(var, lag\) pair"),
     (((0, 0), (2, 0)), (1, 0), ((3, 0),), SelectionError,
-     r"selector \(\(0, 0\), \(2, 0\)\) out of range",
-     r"selector \(\(0, 0\), \(2, 0\)\) is not an observed variable"),
-    ([0, 0], (1, 0), (), QueryError, r"selector \[0, 0\] must be a tuple",
-     r"selector \[0, 0\] must be a tuple"),
-    ([0, 0], [0, 0], (), QueryError, r"selector \[0, 0\] must be a tuple",
-     r"selector \[0, 0\] must be a tuple"),
-    ((0, 0), [1, 0], ([2, 0], [0, 0]), QueryError, r"selector \[1, 0\] must be a tuple",
-     r"selector \[1, 0\] must be a tuple"),
-    ((0, 0), (1, 0), [(2, 0), [3, 0]], QueryError, r"selector \[3, 0\] must be a tuple",
-     r"selector \[3, 0\] must be a tuple"),
+     r"selector \(\(0, 0\), \(2, 0\)\) out of range: no such variable"),
+    ((0, 0), (7, 0), (), SelectionError, r"selector \(7, 0\) out of range: no such variable"),
+    ((0, 0), (1, 0), [(4, 1)], SelectionError, r"selector \(4, 1\) out of range: lag must be 0"),
+    ((4, -1), (1, 0), (), SelectionError, r"selector \(4, -1\) out of range: lag must be 0"),
+    ((0, 0), (1, 0), [(5, 3)], SelectionError, r"selector \(5, 3\) out of range: lag must be 0"),
+    ((6, 2), (1, 0), (), SelectionError, r"selector \(6, 2\) out of range: lag must be 0"),
+    ((0, 5), (1, 0), (), SelectionError, r"selector \(0, 5\) out of range: lag outside \[0, 4\]"),
+    ((0, 0), (1, -1), (), SelectionError,
+     r"selector \(1, -1\) out of range: lag outside \[0, 4\]"),
+    ((0, 0), (1, 0), [(3, 5)], SelectionError,
+     r"selector \(3, 5\) out of range: lag outside \[0, 4\]"),
+    ((5, 0), (6, 0), (), QueryError, "a dummy may appear among the tested variables once only"),
+    ((6, 0), (5, 0), [(0, 1)], QueryError,
+     "a dummy may appear among the tested variables once only"),
+    ((3, 0), (1, 0), ((5, 0),), QueryError,
+     r"context \(3, 0\) is conditioned on the dummy \(5, 0\) of its own kind"),
+    ((1, 0), (3, 2), [(0, 1), (5, 0)], QueryError,
+     r"context \(3, 2\) is conditioned on the dummy \(5, 0\) of its own kind"),
+    ((5, 0), (4, 0), ((6, 0),), QueryError,
+     r"context \(4, 0\) is conditioned on the dummy \(6, 0\) of its own kind"),
+    ((4, 0), (5, 0), ((6, 0),), QueryError,
+     r"context \(4, 0\) is conditioned on the dummy \(6, 0\) of its own kind"),
+    ([0, 0], (1, 0), (), QueryError, r"selector \[0, 0\] must be a tuple"),
+    ([0, 0], [0, 0], (), QueryError, r"selector \[0, 0\] must be a tuple"),
+    ((0, 0), [1, 0], ([2, 0], [0, 0]), QueryError, r"selector \[1, 0\] must be a tuple"),
+    ((0, 0), (1, 0), [(2, 0), [3, 0]], QueryError, r"selector \[3, 0\] must be a tuple"),
     ((0, 0), (1, 0), lambda: iter([(2, 0)]), QueryError,
-     "z must be a list or tuple, not list_iterator",
      "z must be a list or tuple, not list_iterator"),
     ((0, 0), (0, 0), lambda: iter([(2, 0)]), QueryError,
-     "z must be a list or tuple, not list_iterator",
      "z must be a list or tuple, not list_iterator"),
-    ((0, 0), (1, 0), {(0, 0)}, QueryError, "z must be a list or tuple, not set",
-     "z must be a list or tuple, not set"),
+    ((0, 0), (1, 0), {(0, 0)}, QueryError, "z must be a list or tuple, not set"),
 )
 
 
@@ -188,17 +198,23 @@ class TestParCorr:
 
     def test_query_validation(self):
         # every malformed query is refused by both CI tests, batched or not,
-        # and each refusal ends by naming the query as it was given
-        data = null_pool(0, k=4)
+        # with one type and one message, which ends by naming the query as
+        # it was given; ParCorr pools lags up to 2 * tau_max = 4, the depth
+        # the oracle unrolls to
+        rng = np.random.default_rng(0)
+        data = pooled_from_array(rng.standard_normal((3, 40, 3)), M=3,
+                                 temporal=rng.standard_normal((40, 1)),
+                                 spatial=rng.standard_normal((3, 1)), mask=(True, True),
+                                 tau_max=2)
+        oracle = GraphOracle(GroundTruthGraph(data.var_roles[:-2], 1), 1)
+        assert oracle.var_roles == data.var_roles and oracle.depth == 4
         parcorr = ParCorrCI(data)
-        oracle = GraphOracle(GroundTruthGraph([R.SYSTEM] * 4, 1), 1)
-        for x, y, z, error, message, oracle_message in MALFORMED_QUERIES:
+        for x, y, z, error, message in MALFORMED_QUERIES:
             given = z if callable(z) else lambda z=z: z
-            asked = ((error, message, lambda: parcorr.batch([(x, y, given())])),
-                     (error, message, lambda: citests.parcorr_batch([(x, y, given())], data)),
-                     (QueryError, oracle_message, lambda: oracle.batch([(x, y, given())])))
-            for raised, text, ask in asked:
-                with pytest.raises(raised, match=f"^{text}{named(x, y, given())}$"):
+            for ask in (lambda: parcorr.batch([(x, y, given())]),
+                        lambda: citests.parcorr_batch([(x, y, given())], data),
+                        lambda: oracle.batch([(x, y, given())])):
+                with pytest.raises(error, match=f"^{message}{named(x, y, given())}$"):
                     ask()
 
     def test_query_error_excludes_tested_pair_lags(self):
@@ -362,20 +378,12 @@ def _spatial_oracle(unroll_depth=None):
     return GraphOracle(g, 1, unroll_depth=unroll_depth)
 
 
-# (call, message) for each oracle construction or query the oracle refuses;
-# a refused query is named at the end of the message
+# (call, message) for each oracle construction the oracle refuses; the
+# queries it refuses are in MALFORMED_QUERIES
 ORACLE_ERRORS = {
     "not a ground-truth graph": (
         lambda: GraphOracle(TimeSeriesGraph([R.SYSTEM] * 2, 1), 1),
         "the oracle needs a ground-truth graph"),
-    "not an observed variable": (lambda: _spatial_oracle()((0, 0), (7, 0)),
-                                 r"selector \(7, 0\) is not an observed variable"
-                                 + named((0, 0), (7, 0))),
-    "lagged spatial context": (lambda: _spatial_oracle()((0, 0), (1, 0), [(2, 1)]),
-                               r"selector \(2, 1\) must have lag 0"
-                               + named((0, 0), (1, 0), [(2, 1)])),
-    "lag beyond the window": (lambda: _spatial_oracle()((0, 5), (1, 0)),
-                              "lag 5 outside the unrolled window 4" + named((0, 5), (1, 0))),
     "negative tau_max": (lambda: GraphOracle(_spatial_oracle().graph, -1),
                          "tau_max=-1 must be non-negative"),
     "unroll depth below tau_max": (lambda: _spatial_oracle(unroll_depth=0),
@@ -384,8 +392,6 @@ ORACLE_ERRORS = {
         lambda: _spatial_oracle(unroll_depth=1),
         r"unroll_depth 1 is smaller than 2 \* tau_max = 2: a discovery shifts "
         r"conditioning sets to lags up to 2 \* tau_max"),
-    "negative spatial lag": (lambda: _spatial_oracle()((2, -1), (1, 0)),
-                             r"selector \(2, -1\) must have lag 0" + named((2, -1), (1, 0))),
 }
 
 
@@ -401,8 +407,8 @@ def reference_dummy_endpoint(oracle, dummy, sel, z):
     context node of the dummy's kind and lag: independent iff every such
     node is d-separated from ``sel`` given ``z`` with each dummy in ``z``
     replaced by every context node of its kind in the window.  A query
-    whose ``sel`` lies in that substituted ``z`` is refused, latent nodes
-    or none."""
+    whose ``sel`` lies in that substituted ``z`` -- a context given the
+    dummy of its own kind -- is refused, latent nodes or none."""
     g, depth = oracle.graph, oracle.depth
 
     def context_nodes(temporal):
@@ -418,7 +424,8 @@ def reference_dummy_endpoint(oracle, dummy, sel, z):
             zsub.add((oracle.obs_map[v], lag))
     node = (oracle.obs_map[sel[0]], sel[1])
     if node in zsub:
-        raise GraphStructureError("x and y must not be part of z")
+        own = next(d for d in (oracle.time_dummy, oracle.space_dummy) if (d, 0) in z)
+        raise QueryError(f"context {sel} is conditioned on the dummy {(own, 0)} of its own kind")
     for latent in sorted(context_nodes(dummy == oracle.time_dummy)):
         if g.roles[latent[0]].is_latent and not d_separated(
                 g, latent, node, zsub, unroll_depth=depth):
@@ -430,7 +437,7 @@ def _answer(call):
     """Whether a query found independence, or the message it raised."""
     try:
         return call()
-    except GraphStructureError as exc:
+    except QueryError as exc:
         return str(exc)
 
 
@@ -460,8 +467,9 @@ class TestOracle:
 
     def test_dummy_endpoint_in_the_substituted_z_is_refused(self):
         # the time dummy against an observed spatial context given the space
-        # dummy, which stands for that context: refused whether or not the
-        # graph has a latent temporal context
+        # dummy, which stands for that context: refused as ParCorr refuses a
+        # context given its own dummy, whether or not the graph has a latent
+        # temporal context
         _, preset = simplified_preset()
         no_latent = GroundTruthGraph([R.SYSTEM, R.TEMPORAL_CONTEXT, R.SPATIAL_CONTEXT], 1)
         no_latent.add_edge(1, 0, 1)
@@ -469,15 +477,15 @@ class TestOracle:
         for g in (preset, no_latent):
             o = GraphOracle(g, 1)
             spatial = o.var_roles.index(R.SPATIAL_CONTEXT)
+            own = re.escape(f"context {(spatial, 0)} is conditioned on the dummy "
+                            f"{(o.space_dummy, 0)} of its own kind")
             for x, y in (((o.time_dummy, 0), (spatial, 0)), ((spatial, 0), (o.time_dummy, 0))):
                 z = [(o.space_dummy, 0)]
-                with pytest.raises(GraphStructureError,
-                                   match=f"^x and y must not be part of z{named(x, y, z)}$"):
+                with pytest.raises(QueryError, match=f"^{own}{named(x, y, z)}$"):
                     o(x, y, z)
             # so is a scalar context endpoint given the dummy of its own kind
             x, y, z = (spatial, 0), (0, 0), [(o.space_dummy, 0)]
-            with pytest.raises(GraphStructureError,
-                               match=f"^x and y must not be part of z{named(x, y, z)}$"):
+            with pytest.raises(QueryError, match=f"^{own}{named(x, y, z)}$"):
                 o(x, y, z)
 
     def test_default_unroll_depth_is_deep_enough(self):
@@ -501,9 +509,11 @@ class TestOracle:
         with pytest.raises(QueryError):
             o((o.time_dummy, 0), (o.space_dummy, 0), [])
         # a dummy is one node at lag 0, as in ParCorr's selector table
-        with pytest.raises(QueryError, match=rf"selector \({o.time_dummy}, 3\) must have lag 0"):
+        with pytest.raises(SelectionError,
+                           match=rf"selector \({o.time_dummy}, 3\) out of range: lag must be 0"):
             o((0, 0), (1, 0), [(o.time_dummy, 3)])
-        with pytest.raises(QueryError, match=rf"selector \({o.space_dummy}, 2\) must have lag 0"):
+        with pytest.raises(SelectionError,
+                           match=rf"selector \({o.space_dummy}, 2\) out of range: lag must be 0"):
             o((o.space_dummy, 2), (1, 0))
 
     def test_pass_through_matches_d_separated(self):

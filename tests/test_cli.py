@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from jtscd import discovery
 from jtscd.cli import main
 from jtscd.graph import TimeSeriesGraph, dummy_deletion, target_graph
 from jtscd.graph import GroundTruthGraph
@@ -273,9 +274,14 @@ class TestBenchCLI:
         ({"alpha": "x"}, r"alpha must lie in \(0, 1\)"),
         ({"n_realizations": 1.5}, r"n_realizations=1\.5 must be an integer"),
         ({"variants": ["pcmci+", "pcmci+"]},
-         r"variants=\['pcmci\+', 'pcmci\+'\] name a variant twice"),
+         r"variants=\['pcmci\+', 'pcmci\+'\] repeat a value"),
+        ({"t_values": [30, 30]}, r"t_values=\[30, 30\] repeat a value"),
+        ({"m_values": [4, 2, 4]}, r"m_values=\[4, 2, 4\] repeat a value"),
+        ({"frac_observed_values": [0.5, 0.5]},
+         r"frac_observed_values=\[0\.5, 0\.5\] repeat a value"),
         (None, r"the config must be a JSON object of config keys"),
-    ], ids=["t_values", "m_values", "alpha", "n_realizations", "variants", "array"])
+    ], ids=["t_values", "m_values", "alpha", "n_realizations", "variants", "repeated T",
+            "repeated M", "repeated frac_observed", "array"])
     def test_malformed_config_value_is_named(self, tmp_path, capsys, overrides, message):
         cfg_path = tmp_path / "bench.json"
         if overrides is None:
@@ -287,6 +293,23 @@ class TestBenchCLI:
         err = capsys.readouterr().err
         assert re.fullmatch(f"jtscd bench: error: {message}\n", err), err
         assert not out.exists()
+
+    def test_failed_realizations_exit_1_and_are_written(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # a realization that raises is recorded and the sweep goes on
+        def failing(*args, **kwargs):
+            raise RuntimeError("discovery failed")
+
+        monkeypatch.setattr(discovery, "estimate_graph", failing)
+        cfg_path = tmp_path / "bench.json"
+        self.bench_config(cfg_path)
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "2 cell realizations failed (see failures.json)\n", err
+        failures = json.loads((out / "failures.json").read_text())
+        assert failures == [{"cell": [30, 4, 0.5], "realization": r,
+                             "error": "discovery failed"} for r in range(2)]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_refused(self, tmp_path, capsys, workers):

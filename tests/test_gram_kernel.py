@@ -583,8 +583,8 @@ class TestBatch:
     def test_own_dummy_checked_once_per_query(self, monkeypatch):
         # a discovery checks each query with a dummy in z for a context
         # conditioned on its own dummy once, and no query without one
-        check, calls = citests._check_own_dummy, []
-        monkeypatch.setattr(citests, "_check_own_dummy",
+        check, calls = citests._check_dummies, []
+        monkeypatch.setattr(citests, "_check_dummies",
                             lambda *args: calls.append(args) or check(*args))
         asked, batch = [], citests.parcorr_batch
         monkeypatch.setattr(citests, "parcorr_batch",

@@ -191,6 +191,13 @@ def _two_system_and_dummy():
     return TimeSeriesGraph([R.SYSTEM, R.SYSTEM, R.SPACE_DUMMY], 1)
 
 
+def _circle_marked():
+    """Two system variables joined at lag 0 by an ``o-o`` mark."""
+    g = TimeSeriesGraph([R.SYSTEM, R.SYSTEM], 1)
+    g.set_mark(0, 1, 0, UNDIRECTED)
+    return g
+
+
 # (call, error type, message) for each malformed construction or query
 GRAPH_ERRORS = {
     "negative tau_max": (lambda: TimeSeriesGraph([R.SYSTEM], -1),
@@ -229,6 +236,9 @@ GRAPH_ERRORS = {
     "d-separation lagged spatial context": (
         lambda: d_separated(catchment_graph(), (0, 0), (1, 0), {(3, 1)}),
         GraphStructureError, "lag 1 of variable 3 outside window"),
+    "d-separation on an o-o mark": (
+        lambda: d_separated(_circle_marked(), (0, 0), (1, 1), set()),
+        GraphStructureError, "d-separation requires a fully directed graph; found mark 'o-o'"),
 }
 
 

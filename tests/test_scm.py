@@ -407,6 +407,23 @@ class TestSerialization:
         with pytest.raises(NonFiniteDataError, match=r"^temporal_ctx .*\(3, 0\)$"):
             DatasetCollection.from_dir(tmp_path)
 
+    def test_from_dir_rejects_a_header_naming_other_columns(self, tmp_path):
+        # two system columns swapped in the header would be read as each other
+        spec, _ = generate_random_model(seed=12, max_lag=2)
+        simulate(spec, M=2, T=10, seed=13).to_dir(tmp_path, spec=spec)
+        self._edit_cell(tmp_path / "data_000.csv", 0, 1, "X1")
+        self._edit_cell(tmp_path / "data_000.csv", 0, 2, "X0")
+        with pytest.raises(ValueError, match=r"^data_000\.csv: header 't,X1,X0,.*' must be "
+                                             r"'t,X0,X1,"):
+            DatasetCollection.from_dir(tmp_path)
+
+    def test_from_dir_rejects_a_t_cell_that_is_not_its_row_number(self, tmp_path):
+        spec, _ = generate_random_model(seed=12, max_lag=2)
+        simulate(spec, M=2, T=10, seed=13).to_dir(tmp_path, spec=spec)
+        self._edit_cell(tmp_path / "data_001.csv", 3, 0, "7")
+        with pytest.raises(ValueError, match=r"^data_001\.csv data row 2: t='7' must be 2$"):
+            DatasetCollection.from_dir(tmp_path)
+
     def test_mask_all_latent(self):
         spec, _ = generate_random_model(seed=14, frac_observed=1.0)
         dc = simulate(spec, M=2, T=20, seed=15)
