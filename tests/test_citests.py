@@ -378,27 +378,40 @@ def _spatial_oracle(unroll_depth=None):
     return GraphOracle(g, 1, unroll_depth=unroll_depth)
 
 
-# (call, message) for each oracle construction the oracle refuses; the
-# queries it refuses are in MALFORMED_QUERIES
+# (call, error type, message) for each oracle construction or query the
+# oracle refuses; a refused query is named at the end of the message, as
+# for every row of MALFORMED_QUERIES, which ParCorr refuses alike
 ORACLE_ERRORS = {
     "not a ground-truth graph": (
         lambda: GraphOracle(TimeSeriesGraph([R.SYSTEM] * 2, 1), 1),
-        "the oracle needs a ground-truth graph"),
+        QueryError, "the oracle needs a ground-truth graph"),
+    "not an observed variable": (lambda: _spatial_oracle()((0, 0), (7, 0)), SelectionError,
+                                 r"selector \(7, 0\) out of range: no such variable"
+                                 + named((0, 0), (7, 0))),
+    "lagged spatial context": (lambda: _spatial_oracle()((0, 0), (1, 0), [(2, 1)]),
+                               SelectionError, r"selector \(2, 1\) out of range: lag must be 0"
+                               + named((0, 0), (1, 0), [(2, 1)])),
+    "lag beyond the window": (lambda: _spatial_oracle()((0, 5), (1, 0)), SelectionError,
+                              r"selector \(0, 5\) out of range: lag outside \[0, 4\]"
+                              + named((0, 5), (1, 0))),
     "negative tau_max": (lambda: GraphOracle(_spatial_oracle().graph, -1),
-                         "tau_max=-1 must be non-negative"),
+                         QueryError, "tau_max=-1 must be non-negative"),
     "unroll depth below tau_max": (lambda: _spatial_oracle(unroll_depth=0),
-                                   "unroll_depth 0 is smaller than tau_max 1"),
+                                   QueryError, "unroll_depth 0 is smaller than tau_max 1"),
     "unroll depth below twice tau_max": (
-        lambda: _spatial_oracle(unroll_depth=1),
+        lambda: _spatial_oracle(unroll_depth=1), QueryError,
         r"unroll_depth 1 is smaller than 2 \* tau_max = 2: a discovery shifts "
         r"conditioning sets to lags up to 2 \* tau_max"),
+    "negative spatial lag": (lambda: _spatial_oracle()((2, -1), (1, 0)), SelectionError,
+                             r"selector \(2, -1\) out of range: lag must be 0"
+                             + named((2, -1), (1, 0))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_ERRORS))
 def test_malformed_oracle_query_is_refused(case):
-    call, message = ORACLE_ERRORS[case]
-    with pytest.raises(QueryError, match=f"^{message}$"):
+    call, error, message = ORACLE_ERRORS[case]
+    with pytest.raises(error, match=f"^{message}$"):
         call()
 
 
